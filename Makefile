@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-fix lint-sarif lint-selftest test race bench bench-json bench-smoke trace-smoke db-smoke chaos-smoke load-smoke fed-smoke fuzz results examples clean
+.PHONY: all build lint lint-fix lint-sarif lint-selftest test race bench bench-json bench-smoke trace-smoke db-smoke chaos-smoke load-smoke fed-smoke fuzz results results-check examples clean
 
 # Baseline number for bench-json artefacts (BENCH_$(N).json).
 N ?= 10
@@ -121,14 +121,29 @@ fuzz:
 	$(GO) test -fuzz FuzzTCPFrameDecode -fuzztime 15s ./internal/harmony/
 	$(GO) test -fuzz FuzzBinaryFrameDecode -fuzztime 15s ./internal/harmony/
 	$(GO) test -fuzz FuzzLoadDB -fuzztime 15s ./internal/objective/
+	$(GO) test -fuzz FuzzDBEval -fuzztime 15s ./internal/objective/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 15s ./internal/measuredb/
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/measuredb/
 	$(GO) test -fuzz FuzzSyncFrameDecode -fuzztime 15s ./internal/feddb/
 
 # Full-scale regeneration of every paper figure, ablation and extension
-# (~3 minutes), plus the consolidated markdown report.
+# (~40 s), plus the consolidated markdown report.
 results:
 	$(GO) run ./cmd/expgen -out results -seed 42 -report
+
+# Byte-identity gate for the committed figures: regenerate at full scale into
+# a temporary directory, then diff every results/*.csv and results/*.txt, and
+# REPORT.md without its Generated timestamp line.
+results-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/expgen -out "$$tmp" -seed 42 -report; \
+	for f in "$$tmp"/*.csv "$$tmp"/*.txt; do \
+	  test -f "results/$${f##*/}" || { echo "results-check: results/$${f##*/} is not committed"; exit 1; }; \
+	done; \
+	for f in results/*.csv results/*.txt; do diff -u "$$f" "$$tmp/$${f##*/}"; done; \
+	grep -v '^Generated ' results/REPORT.md > "$$tmp/REPORT.want"; \
+	grep -v '^Generated ' "$$tmp/REPORT.md" | diff -u "$$tmp/REPORT.want" -; \
+	echo "results-check: results/ is byte-identical"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -4,29 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
+	"paratune/internal/objective"
 	"paratune/internal/space"
 	"paratune/internal/stats"
 )
 
 // Replay is a store-backed objective function mirroring the paper's §6
 // replay query: an exact match returns the configuration's stored minimum;
-// anything else is the weighted average of its k nearest measured
-// neighbours, with inverse-squared-distance weights on range-normalised
-// coordinates (the same interpolation as objective.DB over the GS2 grid, but
-// sourced from live tuning measurements instead of a pre-built CSV).
+// anything else is objective.KNN's weighted average of its k nearest
+// measured neighbours — the same kernel as objective.DB over the GS2 grid,
+// but sourced from live tuning measurements instead of a pre-built CSV.
 //
 // Replay captures the store's contents at construction — it is a consistent,
 // immutable surface, safe for concurrent Eval, unaffected by concurrent
 // writes to the store it came from.
 type Replay struct {
 	sp    *space.Space
-	k     int
-	scale []float64
-	pts   []space.Point
-	vals  []float64 // per-configuration minimum over all observations
-	index map[string]int
+	knn   *objective.KNN
+	exact map[string]float64 // per-configuration minimum over all observations
 }
 
 // NewReplay builds a replay objective from the store's current contents.
@@ -36,77 +32,36 @@ func NewReplay(s *Store, sp *space.Space, neighbors int) (*Replay, error) {
 	if sig := s.SpaceSig(); sig != "" && sig != sp.String() {
 		return nil, fmt.Errorf("measuredb: replay space %q does not match store space %q", sp.String(), sig)
 	}
-	if neighbors <= 0 {
-		neighbors = 4
-	}
-	r := &Replay{sp: sp, k: neighbors, index: make(map[string]int)}
-	r.scale = make([]float64, sp.Dim())
-	for i := range r.scale {
-		rg := sp.Param(i).Range()
-		if rg == 0 {
-			rg = 1
-		}
-		r.scale[i] = rg
-	}
+	r := &Replay{sp: sp, knn: objective.NewKNN(sp, neighbors), exact: make(map[string]float64)}
 	s.ForEachRaw(func(p space.Point, obs []float64) {
 		if len(p) != sp.Dim() {
 			return
 		}
-		r.index[string(appendKey(nil, p))] = len(r.pts)
-		r.pts = append(r.pts, p)
-		r.vals = append(r.vals, stats.Min(obs))
+		v := stats.Min(obs)
+		r.exact[string(appendKey(nil, p))] = v
+		r.knn.Add(p, v)
 	})
-	if len(r.pts) == 0 {
+	if r.knn.Len() == 0 {
 		return nil, errors.New("measuredb: replay over an empty store")
 	}
 	return r, nil
 }
 
 // Len returns the number of measured configurations backing the surface.
-func (r *Replay) Len() int { return len(r.pts) }
+func (r *Replay) Len() int { return r.knn.Len() }
 
 // Eval implements objective.Function: exact stored minimum, else the
-// weighted k-nearest-neighbour interpolation.
+// weighted k-nearest-neighbour interpolation (+Inf when every neighbour is
+// infinitely far).
 func (r *Replay) Eval(x space.Point) float64 {
-	if i, ok := r.index[string(appendKey(nil, x))]; ok {
-		return r.vals[i]
+	if v, ok := r.exact[string(appendKey(nil, x))]; ok {
+		return v
 	}
-	type cand struct {
-		d float64
-		i int
-	}
-	k := r.k
-	if k > len(r.pts) {
-		k = len(r.pts)
-	}
-	best := make([]cand, 0, k+1)
-	for i, p := range r.pts {
-		var d2 float64
-		for j := range p {
-			dd := (p[j] - x[j]) / r.scale[j]
-			d2 += dd * dd
-		}
-		if len(best) < k || d2 < best[len(best)-1].d {
-			best = append(best, cand{d2, i})
-			sort.Slice(best, func(a, b int) bool { return best[a].d < best[b].d })
-			if len(best) > k {
-				best = best[:k]
-			}
-		}
-	}
-	var num, den float64
-	for _, c := range best {
-		if c.d == 0 { //paralint:allow floatcompare exact hit at zero distance
-			return r.vals[c.i]
-		}
-		w := 1 / c.d // inverse squared distance on normalised coordinates
-		num += w * r.vals[c.i]
-		den += w
-	}
+	v, den := r.knn.Interpolate(x)
 	if den == 0 { //paralint:allow floatcompare all-infinite-distance guard
 		return math.Inf(1)
 	}
-	return num / den
+	return v
 }
 
 // Space implements objective.Function.
@@ -114,5 +69,5 @@ func (r *Replay) Space() *space.Space { return r.sp }
 
 // String implements objective.Function.
 func (r *Replay) String() string {
-	return fmt.Sprintf("measuredb-replay(%d points, k=%d)", len(r.pts), r.k)
+	return fmt.Sprintf("measuredb-replay(%d points, k=%d)", r.knn.Len(), r.knn.K())
 }

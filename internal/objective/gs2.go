@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -115,23 +113,25 @@ func (m *gs2Model) eval(x space.Point) float64 {
 	return v
 }
 
-// pointHash01 maps (seed, point) to a deterministic value in [0, 1).
+// pointHash01 maps (seed, point) to a deterministic value in [0, 1): the
+// 64-bit FNV-1a hash of "seed:key", key being x.Key().
 func pointHash01(seed int64, x space.Point) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d:%s", seed, x.Key())
-	return float64(h.Sum64()%1e9) / 1e9
+	var buf [128]byte
+	b := strconv.AppendInt(buf[:0], seed, 10)
+	b = x.AppendKey(append(b, ':'))
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211 // FNV-1a prime
+	}
+	return float64(h%1e9) / 1e9
 }
 
 // DB is a performance database over a fully discrete space: exact hits are
-// looked up, and missing points are estimated by an inverse-distance weighted
-// average of the nearest stored neighbours — the paper's replay mechanism.
+// looked up in a dense cell table, and missing points are estimated by the
+// KNN interpolation over the stored points — the paper's replay mechanism.
 type DB struct {
-	s         *space.Space
-	pts       []space.Point
-	vals      []float64
-	index     map[string]int
-	neighbors int
-	scale     []float64 // per-parameter normalisation for distances
+	s   *space.Space
+	knn *KNN
 }
 
 // GenerateGS2 builds the surrogate GS2 database.
@@ -139,8 +139,7 @@ func GenerateGS2(cfg GS2Config) *DB {
 	cfg.setDefaults()
 	s := GS2Space()
 	model := newGS2Model(cfg)
-	db := &DB{s: s, index: make(map[string]int), neighbors: cfg.Neighbors}
-	db.initScale()
+	db := &DB{s: s, knn: NewKNN(s, cfg.Neighbors)}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	center := s.Center()
 	_ = s.Enumerate(func(p space.Point) {
@@ -149,124 +148,72 @@ func GenerateGS2(cfg GS2Config) *DB {
 		if !p.Equal(center) && rng.Float64() > cfg.Coverage {
 			return
 		}
-		db.add(p.Clone(), model.eval(p))
+		db.knn.Add(p.Clone(), model.eval(p))
 	})
 	return db
 }
 
 // NewDB builds an empty database over a fully discrete space for manual
-// population (and for loading saved databases).
+// population (and for loading saved databases). neighbors <= 0 defaults to 4.
 func NewDB(s *space.Space, neighbors int) (*DB, error) {
-	if _, ok := s.GridSize(); !ok {
-		return nil, errors.New("objective: DB requires a fully discrete space")
+	knn := NewKNN(s, neighbors)
+	if knn.cells == nil {
+		return nil, fmt.Errorf("objective: DB requires a fully discrete space of at most %d grid points, have %v", maxGridCells, s)
 	}
-	if neighbors <= 0 {
-		neighbors = 4
-	}
-	db := &DB{s: s, index: make(map[string]int), neighbors: neighbors}
-	db.initScale()
-	return db, nil
+	return &DB{s: s, knn: knn}, nil
 }
 
-func (db *DB) initScale() {
-	db.scale = make([]float64, db.s.Dim())
-	for i := range db.scale {
-		r := db.s.Param(i).Range()
-		if r == 0 {
-			r = 1
-		}
-		db.scale[i] = r
+// Add records a measurement for p, overwriting any earlier one. p must be a
+// grid point of the space: every coordinate bit-identical to an admissible
+// value (so -0 does not stand for 0). Add panics otherwise; LoadDB reports
+// such points as errors instead.
+func (db *DB) Add(p space.Point, v float64) {
+	if db.knn.cell(p) < 0 {
+		panic(fmt.Sprintf("objective: DB.Add of %v, which is not a grid point of %v", p, db.s))
 	}
+	db.knn.Add(p.Clone(), v)
 }
-
-func (db *DB) add(p space.Point, v float64) {
-	k := p.Key()
-	if i, ok := db.index[k]; ok {
-		db.vals[i] = v
-		return
-	}
-	db.index[k] = len(db.pts)
-	db.pts = append(db.pts, p)
-	db.vals = append(db.vals, v)
-}
-
-// Add records a measurement for p.
-func (db *DB) Add(p space.Point, v float64) { db.add(p.Clone(), v) }
 
 // Len returns the number of stored points.
-func (db *DB) Len() int { return len(db.pts) }
+func (db *DB) Len() int { return db.knn.Len() }
 
-// Lookup returns the stored value for p, if present.
-func (db *DB) Lookup(p space.Point) (float64, bool) {
-	i, ok := db.index[p.Key()]
-	if !ok {
-		return 0, false
-	}
-	return db.vals[i], true
-}
+// Lookup returns the stored value for p, if present. It takes O(dim) time
+// and does not allocate.
+//
+//paralint:hotpath
+func (db *DB) Lookup(p space.Point) (float64, bool) { return db.knn.lookup(p) }
 
 // Eval implements Function: exact lookup, else the weighted average of the
 // closest stored neighbours (inverse-distance weights on range-normalised
 // coordinates).
+//
+//paralint:hotpath
 func (db *DB) Eval(x space.Point) float64 {
-	if v, ok := db.Lookup(x); ok {
+	if v, ok := db.knn.lookup(x); ok {
 		return v
 	}
-	if len(db.pts) == 0 {
-		return math.Inf(1)
-	}
-	type cand struct {
-		d float64
-		i int
-	}
-	k := db.neighbors
-	if k > len(db.pts) {
-		k = len(db.pts)
-	}
-	best := make([]cand, 0, k+1)
-	for i, p := range db.pts {
-		var d2 float64
-		for j := range p {
-			dd := (p[j] - x[j]) / db.scale[j]
-			d2 += dd * dd
-		}
-		if len(best) < k || d2 < best[len(best)-1].d {
-			best = append(best, cand{d2, i})
-			sort.Slice(best, func(a, b int) bool { return best[a].d < best[b].d })
-			if len(best) > k {
-				best = best[:k]
-			}
-		}
-	}
-	var num, den float64
-	for _, c := range best {
-		if c.d == 0 {
-			return db.vals[c.i]
-		}
-		w := 1 / c.d // inverse squared distance weighting
-		num += w * db.vals[c.i]
-		den += w
-	}
-	return num / den
+	v, _ := db.knn.Interpolate(x)
+	return v
 }
 
 // Space implements Function.
 func (db *DB) Space() *space.Space { return db.s }
 
-func (db *DB) String() string { return fmt.Sprintf("gs2-db(%d points)", len(db.pts)) }
+func (db *DB) String() string { return fmt.Sprintf("gs2-db(%d points)", db.knn.Len()) }
 
 // Min returns the best stored point and value.
 func (db *DB) Min() (space.Point, float64, error) {
-	if len(db.pts) == 0 {
+	vals := db.knn.vals
+	if len(vals) == 0 {
 		return nil, 0, errors.New("objective: empty database")
 	}
 	bi := 0
-	for i, v := range db.vals {
-		if v < db.vals[bi] {
+	for i, v := range vals {
+		if v < vals[bi] {
 			bi = i
 		}
 	}
-	return db.pts[bi].Clone(), db.vals[bi], nil
+	return db.knn.pts[bi].Clone(), vals[bi], nil
 }
 
 // Slice evaluates the surface over the full grids of parameters xi and yi
@@ -323,12 +270,12 @@ func (db *DB) Save(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "%s,time\n", strings.Join(db.s.Names(), ",")); err != nil {
 		return err
 	}
-	for i, p := range db.pts {
+	for i, p := range db.knn.pts {
 		cols := make([]string, len(p)+1)
 		for j, v := range p {
 			cols[j] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
-		cols[len(p)] = strconv.FormatFloat(db.vals[i], 'g', -1, 64)
+		cols[len(p)] = strconv.FormatFloat(db.knn.vals[i], 'g', -1, 64)
 		if _, err := fmt.Fprintln(bw, strings.Join(cols, ",")); err != nil {
 			return err
 		}
@@ -369,10 +316,10 @@ func LoadDB(s *space.Space, neighbors int, r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("objective: line %d time column: %v", line, err)
 		}
-		if !s.Admissible(p) {
+		if db.knn.cell(p) < 0 {
 			return nil, fmt.Errorf("objective: line %d point %v not admissible in %v", line, p, s)
 		}
-		db.add(p, v)
+		db.knn.Add(p, v)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

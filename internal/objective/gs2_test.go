@@ -95,7 +95,7 @@ func TestGS2Interpolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var max float64
-	for _, val := range db.vals {
+	for _, val := range db.knn.vals {
 		if val > max {
 			max = val
 		}

@@ -1,9 +1,8 @@
 package space
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Point is a parameter vector. Coordinates are ordered as the Space's
@@ -100,21 +99,29 @@ func (p Point) Norm() float64 {
 }
 
 // Key returns a canonical string encoding of the point, usable as a map key
-// for databases of evaluated configurations.
+// for databases of evaluated configurations: the coordinates formatted as by
+// fmt's %g, comma-separated.
 func (p Point) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(p.AppendKey(buf[:0]))
+}
+
+// AppendKey appends p's Key to dst.
+func (p Point) AppendKey(dst []byte) []byte {
 	for i, v := range p {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%g", v)
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
-	return b.String()
+	return dst
 }
 
 // String formats the point as (v0, v1, ...).
 func (p Point) String() string {
-	return "(" + p.Key() + ")"
+	var buf [64]byte
+	b := p.AppendKey(append(buf[:0], '('))
+	return string(append(b, ')'))
 }
 
 // Transform computes center + alpha*(center - x): the family of simplex

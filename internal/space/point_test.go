@@ -1,9 +1,12 @@
 package space
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"paratune/internal/alloccheck"
 )
 
 func TestPointArithmetic(t *testing.T) {
@@ -74,6 +77,29 @@ func TestKeyDistinct(t *testing.T) {
 	if a.String() != "(1,2,3)" {
 		t.Errorf("String = %q", a.String())
 	}
+}
+
+// Key is the event stream's Config field and the GS2 jitter hash input, so
+// its bytes are pinned to fmt's %g, including the special values.
+func TestPointKeyMatchesFmt(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e21, 1e-7, 0.1, 2.5e6}
+	for _, v := range vals {
+		p := Point{v, 64, v}
+		want := fmt.Sprintf("%g,%g,%g", v, 64.0, v)
+		if got := p.Key(); got != want {
+			t.Errorf("Key(%v) = %q, fmt gives %q", v, got, want)
+		}
+		if got := p.String(); got != "("+want+")" {
+			t.Errorf("String = %q, want (%s)", got, want)
+		}
+	}
+}
+
+func TestPointKeyAllocs(t *testing.T) {
+	p := Point{36, 18, 8}
+	var sink string
+	alloccheck.Guard(t, "space.Point.Key", 1, func() { sink = p.Key() })
+	_ = sink
 }
 
 func TestTransformFamilies(t *testing.T) {
