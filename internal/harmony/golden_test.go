@@ -1,0 +1,143 @@
+package harmony
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/hex"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// goldenPHWIRE1 holds the committed PHWIRE1 byte vectors: one request frame
+// and one response frame per op, as "name hex" lines.
+const goldenPHWIRE1 = "testdata/phwire1.golden"
+
+type goldenReq struct {
+	name string
+	req  request
+}
+
+type goldenResp struct {
+	name string
+	resp response
+}
+
+// goldenRequests is one request per op, batches included.
+func goldenRequests() []goldenReq {
+	return []goldenReq{
+		{"req/register", request{Op: "register", Seq: 1, Client: "c1", Session: "gs2", Params: []wireParam{
+			{Name: "ntheta", Kind: "integer", Lower: 8, Upper: 64},
+			{Name: "negrid", Kind: "discrete", Values: []float64{4, 8, 16}},
+			{Name: "delt", Kind: "continuous", Lower: 0.005, Upper: 0.5},
+		}}},
+		{"req/fetch", request{Op: "fetch", Seq: 2, Client: "c1", Session: "gs2"}},
+		{"req/report", request{Op: "report", Seq: 3, Client: "c1", Session: "gs2", Tag: 7, Value: 0.8125, RID: "c1-7"}},
+		{"req/best", request{Op: "best", Seq: 4, Client: "c1", Session: "gs2"}},
+		{"req/stats", request{Op: "stats", Seq: 5, Client: "c1", Session: "gs2"}},
+		{"req/resume", request{Op: "resume", Seq: 1 << 33, Client: "c1", Session: "gs2"}},
+		{"req/fetchn", request{Op: "fetchn", Seq: 7, Client: "c1", Session: "gs2", N: 16}},
+		{"req/reportn", request{Op: "reportn", Seq: 8, Client: "c1", Session: "gs2", Reports: []ReportItem{
+			{Tag: 8, Value: 1.5, RID: "c1-8"},
+			{Tag: 9, Value: 2.25e-3, RID: "c1-9"},
+			{Tag: 300, Value: 1e9},
+		}}},
+	}
+}
+
+// goldenResponses is one response per op, plus the two structured errors.
+func goldenResponses() []goldenResp {
+	return []goldenResp{
+		{"resp/register", response{OK: true, Seq: 1}},
+		{"resp/fetch", response{OK: true, Seq: 2, Point: []float64{24, 8, 0.125}, Tag: 7}},
+		{"resp/report", response{OK: true, Seq: 3}},
+		{"resp/report-invalid", response{Seq: 3, Code: codeInvalidValue, Error: "invalid value -1"}},
+		{"resp/best", response{OK: true, Seq: 4, Point: []float64{32, 16, 0.05}, Value: 0.75, Converged: true}},
+		{"resp/stats", response{OK: true, Seq: 5, Stats: &SessionStats{
+			Name: "gs2", Converged: false, Best: []float64{32, 16, 0.05}, BestValue: 0.75,
+			Pending: 3, NextTag: 12,
+		}}},
+		{"resp/resume", response{OK: true, Seq: 1 << 33, LastSeq: 5, Dropped: 1, Duplicates: 2, Resumes: 1}},
+		{"resp/fetchn", response{OK: true, Seq: 7, Batch: []wireFetch{
+			{Point: []float64{24, 8, 0.125}, Tag: 10},
+			{Point: []float64{40, 4, 0.25}, Tag: 11, Converged: true},
+		}}},
+		{"resp/reportn", response{OK: true, Seq: 8, Accepted: 2, Refused: 1, Rejected: 0, Queue: 5}},
+		{"resp/reportn-backpressure", response{Seq: 8, Code: codeBackpressure, Error: "session backpressure", Queue: 4096}},
+	}
+}
+
+// readGolden parses a "name hex" vector file.
+func readGolden(t *testing.T, path string) map[string][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, hx, ok := strings.Cut(line, " ")
+		b, err := hex.DecodeString(hx)
+		if !ok || err != nil {
+			t.Fatalf("%s: bad line %q", path, line)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// TestWireGoldenBytes pins PHWIRE1 against committed byte vectors: each
+// message encodes (through the client and server codecs, envelope included)
+// to exactly its vector, and each vector decodes back to the message.
+func TestWireGoldenBytes(t *testing.T) {
+	golden := readGolden(t, goldenPHWIRE1)
+	used := 0
+	for _, g := range goldenRequests() {
+		want, ok := golden[g.name]
+		if !ok {
+			t.Fatalf("%s: no golden vector", g.name)
+		}
+		used++
+		var w bytes.Buffer
+		if err := (&binClientCodec{w: &w}).send(&g.req); err != nil {
+			t.Fatalf("%s: encode: %v", g.name, err)
+		}
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Errorf("%s: encoding changed:\n got %x\nwant %x", g.name, w.Bytes(), want)
+		}
+		var got request
+		sc := &binServerCodec{br: bufio.NewReader(bytes.NewReader(want))}
+		if err := sc.readRequest(&got); err != nil {
+			t.Fatalf("%s: decode: %v", g.name, err)
+		}
+		if !reflect.DeepEqual(got, g.req) {
+			t.Errorf("%s: decode mismatch:\n got %+v\nwant %+v", g.name, got, g.req)
+		}
+	}
+	for _, g := range goldenResponses() {
+		want, ok := golden[g.name]
+		if !ok {
+			t.Fatalf("%s: no golden vector", g.name)
+		}
+		used++
+		var w bytes.Buffer
+		if err := (&binServerCodec{w: &w}).writeResponse(&g.resp); err != nil {
+			t.Fatalf("%s: encode: %v", g.name, err)
+		}
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Errorf("%s: encoding changed:\n got %x\nwant %x", g.name, w.Bytes(), want)
+		}
+		var got response
+		cc := &binClientCodec{br: bufio.NewReader(bytes.NewReader(want))}
+		if err := cc.recv(&got); err != nil {
+			t.Fatalf("%s: decode: %v", g.name, err)
+		}
+		if !reflect.DeepEqual(got, g.resp) {
+			t.Errorf("%s: decode mismatch:\n got %+v\nwant %+v", g.name, got, g.resp)
+		}
+	}
+	if used != len(golden) {
+		t.Errorf("%s holds %d vectors, the test checks %d", goldenPHWIRE1, len(golden), used)
+	}
+}
