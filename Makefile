@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 15s ./internal/measuredb/
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/measuredb/
 	$(GO) test -fuzz FuzzSyncFrameDecode -fuzztime 15s ./internal/feddb/
+	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
 
 # Full-scale regeneration of every paper figure, ablation and extension
 # (~40 s), plus the consolidated markdown report.

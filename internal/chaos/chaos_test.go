@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -373,5 +374,71 @@ func TestScheduledKillFires(t *testing.T) {
 	tune(t, h.l.Addr().String(), "killed", 2, 3000)
 	if g := h.sup.Generation(); g < 2 {
 		t.Errorf("generation = %d; the scheduled kill never fired", g)
+	}
+}
+
+// TestProxyDropsMisframedLink pins the relay's framing to the endpoints':
+// a length prefix they reject — non-minimal, or overflowing 64 bits in its
+// tenth byte — drops the link instead of being relayed as some other frame.
+// Only the preamble reaches the backend.
+func TestProxyDropsMisframedLink(t *testing.T) {
+	cases := map[string][]byte{
+		"non-minimal": {0x80, 0x00, 0, 0, 0, 0},
+		"overflowing": {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0, 0, 0, 0},
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			backend, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer backend.Close()
+			got := make(chan []byte, 1)
+			go func() {
+				c, err := backend.Accept()
+				if err != nil {
+					got <- nil
+					return
+				}
+				defer c.Close()
+				b, _ := io.ReadAll(c)
+				got <- b
+			}()
+			p, err := New(Config{Seed: 1}, func() (net.Conn, error) {
+				return net.Dial("tcp", backend.Addr().String())
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				_ = p.Serve(l)
+			}()
+			defer func() {
+				_ = l.Close()
+				<-served
+			}()
+			client, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Write(append([]byte(harmony.WireMagic), bad...)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case b := <-got:
+				if string(b) != harmony.WireMagic {
+					t.Fatalf("backend received %x, want only the preamble", b)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("proxy kept the misframed link open")
+			}
+		})
 	}
 }

@@ -10,26 +10,10 @@ import (
 	"time"
 
 	"paratune/internal/event"
+	"paratune/internal/feddb"
+	"paratune/internal/frame"
+	"paratune/internal/harmony"
 )
-
-// binPreamble mirrors the harmony binary protocol's PHWIRE1 connection
-// preamble. The proxy forwards it verbatim outside the fault schedule: the
-// preamble is connection negotiation, not a frame — the client writes it
-// atomically with connect, so faulting it would model a failure the
-// endpoints cannot experience and would shift every frame ordinal after it,
-// breaking the same-seed plan-replay contract between JSON and binary runs.
-const binPreamble = "PHWIRE1\n"
-
-// syncPreamble mirrors the feddb anti-entropy protocol's PHSYNC1 preamble.
-// Sync frames share the PHWIRE1 envelope (uvarint length | crc32 | payload),
-// so a sync link is relayed — and faulted — exactly like a binary tuning
-// link, fault for fault under the same deterministic schedule.
-const syncPreamble = "PHSYNC1\n"
-
-// maxBinFrame mirrors the harmony codec's 1MB frame bound; a length prefix
-// above it means the stream is not actually framed binary and the link is
-// dropped rather than buffered without bound.
-const maxBinFrame = 1 << 20
 
 // Killer is the supervisor hook the proxy fires scheduled server kills
 // through. Kill must tear the backend down abruptly (no final checkpoint),
@@ -173,29 +157,36 @@ func (p *Proxy) drop(a, b net.Conn) {
 }
 
 // forward relays whole messages src → dst — newline-framed JSON lines, or
-// length-prefixed PHWIRE1 frames once the link's preamble negotiated binary —
-// applying the planned fault for each frame ordinal. dir 0 is client→server
-// (counted toward kill triggers), 1 is server→client. The goroutine exits
-// when either side closes; both forwarders of a link share its fate because
-// every fault that severs the link closes both connections.
+// internal/frame envelopes once the link's preamble negotiated PHWIRE1 or
+// PHSYNC1 — applying the planned fault for each frame ordinal. dir 0 is
+// client→server (counted toward kill triggers), 1 is server→client. The
+// goroutine exits when either side closes; both forwarders of a link share
+// its fate because every fault that severs the link closes both connections.
+//
+// A preamble is forwarded verbatim outside the fault schedule: it is
+// connection negotiation, not a frame — the client writes it atomically with
+// connect, so faulting it would model a failure the endpoints cannot
+// experience and would shift every frame ordinal after it, breaking the
+// same-seed plan-replay contract between JSON and binary runs. Sync links
+// share the envelope, so they are relayed and faulted exactly like binary
+// tuning links.
 func (p *Proxy) forward(link, dir int, src, dst net.Conn, bin *atomic.Bool) {
 	defer p.wg.Done()
 	defer p.drop(src, dst)
 	rd := bufio.NewReader(src)
 	if dir == 0 {
-		// Sniff the client's first byte for the binary preamble and, if
-		// present, relay it verbatim before any scheduled fault applies (see
-		// binPreamble for why it sits outside the schedule).
+		// Sniff the client's first byte for a binary preamble and, if
+		// present, relay it verbatim before any scheduled fault applies.
 		first, err := rd.Peek(1)
 		if err != nil {
 			return
 		}
-		if first[0] == binPreamble[0] {
-			var magic [len(binPreamble)]byte
+		if first[0] == harmony.WireMagic[0] {
+			var magic [len(harmony.WireMagic)]byte
 			if _, err := io.ReadFull(rd, magic[:]); err != nil {
 				return
 			}
-			if string(magic[:]) != binPreamble && string(magic[:]) != syncPreamble {
+			if string(magic[:]) != harmony.WireMagic && string(magic[:]) != feddb.SyncMagic {
 				return
 			}
 			if _, err := dst.Write(magic[:]); err != nil {
@@ -212,7 +203,18 @@ func (p *Proxy) forward(link, dir int, src, dst net.Conn, bin *atomic.Bool) {
 	}
 	binary := bin.Load()
 	for f := 0; ; f++ {
-		frame, err := readWireFrame(rd, binary)
+		// The proxy never checks CRCs — it is a transparent relay, and
+		// deliberately broken frames (Truncate faults) are exactly what the
+		// endpoints must detect themselves — but it holds length prefixes to
+		// the endpoints' rules: one they would reject drops the link rather
+		// than being buffered or misframed.
+		var msg []byte
+		var err error
+		if binary {
+			msg, err = frame.ReadRaw(rd, frame.MaxPayload)
+		} else {
+			msg, err = rd.ReadBytes('\n')
+		}
 		if err != nil {
 			// A partial final message is garbage mid-frame: forwarding it
 			// would invent a truncation the plan never drew, so it is
@@ -223,31 +225,31 @@ func (p *Proxy) forward(link, dir int, src, dst net.Conn, bin *atomic.Bool) {
 		switch pl.act {
 		case Delay:
 			time.Sleep(time.Duration(pl.delayMS * float64(time.Millisecond)))
-			if _, err := dst.Write(frame); err != nil {
+			if _, err := dst.Write(msg); err != nil {
 				return
 			}
 		case Drop:
 			// One-way partition: the frame vanishes; the link lives on.
 		case Dup:
-			if _, err := dst.Write(frame); err != nil {
+			if _, err := dst.Write(msg); err != nil {
 				return
 			}
-			if _, err := dst.Write(frame); err != nil {
+			if _, err := dst.Write(msg); err != nil {
 				return
 			}
 		case Truncate:
 			n := pl.bytes
-			if n > len(frame) {
-				n = len(frame)
+			if n > len(msg) {
+				n = len(msg)
 			}
-			_, _ = dst.Write(frame[:n])
+			_, _ = dst.Write(msg[:n])
 			p.applied(link, dir, f, pl.act)
 			return
 		case Reset:
 			p.applied(link, dir, f, pl.act)
 			return
 		default:
-			if _, err := dst.Write(frame); err != nil {
+			if _, err := dst.Write(msg); err != nil {
 				return
 			}
 		}
@@ -258,41 +260,6 @@ func (p *Proxy) forward(link, dir int, src, dst net.Conn, bin *atomic.Bool) {
 			p.countClientFrame()
 		}
 	}
-}
-
-// readWireFrame reads one whole message: a newline-terminated JSON line, or
-// a complete PHWIRE1 frame (uvarint length, 4-byte CRC, payload) returned
-// with its header bytes intact. The proxy never validates CRCs — it is a
-// transparent relay, and deliberately broken frames (Truncate faults) are
-// exactly what the endpoints must detect themselves.
-func readWireFrame(rd *bufio.Reader, binary bool) ([]byte, error) {
-	if !binary {
-		return rd.ReadBytes('\n')
-	}
-	frame := make([]byte, 0, 64)
-	var size uint64
-	for shift := uint(0); ; shift += 7 {
-		b, err := rd.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		frame = append(frame, b)
-		if shift > 63 {
-			return nil, errors.New("chaos: binary frame length overflow")
-		}
-		size |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if size > maxBinFrame {
-		return nil, errors.New("chaos: binary frame exceeds size limit")
-	}
-	rest := make([]byte, 4+int(size))
-	if _, err := io.ReadFull(rd, rest); err != nil {
-		return nil, err
-	}
-	return append(frame, rest...), nil
 }
 
 // applied mirrors one executed fault into the event stream.

@@ -46,7 +46,7 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = 10 * time.Second
 	}
-	var wbuf []byte
+	var bufs syncBufs
 	var msg, reply syncMsg
 	// Snapshot bytes are generated once per connection and served in chunks;
 	// the sum lets a reconnecting peer resume mid-transfer as long as the
@@ -58,11 +58,7 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 		if err := conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout)); err != nil {
 			return err
 		}
-		payload, err := readSyncFrame(br)
-		if err != nil {
-			return err
-		}
-		if err := decodeSyncMsg(payload, &msg); err != nil {
+		if err := readSyncMsg(br, &bufs, &msg); err != nil {
 			return err
 		}
 		reply = syncMsg{}
@@ -135,7 +131,7 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 		if err := conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout)); err != nil {
 			return err
 		}
-		if err := writeSyncMsg(conn, &wbuf, &reply); err != nil {
+		if err := writeSyncMsg(conn, &bufs, &reply); err != nil {
 			return err
 		}
 		if fatal {

@@ -54,7 +54,7 @@ type Stats struct {
 type syncConn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	wbuf []byte
+	bufs syncBufs
 	rt   time.Duration
 	wt   time.Duration
 }
@@ -65,17 +65,13 @@ func (c *syncConn) roundTrip(req, resp *syncMsg) error {
 	if err := c.conn.SetWriteDeadline(time.Now().Add(c.wt)); err != nil {
 		return err
 	}
-	if err := writeSyncMsg(c.conn, &c.wbuf, req); err != nil {
+	if err := writeSyncMsg(c.conn, &c.bufs, req); err != nil {
 		return err
 	}
 	if err := c.conn.SetReadDeadline(time.Now().Add(c.rt)); err != nil {
 		return err
 	}
-	payload, err := readSyncFrame(c.br)
-	if err != nil {
-		return err
-	}
-	if err := decodeSyncMsg(payload, resp); err != nil {
+	if err := readSyncMsg(c.br, &c.bufs, resp); err != nil {
 		return err
 	}
 	if resp.Op == "error" {
@@ -112,7 +108,7 @@ func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Sta
 	if err := conn.SetWriteDeadline(time.Now().Add(c.wt)); err != nil {
 		return stats, err
 	}
-	if _, err := conn.Write([]byte(syncMagic)); err != nil {
+	if _, err := conn.Write([]byte(SyncMagic)); err != nil {
 		return stats, err
 	}
 

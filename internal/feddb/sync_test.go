@@ -29,7 +29,7 @@ func syncOnce(t *testing.T, client, server *measuredb.Store, opts Options) (Stat
 		defer close(done)
 		defer sc.Close()
 		br := bufio.NewReader(sc)
-		var magic [len(syncMagic)]byte
+		var magic [len(SyncMagic)]byte
 		if _, err := io.ReadFull(br, magic[:]); err != nil {
 			return
 		}
@@ -233,7 +233,7 @@ func TestSnapshotResumeAfterCut(t *testing.T) {
 		defer close(done)
 		defer sc.Close()
 		br := bufio.NewReader(sc)
-		var magic [len(syncMagic)]byte
+		var magic [len(SyncMagic)]byte
 		if _, err := io.ReadFull(br, magic[:]); err != nil {
 			return
 		}

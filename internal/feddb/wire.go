@@ -6,10 +6,8 @@
 // The protocol rides the existing TCP layer as a sibling of PHWIRE1: a sync
 // client opens with the 8-byte preamble "PHSYNC1\n" (the harmony server
 // sniffs it exactly like the binary tuning protocol's magic) and both sides
-// then exchange frames in the same envelope:
-//
-//	frame   = uvarint(len(payload)) | crc32(payload) 4 bytes big-endian | payload
-//	payload = op byte | the op's fields in fixed order (see appendSyncMsg)
+// then exchange internal/frame envelopes whose payload is an op byte and the
+// op's fields in fixed order (see appendSyncMsg).
 //
 // One round is digest-driven: hello carries the caller's per-origin
 // (high, chained-hash) digest, digest answers with the server's, and the
@@ -20,33 +18,25 @@
 // order-independent across origins, and convergent regardless of peer
 // pairing or sync ordering (the three-peer property test pins this).
 //
-// The codec is canonical like PHWIRE1's: uvarints are minimal, bools are a
-// single 0/1 byte, floats are IEEE-754 bits big-endian, and decoding then
-// re-encoding a valid frame yields the same bytes (FuzzSyncFrameDecode pins
-// it).
+// The codec is canonical like PHWIRE1's — frame's field encoding throughout
+// — so decoding then re-encoding a valid frame yields the same bytes
+// (FuzzSyncFrameDecode pins it).
 package feddb
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
-	"math"
 
+	"paratune/internal/frame"
 	"paratune/internal/measuredb"
 )
 
-// syncMagic is the sync client's connection preamble. Same length as the
-// PHWIRE1 magic so the server's sniffer reads one 8-byte prefix and decides.
-const syncMagic = "PHSYNC1\n"
-
-// SyncMagic is the preamble exported for codec sniffers: a server that
-// reads these 8 bytes on a fresh connection hands it to [ServeConn].
-const SyncMagic = syncMagic
-
-// maxSyncFrame bounds a sync frame payload, mirroring the PHWIRE1 cap.
-const maxSyncFrame = 1 << 20
+// SyncMagic is the sync client's connection preamble. Same length as the
+// PHWIRE1 magic, so a server's codec sniffer reads one 8-byte prefix and
+// hands a sync connection to [ServeConn].
+const SyncMagic = "PHSYNC1\n"
 
 // maxSyncOrigins bounds a digest's origin list: a fleet has one origin per
 // store, so a list anywhere near the frame cap is an attack, not a fleet.
@@ -65,13 +55,8 @@ const (
 	opError
 )
 
-// Static errors for the encode/decode paths.
-var (
-	errSyncMalformed = errors.New("feddb: malformed sync frame")
-	errSyncTooLarge  = errors.New("feddb: sync frame exceeds size limit")
-	errSyncCRC       = errors.New("feddb: sync frame CRC mismatch")
-	errSyncUnknownOp = errors.New("feddb: unknown op for sync encoding")
-)
+// errSyncUnknownOp rejects encoding a message with no opcode.
+var errSyncUnknownOp = errors.New("feddb: unknown op for sync encoding")
 
 // opCode maps an op name to its wire opcode.
 func opCode(op string) (byte, bool) {
@@ -169,24 +154,24 @@ func appendSyncMsg(dst []byte, m *syncMsg) ([]byte, error) {
 	switch m.Op {
 	case "hello", "digest":
 		dst = binary.BigEndian.AppendUint64(dst, uint64(m.Seed))
-		dst = appendSyncStr(dst, m.Space)
+		dst = frame.AppendString(dst, m.Space)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Origins)))
 		for _, d := range m.Origins {
-			dst = appendSyncStr(dst, d.Origin)
+			dst = frame.AppendString(dst, d.Origin)
 			dst = binary.AppendUvarint(dst, d.High)
 			dst = binary.BigEndian.AppendUint64(dst, d.Hash)
 		}
 	case "pull":
-		dst = appendSyncStr(dst, m.Origin)
+		dst = frame.AppendString(dst, m.Origin)
 		dst = binary.AppendUvarint(dst, m.From)
 		dst = binary.AppendUvarint(dst, m.Max)
 	case "frames":
-		dst = appendSyncStr(dst, m.Origin)
+		dst = frame.AppendString(dst, m.Origin)
 		dst = appendSyncFrames(dst, m.Frames)
 		dst = binary.AppendUvarint(dst, m.High)
 		dst = binary.BigEndian.AppendUint64(dst, m.Hash)
 	case "push":
-		dst = appendSyncStr(dst, m.Origin)
+		dst = frame.AppendString(dst, m.Origin)
 		dst = appendSyncFrames(dst, m.Frames)
 	case "ack":
 		dst = binary.AppendUvarint(dst, m.Applied)
@@ -199,289 +184,133 @@ func appendSyncMsg(dst []byte, m *syncMsg) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint64(dst, m.Hash)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Data)))
 		dst = append(dst, m.Data...)
-		dst = appendSyncBool(dst, m.Done)
+		dst = frame.AppendBool(dst, m.Done)
 	case "error":
-		dst = appendSyncStr(dst, m.Detail)
+		dst = frame.AppendString(dst, m.Detail)
 	}
 	return dst, nil
-}
-
-func appendSyncStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendSyncBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
 }
 
 func appendSyncFrames(dst []byte, frames []measuredb.Frame) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(frames)))
 	for i := range frames {
 		f := &frames[i]
-		dst = appendSyncStr(dst, f.Origin)
+		dst = frame.AppendString(dst, f.Origin)
 		dst = binary.AppendUvarint(dst, f.Seq)
 		dst = binary.AppendUvarint(dst, uint64(len(f.Point)))
 		for _, c := range f.Point {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c))
+			dst = frame.AppendF64(dst, c)
 		}
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f.Value))
+		dst = frame.AppendF64(dst, f.Value)
 	}
 	return dst
 }
 
 // decodeSyncMsg parses one sync payload into m. Decoding is strict (minimal
 // uvarints, 0/1 bools, exact consumption), so decode∘encode is the identity
-// on valid frames.
+// on valid frames; every field is copied out of payload.
 func decodeSyncMsg(payload []byte, m *syncMsg) error {
-	r := syncReader{buf: payload}
-	op, ok := opName(r.byteVal())
+	r := frame.NewReader(payload)
+	op, ok := opName(r.Byte())
 	if !ok {
-		return errSyncMalformed
+		return frame.ErrMalformed
 	}
 	*m = syncMsg{Op: op}
 	switch m.Op {
 	case "hello", "digest":
-		m.Seed = int64(r.u64())
-		m.Space = r.str()
-		if n := r.count(1); n > 0 {
+		m.Seed = int64(r.U64())
+		m.Space = r.Str()
+		if n := r.Count(1); n > 0 {
 			if n > maxSyncOrigins {
-				return errSyncMalformed
+				return frame.ErrMalformed
 			}
 			m.Origins = make([]measuredb.OriginDigest, n)
 			for i := range m.Origins {
 				d := &m.Origins[i]
-				d.Origin = r.str()
-				d.High = r.uvarint()
-				d.Hash = r.u64()
+				d.Origin = r.Str()
+				d.High = r.Uvarint()
+				d.Hash = r.U64()
 			}
 		}
 	case "pull":
-		m.Origin = r.str()
-		m.From = r.uvarint()
-		m.Max = r.uvarint()
+		m.Origin = r.Str()
+		m.From = r.Uvarint()
+		m.Max = r.Uvarint()
 	case "frames":
-		m.Origin = r.str()
-		m.Frames = r.frames()
-		m.High = r.uvarint()
-		m.Hash = r.u64()
+		m.Origin = r.Str()
+		m.Frames = readFrames(&r)
+		m.High = r.Uvarint()
+		m.Hash = r.U64()
 	case "push":
-		m.Origin = r.str()
-		m.Frames = r.frames()
+		m.Origin = r.Str()
+		m.Frames = readFrames(&r)
 	case "ack":
-		m.Applied = r.uvarint()
-		m.Dups = r.uvarint()
+		m.Applied = r.Uvarint()
+		m.Dups = r.Uvarint()
 	case "snappull":
-		m.From = r.uvarint()
-		m.Hash = r.u64()
+		m.From = r.Uvarint()
+		m.Hash = r.U64()
 	case "snapchunk":
-		m.Size = r.uvarint()
-		m.Hash = r.u64()
-		m.Data = r.bytes()
-		m.Done = r.boolVal()
+		m.Size = r.Uvarint()
+		m.Hash = r.U64()
+		m.Data = r.Bytes()
+		m.Done = r.Bool()
 	case "error":
-		m.Detail = r.str()
+		m.Detail = r.Str()
 	}
-	return r.finish()
+	return r.Finish()
 }
 
-// syncReader is a sticky-error cursor over one frame payload, the same
-// strict shape as the PHWIRE1 decoder.
-type syncReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *syncReader) fail() {
-	if r.err == nil {
-		r.err = errSyncMalformed
-	}
-}
-
-func (r *syncReader) byteVal() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail()
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *syncReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *syncReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf)-r.off < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *syncReader) f64() float64 {
-	return math.Float64frombits(r.u64())
-}
-
-// count decodes an element count for elements of at least elemMin encoded
-// bytes, bounding allocations by the remaining payload.
-func (r *syncReader) count(elemMin int) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64((len(r.buf)-r.off)/elemMin) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *syncReader) str() string {
-	n := r.count(1)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *syncReader) bytes() []byte {
-	n := r.count(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:])
-	r.off += n
-	return b
-}
-
-func (r *syncReader) boolVal() bool {
-	b := r.byteVal()
-	if b > 1 {
-		r.fail()
-		return false
-	}
-	return b == 1
-}
-
-func (r *syncReader) frames() []measuredb.Frame {
-	n := r.count(2)
-	if r.err != nil || n == 0 {
+// readFrames decodes a counted list of measurement frames.
+func readFrames(r *frame.Reader) []measuredb.Frame {
+	n := r.Count(2)
+	if n == 0 {
 		return nil
 	}
 	fs := make([]measuredb.Frame, n)
 	for i := range fs {
 		f := &fs[i]
-		f.Origin = r.str()
-		f.Seq = r.uvarint()
-		dim := r.count(8)
-		if r.err != nil {
-			return nil
-		}
-		if dim > 0 {
+		f.Origin = r.Str()
+		f.Seq = r.Uvarint()
+		if dim := r.Count(8); dim > 0 {
 			f.Point = make([]float64, dim)
 			for j := range f.Point {
-				f.Point[j] = r.f64()
+				f.Point[j] = r.F64()
 			}
 		}
-		f.Value = r.f64()
+		f.Value = r.F64()
 	}
 	return fs
 }
 
-// finish demands the payload was consumed exactly.
-func (r *syncReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.buf) {
-		return errSyncMalformed
-	}
-	return nil
+// syncBufs is one connection's reused scratch: the encode payload and
+// frame, and the decode payload.
+type syncBufs struct {
+	payload, frame, read []byte
 }
 
-// readSyncFrame reads one framed payload from br. Transport errors (EOF,
-// deadlines) come back as-is; structural violations come back as
-// errSyncMalformed / errSyncTooLarge / errSyncCRC.
-func readSyncFrame(br *bufio.Reader) ([]byte, error) {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := 0
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if n >= len(lenBuf) {
-			return nil, errSyncMalformed
-		}
-		lenBuf[n] = b
-		n++
-		if b < 0x80 {
-			break
-		}
-	}
-	size, un := binary.Uvarint(lenBuf[:n])
-	if un != n || (n > 1 && lenBuf[n-1] == 0) {
-		return nil, errSyncMalformed
-	}
-	if size > maxSyncFrame {
-		return nil, errSyncTooLarge
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(crcBuf[:]) {
-		return nil, errSyncCRC
-	}
-	return payload, nil
-}
-
-// writeSyncMsg frames and writes m in a single Write call, reusing *buf as
-// the encode scratch.
-func writeSyncMsg(w io.Writer, buf *[]byte, m *syncMsg) error {
-	payload, err := appendSyncMsg((*buf)[:0], m)
+// readSyncMsg reads one frame from br into b.read and decodes it into m.
+// Transport errors come back as-is, envelope violations as frame's errors.
+func readSyncMsg(br *bufio.Reader, b *syncBufs, m *syncMsg) error {
+	payload, err := frame.Read(br, frame.MaxPayload, &b.read)
 	if err != nil {
 		return err
 	}
-	if len(payload) > maxSyncFrame {
-		return errSyncTooLarge
-	}
-	frame := binary.AppendUvarint(nil, uint64(len(payload)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
-	*buf = payload
-	if _, err := w.Write(frame); err != nil {
+	return decodeSyncMsg(payload, m)
+}
+
+// writeSyncMsg encodes and frames m into b's scratch and writes it in a
+// single Write call.
+func writeSyncMsg(w io.Writer, b *syncBufs, m *syncMsg) error {
+	payload, err := appendSyncMsg(b.payload[:0], m)
+	if err != nil {
 		return err
 	}
-	return nil
+	b.payload = payload
+	if len(payload) > frame.MaxPayload {
+		return frame.ErrTooLarge
+	}
+	b.frame = frame.Append(b.frame[:0], payload)
+	_, err = w.Write(b.frame)
+	return err
 }

@@ -1,12 +1,13 @@
 package harmony
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net"
 	"testing"
 	"time"
+
+	"paratune/internal/frame"
 )
 
 // FuzzTCPFrameDecode: arbitrary bytes on the wire — truncated frames,
@@ -66,7 +67,7 @@ func binSeed(req *request) []byte {
 	if err != nil {
 		panic(err)
 	}
-	return appendBinFrame(nil, payload)
+	return frame.Append(nil, payload)
 }
 
 // FuzzBinaryFrameDecode: arbitrary bytes after the PHWIRE1 preamble —
@@ -101,16 +102,15 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		// Canonicality: if raw parses as one whole frame whose payload decodes
 		// as a request, re-encoding that request must reproduce the payload
 		// byte for byte.
-		br := bufio.NewReader(bytes.NewReader(raw))
-		if frame, err := readBinFrame(br, maxBinFrame); err == nil {
+		if payload, _, err := frame.Split(raw, frame.MaxPayload); err == nil {
 			var req request
-			if err := decodeRequest(frame, &req); err == nil {
+			if err := decodeRequest(payload, &req); err == nil {
 				re, err := appendRequest(nil, &req)
 				if err != nil {
 					t.Fatalf("decoded request failed to re-encode: %v", err)
 				}
-				if !bytes.Equal(re, frame) {
-					t.Fatalf("decode∘encode not identity:\n in: %x\nout: %x", frame, re)
+				if !bytes.Equal(re, payload) {
+					t.Fatalf("decode∘encode not identity:\n in: %x\nout: %x", payload, re)
 				}
 			}
 		}
@@ -142,7 +142,7 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		}()
 		_ = client.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		//paralint:allow errdiscipline a write the handler already rejected is a valid fuzz outcome
-		_, _ = client.Write([]byte(wireMagic))
+		_, _ = client.Write([]byte(WireMagic))
 		//paralint:allow errdiscipline a write the handler already rejected is a valid fuzz outcome
 		_, _ = client.Write(raw)
 		_ = client.Close()

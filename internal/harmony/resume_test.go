@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"paratune/internal/frame"
 )
 
 // wireCases enumerates the two wire protocols; the resume/dup-suppression
@@ -53,6 +55,7 @@ type rawWire struct {
 	wire Wire
 	sc   *bufio.Scanner
 	br   *bufio.Reader
+	rbuf []byte
 }
 
 func newRawWire(t *testing.T, addr string, wire Wire) *rawWire {
@@ -64,7 +67,7 @@ func newRawWire(t *testing.T, addr string, wire Wire) *rawWire {
 	t.Cleanup(func() { _ = conn.Close() })
 	rw := &rawWire{t: t, conn: conn, wire: wire}
 	if wire == WireBinary {
-		if _, err := io.WriteString(conn, wireMagic); err != nil {
+		if _, err := io.WriteString(conn, WireMagic); err != nil {
 			t.Fatal(err)
 		}
 		rw.br = bufio.NewReader(conn)
@@ -82,7 +85,7 @@ func (rw *rawWire) frame(req *request) []byte {
 		if err != nil {
 			rw.t.Fatal(err)
 		}
-		return appendBinFrame(nil, payload)
+		return frame.Append(nil, payload)
 	}
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -96,7 +99,7 @@ func (rw *rawWire) readResp() (response, bool) {
 	rw.t.Helper()
 	var resp response
 	if rw.wire == WireBinary {
-		payload, err := readBinFrame(rw.br, maxBinFrame)
+		payload, err := frame.Read(rw.br, frame.MaxPayload, &rw.rbuf)
 		if err != nil {
 			return resp, false
 		}
@@ -217,10 +220,10 @@ func TestDuplicateFrameSuppressed(t *testing.T) {
 			serveAsync(l, srv)
 
 			rw := newRawWire(t, l.Addr().String(), wire)
-			frame := rw.frame(&request{Op: "best", Session: "s", Client: "dup-test", Seq: 1})
+			dup := rw.frame(&request{Op: "best", Session: "s", Client: "dup-test", Seq: 1})
 			// The duplicated frame, then a fresh one so the reader can prove
 			// exactly one response was sent for the pair of duplicates.
-			if _, err := rw.conn.Write(append(append([]byte{}, frame...), frame...)); err != nil {
+			if _, err := rw.conn.Write(append(append([]byte{}, dup...), dup...)); err != nil {
 				t.Fatal(err)
 			}
 			next := rw.frame(&request{Op: "best", Session: "s", Client: "dup-test", Seq: 2})

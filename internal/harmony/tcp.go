@@ -554,7 +554,7 @@ func (c *Client) reconnectLocked() error {
 			if c.opts.Timeout > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
 			}
-			if _, err := io.WriteString(conn, wireMagic); err != nil {
+			if _, err := io.WriteString(conn, WireMagic); err != nil {
 				_ = conn.Close()
 				lastErr = err
 				continue

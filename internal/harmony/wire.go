@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
 
 	"paratune/internal/feddb"
+	"paratune/internal/frame"
 )
 
 // The PHWIRE1 binary protocol.
@@ -19,13 +19,9 @@ import (
 // "PHWIRE1\n"; the server sniffs the first byte of every new connection ('{'
 // means a JSON-lines client, which keeps working byte-for-byte) and locks the
 // connection to the negotiated codec. After the preamble both directions
-// exchange frames:
-//
-//	frame   = uvarint(len(payload)) | crc32(payload) 4 bytes big-endian | payload
-//	payload = every request/response field in fixed order (see appendRequest /
-//	          appendResponse) — uvarints are canonical (minimal), strings are
-//	          uvarint-length-prefixed bytes, floats are IEEE-754 bits
-//	          big-endian, bools are a single 0/1 byte
+// exchange internal/frame envelopes whose payload is every request/response
+// field in fixed order (see appendRequest / appendResponse), in frame's
+// canonical field encoding.
 //
 // The codec is canonical: decoding a frame and re-encoding the result yields
 // the same bytes (FuzzBinaryFrameDecode pins this), which is what lets the
@@ -34,14 +30,10 @@ import (
 // rid-idempotent reports — are shared with the JSON codec; only the encoding
 // differs.
 
-// wireMagic is the binary client's connection preamble. The first byte can
+// WireMagic is the binary client's connection preamble. The first byte can
 // never open a JSON-lines request (those start with '{'), which is the whole
 // negotiation.
-const wireMagic = "PHWIRE1\n"
-
-// maxBinFrame bounds a binary frame payload, mirroring the JSON scanner's
-// 1MB line cap.
-const maxBinFrame = 1 << 20
+const WireMagic = "PHWIRE1\n"
 
 // Wire selects a client wire protocol.
 type Wire string
@@ -77,13 +69,10 @@ const (
 	opReportN
 )
 
-// Static errors for the hot encode/decode paths (fmt is banned there).
+// Static errors for the hot encode path (fmt is banned there).
 var (
-	errBinMalformed = errors.New("harmony: malformed binary frame")
-	errBinTooLarge  = errors.New("harmony: binary frame exceeds size limit")
-	errBinCRC       = errors.New("harmony: binary frame CRC mismatch")
-	errUnknownOp    = errors.New("harmony: unknown op for binary encoding")
-	errUnknownKind  = errors.New("harmony: unknown parameter kind for binary encoding")
+	errUnknownOp   = errors.New("harmony: unknown op for binary encoding")
+	errUnknownKind = errors.New("harmony: unknown parameter kind for binary encoding")
 )
 
 // opCode maps an op name to its wire opcode.
@@ -160,64 +149,15 @@ func kindName(code byte) (string, bool) {
 
 // --- append-style encoders (zero allocations into a caller-owned buffer) ---
 
-// appendUvarint appends v in canonical (minimal) uvarint form.
-//
-//paralint:hotpath
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-// appendWireString appends a uvarint-length-prefixed string.
-//
-//paralint:hotpath
-func appendWireString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendF64 appends the IEEE-754 bits big-endian.
-//
-//paralint:hotpath
-func appendF64(dst []byte, f float64) []byte {
-	v := math.Float64bits(f)
-	return append(dst,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 // appendFloats appends a uvarint count followed by the values.
 //
 //paralint:hotpath
 func appendFloats(dst []byte, fs []float64) []byte {
-	dst = appendUvarint(dst, uint64(len(fs)))
+	dst = binary.AppendUvarint(dst, uint64(len(fs)))
 	for _, f := range fs {
-		dst = appendF64(dst, f)
+		dst = frame.AppendF64(dst, f)
 	}
 	return dst
-}
-
-// appendBool appends a single 0/1 byte.
-//
-//paralint:hotpath
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// appendBinFrame wraps payload in the PHWIRE1 frame envelope.
-//
-//paralint:hotpath
-func appendBinFrame(dst, payload []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(payload)))
-	crc := crc32.ChecksumIEEE(payload)
-	dst = append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
-	return append(dst, payload...)
 }
 
 // appendRequest encodes req as a PHWIRE1 request payload. Every field is
@@ -230,32 +170,32 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 		return nil, errUnknownOp
 	}
 	dst = append(dst, op)
-	dst = appendUvarint(dst, req.Seq)
-	dst = appendWireString(dst, req.Client)
-	dst = appendWireString(dst, req.Session)
-	dst = appendUvarint(dst, req.Tag)
-	dst = appendF64(dst, req.Value)
-	dst = appendWireString(dst, req.RID)
-	dst = appendUvarint(dst, uint64(req.N))
-	dst = appendUvarint(dst, uint64(len(req.Params)))
+	dst = binary.AppendUvarint(dst, req.Seq)
+	dst = frame.AppendString(dst, req.Client)
+	dst = frame.AppendString(dst, req.Session)
+	dst = binary.AppendUvarint(dst, req.Tag)
+	dst = frame.AppendF64(dst, req.Value)
+	dst = frame.AppendString(dst, req.RID)
+	dst = binary.AppendUvarint(dst, uint64(req.N))
+	dst = binary.AppendUvarint(dst, uint64(len(req.Params)))
 	for i := range req.Params {
 		p := &req.Params[i]
 		kind, ok := kindCode(p.Kind)
 		if !ok {
 			return nil, errUnknownKind
 		}
-		dst = appendWireString(dst, p.Name)
+		dst = frame.AppendString(dst, p.Name)
 		dst = append(dst, kind)
-		dst = appendF64(dst, p.Lower)
-		dst = appendF64(dst, p.Upper)
+		dst = frame.AppendF64(dst, p.Lower)
+		dst = frame.AppendF64(dst, p.Upper)
 		dst = appendFloats(dst, p.Values)
 	}
-	dst = appendUvarint(dst, uint64(len(req.Reports)))
+	dst = binary.AppendUvarint(dst, uint64(len(req.Reports)))
 	for i := range req.Reports {
 		it := &req.Reports[i]
-		dst = appendUvarint(dst, it.Tag)
-		dst = appendF64(dst, it.Value)
-		dst = appendWireString(dst, it.RID)
+		dst = binary.AppendUvarint(dst, it.Tag)
+		dst = frame.AppendF64(dst, it.Value)
+		dst = frame.AppendString(dst, it.RID)
 	}
 	return dst, nil
 }
@@ -283,160 +223,62 @@ func appendResponse(dst []byte, resp *response) []byte {
 		flags |= respFlagStats
 	}
 	dst = append(dst, flags)
-	dst = appendUvarint(dst, resp.Seq)
-	dst = appendWireString(dst, resp.Code)
-	dst = appendWireString(dst, resp.Error)
+	dst = binary.AppendUvarint(dst, resp.Seq)
+	dst = frame.AppendString(dst, resp.Code)
+	dst = frame.AppendString(dst, resp.Error)
 	dst = appendFloats(dst, resp.Point)
-	dst = appendUvarint(dst, resp.Tag)
-	dst = appendF64(dst, resp.Value)
+	dst = binary.AppendUvarint(dst, resp.Tag)
+	dst = frame.AppendF64(dst, resp.Value)
 	if resp.Stats != nil {
-		dst = appendWireString(dst, resp.Stats.Name)
-		dst = appendBool(dst, resp.Stats.Converged)
+		dst = frame.AppendString(dst, resp.Stats.Name)
+		dst = frame.AppendBool(dst, resp.Stats.Converged)
 		dst = appendFloats(dst, resp.Stats.Best)
-		dst = appendF64(dst, resp.Stats.BestValue)
-		dst = appendUvarint(dst, uint64(resp.Stats.Pending))
-		dst = appendUvarint(dst, resp.Stats.NextTag)
+		dst = frame.AppendF64(dst, resp.Stats.BestValue)
+		dst = binary.AppendUvarint(dst, uint64(resp.Stats.Pending))
+		dst = binary.AppendUvarint(dst, resp.Stats.NextTag)
 	}
-	dst = appendUvarint(dst, resp.LastSeq)
-	dst = appendUvarint(dst, resp.Dropped)
-	dst = appendUvarint(dst, resp.Duplicates)
-	dst = appendUvarint(dst, uint64(resp.Resumes))
-	dst = appendUvarint(dst, uint64(len(resp.Batch)))
+	dst = binary.AppendUvarint(dst, resp.LastSeq)
+	dst = binary.AppendUvarint(dst, resp.Dropped)
+	dst = binary.AppendUvarint(dst, resp.Duplicates)
+	dst = binary.AppendUvarint(dst, uint64(resp.Resumes))
+	dst = binary.AppendUvarint(dst, uint64(len(resp.Batch)))
 	for i := range resp.Batch {
 		b := &resp.Batch[i]
 		dst = appendFloats(dst, b.Point)
-		dst = appendUvarint(dst, b.Tag)
-		dst = appendBool(dst, b.Converged)
+		dst = binary.AppendUvarint(dst, b.Tag)
+		dst = frame.AppendBool(dst, b.Converged)
 	}
-	dst = appendUvarint(dst, uint64(resp.Accepted))
-	dst = appendUvarint(dst, uint64(resp.Refused))
-	dst = appendUvarint(dst, uint64(resp.Rejected))
-	dst = appendUvarint(dst, uint64(resp.Queue))
+	dst = binary.AppendUvarint(dst, uint64(resp.Accepted))
+	dst = binary.AppendUvarint(dst, uint64(resp.Refused))
+	dst = binary.AppendUvarint(dst, uint64(resp.Rejected))
+	dst = binary.AppendUvarint(dst, uint64(resp.Queue))
 	return dst
 }
 
 // --- decoder ---
 
-// binReader is a sticky-error cursor over one frame payload. Decoding is
-// strict: uvarints must be canonical, counts must fit the remaining payload,
-// bools must be 0/1, and the payload must be consumed exactly — which is
-// what makes decode∘encode the identity on valid frames.
-type binReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = errBinMalformed
-	}
-}
-
-func (r *binReader) byteVal() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail()
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
-		// Unterminated, overlong, or non-minimal encoding.
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
 // intVal decodes a uvarint that must fit a non-negative int.
-func (r *binReader) intVal() int {
-	v := r.uvarint()
+func intVal(r *frame.Reader) int {
+	v := r.Uvarint()
 	if v > math.MaxInt32 {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	return int(v)
 }
 
-// count decodes an element count for elements of at least elemMin encoded
-// bytes, bounding allocations by the remaining payload.
-func (r *binReader) count(elemMin int) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64((len(r.buf)-r.off)/elemMin) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *binReader) str() string {
-	n := r.count(1)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *binReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf)-r.off < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return math.Float64frombits(v)
-}
-
-func (r *binReader) floats() []float64 {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
+// floats decodes a uvarint count followed by the values into a fresh slice;
+// nil when empty.
+func floats(r *frame.Reader) []float64 {
+	n := r.Count(8)
+	if n == 0 {
 		return nil
 	}
 	fs := make([]float64, n)
 	for i := range fs {
-		fs[i] = r.f64()
+		fs[i] = r.F64()
 	}
 	return fs
-}
-
-func (r *binReader) boolVal() bool {
-	b := r.byteVal()
-	if b > 1 {
-		r.fail()
-		return false
-	}
-	return b == 1
-}
-
-// finish demands the payload was consumed exactly.
-func (r *binReader) finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.buf) {
-		return errBinMalformed
-	}
-	return nil
 }
 
 // reqScratch holds the per-connection decode scratch the zero-copy path
@@ -474,147 +316,90 @@ func decodeRequest(payload []byte, req *request) error {
 // decode with the same scratch; strings and parameter tables are always
 // fresh allocations, so everything else in req may be retained freely.
 func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
-	r := binReader{buf: payload}
-	op, ok := opName(r.byteVal())
+	r := frame.NewReader(payload)
+	op, ok := opName(r.Byte())
 	if !ok {
-		return errBinMalformed
+		return frame.ErrMalformed
 	}
 	req.Op = op
-	req.Seq = r.uvarint()
-	req.Client = r.str()
-	req.Session = r.str()
-	req.Tag = r.uvarint()
-	req.Value = r.f64()
-	req.RID = r.str()
-	req.N = r.intVal()
-	if n := r.count(2); n > 0 {
+	req.Seq = r.Uvarint()
+	req.Client = r.Str()
+	req.Session = r.Str()
+	req.Tag = r.Uvarint()
+	req.Value = r.F64()
+	req.RID = r.Str()
+	req.N = intVal(&r)
+	if n := r.Count(2); n > 0 {
 		req.Params = make([]wireParam, n)
 		for i := range req.Params {
 			p := &req.Params[i]
-			p.Name = r.str()
-			kind, ok := kindName(r.byteVal())
-			if r.err == nil && !ok {
-				return errBinMalformed
+			p.Name = r.Str()
+			kind, ok := kindName(r.Byte())
+			if r.Err() == nil && !ok {
+				return frame.ErrMalformed
 			}
 			p.Kind = kind
-			p.Lower = r.f64()
-			p.Upper = r.f64()
-			p.Values = r.floats()
+			p.Lower = r.F64()
+			p.Upper = r.F64()
+			p.Values = floats(&r)
 		}
 	}
-	if n := r.count(2); n > 0 {
+	if n := r.Count(2); n > 0 {
 		req.Reports = scr.reportSlice(n)
 		for i := range req.Reports {
 			it := &req.Reports[i]
-			it.Tag = r.uvarint()
-			it.Value = r.f64()
-			it.RID = r.str()
+			it.Tag = r.Uvarint()
+			it.Value = r.F64()
+			it.RID = r.Str()
 		}
 	}
-	return r.finish()
+	return r.Finish()
 }
 
-// decodeResponse parses a PHWIRE1 response payload into resp.
+// decodeResponse parses a PHWIRE1 response payload into resp. Every string
+// and float is copied out, so resp never aliases payload.
 func decodeResponse(payload []byte, resp *response) error {
-	r := binReader{buf: payload}
-	flags := r.byteVal()
+	r := frame.NewReader(payload)
+	flags := r.Byte()
 	if flags&^byte(respFlagMask) != 0 {
-		return errBinMalformed
+		return frame.ErrMalformed
 	}
 	resp.OK = flags&respFlagOK != 0
 	resp.Converged = flags&respFlagConverged != 0
-	resp.Seq = r.uvarint()
-	resp.Code = r.str()
-	resp.Error = r.str()
-	resp.Point = r.floats()
-	resp.Tag = r.uvarint()
-	resp.Value = r.f64()
+	resp.Seq = r.Uvarint()
+	resp.Code = r.Str()
+	resp.Error = r.Str()
+	resp.Point = floats(&r)
+	resp.Tag = r.Uvarint()
+	resp.Value = r.F64()
 	if flags&respFlagStats != 0 {
 		st := &SessionStats{}
-		st.Name = r.str()
-		st.Converged = r.boolVal()
-		st.Best = r.floats()
-		st.BestValue = r.f64()
-		st.Pending = r.intVal()
-		st.NextTag = r.uvarint()
+		st.Name = r.Str()
+		st.Converged = r.Bool()
+		st.Best = floats(&r)
+		st.BestValue = r.F64()
+		st.Pending = intVal(&r)
+		st.NextTag = r.Uvarint()
 		resp.Stats = st
 	}
-	resp.LastSeq = r.uvarint()
-	resp.Dropped = r.uvarint()
-	resp.Duplicates = r.uvarint()
-	resp.Resumes = r.intVal()
-	if n := r.count(2); n > 0 {
+	resp.LastSeq = r.Uvarint()
+	resp.Dropped = r.Uvarint()
+	resp.Duplicates = r.Uvarint()
+	resp.Resumes = intVal(&r)
+	if n := r.Count(2); n > 0 {
 		resp.Batch = make([]wireFetch, n)
 		for i := range resp.Batch {
 			b := &resp.Batch[i]
-			b.Point = r.floats()
-			b.Tag = r.uvarint()
-			b.Converged = r.boolVal()
+			b.Point = floats(&r)
+			b.Tag = r.Uvarint()
+			b.Converged = r.Bool()
 		}
 	}
-	resp.Accepted = r.intVal()
-	resp.Refused = r.intVal()
-	resp.Rejected = r.intVal()
-	resp.Queue = r.intVal()
-	return r.finish()
-}
-
-// readBinFrame reads one PHWIRE1 frame from br and returns its payload. The
-// returned slice is freshly allocated and owned by the caller. Transport
-// errors (EOF, deadlines) come back as-is; structural violations come back
-// as errBinMalformed / errBinTooLarge / errBinCRC.
-func readBinFrame(br *bufio.Reader, max int) ([]byte, error) {
-	return readBinFrameInto(br, max, nil)
-}
-
-// readBinFrameInto is readBinFrame with a caller-supplied payload buffer:
-// the frame lands in buf's backing array when it fits, so a steady-state
-// connection rereads frames without allocating. The returned slice aliases
-// buf (possibly grown) and is valid only until the caller's next read into
-// the same buffer.
-func readBinFrameInto(br *bufio.Reader, max int, buf []byte) ([]byte, error) {
-	// Read the canonical uvarint length byte-by-byte.
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := 0
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if n >= len(lenBuf) {
-			return nil, errBinMalformed
-		}
-		lenBuf[n] = b
-		n++
-		if b < 0x80 {
-			break
-		}
-	}
-	size, un := binary.Uvarint(lenBuf[:n])
-	if un != n || (n > 1 && lenBuf[n-1] == 0) {
-		return nil, errBinMalformed
-	}
-	if size > uint64(max) {
-		return nil, errBinTooLarge
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, err
-	}
-	payload := buf
-	if uint64(cap(payload)) < size {
-		payload = make([]byte, size)
-	} else {
-		payload = payload[:size]
-	}
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, err
-	}
-	want := binary.BigEndian.Uint32(crcBuf[:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, errBinCRC
-	}
-	return payload, nil
+	resp.Accepted = intVal(&r)
+	resp.Refused = intVal(&r)
+	resp.Rejected = intVal(&r)
+	resp.Queue = intVal(&r)
+	return r.Finish()
 }
 
 // --- codec plumbing shared by the server and client loops ---
@@ -668,23 +453,10 @@ type binServerCodec struct {
 	scratch reqScratch
 }
 
-// readFrame reads one PHWIRE1 frame into the codec's reusable payload
-// buffer and returns a view of it.
-//
-//paralint:framebuf
-func (c *binServerCodec) readFrame() ([]byte, error) {
-	payload, err := readBinFrameInto(c.br, maxBinFrame, c.rbuf)
-	if err != nil {
-		return nil, err
-	}
-	c.rbuf = payload
-	return payload, nil
-}
-
 func (c *binServerCodec) readRequest(req *request) error {
-	payload, err := c.readFrame()
+	payload, err := frame.Read(c.br, frame.MaxPayload, &c.rbuf)
 	if err != nil {
-		if errors.Is(err, errBinMalformed) || errors.Is(err, errBinTooLarge) || errors.Is(err, errBinCRC) {
+		if errors.Is(err, frame.ErrMalformed) || errors.Is(err, frame.ErrTooLarge) || errors.Is(err, frame.ErrCRC) {
 			return &badRequestError{err: err}
 		}
 		return err
@@ -697,7 +469,7 @@ func (c *binServerCodec) readRequest(req *request) error {
 
 func (c *binServerCodec) writeResponse(resp *response) error {
 	c.pbuf = appendResponse(c.pbuf[:0], resp)
-	c.fbuf = appendBinFrame(c.fbuf[:0], c.pbuf)
+	c.fbuf = frame.Append(c.fbuf[:0], c.pbuf)
 	_, err := c.w.Write(c.fbuf)
 	return err
 }
@@ -715,18 +487,18 @@ func sniffServerCodec(conn net.Conn) (serverCodec, string, *bufio.Reader, error)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	if first[0] == wireMagic[0] {
-		var magic [len(wireMagic)]byte
+	if first[0] == WireMagic[0] {
+		var magic [len(WireMagic)]byte
 		if _, err := io.ReadFull(br, magic[:]); err != nil {
 			return nil, "", nil, err
 		}
 		switch string(magic[:]) {
-		case wireMagic:
+		case WireMagic:
 			return &binServerCodec{br: br, w: conn}, string(WireBinary), br, nil
 		case feddb.SyncMagic:
 			return nil, wireSync, br, nil
 		}
-		return nil, "", nil, errBinMalformed
+		return nil, "", nil, frame.ErrMalformed
 	}
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -762,11 +534,14 @@ func (c *jsonClientCodec) recv(resp *response) error {
 	return json.Unmarshal(c.sc.Bytes(), resp)
 }
 
+// binClientCodec speaks PHWIRE1 from the client side, with the same reused
+// encode and decode buffers as the server.
 type binClientCodec struct {
 	br   *bufio.Reader
 	w    io.Writer
-	pbuf []byte
-	fbuf []byte
+	pbuf []byte // encode: payload scratch
+	fbuf []byte // encode: frame scratch
+	rbuf []byte // decode: frame payload scratch
 }
 
 func newBinClientCodec(conn net.Conn) *binClientCodec {
@@ -779,13 +554,13 @@ func (c *binClientCodec) send(req *request) error {
 		return err
 	}
 	c.pbuf = payload
-	c.fbuf = appendBinFrame(c.fbuf[:0], payload)
+	c.fbuf = frame.Append(c.fbuf[:0], payload)
 	_, err = c.w.Write(c.fbuf)
 	return err
 }
 
 func (c *binClientCodec) recv(resp *response) error {
-	payload, err := readBinFrame(c.br, maxBinFrame)
+	payload, err := frame.Read(c.br, frame.MaxPayload, &c.rbuf)
 	if err != nil {
 		return err
 	}

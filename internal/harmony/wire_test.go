@@ -3,11 +3,14 @@ package harmony
 import (
 	"bufio"
 	"bytes"
-	"errors"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"paratune/internal/alloccheck"
+	"paratune/internal/frame"
 )
 
 // wireRequests is a round-trip corpus covering every opcode and every field
@@ -147,39 +150,32 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestReadBinFrameRejects covers the frame envelope: CRC mismatch, oversized
-// length, and a non-minimal length prefix must all be structural errors.
-func TestReadBinFrameRejects(t *testing.T) {
-	payload, err := appendRequest(nil, &request{Op: "best", Session: "s", Seq: 1})
+// TestBadFrameDrawsBadRequest pins the server's answer to a broken
+// envelope (internal/frame's tests cover every envelope case): one final
+// "bad request" reply naming the violation, then the connection closes.
+func TestBadFrameDrawsBadRequest(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := appendBinFrame(nil, payload)
+	defer l.Close()
+	serveAsync(l, srv)
 
-	corrupt := append([]byte{}, frame...)
-	corrupt[len(corrupt)-1] ^= 0x01
-	if _, err := readBinFrame(bufio.NewReader(bytes.NewReader(corrupt)), maxBinFrame); !errors.Is(err, errBinCRC) {
-		t.Errorf("corrupted payload: err = %v, want CRC mismatch", err)
-	}
-
-	huge := appendUvarint(nil, maxBinFrame+1)
-	huge = append(huge, 0, 0, 0, 0)
-	if _, err := readBinFrame(bufio.NewReader(bytes.NewReader(huge)), maxBinFrame); !errors.Is(err, errBinTooLarge) {
-		t.Errorf("oversized frame: err = %v, want too-large", err)
-	}
-
-	nonMinimal := append([]byte{0x80, 0x00, 0, 0, 0, 0}, frame...)
-	if _, err := readBinFrame(bufio.NewReader(bytes.NewReader(nonMinimal)), maxBinFrame); !errors.Is(err, errBinMalformed) {
-		t.Errorf("non-minimal length: err = %v, want malformed", err)
-	}
-
-	// A valid frame decodes to exactly its payload.
-	got, err := readBinFrame(bufio.NewReader(bytes.NewReader(frame)), maxBinFrame)
-	if err != nil {
+	rw := newRawWire(t, l.Addr().String(), WireBinary)
+	bad := rw.frame(&request{Op: "best", Session: "s", Seq: 1})
+	bad[len(bad)-1] ^= 0x01
+	if _, err := rw.conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Error("readBinFrame returned wrong payload")
+	_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, ok := rw.readResp()
+	if !ok || resp.OK || !strings.HasPrefix(resp.Error, "bad request: ") || !strings.Contains(resp.Error, "CRC") {
+		t.Fatalf("corrupt frame answered %+v (ok %v), want a bad request naming the CRC", resp, ok)
+	}
+	if _, ok := rw.readResp(); ok {
+		t.Error("connection stayed open after a bad request")
 	}
 }
 
@@ -191,17 +187,17 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	resp := response{OK: true, Seq: 1000, Point: []float64{1, 2, 3}, Tag: 42}
 	pbuf := make([]byte, 0, 1024)
 	fbuf := make([]byte, 0, 1024)
-	alloccheck.Guard(t, "harmony.appendRequest+appendBinFrame", 0, func() {
+	alloccheck.Guard(t, "harmony.appendRequest+frame.Append", 0, func() {
 		var err error
 		pbuf, err = appendRequest(pbuf[:0], &req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fbuf = appendBinFrame(fbuf[:0], pbuf)
+		fbuf = frame.Append(fbuf[:0], pbuf)
 	})
-	alloccheck.Guard(t, "harmony.appendResponse+appendBinFrame", 0, func() {
+	alloccheck.Guard(t, "harmony.appendResponse+frame.Append", 0, func() {
 		pbuf = appendResponse(pbuf[:0], &resp)
-		fbuf = appendBinFrame(fbuf[:0], pbuf)
+		fbuf = frame.Append(fbuf[:0], pbuf)
 	})
 }
 
@@ -216,21 +212,22 @@ func reportNFrame(t testing.TB, n int, rid string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return appendBinFrame(nil, payload)
+	return frame.Append(nil, payload)
 }
 
 // TestBinaryDecodeAllocs pins the steady-state zero-copy decode path: once
 // the codec's frame and report scratch have grown, reading a reportn batch
-// costs only the session-string allocation, independent of batch size.
+// allocates only its strings — none here, where the session name is a single
+// byte the runtime interns and the RIDs are empty — independent of batch
+// size.
 func TestBinaryDecodeAllocs(t *testing.T) {
-	frame := reportNFrame(t, 128, "")
-	stream := bytes.Repeat(frame, 128) // alloccheck runs the body 101 times
+	stream := bytes.Repeat(reportNFrame(t, 128, ""), 128) // alloccheck runs the body 101 times
 	c := &binServerCodec{br: bufio.NewReader(bytes.NewReader(stream))}
 	var req request
 	if err := c.readRequest(&req); err != nil { // warm the scratch buffers
 		t.Fatal(err)
 	}
-	alloccheck.Guard(t, "harmony.binServerCodec.readRequest/reportn128", 1, func() {
+	alloccheck.Guard(t, "harmony.binServerCodec.readRequest/reportn128", 0, func() {
 		req = request{}
 		if err := c.readRequest(&req); err != nil {
 			t.Fatal(err)
@@ -238,6 +235,29 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 	})
 	if len(req.Reports) != 128 || req.Reports[127].Tag != 128 {
 		t.Fatalf("decoded batch corrupted: len=%d", len(req.Reports))
+	}
+}
+
+// TestClientRecvAllocs pins the client's steady-state read: the frame lands
+// in the codec's reused buffer, so a fetch response costs only its decoded
+// point — the one allocation decodeResponse's copy-out makes.
+func TestClientRecvAllocs(t *testing.T) {
+	var pbuf []byte
+	pbuf = appendResponse(pbuf, &response{OK: true, Seq: 3, Point: []float64{24, 8, 0.125}, Tag: 7})
+	stream := bytes.Repeat(frame.Append(nil, pbuf), 128) // alloccheck runs the body 101 times
+	c := &binClientCodec{br: bufio.NewReader(bytes.NewReader(stream))}
+	var resp response
+	if err := c.recv(&resp); err != nil { // warm the read buffer
+		t.Fatal(err)
+	}
+	alloccheck.Guard(t, "harmony.binClientCodec.recv/fetch", 1, func() {
+		resp = response{}
+		if err := c.recv(&resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resp.Tag != 7 || len(resp.Point) != 3 {
+		t.Fatalf("decoded response corrupted: %+v", resp)
 	}
 }
 
@@ -285,13 +305,14 @@ func TestDecodeRequestIntoScratchReuse(t *testing.T) {
 // BenchmarkDecodeReportN compares the historical allocate-per-frame decode
 // with the zero-copy scratch path for a 128-item reportn batch.
 func BenchmarkDecodeReportN(b *testing.B) {
-	frame := reportNFrame(b, 128, "")
+	frm := reportNFrame(b, 128, "")
 	b.Run("alloc", func(b *testing.B) {
 		var req request
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			br := bufio.NewReader(bytes.NewReader(frame))
-			payload, err := readBinFrame(br, maxBinFrame)
+			br := bufio.NewReader(bytes.NewReader(frm))
+			var buf []byte
+			payload, err := frame.Read(br, frame.MaxPayload, &buf)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -305,7 +326,7 @@ func BenchmarkDecodeReportN(b *testing.B) {
 	b.Run("zerocopy", func(b *testing.B) {
 		var req request
 		c := &binServerCodec{}
-		rd := bytes.NewReader(frame)
+		rd := bytes.NewReader(frm)
 		c.br = bufio.NewReader(rd)
 		// Grow the scratch buffers once so a 1x run measures steady state.
 		if err := c.readRequest(&req); err != nil {
@@ -314,7 +335,7 @@ func BenchmarkDecodeReportN(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rd.Reset(frame)
+			rd.Reset(frm)
 			c.br.Reset(rd)
 			req = request{}
 			if err := c.readRequest(&req); err != nil {

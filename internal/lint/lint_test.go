@@ -653,6 +653,24 @@ func TestBufAliasCrossPackage(t *testing.T) {
 	}
 }
 
+// TestBufAliasFrameRead runs bufalias over the real internal/frame package
+// and an importer: the one streaming frame reader is the origin every wire
+// codec's payloads derive from, so a retained frame.Read result must be
+// reported across the package boundary.
+func TestBufAliasFrameRead(t *testing.T) {
+	dep, err := LoadDirWithDeps(filepath.Join("..", "frame"), "paratune/internal/frame", nil)
+	if err != nil {
+		t.Fatalf("loading internal/frame: %v", err)
+	}
+	use := loadTestdata(t, "bufalias_frame", "paratune/internal/harmony",
+		map[string]*Package{"paratune/internal/frame": dep})
+	diags := Run([]*Package{dep, use}, []*Analyzer{BufAlias})
+	checkWants(t, use.Src, diags)
+	if len(diags) == 0 {
+		t.Fatalf("retained frame.Read payload produced no findings; the framebuf directive on frame.Read did not cross the package boundary")
+	}
+}
+
 // TestBufAliasFixRoundTrip applies the mechanical copy fix and re-runs the
 // analyzer: the retained slice becomes append([]byte(nil), p...), the fixed
 // package still type-checks, and bufalias reports nothing.

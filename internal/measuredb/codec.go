@@ -15,7 +15,7 @@
 //	header | frame | frame | ...
 //	header = magic "PMDBWAL1" | uvarint version | uint64 seed (BE)
 //	       | uvarint len(origin) | origin | uvarint len(space) | space sig
-//	frame  = uvarint len(payload) | crc32(payload) (4 bytes BE) | payload
+//	frame  = the internal/frame envelope around payload
 //	payload = uvarint dim | dim × float64 bits (BE) | float64 value bits (BE)
 //	        | uvarint len(origin) | origin | uvarint seq
 //
@@ -31,6 +31,10 @@
 // observations in the store's canonical (origin, seq) order, so the encoding
 // stays a pure function of the store's logical content.
 //
+// Both decoders read through frame.Reader, so every uvarint must be minimal
+// and every accepted byte sequence re-encodes to itself — the property the
+// fuzz round-trip targets pin.
+//
 // A torn or bit-flipped WAL tail is detected by the frame CRC (or a short
 // read) and recovery truncates the file at the last good frame; a snapshot
 // failing its trailing CRC is rejected outright — the snapshot is written
@@ -43,8 +47,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
+	"paratune/internal/frame"
 	"paratune/internal/space"
 )
 
@@ -72,28 +76,13 @@ const (
 // (or truncated) frame identically: truncate at the frame's start offset.
 var errCorrupt = errors.New("measuredb: corrupt record")
 
-// canonUvarint decodes a minimally encoded uvarint. encoding/binary accepts
-// padded encodings our encoder never produces; rejecting them keeps the
-// codec canonical — every accepted byte sequence re-encodes to itself, the
-// property the fuzz round-trip targets pin.
-func canonUvarint(b []byte) (uint64, int) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || (n > 1 && b[n-1] == 0) {
-		return 0, 0
-	}
-	return v, n
-}
-
 // appendHeader appends a file header to dst.
 func appendHeader(dst []byte, magic string, seed int64, origin, spaceSig string) []byte {
 	dst = append(dst, magic...)
 	dst = binary.AppendUvarint(dst, codecVersion)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(seed))
-	dst = binary.AppendUvarint(dst, uint64(len(origin)))
-	dst = append(dst, origin...)
-	dst = binary.AppendUvarint(dst, uint64(len(spaceSig)))
-	dst = append(dst, spaceSig...)
-	return dst
+	dst = frame.AppendString(dst, origin)
+	return frame.AppendString(dst, spaceSig)
 }
 
 // decodeHeader reads a file header, returning the seed, origin, space
@@ -102,38 +91,26 @@ func decodeHeader(b []byte, magic string) (seed int64, origin, spaceSig string, 
 	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
 		return 0, "", "", 0, fmt.Errorf("measuredb: bad magic (want %q)", magic)
 	}
-	n = len(magic)
-	version, k := canonUvarint(b[n:])
-	if k <= 0 || version != codecVersion {
+	r := frame.NewReader(b[len(magic):])
+	if version := r.Uvarint(); r.Err() != nil || version != codecVersion {
 		return 0, "", "", 0, fmt.Errorf("measuredb: unsupported version %d", version)
 	}
-	n += k
-	if len(b) < n+8 {
+	seed = int64(r.U64())
+	origin = boundedStr(&r, maxOriginLen)
+	spaceSig = boundedStr(&r, 1<<16)
+	if r.Err() != nil {
 		return 0, "", "", 0, errCorrupt
 	}
-	seed = int64(binary.BigEndian.Uint64(b[n:]))
-	n += 8
-	origin, k = decodeString(b[n:], maxOriginLen)
-	if k <= 0 {
-		return 0, "", "", 0, errCorrupt
-	}
-	n += k
-	spaceSig, k = decodeString(b[n:], 1<<16)
-	if k <= 0 {
-		return 0, "", "", 0, errCorrupt
-	}
-	n += k
-	return seed, origin, spaceSig, n, nil
+	return seed, origin, spaceSig, len(b) - r.Len(), nil
 }
 
-// decodeString reads a uvarint-length-prefixed string bounded by max,
-// returning the string and bytes consumed (0 on any framing problem).
-func decodeString(b []byte, max int) (string, int) {
-	l, k := canonUvarint(b)
-	if k <= 0 || l > uint64(max) || uint64(len(b)-k) < l {
-		return "", 0
+// boundedStr reads a uvarint-length-prefixed string of at most max bytes.
+func boundedStr(r *frame.Reader, max int) string {
+	s := r.Str()
+	if len(s) > max {
+		r.Fail()
 	}
-	return string(b[k : k+int(l)]), k + int(l)
+	return s
 }
 
 // appendMeasurementPayload appends one frame payload — the canonical bytes
@@ -141,21 +118,11 @@ func decodeString(b []byte, max int) (string, int) {
 func appendMeasurementPayload(dst []byte, p space.Point, v float64, origin string, seq uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(p)))
 	for _, c := range p {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c))
+		dst = frame.AppendF64(dst, c)
 	}
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-	dst = binary.AppendUvarint(dst, uint64(len(origin)))
-	dst = append(dst, origin...)
-	dst = binary.AppendUvarint(dst, seq)
-	return dst
-}
-
-// appendWALFrame frames a pre-built measurement payload: length prefix, CRC,
-// payload.
-func appendWALFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	dst = frame.AppendF64(dst, v)
+	dst = frame.AppendString(dst, origin)
+	return binary.AppendUvarint(dst, seq)
 }
 
 // walRec is one decoded WAL frame.
@@ -170,60 +137,35 @@ type walRec struct {
 // and the bytes consumed. Any framing, CRC, or payload problem — including a
 // frame that runs past the end of b (a torn tail write) — returns errCorrupt.
 func decodeWALFrame(b []byte) (rec walRec, n int, err error) {
-	plen, k := canonUvarint(b)
-	if k <= 0 || plen == 0 || plen > maxFrame {
+	payload, n, err := frame.Split(b, maxFrame)
+	if err != nil {
 		return walRec{}, 0, errCorrupt
 	}
-	n = k
-	if len(b) < n+4 {
-		return walRec{}, 0, errCorrupt
-	}
-	sum := binary.BigEndian.Uint32(b[n:])
-	n += 4
-	if uint64(len(b)-n) < plen {
-		return walRec{}, 0, errCorrupt
-	}
-	payload := b[n : n+int(plen)]
-	n += int(plen)
-	if crc32.ChecksumIEEE(payload) != sum {
-		return walRec{}, 0, errCorrupt
-	}
-	rec, used, err := decodeMeasurement(payload)
-	if err != nil || used != len(payload) {
+	if rec, err = decodeMeasurement(payload); err != nil {
 		return walRec{}, 0, errCorrupt
 	}
 	return rec, n, nil
 }
 
-// decodeMeasurement decodes `uvarint dim | coords | value | origin | seq`
-// from b.
-func decodeMeasurement(b []byte) (rec walRec, n int, err error) {
-	dim, k := canonUvarint(b)
-	if k <= 0 || dim > maxDim {
-		return walRec{}, 0, errCorrupt
-	}
-	n = k
-	if uint64(len(b)-n) < 8*(dim+1) {
-		return walRec{}, 0, errCorrupt
+// decodeMeasurement decodes exactly one
+// `uvarint dim | coords | value | origin | seq` payload.
+func decodeMeasurement(payload []byte) (rec walRec, err error) {
+	r := frame.NewReader(payload)
+	dim := r.Count(8)
+	if dim > maxDim {
+		return walRec{}, errCorrupt
 	}
 	rec.point = make(space.Point, dim)
 	for i := range rec.point {
-		rec.point[i] = math.Float64frombits(binary.BigEndian.Uint64(b[n:]))
-		n += 8
+		rec.point[i] = r.F64()
 	}
-	rec.value = math.Float64frombits(binary.BigEndian.Uint64(b[n:]))
-	n += 8
-	rec.origin, k = decodeString(b[n:], maxOriginLen)
-	if k <= 0 {
-		return walRec{}, 0, errCorrupt
+	rec.value = r.F64()
+	rec.origin = boundedStr(&r, maxOriginLen)
+	rec.seq = r.Uvarint()
+	if r.Finish() != nil || rec.seq == 0 {
+		return walRec{}, errCorrupt
 	}
-	n += k
-	rec.seq, k = canonUvarint(b[n:])
-	if k <= 0 || rec.seq == 0 {
-		return walRec{}, 0, errCorrupt
-	}
-	n += k
-	return rec, n, nil
+	return rec, nil
 }
 
 // obsMeta is one observation's federation identity: the origin (as an index
@@ -250,18 +192,17 @@ func encodeSnapshot(seed int64, origin, spaceSig string, origins []string, entri
 	out := appendHeader(nil, snapMagic, seed, origin, spaceSig)
 	out = binary.AppendUvarint(out, uint64(len(origins)))
 	for _, o := range origins {
-		out = binary.AppendUvarint(out, uint64(len(o)))
-		out = append(out, o...)
+		out = frame.AppendString(out, o)
 	}
 	out = binary.AppendUvarint(out, uint64(len(entries)))
 	for _, e := range entries {
 		out = binary.AppendUvarint(out, uint64(len(e.point)))
 		for _, c := range e.point {
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(c))
+			out = frame.AppendF64(out, c)
 		}
 		out = binary.AppendUvarint(out, uint64(len(e.obs)))
 		for i, o := range e.obs {
-			out = binary.BigEndian.AppendUint64(out, math.Float64bits(o))
+			out = frame.AppendF64(out, o)
 			out = binary.AppendUvarint(out, uint64(e.meta[i].origin))
 			out = binary.AppendUvarint(out, e.meta[i].seq)
 		}
@@ -284,69 +225,54 @@ func decodeSnapshot(b []byte) (seed int64, origin, spaceSig string, origins []st
 	if err != nil {
 		return 0, "", "", nil, nil, err
 	}
-	norigins, k := canonUvarint(body[n:])
-	if k <= 0 || norigins > maxOrigins {
+	r := frame.NewReader(body[n:])
+	// Counts are bounded by the bytes left as well as by the named limits:
+	// an origin takes at least 1 byte, an entry 2, an observation 10.
+	norigins := r.Count(1)
+	if norigins > maxOrigins {
 		return 0, "", "", nil, nil, errCorrupt
 	}
-	n += k
 	origins = make([]string, 0, norigins)
-	for i := uint64(0); i < norigins; i++ {
-		o, k := decodeString(body[n:], maxOriginLen)
-		if k <= 0 || o == "" || (len(origins) > 0 && o <= origins[len(origins)-1]) {
+	for i := 0; i < norigins; i++ {
+		o := boundedStr(&r, maxOriginLen)
+		if r.Err() != nil || o == "" || (len(origins) > 0 && o <= origins[len(origins)-1]) {
 			return 0, "", "", nil, nil, errCorrupt
 		}
-		n += k
 		origins = append(origins, o)
 	}
-	count, k := canonUvarint(body[n:])
-	if k <= 0 || count > maxObs {
+	count := r.Count(2)
+	if count > maxObs {
 		return 0, "", "", nil, nil, errCorrupt
 	}
-	n += k
 	entries = make([]entry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		dim, k := canonUvarint(body[n:])
-		if k <= 0 || dim > maxDim {
-			return 0, "", "", nil, nil, errCorrupt
-		}
-		n += k
-		if uint64(len(body)-n) < 8*dim {
+	for i := 0; i < count; i++ {
+		dim := r.Count(8)
+		if r.Err() != nil || dim > maxDim {
 			return 0, "", "", nil, nil, errCorrupt
 		}
 		p := make(space.Point, dim)
 		for j := range p {
-			p[j] = math.Float64frombits(binary.BigEndian.Uint64(body[n:]))
-			n += 8
+			p[j] = r.F64()
 		}
-		nobs, k := canonUvarint(body[n:])
-		if k <= 0 || nobs > maxObs {
+		nobs := r.Count(10)
+		if r.Err() != nil || nobs > maxObs {
 			return 0, "", "", nil, nil, errCorrupt
 		}
-		n += k
 		obs := make([]float64, 0, nobs)
 		meta := make([]obsMeta, 0, nobs)
-		for j := uint64(0); j < nobs; j++ {
-			if len(body)-n < 8 {
+		for j := 0; j < nobs; j++ {
+			v := r.F64()
+			oi := r.Uvarint()
+			seq := r.Uvarint()
+			if r.Err() != nil || oi >= uint64(len(origins)) || seq == 0 {
 				return 0, "", "", nil, nil, errCorrupt
 			}
-			v := math.Float64frombits(binary.BigEndian.Uint64(body[n:]))
-			n += 8
-			oi, k := canonUvarint(body[n:])
-			if k <= 0 || oi >= uint64(len(origins)) {
-				return 0, "", "", nil, nil, errCorrupt
-			}
-			n += k
-			seq, k := canonUvarint(body[n:])
-			if k <= 0 || seq == 0 {
-				return 0, "", "", nil, nil, errCorrupt
-			}
-			n += k
 			obs = append(obs, v)
 			meta = append(meta, obsMeta{origin: uint32(oi), seq: seq})
 		}
 		entries = append(entries, entry{point: p, obs: obs, meta: meta})
 	}
-	if n != len(body) {
+	if r.Finish() != nil {
 		return 0, "", "", nil, nil, errCorrupt
 	}
 	return seed, origin, spaceSig, origins, entries, nil

@@ -6,12 +6,13 @@ import (
 	"math"
 	"testing"
 
+	"paratune/internal/frame"
 	"paratune/internal/space"
 )
 
 // walFrame builds one framed WAL record for test input.
 func walFrame(dst []byte, p space.Point, v float64, origin string, seq uint64) []byte {
-	return appendWALFrame(dst, appendMeasurementPayload(nil, p, v, origin, seq))
+	return frame.Append(dst, appendMeasurementPayload(nil, p, v, origin, seq))
 }
 
 // FuzzWALDecode throws arbitrary bytes at the WAL frame decoder: it must

@@ -44,6 +44,7 @@ import (
 
 	"paratune/internal/event"
 	"paratune/internal/fault"
+	"paratune/internal/frame"
 	"paratune/internal/space"
 	"paratune/internal/stats"
 )
@@ -275,7 +276,7 @@ func (s *Store) applyLocked(origin string, seq uint64, p space.Point, v float64,
 	ost.hash = chainHash(ost.hash, s.walBuf)
 
 	if persist && s.wal != nil && s.err == nil {
-		s.frameBuf = appendWALFrame(s.frameBuf[:0], s.walBuf)
+		s.frameBuf = frame.Append(s.frameBuf[:0], s.walBuf)
 		if _, werr := s.wal.Write(s.frameBuf); werr != nil {
 			s.err = werr
 		}
