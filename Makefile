@@ -128,7 +128,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
 
 # Full-scale regeneration of every paper figure, ablation and extension
-# (~40 s), plus the consolidated markdown report.
+# (~25 s on 2 vCPUs), plus the consolidated markdown report.
 results:
 	$(GO) run ./cmd/expgen -out results -seed 42 -report
 

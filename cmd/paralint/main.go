@@ -14,8 +14,8 @@
 //
 //   - seedflow: RNG seeds in simulation packages trace to injected seeds,
 //     never the wall clock, crypto/rand, or the process id
-//   - goroutinelifecycle: go statements in harmony/cluster/core have a
-//     provable join or cancel path
+//   - goroutinelifecycle: go statements in the server, simulator, engine,
+//     worker pool and experiments have a provable join or cancel path
 //   - eventhygiene: event emissions use registered kinds, carry no
 //     wall-clock payload, and never happen under a mutex
 //   - hotpathalloc: //paralint:hotpath functions avoid fmt, float boxing,

@@ -6,6 +6,7 @@ import (
 
 	"paratune/internal/core"
 	"paratune/internal/dist"
+	"paratune/internal/event"
 	"paratune/internal/noise"
 	"paratune/internal/plot"
 	"paratune/internal/sample"
@@ -132,30 +133,27 @@ func proVariantAblation(cfg Config, id, title string, mod core.Options, modName 
 		seeds[r] = rng.Int63()
 	}
 
-	run := func(opts core.Options) (float64, float64, error) {
-		var sumNTT, sumTrue float64
-		for rep := 0; rep < reps; rep++ {
-			alg, err := core.NewPRO(opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := onlineRun(alg, db, 0.2, 2, budget, simProcs, seeds[rep], cfg.Trace)
-			if err != nil {
-				return 0, 0, err
-			}
-			sumNTT += res.NTT
-			sumTrue += res.TrueValue
+	// One job per (variant, replication): the paper's PRO first, then mod.
+	variants := []core.Options{base, mod}
+	ntts := make([]float64, len(variants)*reps)
+	trues := make([]float64, len(ntts))
+	err := forEach(cfg, len(ntts), func(i int, rec event.Recorder) error {
+		alg, err := core.NewPRO(variants[i/reps])
+		if err != nil {
+			return err
 		}
-		return sumNTT / float64(reps), sumTrue / float64(reps), nil
-	}
-	baseNTT, baseTrue, err := run(base)
+		res, err := onlineRun(alg, db, 0.2, 2, budget, simProcs, seeds[i%reps], rec)
+		if err != nil {
+			return err
+		}
+		ntts[i], trues[i] = res.NTT, res.TrueValue
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	modNTT, modTrue, err := run(mod)
-	if err != nil {
-		return nil, err
-	}
+	baseNTT, baseTrue := meanOf(ntts[:reps]), meanOf(trues[:reps])
+	modNTT, modTrue := meanOf(ntts[reps:]), meanOf(trues[reps:])
 	rendered, err := plot.Bars(plot.Config{Title: title + " — mean NTT (lower is better)"},
 		[]string{"pro (paper)", modName}, []float64{baseNTT, modNTT})
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 	"paratune/internal/cluster"
 	"paratune/internal/core"
 	"paratune/internal/dist"
-	"paratune/internal/noise"
+	"paratune/internal/event"
 	"paratune/internal/plot"
 	"paratune/internal/sample"
 )
@@ -38,10 +38,7 @@ func ExtAdaptiveK(cfg Config) (*Figure, error) {
 	}
 	fixed := func(k int) variant {
 		return variant{fmt.Sprintf("min-of-%d", k), func() (sample.Estimator, *sample.KTuner, error) {
-			if k == 1 {
-				return sample.Single{}, nil, nil
-			}
-			e, err := sample.NewMinOfK(k)
+			e, err := minOfK(k)
 			return e, nil, err
 		}}
 	}
@@ -57,47 +54,57 @@ func ExtAdaptiveK(cfg Config) (*Figure, error) {
 		}},
 	}
 
+	// One job per (rho, variant, replication), in that nesting order.
+	ntts := make([]float64, len(rhos)*len(variants)*reps)
+	trues := make([]float64, len(ntts))
+	finalK := make([]float64, len(ntts))
+	err := forEach(cfg, len(ntts), func(i int, rec event.Recorder) error {
+		cell, rep := i/reps, i%reps
+		rho, v := rhos[cell/len(variants)], variants[cell%len(variants)]
+		m, err := paretoNoise(rho)
+		if err != nil {
+			return err
+		}
+		sim, err := cluster.New(simProcs, m, seeds[rep])
+		if err != nil {
+			return err
+		}
+		est, tuner, err := v.mk()
+		if err != nil {
+			return err
+		}
+		alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
+		if err != nil {
+			return err
+		}
+		res, err := core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: db, Est: est, Budget: budget, Recorder: rec})
+		if err != nil {
+			return err
+		}
+		ntts[i], trues[i] = res.NTT, res.TrueValue
+		if tuner != nil {
+			finalK[i] = float64(tuner.K())
+		} else {
+			finalK[i] = float64(est.K())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	var rows [][]float64
 	var lines []string
 	nttByVariant := make(map[string][]float64)
-	for _, rho := range rhos {
+	for ri, rho := range rhos {
 		for vi, v := range variants {
-			var sumNTT, sumTrue, sumK float64
-			for rep := 0; rep < reps; rep++ {
-				m, err := noise.NewIIDPareto(1.7, rho)
-				if err != nil {
-					return nil, err
-				}
-				sim, err := cluster.New(simProcs, m, seeds[rep])
-				if err != nil {
-					return nil, err
-				}
-				est, tuner, err := v.mk()
-				if err != nil {
-					return nil, err
-				}
-				alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-				if err != nil {
-					return nil, err
-				}
-				res, err := core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: db, Est: est, Budget: budget})
-				if err != nil {
-					return nil, err
-				}
-				sumNTT += res.NTT
-				sumTrue += res.TrueValue
-				if tuner != nil {
-					sumK += float64(tuner.K())
-				} else {
-					sumK += float64(est.K())
-				}
-			}
-			n := float64(reps)
-			rows = append(rows, []float64{rho, float64(vi), sumNTT / n, sumTrue / n, sumK / n})
-			nttByVariant[v.name] = append(nttByVariant[v.name], sumNTT/n)
+			cell := (ri*len(variants) + vi) * reps
+			ntt, tru, k := meanOf(ntts[cell:cell+reps]), meanOf(trues[cell:cell+reps]), meanOf(finalK[cell:cell+reps])
+			rows = append(rows, []float64{rho, float64(vi), ntt, tru, k})
+			nttByVariant[v.name] = append(nttByVariant[v.name], ntt)
 			if v.name == "controlled" {
 				lines = append(lines, fmt.Sprintf("rho=%.2f: controller settled at K ≈ %.1f (NTT %.2f, final f %.3f)",
-					rho, sumK/n, sumNTT/n, sumTrue/n))
+					rho, k, ntt, tru))
 			}
 		}
 	}

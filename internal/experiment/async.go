@@ -6,7 +6,8 @@ import (
 	"paratune/internal/cluster"
 	"paratune/internal/core"
 	"paratune/internal/dist"
-	"paratune/internal/noise"
+	"paratune/internal/event"
+	"paratune/internal/objective"
 	"paratune/internal/plot"
 	"paratune/internal/sample"
 )
@@ -36,73 +37,59 @@ func ExtAsync(cfg Config) (*Figure, error) {
 		seeds[r] = rng.Int63()
 	}
 
-	mkModel := func(rho float64) (noise.Model, error) {
-		if rho == 0 {
-			return noise.None{}, nil
+	// One job per (rho, replication); each job runs the barrier and the async
+	// search on the same seed.
+	barrier := make([]float64, len(rhos)*reps)
+	async := make([]float64, len(barrier))
+	err := forEach(cfg, len(barrier), func(i int, rec event.Recorder) error {
+		rho, seed := rhos[i/reps], seeds[i%reps]
+		est, err := sample.NewMinOfK(k)
+		if err != nil {
+			return err
 		}
-		return noise.NewIIDPareto(1.7, rho)
+
+		// Barrier run.
+		mb, err := paretoNoise(rho)
+		if err != nil {
+			return err
+		}
+		bsim, err := cluster.New(simProcs, mb, seed)
+		if err != nil {
+			return err
+		}
+		bsim.SetRecorder(rec)
+		bstart := event.RunStart{Mode: "sync", Processors: simProcs}
+		if err := iterate(db, cluster.NewEvaluator(bsim, db, est), bstart, iters, bsim.TotalTime, rec); err != nil {
+			return err
+		}
+		barrier[i] = bsim.TotalTime()
+
+		// Async run, same seed.
+		ma, err := paretoNoise(rho)
+		if err != nil {
+			return err
+		}
+		asim, err := cluster.NewAsync(simProcs, ma, seed)
+		if err != nil {
+			return err
+		}
+		asim.SetRecorder(rec)
+		astart := event.RunStart{Mode: "async", Processors: simProcs}
+		aev := &cluster.AsyncEvaluator{Sim: asim, F: db, Est: est}
+		if err := iterate(db, aev, astart, iters, asim.Makespan, rec); err != nil {
+			return err
+		}
+		async[i] = asim.Makespan()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var rows [][]float64
 	var barrierMeans, asyncMeans, ratios []float64
-	for _, rho := range rhos {
-		var sumBarrier, sumAsync float64
-		for rep := 0; rep < reps; rep++ {
-			est, err := sample.NewMinOfK(k)
-			if err != nil {
-				return nil, err
-			}
-
-			// Barrier run.
-			mb, err := mkModel(rho)
-			if err != nil {
-				return nil, err
-			}
-			bsim, err := cluster.New(simProcs, mb, seeds[rep])
-			if err != nil {
-				return nil, err
-			}
-			bev := cluster.NewEvaluator(bsim, db, est)
-			balg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return nil, err
-			}
-			if err := balg.Init(bev); err != nil {
-				return nil, err
-			}
-			for i := 0; i < iters && !balg.Converged(); i++ {
-				if _, err := balg.Step(bev); err != nil {
-					return nil, err
-				}
-			}
-			sumBarrier += bsim.TotalTime()
-
-			// Async run, same seed.
-			ma, err := mkModel(rho)
-			if err != nil {
-				return nil, err
-			}
-			asim, err := cluster.NewAsync(simProcs, ma, seeds[rep])
-			if err != nil {
-				return nil, err
-			}
-			aev := &cluster.AsyncEvaluator{Sim: asim, F: db, Est: est}
-			aalg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return nil, err
-			}
-			if err := aalg.Init(aev); err != nil {
-				return nil, err
-			}
-			for i := 0; i < iters && !aalg.Converged(); i++ {
-				if _, err := aalg.Step(aev); err != nil {
-					return nil, err
-				}
-			}
-			sumAsync += asim.Makespan()
-		}
-		n := float64(reps)
-		b, a := sumBarrier/n, sumAsync/n
+	for ri, rho := range rhos {
+		b, a := meanOf(barrier[ri*reps:(ri+1)*reps]), meanOf(async[ri*reps:(ri+1)*reps])
 		barrierMeans = append(barrierMeans, b)
 		asyncMeans = append(asyncMeans, a)
 		ratios = append(ratios, b/a)
@@ -135,4 +122,30 @@ func ExtAsync(cfg Config) (*Figure, error) {
 		Rendered:  rendered,
 		Notes:     notes(lines...),
 	}, nil
+}
+
+// iterate initialises a fresh PRO search on ev and steps it at most iters
+// times, stopping early once it converges, as one run_start/run_end
+// bracketed tuning run on rec (nil for none). start supplies the run's mode
+// and width; vtime its virtual clock.
+func iterate(f objective.Function, ev core.Evaluator, start event.RunStart, iters int, vtime func() float64, rec event.Recorder) error {
+	alg, err := core.NewPRO(core.Options{Space: f.Space(), R: 0.2})
+	if err != nil {
+		return err
+	}
+	r := event.OrNop(rec)
+	start.Algorithm = alg.String()
+	r.Record(start)
+	eng := &core.Engine{Alg: alg, Ev: ev, Rec: rec, VTime: vtime,
+		Continue: func(i int) bool { return i < iters }}
+	stats, err := eng.Run()
+	if err != nil {
+		return err
+	}
+	best, bestVal := alg.Best()
+	r.Record(event.RunEnd{
+		Mode: start.Mode, Best: best, BestValue: bestVal, TrueValue: f.Eval(best),
+		Iterations: stats.Iterations, VTime: vtime(),
+	})
+	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"paratune/internal/event"
 	"paratune/internal/noise"
 	"paratune/internal/objective"
+	"paratune/internal/par"
 	"paratune/internal/sample"
 )
 
@@ -33,7 +34,9 @@ type Config struct {
 	Quick bool
 	// Trace, when set, receives the event stream of every tuning run a
 	// figure performs (all replications share the one recorder; the
-	// run_start/run_end envelopes delimit them).
+	// run_start/run_end envelopes delimit them). Replications run in
+	// parallel, but Trace is only ever called from the figure's goroutine,
+	// with the events in replication order: the serial stream.
 	Trace event.Recorder
 }
 
@@ -108,35 +111,80 @@ func Run(id string, cfg Config) (*Figure, error) {
 // small incumbent-running remainder.
 const simProcs = 8
 
+// gs2Config is the canonical surrogate configuration for a seed.
+func gs2Config(seed int64) objective.GS2Config {
+	return objective.GS2Config{Seed: seed, Coverage: 0.85}
+}
+
 // gs2DB builds the canonical surrogate database for a seed.
-func gs2DB(seed int64) *objective.DB {
-	return objective.GenerateGS2(objective.GS2Config{Seed: seed, Coverage: 0.85})
+func gs2DB(seed int64) *objective.DB { return objective.GenerateGS2(gs2Config(seed)) }
+
+// forEach runs job(i, rec) for every i in [0, n) on par.For's pool. Each job
+// must write its results only into its own index slot; callers combine the
+// slots afterwards, in index order, so sums keep their serial float bits.
+// rec is nil when cfg.Trace is; otherwise each job records into its own
+// buffer, and the buffers are replayed into cfg.Trace in index order from
+// the calling goroutine. The error returned is the lowest-index job's, and
+// the replay stops after that job's events, where a serial loop would have.
+func forEach(cfg Config, n int, job func(i int, rec event.Recorder) error) error {
+	errs := make([]error, n)
+	var bufs []event.Memory
+	if cfg.Trace != nil {
+		bufs = make([]event.Memory, n)
+	}
+	par.For(n, func(i int) {
+		var rec event.Recorder
+		if bufs != nil {
+			rec = &bufs[i]
+		}
+		errs[i] = job(i, rec)
+	})
+	for i, err := range errs {
+		if bufs != nil {
+			for _, e := range bufs[i].Events() {
+				cfg.Trace.Record(e)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // onlineRun performs one tuning run and returns its result; rec (nil for
 // none) receives the run's event stream.
 func onlineRun(alg core.Algorithm, f objective.Function, rho float64, k, budget, procs int, seed int64, rec event.Recorder) (*core.Result, error) {
-	var model noise.Model = noise.None{}
-	if rho > 0 {
-		m, err := noise.NewIIDPareto(1.7, rho)
-		if err != nil {
-			return nil, err
-		}
-		model = m
+	model, err := paretoNoise(rho)
+	if err != nil {
+		return nil, err
 	}
 	sim, err := cluster.New(procs, model, seed)
 	if err != nil {
 		return nil, err
 	}
-	var est sample.Estimator = sample.Single{}
-	if k > 1 {
-		e, err := sample.NewMinOfK(k)
-		if err != nil {
-			return nil, err
-		}
-		est = e
+	est, err := minOfK(k)
+	if err != nil {
+		return nil, err
 	}
 	return core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: f, Est: est, Budget: budget, Recorder: rec})
+}
+
+// paretoNoise is the §6 variability at idle throughput rho: i.i.d.
+// Pareto(1.7) noise, or none at rho = 0.
+func paretoNoise(rho float64) (noise.Model, error) {
+	if rho > 0 {
+		return noise.NewIIDPareto(1.7, rho)
+	}
+	return noise.None{}, nil
+}
+
+// minOfK is the min-of-K estimator; k <= 1 takes a single sample.
+func minOfK(k int) (sample.Estimator, error) {
+	if k > 1 {
+		return sample.NewMinOfK(k)
+	}
+	return sample.Single{}, nil
 }
 
 // meanOf averages a slice.

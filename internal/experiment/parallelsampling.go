@@ -6,9 +6,8 @@ import (
 	"paratune/internal/cluster"
 	"paratune/internal/core"
 	"paratune/internal/dist"
-	"paratune/internal/noise"
+	"paratune/internal/event"
 	"paratune/internal/plot"
-	"paratune/internal/sample"
 )
 
 // ExtParallelSampling validates the closing observation of §5.2: "If there
@@ -35,40 +34,40 @@ func ExtParallelSampling(cfg Config) (*Figure, error) {
 		seeds[r] = rng.Int63()
 	}
 
-	run := func(k int, parallel bool) (float64, float64, error) {
-		var sumNTT, sumTrue float64
-		for rep := 0; rep < reps; rep++ {
-			m, err := noise.NewIIDPareto(1.7, rho)
-			if err != nil {
-				return 0, 0, err
-			}
-			sim, err := cluster.New(procs, m, seeds[rep])
-			if err != nil {
-				return 0, 0, err
-			}
-			var est sample.Estimator = sample.Single{}
-			if k > 1 {
-				e, err := sample.NewMinOfK(k)
-				if err != nil {
-					return 0, 0, err
-				}
-				est = e
-			}
-			alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := core.RunOnline(alg, core.OnlineConfig{
-				Sim: sim, F: db, Est: est, Budget: budget, ParallelSampling: parallel,
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			sumNTT += res.NTT
-			sumTrue += res.TrueValue
+	// One job per (K, policy, replication), in that nesting order; policy 0
+	// takes samples in subsequent steps, policy 1 in parallel.
+	ntts := make([]float64, len(ks)*2*reps)
+	trues := make([]float64, len(ntts))
+	err := forEach(cfg, len(ntts), func(i int, rec event.Recorder) error {
+		cell, rep := i/reps, i%reps
+		k, parallel := ks[cell/2], cell%2 == 1
+		m, err := paretoNoise(rho)
+		if err != nil {
+			return err
 		}
-		n := float64(reps)
-		return sumNTT / n, sumTrue / n, nil
+		sim, err := cluster.New(procs, m, seeds[rep])
+		if err != nil {
+			return err
+		}
+		est, err := minOfK(k)
+		if err != nil {
+			return err
+		}
+		alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
+		if err != nil {
+			return err
+		}
+		res, err := core.RunOnline(alg, core.OnlineConfig{
+			Sim: sim, F: db, Est: est, Budget: budget, ParallelSampling: parallel, Recorder: rec,
+		})
+		if err != nil {
+			return err
+		}
+		ntts[i], trues[i] = res.NTT, res.TrueValue
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var rows [][]float64
@@ -76,17 +75,10 @@ func ExtParallelSampling(cfg Config) (*Figure, error) {
 	par := make([]float64, len(ks))
 	xs := make([]float64, len(ks))
 	for ki, k := range ks {
+		s, p := 2*ki*reps, (2*ki+1)*reps
 		xs[ki] = float64(k)
-		sNTT, sTrue, err := run(k, false)
-		if err != nil {
-			return nil, err
-		}
-		pNTT, pTrue, err := run(k, true)
-		if err != nil {
-			return nil, err
-		}
-		seq[ki], par[ki] = sNTT, pNTT
-		rows = append(rows, []float64{float64(k), sNTT, sTrue, pNTT, pTrue})
+		seq[ki], par[ki] = meanOf(ntts[s:s+reps]), meanOf(ntts[p:p+reps])
+		rows = append(rows, []float64{float64(k), seq[ki], meanOf(trues[s : s+reps]), par[ki], meanOf(trues[p : p+reps])})
 	}
 
 	rendered, err := plot.Line(plot.Config{

@@ -6,9 +6,9 @@ import (
 	"paratune/internal/cluster"
 	"paratune/internal/core"
 	"paratune/internal/dist"
+	"paratune/internal/event"
 	"paratune/internal/noise"
 	"paratune/internal/plot"
-	"paratune/internal/sample"
 )
 
 // ExtSharedNoise makes the Fig. 10 robustness finding reproducible: when the
@@ -37,67 +37,53 @@ func ExtSharedNoise(cfg Config) (*Figure, error) {
 		seeds[r] = rng.Int63()
 	}
 
-	run := func(rho float64, k int, shared bool) (float64, float64, error) {
-		var sumNTT, sumTrue float64
-		for rep := 0; rep < reps; rep++ {
-			var model noise.Model = noise.None{}
-			if rho > 0 {
-				if shared {
-					m, err := noise.NewSharedIIDPareto(1.7, rho)
-					if err != nil {
-						return 0, 0, err
-					}
-					model = m
-				} else {
-					m, err := noise.NewIIDPareto(1.7, rho)
-					if err != nil {
-						return 0, 0, err
-					}
-					model = m
-				}
-			}
-			sim, err := cluster.New(simProcs, model, seeds[rep])
-			if err != nil {
-				return 0, 0, err
-			}
-			var est sample.Estimator = sample.Single{}
-			if k > 1 {
-				e, err := sample.NewMinOfK(k)
-				if err != nil {
-					return 0, 0, err
-				}
-				est = e
-			}
-			alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-			if err != nil {
-				return 0, 0, err
-			}
-			res, err := core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: db, Est: est, Budget: budget})
-			if err != nil {
-				return 0, 0, err
-			}
-			sumNTT += res.NTT
-			sumTrue += res.TrueValue
+	// One job per (K, rho, model, replication), in that nesting order; model
+	// 0 is shared noise, model 1 independent.
+	ntts := make([]float64, len(ks)*len(rhos)*2*reps)
+	trues := make([]float64, len(ntts))
+	err := forEach(cfg, len(ntts), func(i int, rec event.Recorder) error {
+		cell, rep := i/reps, i%reps
+		k, rho, shared := ks[cell/(2*len(rhos))], rhos[cell/2%len(rhos)], cell%2 == 0
+		model, err := paretoNoise(rho)
+		if shared && rho > 0 {
+			model, err = noise.NewSharedIIDPareto(1.7, rho)
 		}
-		n := float64(reps)
-		return sumNTT / n, sumTrue / n, nil
+		if err != nil {
+			return err
+		}
+		sim, err := cluster.New(simProcs, model, seeds[rep])
+		if err != nil {
+			return err
+		}
+		est, err := minOfK(k)
+		if err != nil {
+			return err
+		}
+		alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
+		if err != nil {
+			return err
+		}
+		res, err := core.RunOnline(alg, core.OnlineConfig{Sim: sim, F: db, Est: est, Budget: budget, Recorder: rec})
+		if err != nil {
+			return err
+		}
+		ntts[i], trues[i] = res.NTT, res.TrueValue
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var rows [][]float64
 	var lines []string
 	sharedSeries := map[int][]float64{}
 	indepSeries := map[int][]float64{}
-	for _, k := range ks {
-		for _, rho := range rhos {
-			sNTT, sTrue, err := run(rho, k, true)
-			if err != nil {
-				return nil, err
-			}
-			iNTT, iTrue, err := run(rho, k, false)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, []float64{rho, float64(k), sNTT, sTrue, iNTT, iTrue})
+	for ki, k := range ks {
+		for ri, rho := range rhos {
+			s := (ki*len(rhos) + ri) * 2 * reps
+			ind := s + reps
+			sNTT, iNTT := meanOf(ntts[s:s+reps]), meanOf(ntts[ind:ind+reps])
+			rows = append(rows, []float64{rho, float64(k), sNTT, meanOf(trues[s : s+reps]), iNTT, meanOf(trues[ind : ind+reps])})
 			sharedSeries[k] = append(sharedSeries[k], sNTT)
 			indepSeries[k] = append(indepSeries[k], iNTT)
 		}

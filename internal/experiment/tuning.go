@@ -6,6 +6,7 @@ import (
 	"paratune/internal/baseline"
 	"paratune/internal/core"
 	"paratune/internal/dist"
+	"paratune/internal/event"
 	"paratune/internal/plot"
 	"paratune/internal/space"
 	"paratune/internal/stats"
@@ -38,22 +39,34 @@ func Fig1MetricDiscrepancy(cfg Config) (*Figure, error) {
 		}},
 	}
 
+	rng := dist.NewRNG(cfg.Seed + 1)
+	seeds := make([]int64, len(variants)*reps)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	stepTimes := make([][]float64, len(seeds))
+	err := forEach(cfg, len(seeds), func(i int, rec event.Recorder) error {
+		alg, err := variants[i/reps].mk(seeds[i])
+		if err != nil {
+			return err
+		}
+		res, err := onlineRun(alg, db, 0.1, 1, budget, simProcs, seeds[i], rec)
+		if err != nil {
+			return err
+		}
+		stepTimes[i] = res.StepTimes
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	meanTk := make([][]float64, len(variants))
 	meanTotal := make([][]float64, len(variants))
-	rng := dist.NewRNG(cfg.Seed + 1)
-	for vi, v := range variants {
+	for vi := range variants {
 		sumTk := make([]float64, budget)
-		for r := 0; r < reps; r++ {
-			seed := rng.Int63()
-			alg, err := v.mk(seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := onlineRun(alg, db, 0.1, 1, budget, simProcs, seed, cfg.Trace)
-			if err != nil {
-				return nil, err
-			}
-			for k, t := range res.StepTimes {
+		for _, st := range stepTimes[vi*reps : (vi+1)*reps] {
+			for k, t := range st {
 				sumTk[k] += t
 			}
 		}
@@ -228,23 +241,31 @@ func Fig9InitialSimplex(cfg Config) (*Figure, error) {
 		seeds[r] = rng.Int63()
 	}
 
+	// One job per (shape, r, replication), in that nesting order.
+	ntts := make([]float64, len(shapes)*len(rValues)*reps)
+	err := forEach(cfg, len(ntts), func(i int, rec event.Recorder) error {
+		cell, rep := i/reps, i%reps
+		shape, r := shapes[cell/len(rValues)], rValues[cell%len(rValues)]
+		alg, err := core.NewPRO(core.Options{Space: db.Space(), R: r, SimplexShape: shape})
+		if err != nil {
+			return err
+		}
+		res, err := onlineRun(alg, db, 0.1, 1, budget, simProcs, seeds[rep], rec)
+		if err != nil {
+			return err
+		}
+		ntts[i] = res.NTT
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	means := make(map[core.Shape][]float64)
-	for _, shape := range shapes {
+	for si, shape := range shapes {
 		vals := make([]float64, len(rValues))
-		for ri, r := range rValues {
-			ntts := make([]float64, reps)
-			for rep := 0; rep < reps; rep++ {
-				alg, err := core.NewPRO(core.Options{Space: db.Space(), R: r, SimplexShape: shape})
-				if err != nil {
-					return nil, err
-				}
-				res, err := onlineRun(alg, db, 0.1, 1, budget, simProcs, seeds[rep], cfg.Trace)
-				if err != nil {
-					return nil, err
-				}
-				ntts[rep] = res.NTT
-			}
-			vals[ri] = meanOf(ntts)
+		for ri := range rValues {
+			cell := (si*len(rValues) + ri) * reps
+			vals[ri] = meanOf(ntts[cell : cell+reps])
 		}
 		means[shape] = vals
 	}
@@ -305,26 +326,34 @@ func Fig10MultiSampling(cfg Config) (*Figure, error) {
 		seeds[r] = rng.Int63()
 	}
 
+	// One job per (rho, K, replication), in that nesting order.
+	ntts := make([]float64, len(rhos)*len(ks)*reps)
+	err := forEach(cfg, len(ntts), func(i int, rec event.Recorder) error {
+		cell, rep := i/reps, i%reps
+		rho, k := rhos[cell/len(ks)], ks[cell%len(ks)]
+		alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
+		if err != nil {
+			return err
+		}
+		res, err := onlineRun(alg, db, rho, k, budget, simProcs, seeds[rep], rec)
+		if err != nil {
+			return err
+		}
+		ntts[i] = res.NTT
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	curves := make(map[float64][]float64)  // rho -> mean NTT per K
 	stderrs := make(map[float64][]float64) // rho -> standard error per K
-	for _, rho := range rhos {
+	for ri, rho := range rhos {
 		vals := make([]float64, len(ks))
 		ses := make([]float64, len(ks))
-		for ki, k := range ks {
-			ntts := make([]float64, reps)
-			for rep := 0; rep < reps; rep++ {
-				alg, err := core.NewPRO(core.Options{Space: db.Space(), R: 0.2})
-				if err != nil {
-					return nil, err
-				}
-				res, err := onlineRun(alg, db, rho, k, budget, simProcs, seeds[rep], cfg.Trace)
-				if err != nil {
-					return nil, err
-				}
-				ntts[rep] = res.NTT
-			}
-			vals[ki] = meanOf(ntts)
-			ses[ki] = stats.StdErr(ntts)
+		for ki := range ks {
+			cell := (ri*len(ks) + ki) * reps
+			vals[ki] = meanOf(ntts[cell : cell+reps])
+			ses[ki] = stats.StdErr(ntts[cell : cell+reps])
 		}
 		curves[rho] = vals
 		stderrs[rho] = ses

@@ -6,6 +6,7 @@ import (
 	"paratune/internal/cluster"
 	"paratune/internal/dist"
 	"paratune/internal/noise"
+	"paratune/internal/objective"
 	"paratune/internal/plot"
 	"paratune/internal/stats"
 )
@@ -39,9 +40,11 @@ func gs2TraceModel() (noise.Model, error) {
 }
 
 // generateGS2Traces runs the fixed-parameter GS2 job and returns per-
-// processor traces plus the flattened sample pool used by Figs. 4–7.
+// processor traces plus the flattened sample pool used by Figs. 4–7. The job
+// reads the surface at one stored point, so it evaluates the analytic
+// surface there instead of building the database.
 func generateGS2Traces(cfg Config, steps, procs int) ([][]float64, []float64, error) {
-	db := gs2DB(cfg.Seed)
+	f := objective.GS2Surface(gs2Config(cfg.Seed))
 	model, err := gs2TraceModel()
 	if err != nil {
 		return nil, nil, err
@@ -52,7 +55,7 @@ func generateGS2Traces(cfg Config, steps, procs int) ([][]float64, []float64, er
 	}
 	// Fixed parameters: the centre configuration, as in §4.3's fixed-
 	// parameter study.
-	traces, err := sim.RunFixed(db, db.Space().Center(), steps)
+	traces, err := sim.RunFixed(f, f.Space().Center(), steps)
 	if err != nil {
 		return nil, nil, err
 	}

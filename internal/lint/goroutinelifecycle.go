@@ -8,15 +8,18 @@ import (
 
 // lifecyclePackages are the packages whose goroutines must be provably
 // joinable or cancellable: the harmony server (long-lived network
-// goroutines), the cluster simulator (worker fan-out), and the core engine
-// (async evaluation plumbing). A leaked goroutine in any of them either
-// corrupts a later measurement or wedges shutdown.
+// goroutines), the cluster simulator (worker fan-out), the core engine
+// (async evaluation plumbing), and the replication pool with the experiments
+// that run on it. A leaked goroutine in any of them either corrupts a later
+// measurement or wedges shutdown.
 var lifecyclePackages = []string{
 	"paratune/internal/chaos",
 	"paratune/internal/cluster",
+	"paratune/internal/experiment",
 	"paratune/internal/feddb",
 	"paratune/internal/core",
 	"paratune/internal/harmony",
+	"paratune/internal/par",
 }
 
 func isLifecyclePackage(path string) bool {
@@ -48,7 +51,7 @@ func (*GoroutineJoins) String() string { return "GoroutineJoins" }
 // deterministic simulation into a flaky one.
 var GoroutineLifecycle = &Analyzer{
 	Name:      "goroutinelifecycle",
-	Doc:       "go statements in harmony/cluster/core must have a join or cancel path",
+	Doc:       "go statements in harmony/cluster/core/par/experiment must have a join or cancel path",
 	FactTypes: []Fact{(*GoroutineJoins)(nil)},
 	Run:       runGoroutineLifecycle,
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"paratune/internal/par"
 	"paratune/internal/space"
 )
 
@@ -60,8 +61,9 @@ func (c *GS2Config) setDefaults() {
 // compute term, a communication term that grows with the node count, and
 // seeded ripple/jitter components that carve multiple local minima, matching
 // the qualitative structure of Fig. 8 ("not smooth and contains multiple
-// local minimums").
+// local minimums"). It is the Function GS2Surface returns.
 type gs2Model struct {
+	s                      *space.Space
 	seed                   int64
 	rippleAmp, jitterAmp   float64
 	phase1, phase2, phase3 float64
@@ -70,6 +72,7 @@ type gs2Model struct {
 func newGS2Model(cfg GS2Config) *gs2Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &gs2Model{
+		s:         GS2Space(),
 		seed:      cfg.Seed,
 		rippleAmp: cfg.RuggednessAmp,
 		jitterAmp: cfg.JitterAmp,
@@ -79,8 +82,18 @@ func newGS2Model(cfg GS2Config) *gs2Model {
 	}
 }
 
-// eval returns the per-time-step cost (seconds) for (ntheta, negrid, nodes).
-func (m *gs2Model) eval(x space.Point) float64 {
+// GS2Surface returns the analytic surface behind the surrogate database:
+// GenerateGS2 with the same Seed, RuggednessAmp and JitterAmp stores exactly
+// this function's value at every grid point it keeps. It evaluates every
+// point of the space directly, with no database to build.
+func GS2Surface(cfg GS2Config) Function {
+	cfg.setDefaults()
+	return newGS2Model(cfg)
+}
+
+// Eval implements Function: the per-time-step cost (seconds) for (ntheta,
+// negrid, nodes).
+func (m *gs2Model) Eval(x space.Point) float64 {
 	ntheta, negrid, nodes := x[0], x[1], x[2]
 	work := ntheta * negrid // grid points ∝ compute per step
 	// Strong-scaling compute: parallel efficiency decays with node count.
@@ -113,6 +126,11 @@ func (m *gs2Model) eval(x space.Point) float64 {
 	return v
 }
 
+// Space implements Function.
+func (m *gs2Model) Space() *space.Space { return m.s }
+
+func (m *gs2Model) String() string { return fmt.Sprintf("gs2-surface(seed=%d)", m.seed) }
+
 // pointHash01 maps (seed, point) to a deterministic value in [0, 1): the
 // 64-bit FNV-1a hash of "seed:key", key being x.Key().
 func pointHash01(seed int64, x space.Point) float64 {
@@ -134,12 +152,17 @@ type DB struct {
 	knn *KNN
 }
 
-// GenerateGS2 builds the surrogate GS2 database.
+// GenerateGS2 builds the surrogate GS2 database. Which cells are kept is
+// decided serially, in Enumerate order, by the seed's RNG; the kept cells are
+// then evaluated in parallel into one flat coordinate array and stored in
+// that same order.
 func GenerateGS2(cfg GS2Config) *DB {
 	cfg.setDefaults()
-	s := GS2Space()
 	model := newGS2Model(cfg)
-	db := &DB{s: s, knn: NewKNN(s, cfg.Neighbors)}
+	s := model.s
+	dim := s.Dim()
+	cells, _ := s.GridSize()
+	coords := make([]float64, 0, cells*dim)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	center := s.Center()
 	_ = s.Enumerate(func(p space.Point) {
@@ -148,8 +171,18 @@ func GenerateGS2(cfg GS2Config) *DB {
 		if !p.Equal(center) && rng.Float64() > cfg.Coverage {
 			return
 		}
-		db.knn.Add(p.Clone(), model.eval(p))
+		coords = append(coords, p...)
 	})
+	n := len(coords) / dim
+	pt := func(i int) space.Point { return coords[i*dim : (i+1)*dim : (i+1)*dim] }
+	vals := make([]float64, n)
+	par.For(n, func(i int) { vals[i] = model.Eval(pt(i)) })
+	db := &DB{s: s, knn: NewKNN(s, cfg.Neighbors)}
+	db.knn.pts = make([]space.Point, 0, n)
+	db.knn.vals = make([]float64, 0, n)
+	for i, v := range vals {
+		db.knn.Add(pt(i), v)
+	}
 	return db
 }
 
@@ -246,7 +279,7 @@ func (db *DB) Slice(xi, yi int, fixedVal float64) (xs, ys []float64, z [][]float
 func axisValues(p space.Parameter) []float64 {
 	switch p.Kind {
 	case space.Integer:
-		var vs []float64
+		vs := make([]float64, 0, int(p.Range())+1)
 		for v := p.Lower; v <= p.Upper; v++ {
 			vs = append(vs, v)
 		}
@@ -255,7 +288,7 @@ func axisValues(p space.Parameter) []float64 {
 		return append([]float64(nil), p.Values...)
 	default:
 		// Sample 33 points across a continuous range.
-		var vs []float64
+		vs := make([]float64, 0, 33)
 		for i := 0; i <= 32; i++ {
 			vs = append(vs, p.Lower+float64(i)/32*p.Range())
 		}

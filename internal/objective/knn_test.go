@@ -252,3 +252,36 @@ func TestDBAllocs(t *testing.T) {
 	alloccheck.Guard(t, "objective.DB.Eval non-finite scan", 0, func() { sink = db.Eval(space.Point{math.Inf(1), 4, 1}) })
 	_ = sink
 }
+
+// GS2Surface is the function GenerateGS2 stores: equal bits at every stored
+// point, for several seeds and coverages.
+func TestGS2SurfaceMatchesDB(t *testing.T) {
+	for _, cfg := range []GS2Config{{Seed: 42, Coverage: 0.85}, {Seed: 7, Coverage: 1}, {Seed: 3, Coverage: 0.3}} {
+		db := GenerateGS2(cfg)
+		surf := GS2Surface(cfg)
+		if surf.Space().String() != db.Space().String() {
+			t.Fatalf("surface space %v, database space %v", surf.Space(), db.Space())
+		}
+		for _, p := range db.knn.pts {
+			if got, want := surf.Eval(p), db.Eval(p); !sameBits(got, want) {
+				t.Fatalf("seed %d: GS2Surface.Eval(%v) = %v, DB.Eval %v", cfg.Seed, p, got, want)
+			}
+		}
+	}
+}
+
+// A GS2 build stores its points as sub-slices of one pre-sized coordinate
+// array; it must not allocate per point.
+// AllocsPerRun measures at GOMAXPROCS 1, so the pool runs inline here.
+func TestGenerateGS2Allocs(t *testing.T) {
+	alloccheck.Guard(t, "objective.GenerateGS2", 40, func() { sinkDB = GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85}) })
+}
+
+var sinkDB *DB
+
+func BenchmarkGenerateGS2(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDB = GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85})
+	}
+}

@@ -106,13 +106,20 @@ func (p Point) Key() string {
 	return string(p.AppendKey(buf[:0]))
 }
 
-// AppendKey appends p's Key to dst.
+// AppendKey appends p's Key to dst. Integral coordinates below 1e6 in
+// magnitude, -0 excepted, take the integer formatter: for them %g's shortest
+// form is the plain integer, and formatting an integer is several times
+// cheaper than formatting a float.
 func (p Point) AppendKey(dst []byte) []byte {
 	for i, v := range p {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+		if n := int64(v); v > -1e6 && v < 1e6 && math.Float64bits(float64(n)) == math.Float64bits(v) {
+			dst = strconv.AppendInt(dst, n, 10)
+		} else {
+			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+		}
 	}
 	return dst
 }

@@ -82,7 +82,9 @@ func TestKeyDistinct(t *testing.T) {
 // Key is the event stream's Config field and the GS2 jitter hash input, so
 // its bytes are pinned to fmt's %g, including the special values.
 func TestPointKeyMatchesFmt(t *testing.T) {
-	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e21, 1e-7, 0.1, 2.5e6}
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e21, 1e-7, 0.1, 2.5e6,
+		// Edges of the integer fast path.
+		99999, -99999, 100000, -100000, 999999, -999999, 1e6, -1e6, 1 << 53, 999999.5, -0.5}
 	for _, v := range vals {
 		p := Point{v, 64, v}
 		want := fmt.Sprintf("%g,%g,%g", v, 64.0, v)
