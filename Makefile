@@ -2,10 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-fix lint-sarif lint-selftest test race bench bench-json bench-smoke trace-smoke db-smoke chaos-smoke load-smoke fed-smoke fuzz results results-check examples clean
-
-# Baseline number for bench-json artefacts (BENCH_$(N).json).
-N ?= 10
+.PHONY: all build lint lint-fix lint-sarif lint-selftest test race bench bench-smoke trace-smoke db-smoke chaos-smoke load-smoke fed-smoke fuzz results results-check examples clean
 
 all: build test
 
@@ -56,13 +53,6 @@ bench:
 # Compile-and-run-once pass over every benchmark (what CI runs).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# Machine-readable benchmark baseline: one pass over every benchmark with
-# alloc counters, folded into BENCH_$(N).json (sorted, diffable across PRs).
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > bench_output.txt
-	$(GO) run ./cmd/benchjson < bench_output.txt > BENCH_$(N).json
-	rm -f bench_output.txt
 
 # End-to-end event-stream check: two same-seed runs must produce
 # byte-identical JSONL traces, and traceanalyze must parse them directly.
@@ -160,4 +150,4 @@ examples:
 	$(GO) run ./examples/chaos
 
 clean:
-	rm -f test_output.txt bench_output.txt paralint.sarif
+	rm -f test_output.txt paralint.sarif

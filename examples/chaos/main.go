@@ -18,6 +18,8 @@
 //     WAL. The client's next call transparently reconnects, resumes with
 //     its last sequence number, and finds its session restored.
 //
+// Run it with:
+//
 //	go run ./examples/chaos
 package main
 

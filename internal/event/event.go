@@ -343,16 +343,18 @@ type Backpressure struct {
 // EventKind implements Event.
 func (Backpressure) EventKind() string { return KindBackpressure }
 
-/// BatchFetch reports one batched fetchN round-trip: a client asked for up to
-// Requested candidates in a single frame and was granted Granted distinct
-// ones (round-robin over the session's outstanding candidates).
+// BatchFetch reports one batched fetchN round-trip: a client asked for up to
+// Requested samples in a single frame and was granted Granted of them. A
+// candidate appears once per sample it still needs, pass-major around the
+// session's outstanding candidates, so one frame can carry every
+// measurement a batch needs.
 type BatchFetch struct {
 	// Session is the session name.
 	Session string `json:"session"`
-	// Requested is the candidate count the client asked for.
+	// Requested is the sample count the client asked for.
 	Requested int `json:"requested"`
-	// Granted is how many distinct unmeasured candidates were handed out;
-	// 0 means the batch is fully issued and the client got the best-known
+	// Granted is how many tagged samples were handed out; 0 means no
+	// candidate awaits a measurement and the client got the best-known
 	// configuration instead.
 	Granted int `json:"granted"`
 	// Wire names the codec the frame arrived over.

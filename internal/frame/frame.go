@@ -283,11 +283,15 @@ func (r *Reader) Count(elemMin int) int {
 }
 
 // Str reads a uvarint-length-prefixed string.
-func (r *Reader) Str() string {
+func (r *Reader) Str() string { return string(r.View()) }
+
+// View reads a uvarint-length-prefixed byte string without copying it: the
+// result aliases the payload and is valid only while the payload is.
+func (r *Reader) View() []byte {
 	n := r.Count(1)
-	s := string(r.buf[r.off : r.off+n])
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
-	return s
+	return b
 }
 
 // Bytes reads a uvarint-length-prefixed byte string into a fresh slice; nil

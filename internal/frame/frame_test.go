@@ -114,6 +114,23 @@ func TestReadReusesBuffer(t *testing.T) {
 
 // TestReaderRoundTrip decodes every field type the Append helpers and
 // stdlib writers produce, then checks the strictness rules one by one.
+// TestReaderView pins View's contract: the bytes alias the payload, with no
+// spare capacity, so appending to a view can never overwrite what follows.
+func TestReaderView(t *testing.T) {
+	b := AppendString(AppendString(nil, "view"), "next")
+	r := NewReader(b)
+	v := r.View()
+	if string(v) != "view" || &v[0] != &b[1] || cap(v) != len(v) {
+		t.Fatalf("View = %q (cap %d), want an alias of the payload's \"view\" with cap 4", v, cap(v))
+	}
+	if got := r.Str(); got != "next" {
+		t.Errorf("Str after View = %q", got)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+}
+
 func TestReaderRoundTrip(t *testing.T) {
 	var b []byte
 	b = append(b, 0xab)

@@ -60,7 +60,8 @@ type benchStack struct {
 // fetchn/reportn frames) at increasing session counts. Each iteration pushes
 // a fixed number of measurements through real clients over TCP, so ns/op is
 // directly comparable across stacks and the reports/sec metric is the
-// headline throughput number recorded in BENCH_8.json.
+// headline throughput number. The repository benchmark (perfbench/, with
+// medians over repeated passes) tracks serving throughput end to end.
 func BenchmarkServerParallelSessions(b *testing.B) {
 	stacks := []benchStack{
 		{name: "pre", shards: 1, wire: WireJSON, batch: 1},

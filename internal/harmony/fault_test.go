@@ -2,6 +2,7 @@ package harmony
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -41,7 +42,7 @@ func TestWireRejectsInvalidValueWithCode(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	resp := dispatch(srv, &request{Op: "report", Session: "s", Tag: 1, Value: -3}, "")
+	resp := dispatch(srv, &request{Op: "report", Session: "s", Tag: 1, Value: -3}, "", nil)
 	if resp.OK || resp.Code != "invalid_value" {
 		t.Errorf("resp = %+v, want structured invalid_value error", resp)
 	}
@@ -105,7 +106,7 @@ func TestReportDeduplicationByRID(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	c := s.batch[fr.Tag]
+	c := s.candLocked(fr.Tag)
 	var obs int
 	if c != nil {
 		obs = len(c.obs)
@@ -125,6 +126,128 @@ func TestReportDeduplicationByRID(t *testing.T) {
 	s.mu.Unlock()
 	if obs != 2 {
 		t.Errorf("candidate has %d observations, want 2", obs)
+	}
+}
+
+// TestClientRIDsMatchSprintf pins the client's report ids byte for byte to
+// "%x-%d" of (nonce, counter), across signs, widths and digit boundaries, and
+// checks that ids a caller already set are kept.
+func TestClientRIDsMatchSprintf(t *testing.T) {
+	for _, nonce := range []int64{0, 1, 0xabc, math.MaxInt64, -1, -0x1f, math.MinInt64} {
+		for _, start := range []uint64{0, 8, 99_999, math.MaxUint64 - 3} {
+			c := &Client{ridPrefix: ridPrefix(nonce), nextID: start}
+			items := []ReportItem{{}, {RID: "caller-set"}, {}, {}}
+			c.stampRIDsLocked(items)
+			want := []string{
+				fmt.Sprintf("%x-%d", nonce, start+1), "caller-set",
+				fmt.Sprintf("%x-%d", nonce, start+2), fmt.Sprintf("%x-%d", nonce, start+3),
+			}
+			for i := range items {
+				if items[i].RID != want[i] {
+					t.Errorf("nonce %d, counter %d: item %d rid %q, want %q", nonce, start, i, items[i].RID, want[i])
+				}
+			}
+			if c.nextID != start+3 {
+				t.Errorf("nonce %d: counter advanced to %d, want %d", nonce, c.nextID, start+3)
+			}
+		}
+	}
+}
+
+// dropReplyListener severs its first accepted connection in place of the
+// server's nth reply on it, so the client sees a request vanish after the
+// server applied it.
+type dropReplyListener struct {
+	net.Listener
+	nth      int
+	accepted atomic.Int32
+}
+
+func (l *dropReplyListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil || l.accepted.Add(1) != 1 {
+		return c, err
+	}
+	return &dropReplyConn{Conn: c, left: l.nth}, nil
+}
+
+// dropReplyConn closes itself instead of making its nth write; only the
+// connection's handler goroutine writes, so left needs no lock.
+type dropReplyConn struct {
+	net.Conn
+	left int
+}
+
+func (c *dropReplyConn) Write(b []byte) (int, error) {
+	if c.left--; c.left == 0 {
+		_ = c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(b)
+}
+
+// TestReportNRetriedOverReconnectCountedOnce loses the reply to a reportn
+// frame the server already applied: the client reconnects, resumes and
+// resends the frame with the same report ids, and every measurement is
+// counted once.
+func TestReportNRetriedOverReconnectCountedOnce(t *testing.T) {
+	for _, wire := range wireCases {
+		t.Run(string(wire), func(t *testing.T) {
+			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
+			defer srv.Close()
+			raw, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			// Replies on the first connection: register, fetchn, then the
+			// reportn reply that is lost.
+			serveAsync(&dropReplyListener{Listener: raw, nth: 3}, srv)
+			c, err := DialWith(raw.Addr().String(), DialOptions{
+				Retries: 8, Backoff: 5 * time.Millisecond, Timeout: 5 * time.Second, Seed: 42, Wire: wire,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Register("s", gs2Params()); err != nil {
+				t.Fatal(err)
+			}
+			waitBatch(t, srv, "s", 1)
+			frs, err := c.FetchN("s", 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := make([]ReportItem, len(frs))
+			for i, fr := range frs {
+				items[i] = ReportItem{Tag: fr.Tag, Value: 1 + float64(i)}
+			}
+			res, err := c.ReportN("s", items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := c.Resumes(); n != 1 {
+				t.Fatalf("client resumed %d times, want 1: the reply was not lost", n)
+			}
+			if res.Accepted != len(items) {
+				t.Errorf("retried ReportN = %+v, want all %d accepted", res, len(items))
+			}
+			for i := range items {
+				if want := fmt.Sprintf("%x-%d", c.nonce, i+1); items[i].RID != want {
+					t.Errorf("item %d rid %q, want %q", i, items[i].RID, want)
+				}
+			}
+			s, err := srv.session("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			recorded := s.batchObs
+			s.mu.Unlock()
+			if recorded != len(items) {
+				t.Errorf("server recorded %d measurements from a twice-delivered frame of %d", recorded, len(items))
+			}
+		})
 	}
 }
 

@@ -176,7 +176,7 @@ func FuzzDispatch(f *testing.F) {
 		}
 		srv := NewServer(ServerOptions{})
 		defer srv.Close()
-		resp := dispatch(srv, &req, "")
+		resp := dispatch(srv, &req, "", nil)
 		if !resp.OK && resp.Error == "" {
 			t.Fatalf("failed response without error message for %q", raw)
 		}

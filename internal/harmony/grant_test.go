@@ -1,0 +1,314 @@
+package harmony
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"paratune/internal/alloccheck"
+	"paratune/internal/dist"
+	"paratune/internal/objective"
+	"paratune/internal/space"
+)
+
+// batchAPI is the batched surface the in-process Server and the wire Client
+// share.
+type batchAPI interface {
+	Register(session string, params []space.Parameter) error
+	FetchN(session string, n int) ([]FetchResult, error)
+	ReportN(session string, items []ReportItem) (BatchReportResult, error)
+	Best(session string) (space.Point, float64, bool, error)
+}
+
+// batchRun is what one closed FetchN/ReportN loop ended with.
+type batchRun struct {
+	best     space.Point
+	bestBits uint64
+	accepted int
+	fetches  int // FetchN calls that granted work
+}
+
+// driveBatched registers name and runs the closed loop a benchmark client
+// runs: fetch up to n samples, measure each with seeded Pareto noise in the
+// order received, report them all, until the session converges.
+func driveBatched(t *testing.T, api batchAPI, name string, f objective.Function, seed int64, n int) batchRun {
+	t.Helper()
+	if err := api.Register(name, gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	model := mustPareto(t, 1.7, 0.2)
+	rng := dist.NewRNG(seed)
+	var run batchRun
+	items := make([]ReportItem, 0, n)
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		frs, err := api.FetchN(name, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frs) == 1 && frs[0].Tag == 0 {
+			if !frs[0].Converged {
+				time.Sleep(50 * time.Microsecond) // next batch not proposed yet
+				continue
+			}
+			best, val, _, err := api.Best(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.best, run.bestBits = best, math.Float64bits(val)
+			return run
+		}
+		run.fetches++
+		items = items[:0]
+		for _, fr := range frs {
+			items = append(items, ReportItem{Tag: fr.Tag, Value: model.Perturb(f.Eval(fr.Point), rng)})
+		}
+		res, err := api.ReportN(name, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rejected+res.Refused != 0 {
+			t.Fatalf("n=%d: a client reporting everything it fetched had %+v", n, res)
+		}
+		run.accepted += res.Accepted
+	}
+	t.Fatalf("n=%d: session did not converge", n)
+	return run
+}
+
+// TestFetchNGrantMatchesSinglePass is the differential test of the K-aware
+// grant rule: a client that reports everything it fetched follows the same
+// trajectory — best point, best-estimate bits and accepted measurements — at
+// every batch size as at n=1, and larger frames need fewer round trips.
+func TestFetchNGrantMatchesSinglePass(t *testing.T) {
+	f := objective.GenerateGS2(objective.GS2Config{Seed: 5, Coverage: 1})
+	for _, seed := range []int64{1, 2, 3} {
+		for _, k := range []int{1, 3} {
+			t.Run(fmt.Sprintf("seed%d/K%d", seed, k), func(t *testing.T) {
+				srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, k)})
+				defer srv.Close()
+				runAt := func(n int) batchRun {
+					return driveBatched(t, srv, fmt.Sprintf("n%d", n), f, seed, n)
+				}
+				want := runAt(1)
+				for _, n := range []int{3, 16, 64} {
+					got := runAt(n)
+					if !got.best.Equal(want.best) || got.bestBits != want.bestBits || got.accepted != want.accepted {
+						t.Errorf("n=%d: best %v (bits %x), %d accepted; n=1: best %v (bits %x), %d accepted",
+							n, got.best, got.bestBits, got.accepted, want.best, want.bestBits, want.accepted)
+					}
+					if got.fetches >= want.fetches {
+						t.Errorf("n=%d took %d fetches, n=1 took %d", n, got.fetches, want.fetches)
+					}
+				}
+			})
+		}
+	}
+	// The wire path encodes grants from a reused per-connection slice; the
+	// trajectory must not notice.
+	for _, wire := range wireCases {
+		t.Run("wire/"+string(wire), func(t *testing.T) {
+			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
+			defer srv.Close()
+			want := driveBatched(t, srv, "in", f, 7, 1)
+			c, _ := dialTestWire(t, srv, wire)
+			got := driveBatched(t, c, "wire", f, 7, 16)
+			if !got.best.Equal(want.best) || got.bestBits != want.bestBits || got.accepted != want.accepted {
+				t.Errorf("wire n=16: best %v (bits %x), %d accepted; in-process n=1: best %v (bits %x), %d accepted",
+					got.best, got.bestBits, got.accepted, want.best, want.bestBits, want.accepted)
+			}
+		})
+	}
+}
+
+// TestFetchNDrainsBatchInOneRoundTrip pins the point of the grant rule: at
+// min-of-K a P-candidate batch with K·P ≤ n is fetched pass-major in one
+// FetchN and completed by one ReportN.
+func TestFetchNDrainsBatchInOneRoundTrip(t *testing.T) {
+	const k, n = 3, 64
+	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, k)})
+	defer srv.Close()
+	if err := srv.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	p := waitBatch(t, srv, "s", 1)
+	if k*p > n {
+		t.Fatalf("first batch has %d candidates; K·P = %d exceeds n = %d", p, k*p, n)
+	}
+	frs, err := srv.FetchN("s", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frs) != k*p {
+		t.Fatalf("FetchN(%d) granted %d samples, want K·P = %d", n, len(frs), k*p)
+	}
+	first := map[uint64]bool{}
+	for i, fr := range frs {
+		if fr.Tag == 0 {
+			t.Fatalf("sample %d has tag 0", i)
+		}
+		if i < p {
+			if first[fr.Tag] {
+				t.Fatalf("tag %d twice in the first pass", fr.Tag)
+			}
+			first[fr.Tag] = true
+		} else if fr.Tag != frs[i%p].Tag {
+			t.Fatalf("sample %d is tag %d, want pass-major tag %d", i, fr.Tag, frs[i%p].Tag)
+		}
+	}
+	items := make([]ReportItem, len(frs))
+	for i, fr := range frs {
+		items[i] = ReportItem{Tag: fr.Tag, Value: 1 + float64(i)}
+	}
+	res, err := srv.ReportN("s", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted != len(items) || res.Rejected+res.Refused != 0 {
+		t.Fatalf("ReportN = %+v, want all %d accepted", res, len(items))
+	}
+	// The batch is complete: its tags are retired.
+	late, err := srv.ReportN("s", items[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Rejected != 1 {
+		t.Errorf("report for a tag of the completed batch = %+v, want rejected", late)
+	}
+}
+
+// TestFetchNConcurrentFetchersDisjoint checks that two fetchers racing on
+// one batch get disjoint unissued samples — together exactly K of every
+// candidate — and that only then FetchN falls back to reissuing each
+// unmeasured candidate once.
+func TestFetchNConcurrentFetchersDisjoint(t *testing.T) {
+	const k = 3
+	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, k)})
+	defer srv.Close()
+	if err := srv.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	p := waitBatch(t, srv, "s", 1)
+	half := (k*p + 1) / 2
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		got   [2][]FetchResult
+		errs  [2]error
+	)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = srv.FetchN("s", half)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	issued := map[uint64]int{}
+	total := 0
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for _, fr := range got[i] {
+			if fr.Tag == 0 {
+				t.Fatalf("fetcher %d got tag 0 while samples were unissued", i)
+			}
+			issued[fr.Tag]++
+			total++
+		}
+	}
+	if total != k*p || len(issued) != p {
+		t.Fatalf("fetchers got %d samples of %d candidates, want %d of %d", total, len(issued), k*p, p)
+	}
+	for tag, c := range issued {
+		if c != k {
+			t.Errorf("tag %d issued %d times across both fetchers, want exactly %d", tag, c, k)
+		}
+	}
+	// Everything is issued and nothing measured: the fallback reissues each
+	// candidate once.
+	again, err := srv.FetchN("s", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for _, fr := range again {
+		if fr.Tag == 0 || seen[fr.Tag] || issued[fr.Tag] == 0 {
+			t.Fatalf("fallback grant %+v is not each candidate once", again)
+		}
+		seen[fr.Tag] = true
+	}
+	if len(seen) != p {
+		t.Errorf("fallback reissued %d candidates, want %d", len(seen), p)
+	}
+}
+
+// TestReportNOversizedFrameCountsEveryItem pins that items past maxBatchOps
+// are counted as Refused (retryable), so the three counts sum to the frame.
+func TestReportNOversizedFrameCountsEveryItem(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	if err := srv.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	items := make([]ReportItem, maxBatchOps+5)
+	for i := range items {
+		items[i] = ReportItem{Value: 1} // tag 0: accepted and ignored
+	}
+	check := func(how string, res BatchReportResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted != maxBatchOps || res.Refused != 5 || res.Rejected != 0 {
+			t.Errorf("%s: oversized frame = %+v, want %d accepted / 5 refused", how, res, maxBatchOps)
+		}
+	}
+	res, err := srv.ReportN("s", items)
+	check("in-process", res, err)
+	c, _ := dialTestWire(t, srv, WireBinary)
+	res, err = c.ReportN("s", items)
+	check("binary wire", res, err)
+}
+
+// TestDispatchBatchAllocs pins the steady-state batch path: against a warm
+// session, dispatching fetchn(16) and reportn(16) frames allocates nothing.
+// The estimator's K is large enough that the batch never completes while
+// the guard runs, and the reports carry no rid, so nothing is remembered.
+func TestDispatchBatchAllocs(t *testing.T) {
+	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 4096)})
+	defer srv.Close()
+	if err := srv.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	waitBatch(t, srv, "s", 1)
+	var grant []FetchResult
+	fetch := request{Op: "fetchn", Session: "s", Client: "c", N: 16}
+	items := make([]ReportItem, 16)
+	report := request{Op: "reportn", Session: "s", Client: "c", Reports: items}
+	var resp response
+	dispatchOK := func(req *request) {
+		req.Seq++
+		if resp = dispatch(srv, req, "binary", &grant); !resp.OK {
+			t.Fatalf("%s: %s", req.Op, resp.Error)
+		}
+	}
+	dispatchOK(&fetch) // grows the grant and registers the client
+	for i := range items {
+		items[i] = ReportItem{Tag: resp.Batch[i].Tag, Value: 1}
+	}
+	dispatchOK(&report)
+	alloccheck.Guard(t, "harmony.dispatch/fetchn16", 0, func() { dispatchOK(&fetch) })
+	if len(resp.Batch) != 16 || resp.Batch[0].Tag == 0 {
+		t.Fatalf("fetchn(16) granted %+v", resp.Batch)
+	}
+	alloccheck.Guard(t, "harmony.dispatch/reportn16", 0, func() { dispatchOK(&report) })
+	if resp.Accepted != 16 {
+		t.Fatalf("reportn(16) = %+v, want 16 accepted", resp)
+	}
+}

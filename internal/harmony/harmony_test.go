@@ -350,7 +350,7 @@ func TestTCPErrors(t *testing.T) {
 func TestDispatchUnknownOp(t *testing.T) {
 	srv := NewServer(ServerOptions{})
 	defer srv.Close()
-	resp := dispatch(srv, &request{Op: "nonsense"}, "")
+	resp := dispatch(srv, &request{Op: "nonsense"}, "", nil)
 	if resp.OK || resp.Error == "" {
 		t.Errorf("resp = %+v", resp)
 	}

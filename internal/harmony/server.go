@@ -14,14 +14,17 @@
 // idle sessions expire, and whole sessions can be checkpointed and restored
 // across server restarts without losing the optimiser's simplex.
 //
-// Two transports are provided: direct in-process calls on *Server, and a
-// newline-delimited JSON protocol over TCP (Serve/Client).
+// Three transports are provided: direct in-process calls on *Server, and two
+// codecs over TCP (Serve/Client) that share one request/response schema —
+// newline-delimited JSON, and PHWIRE1, a length-prefixed binary framing
+// (wire.go) a client selects with DialOptions.Wire.
 package harmony
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -47,8 +50,9 @@ var ErrInvalidValue = errors.New("harmony: invalid measurement value (must be fi
 // of redialling.
 var ErrUnknownSession = errors.New("harmony: unknown session")
 
-// maxRememberedReports bounds the per-session idempotency memory of
-// client-supplied report ids.
+// maxRememberedReports sizes one generation of the per-session idempotency
+// memory of client-supplied report ids. The memory keeps two generations, so
+// it remembers at least the last 4096 ids (and at most twice that).
 const maxRememberedReports = 4096
 
 // maxTrackedClients bounds the per-session memory of client frame-sequence
@@ -165,7 +169,8 @@ func newServerWithShards(opts ServerOptions, n int) *Server {
 	return srv
 }
 
-// candidate is one configuration awaiting measurements.
+// candidate is one configuration awaiting measurements. Its point is never
+// written after the batch is proposed, so fetch responses share it.
 type candidate struct {
 	point  space.Point
 	tag    uint64
@@ -191,9 +196,12 @@ type session struct {
 	finished chan struct{}    // closed when the run goroutine exits
 	snapCh   chan chan snapResult
 
-	mu        sync.Mutex //paralint:lockrank 30
-	batch     map[uint64]*candidate
-	order     []uint64 // batch tags in submission order
+	mu sync.Mutex //paralint:lockrank 30
+	// cands is the outstanding batch in submission order, nil when none is
+	// outstanding. Its tags run consecutively from cands[0].tag, so a tag
+	// resolves by subtraction.
+	cands     []candidate
+	missing   int // candidates in cands still short of their need
 	resultCh  chan []float64
 	batchObs  int // measurements accepted for the current batch
 	rrNext    int // round-robin cursor for batched fetchN dispatch
@@ -207,8 +215,11 @@ type session struct {
 	runErr    error
 	stopped   bool
 	lastUsed  time.Time
-	seenRIDs  map[string]struct{} // idempotency memory for client report ids
-	ridOrder  []string
+	// ridCur and ridOld are the two generations of the idempotency memory
+	// for client report ids; ridCur fills to maxRememberedReports, then
+	// replaces ridOld.
+	ridCur    map[string]struct{}
+	ridOld    map[string]struct{}
 	clients   map[string]*clientTrack // per-client wire frame-sequence tracking
 	clientLRU []string                // eviction order for the clients map
 }
@@ -237,11 +248,9 @@ func (srv *Server) newSession(name string, sp *space.Space, alg core.Algorithm, 
 		opts:     srv.opts,
 		db:       srv.opts.DB,
 		rec:      event.OrNop(srv.opts.Recorder),
-		batch:    make(map[uint64]*candidate),
 		nextTag:  1,
 		best:     sp.Center(),
 		lastUsed: srv.opts.Clock.Now(),
-		seenRIDs: make(map[string]struct{}),
 		clients:  make(map[string]*clientTrack),
 		restored: restored,
 		done:     make(chan struct{}),
@@ -336,7 +345,7 @@ func (srv *Server) expire(s *session) {
 // set, so the observable behaviour is identical.
 func (s *session) run() {
 	defer close(s.finished)
-	ev := &sessionEvaluator{s: s}
+	ev := &sessionEvaluator{s: s, ch: make(chan []float64, 1)}
 	eng := &core.Engine{
 		Alg:      s.alg,
 		Ev:       ev,
@@ -402,9 +411,13 @@ func hitSource(federated bool) string {
 
 // sessionEvaluator hands the optimiser's batches to the fetch/report
 // machinery and blocks until every candidate has enough measurements, the
-// batch deadline degrades it, or the session stops.
+// batch deadline degrades it, or the session stops. It belongs to the run
+// goroutine, which reuses its result channel and deadline timer for every
+// batch.
 type sessionEvaluator struct {
-	s *session
+	s     *session
+	ch    chan []float64 // buffered 1; the completing report sends the values
+	timer *time.Timer    // progress deadline; nil until the first batch
 }
 
 // Eval first consults the measurement database: candidates the store has
@@ -463,20 +476,23 @@ func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
 // measure them (or the batch deadline degrades it).
 func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
 	s := e.s
-	ch := make(chan []float64, 1)
+	cands := newCandidates(points, s.est.K())
+	select {
+	case <-e.ch: // a completion that raced a stop; never this batch's values
+	default:
+	}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
 		return nil, errors.New("harmony: session stopped")
 	}
-	s.order = s.order[:0]
-	for _, p := range points {
-		tag := s.nextTag
+	for i := range cands {
+		cands[i].tag = s.nextTag
 		s.nextTag++
-		s.batch[tag] = &candidate{point: p.Clone(), tag: tag, need: s.est.K()}
-		s.order = append(s.order, tag)
 	}
-	s.resultCh = ch
+	s.cands = cands
+	s.missing = len(cands)
+	s.resultCh = e.ch
 	s.batchObs = 0
 	s.surplus = 0
 	s.rrNext = 0
@@ -485,44 +501,49 @@ func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
 		s.best, s.bestVal = best, val
 	}
 	s.mu.Unlock()
-	s.rec.Record(event.Session{
-		Session: s.name, Phase: "batch_proposed",
-		Detail: fmt.Sprintf("%d candidates", len(points)),
-	})
+	// Batch events are built only for a listening recorder: boxing them
+	// would allocate on every batch for nobody.
+	recording := s.opts.Recorder != nil
+	if recording {
+		s.rec.Record(event.Session{
+			Session: s.name, Phase: "batch_proposed",
+			Detail: strconv.Itoa(len(points)) + " candidates",
+		})
+	}
 
 	timeout := s.opts.MeasurementTimeout
 	lastProgress, stale := 0, 0
 	for {
-		var timer *time.Timer
 		var timerC <-chan time.Time
 		if timeout > 0 {
-			timer = time.NewTimer(timeout)
-			timerC = timer.C
-		}
-		stopTimer := func() {
-			if timer != nil {
-				timer.Stop()
+			if e.timer == nil {
+				e.timer = time.NewTimer(timeout)
+			} else {
+				e.timer.Reset(timeout)
 			}
+			timerC = e.timer.C
 		}
 		select {
-		case vals := <-ch:
-			stopTimer()
-			s.rec.Record(event.Session{Session: s.name, Phase: "batch_complete"})
+		case vals := <-e.ch:
+			e.stopTimer()
+			if recording {
+				s.rec.Record(event.Session{Session: s.name, Phase: "batch_complete"})
+			}
 			return vals, nil
 		case <-s.done:
-			stopTimer()
+			e.stopTimer()
 			return nil, errors.New("harmony: session stopped")
 		case req := <-s.snapCh:
 			// Serve checkpoint requests while blocked: the run goroutine is
 			// the only mutator of the algorithm, so snapshotting here is
 			// race-free.
 			req <- s.takeSnapshot()
-			stopTimer()
+			e.stopTimer()
 		case <-timerC:
 			s.mu.Lock()
 			if s.resultCh == nil {
 				// A report completed the batch concurrently; the values are
-				// already waiting in ch.
+				// already waiting in the channel.
 				s.mu.Unlock()
 				continue
 			}
@@ -536,10 +557,8 @@ func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
 			if stale <= s.opts.MaxReissues {
 				// Reissue: reset issue counts so Fetch hands the starved
 				// candidates out again (a replacement client picks them up).
-				for _, tag := range s.order {
-					if c, ok := s.batch[tag]; ok {
-						c.issued = 0
-					}
+				for i := range s.cands {
+					s.cands[i].issued = 0
 				}
 				s.mu.Unlock()
 				continue
@@ -556,39 +575,91 @@ func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
 	}
 }
 
+// stopTimer stops the deadline timer and drains a tick that fired unread,
+// so the next Reset starts a clean window.
+func (e *sessionEvaluator) stopTimer() {
+	if e.timer != nil && !e.timer.Stop() {
+		select {
+		case <-e.timer.C:
+		default:
+		}
+	}
+}
+
+// newCandidates builds one batch's candidates, untagged, on two slabs: the
+// candidates themselves, and one float slab holding every point followed by
+// every candidate's observation buffer of capacity k (surplus observations
+// past k grow their own).
+func newCandidates(points []space.Point, k int) []candidate {
+	n := 0
+	for _, p := range points {
+		n += len(p)
+	}
+	floats := make([]float64, n+len(points)*k)
+	obs := floats[n:]
+	cands := make([]candidate, len(points))
+	at := 0
+	for i, p := range points {
+		pt := floats[at : at+len(p) : at+len(p)]
+		copy(pt, p)
+		at += len(p)
+		cands[i] = candidate{point: pt, obs: obs[i*k : i*k : (i+1)*k], need: k}
+	}
+	return cands
+}
+
 // forceCompleteLocked reduces the current batch with whatever measurements
 // arrived, substituting the worst known value for candidates with none.
 // Caller holds s.mu and has checked s.resultCh != nil.
 func (s *session) forceCompleteLocked() []float64 {
-	vals := make([]float64, len(s.order))
+	vals := make([]float64, len(s.cands))
 	stand := s.worstObs
 	if !s.haveWorst {
 		// No valid measurement has ever arrived; any consistent stand-in
 		// keeps the optimiser terminating rather than wedged.
 		stand = 1
 	}
-	for i, t := range s.order {
-		if c, ok := s.batch[t]; ok && len(c.obs) > 0 {
+	for i := range s.cands {
+		if c := &s.cands[i]; len(c.obs) > 0 {
 			vals[i] = s.est.Estimate(c.obs)
 		} else {
 			vals[i] = stand
 		}
-		delete(s.batch, t)
 	}
-	s.resultCh = nil
-	s.surplus = 0
+	s.endBatchLocked()
 	return vals
 }
 
-// FetchResult is a unit of work for a client.
+// endBatchLocked retires the outstanding batch: its tags become unknown.
+func (s *session) endBatchLocked() {
+	s.cands = nil
+	s.missing = 0
+	s.resultCh = nil
+	s.surplus = 0
+}
+
+// candLocked resolves a tag of the outstanding batch; nil for tag 0, tags of
+// retired batches and tags never issued.
+func (s *session) candLocked(tag uint64) *candidate {
+	if len(s.cands) == 0 || tag < s.cands[0].tag {
+		return nil
+	}
+	if i := tag - s.cands[0].tag; i < uint64(len(s.cands)) {
+		return &s.cands[i]
+	}
+	return nil
+}
+
+// FetchResult is a unit of work for a client; a fetchn response carries a
+// list of them, in this JSON form.
 type FetchResult struct {
 	// Point is the configuration to run next.
-	Point space.Point
+	Point space.Point `json:"point,omitempty"`
 	// Tag identifies the candidate for Report; 0 means the point is the
 	// best-known configuration and needs no measurement report.
-	Tag uint64
+	Tag uint64 `json:"tag,omitempty"`
 	// Converged reports whether tuning has finished.
-	Converged bool
+	Converged bool `json:"converged,omitempty"`
 }
 
 // Fetch returns the next configuration for a client of the named session.
@@ -608,9 +679,9 @@ func (srv *Server) Fetch(name string) (FetchResult, error) {
 		return FetchResult{}, s.runErr
 	}
 	var pick *candidate
-	for _, tag := range s.order {
-		c, ok := s.batch[tag]
-		if !ok || len(c.obs) >= c.need {
+	for i := range s.cands {
+		c := &s.cands[i]
+		if len(c.obs) >= c.need {
 			continue
 		}
 		if pick == nil || c.issued+len(c.obs) < pick.issued+len(pick.obs) {
@@ -635,98 +706,153 @@ func (srv *Server) Report(name string, tag uint64, value float64) error {
 
 // ReportTagged is Report with an optional client-supplied report id: a
 // reconnecting client that retries a report with the same rid is acknowledged
-// without the measurement being counted twice (per-session memory of the
-// last 4096 ids).
+// without the measurement being counted twice (the per-session memory holds
+// at least the last 4096 ids).
 func (srv *Server) ReportTagged(name string, tag uint64, value float64, rid string) error {
 	s, err := srv.session(name)
 	if err != nil {
 		return err
 	}
-	return s.reportOne(tag, value, rid)
+	_, err = s.report([]ReportItem{{Tag: tag, Value: value, RID: rid}})
+	return err
 }
 
-// reportOne records one measurement for s. It is shared by the single-report
-// path and batched ReportN frames (which resolve the session once per frame).
-// Surplus measurements — values for a candidate that already has enough
-// observations — are buffered only up to MaxPendingReports; past the bound
-// they are refused with a *BackpressureError. Measurements the batch still
-// needs are never refused, so backpressure cannot wedge tuning.
-func (s *session) reportOne(tag uint64, value float64, rid string) error {
-	if !fault.ValidValue(value) {
-		return fmt.Errorf("%w: %g", ErrInvalidValue, value)
+// storedObs is one accepted measurement bound for the measurement database.
+type storedObs struct {
+	p space.Point
+	v float64
+}
+
+// report applies items in order under one hold of s.mu and classifies each;
+// it is shared by the single-report path and batched ReportN frames. The
+// returned error is the last failed item's, which is a single report's
+// answer. Store writes and the completed batch's hand-off to the optimiser
+// happen after the lock is released, in that order, so the next batch's
+// warm-start lookups see every measurement of this one.
+func (s *session) report(items []ReportItem) (BatchReportResult, error) {
+	var (
+		res    BatchReportResult
+		last   error
+		stored []storedObs
+		ch     chan []float64
+		vals   []float64
+	)
+	if s.db != nil {
+		stored = make([]storedObs, 0, len(items))
 	}
-	if tag == 0 {
-		return nil
-	}
+	now := s.opts.Clock.Now()
 	s.mu.Lock()
-	s.lastUsed = s.opts.Clock.Now()
-	if rid != "" {
-		if _, dup := s.seenRIDs[rid]; dup {
-			s.mu.Unlock()
-			return nil
+	for i := range items {
+		it := &items[i]
+		c, err := s.applyLocked(it, now)
+		switch {
+		case err == nil:
+			res.Accepted++
+		case errors.Is(err, ErrBackpressure):
+			res.Refused++
+			last = err
+		default:
+			res.Rejected++
+			last = err
+		}
+		if c == nil {
+			continue
+		}
+		if s.db != nil {
+			stored = append(stored, storedObs{c.point, it.Value})
+		}
+		if s.missing == 0 && s.resultCh != nil {
+			ch, vals = s.completeLocked()
 		}
 	}
-	c, ok := s.batch[tag]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("harmony: unknown or completed tag %d", tag)
+	res.Queue = s.surplus
+	s.mu.Unlock()
+	for _, o := range stored {
+		//paralint:allow boundedres the measurement store is the durable product; growth is the point (snapshot/WAL own retention)
+		s.db.Observe(o.p, o.v)
+	}
+	if ch != nil {
+		ch <- vals // buffered, and sent once per batch
+	}
+	return res, last
+}
+
+// applyLocked records one measurement arriving at now and returns the
+// candidate it was recorded for; nil when nothing was recorded (tag 0, an
+// idempotent retry, or a failure). Caller holds s.mu. Surplus measurements — values for a
+// candidate that already has enough observations — are buffered only up to
+// MaxPendingReports; past the bound they are refused with a
+// *BackpressureError. Measurements the batch still needs are never refused,
+// so backpressure cannot wedge tuning.
+func (s *session) applyLocked(it *ReportItem, now time.Time) (*candidate, error) {
+	if !fault.ValidValue(it.Value) {
+		return nil, fmt.Errorf("%w: %g", ErrInvalidValue, it.Value)
+	}
+	if it.Tag == 0 {
+		return nil, nil
+	}
+	s.lastUsed = now
+	if it.RID != "" && s.seenRIDLocked(it.RID) {
+		return nil, nil
+	}
+	c := s.candLocked(it.Tag)
+	if c == nil {
+		return nil, fmt.Errorf("harmony: unknown or completed tag %d", it.Tag)
 	}
 	if len(c.obs) >= c.need {
 		if limit := s.opts.MaxPendingReports; limit > 0 && s.surplus >= limit {
-			q := s.surplus
-			s.mu.Unlock()
 			// The rid is deliberately not remembered: a later retry, once the
 			// queue has drained, must be processable.
-			return &BackpressureError{Queue: q, Limit: limit}
+			return nil, &BackpressureError{Queue: s.surplus, Limit: limit}
 		}
 		s.surplus++
 	}
-	if rid != "" {
-		s.rememberRIDLocked(rid)
+	if it.RID != "" {
+		s.rememberRIDLocked(it.RID)
 	}
-	c.obs = append(c.obs, value) //paralint:bounded s.opts.MaxPendingReports
-	pt := c.point                // read-only after creation; safe to store outside the lock
+	c.obs = append(c.obs, it.Value) //paralint:bounded s.opts.MaxPendingReports
+	if len(c.obs) == c.need {
+		s.missing--
+	}
 	s.batchObs++
-	if !s.haveWorst || value > s.worstObs {
-		s.worstObs, s.haveWorst = value, true
+	if !s.haveWorst || it.Value > s.worstObs {
+		s.worstObs, s.haveWorst = it.Value, true
 	}
-	// Batch complete?
-	complete := true
-	for _, t := range s.order {
-		if bc, ok := s.batch[t]; ok && len(bc.obs) < bc.need {
-			complete = false
-			break
-		}
-	}
-	if !complete || s.resultCh == nil {
-		s.mu.Unlock()
-		//paralint:allow boundedres the measurement store is the durable product; growth is the point (snapshot/WAL own retention)
-		s.db.Observe(pt, value)
-		return nil
-	}
-	vals := make([]float64, len(s.order))
-	for i, t := range s.order {
-		vals[i] = s.est.Estimate(s.batch[t].obs)
-		delete(s.batch, t)
-	}
-	ch := s.resultCh
-	s.resultCh = nil
-	s.surplus = 0
-	s.mu.Unlock()
-	//paralint:allow boundedres the measurement store is the durable product; growth is the point (snapshot/WAL own retention)
-	s.db.Observe(pt, value)
-	ch <- vals
-	return nil
+	return c, nil
 }
 
-// rememberRIDLocked records a report id, evicting the oldest past the cap.
-func (s *session) rememberRIDLocked(rid string) {
-	s.seenRIDs[rid] = struct{}{}         //paralint:bounded maxRememberedReports
-	s.ridOrder = append(s.ridOrder, rid) //paralint:bounded maxRememberedReports
-	if len(s.ridOrder) > maxRememberedReports {
-		delete(s.seenRIDs, s.ridOrder[0])
-		s.ridOrder = s.ridOrder[1:]
+// completeLocked reduces the fully measured batch with the estimator and
+// retires it, returning the channel the values go to.
+func (s *session) completeLocked() (chan []float64, []float64) {
+	vals := make([]float64, len(s.cands))
+	for i := range s.cands {
+		vals[i] = s.est.Estimate(s.cands[i].obs)
 	}
+	ch := s.resultCh
+	s.endBatchLocked()
+	return ch, vals
+}
+
+// seenRIDLocked reports whether either generation remembers rid.
+func (s *session) seenRIDLocked(rid string) bool {
+	if _, ok := s.ridCur[rid]; ok {
+		return true
+	}
+	_, ok := s.ridOld[rid]
+	return ok
+}
+
+// rememberRIDLocked records a report id. A full current generation becomes
+// the old one, and the previous old generation is cleared and reused.
+func (s *session) rememberRIDLocked(rid string) {
+	if len(s.ridCur) >= maxRememberedReports {
+		clear(s.ridOld)
+		s.ridOld, s.ridCur = s.ridCur, s.ridOld
+	}
+	if s.ridCur == nil {
+		s.ridCur = make(map[string]struct{})
+	}
+	s.ridCur[rid] = struct{}{} //paralint:bounded maxRememberedReports
 }
 
 // clientLocked returns (creating on first sight, evicting the oldest entry
@@ -1069,18 +1195,12 @@ func (srv *Server) Stats(name string) (SessionStats, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pending := 0
-	for _, tag := range s.order {
-		if c, ok := s.batch[tag]; ok && len(c.obs) < c.need {
-			pending++
-		}
-	}
 	return SessionStats{
 		Name:      s.name,
 		Converged: s.converged,
 		Best:      append([]float64(nil), s.best...),
 		BestValue: s.bestVal,
-		Pending:   pending,
+		Pending:   s.missing,
 		NextTag:   s.nextTag,
 	}, nil
 }

@@ -161,30 +161,52 @@ type ReportItem struct {
 	RID string `json:"rid,omitempty"`
 }
 
-// BatchReportResult summarises one ReportN frame.
+// BatchReportResult summarises one ReportN frame. Every item lands in
+// exactly one of Accepted, Rejected and Refused, so the three sum to the
+// frame's item count.
 type BatchReportResult struct {
 	// Accepted counts measurements stored (idempotent duplicates included:
 	// the retry succeeded even though nothing new was recorded).
 	Accepted int
 	// Rejected counts invalid values and unknown or completed tags.
 	Rejected int
-	// Refused counts measurements shed by backpressure.
+	// Refused counts measurements shed by backpressure, plus the items of an
+	// oversized frame past the first maxBatchOps (1024), which are not
+	// applied. Both are retryable: send them again in a later frame.
 	Refused int
 	// Queue is the session's pending-queue depth after the frame.
 	Queue int
 }
 
 // FetchN returns up to n units of work for a client of the named session in
-// one round trip. Outstanding candidates are handed out round-robin from a
-// per-session cursor — concurrent batched fetchers get disjoint work instead
-// of n copies of the least-measured candidate, which is what keeps one
-// greedy client from starving the others of useful work. When every
-// candidate is fully measured (or no batch is outstanding) it returns the
-// single best-known configuration with Tag 0, exactly like Fetch.
+// one round trip, so a client can collect every sample a batch still needs
+// at once. It walks the session's candidate ring from a per-session cursor
+// in passes, pass-major (c1…cP, then c1…cP again), handing out a candidate
+// while it still has unissued samples: need − max(measured, issued) > 0. A
+// P-candidate batch at min-of-K therefore drains in one FetchN and one
+// ReportN whenever K·P ≤ n, and the sequence of samples is exactly that of
+// repeated one-pass fetches, so a client that reports everything it fetched
+// follows the same trajectory at any n. Concurrent fetchers get disjoint
+// samples first; only when every sample is issued does FetchN fall back to
+// handing each unmeasured candidate out once per call, so work lost with a
+// client is reissued. When every candidate is fully measured (or no batch is
+// outstanding) it returns the single best-known configuration with Tag 0,
+// exactly like Fetch.
 func (srv *Server) FetchN(name string, n int) ([]FetchResult, error) {
+	out, err := srv.fetchN(nil, name, n)
+	for i := range out {
+		out[i].Point = out[i].Point.Clone()
+	}
+	return out, err
+}
+
+// fetchN appends FetchN's grant to dst. Candidate points are shared rather
+// than cloned — they are immutable once proposed — so the wire path encodes
+// a grant straight from the batch into a reused response slice.
+func (srv *Server) fetchN(dst []FetchResult, name string, n int) ([]FetchResult, error) {
 	s, err := srv.session(name)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if n <= 0 {
 		n = 1
@@ -196,54 +218,61 @@ func (srv *Server) FetchN(name string, n int) ([]FetchResult, error) {
 	defer s.mu.Unlock()
 	s.lastUsed = s.opts.Clock.Now()
 	if s.runErr != nil {
-		return nil, s.runErr
+		return dst, s.runErr
 	}
-	out := make([]FetchResult, 0, n)
-	total := len(s.order)
-	last := -1
-	for off := 0; off < total && len(out) < n; off++ {
-		pos := (s.rrNext + off) % total
-		c, ok := s.batch[s.order[pos]]
-		if !ok || len(c.obs) >= c.need {
+	start := len(dst)
+	limit := start + n
+	total := len(s.cands)
+	// Unissued samples, pass after pass, until a whole revolution of the
+	// ring grants nothing.
+	for pos, idle := s.rrNext, 0; len(dst) < limit && idle < total; pos = (pos + 1) % total {
+		c := &s.cands[pos]
+		if c.need-max(len(c.obs), c.issued) <= 0 {
+			idle++
+			continue
+		}
+		idle = 0
+		c.issued++
+		dst = append(dst, FetchResult{Point: c.point, Tag: c.tag})
+		s.rrNext = (pos + 1) % total
+	}
+	if len(dst) > start {
+		return dst, nil
+	}
+	// Every sample is issued: hand each unmeasured candidate out once.
+	for pos, off := s.rrNext, 0; off < total && len(dst) < limit; pos, off = (pos+1)%total, off+1 {
+		c := &s.cands[pos]
+		if len(c.obs) >= c.need {
 			continue
 		}
 		c.issued++
-		out = append(out, FetchResult{Point: c.point.Clone(), Tag: c.tag})
-		last = pos
+		dst = append(dst, FetchResult{Point: c.point, Tag: c.tag})
+		s.rrNext = (pos + 1) % total
 	}
-	if last >= 0 {
-		s.rrNext = (last + 1) % total
-		return out, nil
+	if len(dst) > start {
+		return dst, nil
 	}
-	return append(out, FetchResult{Point: s.best.Clone(), Tag: 0, Converged: s.converged}), nil
+	return append(dst, FetchResult{Point: s.best, Tag: 0, Converged: s.converged}), nil
 }
 
 // ReportN records a batch of measurements for the named session in one round
-// trip. Items are applied in order; each is classified rather than failing
-// the frame — invalid values and unknown/completed tags count as Rejected,
-// backpressure refusals as Refused — so one bad measurement cannot void the
-// rest of the frame. The session is resolved once for the whole batch.
+// trip. Items are applied in order under one hold of the session lock; each
+// is classified rather than failing the frame — invalid values and
+// unknown/completed tags count as Rejected, backpressure refusals and items
+// past maxBatchOps as Refused — so one bad measurement cannot void the rest
+// of the frame.
 func (srv *Server) ReportN(name string, items []ReportItem) (BatchReportResult, error) {
 	s, err := srv.session(name)
 	if err != nil {
 		return BatchReportResult{}, err
 	}
+	over := 0
 	if len(items) > maxBatchOps {
+		over = len(items) - maxBatchOps
 		items = items[:maxBatchOps]
 	}
-	var res BatchReportResult
-	for i := range items {
-		switch err := s.reportOne(items[i].Tag, items[i].Value, items[i].RID); {
-		case err == nil:
-			res.Accepted++
-		case errors.Is(err, ErrBackpressure):
-			res.Refused++
-		default:
-			res.Rejected++
-		}
-	}
-	s.mu.Lock()
-	res.Queue = s.surplus
-	s.mu.Unlock()
+	//paralint:allow errdiscipline the per-item outcomes are in the result; the error repeats the last failure
+	res, _ := s.report(items)
+	res.Refused += over
 	return res, nil
 }

@@ -70,9 +70,12 @@ func TestSessionsSortedAcrossShards(t *testing.T) {
 	}
 }
 
-// TestFetchNDisjointWork pins the round-robin contract: one batched fetch
-// hands out distinct candidates, and consecutive fetches continue around the
-// ring instead of re-issuing the same least-measured candidate.
+// TestFetchNDisjointWork pins the round-robin contract at K=1, where every
+// candidate needs one sample: one batched fetch hands out distinct
+// candidates, and once every sample is issued, consecutive fetches fall back
+// to reissuing unmeasured candidates around the ring instead of the same
+// least-measured one. The K-aware grant itself (several samples of a
+// candidate per frame, pass-major) is pinned in grant_test.go.
 func TestFetchNDisjointWork(t *testing.T) {
 	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1)})
 	defer srv.Close()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -87,13 +88,6 @@ type request struct {
 	Reports []ReportItem `json:"reports,omitempty"`
 }
 
-// wireFetch is one unit of work inside a batched fetchn response.
-type wireFetch struct {
-	Point     []float64 `json:"point,omitempty"`
-	Tag       uint64    `json:"tag,omitempty"`
-	Converged bool      `json:"converged,omitempty"`
-}
-
 // response is one JSON-line server reply.
 type response struct {
 	OK    bool   `json:"ok"`
@@ -114,7 +108,7 @@ type response struct {
 	Duplicates uint64 `json:"duplicates,omitempty"`
 	Resumes    int    `json:"resumes,omitempty"`
 	// Batch answers a fetchn request.
-	Batch []wireFetch `json:"batch,omitempty"`
+	Batch []FetchResult `json:"batch,omitempty"`
 	// Accepted, Refused, and Rejected classify a reportn frame's items;
 	// Queue is the session's pending-queue depth (also set on a single
 	// report's backpressure refusal, so clients can size their backoff).
@@ -282,11 +276,19 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 	// discarded without a response — answering both copies would leave a
 	// stray response desynchronising every later round trip.
 	var lastSeq map[string]uint64
+	// One request, one response and one fetchn grant serve every frame of
+	// the connection: each frame is decoded, dispatched and answered before
+	// the next is read.
+	var (
+		req   request
+		resp  response
+		grant []FetchResult
+	)
 	for {
 		if opts.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
 		}
-		var req request
+		req = request{}
 		if err := codec.readRequest(&req); err != nil {
 			var bad *badRequestError
 			if errors.As(err, &bad) {
@@ -313,7 +315,7 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 			}
 			lastSeq[req.Client] = req.Seq //paralint:bounded maxTrackedClients
 		}
-		resp := dispatch(srv, &req, wire)
+		resp = dispatch(srv, &req, wire, &grant)
 		resp.Seq = req.Seq
 		if opts.WriteTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
@@ -326,8 +328,10 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 
 // dispatch routes one decoded request; wire names the codec it arrived over
 // ("json" or "binary", "" for direct in-process use) and tags the batching
-// and backpressure observability events.
-func dispatch(srv *Server, req *request, wire string) response {
+// and backpressure observability events. A fetchn grant is built in *grant,
+// which the caller reuses across frames (nil allocates a fresh one); the
+// response aliases it until the next dispatch.
+func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) response {
 	if req.Op != "resume" {
 		// Session-level frame accounting: duplicates that slip past the
 		// connection filter (reconnect resends land on a fresh connection)
@@ -363,30 +367,36 @@ func dispatch(srv *Server, req *request, wire string) response {
 		}
 		return response{OK: true}
 	case "fetchn":
-		frs, err := srv.FetchN(req.Session, req.N)
+		if grant == nil {
+			grant = new([]FetchResult)
+		}
+		batch, err := srv.fetchN((*grant)[:0], req.Session, req.N)
+		*grant = batch
 		if err != nil {
 			return errResponse(err)
 		}
-		batch := make([]wireFetch, len(frs))
-		granted := 0
-		for i, fr := range frs {
-			batch[i] = wireFetch{Point: fr.Point, Tag: fr.Tag, Converged: fr.Converged}
-			if fr.Tag != 0 {
-				granted++
+		if srv.opts.Recorder != nil {
+			granted := 0
+			for i := range batch {
+				if batch[i].Tag != 0 {
+					granted++
+				}
 			}
+			srv.rec.Record(event.BatchFetch{Session: req.Session, Requested: req.N, Granted: granted, Wire: wire})
 		}
-		srv.rec.Record(event.BatchFetch{Session: req.Session, Requested: req.N, Granted: granted, Wire: wire})
 		return response{OK: true, Batch: batch}
 	case "reportn":
 		res, err := srv.ReportN(req.Session, req.Reports)
 		if err != nil {
 			return errResponse(err)
 		}
-		srv.rec.Record(event.BatchReport{
-			Session: req.Session, Items: len(req.Reports),
-			Accepted: res.Accepted, Rejected: res.Rejected, Refused: res.Refused,
-			Queue: res.Queue, Wire: wire,
-		})
+		if srv.opts.Recorder != nil {
+			srv.rec.Record(event.BatchReport{
+				Session: req.Session, Items: len(req.Reports),
+				Accepted: res.Accepted, Rejected: res.Rejected, Refused: res.Refused,
+				Queue: res.Queue, Wire: wire,
+			})
+		}
 		return response{OK: true, Accepted: res.Accepted, Refused: res.Refused,
 			Rejected: res.Rejected, Queue: res.Queue}
 	case "best":
@@ -478,9 +488,10 @@ func (o *DialOptions) normalise() {
 // handshake instead of re-registering. Reports additionally carry a unique
 // id, so a retry that reaches the server twice is counted once.
 type Client struct {
-	addr string      // immutable after DialWith
-	opts DialOptions // immutable after DialWith
-	id   string      // stable wire identity; immutable after DialWith
+	addr      string      // immutable after DialWith
+	opts      DialOptions // immutable after DialWith
+	id        string      // stable wire identity; immutable after DialWith
+	ridPrefix string      // "%x-" of the nonce; immutable after DialWith
 
 	mu      sync.Mutex //paralint:lockrank 34
 	conn    net.Conn
@@ -492,6 +503,13 @@ type Client struct {
 	session string // last session used; target of the auto-resume handshake
 	resumes int    // resume handshakes completed
 	lastRes ResumeInfo
+	// req and resp are the frame in flight: one round trip at a time, so
+	// every call reuses them.
+	req  request
+	resp response
+	// ridBuf and ridEnds build one frame's report ids into one string.
+	ridBuf  []byte
+	ridEnds []int
 }
 
 // Dial connects to a harmony server with default retry/backoff options.
@@ -517,6 +535,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	}
 	c.nonce = c.rng.Int63()
 	c.id = fmt.Sprintf("%x", uint64(c.nonce))
+	c.ridPrefix = ridPrefix(c.nonce)
 	if err := c.reconnectLocked(); err != nil {
 		return nil, err
 	}
@@ -636,10 +655,16 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &ae)
 }
 
-func (c *Client) roundTrip(req *request) (*response, error) {
+// roundTrip sends req and returns the server's answer; the response's
+// slices are freshly decoded and belong to the caller.
+func (c *Client) roundTrip(req request) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	req.Client = c.id
+	// Clearing the frame afterwards keeps no reference to the caller's
+	// report items or to the response's slices.
+	defer func() { c.req, c.resp = request{}, response{} }()
+	c.req = req
+	c.req.Client = c.id
 	var lastErr error
 	backoff := c.opts.Backoff
 	attempts := c.opts.Retries
@@ -653,19 +678,19 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 		if c.conn == nil {
 			if err := c.reconnectLocked(); err != nil {
 				// The full dial budget is spent; the server is unreachable.
-				return nil, err
+				return response{}, err
 			}
 			c.resumeLocked()
 		}
-		resp, err := c.sendLocked(req)
+		err := c.sendLocked(&c.req)
 		if err == nil {
-			if !resp.OK {
-				return nil, &appError{msg: resp.Error, code: resp.Code}
+			if !c.resp.OK {
+				return response{}, &appError{msg: c.resp.Error, code: c.resp.Code}
 			}
 			if req.Session != "" {
 				c.session = req.Session
 			}
-			return resp, nil
+			return c.resp, nil
 		}
 		// Connection-level failure: drop the connection and retry on a fresh
 		// one (fetches are idempotent, reports carry a rid, and every resend
@@ -673,7 +698,7 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 		lastErr = err
 		c.dropConnLocked()
 	}
-	return nil, fmt.Errorf("harmony: %s failed after %d attempts: %w", req.Op, attempts, lastErr)
+	return response{}, fmt.Errorf("harmony: %s failed after %d attempts: %w", req.Op, attempts, lastErr)
 }
 
 // resumeLocked re-attaches to the last session after a reconnect. It is
@@ -684,60 +709,89 @@ func (c *Client) resumeLocked() {
 	if c.session == "" || c.conn == nil {
 		return
 	}
-	resp, err := c.sendLocked(&request{Op: "resume", Session: c.session, Client: c.id})
-	if err != nil || !resp.OK {
+	err := c.sendLocked(&request{Op: "resume", Session: c.session, Client: c.id})
+	if err != nil || !c.resp.OK {
 		return
 	}
 	c.resumes++
 	c.lastRes = ResumeInfo{
-		LastSeq:    resp.LastSeq,
-		Dropped:    resp.Dropped,
-		Duplicates: resp.Duplicates,
-		Resumes:    resp.Resumes,
+		LastSeq:    c.resp.LastSeq,
+		Dropped:    c.resp.Dropped,
+		Duplicates: c.resp.Duplicates,
+		Resumes:    c.resp.Resumes,
 	}
 }
 
-// sendLocked puts one frame on the wire and reads its response, skipping
-// response frames that transit faults duplicated (their echoed sequence is
-// below the frame just sent). Caller holds c.mu; req.Seq is assigned here —
-// every send attempt is a fresh frame.
-func (c *Client) sendLocked(req *request) (*response, error) {
+// sendLocked puts one frame on the wire and reads its response into c.resp,
+// skipping response frames that transit faults duplicated (their echoed
+// sequence is below the frame just sent). Caller holds c.mu; req.Seq is
+// assigned here — every send attempt is a fresh frame.
+func (c *Client) sendLocked(req *request) error {
 	c.seq++
 	req.Seq = c.seq
 	if c.opts.Timeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
 	if err := c.codec.send(req); err != nil {
-		return nil, err
+		return err
 	}
 	// Bounded skip of stale response frames: each is at most one duplicated
 	// response; a stream that keeps failing to produce our sequence is
 	// treated as a broken connection.
 	for reads := 0; reads < 16; reads++ {
-		var resp response
-		if err := c.codec.recv(&resp); err != nil {
-			return nil, err
+		c.resp = response{}
+		if err := c.codec.recv(&c.resp); err != nil {
+			return err
 		}
-		if resp.Seq != 0 && resp.Seq < req.Seq {
+		if c.resp.Seq != 0 && c.resp.Seq < req.Seq {
 			continue // stale or duplicated response frame
 		}
-		if resp.Seq > req.Seq {
-			return nil, fmt.Errorf("harmony: response stream desynchronised (got seq %d, want %d)", resp.Seq, req.Seq)
+		if c.resp.Seq > req.Seq {
+			return fmt.Errorf("harmony: response stream desynchronised (got seq %d, want %d)", c.resp.Seq, req.Seq)
 		}
-		return &resp, nil
+		return nil
 	}
-	return nil, errors.New("harmony: response stream flooded with stale frames")
+	return errors.New("harmony: response stream flooded with stale frames")
+}
+
+// ridPrefix is the "%x-" every report id of a client with this nonce
+// starts with.
+func ridPrefix(nonce int64) string { return strconv.FormatInt(nonce, 16) + "-" }
+
+// stampRIDsLocked gives every item without a RID the next client-unique
+// report id, "%x-%d" of (nonce, counter), all carved from one string.
+func (c *Client) stampRIDsLocked(items []ReportItem) {
+	buf, ends := c.ridBuf[:0], c.ridEnds[:0]
+	for i := range items {
+		if items[i].RID == "" {
+			c.nextID++
+			buf = append(buf, c.ridPrefix...)
+			buf = strconv.AppendUint(buf, c.nextID, 10)
+			ends = append(ends, len(buf))
+		}
+	}
+	c.ridBuf, c.ridEnds = buf, ends
+	if len(ends) == 0 {
+		return
+	}
+	all, at := string(buf), 0
+	for i := range items {
+		if items[i].RID == "" {
+			items[i].RID, at = all[at:ends[0]], ends[0]
+			ends = ends[1:]
+		}
+	}
 }
 
 // Register creates or joins a session.
 func (c *Client) Register(session string, params []space.Parameter) error {
-	_, err := c.roundTrip(&request{Op: "register", Session: session, Params: toWireParams(params)})
+	_, err := c.roundTrip(request{Op: "register", Session: session, Params: toWireParams(params)})
 	return err
 }
 
 // Fetch obtains the next configuration to run.
 func (c *Client) Fetch(session string) (FetchResult, error) {
-	resp, err := c.roundTrip(&request{Op: "fetch", Session: session})
+	resp, err := c.roundTrip(request{Op: "fetch", Session: session})
 	if err != nil {
 		return FetchResult{}, err
 	}
@@ -747,27 +801,24 @@ func (c *Client) Fetch(session string) (FetchResult, error) {
 // Report sends one measurement, stamped with a client-unique report id so a
 // reconnect retry cannot be double-counted.
 func (c *Client) Report(session string, tag uint64, value float64) error {
+	item := [1]ReportItem{{Tag: tag, Value: value}}
 	c.mu.Lock()
-	c.nextID++
-	rid := fmt.Sprintf("%x-%d", c.nonce, c.nextID)
+	c.stampRIDsLocked(item[:])
 	c.mu.Unlock()
-	_, err := c.roundTrip(&request{Op: "report", Session: session, Tag: tag, Value: value, RID: rid})
+	_, err := c.roundTrip(request{Op: "report", Session: session, Tag: tag, Value: value, RID: item[0].RID})
 	return err
 }
 
-// FetchN obtains up to n units of work in one round trip. When no candidate
-// work is outstanding the single returned entry is the best-known
-// configuration with Tag 0, exactly like Fetch.
+// FetchN obtains up to n units of work in one round trip, under the grant
+// rule of Server.FetchN: every sample a batch still needs, pass-major, up to
+// n. When no candidate work is outstanding the single returned entry is the
+// best-known configuration with Tag 0, exactly like Fetch.
 func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
-	resp, err := c.roundTrip(&request{Op: "fetchn", Session: session, N: n})
+	resp, err := c.roundTrip(request{Op: "fetchn", Session: session, N: n})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]FetchResult, len(resp.Batch))
-	for i, b := range resp.Batch {
-		out[i] = FetchResult{Point: space.Point(b.Point), Tag: b.Tag, Converged: b.Converged}
-	}
-	return out, nil
+	return resp.Batch, nil
 }
 
 // ReportN sends a batch of measurements in one round trip. Items without a
@@ -776,14 +827,9 @@ func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
 // item; a Refused count above zero is the server's backpressure signal.
 func (c *Client) ReportN(session string, items []ReportItem) (BatchReportResult, error) {
 	c.mu.Lock()
-	for i := range items {
-		if items[i].RID == "" {
-			c.nextID++
-			items[i].RID = fmt.Sprintf("%x-%d", c.nonce, c.nextID)
-		}
-	}
+	c.stampRIDsLocked(items)
 	c.mu.Unlock()
-	resp, err := c.roundTrip(&request{Op: "reportn", Session: session, Reports: items})
+	resp, err := c.roundTrip(request{Op: "reportn", Session: session, Reports: items})
 	if err != nil {
 		return BatchReportResult{}, err
 	}
@@ -797,7 +843,7 @@ func (c *Client) ReportN(session string, items []ReportItem) (BatchReportResult,
 
 // Stats fetches a monitoring snapshot of the session.
 func (c *Client) Stats(session string) (SessionStats, error) {
-	resp, err := c.roundTrip(&request{Op: "stats", Session: session})
+	resp, err := c.roundTrip(request{Op: "stats", Session: session})
 	if err != nil {
 		return SessionStats{}, err
 	}
@@ -809,7 +855,7 @@ func (c *Client) Stats(session string) (SessionStats, error) {
 
 // Best returns the best-known configuration.
 func (c *Client) Best(session string) (space.Point, float64, bool, error) {
-	resp, err := c.roundTrip(&request{Op: "best", Session: session})
+	resp, err := c.roundTrip(request{Op: "best", Session: session})
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -281,20 +281,44 @@ func floats(r *frame.Reader) []float64 {
 	return fs
 }
 
+// floatsFrom is floats carving the values from the end of *slab, which the
+// caller sized to hold every float left in the payload; nil when empty.
+func floatsFrom(r *frame.Reader, slab *[]float64) []float64 {
+	n := r.Count(8)
+	if n == 0 {
+		return nil
+	}
+	at := len(*slab)
+	for i := 0; i < n; i++ {
+		*slab = append(*slab, r.F64())
+	}
+	return (*slab)[at:len(*slab):len(*slab)]
+}
+
+// maxScratchRIDBytes bounds the report-id bytes a connection's decode
+// scratch keeps between frames.
+const maxScratchRIDBytes = 64 << 10
+
 // reqScratch holds the per-connection decode scratch the zero-copy path
 // reuses across frames: the variable-length reportn section lands in the
-// same backing array every time instead of a fresh allocation per batch.
-// Capacity is bounded by maxBatchOps — a frame claiming more items than the
-// server would apply falls back to a one-off allocation rather than pinning
-// an oversized array for the connection's lifetime.
+// same backing array every time instead of a fresh allocation per batch, a
+// frame's report ids share one string, and a client id or session name that
+// repeats the previous frame's reuses its string. Capacity is bounded by
+// maxBatchOps — a frame claiming more items than the server would apply
+// falls back to a one-off allocation rather than pinning an oversized array
+// for the connection's lifetime.
 type reqScratch struct {
 	reports []ReportItem
+	rids    []byte // one frame's report ids, concatenated
+	ridEnds []int  // end offset of each item's id in rids
+	client  string // the previous frame's client id
+	session string // the previous frame's session name
 }
 
 // reportSlice returns an n-item slice for the decode loop to fill, reusing
 // the scratch backing array when it can.
 func (scr *reqScratch) reportSlice(n int) []ReportItem {
-	if scr == nil || n > maxBatchOps {
+	if n > maxBatchOps {
 		return make([]ReportItem, n)
 	}
 	if cap(scr.reports) < n {
@@ -304,17 +328,26 @@ func (scr *reqScratch) reportSlice(n int) []ReportItem {
 	return scr.reports
 }
 
+// reuseStr reads a string, returning *last rather than a fresh copy when the
+// bytes repeat it, and remembering a new one in *last.
+func reuseStr(r *frame.Reader, last *string) string {
+	if b := r.View(); string(b) != *last {
+		*last = string(b)
+	}
+	return *last
+}
+
 // decodeRequest parses a PHWIRE1 request payload into req. Every decoded
 // field is freshly allocated and owned by the caller.
 func decodeRequest(payload []byte, req *request) error {
-	return decodeRequestInto(payload, req, nil)
+	return decodeRequestInto(payload, req, &reqScratch{})
 }
 
 // decodeRequestInto parses a PHWIRE1 request payload into req, drawing the
-// reportn section from scr (which may be nil). With a non-nil scratch,
-// req.Reports aliases scr's backing array and is valid only until the next
-// decode with the same scratch; strings and parameter tables are always
-// fresh allocations, so everything else in req may be retained freely.
+// reportn section from scr. req.Reports aliases scr's backing array and is
+// valid only until the next decode with the same scratch; strings and
+// parameter tables are never overwritten, so everything else in req (the
+// report ids included) may be retained freely.
 func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	r := frame.NewReader(payload)
 	op, ok := opName(r.Byte())
@@ -323,8 +356,8 @@ func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	}
 	req.Op = op
 	req.Seq = r.Uvarint()
-	req.Client = r.Str()
-	req.Session = r.Str()
+	req.Client = reuseStr(&r, &scr.client)
+	req.Session = reuseStr(&r, &scr.session)
 	req.Tag = r.Uvarint()
 	req.Value = r.F64()
 	req.RID = r.Str()
@@ -346,11 +379,20 @@ func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	}
 	if n := r.Count(2); n > 0 {
 		req.Reports = scr.reportSlice(n)
+		rids, ends := scr.rids[:0], scr.ridEnds[:0]
 		for i := range req.Reports {
 			it := &req.Reports[i]
 			it.Tag = r.Uvarint()
 			it.Value = r.F64()
-			it.RID = r.Str()
+			rids = append(rids, r.View()...)
+			ends = append(ends, len(rids))
+		}
+		all, at := string(rids), 0
+		for i := range req.Reports {
+			req.Reports[i].RID, at = all[at:ends[i]], ends[i]
+		}
+		if n <= maxBatchOps && cap(rids) <= maxScratchRIDBytes {
+			scr.rids, scr.ridEnds = rids, ends
 		}
 	}
 	return r.Finish()
@@ -387,10 +429,13 @@ func decodeResponse(payload []byte, resp *response) error {
 	resp.Duplicates = r.Uvarint()
 	resp.Resumes = intVal(&r)
 	if n := r.Count(2); n > 0 {
-		resp.Batch = make([]wireFetch, n)
+		resp.Batch = make([]FetchResult, n)
+		// One slab holds every point: it has room for every float the rest
+		// of the payload could encode.
+		slab := make([]float64, 0, r.Len()/8)
 		for i := range resp.Batch {
 			b := &resp.Batch[i]
-			b.Point = floats(&r)
+			b.Point = floatsFrom(&r, &slab)
 			b.Tag = r.Uvarint()
 			b.Converged = r.Bool()
 		}

@@ -45,7 +45,7 @@ func wireResponses() []response {
 			Name: "s", Converged: true, Best: []float64{9, 8}, BestValue: 0.25,
 			Pending: 4, NextTag: 77,
 		}},
-		{OK: true, Seq: 6, Batch: []wireFetch{
+		{OK: true, Seq: 6, Batch: []FetchResult{
 			{Point: []float64{1, 2}, Tag: 5},
 			{Point: []float64{3, 4}, Tag: 6, Converged: true},
 		}},
