@@ -175,11 +175,13 @@ func (nm *NelderMead) Step(ev core.Evaluator) (core.StepInfo, error) {
 	}
 }
 
+// project applies the configured projection rule to the fresh point x in
+// place and returns it.
 func (nm *NelderMead) project(x, center space.Point) space.Point {
 	if nm.opts.ProjectNearest {
-		return nm.opts.Space.ProjectNearest(x)
+		return nm.opts.Space.ProjectNearestTo(x, x)
 	}
-	return nm.opts.Space.Project(x, center)
+	return nm.opts.Space.ProjectTo(x, x, center)
 }
 
 func (nm *NelderMead) replaceWorst(x space.Point, v float64) {

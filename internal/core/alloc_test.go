@@ -28,11 +28,10 @@ func (e *countEvaluator) Eval(points []space.Point) ([]float64, error) {
 	return e.vals, nil
 }
 
-// PRO.Step is //paralint:hotpath: one iteration may allocate the reflection
-// and shrink batches plus the projected points and the reported best clone,
-// but nothing proportional to the step count. The budget pins the per-step
-// cost on a 3-parameter space (simplex of 7 vertices).
-func TestPROStepAllocBudget(t *testing.T) {
+// newAllocPRO initialises a restless PRO on a 3-parameter space, whose
+// probe-rebuilt simplex has 7 vertices, against a fresh countEvaluator.
+func newAllocPRO(t *testing.T) (*PRO, *countEvaluator) {
+	t.Helper()
 	sp, err := space.New(
 		space.IntParam("a", 0, 255),
 		space.IntParam("b", 0, 255),
@@ -49,8 +48,33 @@ func TestPROStepAllocBudget(t *testing.T) {
 	if err := pro.Init(ev); err != nil {
 		t.Fatal(err)
 	}
-	alloccheck.Guard(t, "PRO.Step", 40, func() {
+	return pro, ev
+}
+
+// proStepAllocs is PRO.Step's measured per-step allocation count on that
+// space: per batch one point slice plus one allocation per projected trial
+// point, the expansion check's point and batch, and the caller-owned best
+// clone in StepInfo; the simplex sorts in place.
+const proStepAllocs = 13
+
+// PRO.Step is //paralint:hotpath: one iteration allocates its trial points
+// and the reported best clone, but nothing proportional to the step count.
+func TestPROStepAllocBudget(t *testing.T) {
+	pro, ev := newAllocPRO(t)
+	alloccheck.Guard(t, "PRO.Step", proStepAllocs, func() {
 		if _, err := pro.Step(ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Without a recorder the engine builds no events, so one Engine.Run step
+// costs exactly what the PRO step under it does: no boxed Iteration.
+func TestEngineStepAllocBudgetWithoutRecorder(t *testing.T) {
+	pro, ev := newAllocPRO(t)
+	eng := &Engine{Alg: pro, Ev: ev, SkipInit: true, Continue: func(it int) bool { return it < 1 }}
+	alloccheck.Guard(t, "Engine.Run step", proStepAllocs, func() {
+		if _, err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -20,7 +20,13 @@ import (
 // many samples back each estimate and what each batch costs in time steps;
 // cluster.Evaluator is the standard implementation.
 type Evaluator interface {
-	// Eval returns one performance estimate per point, in order.
+	// Eval returns one performance estimate per point, in order. The
+	// returned slice belongs to the caller, which may hold it across later
+	// Eval calls (PRO reads its reflection values after the expansion
+	// check), so an implementation must not reuse it as an output buffer.
+	// The points are never written after the call, but the slice holding
+	// them may be reordered (PRO sorts the simplex it evaluated in place):
+	// an implementation that keeps the batch past returning copies it.
 	Eval(points []space.Point) ([]float64, error)
 }
 
@@ -184,12 +190,14 @@ func (o *Options) normalise() error {
 	return nil
 }
 
-// project applies the configured projection rule.
+// project applies the configured projection rule to x in place and returns
+// it, so a transformed trial point costs its one allocation. x must be a
+// fresh point that aliases neither center nor any simplex vertex.
 func (o *Options) project(x, center space.Point) space.Point {
 	if o.ProjectNearest {
-		return o.Space.ProjectNearest(x)
+		return o.Space.ProjectNearestTo(x, x)
 	}
-	return o.Space.Project(x, center)
+	return o.Space.ProjectTo(x, x, center)
 }
 
 // initialSimplex builds the configured starting simplex.

@@ -43,7 +43,8 @@ type Engine struct {
 	Alg Algorithm
 	// Ev is the evaluation service (required).
 	Ev Evaluator
-	// Rec receives iteration and convergence events; Nop when nil.
+	// Rec receives iteration and convergence events. With nil or Nop the
+	// engine builds no event at all.
 	Rec event.Recorder
 	// VTime supplies the current virtual time for event payloads; 0 when nil.
 	VTime func() float64
@@ -73,7 +74,7 @@ func (e *Engine) Run() (EngineStats, error) {
 	if e.Ev == nil {
 		return stats, errors.New("core: nil evaluator")
 	}
-	rec := event.OrNop(e.Rec)
+	recording := event.Active(e.Rec)
 	now := e.VTime
 	if now == nil {
 		now = func() float64 { return 0 }
@@ -91,11 +92,13 @@ func (e *Engine) Run() (EngineStats, error) {
 		if err := e.Alg.Init(e.Ev); err != nil {
 			return stats, err
 		}
-		b, bv := e.Alg.Best()
-		rec.Record(event.Iteration{
-			Session: e.Session, Iter: 0, Step: StepInit.String(),
-			Best: b, BestValue: bv, VTime: now(),
-		})
+		if recording {
+			b, bv := e.Alg.Best()
+			e.Rec.Record(event.Iteration{
+				Session: e.Session, Iter: 0, Step: StepInit.String(),
+				Best: b, BestValue: bv, VTime: now(),
+			})
+		}
 	}
 
 	for cont(stats.Iterations) && !e.Alg.Converged() {
@@ -107,33 +110,37 @@ func (e *Engine) Run() (EngineStats, error) {
 			return stats, err
 		}
 		stats.Iterations++
-		rec.Record(event.Iteration{
-			Session: e.Session, Iter: stats.Iterations, Step: info.Kind.String(),
-			Best: info.Best, BestValue: info.BestValue, Evals: info.Evals, VTime: now(),
-		})
-		if info.Kind == StepConverged && !stats.Converged {
-			stats.Converged = true
-			stats.ConvergedStep = stepIdx()
-			stats.ConvergedVTime = now()
-			rec.Record(event.Converged{
-				Session: e.Session, Iter: stats.Iterations,
-				Step: maxZero(stats.ConvergedStep), VTime: stats.ConvergedVTime,
+		if recording {
+			e.Rec.Record(event.Iteration{
+				Session: e.Session, Iter: stats.Iterations, Step: info.Kind.String(),
+				Best: info.Best, BestValue: info.BestValue, Evals: info.Evals, VTime: now(),
 			})
+		}
+		if info.Kind == StepConverged && !stats.Converged {
+			e.converged(&stats, now, stepIdx, recording)
 		}
 	}
 	// The loop can exit on Converged() without a StepConverged info having
 	// surfaced in this run (e.g. a restored algorithm, or an algorithm whose
 	// stopping rule flips between steps); account for it once.
 	if e.Alg.Converged() && !stats.Converged {
-		stats.Converged = true
-		stats.ConvergedStep = stepIdx()
-		stats.ConvergedVTime = now()
-		rec.Record(event.Converged{
+		e.converged(&stats, now, stepIdx, recording)
+	}
+	return stats, nil
+}
+
+// converged stamps the convergence certificate into stats and, when
+// recording, emits it.
+func (e *Engine) converged(stats *EngineStats, now func() float64, stepIdx func() int, recording bool) {
+	stats.Converged = true
+	stats.ConvergedStep = stepIdx()
+	stats.ConvergedVTime = now()
+	if recording {
+		e.Rec.Record(event.Converged{
 			Session: e.Session, Iter: stats.Iterations,
 			Step: maxZero(stats.ConvergedStep), VTime: stats.ConvergedVTime,
 		})
 	}
-	return stats, nil
 }
 
 // maxZero clamps the "no step source" sentinel out of event payloads.

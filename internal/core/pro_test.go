@@ -569,3 +569,61 @@ func TestPROStepInfoEvalsAccounting(t *testing.T) {
 		}
 	}
 }
+
+// keepingEval remembers every point it was handed together with a copy of
+// its coordinates, so a test can prove no point was written afterwards.
+type keepingEval struct {
+	directEval
+	seen, want []space.Point
+}
+
+func (k *keepingEval) Eval(points []space.Point) ([]float64, error) {
+	for _, p := range points {
+		k.seen = append(k.seen, p)
+		k.want = append(k.want, p.Clone())
+	}
+	return k.directEval.Eval(points)
+}
+
+// Trial points are projected in place and the simplex is sorted in place,
+// so pin the ownership contract: no point handed to the evaluator is ever
+// rewritten, and StepInfo.Best / Best() are copies the caller may scribble
+// on without touching the simplex.
+func TestPROPointOwnership(t *testing.T) {
+	s := space.MustNew(space.IntParam("a", 0, 100), space.ContinuousParam("b", 0, 10))
+	f := objective.NewSphere(s, space.Point{25, 7.5}, 0)
+	for c, opts := range []Options{
+		{Space: s},
+		{Space: s, ProjectNearest: true},
+		{Space: s, EagerExpansion: true, RemeasureBest: true},
+		{Space: s, Restless: true},
+	} {
+		p, err := NewPRO(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := &keepingEval{directEval: directEval{f: f}}
+		if err := p.Init(ev); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200 && !p.Converged(); i++ {
+			info, err := p.Step(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, _ := p.Simplex().Best()
+			before := best.Clone()
+			info.Best[0] = -1
+			b, _ := p.Best()
+			b[0] = -2
+			if !best.Equal(before) {
+				t.Fatalf("options case %d: writing StepInfo.Best or Best() changed the simplex", c)
+			}
+		}
+		for i, pt := range ev.seen {
+			if !pt.Equal(ev.want[i]) {
+				t.Fatalf("options case %d: evaluated point %d rewritten from %v to %v", c, i, ev.want[i], pt)
+			}
+		}
+	}
+}

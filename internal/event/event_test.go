@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -164,5 +165,23 @@ func TestFaultValueSurvivesJSON(t *testing.T) {
 	}
 	if FormatValue(0.1) != "0.1" {
 		t.Errorf("FormatValue(0.1) = %q", FormatValue(0.1))
+	}
+}
+
+func TestActive(t *testing.T) {
+	for _, tc := range []struct {
+		rec  Recorder
+		want bool
+	}{
+		{nil, false},
+		{Nop{}, false},
+		{&Nop{}, false},
+		{OrNop(nil), false},
+		{&Memory{}, true},
+		{NewJSONL(io.Discard), true},
+	} {
+		if got := Active(tc.rec); got != tc.want {
+			t.Errorf("Active(%T) = %v, want %v", tc.rec, got, tc.want)
+		}
 	}
 }

@@ -27,6 +27,17 @@ func OrNop(r Recorder) Recorder {
 	return r
 }
 
+// Active reports whether r observes anything: false for nil and for Nop.
+// Hot emitters test it once and build no event (no boxing, no formatted
+// config key) when nobody is listening.
+func Active(r Recorder) bool {
+	switch r.(type) {
+	case nil, Nop, *Nop:
+		return false
+	}
+	return true
+}
+
 // Memory buffers events in order of arrival. The zero value is ready to use.
 type Memory struct {
 	mu     sync.Mutex

@@ -73,11 +73,13 @@ func (c *Cache) invalidate(key string) {
 // Lookup returns the cached (or freshly computed) estimate for p, whether
 // any contributing observation arrived via federation, and how many
 // observations backed it. ok is false when the store holds fewer than k
-// observations for p.
+// observations for p. A hit allocates nothing: the key is built on the stack
+// and becomes a string only when a fill stores it.
 func (c *Cache) Lookup(p space.Point) (v float64, federated bool, count int, ok bool) {
-	key := measuredb.KeyString(p)
+	var kb [8 * 16]byte // room for 16 coordinates; wider points grow onto the heap
+	key := measuredb.AppendKey(kb[:0], p)
 	c.mu.Lock()
-	if e, hit := c.m[key]; hit {
+	if e, hit := c.m[string(key)]; hit {
 		c.hits++
 		c.mu.Unlock()
 		return e.value, e.federated, e.count, true
@@ -96,7 +98,7 @@ func (c *Cache) Lookup(p space.Point) (v float64, federated bool, count int, ok 
 		if len(c.m) >= c.max {
 			c.m = make(map[string]cacheEntry, c.max)
 		}
-		c.m[key] = cacheEntry{value: v, federated: fed, count: len(obs)}
+		c.m[string(key)] = cacheEntry{value: v, federated: fed, count: len(obs)}
 	}
 	c.mu.Unlock()
 	return v, fed, len(obs), true

@@ -3,6 +3,7 @@ package feddb
 import (
 	"testing"
 
+	"paratune/internal/alloccheck"
 	"paratune/internal/measuredb"
 	"paratune/internal/sample"
 	"paratune/internal/space"
@@ -87,4 +88,22 @@ func TestCacheFlushWhenFull(t *testing.T) {
 	if entries := c.Stats().Entries; entries > 8 {
 		t.Fatalf("cache grew to %d entries past its bound of 8", entries)
 	}
+}
+
+// A cache hit is the warm path's per-candidate cost: the key lives on the
+// stack and the map probe converts it without allocating.
+func TestCacheLookupHitAllocFree(t *testing.T) {
+	st, c := newCacheUnderTest(t)
+	p := space.Point{1, 2, 3}
+	for _, v := range []float64{9, 4, 6} {
+		st.Observe(p, v)
+	}
+	if _, _, _, ok := c.Lookup(p); !ok {
+		t.Fatal("fill lookup missed")
+	}
+	alloccheck.Guard(t, "Cache.Lookup hit", 0, func() {
+		if v, _, _, ok := c.Lookup(p); !ok || v != 4 {
+			t.Fatalf("hit = %v, %v", v, ok)
+		}
+	})
 }

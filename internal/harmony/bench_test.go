@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"paratune/internal/core"
+	"paratune/internal/feddb"
+	"paratune/internal/measuredb"
+	"paratune/internal/objective"
 	"paratune/internal/space"
 )
 
@@ -176,5 +180,60 @@ func benchServerStack(b *testing.B, stack benchStack, sessions int) {
 	elapsed := b.Elapsed().Seconds()
 	if elapsed > 0 {
 		b.ReportMetric(float64(totalOps*b.N)/elapsed, "reports/s")
+	}
+}
+
+// BenchmarkWarmSession measures the warm-start path from register to
+// convergence: each iteration registers a fresh session on a server wired
+// like harmonyd -db (a measurement store behind a read-through estimate
+// cache) whose store already resolves every candidate, and waits for the
+// session's run goroutine to finish. No client measures anything, so the
+// cost is session setup, PRO's steps and the cache reads; allocs/op is the
+// per-session garbage of that path.
+func BenchmarkWarmSession(b *testing.B) {
+	est := mustMinOfK(b, 3)
+	db := measuredb.NewMemory(measuredb.Options{})
+	sp, err := space.New(gs2Params()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := objective.NewSphere(sp, space.Point{32, 16, 8}, 1)
+	cold := NewServer(ServerOptions{Estimator: est, DB: db})
+	if err := cold.Register("cold", gs2Params()); err != nil {
+		b.Fatal(err)
+	}
+	driveCounting(b, cold, "cold", f)
+	want, _, _, err := cold.Best("cold")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cold.Close()
+
+	srv := NewServer(ServerOptions{Estimator: est, DB: db, Cache: feddb.NewCache(db, est, est.K(), 0)})
+	defer srv.Close()
+	name := ""
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name = "warm-" + strconv.Itoa(i)
+		if err := srv.Register(name, gs2Params()); err != nil {
+			b.Fatal(err)
+		}
+		s, err := srv.session(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-s.finished
+	}
+	b.StopTimer()
+	got, _, conv, err := srv.Best(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !conv || !got.Equal(want) {
+		b.Fatalf("warm session best %v (converged %v), cold best %v", got, conv, want)
+	}
+	if configs, obs := db.Stats(); configs == 0 || obs == 0 {
+		b.Fatalf("store holds %d configs, %d observations", configs, obs)
 	}
 }

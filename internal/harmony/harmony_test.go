@@ -18,7 +18,7 @@ import (
 
 // mustMinOfK builds the estimator or fails the test; a silent nil estimator
 // would make NewServer fall back to its default and mask the intent.
-func mustMinOfK(t *testing.T, k int) sample.Estimator {
+func mustMinOfK(t testing.TB, k int) sample.Estimator {
 	t.Helper()
 	est, err := sample.NewMinOfK(k)
 	if err != nil {

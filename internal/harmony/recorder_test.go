@@ -1,11 +1,18 @@
 package harmony
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
+	"paratune/internal/core"
 	"paratune/internal/event"
+	"paratune/internal/feddb"
+	"paratune/internal/measuredb"
 	"paratune/internal/objective"
+	"paratune/internal/space"
 )
 
 // A full in-process tuning session leaves a coherent event trail: the session
@@ -73,4 +80,61 @@ func TestServerEmitsStoppedPhase(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Error("no stopped session event after Stop")
+}
+
+// The recorder guards must not drop, add or reorder a single event. A
+// seeded warm-start session through a server with a store, a cache and a
+// recorder — a cold session measured part of what it visits, so its
+// lookups mix db_hit and db_miss — has its event stream pinned as a JSONL
+// digest. The "registered" event is left out: Register records it after the
+// session goroutine has started, so its position in the stream races.
+func TestWarmSessionEventGolden(t *testing.T) {
+	const (
+		want                 = "9a46eb4affd101e82057eb8fa1982d8f30a17c19bba5edf737ea9e93b15dfaa4"
+		wantHits, wantMisses = 53, 17
+	)
+	est := mustMinOfK(t, 2)
+	db := measuredb.NewMemory(measuredb.Options{Seed: 1, Origin: "local"})
+	sp, err := space.New(gs2Params()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := objective.NewSphere(sp, space.Point{32, 16, 8}, 1)
+	cold := NewServer(ServerOptions{Estimator: est, DB: db})
+	if err := cold.Register("cold", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	driveCounting(t, cold, "cold", f)
+	cold.Close()
+
+	rec := &event.Memory{}
+	srv := NewServer(ServerOptions{
+		Estimator: est, DB: db, Cache: feddb.NewCache(db, est, est.K(), 0), Recorder: rec,
+		NewAlgorithm: func(sp *space.Space) (core.Algorithm, error) {
+			return core.NewPRO(core.Options{Space: sp, R: 0.4})
+		},
+	})
+	defer srv.Close()
+	if err := srv.Register("warm", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	driveCounting(t, srv, "warm", f)
+
+	var buf bytes.Buffer
+	jl := event.NewJSONL(&buf)
+	for _, e := range rec.Events() {
+		if s, ok := e.(event.Session); ok && s.Phase == "registered" {
+			continue
+		}
+		jl.Record(e)
+	}
+	if err := jl.Err(); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := rec.Count(event.KindDBHit), rec.Count(event.KindDBMiss)
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want || hits != wantHits || misses != wantMisses {
+		t.Fatalf("warm session events: digest %s with %d db_hit, %d db_miss; golden %s with %d, %d",
+			got, hits, misses, want, wantHits, wantMisses)
+	}
 }

@@ -345,7 +345,7 @@ func (srv *Server) expire(s *session) {
 // set, so the observable behaviour is identical.
 func (s *session) run() {
 	defer close(s.finished)
-	ev := &sessionEvaluator{s: s, ch: make(chan []float64, 1)}
+	ev := &sessionEvaluator{s: s, ch: make(chan []float64, 1), recording: event.Active(s.rec)}
 	eng := &core.Engine{
 		Alg:      s.alg,
 		Ev:       ev,
@@ -372,6 +372,9 @@ func (s *session) run() {
 	s.converged = true
 	stopped := s.stopped
 	s.mu.Unlock()
+	if !ev.recording {
+		return
+	}
 	if stats.Converged {
 		s.rec.Record(event.Session{Session: s.name, Phase: "converged"})
 	} else if stopped {
@@ -412,12 +415,22 @@ func hitSource(federated bool) string {
 // sessionEvaluator hands the optimiser's batches to the fetch/report
 // machinery and blocks until every candidate has enough measurements, the
 // batch deadline degrades it, or the session stops. It belongs to the run
-// goroutine, which reuses its result channel and deadline timer for every
-// batch.
+// goroutine, which reuses its result channel, deadline timer and lookup
+// scratch for every batch; all of it dies with the run goroutine, so a
+// converged session retains none of it.
 type sessionEvaluator struct {
 	s     *session
 	ch    chan []float64 // buffered 1; the completing report sends the values
 	timer *time.Timer    // progress deadline; nil until the first batch
+	// recording is event.Active(s.rec): events are built only for a
+	// listening recorder, since boxing them allocates for nobody.
+	recording bool
+
+	// Scratch for Eval's store lookups: the misses' indices and points,
+	// and the observation buffer of the cache-less path.
+	missIdx []int
+	missPts []space.Point
+	obs     []float64
 }
 
 // Eval first consults the measurement database: candidates the store has
@@ -431,8 +444,7 @@ func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
 	}
 	k := s.est.K()
 	out := make([]float64, len(points))
-	var missIdx []int
-	var buf []float64
+	e.missIdx, e.missPts = e.missIdx[:0], e.missPts[:0]
 	for i, p := range points {
 		var v float64
 		var federated, hit bool
@@ -441,33 +453,36 @@ func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
 			v, federated, count, hit = c.Lookup(p)
 		} else {
 			var have bool
-			buf, have, federated = s.db.AppendObsSource(buf[:0], p, k)
-			count = len(buf)
+			e.obs, have, federated = s.db.AppendObsSource(e.obs[:0], p, k)
+			count = len(e.obs)
 			if have && count >= k {
-				v, hit = s.est.Estimate(buf), true
+				v, hit = s.est.Estimate(e.obs), true
 			}
 		}
 		if hit {
 			out[i] = v
-			s.rec.Record(event.DBHit{Session: s.name, Config: p.Key(), Value: v, Count: k, Source: hitSource(federated)})
+			if e.recording {
+				s.rec.Record(event.DBHit{Session: s.name, Config: p.Key(), Value: v, Count: k, Source: hitSource(federated)})
+			}
 			continue
 		}
-		s.rec.Record(event.DBMiss{Session: s.name, Config: p.Key(), Count: count})
-		missIdx = append(missIdx, i)
+		if e.recording {
+			s.rec.Record(event.DBMiss{Session: s.name, Config: p.Key(), Count: count})
+		}
+		e.missIdx = append(e.missIdx, i)
+		e.missPts = append(e.missPts, p)
 	}
-	if len(missIdx) == 0 {
+	if len(e.missIdx) == 0 {
 		return out, nil
 	}
-	miss := make([]space.Point, len(missIdx))
-	for j, i := range missIdx {
-		miss[j] = points[i]
-	}
-	vals, err := e.evalRemote(miss)
+	// evalRemote copies the points into the batch's candidates, so the
+	// scratch slice is free for the next batch once it returns.
+	vals, err := e.evalRemote(e.missPts)
 	if err != nil {
 		return nil, err
 	}
 	for j, v := range vals {
-		out[missIdx[j]] = v
+		out[e.missIdx[j]] = v
 	}
 	return out, nil
 }
@@ -501,10 +516,7 @@ func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
 		s.best, s.bestVal = best, val
 	}
 	s.mu.Unlock()
-	// Batch events are built only for a listening recorder: boxing them
-	// would allocate on every batch for nobody.
-	recording := s.opts.Recorder != nil
-	if recording {
+	if e.recording {
 		s.rec.Record(event.Session{
 			Session: s.name, Phase: "batch_proposed",
 			Detail: strconv.Itoa(len(points)) + " candidates",
@@ -526,7 +538,7 @@ func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
 		select {
 		case vals := <-e.ch:
 			e.stopTimer()
-			if recording {
+			if e.recording {
 				s.rec.Record(event.Session{Session: s.name, Phase: "batch_complete"})
 			}
 			return vals, nil

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"paratune/internal/alloccheck"
 	"paratune/internal/event"
+	"paratune/internal/feddb"
 	"paratune/internal/measuredb"
 	"paratune/internal/objective"
 	"paratune/internal/space"
@@ -14,7 +16,7 @@ import (
 // returning how many reports the server accepted. Deterministic measurements
 // make the optimiser trajectory reproducible across servers, which is what
 // the warm-start contract relies on.
-func driveCounting(t *testing.T, srv *Server, name string, f objective.Function) int {
+func driveCounting(t testing.TB, srv *Server, name string, f objective.Function) int {
 	t.Helper()
 	reports := 0
 	deadline := time.Now().Add(30 * time.Second)
@@ -112,4 +114,42 @@ func TestServerRejectsMismatchedDBSpace(t *testing.T) {
 	if err := srv.Register("b", []space.Parameter{space.IntParam("x", 0, 9)}); err == nil {
 		t.Fatal("second session over a different space should be rejected")
 	}
+}
+
+// A fully warm batch without a recorder allocates only the caller-owned
+// result slice: cache hits are allocation-free, no db_hit event or config
+// key is built, and the miss scratch is reused.
+func TestWarmBatchEvalAllocBudget(t *testing.T) {
+	est := mustMinOfK(t, 3)
+	db := measuredb.NewMemory(measuredb.Options{})
+	srv := NewServer(ServerOptions{Estimator: est, DB: db, Cache: feddb.NewCache(db, est, est.K(), 0)})
+	defer srv.Close()
+	sp, err := space.New(gs2Params()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := srv.opts.NewAlgorithm(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := srv.newSession("warm", sp, alg, false)
+	ev := &sessionEvaluator{s: s, recording: event.Active(s.rec)}
+	if ev.recording {
+		t.Fatal("a server without a recorder reports an active one")
+	}
+	points := []space.Point{{8, 4, 1}, {16, 8, 2}, {32, 16, 4}, {64, 32, 64}}
+	for i, p := range points {
+		for j := 0; j < est.K(); j++ {
+			db.Observe(p, float64(10*i+j+1))
+		}
+	}
+	if _, err := ev.Eval(points); err != nil { // fills the cache
+		t.Fatal(err)
+	}
+	alloccheck.Guard(t, "sessionEvaluator.Eval warm batch", 1, func() {
+		vals, err := ev.Eval(points)
+		if err != nil || len(vals) != len(points) || vals[3] != 31 {
+			t.Fatalf("Eval = %v, %v", vals, err)
+		}
+	})
 }

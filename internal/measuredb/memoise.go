@@ -21,7 +21,8 @@ type BatchEvaluator interface {
 // measurements reach the store through the cluster's observation sink),
 // preserving batch semantics for the optimiser.
 //
-// Every lookup is mirrored to the event stream as db_hit or db_miss.
+// Every lookup is mirrored to the event stream as db_hit or db_miss when a
+// recorder is listening; without one no event or config key is built.
 //
 // Memo is driven by a single engine goroutine and is not safe for concurrent
 // use; the store underneath it is.
@@ -29,7 +30,7 @@ type Memo struct {
 	inner BatchEvaluator
 	store *Store
 	est   sample.Estimator
-	rec   event.Recorder
+	rec   event.Recorder // nil unless event.Active
 	vtime func() float64
 
 	hits   int
@@ -46,13 +47,11 @@ type Memo struct {
 // re-measuring would have produced under the stored observations. vtime
 // supplies the current virtual time for event payloads; nil records 0.
 func NewMemo(inner BatchEvaluator, store *Store, est sample.Estimator, rec event.Recorder, vtime func() float64) *Memo {
-	return &Memo{
-		inner: inner,
-		store: store,
-		est:   est,
-		rec:   event.OrNop(rec),
-		vtime: vtime,
+	m := &Memo{inner: inner, store: store, est: est, vtime: vtime}
+	if event.Active(rec) {
+		m.rec = rec
 	}
+	return m
 }
 
 // Eval implements the engine evaluator: resolve what the store can, measure
@@ -63,7 +62,7 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 	m.missIdx = m.missIdx[:0]
 	k := m.est.K()
 	var vt float64
-	if m.vtime != nil {
+	if m.rec != nil && m.vtime != nil {
 		vt = m.vtime()
 	}
 	for i, p := range points {
@@ -72,15 +71,19 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 		if have && len(m.obsBuf) >= k {
 			out[i] = m.est.Estimate(m.obsBuf)
 			m.hits++
-			m.rec.Record(event.DBHit{
-				Config: p.Key(), Value: out[i], Count: k, Source: hitSource(federated), VTime: vt,
-			})
+			if m.rec != nil {
+				m.rec.Record(event.DBHit{
+					Config: p.Key(), Value: out[i], Count: k, Source: hitSource(federated), VTime: vt,
+				})
+			}
 			continue
 		}
 		m.misses++
-		m.rec.Record(event.DBMiss{
-			Config: p.Key(), Count: len(m.obsBuf), VTime: vt,
-		})
+		if m.rec != nil {
+			m.rec.Record(event.DBMiss{
+				Config: p.Key(), Count: len(m.obsBuf), VTime: vt,
+			})
+		}
 		m.missIdx = append(m.missIdx, i)
 		m.missPts = append(m.missPts, p)
 	}

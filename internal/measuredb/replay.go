@@ -38,7 +38,7 @@ func NewReplay(s *Store, sp *space.Space, neighbors int) (*Replay, error) {
 			return
 		}
 		v := stats.Min(obs)
-		r.exact[string(appendKey(nil, p))] = v
+		r.exact[string(AppendKey(nil, p))] = v
 		r.knn.Add(p, v)
 	})
 	if r.knn.Len() == 0 {
@@ -54,7 +54,7 @@ func (r *Replay) Len() int { return r.knn.Len() }
 // weighted k-nearest-neighbour interpolation (+Inf when every neighbour is
 // infinitely far).
 func (r *Replay) Eval(x space.Point) float64 {
-	if v, ok := r.exact[string(appendKey(nil, x))]; ok {
+	if v, ok := r.exact[string(AppendKey(nil, x))]; ok {
 		return v
 	}
 	v, den := r.knn.Interpolate(x)

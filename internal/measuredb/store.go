@@ -74,7 +74,7 @@ type record struct {
 }
 
 // shard is one lock-striped slice of the store. recs is keyed by the
-// configuration's canonical binary key (see appendKey).
+// configuration's canonical binary key (see AppendKey).
 type shard struct {
 	mu   sync.Mutex //paralint:lockrank 50
 	recs map[string]*record
@@ -143,11 +143,11 @@ type Store struct {
 	hook      func(key string) // apply hook, fired after mu is released
 }
 
-// appendKey appends p's canonical binary key to dst: each coordinate's
+// AppendKey appends p's canonical binary key to dst: each coordinate's
 // IEEE-754 bit pattern, big-endian. The key is injective on float64 vectors
 // (unlike formatted strings) and byte-comparable, so sorting keys sorts
 // configurations deterministically.
-func appendKey(dst []byte, p space.Point) []byte {
+func AppendKey(dst []byte, p space.Point) []byte {
 	for _, c := range p {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c))
 	}
@@ -157,7 +157,7 @@ func appendKey(dst []byte, p space.Point) []byte {
 // KeyString returns p's canonical binary key as a string — the key the
 // apply hook reports and the read-through cache tier indexes by.
 func KeyString(p space.Point) string {
-	return string(appendKey(make([]byte, 0, 8*len(p)), p))
+	return string(AppendKey(make([]byte, 0, 8*len(p)), p))
 }
 
 // shardFor hashes a canonical key to its shard with FNV-1a.
@@ -257,7 +257,7 @@ func (s *Store) applyLocked(origin string, seq uint64, p space.Point, v float64,
 	}
 
 	s.walBuf = appendMeasurementPayload(s.walBuf[:0], p, v, origin, seq)
-	s.keyBuf = appendKey(s.keyBuf[:0], p)
+	s.keyBuf = AppendKey(s.keyBuf[:0], p)
 	sh := &s.shards[shardFor(s.keyBuf)]
 	sh.mu.Lock()
 	r := sh.recs[string(s.keyBuf)]
@@ -491,7 +491,7 @@ func (s *Store) AppendObs(dst []float64, p space.Point, max int) ([]float64, boo
 	if len(p) > maxStackDim {
 		key = make([]byte, 0, 8*len(p))
 	}
-	key = appendKey(key, p)
+	key = AppendKey(key, p)
 	sh := &s.shards[shardFor(key)]
 	sh.mu.Lock()
 	r := sh.recs[string(key)]
@@ -516,7 +516,7 @@ func (s *Store) AppendObsSource(dst []float64, p space.Point, max int) (obs []fl
 	if len(p) > maxStackDim {
 		key = make([]byte, 0, 8*len(p))
 	}
-	key = appendKey(key, p)
+	key = AppendKey(key, p)
 	sh := &s.shards[shardFor(key)]
 	sh.mu.Lock()
 	r := sh.recs[string(key)]
@@ -565,7 +565,7 @@ func aggOf(p space.Point, obs []float64) Agg {
 // Aggregate returns p's aggregate, if the configuration has been observed.
 // The returned Point is a copy.
 func (s *Store) Aggregate(p space.Point) (Agg, bool) {
-	key := appendKey(nil, p)
+	key := AppendKey(nil, p)
 	sh := &s.shards[shardFor(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

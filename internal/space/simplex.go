@@ -3,7 +3,6 @@ package space
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Simplex is a set of evaluated vertices maintained by the rank-ordering
@@ -41,21 +40,22 @@ func (s *Simplex) Clone() *Simplex {
 
 // Sort reorders vertices so that Values[0] <= ... <= Values[n-1] (Alg. 2 l.4).
 // The sort is stable so ties preserve insertion order, which keeps runs
-// reproducible.
+// reproducible. It is an in-place insertion sort: simplexes are small, and a
+// stable order is unique, so the result matches sort.SliceStable exactly
+// whenever no value is NaN. A NaN never moves and nothing moves past it, so
+// each run between NaNs is sorted on its own.
+//
+//paralint:hotpath
 func (s *Simplex) Sort() {
-	idx := make([]int, len(s.Vertices))
-	for i := range idx {
-		idx[i] = i
+	vs, vals := s.Vertices, s.Values
+	for i := 1; i < len(vals); i++ {
+		v, x := vals[i], vs[i]
+		j := i
+		for ; j > 0 && v < vals[j-1]; j-- {
+			vals[j], vs[j] = vals[j-1], vs[j-1]
+		}
+		vals[j], vs[j] = v, x
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.Values[idx[a]] < s.Values[idx[b]] })
-	vs := make([]Point, len(s.Vertices))
-	vals := make([]float64, len(s.Values))
-	for i, j := range idx {
-		vs[i] = s.Vertices[j]
-		vals[i] = s.Values[j]
-	}
-	s.Vertices = vs
-	s.Values = vals
 }
 
 // Best returns the best vertex and its value. The simplex must be sorted.
@@ -224,7 +224,7 @@ func InitialMinimal(s *Space, c Point, r float64) *Simplex {
 // admissible value of each parameter (zero offsets at boundaries are
 // omitted). If none of these outperforms best, best is a local minimum.
 func ConvergenceProbe(s *Space, best Point) []Point {
-	var probes []Point
+	probes := make([]Point, 0, 2*s.Dim())
 	for i := 0; i < s.Dim(); i++ {
 		p := s.Param(i)
 		lo, hasLo, hi, hasHi := p.Neighbors(best[i])

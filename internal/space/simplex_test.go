@@ -3,7 +3,10 @@ package space
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"paratune/internal/alloccheck"
 )
 
 func TestSimplexSort(t *testing.T) {
@@ -235,4 +238,108 @@ func TestTransformProjectionInvariant(t *testing.T) {
 			t.Fatal("vertex count changed")
 		}
 	}
+}
+
+// sliceStableSort is the sort.SliceStable implementation Simplex.Sort
+// replaced, kept as the reference its in-place insertion sort must match.
+func sliceStableSort(s *Simplex) {
+	idx := make([]int, len(s.Vertices))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return s.Values[idx[a]] < s.Values[idx[b]] })
+	vs := make([]Point, len(s.Vertices))
+	vals := make([]float64, len(s.Values))
+	for i, j := range idx {
+		vs[i] = s.Vertices[j]
+		vals[i] = s.Values[j]
+	}
+	s.Vertices = vs
+	s.Values = vals
+}
+
+// randomSimplex builds n one-coordinate vertices, vertex i holding the
+// coordinate i so that order identity is visible, with values drawn from a
+// small pool (dense ties) plus ±Inf.
+func randomSimplex(rng *rand.Rand, n int) *Simplex {
+	pool := []float64{math.Inf(-1), -2, 0, 0.5, 1, 3, math.Inf(1)}
+	vs := make([]Point, n)
+	for i := range vs {
+		vs[i] = Point{float64(i)}
+	}
+	s := NewSimplex(vs)
+	for i := range s.Values {
+		s.Values[i] = pool[rng.Intn(len(pool))]
+	}
+	return s
+}
+
+// Simplex.Sort must reproduce sort.SliceStable's order exactly: vertex
+// identity, not just values, decides the optimiser's trajectory. Counts run
+// past 20, where SliceStable switches from one insertion sort to
+// insertion-sorted blocks plus merging.
+func TestSimplexSortMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(41)
+		got := randomSimplex(rng, n)
+		want := got.Clone()
+		got.Sort()
+		sliceStableSort(want)
+		for i := range want.Vertices {
+			if got.Vertices[i][0] != want.Vertices[i][0] ||
+				math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("n=%d: position %d holds vertex %v (%g), SliceStable has %v (%g)",
+					n, i, got.Vertices[i], got.Values[i], want.Vertices[i], want.Values[i])
+			}
+		}
+	}
+}
+
+// NaN estimates are outside the sort's contract (SliceStable itself has no
+// unique stable order with them), so their behaviour is pinned explicitly:
+// a NaN keeps its position and nothing moves past it, so each run of values
+// between NaNs is sorted on its own. Up to 20 vertices, where SliceStable
+// is a single insertion sort, this is exactly its order too.
+func TestSimplexSortNaNIsABarrier(t *testing.T) {
+	nan := math.NaN()
+	s := NewSimplex([]Point{{0}, {1}, {2}, {3}, {4}, {5}, {6}})
+	s.Values = []float64{3, 1, nan, 2, 0, nan, -1}
+	s.Sort()
+	wantIDs := []float64{1, 0, 2, 4, 3, 5, 6}
+	for i, id := range wantIDs {
+		if s.Vertices[i][0] != id {
+			t.Fatalf("order %v, want vertex ids %v", s.Vertices, wantIDs)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(20)
+		got := randomSimplex(rng, n)
+		for i := range got.Values {
+			if rng.Intn(4) == 0 {
+				got.Values[i] = nan
+			}
+		}
+		want := got.Clone()
+		got.Sort()
+		sliceStableSort(want)
+		for i := range want.Vertices {
+			if got.Vertices[i][0] != want.Vertices[i][0] {
+				t.Fatalf("n=%d with NaN: order %v, SliceStable %v", n, got.Vertices, want.Vertices)
+			}
+		}
+	}
+}
+
+// Sort runs twice per PRO step and sorts in place.
+func TestSimplexSortAllocFree(t *testing.T) {
+	s := randomSimplex(rand.New(rand.NewSource(3)), 9)
+	vals := append([]float64(nil), s.Values...)
+	verts := append([]Point(nil), s.Vertices...)
+	alloccheck.Guard(t, "Simplex.Sort", 0, func() {
+		copy(s.Values, vals)
+		copy(s.Vertices, verts)
+		s.Sort()
+	})
 }

@@ -338,20 +338,30 @@ func (s *Space) Admissible(x Point) bool {
 // Project applies Π coordinate-wise, rounding toward center (§3.2.1).
 // The result is always admissible.
 func (s *Space) Project(x, center Point) Point {
-	out := make(Point, len(s.params))
+	return s.ProjectTo(make(Point, len(s.params)), x, center)
+}
+
+// ProjectTo writes Project(x, center) into dst and returns it. dst may be x
+// itself (projection in place) but must not alias center.
+func (s *Space) ProjectTo(dst, x, center Point) Point {
 	for i := range s.params {
-		out[i] = s.params[i].Project(x[i], center[i])
+		dst[i] = s.params[i].Project(x[i], center[i])
 	}
-	return out
+	return dst
 }
 
 // ProjectNearest applies plain nearest-value rounding coordinate-wise.
 func (s *Space) ProjectNearest(x Point) Point {
-	out := make(Point, len(s.params))
+	return s.ProjectNearestTo(make(Point, len(s.params)), x)
+}
+
+// ProjectNearestTo writes ProjectNearest(x) into dst and returns it; dst may
+// be x itself.
+func (s *Space) ProjectNearestTo(dst, x Point) Point {
 	for i := range s.params {
-		out[i] = s.params[i].NearestAdmissible(x[i])
+		dst[i] = s.params[i].NearestAdmissible(x[i])
 	}
-	return out
+	return dst
 }
 
 // Random returns a uniformly sampled admissible point.
