@@ -116,9 +116,10 @@ fuzz:
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/measuredb/
 	$(GO) test -fuzz FuzzSyncFrameDecode -fuzztime 15s ./internal/feddb/
 	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
+	$(GO) test -fuzz FuzzNewRNGMatchesMathRand -fuzztime 15s ./internal/dist/
 
 # Full-scale regeneration of every paper figure, ablation and extension
-# (~25 s on 2 vCPUs), plus the consolidated markdown report.
+# (~18 s on 2 vCPUs), plus the consolidated markdown report.
 results:
 	$(GO) run ./cmd/expgen -out results -seed 42 -report
 

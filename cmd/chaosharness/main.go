@@ -30,7 +30,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -40,6 +39,7 @@ import (
 	"time"
 
 	"paratune/internal/chaos"
+	"paratune/internal/dist"
 	"paratune/internal/event"
 	"paratune/internal/harmony"
 	"paratune/internal/measuredb"
@@ -129,7 +129,7 @@ func main() {
 // drawConfig randomizes one fault schedule's parameters from its seed, so
 // the soak covers a spread of fault mixes while staying reproducible.
 func drawConfig(seed int64, maxKills int) chaos.Config {
-	rng := rand.New(rand.NewSource(seed))
+	rng := dist.NewRNG(seed)
 	return chaos.Config{
 		Seed:            seed,
 		Links:           16,

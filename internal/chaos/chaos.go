@@ -20,6 +20,7 @@ import (
 	"errors"
 	"math/rand"
 
+	"paratune/internal/dist"
 	"paratune/internal/event"
 )
 
@@ -164,7 +165,7 @@ type schedule struct {
 // (link-major, c2s before s2c, frame-minor, kills last), so the plan — and
 // the event stream emit produces — is a pure function of cfg.
 func newSchedule(cfg Config) *schedule {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := dist.NewRNG(cfg.Seed)
 	s := &schedule{links: make([][2][]planned, cfg.Links)}
 	for l := 0; l < cfg.Links; l++ {
 		for d := 0; d < 2; d++ {

@@ -30,9 +30,6 @@ type Distribution interface {
 	String() string
 }
 
-// NewRNG returns a deterministic random source for the given seed.
-func NewRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // SampleN draws n variates from d.
 func SampleN(d Distribution, rng *rand.Rand, n int) []float64 {
 	xs := make([]float64, n)

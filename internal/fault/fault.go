@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"paratune/internal/dist"
 	"paratune/internal/event"
 )
 
@@ -180,7 +181,7 @@ func New(cfg Config) (*Injector, error) {
 	if cfg.StragglerMin < 1 {
 		cfg.StragglerMin = 2
 	}
-	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	return &Injector{cfg: cfg, rng: dist.NewRNG(cfg.Seed)}, nil
 }
 
 // Plan returns the injector's event record.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"paratune/internal/alloccheck"
 	"paratune/internal/frame"
 )
 
@@ -198,6 +199,18 @@ func TestResumeCountsDroppedFrames(t *testing.T) {
 	if info.Dropped != 0 {
 		t.Errorf("unknown-client resume invented %d dropped frames", info.Dropped)
 	}
+}
+
+// TestTrackFrameUnknownSessionAllocFree guards the frame bookkeeping that
+// runs before every dispatched frame, a register's included: while the
+// session does not exist yet, the miss must not build an error.
+func TestTrackFrameUnknownSessionAllocFree(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	alloccheck.Guard(t, "Server.trackFrame unknown session", 0, func() {
+		srv.trackFrame("not-yet-registered", "c1", 1)
+		srv.noteDuplicateFrame("not-yet-registered", "c1")
+	})
 }
 
 // TestDuplicateFrameSuppressed replays one frame twice on a raw connection

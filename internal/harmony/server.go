@@ -893,8 +893,8 @@ func (srv *Server) trackFrame(name, client string, seq uint64) {
 	if name == "" || client == "" || seq == 0 {
 		return
 	}
-	s, err := srv.session(name)
-	if err != nil {
+	s := srv.lookup(name)
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
@@ -914,8 +914,8 @@ func (srv *Server) noteDuplicateFrame(name, client string) {
 	if name == "" || client == "" {
 		return
 	}
-	s, err := srv.session(name)
-	if err != nil {
+	s := srv.lookup(name)
+	if s == nil {
 		return
 	}
 	s.mu.Lock()

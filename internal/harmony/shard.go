@@ -83,14 +83,22 @@ func (srv *Server) shardMutate(name string, fn func(sh *sessionShard) []event.Ev
 // shard's lock for the map read — lookups for different sessions proceed on
 // different shards without contention.
 func (srv *Server) session(name string) (*session, error) {
-	sh := srv.shard(name)
-	sh.mu.Lock()
-	s, ok := sh.sessions[name]
-	sh.mu.Unlock()
-	if !ok {
+	s := srv.lookup(name)
+	if s == nil {
 		return nil, fmt.Errorf("%w %q", ErrUnknownSession, name)
 	}
 	return s, nil
+}
+
+// lookup is session without the error: nil when name is not live. Paths
+// that ignore the miss (frame bookkeeping before a register) use it so a
+// miss allocates nothing.
+func (srv *Server) lookup(name string) *session {
+	sh := srv.shard(name)
+	sh.mu.Lock()
+	s := sh.sessions[name]
+	sh.mu.Unlock()
+	return s
 }
 
 // Sessions lists registered session names in sorted order. The listing walks

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"paratune/internal/dist"
 	"paratune/internal/event"
 	"paratune/internal/feddb"
 	"paratune/internal/space"
@@ -531,7 +532,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	c := &Client{
 		addr: addr,
 		opts: opts,
-		rng:  rand.New(rand.NewSource(seed)),
+		rng:  dist.NewRNG(seed),
 	}
 	c.nonce = c.rng.Int63()
 	c.id = fmt.Sprintf("%x", uint64(c.nonce))

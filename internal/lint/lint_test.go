@@ -156,6 +156,26 @@ func TestSeedFlowFactPropagation(t *testing.T) {
 	}
 }
 
+// TestSeedFlowRealNewRNG runs seedflow over the real internal/dist and a
+// simulation-package importer. dist.NewRNG is the one seeded-RNG
+// constructor, so it must keep exporting its SeedSink fact however its
+// source is built: a constructor whose seed never reaches a math/rand
+// call's argument would silently stop every importer's seed from being
+// traced.
+func TestSeedFlowRealNewRNG(t *testing.T) {
+	dep, err := LoadDirWithDeps(filepath.Join("..", "dist"), "paratune/internal/dist", nil)
+	if err != nil {
+		t.Fatalf("loading internal/dist: %v", err)
+	}
+	use := loadTestdata(t, "seedflow_realdist", "paratune/internal/cluster",
+		map[string]*Package{"paratune/internal/dist": dep})
+	diags := Run([]*Package{dep, use}, []*Analyzer{SeedFlow})
+	checkWants(t, use.Src, diags)
+	if len(diags) == 0 {
+		t.Fatalf("wall-clock seed into dist.NewRNG produced no findings; the real NewRNG exports no SeedSink fact")
+	}
+}
+
 func TestGoroutineLifecycle(t *testing.T) {
 	runGolden(t, GoroutineLifecycle, "goroutinelifecycle", "paratune/internal/harmony")
 }

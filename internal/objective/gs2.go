@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 
+	"paratune/internal/dist"
 	"paratune/internal/par"
 	"paratune/internal/space"
 )
@@ -70,7 +70,7 @@ type gs2Model struct {
 }
 
 func newGS2Model(cfg GS2Config) *gs2Model {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := dist.NewRNG(cfg.Seed)
 	return &gs2Model{
 		s:         GS2Space(),
 		seed:      cfg.Seed,
@@ -163,7 +163,7 @@ func GenerateGS2(cfg GS2Config) *DB {
 	dim := s.Dim()
 	cells, _ := s.GridSize()
 	coords := make([]float64, 0, cells*dim)
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	rng := dist.NewRNG(cfg.Seed + 1)
 	center := s.Center()
 	_ = s.Enumerate(func(p space.Point) {
 		// Always keep the centre (the tuner's start region); drop others

@@ -13,7 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Kind identifies how a parameter's admissible values are defined.
@@ -431,16 +431,25 @@ func (s *Space) Enumerate(fn func(Point)) error {
 	return nil
 }
 
-// String summarises the space.
+// String summarises the space. It is the space's signature in measuredb's
+// WAL and snapshots, so its bytes must not move: bounds print as fmt's %g
+// (strconv's shortest 'g' form).
 func (s *Space) String() string {
-	var b strings.Builder
-	b.WriteString("space{")
+	b := make([]byte, 0, 32*len(s.params)+8)
+	b = append(b, "space{"...)
 	for i, p := range s.params {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s:%s[%g,%g]", p.Name, p.Kind, p.Lower, p.Upper)
+		b = append(b, p.Name...)
+		b = append(b, ':')
+		b = append(b, p.Kind.String()...)
+		b = append(b, '[')
+		b = strconv.AppendFloat(b, p.Lower, 'g', -1, 64)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, p.Upper, 'g', -1, 64)
+		b = append(b, ']')
 	}
-	b.WriteString("}")
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }

@@ -1,8 +1,10 @@
 package space
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -296,6 +298,51 @@ func TestSpaceString(t *testing.T) {
 	s := testSpace3(t)
 	if got := s.String(); got == "" {
 		t.Error("String empty")
+	}
+}
+
+// fmtSpaceString is the fmt-based body Space.String had before it appended
+// with strconv, kept as the reference: the string is the space's signature
+// in measuredb's WAL and snapshots, so its bytes must not move.
+func fmtSpaceString(s *Space) string {
+	var b strings.Builder
+	b.WriteString("space{")
+	for i, p := range s.params {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s:%s[%g,%g]", p.Name, p.Kind, p.Lower, p.Upper)
+	}
+	b.WriteString("}")
+	return b.String()
+}
+
+func TestSpaceStringMatchesFmt(t *testing.T) {
+	bounds := []float64{
+		0, math.Copysign(0, -1), 1, -1, 2, 64, 0.5, 0.1, 1.0 / 3, -2.75,
+		1e-4, 1e-5, 1e-7, 1.5e-7, 123456, 1e5, 1e6, 999999, 1e20, 1e21, -1e21,
+		1e22, 123456789012345678901234, 1 << 53, 1<<53 + 2, 9007199254740993,
+		5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64,
+		0.30000000000000004, 100, 1e15, 1e16, 1.7976931348623157e308,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	var params []Parameter
+	for i, lo := range bounds {
+		hi := bounds[(i*7+3)%len(bounds)]
+		kind := Kind(i % 4) // Kind(3) exercises the unknown-kind form
+		params = append(params, Parameter{Name: fmt.Sprintf("p%d", i), Kind: kind, Lower: lo, Upper: hi})
+		single := &Space{params: params[i:]}
+		if got, want := single.String(), fmtSpaceString(single); got != want {
+			t.Errorf("String() = %q, fmt gives %q", got, want)
+		}
+	}
+	all := &Space{params: params}
+	if got, want := all.String(), fmtSpaceString(all); got != want {
+		t.Errorf("String() = %q, fmt gives %q", got, want)
+	}
+	gs2 := testSpace3(t)
+	if got, want := gs2.String(), fmtSpaceString(gs2); got != want {
+		t.Errorf("String() = %q, fmt gives %q", got, want)
 	}
 }
 
