@@ -10,9 +10,10 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Project-specific static analysis: determinism, lock discipline, float
-# comparisons, wire-boundary error handling, seed provenance, goroutine
-# lifecycle, event hygiene, and hot-path allocation. See DESIGN.md.
+# Project-specific static analysis, twelve rules: determinism, lock
+# discipline, float comparisons, wire-boundary error handling, seed
+# provenance, goroutine lifecycle, event hygiene, lock order, channel flow,
+# context flow, atomics, and wire-table drift. See DESIGN.md.
 lint:
 	$(GO) run ./cmd/paralint ./...
 
@@ -28,11 +29,11 @@ lint-sarif:
 
 # The driver's own regression gate: analyze the committed selftest fixture,
 # pin the JSON findings (ordering included) against the golden file, and
-# require exit status 3 for its malformed //paralint:bounded directive.
+# require exit status 3 for its malformed //paralint:lockrank directive.
 # Built as a binary because `go run` flattens the child's exit status.
 lint-selftest:
 	$(GO) build -o "$${TMPDIR:-/tmp}/paralint-selftest" ./cmd/paralint
-	"$${TMPDIR:-/tmp}/paralint-selftest" -rules wireproto,bufalias,boundedres -json \
+	"$${TMPDIR:-/tmp}/paralint-selftest" -rules wireproto,lockorder -json \
 	  ./internal/lint/testdata/selftest > selftest-got.json; \
 	  test $$? -eq 3
 	diff -u internal/lint/testdata/selftest/expect.json selftest-got.json

@@ -10,7 +10,7 @@
 //   - floatcompare: no float ==/!= in rank-ordering and stats code
 //   - errdiscipline: no discarded errors at the harmony wire boundary
 //
-// four follow dataflow across package boundaries through typed facts:
+// three follow dataflow across package boundaries through typed facts:
 //
 //   - seedflow: RNG seeds in simulation packages trace to injected seeds,
 //     never the wall clock, crypto/rand, or the process id
@@ -18,8 +18,6 @@
 //     worker pool and experiments have a provable join or cancel path
 //   - eventhygiene: event emissions use registered kinds, carry no
 //     wall-clock payload, and never happen under a mutex
-//   - hotpathalloc: //paralint:hotpath functions avoid fmt, float boxing,
-//     and per-iteration allocation
 //
 // four enforce the concurrency contract (DESIGN.md "Concurrency
 // contract"):
@@ -34,17 +32,15 @@
 //   - atomics: a variable accessed via sync/atomic anywhere is accessed
 //     atomically everywhere
 //
-// and three gate the zero-copy PHWIRE1 wire path (DESIGN.md "Buffer
-// ownership" and "Bounded resources"):
+// and one gates the PHWIRE1 wire tables:
 //
 //   - wireproto: code/name codec tables are exact inverses and exhaustive,
 //     dispatch switches cover every wire op, and server-built error codes
 //     are classified client-side somewhere in the program
-//   - bufalias: []byte views of connection read buffers (functions marked
-//     //paralint:framebuf) must not outlive the frame; the copy-insertion
-//     finding has a mechanical -fix
-//   - boundedres: per-request growth reachable from a connection handler
-//     declares //paralint:bounded <limit-expr> backed by an enforced check
+//
+// Frame-buffer lifetimes, per-request bounds and hot-path allocation counts
+// are pinned by runtime tests instead (DESIGN.md "paralint keep-or-cut
+// audit").
 //
 // Usage:
 //
@@ -53,9 +49,8 @@
 // With no packages, ./... is analysed, including _test.go files. Findings
 // print as file:line:col: rule: message. Exit status: 0 clean, 1 findings,
 // 2 load or type-check failure, 3 when any finding is a malformed or
-// dangling paralint directive (//paralint:lockrank, //paralint:bounded,
-// //paralint:framebuf) — an annotation that silently stopped enforcing its
-// contract outranks an ordinary finding.
+// dangling //paralint:lockrank directive — an annotation that silently
+// stopped enforcing its contract outranks an ordinary finding.
 //
 // Output and repair flags:
 //

@@ -21,7 +21,7 @@ func TestExitStatus(t *testing.T) {
 	}
 	mixed := []lint.Diagnostic{
 		{Rule: "chanflow", Message: "x"},
-		{Rule: "boundedres", Message: "malformed directive", Category: lint.CategoryDirective},
+		{Rule: "lockorder", Message: "malformed lockrank", Category: lint.CategoryDirective},
 		{Rule: "lockorder", Message: "dangling lockrank", Category: lint.CategoryDirective},
 	}
 	buf.Reset()
@@ -29,20 +29,20 @@ func TestExitStatus(t *testing.T) {
 		t.Errorf("exitStatus(directive findings) = %d, want 3", got)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "boundedres, lockorder") {
-		t.Errorf("summary %q does not name the directive rules in sorted order", out)
+	if !strings.HasSuffix(out, "reported by: lockorder\n") {
+		t.Errorf("summary %q does not name the directive rule exactly once", out)
 	}
 }
 
 // TestDirectiveExitOnSelftestFixture runs the real pipeline — load,
 // analyze, exit-status decision — over the committed selftest fixture and
-// pins that a malformed //paralint:bounded directive escalates the driver
+// pins that a malformed //paralint:lockrank directive escalates the driver
 // to exit status 3 with the offending rule named.
 func TestDirectiveExitOnSelftestFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks packages")
 	}
-	analyzers := selectRules(lint.Analyzers(), "wireproto,bufalias,boundedres")
+	analyzers := selectRules(lint.Analyzers(), "wireproto,lockorder")
 	diags, typeErrs, err := lint.Analyze(filepath.Join("..", ".."),
 		[]string{"./internal/lint/testdata/selftest"}, analyzers)
 	if err != nil {
@@ -51,14 +51,14 @@ func TestDirectiveExitOnSelftestFixture(t *testing.T) {
 	if len(typeErrs) > 0 {
 		t.Fatalf("type errors in selftest fixture: %v", typeErrs)
 	}
-	if len(diags) != 4 {
-		t.Fatalf("selftest fixture produced %d findings, want 4: %v", len(diags), diags)
+	if len(diags) != 2 {
+		t.Fatalf("selftest fixture produced %d findings, want 2: %v", len(diags), diags)
 	}
 	var buf bytes.Buffer
 	if got := exitStatus(&buf, diags); got != 3 {
 		t.Errorf("exitStatus(selftest findings) = %d, want 3", got)
 	}
-	if !strings.Contains(buf.String(), "boundedres") {
-		t.Errorf("summary %q does not name boundedres", buf.String())
+	if !strings.Contains(buf.String(), "lockorder") {
+		t.Errorf("summary %q does not name lockorder", buf.String())
 	}
 }

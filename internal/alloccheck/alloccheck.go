@@ -1,10 +1,11 @@
-// Package alloccheck pins allocation budgets for functions annotated
-// //paralint:hotpath. The static hotpathalloc rule catches allocation
-// *patterns* (fmt, boxing, per-iteration make); these guards catch the
-// *count*, so a regression that slips past the pattern rules still fails a
-// test. Budgets are upper bounds with a little slack, not exact pins:
-// amortised slice growth means the per-run average wobbles below the
-// budget, and an exact pin would be flaky.
+// Package alloccheck pins the heap allocation counts of the hot paths: the
+// simulator and tuning steps, the estimators, the wire codecs, and the store,
+// cache and surrogate lookups. A hot-path guard's budget is the exact count
+// measured on the current code, not an upper bound with slack, so any new
+// allocation on a guarded path — an fmt call, a boxed float, a clone, a
+// buffer that stopped being reused — fails its test. The pins do not flake:
+// testing.AllocsPerRun integer-divides the total by the run count, so
+// amortised growth (a slice that doubles once in many runs) reads as 0.
 package alloccheck
 
 import "testing"

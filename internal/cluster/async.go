@@ -124,8 +124,6 @@ func (s *AsyncSim) Clock(p int) float64 { return s.clocks[p] }
 
 // idleProc returns the live processor with the smallest clock, or -1 when
 // every processor has crashed.
-//
-//paralint:hotpath
 func (s *AsyncSim) idleProc() int {
 	best := -1
 	for i, c := range s.clocks {
@@ -148,8 +146,6 @@ func (s *AsyncSim) idleProc() int {
 // crashed processor's clock freezes, so makespan accounting stays correct),
 // stretch by a straggler factor, lose its completion (the clock advances but
 // no Completion is queued), or complete with a corrupted value.
-//
-//paralint:hotpath
 func (s *AsyncSim) Submit(f objective.Function, x space.Point, samples int) (uint64, error) {
 	if samples < 1 {
 		return 0, errNeedSamples(samples)

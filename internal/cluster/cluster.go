@@ -129,8 +129,6 @@ func (s *Sim) liveProcs() []int {
 
 // leastLoaded returns the live processor with the smallest accumulated time
 // this step, or -1 when every processor has crashed.
-//
-//paralint:hotpath
 func (s *Sim) leastLoaded(procTime []float64) int {
 	best := -1
 	for i := range procTime {
@@ -195,8 +193,6 @@ func (s *Sim) Reset() {
 // lose its report (the returned observation is NaN — time was spent but no
 // value arrived), or deliver a corrupted value. Dead processors stop gating
 // the barrier; the redistributed work still counts toward T_k.
-//
-//paralint:hotpath
 func (s *Sim) RunStep(f objective.Function, assign []space.Point) ([]float64, error) {
 	if len(assign) == 0 {
 		return nil, errEmptyAssignment
@@ -285,8 +281,6 @@ func (s *Sim) procTimeScratch() []float64 {
 
 // recordStep commits one barrier-gated step time and mirrors it into the
 // event stream.
-//
-//paralint:hotpath
 func (s *Sim) recordStep(worst float64) {
 	s.stepTimes = append(s.stepTimes, worst)
 	s.totalTime += worst

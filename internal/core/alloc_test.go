@@ -57,8 +57,8 @@ func newAllocPRO(t *testing.T) (*PRO, *countEvaluator) {
 // clone in StepInfo; the simplex sorts in place.
 const proStepAllocs = 13
 
-// PRO.Step is //paralint:hotpath: one iteration allocates its trial points
-// and the reported best clone, but nothing proportional to the step count.
+// PRO.Step runs once per tuning iteration: it allocates its trial points and
+// the reported best clone, but nothing proportional to the step count.
 func TestPROStepAllocBudget(t *testing.T) {
 	pro, ev := newAllocPRO(t)
 	alloccheck.Guard(t, "PRO.Step", proStepAllocs, func() {

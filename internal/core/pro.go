@@ -70,8 +70,6 @@ func (p *PRO) String() string { return "pro" }
 
 // Step performs one PRO iteration (Algorithm 2 lines 4–18). When the
 // simplex has collapsed it runs the §3.2.2 convergence check instead.
-//
-//paralint:hotpath
 func (p *PRO) Step(ev Evaluator) (StepInfo, error) {
 	if !p.inited {
 		return StepInfo{}, ErrNotInitialised

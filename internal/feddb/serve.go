@@ -82,7 +82,6 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 		case "push":
 			var applied, dups uint64
 			for i := range msg.Frames {
-				//paralint:allow boundedres pushed frames are the replication payload; growth is the shared store, not per-connection state
 				ok, aerr := opts.Store.Apply(msg.Frames[i])
 				if aerr != nil {
 					reply = syncMsg{Op: "error", Detail: aerr.Error()}

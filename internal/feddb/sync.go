@@ -139,22 +139,22 @@ func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Sta
 	}
 	localHigh := make(map[string]uint64, len(local))
 	for _, d := range local {
-		localHigh[d.Origin] = d.High //paralint:bounded maxSyncOrigins
+		localHigh[d.Origin] = d.High
 	}
 	var pullLag, pushLag uint64
 	origins := make(map[string]bool, len(local)+len(remote.Origins))
 	for _, d := range remote.Origins {
-		origins[d.Origin] = true //paralint:bounded maxSyncOrigins
+		origins[d.Origin] = true
 		if lh := localHigh[d.Origin]; d.High > lh {
 			pullLag += d.High - lh
 		}
 	}
 	remoteHigh := make(map[string]uint64, len(remote.Origins))
 	for _, d := range remote.Origins {
-		remoteHigh[d.Origin] = d.High //paralint:bounded maxSyncOrigins
+		remoteHigh[d.Origin] = d.High
 	}
 	for _, d := range local {
-		origins[d.Origin] = true //paralint:bounded maxSyncOrigins
+		origins[d.Origin] = true
 		if rh := remoteHigh[d.Origin]; d.High > rh {
 			pushLag += d.High - rh
 		}
@@ -250,7 +250,6 @@ func pullSnapshot(c *syncConn, store *measuredb.Store, peer string, opts *Option
 	}
 	applied, dups := 0, 0
 	for i := range frames {
-		//paralint:allow boundedres absorbing the peer's snapshot is the transfer's purpose; growth is the shared store, not per-connection state
 		ok, aerr := store.Apply(frames[i])
 		if aerr != nil {
 			return fmt.Errorf("feddb: sync: apply snapshot frame: %w", aerr)
@@ -296,7 +295,6 @@ func pullSegments(c *syncConn, store *measuredb.Store, peer string, d measuredb.
 		}
 		applied, dups := 0, 0
 		for i := range resp.Frames {
-			//paralint:allow boundedres pulled segments are bounded by the peer's digest; growth is the shared store, not per-connection state
 			ok, aerr := store.Apply(resp.Frames[i])
 			if aerr != nil {
 				return fmt.Errorf("feddb: sync: apply pulled frame: %w", aerr)

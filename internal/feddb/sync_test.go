@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"paratune/internal/event"
+	"paratune/internal/frame"
 	"paratune/internal/measuredb"
 	"paratune/internal/space"
 )
@@ -312,5 +315,43 @@ func TestSyncDetectsDivergedOrigin(t *testing.T) {
 	b.Observe(space.Point{2}, 2)
 	if _, err := syncOnce(t, a, b, Options{}); err == nil {
 		t.Fatal("sync of diverged same-origin histories unexpectedly succeeded")
+	}
+}
+
+// TestSyncRejectsLocalDigestOverCap pins Sync's own bound on the digests it
+// indexes. The decoder caps a remote digest; a local store with one origin
+// more than maxSyncOrigins must be refused by Sync itself. The peer answers
+// the hello without decoding it, so only Sync's check stands in the way.
+func TestSyncRejectsLocalDigestOverCap(t *testing.T) {
+	local := newPeer(t, "local")
+	for i := 0; i <= maxSyncOrigins; i++ {
+		f := measuredb.Frame{Origin: "o" + strconv.Itoa(i), Seq: 1, Point: space.Point{1}, Value: 1}
+		if _, err := local.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cc, sc := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer sc.Close()
+		br := bufio.NewReader(sc)
+		var magic [len(SyncMagic)]byte
+		if _, err := io.ReadFull(br, magic[:]); err != nil {
+			return
+		}
+		var buf []byte
+		if _, err := frame.Read(br, frame.MaxPayload, &buf); err != nil {
+			return
+		}
+		var bufs syncBufs
+		// A failed reply surfaces as Sync's error.
+		_ = writeSyncMsg(sc, &bufs, &syncMsg{Op: "digest", Seed: 42})
+	}()
+	_, err := Sync(cc, local, "peer", Options{})
+	_ = cc.Close()
+	<-done
+	if want := strconv.Itoa(maxSyncOrigins+1) + "+0 origins"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Sync with %d local origins: err = %v, want the digest-cap refusal (%q)", maxSyncOrigins+1, err, want)
 	}
 }

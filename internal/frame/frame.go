@@ -38,8 +38,6 @@ var (
 )
 
 // Append appends payload wrapped in the envelope to dst.
-//
-//paralint:hotpath
 func Append(dst, payload []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
@@ -47,23 +45,17 @@ func Append(dst, payload []byte) []byte {
 }
 
 // AppendString appends a uvarint-length-prefixed string.
-//
-//paralint:hotpath
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
 // AppendF64 appends f's IEEE-754 bits big-endian.
-//
-//paralint:hotpath
 func AppendF64(dst []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
 // AppendBool appends a single 0/1 byte.
-//
-//paralint:hotpath
 func AppendBool(dst []byte, b bool) []byte {
 	if b {
 		return append(dst, 1)
@@ -131,8 +123,6 @@ func readHeader(br *bufio.Reader, max int, hdr *[maxHeader]byte) (int, int, erro
 // lands in *buf's backing array when it fits (growing *buf otherwise), so a
 // connection rereads frames without allocating; the returned slice aliases
 // *buf and is valid only until the next Read into it.
-//
-//paralint:framebuf
 func Read(br *bufio.Reader, max int, buf *[]byte) ([]byte, error) {
 	var hdr [maxHeader]byte
 	sz, n, err := readHeader(br, max, &hdr)

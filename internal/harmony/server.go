@@ -271,7 +271,6 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 	return srv.shardMutateErr(name, func(sh *sessionShard) ([]event.Event, error) {
 		if s, ok := sh.sessions[name]; ok {
 			// Joining: verify the space matches.
-			//paralint:allow boundedres space construction is sized by the request's parameter list, not accumulated state
 			joined, err := space.New(params...)
 			if err != nil {
 				return nil, err
@@ -281,7 +280,6 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 			}
 			return nil, nil
 		}
-		//paralint:allow boundedres space construction is sized by the request's parameter list, not accumulated state
 		sp, err := space.New(params...)
 		if err != nil {
 			return nil, err
@@ -296,7 +294,6 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 			return nil, err
 		}
 		s := srv.newSession(name, sp, alg, false)
-		//paralint:allow boundedres the session registry is the product; sessions are operator workload, expired via IdleTimeout
 		sh.sessions[name] = s
 		go s.run()
 		if srv.opts.IdleTimeout > 0 {
@@ -780,7 +777,6 @@ func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 	res.Queue = s.surplus
 	s.mu.Unlock()
 	for _, o := range stored {
-		//paralint:allow boundedres the measurement store is the durable product; growth is the point (snapshot/WAL own retention)
 		s.db.Observe(o.p, o.v)
 	}
 	if ch != nil {
@@ -822,7 +818,7 @@ func (s *session) applyLocked(it *ReportItem, now time.Time) (*candidate, error)
 	if it.RID != "" {
 		s.rememberRIDLocked(it.RID)
 	}
-	c.obs = append(c.obs, it.Value) //paralint:bounded s.opts.MaxPendingReports
+	c.obs = append(c.obs, it.Value)
 	if len(c.obs) == c.need {
 		s.missing--
 	}
@@ -864,7 +860,7 @@ func (s *session) rememberRIDLocked(rid string) {
 	if s.ridCur == nil {
 		s.ridCur = make(map[string]struct{})
 	}
-	s.ridCur[rid] = struct{}{} //paralint:bounded maxRememberedReports
+	s.ridCur[rid] = struct{}{}
 }
 
 // clientLocked returns (creating on first sight, evicting the oldest entry
@@ -874,8 +870,8 @@ func (s *session) clientLocked(id string) *clientTrack {
 		return ct
 	}
 	ct := &clientTrack{}
-	s.clients[id] = ct                    //paralint:bounded maxTrackedClients
-	s.clientLRU = append(s.clientLRU, id) //paralint:bounded maxTrackedClients
+	s.clients[id] = ct
+	s.clientLRU = append(s.clientLRU, id)
 	if len(s.clientLRU) > maxTrackedClients {
 		delete(s.clients, s.clientLRU[0])
 		s.clientLRU = s.clientLRU[1:]

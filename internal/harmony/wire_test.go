@@ -402,3 +402,87 @@ func TestWireCodecTablesFrozen(t *testing.T) {
 		}
 	}
 }
+
+// sameLengthFrames frames two payloads for one reused read buffer, failing
+// unless they are the same length: frame B must land on exactly the bytes
+// frame A was decoded from.
+func sameLengthFrames(t *testing.T, a, b []byte) *bufio.Reader {
+	t.Helper()
+	if len(a) != len(b) || bytes.Equal(a, b) {
+		t.Fatalf("payloads must differ at equal length: %d vs %d bytes", len(a), len(b))
+	}
+	stream := append(frame.Append(nil, a), frame.Append(nil, b)...)
+	return bufio.NewReader(bytes.NewReader(stream))
+}
+
+// TestBinServerCodecRequestOutlivesNextFrame decodes request A, keeps it,
+// and reads a same-length request B with different bytes through the same
+// codec. Everything A's caller may keep — strings, report ids, parameter
+// names and values — must still hold A's bytes. Only the Reports backing
+// array is documented as reused, so the item values are copied out first.
+func TestBinServerCodecRequestOutlivesNextFrame(t *testing.T) {
+	build := func(x string, v float64) request {
+		return request{
+			Op: "reportn", Seq: 7, Client: "client-" + x, Session: "session-" + x,
+			Tag: 3, Value: v, RID: "rid-" + x, N: 2,
+			Params: []wireParam{{Name: "param-" + x, Kind: "discrete", Values: []float64{v, 2 * v}}},
+			Reports: []ReportItem{
+				{Tag: 1, Value: v, RID: "item1-" + x},
+				{Tag: 2, Value: 3 * v, RID: "item2-" + x},
+			},
+		}
+	}
+	a, b := build("A", 1.5), build("B", 2.5)
+	pa, err := appendRequest(nil, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := appendRequest(nil, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &binServerCodec{br: sameLengthFrames(t, pa, pb)}
+	var gotA, gotB request
+	if err := c.readRequest(&gotA); err != nil {
+		t.Fatal(err)
+	}
+	gotA.Reports = append([]ReportItem(nil), gotA.Reports...)
+	if err := c.readRequest(&gotB); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotB, b) {
+		t.Fatalf("frame B decoded as %+v, want %+v", gotB, b)
+	}
+	if !reflect.DeepEqual(gotA, a) {
+		t.Errorf("request A changed when frame B was read:\n got %+v\nwant %+v", gotA, a)
+	}
+}
+
+// TestBinClientCodecResponseOutlivesNextFrame is the client-side twin: a
+// kept response keeps its code, error text, stats and points after the
+// codec reads the next same-length frame.
+func TestBinClientCodecResponseOutlivesNextFrame(t *testing.T) {
+	build := func(x string, v float64) response {
+		return response{
+			OK: true, Seq: 9, Code: "code-" + x, Error: "error-" + x,
+			Point: []float64{v, 2 * v}, Tag: 4, Value: v,
+			Stats: &SessionStats{Name: "stats-" + x, Best: []float64{3 * v}, BestValue: v, Pending: 1, NextTag: 5},
+			Batch: []FetchResult{{Point: []float64{4 * v, 5 * v}, Tag: 6}},
+		}
+	}
+	a, b := build("A", 1.5), build("B", 2.5)
+	c := &binClientCodec{br: sameLengthFrames(t, appendResponse(nil, &a), appendResponse(nil, &b))}
+	var gotA, gotB response
+	if err := c.recv(&gotA); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.recv(&gotB); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotB, b) {
+		t.Fatalf("frame B decoded as %+v, want %+v", gotB, b)
+	}
+	if !reflect.DeepEqual(gotA, a) {
+		t.Errorf("response A changed when frame B was read:\n got %+v\nwant %+v", gotA, a)
+	}
+}

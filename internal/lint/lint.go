@@ -5,7 +5,7 @@
 // the simulator and estimators are bit-deterministic under a fixed seed, and
 // trustworthy only if the concurrent harmony server is race- and leak-free.
 //
-// Fifteen rules are enforced. Four are syntax-local:
+// Twelve rules are enforced. Four are syntax-local:
 //
 //   - determinism: no wall-clock time and no process-global rand inside
 //     simulation packages; no wall-clock-seeded RNG sources anywhere.
@@ -16,7 +16,7 @@
 //   - errdiscipline: no silently discarded errors at the harmony wire
 //     boundary.
 //
-// Four reason through dataflow and across package boundaries via the fact
+// Three reason through dataflow and across package boundaries via the fact
 // system (see FactBase):
 //
 //   - seedflow: every RNG-seed argument in simulation packages must trace
@@ -26,8 +26,6 @@
 //     must have a provable join or cancel path.
 //   - eventhygiene: event.Recorder emissions use registered event kinds,
 //     carry no wall-clock-derived payload, and never happen under a mutex.
-//   - hotpathalloc: functions marked //paralint:hotpath avoid fmt, float
-//     interface boxing, and per-iteration allocations.
 //
 // Four more are the concurrency contract (DESIGN.md "Concurrency
 // contract"), the machine-checked precondition for sharding the harmony
@@ -45,24 +43,17 @@
 //   - atomics: a variable accessed via sync/atomic anywhere must be
 //     accessed atomically everywhere.
 //
-// Three more gate the zero-copy PHWIRE1 wire path (DESIGN.md "Buffer
-// ownership" and "Bounded resources"):
+// One more gates the PHWIRE1 wire tables:
 //
 //   - wireproto: the opCode/opName and kindCode/kindName tables must be
 //     exact inverses and exhaustive over the frozen opcode block, every
 //     dispatch switch over a wire-op field must have an arm per op, and
 //     every structured error code a server constructs must be classified
 //     by a client-side comparison somewhere in the program.
-//   - bufalias: a []byte returned by a //paralint:framebuf function aliases
-//     a connection read buffer and is valid only until the next read; the
-//     analyzer flags any retention past the frame lifetime (struct-field
-//     store, channel send, goroutine capture) without an explicit copy,
-//     and -fix inserts the copy.
-//   - boundedres: every per-request growth site (field append, map insert,
-//     dynamically-buffered channel send) reachable from a connection
-//     handler must carry a //paralint:bounded <limit-expr> directive
-//     backed by an enforced comparison, generalizing the
-//     MaxPendingReports pattern.
+//
+// Buffer lifetimes, per-request bounds and hot-path allocation counts are
+// pinned by runtime tests on the sites themselves, not by rules (DESIGN.md
+// "Buffer ownership", "Bounded resources" and "paralint keep-or-cut audit").
 //
 // A finding can be suppressed with a comment on the same line or the line
 // immediately above:
@@ -107,11 +98,10 @@ type Diagnostic struct {
 	Rule    string         `json:"rule"`
 	Message string         `json:"message"`
 	// Category classifies findings beyond the rule name. The one defined
-	// category is "directive": a paralint directive (//paralint:lockrank,
-	// //paralint:bounded, //paralint:framebuf) that is malformed or binds to
-	// nothing. The driver exits with a distinct status for those — a
-	// directive that silently stops enforcing its contract is config rot,
-	// not a code finding.
+	// category is "directive": a //paralint:lockrank directive that is
+	// malformed or binds to nothing. The driver exits with a distinct status
+	// for those — a directive that silently stops enforcing its contract is
+	// config rot, not a code finding.
 	Category string `json:"category,omitempty"`
 	// Fix, when non-nil, is a mechanical edit that resolves the finding.
 	Fix *SuggestedFix `json:"fix,omitempty"`
@@ -161,19 +151,14 @@ type Pass struct {
 }
 
 // pkgContext is the per-package state shared by every analyzer pass:
-// suppression directives, hotpath annotations, and the source map.
+// suppression directives and the source map.
 type pkgContext struct {
-	pkg     *Package
-	allow   map[string]map[int]map[string]bool // filename -> line -> allowed rules
-	hotpath map[string]map[int]bool            // filename -> line carrying //paralint:hotpath
+	pkg   *Package
+	allow map[string]map[int]map[string]bool // filename -> line -> allowed rules
 }
 
 func newPkgContext(pkg *Package) *pkgContext {
-	return &pkgContext{
-		pkg:     pkg,
-		allow:   allowIndex(pkg),
-		hotpath: directiveLineIndex(pkg, hotpathPrefix),
-	}
+	return &pkgContext{pkg: pkg, allow: allowIndex(pkg)}
 }
 
 // Reportf records a finding at pos unless a //paralint:allow comment
@@ -240,29 +225,13 @@ func (p *Pass) Edit(start, end token.Pos, newText string) TextEdit {
 	}
 }
 
-// IsHotpath reports whether fd carries the //paralint:hotpath annotation,
-// either inside its doc comment or as a standalone comment on the line
-// immediately above the declaration.
-func (p *Pass) IsHotpath(fd *ast.FuncDecl) bool {
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if isDirective(c.Text, hotpathPrefix) {
-				return true
-			}
-		}
-	}
-	pos := p.Fset.Position(fd.Pos())
-	byLine := p.ctx.hotpath[pos.Filename]
-	return byLine[pos.Line] || byLine[pos.Line-1]
-}
-
 // Analyzers returns every paralint rule in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, LockDiscipline, FloatCompare, ErrDiscipline,
-		SeedFlow, GoroutineLifecycle, EventHygiene, HotPathAlloc,
+		SeedFlow, GoroutineLifecycle, EventHygiene,
 		LockOrder, ChanFlow, CtxFlow, Atomics,
-		WireProto, BufAlias, BoundedRes,
+		WireProto,
 	}
 }
 
@@ -403,37 +372,11 @@ func calleeAnyFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-const (
-	allowPrefix   = "paralint:allow"
-	hotpathPrefix = "paralint:hotpath"
-)
+const allowPrefix = "paralint:allow"
 
 func isDirective(comment, prefix string) bool {
 	text := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
 	return text == prefix || strings.HasPrefix(text, prefix+" ")
-}
-
-// directiveLineIndex maps file -> line for every comment carrying the given
-// directive prefix.
-func directiveLineIndex(pkg *Package, prefix string) map[string]map[int]bool {
-	idx := make(map[string]map[int]bool)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !isDirective(c.Text, prefix) {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				byLine := idx[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]bool)
-					idx[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = true
-			}
-		}
-	}
-	return idx
 }
 
 // allowIndex maps file -> line -> rules suppressed on that line. A trailing

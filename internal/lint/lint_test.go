@@ -193,10 +193,6 @@ func TestEventHygiene(t *testing.T) {
 	runGolden(t, EventHygiene, "eventhygiene", "paratune/internal/experiment")
 }
 
-func TestHotPathAlloc(t *testing.T) {
-	runGolden(t, HotPathAlloc, "hotpathalloc", "paratune/internal/cluster")
-}
-
 // TestFloatCompareFix pins the ApproxEqual rewrite: inside the stats
 // package the suggested fix replaces the comparison with an unqualified
 // ApproxEqual call carrying DefaultTol.
@@ -645,114 +641,5 @@ func TestWireProtoCrossPackage(t *testing.T) {
 	checkWants(t, srcs, diags)
 	if len(diags) == 0 {
 		t.Fatalf("cross-package wire drift produced no findings; WireTable fact / code registry did not cross the package boundary")
-	}
-}
-
-func TestBufAlias(t *testing.T) {
-	runGolden(t, BufAlias, "bufalias", "paratune/internal/harmony")
-}
-
-// TestBufAliasCrossPackage pins fact propagation both ways: the dependency's
-// //paralint:framebuf reader exports a BufOrigin fact, its Keep exports a
-// BufRetains fact, and the importing package's misuse of both is reported.
-func TestBufAliasCrossPackage(t *testing.T) {
-	dep := loadTestdata(t, "bufalias_dep", "paratune/internal/measuredb", nil)
-	use := loadTestdata(t, "bufalias_use", "paratune/internal/harmony",
-		map[string]*Package{"paratune/internal/measuredb": dep})
-	srcs := make(map[string][]byte)
-	for name, b := range dep.Src {
-		srcs[name] = b
-	}
-	for name, b := range use.Src {
-		srcs[name] = b
-	}
-	diags := Run([]*Package{dep, use}, []*Analyzer{BufAlias})
-	checkWants(t, srcs, diags)
-	if len(diags) == 0 {
-		t.Fatalf("cross-package buffer aliasing produced no findings; BufOrigin/BufRetains facts did not cross the package boundary")
-	}
-}
-
-// TestBufAliasFrameRead runs bufalias over the real internal/frame package
-// and an importer: the one streaming frame reader is the origin every wire
-// codec's payloads derive from, so a retained frame.Read result must be
-// reported across the package boundary.
-func TestBufAliasFrameRead(t *testing.T) {
-	dep, err := LoadDirWithDeps(filepath.Join("..", "frame"), "paratune/internal/frame", nil)
-	if err != nil {
-		t.Fatalf("loading internal/frame: %v", err)
-	}
-	use := loadTestdata(t, "bufalias_frame", "paratune/internal/harmony",
-		map[string]*Package{"paratune/internal/frame": dep})
-	diags := Run([]*Package{dep, use}, []*Analyzer{BufAlias})
-	checkWants(t, use.Src, diags)
-	if len(diags) == 0 {
-		t.Fatalf("retained frame.Read payload produced no findings; the framebuf directive on frame.Read did not cross the package boundary")
-	}
-}
-
-// TestBufAliasFixRoundTrip applies the mechanical copy fix and re-runs the
-// analyzer: the retained slice becomes append([]byte(nil), p...), the fixed
-// package still type-checks, and bufalias reports nothing.
-func TestBufAliasFixRoundTrip(t *testing.T) {
-	pkg := loadTestdata(t, "bufalias_fix", "paratune/internal/harmony", nil)
-	diags := Run([]*Package{pkg}, []*Analyzer{BufAlias})
-	if len(diags) != 1 {
-		t.Fatalf("fixture produced %d findings, want exactly 1: %v", len(diags), diags)
-	}
-	if diags[0].Fix == nil {
-		t.Fatalf("bufalias finding carries no suggested fix: %s", diags[0])
-	}
-	byFile, conflicts := FixPlan(diags)
-	if len(conflicts) != 0 {
-		t.Fatalf("fix plan reported conflicts: %v", conflicts)
-	}
-	dir := t.TempDir()
-	for name, edits := range byFile {
-		out, err := ApplyEdits(pkg.Src[name], edits)
-		if err != nil {
-			t.Fatalf("applying edits to %s: %v", name, err)
-		}
-		if !strings.Contains(string(out), "append([]byte(nil), p...)") {
-			t.Fatalf("fixed source lacks the copy:\n%s", out)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), out, 0o644); err != nil {
-			t.Fatalf("writing fixed source: %v", err)
-		}
-	}
-	fixed, err := LoadDirWithDeps(dir, "paratune/internal/harmony", nil)
-	if err != nil {
-		t.Fatalf("reloading fixed package: %v", err)
-	}
-	for _, terr := range fixed.TypeErrors {
-		t.Errorf("type error after fix: %v", terr)
-	}
-	if diags := Run([]*Package{fixed}, []*Analyzer{BufAlias}); len(diags) != 0 {
-		t.Errorf("bufalias still reports after applying its own fix: %v", diags)
-	}
-}
-
-func TestBoundedRes(t *testing.T) {
-	runGolden(t, BoundedRes, "boundedres", "paratune/internal/harmony")
-}
-
-// TestBoundedResCrossPackage pins the GrowthSites fact: the dependency's
-// unbounded append is invisible locally but must surface at the scoped
-// caller's call site.
-func TestBoundedResCrossPackage(t *testing.T) {
-	dep := loadTestdata(t, "boundedres_dep", "paratune/internal/measuredb", nil)
-	use := loadTestdata(t, "boundedres_use", "paratune/internal/harmony",
-		map[string]*Package{"paratune/internal/measuredb": dep})
-	srcs := make(map[string][]byte)
-	for name, b := range dep.Src {
-		srcs[name] = b
-	}
-	for name, b := range use.Src {
-		srcs[name] = b
-	}
-	diags := Run([]*Package{dep, use}, []*Analyzer{BoundedRes})
-	checkWants(t, srcs, diags)
-	if len(diags) == 0 {
-		t.Fatalf("cross-package growth produced no findings; GrowthSites fact did not cross the package boundary")
 	}
 }

@@ -1,13 +1,13 @@
-// Package selftest is the driver's own regression fixture: one finding per
-// wire-path rule plus one directive-category finding, analyzed by CI with
+// Package selftest is the driver's own regression fixture: one wireproto
+// finding plus one directive-category finding, analyzed by CI with
 //
-//	go run ./cmd/paralint -rules wireproto,bufalias,boundedres -json \
+//	go run ./cmd/paralint -rules wireproto,lockorder -json \
 //	    ./internal/lint/testdata/selftest
 //
-// and diffed against ci/paralint-selftest.json. The malformed directive at
-// the bottom pins exit status 3. Wildcard patterns (./...) never reach this
-// package — testdata directories are invisible to them — so the repo's own
-// lint gate stays clean.
+// and diffed byte for byte against expect.json. The malformed
+// //paralint:lockrank directive at the bottom pins exit status 3. Wildcard
+// patterns (./...) never reach this package — testdata directories are
+// hidden from them — so the repo's own lint gate stays clean.
 package selftest
 
 // The frozen wire block: opCode covers both ops, opName forgets opPong, so
@@ -35,45 +35,14 @@ func opName(code int) (string, bool) {
 	return "", false
 }
 
-type conn struct {
-	rbuf []byte
-	held []byte
-}
-
-// readFrame returns a view of the connection read buffer.
+// pad carries a lock rank that is not an integer: lockorder reports the
+// malformed directive, and the driver exits with status 3.
 //
-//paralint:framebuf
-func (c *conn) readFrame() []byte {
-	return c.rbuf
-}
-
-// stash retains the frame view past the frame lifetime: bufalias reports it
-// and offers the copy fix.
-func (c *conn) stash() {
-	p := c.readFrame()
-	c.held = p
-}
-
-const maxSamples = 16
-
-type gauge struct {
-	samples []float64
-}
-
-// add declares a bound it never compares against: boundedres reports the
-// unenforced declaration.
-func (g *gauge) add(v float64) {
-	//paralint:bounded maxSamples
-	g.samples = append(g.samples, v)
-}
-
-//paralint:bounded
+//paralint:lockrank high
 var pad int
 
 var (
 	_ = opCode
 	_ = opName
-	_ = (*conn).stash
-	_ = (*gauge).add
 	_ = pad
 )

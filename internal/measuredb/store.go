@@ -483,8 +483,6 @@ func (s *Store) SetApplyHook(fn func(key string)) {
 // reused buffer with capacity makes the lookup allocation-free — the memo
 // path calls this once per candidate per iteration, and the alloccheck test
 // pins a zero-alloc budget.
-//
-//paralint:hotpath
 func (s *Store) AppendObs(dst []float64, p space.Point, max int) ([]float64, bool) {
 	var kb [8 * maxStackDim]byte
 	key := kb[:0]

@@ -212,15 +212,11 @@ func (db *DB) Len() int { return db.knn.Len() }
 
 // Lookup returns the stored value for p, if present. It takes O(dim) time
 // and does not allocate.
-//
-//paralint:hotpath
 func (db *DB) Lookup(p space.Point) (float64, bool) { return db.knn.lookup(p) }
 
 // Eval implements Function: exact lookup, else the weighted average of the
 // closest stored neighbours (inverse-distance weights on range-normalised
 // coordinates).
-//
-//paralint:hotpath
 func (db *DB) Eval(x space.Point) float64 {
 	if v, ok := db.knn.lookup(x); ok {
 		return v

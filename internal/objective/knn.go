@@ -132,8 +132,6 @@ func (n *KNN) Add(p space.Point, v float64) {
 // wrong dimension, or a coordinate that is not bit-identical to one of its
 // axis values (so NaN, −0 for 0 and off-grid values all miss, exactly as a
 // formatted-key lookup would). It requires the grid index.
-//
-//paralint:hotpath
 func (n *KNN) cell(p space.Point) int {
 	if len(p) != len(n.axes) {
 		return -1
@@ -160,8 +158,6 @@ func (n *KNN) cell(p space.Point) int {
 
 // lookup returns the value stored at exactly p, if any. It requires the grid
 // index.
-//
-//paralint:hotpath
 func (n *KNN) lookup(p space.Point) (float64, bool) {
 	c := n.cell(p)
 	if c < 0 || n.cells[c] < 0 {
@@ -175,8 +171,6 @@ func (n *KNN) lookup(p space.Point) (float64, bool) {
 // infinite weight: its value is returned alone, with den = +Inf. den = 0
 // means nothing is stored (v = +Inf) or every neighbour is infinitely far
 // (v is NaN).
-//
-//paralint:hotpath
 func (n *KNN) Interpolate(x space.Point) (v, den float64) {
 	if len(n.pts) == 0 {
 		return math.Inf(1), 0
@@ -228,8 +222,6 @@ func term(p, x, scale float64) float64 {
 }
 
 // scan offers every stored point in insertion order.
-//
-//paralint:hotpath
 func (n *KNN) scan(x space.Point, top *topK) {
 	for i, p := range n.pts {
 		var d2 float64
@@ -242,8 +234,6 @@ func (n *KNN) scan(x space.Point, top *topK) {
 
 // walkGrid offers the stored cells that can still enter the top k, visiting
 // each axis's values in ascending order of their distance term.
-//
-//paralint:hotpath
 func (n *KNN) walkGrid(x space.Point, top *topK) {
 	var tb [stackAxis]float64
 	var ob [stackAxis]int32

@@ -6,8 +6,8 @@ import (
 	"paratune/internal/alloccheck"
 )
 
-// MinOfK.Estimate is //paralint:hotpath and runs once per candidate per
-// iteration: it must not allocate at all.
+// MinOfK.Estimate runs once per candidate per iteration: it must not
+// allocate at all.
 func TestMinOfKEstimateAllocBudget(t *testing.T) {
 	est, err := NewMinOfK(3)
 	if err != nil {

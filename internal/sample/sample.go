@@ -55,7 +55,6 @@ func NewMinOfK(k int) (MinOfK, error) {
 
 func (m MinOfK) K() int { return m.Samples }
 
-//paralint:hotpath
 func (m MinOfK) Estimate(obs []float64) float64 {
 	min := obs[0]
 	for _, o := range obs[1:] {

@@ -44,8 +44,6 @@ func (s *Simplex) Clone() *Simplex {
 // stable order is unique, so the result matches sort.SliceStable exactly
 // whenever no value is NaN. A NaN never moves and nothing moves past it, so
 // each run between NaNs is sorted on its own.
-//
-//paralint:hotpath
 func (s *Simplex) Sort() {
 	vs, vals := s.Vertices, s.Values
 	for i := 1; i < len(vals); i++ {
