@@ -272,28 +272,16 @@ func soak(db *objective.DB, cfg chaos.Config, nClients, iters int, verbose bool,
 			return nil, nil, err
 		}
 		srv := harmony.NewServer(harmony.ServerOptions{Estimator: est, DB: store, Recorder: prog})
-		if data, err := os.ReadFile(ckpt); err == nil {
-			if err := srv.RestoreAll(data); err != nil {
-				_ = store.Close()
-				return nil, nil, err
-			}
+		if _, err := srv.RestoreFile(ckpt); err != nil {
+			_ = store.Close()
+			return nil, nil, err
 		}
 		return srv, func() { _ = store.Close() }, nil
 	}
 	sup, err := chaos.NewSupervisor(chaos.SupervisorConfig{
 		NewServer:       newServer,
 		CheckpointEvery: 20 * time.Millisecond,
-		Checkpoint: func(srv *harmony.Server) error {
-			data, err := srv.CheckpointAll()
-			if err != nil {
-				return err
-			}
-			tmp := ckpt + ".tmp"
-			if err := os.WriteFile(tmp, data, 0o644); err != nil {
-				return err
-			}
-			return os.Rename(tmp, ckpt)
-		},
+		Checkpoint:      func(srv *harmony.Server) error { return srv.WriteCheckpointFile(ckpt) },
 	})
 	if err != nil {
 		return result{}, err

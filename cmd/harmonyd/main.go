@@ -137,13 +137,12 @@ func main() {
 	srv := harmony.NewServer(opts)
 
 	if *ckptPath != "" {
-		if data, err := os.ReadFile(*ckptPath); err == nil {
-			if err := srv.RestoreAll(data); err != nil {
-				fatal(fmt.Errorf("restore %s: %w", *ckptPath, err))
-			}
+		found, err := srv.RestoreFile(*ckptPath)
+		if err != nil {
+			fatal(fmt.Errorf("restore %s: %w", *ckptPath, err))
+		}
+		if found {
 			fmt.Printf("harmonyd: restored %d session(s) from %s\n", len(srv.Sessions()), *ckptPath)
-		} else if !os.IsNotExist(err) {
-			fatal(err)
 		}
 	}
 
@@ -182,7 +181,7 @@ func main() {
 				case <-stopCkpt:
 					return
 				case <-t.C:
-					if err := writeCheckpoint(srv, *ckptPath); err != nil {
+					if err := srv.WriteCheckpointFile(*ckptPath); err != nil {
 						fmt.Fprintln(os.Stderr, "harmonyd: checkpoint:", err)
 					}
 				}
@@ -197,7 +196,7 @@ func main() {
 		close(stopSync)
 		close(stopCkpt)
 		if *ckptPath != "" {
-			if err := writeCheckpoint(srv, *ckptPath); err != nil {
+			if err := srv.WriteCheckpointFile(*ckptPath); err != nil {
 				fmt.Fprintln(os.Stderr, "harmonyd: final checkpoint:", err)
 			} else {
 				fmt.Printf("harmonyd: checkpoint written to %s\n", *ckptPath)
@@ -300,20 +299,6 @@ func workerArgs(args []string) []string {
 		out = append(out, a)
 	}
 	return out
-}
-
-// writeCheckpoint snapshots every session and replaces path atomically, so a
-// crash mid-write never leaves a truncated checkpoint behind.
-func writeCheckpoint(srv *harmony.Server, path string) error {
-	data, err := srv.CheckpointAll()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func buildEstimator(name string, k int) (sample.Estimator, error) {

@@ -131,10 +131,8 @@ func run(db objective.Function, cfg chaos.Config, durable bool) float64 {
 		}
 		srv := harmony.NewServer(opts)
 		if ckpt != "" {
-			if data, err := os.ReadFile(ckpt); err == nil {
-				if err := srv.RestoreAll(data); err != nil {
-					return nil, nil, err
-				}
+			if _, err := srv.RestoreFile(ckpt); err != nil {
+				return nil, nil, err
 			}
 		}
 		cleanup := func() {
@@ -146,17 +144,7 @@ func run(db objective.Function, cfg chaos.Config, durable bool) float64 {
 	}
 	scfg := chaos.SupervisorConfig{NewServer: newServer, CheckpointEvery: 10 * time.Millisecond}
 	if ckpt != "" {
-		scfg.Checkpoint = func(srv *harmony.Server) error {
-			data, err := srv.CheckpointAll()
-			if err != nil {
-				return err
-			}
-			tmp := ckpt + ".tmp"
-			if err := os.WriteFile(tmp, data, 0o644); err != nil {
-				return err
-			}
-			return os.Rename(tmp, ckpt)
-		}
+		scfg.Checkpoint = func(srv *harmony.Server) error { return srv.WriteCheckpointFile(ckpt) }
 	}
 	sup, err := chaos.NewSupervisor(scfg)
 	if err != nil {

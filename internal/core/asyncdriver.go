@@ -50,10 +50,6 @@ type AsyncResult struct {
 	// Converged reports whether the optimiser certified a local minimum
 	// within the budget.
 	Converged bool
-	// DBHits and DBMisses count candidate evaluations served from /
-	// forwarded past the measurement database (both 0 when no DB attached).
-	DBHits   int
-	DBMisses int
 }
 
 // RunOnlineAsync executes one asynchronous on-line tuning session.
@@ -80,15 +76,9 @@ func RunOnlineAsync(alg Algorithm, cfg AsyncConfig) (*AsyncResult, error) {
 		cfg.Sim.Faults().SetRecorder(cfg.Recorder)
 	}
 	ev := &cluster.AsyncEvaluator{Sim: cfg.Sim, F: cfg.F, Est: est}
-	var engineEv Evaluator = ev
-	var memo *measuredb.Memo
-	if cfg.DB != nil {
-		if err := cfg.DB.BindSpace(cfg.F.Space().String()); err != nil {
-			return nil, err
-		}
-		ev.Sink = cfg.DB
-		memo = measuredb.NewMemo(ev, cfg.DB, est, cfg.Recorder, cfg.Sim.Makespan)
-		engineEv = memo
+	engineEv, memo, err := attachDB(cfg.DB, cfg.F, ev, &ev.Sink, est, cfg.Recorder, cfg.Sim.Makespan)
+	if err != nil {
+		return nil, err
 	}
 
 	rec.Record(event.RunStart{

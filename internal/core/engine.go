@@ -18,6 +18,10 @@ type RunSummary struct {
 	TrueValue float64
 	// Iterations counts the optimiser Step calls the driver made.
 	Iterations int
+	// DBHits and DBMisses count candidate evaluations served from /
+	// forwarded past the measurement database (both 0 when no DB attached).
+	DBHits   int
+	DBMisses int
 }
 
 // EngineStats reports what one Engine.Run observed.

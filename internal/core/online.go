@@ -55,10 +55,24 @@ type Result struct {
 	// ConvergedAtStep is the time step at which the optimiser certified
 	// convergence, or -1 if it never did within the budget.
 	ConvergedAtStep int
-	// DBHits and DBMisses count candidate evaluations served from /
-	// forwarded past the measurement database (both 0 when no DB attached).
-	DBHits   int
-	DBMisses int
+}
+
+// attachDB wires a driver's evaluator to the measurement database db, when
+// one is set: the store binds to f's space, receives every raw measurement
+// through sink, and serves already-resolved candidates through the returned
+// Memo, which is then the evaluator the engine runs. Without a database it
+// returns ev and a nil Memo.
+func attachDB(db *measuredb.Store, f objective.Function, ev Evaluator, sink *cluster.ObservationSink,
+	est sample.Estimator, rec event.Recorder, vtime func() float64) (Evaluator, *measuredb.Memo, error) {
+	if db == nil {
+		return ev, nil, nil
+	}
+	if err := db.BindSpace(f.Space().String()); err != nil {
+		return nil, nil, err
+	}
+	*sink = db
+	memo := measuredb.NewMemo(ev, db, est, rec, vtime)
+	return memo, memo, nil
 }
 
 // RunOnline executes one on-line tuning session: it drives alg against the
@@ -94,15 +108,9 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 	// resolved candidates are served from it instead of the cluster. Resolved
 	// hits consume no simulator steps, so the step budget alone cannot bound
 	// the loop on a fully warm store — an iteration backstop does.
-	var engineEv Evaluator = ev
-	var memo *measuredb.Memo
-	if cfg.DB != nil {
-		if err := cfg.DB.BindSpace(cfg.F.Space().String()); err != nil {
-			return nil, err
-		}
-		ev.Sink = cfg.DB
-		memo = measuredb.NewMemo(ev, cfg.DB, est, cfg.Recorder, cfg.Sim.TotalTime)
-		engineEv = memo
+	engineEv, memo, err := attachDB(cfg.DB, cfg.F, ev, &ev.Sink, est, cfg.Recorder, cfg.Sim.TotalTime)
+	if err != nil {
+		return nil, err
 	}
 
 	rec.Record(event.RunStart{

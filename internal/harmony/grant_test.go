@@ -3,6 +3,7 @@ package harmony
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -20,6 +21,26 @@ type batchAPI interface {
 	FetchN(session string, n int) ([]FetchResult, error)
 	ReportN(session string, items []ReportItem) (BatchReportResult, error)
 	Best(session string) (space.Point, float64, bool, error)
+}
+
+// singleOp drives a server through its single-op calls: each FetchN is one
+// Fetch and each ReportN one Report per item.
+type singleOp struct{ *Server }
+
+func (o singleOp) FetchN(session string, _ int) ([]FetchResult, error) {
+	fr, err := o.Fetch(session)
+	return []FetchResult{fr}, err
+}
+
+func (o singleOp) ReportN(session string, items []ReportItem) (BatchReportResult, error) {
+	var res BatchReportResult
+	for _, it := range items {
+		if err := o.Report(session, it.Tag, it.Value); err != nil {
+			return res, err
+		}
+		res.Accepted++
+	}
+	return res, nil
 }
 
 // batchRun is what one closed FetchN/ReportN loop ended with.
@@ -81,7 +102,10 @@ func driveBatched(t *testing.T, api batchAPI, name string, f objective.Function,
 // TestFetchNGrantMatchesSinglePass is the differential test of the K-aware
 // grant rule: a client that reports everything it fetched follows the same
 // trajectory — best point, best-estimate bits and accepted measurements — at
-// every batch size as at n=1, and larger frames need fewer round trips.
+// every batch size as at n=1, and larger frames need fewer round trips. A
+// single-op Fetch/Report client follows the n=1 trajectory round trip for
+// round trip, and hands out the same tags when reports interleave with
+// in-flight samples.
 func TestFetchNGrantMatchesSinglePass(t *testing.T) {
 	f := objective.GenerateGS2(objective.GS2Config{Seed: 5, Coverage: 1})
 	for _, seed := range []int64{1, 2, 3} {
@@ -93,6 +117,11 @@ func TestFetchNGrantMatchesSinglePass(t *testing.T) {
 					return driveBatched(t, srv, fmt.Sprintf("n%d", n), f, seed, n)
 				}
 				want := runAt(1)
+				if got := driveBatched(t, singleOp{srv}, "single", f, seed, 1); got.fetches != want.fetches ||
+					!got.best.Equal(want.best) || got.bestBits != want.bestBits || got.accepted != want.accepted {
+					t.Errorf("Fetch/Report: best %v (bits %x), %d accepted in %d fetches; n=1: best %v (bits %x), %d accepted in %d fetches",
+						got.best, got.bestBits, got.accepted, got.fetches, want.best, want.bestBits, want.accepted, want.fetches)
+				}
 				for _, n := range []int{3, 16, 64} {
 					got := runAt(n)
 					if !got.best.Equal(want.best) || got.bestBits != want.bestBits || got.accepted != want.accepted {
@@ -121,6 +150,46 @@ func TestFetchNGrantMatchesSinglePass(t *testing.T) {
 			}
 		})
 	}
+	// One grant rule: a report landing while another sample is in flight —
+	// fetch and report, fetch and hold, then eight more fetches — and Fetch
+	// hands out the same tags as FetchN(1).
+	t.Run("interleaved", func(t *testing.T) {
+		srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 2)})
+		defer srv.Close()
+		script := func(name string, grant func() (FetchResult, error)) []uint64 {
+			if err := srv.Register(name, gs2Params()); err != nil {
+				t.Fatal(err)
+			}
+			waitBatch(t, srv, name, 1)
+			var tags []uint64
+			for i := 0; i < 10; i++ {
+				fr, err := grant()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					if err := srv.Report(name, fr.Tag, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i >= 2 {
+					tags = append(tags, fr.Tag)
+				}
+			}
+			return tags
+		}
+		single := script("fetch", func() (FetchResult, error) { return srv.Fetch("fetch") })
+		batched := script("fetchn", func() (FetchResult, error) {
+			frs, err := srv.FetchN("fetchn", 1)
+			if err != nil {
+				return FetchResult{}, err
+			}
+			return frs[0], nil
+		})
+		if !slices.Equal(single, batched) {
+			t.Errorf("Fetch handed out tags %v, FetchN(1) %v", single, batched)
+		}
+	})
 }
 
 // TestFetchNDrainsBatchInOneRoundTrip pins the point of the grant rule: at

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -30,6 +31,18 @@ func TestServerEmitsSessionEvents(t *testing.T) {
 	runClients(t, srv, "gs2", db, 8, 30*time.Second)
 	if _, _, conv, err := srv.Best("gs2"); err != nil || !conv {
 		t.Fatalf("session did not converge: %v", err)
+	}
+	// Best reports convergence before the run goroutine records the
+	// converged phase; the goroutine's exit orders every event before the
+	// reads below.
+	s, err := srv.session("gs2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session run goroutine did not exit after convergence")
 	}
 
 	phases := map[string]int{}
@@ -83,58 +96,68 @@ func TestServerEmitsStoppedPhase(t *testing.T) {
 }
 
 // The recorder guards must not drop, add or reorder a single event. A
-// seeded warm-start session through a server with a store, a cache and a
-// recorder — a cold session measured part of what it visits, so its
-// lookups mix db_hit and db_miss — has its event stream pinned as a JSONL
-// digest. The "registered" event is left out: Register records it after the
-// session goroutine has started, so its position in the stream races.
+// seeded warm-start session through a server with a store and a recorder — a
+// cold session measured part of what it visits, so its lookups mix db_hit
+// and db_miss — has its event stream pinned as a JSONL digest. The session's
+// Memo serves the same stream through the read-through cache as from the
+// store's raw observations. The "registered" event is left out: Register
+// records it after the session goroutine has started, so its position in
+// the stream races.
 func TestWarmSessionEventGolden(t *testing.T) {
 	const (
 		want                 = "9a46eb4affd101e82057eb8fa1982d8f30a17c19bba5edf737ea9e93b15dfaa4"
 		wantHits, wantMisses = 53, 17
 	)
-	est := mustMinOfK(t, 2)
-	db := measuredb.NewMemory(measuredb.Options{Seed: 1, Origin: "local"})
-	sp, err := space.New(gs2Params()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := objective.NewSphere(sp, space.Point{32, 16, 8}, 1)
-	cold := NewServer(ServerOptions{Estimator: est, DB: db})
-	if err := cold.Register("cold", gs2Params()); err != nil {
-		t.Fatal(err)
-	}
-	driveCounting(t, cold, "cold", f)
-	cold.Close()
+	for _, cached := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			est := mustMinOfK(t, 2)
+			db := measuredb.NewMemory(measuredb.Options{Seed: 1, Origin: "local"})
+			sp, err := space.New(gs2Params()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := objective.NewSphere(sp, space.Point{32, 16, 8}, 1)
+			cold := NewServer(ServerOptions{Estimator: est, DB: db})
+			if err := cold.Register("cold", gs2Params()); err != nil {
+				t.Fatal(err)
+			}
+			driveCounting(t, cold, "cold", f)
+			cold.Close()
 
-	rec := &event.Memory{}
-	srv := NewServer(ServerOptions{
-		Estimator: est, DB: db, Cache: feddb.NewCache(db, est, est.K(), 0), Recorder: rec,
-		NewAlgorithm: func(sp *space.Space) (core.Algorithm, error) {
-			return core.NewPRO(core.Options{Space: sp, R: 0.4})
-		},
-	})
-	defer srv.Close()
-	if err := srv.Register("warm", gs2Params()); err != nil {
-		t.Fatal(err)
-	}
-	driveCounting(t, srv, "warm", f)
+			rec := &event.Memory{}
+			opts := ServerOptions{
+				Estimator: est, DB: db, Recorder: rec,
+				NewAlgorithm: func(sp *space.Space) (core.Algorithm, error) {
+					return core.NewPRO(core.Options{Space: sp, R: 0.4})
+				},
+			}
+			if cached {
+				opts.Cache = feddb.NewCache(db, est, est.K(), 0)
+			}
+			srv := NewServer(opts)
+			defer srv.Close()
+			if err := srv.Register("warm", gs2Params()); err != nil {
+				t.Fatal(err)
+			}
+			driveCounting(t, srv, "warm", f)
 
-	var buf bytes.Buffer
-	jl := event.NewJSONL(&buf)
-	for _, e := range rec.Events() {
-		if s, ok := e.(event.Session); ok && s.Phase == "registered" {
-			continue
-		}
-		jl.Record(e)
-	}
-	if err := jl.Err(); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := rec.Count(event.KindDBHit), rec.Count(event.KindDBMiss)
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != want || hits != wantHits || misses != wantMisses {
-		t.Fatalf("warm session events: digest %s with %d db_hit, %d db_miss; golden %s with %d, %d",
-			got, hits, misses, want, wantHits, wantMisses)
+			var buf bytes.Buffer
+			jl := event.NewJSONL(&buf)
+			for _, e := range rec.Events() {
+				if s, ok := e.(event.Session); ok && s.Phase == "registered" {
+					continue
+				}
+				jl.Record(e)
+			}
+			if err := jl.Err(); err != nil {
+				t.Fatal(err)
+			}
+			hits, misses := rec.Count(event.KindDBHit), rec.Count(event.KindDBMiss)
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != want || hits != wantHits || misses != wantMisses {
+				t.Fatalf("warm session events: digest %s with %d db_hit, %d db_miss; golden %s with %d, %d",
+					got, hits, misses, want, wantHits, wantMisses)
+			}
+		})
 	}
 }

@@ -24,6 +24,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -98,11 +100,12 @@ type ServerOptions struct {
 	// start. The store binds to one parameter-space signature, so every
 	// session sharing the server must share the space.
 	DB *measuredb.Store
-	// Cache, when non-nil, answers warm-start lookups instead of the raw DB
-	// path: the read-through estimate cache (feddb.Cache) memoises per-config
-	// estimates and is invalidated by every store write, local or federated.
-	// Requires DB to be set as well.
-	Cache EstimateCache
+	// Cache, when non-nil, answers the session Memo's warm-start lookups
+	// instead of the store's raw observations: the read-through estimate
+	// cache (feddb.Cache) memoises per-config estimates and is invalidated by
+	// every store write, local or federated. Ignored unless DB is set; the
+	// cache-less lookup serves the same values.
+	Cache measuredb.EstimateCache
 	// MaxPendingReports bounds each session's pending measurement queue: the
 	// surplus observations buffered beyond what the current candidate batch
 	// still needs. Past the bound further surplus reports are refused with
@@ -268,39 +271,46 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 	if name == "" {
 		return errors.New("harmony: session name required")
 	}
+	sp, err := space.New(params...)
+	if err != nil {
+		return err
+	}
 	return srv.shardMutateErr(name, func(sh *sessionShard) ([]event.Event, error) {
 		if s, ok := sh.sessions[name]; ok {
 			// Joining: verify the space matches.
-			joined, err := space.New(params...)
-			if err != nil {
-				return nil, err
-			}
-			if joined.String() != s.sp.String() {
+			if sp.String() != s.sp.String() {
 				return nil, fmt.Errorf("harmony: session %q already registered with different parameters", name)
 			}
 			return nil, nil
 		}
-		sp, err := space.New(params...)
+		alg, err := srv.newAlgorithm(sp)
 		if err != nil {
 			return nil, err
 		}
-		if srv.opts.DB != nil {
-			if err := srv.opts.DB.BindSpace(sp.String()); err != nil {
-				return nil, err
-			}
-		}
-		alg, err := srv.opts.NewAlgorithm(sp)
-		if err != nil {
-			return nil, err
-		}
-		s := srv.newSession(name, sp, alg, false)
-		sh.sessions[name] = s
-		go s.run()
-		if srv.opts.IdleTimeout > 0 {
-			go srv.expire(s)
-		}
-		return []event.Event{event.Session{Session: name, Phase: "registered", Detail: s.alg.String()}}, nil
+		srv.startLocked(sh, srv.newSession(name, sp, alg, false))
+		return []event.Event{event.Session{Session: name, Phase: "registered", Detail: alg.String()}}, nil
 	})
+}
+
+// newAlgorithm binds the measurement database, if any, to sp and builds a
+// session's optimiser over it.
+func (srv *Server) newAlgorithm(sp *space.Space) (core.Algorithm, error) {
+	if srv.opts.DB != nil {
+		if err := srv.opts.DB.BindSpace(sp.String()); err != nil {
+			return nil, err
+		}
+	}
+	return srv.opts.NewAlgorithm(sp)
+}
+
+// startLocked inserts s into its shard and starts its run goroutine and,
+// with IdleTimeout set, its expiry watcher. Caller holds the shard lock.
+func (srv *Server) startLocked(sh *sessionShard, s *session) {
+	sh.sessions[s.name] = s
+	go s.run()
+	if srv.opts.IdleTimeout > 0 {
+		go srv.expire(s)
+	}
 }
 
 // expire stops and removes s once it has been idle past IdleTimeout. The
@@ -342,10 +352,9 @@ func (srv *Server) expire(s *session) {
 // set, so the observable behaviour is identical.
 func (s *session) run() {
 	defer close(s.finished)
-	ev := &sessionEvaluator{s: s, ch: make(chan []float64, 1), recording: event.Active(s.rec)}
 	eng := &core.Engine{
 		Alg:      s.alg,
-		Ev:       ev,
+		Ev:       s.newEvaluator(),
 		Rec:      s.rec,
 		Session:  s.name,
 		SkipInit: s.restored,
@@ -369,7 +378,7 @@ func (s *session) run() {
 	s.converged = true
 	stopped := s.stopped
 	s.mu.Unlock()
-	if !ev.recording {
+	if !event.Active(s.rec) {
 		return
 	}
 	if stats.Converged {
@@ -390,31 +399,26 @@ func (s *session) takeSnapshot() snapResult {
 	return snapResult{data: data, err: err}
 }
 
-// EstimateCache is the read-through estimate cache consulted by the
-// warm-start path (implemented by feddb.Cache). Lookup returns the cached
-// or freshly computed estimate for p, whether any contributing observation
-// arrived via federation, and how many observations backed it; ok is false
-// while the store holds too few observations to estimate.
-type EstimateCache interface {
-	Lookup(p space.Point) (v float64, federated bool, count int, ok bool)
-}
-
-// hitSource renders observation provenance for the db_hit event: federated
-// estimates are tagged, purely local ones keep the empty (omitted) source
-// so single-node traces are byte-identical to previous versions.
-func hitSource(federated bool) string {
-	if federated {
-		return "federated"
+// newEvaluator builds the run goroutine's evaluator: the fetch/report
+// machinery, behind the measurement database's Memo when one is attached, so
+// candidates the store already resolves never reach a client — with a fully
+// warm store a batch costs zero client round trips.
+func (s *session) newEvaluator() core.Evaluator {
+	var ev core.Evaluator = &sessionEvaluator{s: s, ch: make(chan []float64, 1), recording: event.Active(s.rec)}
+	if s.db == nil {
+		return ev
 	}
-	return ""
+	memo := measuredb.NewMemo(ev, s.db, s.est, s.rec, nil)
+	memo.Session, memo.Cache = s.name, s.opts.Cache
+	return memo
 }
 
 // sessionEvaluator hands the optimiser's batches to the fetch/report
 // machinery and blocks until every candidate has enough measurements, the
 // batch deadline degrades it, or the session stops. It belongs to the run
-// goroutine, which reuses its result channel, deadline timer and lookup
-// scratch for every batch; all of it dies with the run goroutine, so a
-// converged session retains none of it.
+// goroutine, which reuses its result channel and deadline timer for every
+// batch; both die with the run goroutine, so a converged session retains
+// neither.
 type sessionEvaluator struct {
 	s     *session
 	ch    chan []float64 // buffered 1; the completing report sends the values
@@ -422,71 +426,11 @@ type sessionEvaluator struct {
 	// recording is event.Active(s.rec): events are built only for a
 	// listening recorder, since boxing them allocates for nobody.
 	recording bool
-
-	// Scratch for Eval's store lookups: the misses' indices and points,
-	// and the observation buffer of the cache-less path.
-	missIdx []int
-	missPts []space.Point
-	obs     []float64
 }
 
-// Eval first consults the measurement database: candidates the store has
-// already measured to K observations are answered immediately (db_hit) and
-// never reach a client; only the misses become fetchable candidates. With a
-// fully warm store a batch costs zero client round-trips.
-func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
-	s := e.s
-	if s.db == nil {
-		return e.evalRemote(points)
-	}
-	k := s.est.K()
-	out := make([]float64, len(points))
-	e.missIdx, e.missPts = e.missIdx[:0], e.missPts[:0]
-	for i, p := range points {
-		var v float64
-		var federated, hit bool
-		count := 0
-		if c := s.opts.Cache; c != nil {
-			v, federated, count, hit = c.Lookup(p)
-		} else {
-			var have bool
-			e.obs, have, federated = s.db.AppendObsSource(e.obs[:0], p, k)
-			count = len(e.obs)
-			if have && count >= k {
-				v, hit = s.est.Estimate(e.obs), true
-			}
-		}
-		if hit {
-			out[i] = v
-			if e.recording {
-				s.rec.Record(event.DBHit{Session: s.name, Config: p.Key(), Value: v, Count: k, Source: hitSource(federated)})
-			}
-			continue
-		}
-		if e.recording {
-			s.rec.Record(event.DBMiss{Session: s.name, Config: p.Key(), Count: count})
-		}
-		e.missIdx = append(e.missIdx, i)
-		e.missPts = append(e.missPts, p)
-	}
-	if len(e.missIdx) == 0 {
-		return out, nil
-	}
-	// evalRemote copies the points into the batch's candidates, so the
-	// scratch slice is free for the next batch once it returns.
-	vals, err := e.evalRemote(e.missPts)
-	if err != nil {
-		return nil, err
-	}
-	for j, v := range vals {
-		out[e.missIdx[j]] = v
-	}
-	return out, nil
-}
-
-// evalRemote issues points as fetchable candidates and blocks until clients
+// Eval issues points as fetchable candidates and blocks until clients
 // measure them (or the batch deadline degrades it).
-func (e *sessionEvaluator) evalRemote(points []space.Point) ([]float64, error) {
+func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
 	s := e.s
 	cands := newCandidates(points, s.est.K())
 	select {
@@ -671,37 +615,18 @@ type FetchResult struct {
 	Converged bool `json:"converged,omitempty"`
 }
 
-// Fetch returns the next configuration for a client of the named session.
-// While a candidate batch is outstanding it hands out the least-measured
-// candidate (re-issuing candidates whose earlier clients never reported, so
-// a lost client cannot stall tuning); otherwise it returns the best-known
-// configuration with Tag 0.
+// Fetch returns the next configuration for a client of the named session:
+// the one result of FetchN(name, 1), so single-op and batched clients share
+// one grant rule. While a candidate batch is outstanding it hands out the
+// next candidate with an unissued sample (re-issuing unmeasured candidates
+// once every sample is out, so a lost client cannot stall tuning);
+// otherwise it returns the best-known configuration with Tag 0.
 func (srv *Server) Fetch(name string) (FetchResult, error) {
-	s, err := srv.session(name)
+	out, err := srv.FetchN(name, 1)
 	if err != nil {
 		return FetchResult{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastUsed = srv.opts.Clock.Now()
-	if s.runErr != nil {
-		return FetchResult{}, s.runErr
-	}
-	var pick *candidate
-	for i := range s.cands {
-		c := &s.cands[i]
-		if len(c.obs) >= c.need {
-			continue
-		}
-		if pick == nil || c.issued+len(c.obs) < pick.issued+len(pick.obs) {
-			pick = c
-		}
-	}
-	if pick == nil {
-		return FetchResult{Point: s.best.Clone(), Tag: 0, Converged: s.converged}, nil
-	}
-	pick.issued++
-	return FetchResult{Point: pick.point.Clone(), Tag: pick.tag, Converged: false}, nil
+	return out[0], nil
 }
 
 // Report records a measurement for the tagged candidate. Tag 0 reports
@@ -1053,7 +978,8 @@ func (srv *Server) Checkpoint(name string) ([]byte, error) {
 	case s.snapCh <- req:
 		// The optimiser accepted the handshake and writes exactly one reply
 		// into the buffered channel before doing anything else (see
-		// evalRemote), so this receive completes without further rendezvous.
+		// sessionEvaluator.Eval), so this receive completes without further
+		// rendezvous.
 		res = <-req //paralint:allow ctxflow reply guaranteed: the snapCh handshake was accepted and the responder's first act is the buffered send
 	case <-s.finished:
 		// The run goroutine has exited (converged, stopped, or errored); the
@@ -1121,12 +1047,7 @@ func (srv *Server) RestoreSession(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if srv.opts.DB != nil {
-		if err := srv.opts.DB.BindSpace(sp.String()); err != nil {
-			return err
-		}
-	}
-	alg, err := srv.opts.NewAlgorithm(sp)
+	alg, err := srv.newAlgorithm(sp)
 	if err != nil {
 		return err
 	}
@@ -1153,11 +1074,7 @@ func (srv *Server) RestoreSession(data []byte) error {
 		if best, val := alg.Best(); best != nil {
 			s.best, s.bestVal = best, val
 		}
-		sh.sessions[cp.Name] = s
-		go s.run()
-		if srv.opts.IdleTimeout > 0 {
-			go srv.expire(s)
-		}
+		srv.startLocked(sh, s)
 		return []event.Event{event.Session{Session: cp.Name, Phase: "restored", Detail: alg.String()}}, nil
 	})
 }
@@ -1174,6 +1091,35 @@ func (srv *Server) RestoreAll(data []byte) error {
 		}
 	}
 	return nil
+}
+
+// WriteCheckpointFile writes CheckpointAll to path atomically — to a
+// temporary sibling, then renamed over path — so a crash mid-write never
+// leaves a truncated checkpoint behind.
+func (srv *Server) WriteCheckpointFile(path string) error {
+	data, err := srv.CheckpointAll()
+	if err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// RestoreFile restores every session in the checkpoint file at path, as
+// WriteCheckpointFile leaves it. A missing file restores nothing and is not
+// an error; found reports whether the file existed.
+func (srv *Server) RestoreFile(path string) (found bool, err error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	return true, srv.RestoreAll(data)
 }
 
 // spaceParams recovers the parameter list from a space.

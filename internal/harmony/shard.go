@@ -198,8 +198,8 @@ type BatchReportResult struct {
 // samples first; only when every sample is issued does FetchN fall back to
 // handing each unmeasured candidate out once per call, so work lost with a
 // client is reissued. When every candidate is fully measured (or no batch is
-// outstanding) it returns the single best-known configuration with Tag 0,
-// exactly like Fetch.
+// outstanding) it returns the single best-known configuration with Tag 0.
+// Fetch is FetchN(name, 1).
 func (srv *Server) FetchN(name string, n int) ([]FetchResult, error) {
 	out, err := srv.fetchN(nil, name, n)
 	for i := range out {

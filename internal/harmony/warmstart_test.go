@@ -117,8 +117,8 @@ func TestServerRejectsMismatchedDBSpace(t *testing.T) {
 }
 
 // A fully warm batch without a recorder allocates only the caller-owned
-// result slice: cache hits are allocation-free, no db_hit event or config
-// key is built, and the miss scratch is reused.
+// result slice: the session's Memo serves every candidate from cache hits,
+// which are allocation-free, and builds no db_hit event or config key.
 func TestWarmBatchEvalAllocBudget(t *testing.T) {
 	est := mustMinOfK(t, 3)
 	db := measuredb.NewMemory(measuredb.Options{})
@@ -133,10 +133,10 @@ func TestWarmBatchEvalAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := srv.newSession("warm", sp, alg, false)
-	ev := &sessionEvaluator{s: s, recording: event.Active(s.rec)}
-	if ev.recording {
+	if event.Active(s.rec) {
 		t.Fatal("a server without a recorder reports an active one")
 	}
+	ev := s.newEvaluator()
 	points := []space.Point{{8, 4, 1}, {16, 8, 2}, {32, 16, 4}, {64, 32, 64}}
 	for i, p := range points {
 		for j := 0; j < est.K(); j++ {
@@ -146,7 +146,7 @@ func TestWarmBatchEvalAllocBudget(t *testing.T) {
 	if _, err := ev.Eval(points); err != nil { // fills the cache
 		t.Fatal(err)
 	}
-	alloccheck.Guard(t, "sessionEvaluator.Eval warm batch", 1, func() {
+	alloccheck.Guard(t, "session Memo.Eval warm batch", 1, func() {
 		vals, err := ev.Eval(points)
 		if err != nil || len(vals) != len(points) || vals[3] != 31 {
 			t.Fatalf("Eval = %v, %v", vals, err)

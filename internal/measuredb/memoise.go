@@ -24,9 +24,18 @@ type BatchEvaluator interface {
 // Every lookup is mirrored to the event stream as db_hit or db_miss when a
 // recorder is listening; without one no event or config key is built.
 //
-// Memo is driven by a single engine goroutine and is not safe for concurrent
+// Memo is the one warm-start lookup of every driver: core.RunOnline,
+// core.RunOnlineAsync and each harmony session wrap their evaluator in it.
+// It is driven by a single engine goroutine and is not safe for concurrent
 // use; the store underneath it is.
 type Memo struct {
+	// Session labels the db_hit and db_miss events; "" outside a harmony
+	// session.
+	Session string
+	// Cache, when non-nil, answers lookups instead of the store's raw
+	// observations; it must estimate over the same store with est.
+	Cache EstimateCache
+
 	inner BatchEvaluator
 	store *Store
 	est   sample.Estimator
@@ -40,6 +49,15 @@ type Memo struct {
 	obsBuf  []float64
 	missPts []space.Point
 	missIdx []int
+}
+
+// EstimateCache is a read-through estimate cache over a store (implemented by
+// feddb.Cache). Lookup returns the cached or freshly computed estimate for p,
+// whether any contributing observation arrived via federation, and how many
+// observations backed it; ok is false while the store holds too few
+// observations to estimate.
+type EstimateCache interface {
+	Lookup(p space.Point) (v float64, federated bool, count int, ok bool)
 }
 
 // NewMemo builds the memoising evaluator. est must be the same estimator the
@@ -66,14 +84,13 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 		vt = m.vtime()
 	}
 	for i, p := range points {
-		var have, federated bool
-		m.obsBuf, have, federated = m.store.AppendObsSource(m.obsBuf[:0], p, k)
-		if have && len(m.obsBuf) >= k {
-			out[i] = m.est.Estimate(m.obsBuf)
+		v, federated, count, hit := m.lookup(p, k)
+		if hit {
+			out[i] = v
 			m.hits++
 			if m.rec != nil {
 				m.rec.Record(event.DBHit{
-					Config: p.Key(), Value: out[i], Count: k, Source: hitSource(federated), VTime: vt,
+					Session: m.Session, Config: p.Key(), Value: v, Count: k, Source: hitSource(federated), VTime: vt,
 				})
 			}
 			continue
@@ -81,7 +98,7 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 		m.misses++
 		if m.rec != nil {
 			m.rec.Record(event.DBMiss{
-				Config: p.Key(), Count: len(m.obsBuf), VTime: vt,
+				Session: m.Session, Config: p.Key(), Count: count, VTime: vt,
 			})
 		}
 		m.missIdx = append(m.missIdx, i)
@@ -97,6 +114,20 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// lookup resolves p through the cache when one is set, else from the first k
+// stored observations; count is how many observations the lookup saw.
+func (m *Memo) lookup(p space.Point, k int) (v float64, federated bool, count int, hit bool) {
+	if m.Cache != nil {
+		return m.Cache.Lookup(p)
+	}
+	var have bool
+	m.obsBuf, have, federated = m.store.AppendObsSource(m.obsBuf[:0], p, k)
+	if have && len(m.obsBuf) >= k {
+		return m.est.Estimate(m.obsBuf), federated, len(m.obsBuf), true
+	}
+	return 0, federated, len(m.obsBuf), false
 }
 
 // hitSource maps the provenance flag to the db_hit Source tag. Local hits
