@@ -94,8 +94,9 @@ func main() {
 				best, val, db.Eval(best))
 			return
 		}
-		y := model.Perturb(db.Eval(fr.Point), rng)
+		// Only tagged fetches draw noise: Tag-0 answers must not shift the stream.
 		if fr.Tag != 0 {
+			y := model.Perturb(db.Eval(fr.Point), rng)
 			if err := cl.Report(*session, fr.Tag, y); err == nil {
 				reported++
 			}

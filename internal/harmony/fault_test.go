@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,23 +65,17 @@ func TestWireRejectsInvalidValueWithCode(t *testing.T) {
 	}
 }
 
-// fetchWork polls Fetch until it hands out a real work item (the optimiser
-// goroutine issues the first batch asynchronously after Register).
+// fetchWork fetches a work item, which exists once Register has returned.
 func fetchWork(t *testing.T, srv *Server, name string) FetchResult {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		fr, err := srv.Fetch(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Tag != 0 {
-			return fr
-		}
-		time.Sleep(time.Millisecond)
+	fr, err := srv.Fetch(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no work item issued within 10s")
-	return FetchResult{}
+	if fr.Tag == 0 {
+		t.Fatal("no work item after Register")
+	}
+	return fr
 }
 
 // --- idempotent reports (rid deduplication) ---
@@ -213,7 +208,7 @@ func TestReportNRetriedOverReconnectCountedOnce(t *testing.T) {
 			if err := c.Register("s", gs2Params()); err != nil {
 				t.Fatal(err)
 			}
-			waitBatch(t, srv, "s", 1)
+			pendingBatch(t, srv, "s", 1)
 			frs, err := c.FetchN("s", 16)
 			if err != nil {
 				t.Fatal(err)
@@ -392,6 +387,27 @@ func TestActiveSessionSurvivesIdleChecks(t *testing.T) {
 	}
 	if len(srv.Sessions()) != 1 {
 		t.Fatal("active session expired despite continuous activity")
+	}
+}
+
+// Close joins what the server started: once it returns, every session's
+// optimiser goroutine and the sweeper have exited. The count is read at
+// once, without waiting. It runs on one P: a goroutine's last act before
+// exiting is to close the channel Close waits on, and with a second P Close
+// could resume there while that goroutine is still a few instructions from
+// exit.
+func TestCloseJoinsSessionGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := runtime.NumGoroutine()
+	srv := NewServer(ServerOptions{IdleTimeout: time.Hour})
+	for i := 0; i < 50; i++ {
+		if err := srv.Register(fmt.Sprintf("s%02d", i), gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Close, %d before NewServer", after, before)
 	}
 }
 

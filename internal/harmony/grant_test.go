@@ -71,8 +71,7 @@ func driveBatched(t *testing.T, api batchAPI, name string, f objective.Function,
 		}
 		if len(frs) == 1 && frs[0].Tag == 0 {
 			if !frs[0].Converged {
-				time.Sleep(50 * time.Microsecond) // next batch not proposed yet
-				continue
+				t.Fatal("Tag-0 fetch before convergence")
 			}
 			best, val, _, err := api.Best(name)
 			if err != nil {
@@ -160,7 +159,7 @@ func TestFetchNGrantMatchesSinglePass(t *testing.T) {
 			if err := srv.Register(name, gs2Params()); err != nil {
 				t.Fatal(err)
 			}
-			waitBatch(t, srv, name, 1)
+			pendingBatch(t, srv, name, 1)
 			var tags []uint64
 			for i := 0; i < 10; i++ {
 				fr, err := grant()
@@ -202,7 +201,7 @@ func TestFetchNDrainsBatchInOneRoundTrip(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	p := waitBatch(t, srv, "s", 1)
+	p := pendingBatch(t, srv, "s", 1)
 	if k*p > n {
 		t.Fatalf("first batch has %d candidates; K·P = %d exceeds n = %d", p, k*p, n)
 	}
@@ -259,7 +258,7 @@ func TestFetchNConcurrentFetchersDisjoint(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	p := waitBatch(t, srv, "s", 1)
+	p := pendingBatch(t, srv, "s", 1)
 	half := (k*p + 1) / 2
 	var (
 		wg    sync.WaitGroup
@@ -355,7 +354,7 @@ func TestDispatchBatchAllocs(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	waitBatch(t, srv, "s", 1)
+	pendingBatch(t, srv, "s", 1)
 	var grant []FetchResult
 	fetch := request{Op: "fetchn", Session: "s", Client: "c", N: 16}
 	items := make([]ReportItem, 16)

@@ -2,6 +2,7 @@ package harmony
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -187,6 +188,58 @@ func TestReportUnknownTag(t *testing.T) {
 	}
 	if err := srv.Report("s", 999999, 1.0); err == nil {
 		t.Error("unknown tag should fail")
+	}
+}
+
+// seqAPI is the one-sample-at-a-time client surface shared by *Server and
+// *Client.
+type seqAPI interface {
+	Register(name string, params []space.Parameter) error
+	Fetch(name string) (FetchResult, error)
+	Report(name string, tag uint64, value float64) error
+}
+
+// A client that fetches and reports one sample at a time never finds its
+// session idle, in-process or over PHWIRE1: Register returns with the first
+// batch proposed, and the report that completes a batch returns with the
+// next one, so no fetch before convergence answers Tag 0.
+func TestSequentialClientNeverIdles(t *testing.T) {
+	db := objective.GenerateGS2(objective.GS2Config{Seed: 1, Coverage: 1})
+	model := mustPareto(t, 1.7, 0.3)
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	c, _ := dialTestWire(t, srv, WireBinary)
+	for _, path := range []struct {
+		name string
+		api  seqAPI
+	}{{"in-process", srv}, {"phwire1", c}} {
+		t.Run(path.name, func(t *testing.T) {
+			for i := 0; i < 10; i++ {
+				name := fmt.Sprintf("%s-%d", path.name, i)
+				if err := path.api.Register(name, gs2Params()); err != nil {
+					t.Fatal(err)
+				}
+				rng := dist.NewRNG(int64(i))
+				for fetches := 0; ; fetches++ {
+					if fetches == 100000 {
+						t.Fatalf("%s: no convergence after %d fetches", name, fetches)
+					}
+					fr, err := path.api.Fetch(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fr.Converged {
+						break
+					}
+					if fr.Tag == 0 {
+						t.Fatalf("%s: fetch %d answered Tag 0 before convergence", name, fetches)
+					}
+					if err := path.api.Report(name, fr.Tag, model.Perturb(db.Eval(fr.Point), rng)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -28,21 +28,12 @@ func TestServerEmitsSessionEvents(t *testing.T) {
 	if err := srv.Register("gs2", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
+	// The report that completes the last batch returns only after the
+	// optimiser has recorded convergence, and runClients waits for every
+	// client, so every event is recorded before the reads below.
 	runClients(t, srv, "gs2", db, 8, 30*time.Second)
 	if _, _, conv, err := srv.Best("gs2"); err != nil || !conv {
 		t.Fatalf("session did not converge: %v", err)
-	}
-	// Best reports convergence before the run goroutine records the
-	// converged phase; the goroutine's exit orders every event before the
-	// reads below.
-	s, err := srv.session("gs2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-s.finished:
-	case <-time.After(10 * time.Second):
-		t.Fatal("session run goroutine did not exit after convergence")
 	}
 
 	phases := map[string]int{}
@@ -76,23 +67,15 @@ func TestServerEmitsStoppedPhase(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
+	// Stop returns once the optimiser has exited, so its last event is
+	// already recorded.
 	if err := srv.Stop("s"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		stopped := false
-		for _, e := range rec.Events() {
-			if s, ok := e.(event.Session); ok && s.Phase == "stopped" {
-				stopped = true
-			}
-		}
-		if stopped {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	evs := rec.Events()
+	if s, ok := evs[len(evs)-1].(event.Session); !ok || s.Phase != "stopped" {
+		t.Errorf("last event after Stop = %+v, want the stopped phase", evs[len(evs)-1])
 	}
-	t.Error("no stopped session event after Stop")
 }
 
 // The recorder guards must not drop, add or reorder a single event. A
@@ -100,9 +83,8 @@ func TestServerEmitsStoppedPhase(t *testing.T) {
 // cold session measured part of what it visits, so its lookups mix db_hit
 // and db_miss — has its event stream pinned as a JSONL digest. The session's
 // Memo serves the same stream through the read-through cache as from the
-// store's raw observations. The "registered" event is left out: Register
-// records it after the session goroutine has started, so its position in
-// the stream races.
+// store's raw observations. Register records "registered" before stepping
+// the optimiser, so it comes first; the digest covers the events after it.
 func TestWarmSessionEventGolden(t *testing.T) {
 	const (
 		want                 = "9a46eb4affd101e82057eb8fa1982d8f30a17c19bba5edf737ea9e93b15dfaa4"
@@ -141,12 +123,13 @@ func TestWarmSessionEventGolden(t *testing.T) {
 			}
 			driveCounting(t, srv, "warm", f)
 
+			evs := rec.Events()
+			if s, ok := evs[0].(event.Session); !ok || s.Phase != "registered" {
+				t.Fatalf("first event %+v, want the registered phase", evs[0])
+			}
 			var buf bytes.Buffer
 			jl := event.NewJSONL(&buf)
-			for _, e := range rec.Events() {
-				if s, ok := e.(event.Session); ok && s.Phase == "registered" {
-					continue
-				}
+			for _, e := range evs[1:] {
 				jl.Record(e)
 			}
 			if err := jl.Err(); err != nil {

@@ -21,6 +21,7 @@
 package harmony
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,8 +76,8 @@ type ServerOptions struct {
 	// re-issued (their issue counts reset so Fetch hands them out afresh);
 	// after MaxReissues consecutive stale windows the batch force-completes,
 	// scoring unmeasured candidates at the worst value seen so far, so a lost
-	// client can never wedge the session. 0 picks the 30s default; negative
-	// disables the deadline.
+	// client can never wedge the session. The sweeper checks it on Clock every
+	// quarter window. 0 picks the 30s default; negative disables the deadline.
 	MeasurementTimeout time.Duration
 	// MaxReissues is the number of consecutive stale windows tolerated before
 	// a batch force-completes; default 3.
@@ -84,14 +85,15 @@ type ServerOptions struct {
 	// IdleTimeout expires sessions that see no Fetch/Report activity for the
 	// given duration; expired sessions are stopped and removed. 0 disables.
 	IdleTimeout time.Duration
-	// Clock supplies wall time for session bookkeeping (lastUsed stamps and
-	// idle-expiry). nil uses the system clock; tests inject a FakeClock so
-	// expiry runs without real sleeps.
+	// Clock supplies wall time for session bookkeeping (lastUsed stamps,
+	// idle expiry and batch deadlines). nil uses the system clock; tests
+	// inject a FakeClock so expiry runs without real sleeps.
 	Clock Clock
 	// Recorder receives session lifecycle and optimiser iteration events
 	// (registered/restored, batch proposed/complete/degraded, converged,
 	// stopped, expired); nil records nothing. Payloads carry session names
-	// and counters only — never wall-clock time.
+	// and counters only — never wall-clock time. It must not call back into
+	// Stop or Checkpoint, which wait for the step lock it records under.
 	Recorder event.Recorder
 	// DB, when non-nil, is the measurement database: every accepted candidate
 	// report is recorded into it, and batch candidates whose estimate is
@@ -143,9 +145,11 @@ func (o *ServerOptions) normalise() {
 // shard.go): there is no server-global lock, so registration, lookup, and
 // dispatch for different sessions never contend.
 type Server struct {
-	opts   ServerOptions
-	rec    event.Recorder // never nil (OrNop); safe for concurrent use
-	shards []sessionShard // fixed at construction; shard() hashes into it
+	opts      ServerOptions
+	rec       event.Recorder     // never nil (OrNop); safe for concurrent use
+	shards    []sessionShard     // fixed at construction; shard() hashes into it
+	stopSweep context.CancelFunc // ends the sweeper
+	sweeping  sync.WaitGroup     // the sweeper, joined by Close
 }
 
 // NewServer creates an empty server.
@@ -169,6 +173,12 @@ func newServerWithShards(opts ServerOptions, n int) *Server {
 	for i := range srv.shards {
 		srv.shards[i].sessions = make(map[string]*session)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	srv.stopSweep = cancel
+	if period := sweepPeriod(opts); period > 0 {
+		srv.sweeping.Add(1)
+		go srv.sweep(ctx, period)
+	}
 	return srv
 }
 
@@ -182,10 +192,13 @@ type candidate struct {
 	issued int
 }
 
-// session is one application's tuning state. Everything above the mutex is
+// session is one application's tuning state. Everything above mu is
 // immutable after newSession (the algorithm itself is mutated only by the
-// run goroutine); everything below it is guarded — the lockdiscipline
-// analyzer enforces that split.
+// engine goroutine); everything from mu to stepMu is guarded by mu — the
+// lockdiscipline analyzer enforces that split. The engine goroutine (run)
+// runs only while a caller holds stepMu and waits in step for it to publish
+// its next batch or exit. Its events are recorded on that caller's behalf,
+// so a recorder must not call back into Stop or Checkpoint.
 type session struct {
 	name     string
 	sp       *space.Space
@@ -195,29 +208,35 @@ type session struct {
 	db       *measuredb.Store // nil when no measurement database attached
 	rec      event.Recorder   // never nil (OrNop); safe for concurrent use
 	restored bool             // skip Init: the algorithm state came from a checkpoint
-	done     chan struct{}    // closed by Stop
-	finished chan struct{}    // closed when the run goroutine exits
-	snapCh   chan chan snapResult
+	// step sends a retired batch's values on resume, which stop closes; the
+	// engine signals each published batch on parked, closed when it exits.
+	// They alternate strictly, so every send finds a one-slot buffer empty.
+	resume chan []float64
+	parked chan struct{}
 
 	mu sync.Mutex //paralint:lockrank 30
 	// cands is the outstanding batch in submission order, nil when none is
 	// outstanding. Its tags run consecutively from cands[0].tag, so a tag
 	// resolves by subtraction.
-	cands     []candidate
-	missing   int // candidates in cands still short of their need
-	resultCh  chan []float64
-	batchObs  int // measurements accepted for the current batch
-	rrNext    int // round-robin cursor for batched fetchN dispatch
-	surplus   int // surplus observations buffered for the current batch
-	nextTag   uint64
-	converged bool
-	best      space.Point
-	bestVal   float64
-	worstObs  float64 // largest valid measurement seen; degradation stand-in
-	haveWorst bool
-	runErr    error
-	stopped   bool
-	lastUsed  time.Time
+	cands    []candidate
+	missing  int // candidates in cands still short of their need
+	batchObs int // measurements accepted for the current batch
+	rrNext   int // round-robin cursor for batched fetchN dispatch
+	surplus  int // surplus observations buffered for the current batch
+	nextTag  uint64
+	// deadline closes the batch's progress window; lastProgress is batchObs
+	// when it opened, and stale counts windows that closed without progress.
+	deadline     time.Time
+	lastProgress int
+	stale        int
+	converged    bool
+	best         space.Point
+	bestVal      float64
+	worstObs     float64 // largest valid measurement seen; degradation stand-in
+	haveWorst    bool
+	runErr       error
+	stopped      bool
+	lastUsed     time.Time
 	// ridCur and ridOld are the two generations of the idempotency memory
 	// for client report ids; ridCur fills to maxRememberedReports, then
 	// replaces ridOld.
@@ -225,6 +244,10 @@ type session struct {
 	ridOld    map[string]struct{}
 	clients   map[string]*clientTrack // per-client wire frame-sequence tracking
 	clientLRU []string                // eviction order for the clients map
+
+	// stepMu serialises step, stop and Checkpoint: unheld, the engine is
+	// parked or gone. It is last: lockdiscipline reads fields after mu as mu's.
+	stepMu sync.Mutex //paralint:lockrank 25
 }
 
 // clientTrack is one client's wire-level frame bookkeeping within a session:
@@ -235,11 +258,6 @@ type clientTrack struct {
 	dups    uint64
 	dropped uint64
 	resumes int
-}
-
-type snapResult struct {
-	data []byte
-	err  error
 }
 
 func (srv *Server) newSession(name string, sp *space.Space, alg core.Algorithm, restored bool) *session {
@@ -256,17 +274,17 @@ func (srv *Server) newSession(name string, sp *space.Space, alg core.Algorithm, 
 		lastUsed: srv.opts.Clock.Now(),
 		clients:  make(map[string]*clientTrack),
 		restored: restored,
-		done:     make(chan struct{}),
-		finished: make(chan struct{}),
-		snapCh:   make(chan chan snapResult),
+		resume:   make(chan []float64, 1),
+		parked:   make(chan struct{}, 1),
 	}
 	return s
 }
 
 // Register creates (or returns) the named session over the given parameters
-// and starts its optimiser. Re-registering with the same name joins the
-// existing session; its space must match. The registered event is emitted
-// only after the shard lock is released (shardMutateErr owns that contract).
+// and steps its optimiser to its first batch (or, fully warm, convergence)
+// before returning. Re-registering with the same name joins the existing
+// session; its space must match. The registered event is emitted only after
+// the shard lock is released (shardMutateErr owns that contract).
 func (srv *Server) Register(name string, params []space.Parameter) error {
 	if name == "" {
 		return errors.New("harmony: session name required")
@@ -275,7 +293,8 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 	if err != nil {
 		return err
 	}
-	return srv.shardMutateErr(name, func(sh *sessionShard) ([]event.Event, error) {
+	var fresh *session
+	err = srv.shardMutateErr(name, func(sh *sessionShard) ([]event.Event, error) {
 		if s, ok := sh.sessions[name]; ok {
 			// Joining: verify the space matches.
 			if sp.String() != s.sp.String() {
@@ -287,9 +306,14 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 		if err != nil {
 			return nil, err
 		}
-		srv.startLocked(sh, srv.newSession(name, sp, alg, false))
+		fresh = srv.newSession(name, sp, alg, false)
+		srv.startLocked(sh, fresh)
 		return []event.Event{event.Session{Session: name, Phase: "registered", Detail: alg.String()}}, nil
 	})
+	if fresh != nil {
+		fresh.step(nil)
+	}
+	return err
 }
 
 // newAlgorithm binds the measurement database, if any, to sp and builds a
@@ -303,71 +327,120 @@ func (srv *Server) newAlgorithm(sp *space.Space) (core.Algorithm, error) {
 	return srv.opts.NewAlgorithm(sp)
 }
 
-// startLocked inserts s into its shard and starts its run goroutine and,
-// with IdleTimeout set, its expiry watcher. Caller holds the shard lock.
+// startLocked inserts s into its shard and starts its engine goroutine,
+// which waits for the first step. Caller holds the shard lock.
 func (srv *Server) startLocked(sh *sessionShard, s *session) {
 	sh.sessions[s.name] = s
 	go s.run()
-	if srv.opts.IdleTimeout > 0 {
-		go srv.expire(s)
-	}
 }
 
-// expire stops and removes s once it has been idle past IdleTimeout. The
-// check runs on the server's Clock, so a FakeClock drives expiry in tests.
-func (srv *Server) expire(s *session) {
-	clock := srv.opts.Clock
-	period := srv.opts.IdleTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
+// sweepPeriod is the sweeper's tick: a quarter of the shorter enabled
+// window, at least 1ms; 0 when neither idle expiry nor deadlines are on.
+func sweepPeriod(o ServerOptions) time.Duration {
+	w := o.IdleTimeout
+	if w <= 0 || (o.MeasurementTimeout > 0 && o.MeasurementTimeout < w) {
+		w = o.MeasurementTimeout
 	}
+	if w <= 0 {
+		return 0
+	}
+	return max(w/4, time.Millisecond)
+}
+
+// sweep is the server's one background goroutine: every period on the
+// server Clock it applies idle expiry and the batch deadline to each
+// session, until Close.
+func (srv *Server) sweep(ctx context.Context, period time.Duration) {
+	defer srv.sweeping.Done()
 	for {
 		select {
-		case <-s.done:
+		case <-ctx.Done():
 			return
-		case <-clock.After(period):
-			s.mu.Lock()
-			idle := clock.Now().Sub(s.lastUsed)
-			s.mu.Unlock()
-			if idle >= srv.opts.IdleTimeout {
-				srv.shardMutate(s.name, func(sh *sessionShard) []event.Event {
-					if sh.sessions[s.name] != s {
-						// Already expired and re-registered; the replacement
-						// owns the table slot.
-						return nil
-					}
-					delete(sh.sessions, s.name)
-					return []event.Event{event.Session{Session: s.name, Phase: "expired"}}
-				})
-				s.stop()
-				return
+		case <-srv.opts.Clock.After(period):
+		}
+		now := srv.opts.Clock.Now()
+		for _, name := range srv.Sessions() {
+			if s := srv.lookup(name); s != nil {
+				srv.sweepSession(s, now)
 			}
 		}
 	}
 }
 
-// run drives the optimiser through the shared engine until convergence or
-// shutdown. A closed done channel simply ends the budget predicate: the old
-// loop's synthetic "session stopped" error was discarded when s.stopped was
-// set, so the observable behaviour is identical.
-func (s *session) run() {
-	defer close(s.finished)
-	eng := &core.Engine{
-		Alg:      s.alg,
-		Ev:       s.newEvaluator(),
-		Rec:      s.rec,
-		Session:  s.name,
-		SkipInit: s.restored,
-		Continue: func(int) bool {
-			select {
-			case <-s.done:
-				return false
-			default:
-				return true
-			}
-		},
+// sweepSession applies one sweep at now to s. A session idle past
+// IdleTimeout is removed and stopped; otherwise a batch the deadline
+// force-completes is stepped here.
+func (srv *Server) sweepSession(s *session, now time.Time) {
+	s.mu.Lock()
+	idle := srv.opts.IdleTimeout > 0 && now.Sub(s.lastUsed) >= srv.opts.IdleTimeout
+	var vals []float64
+	if !idle {
+		vals = s.deadlineLocked(now)
 	}
-	stats, err := eng.Run()
+	s.mu.Unlock()
+	if idle {
+		srv.shardMutate(s.name, func(sh *sessionShard) []event.Event {
+			if sh.sessions[s.name] != s {
+				// Already expired and re-registered; the replacement owns
+				// the table slot.
+				return nil
+			}
+			delete(sh.sessions, s.name)
+			return []event.Event{event.Session{Session: s.name, Phase: "expired"}}
+		})
+		s.stop()
+		return
+	}
+	if vals != nil {
+		s.rec.Record(event.Session{Session: s.name, Phase: "batch_degraded"})
+		s.step(vals)
+	}
+}
+
+// deadlineLocked applies the progress deadline at now to the outstanding
+// batch: a window with progress is extended, a stale one reissues the batch
+// (a replacement client picks the starved candidates up), and past
+// MaxReissues it force-completes, returning the values. Caller holds s.mu.
+func (s *session) deadlineLocked(now time.Time) []float64 {
+	timeout := s.opts.MeasurementTimeout
+	if timeout <= 0 || s.cands == nil || s.stopped || now.Before(s.deadline) {
+		return nil
+	}
+	s.deadline = now.Add(timeout)
+	if s.batchObs > s.lastProgress {
+		s.lastProgress, s.stale = s.batchObs, 0
+		return nil
+	}
+	s.stale++
+	if s.stale <= s.opts.MaxReissues {
+		for i := range s.cands {
+			s.cands[i].issued = 0
+		}
+		return nil
+	}
+	// Deadline exhausted: score permanently lost candidates at the worst
+	// known value so rank ordering proceeds instead of blocking (GSS
+	// tolerates a pessimistic stand-in).
+	return s.forceCompleteLocked()
+}
+
+// run is the engine goroutine. It waits for the first step, then drives the
+// optimiser through the shared engine until convergence, an error or Stop,
+// parking in Eval between batches.
+func (s *session) run() {
+	defer close(s.parked)
+	var stats core.EngineStats
+	var err error
+	if _, ok := <-s.resume; ok {
+		eng := &core.Engine{
+			Alg:      s.alg,
+			Ev:       s.newEvaluator(),
+			Rec:      s.rec,
+			Session:  s.name,
+			SkipInit: s.restored,
+		}
+		stats, err = eng.Run()
+	}
 	s.mu.Lock()
 	if err != nil && !s.stopped {
 		s.runErr = err
@@ -388,55 +461,40 @@ func (s *session) run() {
 	}
 }
 
-// takeSnapshot serialises the algorithm state; only safe from the run
-// goroutine, or after the run goroutine has exited.
-func (s *session) takeSnapshot() snapResult {
-	snapper, ok := s.alg.(core.Snapshotter)
-	if !ok {
-		return snapResult{err: fmt.Errorf("harmony: algorithm %v does not support snapshots", s.alg)}
+// step resumes the parked engine with the retired batch's values (nil
+// starts it) and returns once the engine has published its next batch or
+// exited. A stopped session's engine is gone, and step does nothing.
+func (s *session) step(vals []float64) {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
+	s.mu.Lock()
+	stopped := s.stopped
+	s.mu.Unlock()
+	if stopped {
+		return
 	}
-	data, err := snapper.Snapshot()
-	return snapResult{data: data, err: err}
+	s.resume <- vals
+	<-s.parked
 }
 
-// newEvaluator builds the run goroutine's evaluator: the fetch/report
-// machinery, behind the measurement database's Memo when one is attached, so
-// candidates the store already resolves never reach a client — with a fully
-// warm store a batch costs zero client round trips.
+// newEvaluator builds the engine's evaluator: the session itself, behind
+// the measurement database's Memo when one is attached, so candidates the
+// store already resolves never reach a client — with a fully warm store a
+// batch costs zero client round trips.
 func (s *session) newEvaluator() core.Evaluator {
-	var ev core.Evaluator = &sessionEvaluator{s: s, ch: make(chan []float64, 1), recording: event.Active(s.rec)}
 	if s.db == nil {
-		return ev
+		return s
 	}
-	memo := measuredb.NewMemo(ev, s.db, s.est, s.rec, nil)
+	memo := measuredb.NewMemo(s, s.db, s.est, s.rec, nil)
 	memo.Session, memo.Cache = s.name, s.opts.Cache
 	return memo
 }
 
-// sessionEvaluator hands the optimiser's batches to the fetch/report
-// machinery and blocks until every candidate has enough measurements, the
-// batch deadline degrades it, or the session stops. It belongs to the run
-// goroutine, which reuses its result channel and deadline timer for every
-// batch; both die with the run goroutine, so a converged session retains
-// neither.
-type sessionEvaluator struct {
-	s     *session
-	ch    chan []float64 // buffered 1; the completing report sends the values
-	timer *time.Timer    // progress deadline; nil until the first batch
-	// recording is event.Active(s.rec): events are built only for a
-	// listening recorder, since boxing them allocates for nobody.
-	recording bool
-}
-
-// Eval issues points as fetchable candidates and blocks until clients
-// measure them (or the batch deadline degrades it).
-func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
-	s := e.s
+// Eval publishes points as the outstanding batch of fetchable candidates,
+// then parks until step hands back their values. It runs on the engine
+// goroutine; a stop ends it with an error.
+func (s *session) Eval(points []space.Point) ([]float64, error) {
 	cands := newCandidates(points, s.est.K())
-	select {
-	case <-e.ch: // a completion that raced a stop; never this batch's values
-	default:
-	}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -448,95 +506,27 @@ func (e *sessionEvaluator) Eval(points []space.Point) ([]float64, error) {
 	}
 	s.cands = cands
 	s.missing = len(cands)
-	s.resultCh = e.ch
 	s.batchObs = 0
 	s.surplus = 0
 	s.rrNext = 0
+	s.deadline, s.lastProgress, s.stale = s.opts.Clock.Now().Add(s.opts.MeasurementTimeout), 0, 0
 	// Keep the session's public best in sync with the optimiser.
 	if best, val := s.alg.Best(); best != nil {
 		s.best, s.bestVal = best, val
 	}
 	s.mu.Unlock()
-	if e.recording {
+	if event.Active(s.rec) {
 		s.rec.Record(event.Session{
 			Session: s.name, Phase: "batch_proposed",
 			Detail: strconv.Itoa(len(points)) + " candidates",
 		})
 	}
-
-	timeout := s.opts.MeasurementTimeout
-	lastProgress, stale := 0, 0
-	for {
-		var timerC <-chan time.Time
-		if timeout > 0 {
-			if e.timer == nil {
-				e.timer = time.NewTimer(timeout)
-			} else {
-				e.timer.Reset(timeout)
-			}
-			timerC = e.timer.C
-		}
-		select {
-		case vals := <-e.ch:
-			e.stopTimer()
-			if e.recording {
-				s.rec.Record(event.Session{Session: s.name, Phase: "batch_complete"})
-			}
-			return vals, nil
-		case <-s.done:
-			e.stopTimer()
-			return nil, errors.New("harmony: session stopped")
-		case req := <-s.snapCh:
-			// Serve checkpoint requests while blocked: the run goroutine is
-			// the only mutator of the algorithm, so snapshotting here is
-			// race-free.
-			req <- s.takeSnapshot()
-			e.stopTimer()
-		case <-timerC:
-			s.mu.Lock()
-			if s.resultCh == nil {
-				// A report completed the batch concurrently; the values are
-				// already waiting in the channel.
-				s.mu.Unlock()
-				continue
-			}
-			if s.batchObs > lastProgress {
-				// Clients are still reporting; extend the deadline.
-				lastProgress, stale = s.batchObs, 0
-				s.mu.Unlock()
-				continue
-			}
-			stale++
-			if stale <= s.opts.MaxReissues {
-				// Reissue: reset issue counts so Fetch hands the starved
-				// candidates out again (a replacement client picks them up).
-				for i := range s.cands {
-					s.cands[i].issued = 0
-				}
-				s.mu.Unlock()
-				continue
-			}
-			// Deadline exhausted: force-complete the batch, scoring
-			// permanently lost candidates at the worst known value so rank
-			// ordering proceeds instead of blocking (GSS tolerates a
-			// pessimistic stand-in).
-			vals := s.forceCompleteLocked()
-			s.mu.Unlock()
-			s.rec.Record(event.Session{Session: s.name, Phase: "batch_degraded"})
-			return vals, nil
-		}
+	s.parked <- struct{}{}
+	vals, ok := <-s.resume
+	if !ok {
+		return nil, errors.New("harmony: session stopped")
 	}
-}
-
-// stopTimer stops the deadline timer and drains a tick that fired unread,
-// so the next Reset starts a clean window.
-func (e *sessionEvaluator) stopTimer() {
-	if e.timer != nil && !e.timer.Stop() {
-		select {
-		case <-e.timer.C:
-		default:
-		}
-	}
+	return vals, nil
 }
 
 // newCandidates builds one batch's candidates, untagged, on two slabs: the
@@ -563,7 +553,7 @@ func newCandidates(points []space.Point, k int) []candidate {
 
 // forceCompleteLocked reduces the current batch with whatever measurements
 // arrived, substituting the worst known value for candidates with none.
-// Caller holds s.mu and has checked s.resultCh != nil.
+// Caller holds s.mu and has checked s.cands != nil.
 func (s *session) forceCompleteLocked() []float64 {
 	vals := make([]float64, len(s.cands))
 	stand := s.worstObs
@@ -587,7 +577,6 @@ func (s *session) forceCompleteLocked() []float64 {
 func (s *session) endBatchLocked() {
 	s.cands = nil
 	s.missing = 0
-	s.resultCh = nil
 	s.surplus = 0
 }
 
@@ -660,15 +649,14 @@ type storedObs struct {
 // report applies items in order under one hold of s.mu and classifies each;
 // it is shared by the single-report path and batched ReportN frames. The
 // returned error is the last failed item's, which is a single report's
-// answer. Store writes and the completed batch's hand-off to the optimiser
-// happen after the lock is released, in that order, so the next batch's
-// warm-start lookups see every measurement of this one.
+// answer. Store writes and the step on a completed batch happen after the
+// lock is released, in that order, so the next batch's warm-start lookups
+// see every measurement of this one and exist before report returns.
 func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 	var (
 		res    BatchReportResult
 		last   error
 		stored []storedObs
-		ch     chan []float64
 		vals   []float64
 	)
 	if s.db != nil {
@@ -695,8 +683,8 @@ func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 		if s.db != nil {
 			stored = append(stored, storedObs{c.point, it.Value})
 		}
-		if s.missing == 0 && s.resultCh != nil {
-			ch, vals = s.completeLocked()
+		if s.missing == 0 && s.cands != nil {
+			vals = s.completeLocked()
 		}
 	}
 	res.Queue = s.surplus
@@ -704,8 +692,11 @@ func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 	for _, o := range stored {
 		s.db.Observe(o.p, o.v)
 	}
-	if ch != nil {
-		ch <- vals // buffered, and sent once per batch
+	if vals != nil {
+		if event.Active(s.rec) {
+			s.rec.Record(event.Session{Session: s.name, Phase: "batch_complete"})
+		}
+		s.step(vals)
 	}
 	return res, last
 }
@@ -755,15 +746,14 @@ func (s *session) applyLocked(it *ReportItem, now time.Time) (*candidate, error)
 }
 
 // completeLocked reduces the fully measured batch with the estimator and
-// retires it, returning the channel the values go to.
-func (s *session) completeLocked() (chan []float64, []float64) {
+// retires it, returning the values for the engine.
+func (s *session) completeLocked() []float64 {
 	vals := make([]float64, len(s.cands))
 	for i := range s.cands {
 		vals[i] = s.est.Estimate(s.cands[i].obs)
 	}
-	ch := s.resultCh
 	s.endBatchLocked()
-	return ch, vals
+	return vals
 }
 
 // seenRIDLocked reports whether either generation remembers rid.
@@ -918,17 +908,23 @@ func (srv *Server) Best(name string) (space.Point, float64, bool, error) {
 	return s.best.Clone(), s.bestVal, s.converged, nil
 }
 
-// stop shuts the session down; idempotent.
+// stop shuts the session down and returns once its engine goroutine has
+// exited; idempotent.
 func (s *session) stop() {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.done)
-	}
+	already := s.stopped
+	s.stopped = true
 	s.mu.Unlock()
+	if !already {
+		close(s.resume)
+		<-s.parked
+	}
 }
 
-// Stop shuts a session down; outstanding Fetch work is abandoned.
+// Stop shuts a session down and returns once its optimiser has exited;
+// outstanding Fetch work is abandoned.
 func (srv *Server) Stop(name string) error {
 	s, err := srv.session(name)
 	if err != nil {
@@ -938,8 +934,11 @@ func (srv *Server) Stop(name string) error {
 	return nil
 }
 
-// Close stops every session.
+// Close stops the sweeper and every session, and returns once all their
+// goroutines have exited.
 func (srv *Server) Close() {
+	srv.stopSweep()
+	srv.sweeping.Wait()
 	for _, n := range srv.Sessions() {
 		_ = srv.Stop(n)
 	}
@@ -964,39 +963,30 @@ type sessionCheckpoint struct {
 
 // Checkpoint serialises the named session — parameter space, optimiser
 // simplex, best point, tag counter — to JSON. It is safe to call mid-tuning:
-// the snapshot is taken by the optimiser goroutine between evaluations (or
-// directly once the session has finished), so it is always a consistent
+// it holds the session's step lock, so the optimiser is parked between
+// batches or has exited, and the snapshot is always a consistent
 // between-steps state. Restore it into a fresh server with RestoreSession.
 func (srv *Server) Checkpoint(name string) ([]byte, error) {
 	s, err := srv.session(name)
 	if err != nil {
 		return nil, err
 	}
-	var res snapResult
-	req := make(chan snapResult, 1)
-	select {
-	case s.snapCh <- req:
-		// The optimiser accepted the handshake and writes exactly one reply
-		// into the buffered channel before doing anything else (see
-		// sessionEvaluator.Eval), so this receive completes without further
-		// rendezvous.
-		res = <-req //paralint:allow ctxflow reply guaranteed: the snapCh handshake was accepted and the responder's first act is the buffered send
-	case <-s.finished:
-		// The run goroutine has exited (converged, stopped, or errored); the
-		// algorithm is quiescent and safe to snapshot directly.
-		res = s.takeSnapshot()
-	case <-time.After(10 * time.Second):
-		return nil, errors.New("harmony: checkpoint timed out waiting for the optimiser")
+	snapper, ok := s.alg.(core.Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("harmony: algorithm %v does not support snapshots", s.alg)
 	}
-	if res.err != nil {
-		return nil, res.err
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
+	data, err := snapper.Snapshot()
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	cp := sessionCheckpoint{
 		Version:   1,
 		Name:      s.name,
 		Params:    toWireParams(spaceParams(s.sp)),
-		Alg:       res.data,
+		Alg:       data,
 		Best:      append([]float64(nil), s.best...),
 		BestVal:   s.bestVal,
 		WorstObs:  s.worstObs,
@@ -1030,7 +1020,8 @@ func (srv *Server) CheckpointAll() ([]byte, error) {
 // RestoreSession recreates a session from a Checkpoint blob: the optimiser is
 // rebuilt via the server's algorithm factory, its search state restored from
 // the snapshot, and tuning resumes exactly where the checkpoint was taken —
-// the simplex is not reset. The session name must not already exist.
+// the simplex is not reset, and stepped to its next batch before this
+// returns. The session name must not already exist.
 func (srv *Server) RestoreSession(data []byte) error {
 	var cp sessionCheckpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
@@ -1058,7 +1049,8 @@ func (srv *Server) RestoreSession(data []byte) error {
 	if err := snapper.Restore(cp.Alg); err != nil {
 		return err
 	}
-	return srv.shardMutateErr(cp.Name, func(sh *sessionShard) ([]event.Event, error) {
+	var fresh *session
+	err = srv.shardMutateErr(cp.Name, func(sh *sessionShard) ([]event.Event, error) {
 		if _, exists := sh.sessions[cp.Name]; exists {
 			return nil, fmt.Errorf("harmony: session %q already exists", cp.Name)
 		}
@@ -1075,8 +1067,13 @@ func (srv *Server) RestoreSession(data []byte) error {
 			s.best, s.bestVal = best, val
 		}
 		srv.startLocked(sh, s)
+		fresh = s
 		return []event.Event{event.Session{Session: cp.Name, Phase: "restored", Detail: alg.String()}}, nil
 	})
+	if fresh != nil {
+		fresh.step(nil)
+	}
+	return err
 }
 
 // RestoreAll recreates every session in a CheckpointAll blob.

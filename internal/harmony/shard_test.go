@@ -5,27 +5,21 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-	"time"
 )
 
-// waitBatch polls until the named session's optimiser has proposed a batch of
-// at least n candidates (batch proposal happens on the session's run
-// goroutine, asynchronously to Register) and returns the pending count.
-func waitBatch(t *testing.T, srv *Server, name string, n int) int {
+// pendingBatch returns the named session's pending candidate count, failing
+// unless it is at least n: Register returns only once the optimiser has
+// proposed its first batch.
+func pendingBatch(t *testing.T, srv *Server, name string, n int) int {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := srv.Stats(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Pending >= n {
-			return st.Pending
-		}
-		time.Sleep(time.Millisecond)
+	st, err := srv.Stats(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("session %q never proposed a batch of %d candidates", name, n)
-	return 0
+	if st.Pending < n {
+		t.Fatalf("session %q has %d pending candidates, want at least %d", name, st.Pending, n)
+	}
+	return st.Pending
 }
 
 // TestSessionsSortedAcrossShards registers enough sessions to populate many
@@ -82,7 +76,7 @@ func TestFetchNDisjointWork(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	pending := waitBatch(t, srv, "s", 2)
+	pending := pendingBatch(t, srv, "s", 2)
 
 	batch, err := srv.FetchN("s", pending)
 	if err != nil {
@@ -144,7 +138,7 @@ func TestReportNClassification(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	waitBatch(t, srv, "s", 2)
+	pendingBatch(t, srv, "s", 2)
 	batch, err := srv.FetchN("s", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +173,7 @@ func TestBackpressureRefusal(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	waitBatch(t, srv, "s", 2)
+	pendingBatch(t, srv, "s", 2)
 	batch, err := srv.FetchN("s", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +228,7 @@ func TestBackpressureRefusal(t *testing.T) {
 	if err := srv2.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	waitBatch(t, srv2, "s", 1)
+	pendingBatch(t, srv2, "s", 1)
 	b2, err := srv2.FetchN("s", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +261,7 @@ func TestClientBatchRoundTrips(t *testing.T) {
 			if err := c.Register("s", gs2Params()); err != nil {
 				t.Fatal(err)
 			}
-			waitBatch(t, srv, "s", 2)
+			pendingBatch(t, srv, "s", 2)
 			batch, err := c.FetchN("s", 2)
 			if err != nil {
 				t.Fatal(err)

@@ -29,9 +29,7 @@ func driveCounting(t testing.TB, srv *Server, name string, f objective.Function)
 			return reports
 		}
 		if fr.Tag == 0 {
-			// Between batches; yield so the run goroutine can advance.
-			time.Sleep(200 * time.Microsecond)
-			continue
+			t.Fatal("Tag-0 fetch before convergence")
 		}
 		if err := srv.Report(name, fr.Tag, f.Eval(fr.Point)); err == nil {
 			reports++

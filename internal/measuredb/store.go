@@ -6,15 +6,13 @@
 // makes that database a first-class, durable artefact shared across tuning
 // sessions instead of an ephemeral in-memory grid.
 //
-// The store answers three questions:
+// The store answers two questions:
 //
 //   - exact match: "has this configuration already been measured at least K
 //     times?" — the memoisation path ([Store.AppendObs], [Memo]) that lets a
 //     warm-started run skip re-measuring resolved configurations;
 //   - aggregation: per-configuration min / mean / median / p90 over all raw
-//     observations ([Store.Aggregate]), computed with internal/stats;
-//   - interpolation: a weighted-k-nearest-neighbour replay objective
-//     ([Replay]) mirroring the paper's §6 query.
+//     observations ([Store.Aggregate]), computed with internal/stats.
 //
 // Every observation additionally carries a federation identity: the origin
 // (the store that first recorded it) and a per-origin sequence number.

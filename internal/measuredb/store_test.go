@@ -1,7 +1,6 @@
 package measuredb
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -239,55 +238,6 @@ func TestMemoUsesFirstK(t *testing.T) {
 	}
 }
 
-func replaySpace(t *testing.T) *space.Space {
-	t.Helper()
-	return space.MustNew(
-		space.IntParam("a", 0, 10),
-		space.IntParam("b", 0, 10),
-	)
-}
-
-func TestReplayExactAndInterpolated(t *testing.T) {
-	sp := replaySpace(t)
-	s := NewMemory(Options{Space: sp.String()})
-	// Two observed corners; min of each configuration's observations.
-	s.Observe(space.Point{0, 0}, 10)
-	s.Observe(space.Point{0, 0}, 8)
-	s.Observe(space.Point{10, 10}, 2)
-	r, err := NewReplay(s, sp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Eval(space.Point{0, 0}); got != 8 {
-		t.Fatalf("exact hit = %g, want stored min 8", got)
-	}
-	// The midpoint is equidistant: equal weights average the two minima.
-	if got := r.Eval(space.Point{5, 5}); got != 5 {
-		t.Fatalf("midpoint interpolation = %g, want 5", got)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	if r.Space() != sp {
-		t.Fatal("Space() did not return the bound space")
-	}
-}
-
-func TestReplayRejectsMismatchedSpace(t *testing.T) {
-	sp := replaySpace(t)
-	s := NewMemory(Options{Space: "space{other:integer[0,1]}"})
-	s.Observe(space.Point{1, 1}, 1)
-	if _, err := NewReplay(s, sp, 2); err == nil {
-		t.Fatal("NewReplay accepted a store bound to a different space")
-	}
-}
-
-func TestReplayEmptyStore(t *testing.T) {
-	if _, err := NewReplay(NewMemory(Options{}), replaySpace(t), 2); err == nil {
-		t.Fatal("NewReplay accepted an empty store")
-	}
-}
-
 func TestBindSpace(t *testing.T) {
 	s := NewMemory(Options{})
 	if err := s.BindSpace("sigA"); err != nil {
@@ -317,20 +267,5 @@ func TestHighDimensionalKey(t *testing.T) {
 	obs, ok := s.AppendObs(nil, p, 0)
 	if !ok || len(obs) != 1 || obs[0] != 42 {
 		t.Fatalf("high-dim lookup = %v, %v", obs, ok)
-	}
-}
-
-func TestStatsStringer(t *testing.T) {
-	// Anchor the replay objective's description format used in logs.
-	sp := replaySpace(t)
-	s := NewMemory(Options{})
-	s.Observe(space.Point{1, 1}, 1)
-	r, err := NewReplay(s, sp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("measuredb-replay(%d points, k=%d)", 1, 4)
-	if r.String() != want {
-		t.Fatalf("String = %q, want %q", r.String(), want)
 	}
 }

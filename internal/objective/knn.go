@@ -20,8 +20,7 @@ const (
 
 // KNN is the paper's §6 replay interpolation: a query is the weighted average
 // of the k stored points nearest to it on range-normalised coordinates, with
-// inverse-squared-distance weights. It backs both DB (the GS2 surrogate) and
-// measuredb.Replay.
+// inverse-squared-distance weights. It backs DB (the GS2 surrogate).
 //
 // When every stored point lies on the grid of a fully discrete space, points
 // are indexed by a dense cell table and a query walks the grid outward from

@@ -7,9 +7,8 @@ import (
 	"paratune/internal/space"
 )
 
-// refScan is the linear k-NN scan DB.Eval ran before the shared KNN kernel
-// (measuredb's tests keep the same scan for Replay), kept as the
-// differential reference: every stored point in insertion order, a
+// refScan is the linear k-NN scan DB.Eval ran before the shared KNN kernel,
+// kept as the differential reference: every stored point in insertion order, a
 // candidate list re-sorted after each admission, and only strictly nearer
 // points admitted once it is full. The sort is made stable; sort.Slice is an
 // insertion sort (hence stable) on the at most k+1 <= 12 elements it saw for

@@ -8,7 +8,6 @@ package objective
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"paratune/internal/space"
@@ -160,45 +159,6 @@ func (c *Counting) Count() int64 { return c.n.Load() }
 
 // Reset zeroes the counter.
 func (c *Counting) Reset() { c.n.Store(0) }
-
-// Memoized wraps a Function with a concurrency-safe cache keyed on the
-// point's canonical encoding; it mirrors a tuning database accumulating
-// measurements.
-type Memoized struct {
-	F    Function
-	mu   sync.Mutex
-	seen map[string]float64
-}
-
-// NewMemoized wraps f.
-func NewMemoized(f Function) *Memoized {
-	return &Memoized{F: f, seen: make(map[string]float64)}
-}
-
-func (m *Memoized) Eval(x space.Point) float64 {
-	k := x.Key()
-	m.mu.Lock()
-	if v, ok := m.seen[k]; ok {
-		m.mu.Unlock()
-		return v
-	}
-	m.mu.Unlock()
-	v := m.F.Eval(x)
-	m.mu.Lock()
-	m.seen[k] = v
-	m.mu.Unlock()
-	return v
-}
-
-func (m *Memoized) Space() *space.Space { return m.F.Space() }
-func (m *Memoized) String() string      { return "memo(" + m.F.String() + ")" }
-
-// Unique returns the number of distinct points evaluated.
-func (m *Memoized) Unique() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.seen)
-}
 
 // GridMin exhaustively evaluates a fully discrete space and returns the
 // global minimiser and its value; the oracle for optimality-gap metrics.

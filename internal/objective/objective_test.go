@@ -121,37 +121,6 @@ func TestCounting(t *testing.T) {
 	}
 }
 
-func TestMemoized(t *testing.T) {
-	counter := &Counting{F: NewSphere(smallSpace(), nil, 0)}
-	m := NewMemoized(counter)
-	p := space.Point{2, 3}
-	v1 := m.Eval(p)
-	v2 := m.Eval(p)
-	if v1 != v2 {
-		t.Error("memo value changed")
-	}
-	if counter.Count() != 1 {
-		t.Errorf("underlying evaluated %d times, want 1", counter.Count())
-	}
-	m.Eval(space.Point{4, 4})
-	if m.Unique() != 2 {
-		t.Errorf("Unique = %d, want 2", m.Unique())
-	}
-	// Concurrent access must be safe.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			m.Eval(space.Point{float64(k % 3), 1})
-		}(i)
-	}
-	wg.Wait()
-	if m.String() == "" || m.Space() == nil {
-		t.Error("accessors")
-	}
-}
-
 func TestGridMin(t *testing.T) {
 	s := smallSpace()
 	f := NewSphere(s, space.Point{7, 2}, 1)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"paratune/internal/dist"
@@ -17,35 +16,6 @@ func StdErr(xs []float64) float64 {
 		return math.NaN()
 	}
 	return s.Std / math.Sqrt(float64(s.N))
-}
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// mean of xs at the given confidence level (e.g. 0.95), using resamples
-// bootstrap replicates drawn with rng. For heavy-tailed data the bootstrap
-// is far more trustworthy than normal-theory intervals, which is why the
-// experiment harness uses it for NTT comparisons.
-func BootstrapCI(xs []float64, resamples int, conf float64, rng *rand.Rand) (lo, hi float64, err error) {
-	if len(xs) < 2 {
-		return 0, 0, errors.New("stats: bootstrap needs at least two samples")
-	}
-	if resamples < 10 {
-		return 0, 0, fmt.Errorf("stats: need at least 10 resamples, got %d", resamples)
-	}
-	if conf <= 0 || conf >= 1 {
-		return 0, 0, fmt.Errorf("stats: confidence must be in (0, 1), got %g", conf)
-	}
-	means := make([]float64, resamples)
-	n := len(xs)
-	for r := 0; r < resamples; r++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += xs[rng.Intn(n)]
-		}
-		means[r] = sum / float64(n)
-	}
-	sort.Float64s(means)
-	tail := (1 - conf) / 2
-	return percentileSorted(means, tail), percentileSorted(means, 1-tail), nil
 }
 
 // QQPoints returns paired (theoretical, empirical) quantiles of xs against
@@ -69,21 +39,4 @@ func QQPoints(xs []float64, d dist.Distribution, k int) (theoretical, empirical 
 		empirical[i] = percentileSorted(sorted, p)
 	}
 	return theoretical, empirical, nil
-}
-
-// WelchLike returns the difference of means of a and b together with a
-// combined standard error; |diff| > 2·se is a conventional significance
-// screen for experiment notes.
-func WelchLike(a, b []float64) (diff, se float64) {
-	sa, sb := Summarize(a), Summarize(b)
-	diff = sa.Mean - sb.Mean
-	se = math.Sqrt(sa.Variance/float64(max(sa.N, 1)) + sb.Variance/float64(max(sb.N, 1)))
-	return diff, se
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -18,46 +18,6 @@ func TestStdErr(t *testing.T) {
 	}
 }
 
-func TestBootstrapCIValidation(t *testing.T) {
-	rng := dist.NewRNG(1)
-	if _, _, err := BootstrapCI([]float64{1}, 100, 0.95, rng); err == nil {
-		t.Error("single sample should fail")
-	}
-	if _, _, err := BootstrapCI([]float64{1, 2}, 5, 0.95, rng); err == nil {
-		t.Error("too few resamples should fail")
-	}
-	if _, _, err := BootstrapCI([]float64{1, 2}, 100, 1.5, rng); err == nil {
-		t.Error("bad confidence should fail")
-	}
-}
-
-func TestBootstrapCICoversMean(t *testing.T) {
-	rng := dist.NewRNG(2)
-	xs := dist.SampleN(dist.Normal{Mu: 10, Sigma: 2}, rng, 400)
-	lo, hi, err := BootstrapCI(xs, 2000, 0.95, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("degenerate interval [%g, %g]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Errorf("95%% CI [%g, %g] misses the true mean 10 (can fail 5%% of seeds; seed is fixed)", lo, hi)
-	}
-	mean := Mean(xs)
-	if mean < lo || mean > hi {
-		t.Errorf("CI [%g, %g] must contain the sample mean %g", lo, hi, mean)
-	}
-	// Wider confidence, wider interval.
-	lo99, hi99, err := BootstrapCI(xs, 2000, 0.99, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi99-lo99 < hi-lo {
-		t.Errorf("99%% interval [%g, %g] narrower than 95%% [%g, %g]", lo99, hi99, lo, hi)
-	}
-}
-
 func TestQQPointsStraightLineForMatchingDist(t *testing.T) {
 	rng := dist.NewRNG(3)
 	d := dist.Exponential{Lambda: 2}
@@ -101,20 +61,5 @@ func TestQQPointsValidation(t *testing.T) {
 	}
 	if _, _, err := QQPoints([]float64{1, 2}, dist.Exponential{Lambda: 1}, 1); err == nil {
 		t.Error("k < 2 should fail")
-	}
-}
-
-func TestWelchLike(t *testing.T) {
-	a := []float64{10, 11, 9, 10, 10}
-	b := []float64{5, 6, 4, 5, 5}
-	diff, se := WelchLike(a, b)
-	if math.Abs(diff-5) > 1e-12 {
-		t.Errorf("diff = %g", diff)
-	}
-	if se <= 0 {
-		t.Errorf("se = %g", se)
-	}
-	if diff < 2*se {
-		t.Error("clearly separated samples should screen as significant")
 	}
 }

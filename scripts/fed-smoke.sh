@@ -25,10 +25,13 @@ go build -o "$WORK/bin/harmonyclient" ./cmd/harmonyclient
 go build -o "$WORK/bin/measuredb" ./cmd/measuredb
 
 # start_peer <name> <extra flags...> — boots a harmonyd on an ephemeral
-# port, waits for the listening line, and sets ADDR/PID.
+# port, waits for the listening line, and sets ADDR/PID. The log exists
+# before harmonyd starts, so the first sed cannot race the redirect that
+# creates it and end the script under set -e.
 start_peer() {
 	local name=$1
 	shift
+	: > "$WORK/$name.log"
 	"$WORK/bin/harmonyd" -addr 127.0.0.1:0 "$@" > "$WORK/$name.log" 2>&1 &
 	PID=$!
 	for _ in $(seq 1 100); do
