@@ -261,7 +261,7 @@ func (e freeEvaluator) Eval(points []space.Point) ([]float64, error) {
 }
 
 // BenchmarkStoreLookup measures the measurement database's hot-path
-// exact-match lookup (AppendObs): a stack-keyed shard probe that must stay
+// exact-match lookup (AppendObsSource): a stack-keyed shard probe that must stay
 // allocation-free, since it sits on every candidate evaluation of a
 // DB-attached run.
 func BenchmarkStoreLookup(b *testing.B) {
@@ -277,7 +277,7 @@ func BenchmarkStoreLookup(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst, _ = s.AppendObs(dst[:0], p, 3)
+		dst, _, _ = s.AppendObsSource(dst[:0], p, 3)
 	}
 	_ = dst
 }

@@ -114,9 +114,9 @@ func main() {
 		if !runs[0].converged || !runs[1].converged {
 			outcome = fmt.Sprintf("degraded (%v)", append(runs[0].degraded, runs[1].degraded...))
 		}
-		fmt.Printf("seed %d: ok: %s, best %.4f/%.4f, %d/%d faults applied, %d/%d resumes, %d/%d restarts\n",
+		fmt.Printf("seed %d: ok: %s, best %.4f/%.4f, %d/%d faults applied, %d/%d reconnects, %d/%d restarts\n",
 			seed, outcome, runs[0].bestTrue, runs[1].bestTrue,
-			runs[0].applied, runs[1].applied, runs[0].resumes, runs[1].resumes,
+			runs[0].applied, runs[1].applied, runs[0].reconnects, runs[1].reconnects,
 			runs[0].restarts, runs[1].restarts)
 	}
 	if failures > 0 {
@@ -150,14 +150,14 @@ func drawConfig(seed int64, maxKills int) chaos.Config {
 
 // result is one soak run's outcome.
 type result struct {
-	converged bool
-	degraded  []string // recorded degradation reasons, empty when converged
-	bestTrue  float64  // noise-free objective at the final best point
-	plan      []byte   // chaos-plan JSONL trace (the byte-identity artefact)
-	applied   int      // faults the proxy actually executed
-	resumes   int      // client resume handshakes
-	restarts  int      // server incarnations beyond the first
-	elapsed   time.Duration
+	converged  bool
+	degraded   []string // recorded degradation reasons, empty when converged
+	bestTrue   float64  // noise-free objective at the final best point
+	plan       []byte   // chaos-plan JSONL trace (the byte-identity artefact)
+	applied    int      // faults the proxy actually executed
+	reconnects int      // client connections re-established after a loss
+	restarts   int      // server incarnations beyond the first
+	elapsed    time.Duration
 }
 
 // progress is the liveness bridge between the static concurrency pass and
@@ -318,10 +318,10 @@ func soak(db *objective.DB, cfg chaos.Config, nClients, iters int, verbose bool,
 	}
 
 	var (
-		mu       sync.Mutex
-		degraded []string
-		resumes  int
-		failErr  error
+		mu         sync.Mutex
+		degraded   []string
+		reconnects int
+		failErr    error
 	)
 	var wg sync.WaitGroup
 	for i := 0; i < nClients; i++ {
@@ -382,9 +382,9 @@ func soak(db *objective.DB, cfg chaos.Config, nClients, iters int, verbose bool,
 				mu.Unlock()
 				break
 			}
-			n, _ := c.Resumes()
+			n := c.Reconnects()
 			mu.Lock()
-			resumes += n
+			reconnects += n
 			mu.Unlock()
 		}(i)
 	}
@@ -410,18 +410,18 @@ func soak(db *objective.DB, cfg chaos.Config, nClients, iters int, verbose bool,
 	proxy.WritePlan(event.NewJSONL(&planBuf))
 
 	res := result{
-		converged: converged && len(degraded) == 0,
-		degraded:  degraded,
-		bestTrue:  db.Eval(best),
-		plan:      planBuf.Bytes(),
-		applied:   mem.Count(event.KindChaosApplied),
-		resumes:   resumes,
-		restarts:  sup.Generation() - 1,
-		elapsed:   time.Since(start),
+		converged:  converged && len(degraded) == 0,
+		degraded:   degraded,
+		bestTrue:   db.Eval(best),
+		plan:       planBuf.Bytes(),
+		applied:    mem.Count(event.KindChaosApplied),
+		reconnects: reconnects,
+		restarts:   sup.Generation() - 1,
+		elapsed:    time.Since(start),
 	}
 	if verbose {
-		fmt.Printf("  run seed=%d: best=%.4f converged=%v degraded=%v applied=%d resumes=%d restarts=%d (%.2fs)\n",
-			cfg.Seed, res.bestTrue, res.converged, res.degraded, res.applied, res.resumes, res.restarts, res.elapsed.Seconds())
+		fmt.Printf("  run seed=%d: best=%.4f converged=%v degraded=%v applied=%d reconnects=%d restarts=%d (%.2fs)\n",
+			cfg.Seed, res.bestTrue, res.converged, res.degraded, res.applied, res.reconnects, res.restarts, res.elapsed.Seconds())
 	}
 	return res, nil
 }

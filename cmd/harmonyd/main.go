@@ -21,9 +21,8 @@
 // whenever it dies abnormally, with capped exponential backoff, up to
 // -max-restarts times. Combined with -checkpoint and -db, a crashed worker
 // comes back mid-tuning: sessions restore from the auto-checkpoint, past
-// measurements replay from the measurement-database WAL, and clients
-// re-attach with the sequence-numbered resume handshake instead of
-// re-registering.
+// measurements replay from the measurement-database WAL, and clients redial
+// and resend their request instead of re-registering.
 //
 // With -db set, every accepted measurement is persisted to the measurement
 // database in that directory, and candidates the store has already resolved

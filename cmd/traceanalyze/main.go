@@ -92,22 +92,15 @@ func hitRateLine(c dbCounts) (string, bool) {
 }
 
 // chaosCounts aggregates chaos-layer and recovery events from a JSONL trace:
-// planned vs applied wire faults, scheduled vs executed server kills, and
-// per-session resume bookkeeping.
+// planned vs applied wire faults (the applied counts are the ground truth of
+// dropped and duplicated frames), scheduled vs executed server kills, and
+// checkpoint restores.
 type chaosCounts struct {
 	planned      map[string]int // action → planned frame faults
 	applied      map[string]int // action → executed frame faults
 	killsPlanned int
 	killsApplied int
-	restored     int                              // sessions restored from checkpoint
-	resumes      map[string]map[string]resumeLast // session → client → last counters
-}
-
-// resumeLast is the latest cumulative resume counters seen for one client.
-type resumeLast struct {
-	resumes    int
-	dropped    uint64
-	duplicates uint64
+	restored     int // sessions restored from checkpoint
 }
 
 func (c *chaosCounts) observe(env *event.Envelope) bool {
@@ -138,20 +131,6 @@ func (c *chaosCounts) observe(env *event.Envelope) bool {
 		} else {
 			c.killsPlanned++
 		}
-	case event.KindSessionResumed:
-		var sr event.SessionResumed
-		if err := json.Unmarshal(env.Event, &sr); err != nil {
-			return true
-		}
-		if c.resumes == nil {
-			c.resumes = make(map[string]map[string]resumeLast)
-		}
-		if c.resumes[sr.Session] == nil {
-			c.resumes[sr.Session] = make(map[string]resumeLast)
-		}
-		c.resumes[sr.Session][sr.Client] = resumeLast{
-			resumes: sr.Resumes, dropped: sr.Dropped, duplicates: sr.Duplicates,
-		}
 	case event.KindSession:
 		var se event.Session
 		if err := json.Unmarshal(env.Event, &se); err != nil {
@@ -168,7 +147,7 @@ func (c *chaosCounts) observe(env *event.Envelope) bool {
 }
 
 // report prints the chaos/recovery summary; false when the trace carried no
-// chaos or resume events (non-chaos traces stay unchanged).
+// chaos or restore events (non-chaos traces stay unchanged).
 func (c *chaosCounts) report(w io.Writer) bool {
 	had := false
 	if len(c.planned) > 0 || len(c.applied) > 0 || c.killsPlanned > 0 || c.killsApplied > 0 {
@@ -176,26 +155,9 @@ func (c *chaosCounts) report(w io.Writer) bool {
 		fmt.Fprintf(w, "chaos: %s planned, %s applied, kills %d planned / %d executed\n",
 			actionList(c.planned), actionList(c.applied), c.killsPlanned, c.killsApplied)
 	}
-	if len(c.resumes) > 0 || c.restored > 0 {
+	if c.restored > 0 {
 		had = true
-		sessions := make([]string, 0, len(c.resumes))
-		for s := range c.resumes {
-			sessions = append(sessions, s)
-		}
-		sort.Strings(sessions)
-		for _, s := range sessions {
-			var agg resumeLast
-			for _, last := range c.resumes[s] {
-				agg.resumes += last.resumes
-				agg.dropped += last.dropped
-				agg.duplicates += last.duplicates
-			}
-			fmt.Fprintf(w, "recovery: session %q: %d resume(s) across %d client(s), %d dropped frame(s), %d duplicate(s) discarded\n",
-				s, agg.resumes, len(c.resumes[s]), agg.dropped, agg.duplicates)
-		}
-		if c.restored > 0 {
-			fmt.Fprintf(w, "recovery: %d session restore(s) from checkpoint\n", c.restored)
-		}
+		fmt.Fprintf(w, "recovery: %d session restore(s) from checkpoint\n", c.restored)
 	}
 	return had
 }
@@ -392,8 +354,8 @@ func actionList(m map[string]int) string {
 // starts with '{' is treated as a JSONL event trace instead: each line is an
 // event.Envelope, the T_k of every "step_time" event becomes a sample,
 // db_hit/db_miss events are tallied for the hit-rate summary, chaos and
-// recovery events (chaos_plan/chaos_applied/chaos_kill/session_resumed plus
-// checkpoint restores) feed the chaos summary, and batching/backpressure
+// recovery events (chaos_plan/chaos_applied/chaos_kill plus checkpoint
+// restores) feed the chaos summary, and batching/backpressure
 // events (batch_fetch/batch_report/backpressure) feed the wire summary.
 func readColumn(r io.Reader, col int) ([]float64, dbCounts, chaosCounts, wireCounts, error) {
 	sc := bufio.NewScanner(r)

@@ -130,7 +130,7 @@ func TestNelderMeadConvergesOnBowl(t *testing.T) {
 		t.Fatal("nelder-mead did not converge on a bowl")
 	}
 	best, val := nm.Best()
-	if best.Dist(space.Point{60, 40}) > 5 {
+	if math.Hypot(best[0]-60, best[1]-40) > 5 {
 		t.Errorf("NM converged to %v (%g), want near (60, 40)", best, val)
 	}
 	if nm.Iterations() == 0 || nm.Simplex() == nil {

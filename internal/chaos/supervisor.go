@@ -102,6 +102,11 @@ type Supervisor struct {
 	gen     int
 	wg      sync.WaitGroup
 	stop    chan struct{} // stops the incarnation's checkpoint loop
+
+	// life serialises Start and Kill end to end, so a new incarnation never
+	// starts while Kill is still tearing the previous one down. It is last:
+	// lockdiscipline reads fields after mu as mu's.
+	life sync.Mutex //paralint:lockrank 5
 }
 
 // NewSupervisor validates cfg and returns an idle supervisor; call Start.
@@ -118,6 +123,8 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 // Start brings up a server incarnation: build it from durable state, serve
 // it on a fresh MemListener, and begin the auto-checkpoint loop.
 func (s *Supervisor) Start() error {
+	s.life.Lock()
+	defer s.life.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.srv != nil {
@@ -161,6 +168,8 @@ func (s *Supervisor) Start() error {
 // written, so everything since the last auto-checkpoint is lost — exactly
 // the crash the recovery path must absorb. Safe to call when already down.
 func (s *Supervisor) Kill() {
+	s.life.Lock()
+	defer s.life.Unlock()
 	s.mu.Lock()
 	srv, cleanup, l, stop := s.srv, s.cleanup, s.l, s.stop
 	s.srv, s.cleanup, s.l, s.stop = nil, nil, nil, nil

@@ -187,7 +187,7 @@ func TestPROOnAsyncEvaluator(t *testing.T) {
 		}
 	}
 	best, _ := alg.Best()
-	if best.Dist(space.Point{30, 60}) > 10 {
+	if math.Hypot(best[0]-30, best[1]-60) > 10 {
 		t.Errorf("async-tuned best %v far from (30, 60)", best)
 	}
 	if sim.Makespan() <= 0 {

@@ -409,15 +409,6 @@ func (e *Evaluator) Eval(points []space.Point) ([]float64, error) {
 	return ests, nil
 }
 
-// EvalOne evaluates a single point.
-func (e *Evaluator) EvalOne(p space.Point) (float64, error) {
-	vs, err := e.Eval([]space.Point{p})
-	if err != nil {
-		return 0, err
-	}
-	return vs[0], nil
-}
-
 // evalWave gathers observations for a wave of at most P points.
 func (e *Evaluator) evalWave(wave []space.Point) ([][]float64, error) {
 	if e.Sim.Faults() != nil {

@@ -267,15 +267,17 @@ func TestEvaluatorAdaptive(t *testing.T) {
 	}
 }
 
+// TestEvalOne evaluates a one-point batch without noise: the estimate is
+// the objective's noise-free value.
 func TestEvalOne(t *testing.T) {
 	sim, _ := New(1, noise.None{}, 1)
 	ev := NewEvaluator(sim, bowl(), nil)
-	v, err := ev.EvalOne(space.Point{5, 5})
+	vs, err := ev.Eval([]space.Point{{5, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 1 {
-		t.Errorf("EvalOne = %g", v)
+	if len(vs) != 1 || vs[0] != 1 {
+		t.Errorf("Eval one point = %v, want [1]", vs)
 	}
 }
 

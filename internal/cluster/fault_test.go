@@ -217,8 +217,8 @@ func TestAsyncSimFaults(t *testing.T) {
 	if delivered+drops != 100 {
 		t.Errorf("delivered %d + dropped %d != 100 submitted samples", delivered, drops)
 	}
-	if in.Crashes() > 0 && sim.Live() != 4-in.Crashes() {
-		t.Errorf("live = %d with %d crashes", sim.Live(), in.Crashes())
+	if crashes := in.Plan().Count(fault.Crash); crashes > 0 && sim.Live() != 4-crashes {
+		t.Errorf("live = %d with %d crashes", sim.Live(), crashes)
 	}
 	if sim.Makespan() <= 0 {
 		t.Error("makespan not accounted")

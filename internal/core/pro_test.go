@@ -203,7 +203,7 @@ func TestPROEagerExpansionAblation(t *testing.T) {
 		}
 	}
 	best, _ := p.Best()
-	if best.Dist(space.Point{90, 90}) > 2 {
+	if math.Hypot(best[0]-90, best[1]-90) > 2 {
 		t.Errorf("eager expansion converged to %v, want near (90, 90)", best)
 	}
 }

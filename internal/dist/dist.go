@@ -30,15 +30,6 @@ type Distribution interface {
 	String() string
 }
 
-// SampleN draws n variates from d.
-func SampleN(d Distribution, rng *rand.Rand, n int) []float64 {
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = d.Sample(rng)
-	}
-	return xs
-}
-
 // Survival returns 1 - CDF(x) = P[X > x], the Q function of Eq. 10.
 func Survival(d Distribution, x float64) float64 { return 1 - d.CDF(x) }
 

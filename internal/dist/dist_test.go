@@ -365,18 +365,6 @@ func TestMixtureCDFAndQuantile(t *testing.T) {
 	}
 }
 
-func TestSampleN(t *testing.T) {
-	xs := SampleN(Degenerate{V: 2}, NewRNG(1), 7)
-	if len(xs) != 7 {
-		t.Fatalf("len = %d", len(xs))
-	}
-	for _, x := range xs {
-		if x != 2 {
-			t.Fatal("SampleN value mismatch")
-		}
-	}
-}
-
 func TestStrings(t *testing.T) {
 	ds := []Distribution{
 		Pareto{1.7, 1}, Exponential{1}, Normal{0, 1}, LogNormal{0, 1},

@@ -33,10 +33,9 @@ const (
 	KindDBMiss     = "db_miss"
 	KindDBSnapshot = "db_snapshot"
 
-	KindChaosPlan      = "chaos_plan"
-	KindChaosApplied   = "chaos_applied"
-	KindChaosKill      = "chaos_kill"
-	KindSessionResumed = "session_resumed"
+	KindChaosPlan    = "chaos_plan"
+	KindChaosApplied = "chaos_applied"
+	KindChaosKill    = "chaos_kill"
 
 	KindBackpressure = "backpressure"
 	KindBatchFetch   = "batch_fetch"
@@ -293,37 +292,13 @@ type ChaosKill struct {
 // EventKind implements Event.
 func (ChaosKill) EventKind() string { return KindChaosKill }
 
-// SessionResumed reports a client re-attaching to a live session after a
-// connection loss (or a server restart) via the sequence-numbered resume
-// handshake.
-type SessionResumed struct {
-	// Session is the session name.
-	Session string `json:"session"`
-	// Client is the client's stable wire id.
-	Client string `json:"client"`
-	// Resumes counts this client's resume handshakes so far.
-	Resumes int `json:"resumes"`
-	// LastSeq is the highest frame sequence the server had processed for the
-	// client at resume time.
-	LastSeq uint64 `json:"last_seq"`
-	// Dropped is the number of frames the client sent that never reached
-	// dispatch (lost to resets or partitions), as observed at this resume.
-	Dropped uint64 `json:"dropped"`
-	// Duplicates is the cumulative count of duplicate or stale frames the
-	// server has discarded for this client.
-	Duplicates uint64 `json:"duplicates"`
-}
-
-// EventKind implements Event.
-func (SessionResumed) EventKind() string { return KindSessionResumed }
-
 // Backpressure reports the server refusing surplus measurements for a
 // session: the per-session pending queue (observations buffered beyond what
 // the current candidate batch still needs) hit its bound, so the excess was
 // rejected with a retryable "backpressure" answer instead of being buffered
 // without limit. One noisy client flooding a session degrades only that
 // session — its surplus is shed, every other session's locks and memory are
-// untouched. Client-driven like SessionResumed, so timing-dependent:
+// untouched. Client-driven, so timing-dependent:
 // observability data, not part of the byte-identity contract.
 type Backpressure struct {
 	// Session is the session name.

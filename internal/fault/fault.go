@@ -280,16 +280,6 @@ func (in *Injector) next(proc int, tag uint64) (Outcome, event.Recorder, event.E
 	}
 }
 
-// Crashes returns how many crashes have been injected so far.
-func (in *Injector) Crashes() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.crashes
-}
-
 // ValidValue reports whether a measured time is acceptable to feed an
 // estimator: finite and non-negative. Shared by every layer that guards the
 // pipeline against Corrupt reports.

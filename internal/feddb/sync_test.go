@@ -107,12 +107,12 @@ func TestPairSyncConvergesBothWays(t *testing.T) {
 		t.Fatalf("converged round still shipped %d segments", n)
 	}
 
-	// Aggregates agree bitwise on both sides.
+	// Raw observations agree bitwise, in order, on both sides.
 	for _, p := range []space.Point{p1, p2} {
-		av, aok := a.Aggregate(p)
-		bv, bok := b.Aggregate(p)
+		av, aok, _ := a.AppendObsSource(nil, p, 0)
+		bv, bok, _ := b.AppendObsSource(nil, p, 0)
 		if !aok || !bok || !reflect.DeepEqual(av, bv) {
-			t.Fatalf("aggregate mismatch at %v: %+v vs %+v", p, av, bv)
+			t.Fatalf("observation mismatch at %v: %v vs %v", p, av, bv)
 		}
 	}
 }

@@ -41,27 +41,6 @@ func TestRememberedRIDsBounded(t *testing.T) {
 	}
 }
 
-// TestTrackedClientsBounded registers one client id past the cap: the
-// tracking map and its eviction order stay at maxTrackedClients, and the
-// oldest id is the one evicted.
-func TestTrackedClientsBounded(t *testing.T) {
-	s := registeredSession(t)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i <= maxTrackedClients; i++ {
-		s.clientLocked("c" + strconv.Itoa(i))
-	}
-	if len(s.clients) > maxTrackedClients || len(s.clientLRU) > maxTrackedClients {
-		t.Errorf("tracking %d clients (%d in eviction order), bound %d", len(s.clients), len(s.clientLRU), maxTrackedClients)
-	}
-	if _, ok := s.clients["c0"]; ok {
-		t.Error("oldest client id c0 was not evicted")
-	}
-	if _, ok := s.clients["c"+strconv.Itoa(maxTrackedClients)]; !ok {
-		t.Error("newest client id is not tracked")
-	}
-}
-
 // TestConnDedupSurvivesClientChurn sends frames from more distinct client
 // ids than a connection's sequence map holds, which resets the map, and then
 // checks that a duplicated frame is still discarded. The map is local to the

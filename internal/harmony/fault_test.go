@@ -182,9 +182,8 @@ func (c *dropReplyConn) Write(b []byte) (int, error) {
 }
 
 // TestReportNRetriedOverReconnectCountedOnce loses the reply to a reportn
-// frame the server already applied: the client reconnects, resumes and
-// resends the frame with the same report ids, and every measurement is
-// counted once.
+// frame the server already applied: the client reconnects and resends the
+// frame with the same report ids, and every measurement is counted once.
 func TestReportNRetriedOverReconnectCountedOnce(t *testing.T) {
 	for _, wire := range wireCases {
 		t.Run(string(wire), func(t *testing.T) {
@@ -221,8 +220,8 @@ func TestReportNRetriedOverReconnectCountedOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, _ := c.Resumes(); n != 1 {
-				t.Fatalf("client resumed %d times, want 1: the reply was not lost", n)
+			if n := c.Reconnects(); n != 1 {
+				t.Fatalf("client reconnected %d times, want 1: the reply was not lost", n)
 			}
 			if res.Accepted != len(items) {
 				t.Errorf("retried ReportN = %+v, want all %d accepted", res, len(items))

@@ -25,6 +25,7 @@ func FuzzTCPFrameDecode(f *testing.F) {
 	f.Add([]byte(`{"op":"report","session":"s","tag":1,"value":`))
 	f.Add(bytes.Repeat([]byte("a"), 4096))
 	f.Add(append(bytes.Repeat([]byte(" "), 2048), '\n'))
+	// The retired resume op is now an unknown op.
 	f.Add([]byte(`{"op":"resume","session":"s","client":"c","seq":18446744073709551615}` + "\n"))
 	f.Add([]byte(`{"op":"best","session":"s","seq":1,"client":"c"}` + "\n" + `{"op":"best","session":"s","seq":1,"client":"c"}` + "\n"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -63,9 +64,18 @@ func FuzzTCPFrameDecode(f *testing.F) {
 
 // binSeed builds a valid PHWIRE1 frame for req, for fuzz corpus seeding.
 func binSeed(req *request) []byte {
+	return binSeedOp(0, req)
+}
+
+// binSeedOp is binSeed with the payload's opcode byte replaced by op
+// (0 keeps req's own), so a seed can carry an opcode no name encodes.
+func binSeedOp(op byte, req *request) []byte {
 	payload, err := appendRequest(nil, req)
 	if err != nil {
 		panic(err)
+	}
+	if op != 0 {
+		payload[0] = op
 	}
 	return frame.Append(nil, payload)
 }
@@ -86,7 +96,8 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		{Name: "x", Kind: "integer", Lower: 0, Upper: 5},
 		{Name: "m", Kind: "discrete", Values: []float64{1, 2, 4}},
 	}}))
-	f.Add(binSeed(&request{Op: "resume", Session: "s", Client: "c", Seq: ^uint64(0)}))
+	// The retired resume opcode 6 is malformed: a best frame relabelled.
+	f.Add(binSeedOp(6, &request{Op: "best", Session: "s", Client: "c", Seq: ^uint64(0)}))
 	// Structural corruption: truncated frame, bad CRC, oversized length
 	// prefix, non-minimal length uvarint, bare garbage.
 	good := binSeed(&request{Op: "best", Session: "s", Client: "c", Seq: 1})

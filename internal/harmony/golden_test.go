@@ -37,7 +37,6 @@ func goldenRequests() []goldenReq {
 		{"req/report", request{Op: "report", Seq: 3, Client: "c1", Session: "gs2", Tag: 7, Value: 0.8125, RID: "c1-7"}},
 		{"req/best", request{Op: "best", Seq: 4, Client: "c1", Session: "gs2"}},
 		{"req/stats", request{Op: "stats", Seq: 5, Client: "c1", Session: "gs2"}},
-		{"req/resume", request{Op: "resume", Seq: 1 << 33, Client: "c1", Session: "gs2"}},
 		{"req/fetchn", request{Op: "fetchn", Seq: 7, Client: "c1", Session: "gs2", N: 16}},
 		{"req/reportn", request{Op: "reportn", Seq: 8, Client: "c1", Session: "gs2", Reports: []ReportItem{
 			{Tag: 8, Value: 1.5, RID: "c1-8"},
@@ -59,7 +58,6 @@ func goldenResponses() []goldenResp {
 			Name: "gs2", Converged: false, Best: []float64{32, 16, 0.05}, BestValue: 0.75,
 			Pending: 3, NextTag: 12,
 		}}},
-		{"resp/resume", response{OK: true, Seq: 1 << 33, LastSeq: 5, Dropped: 1, Duplicates: 2, Resumes: 1}},
 		{"resp/fetchn", response{OK: true, Seq: 7, Batch: []FetchResult{
 			{Point: []float64{24, 8, 0.125}, Tag: 10},
 			{Point: []float64{40, 4, 0.25}, Tag: 11, Converged: true},
@@ -153,7 +151,6 @@ var goldenJSON = map[string]string{
 	"resp/report-invalid":       `{"ok":false,"error":"invalid value -1","code":"invalid_value","seq":3}`,
 	"resp/best":                 `{"ok":true,"point":[32,16,0.05],"value":0.75,"converged":true,"seq":4}`,
 	"resp/stats":                `{"ok":true,"stats":{"name":"gs2","converged":false,"best":[32,16,0.05],"best_value":0.75,"pending":3,"next_tag":12},"seq":5}`,
-	"resp/resume":               `{"ok":true,"seq":8589934592,"last_seq":5,"dropped":1,"duplicates":2,"resumes":1}`,
 	"resp/fetchn":               `{"ok":true,"seq":7,"batch":[{"point":[24,8,0.125],"tag":10},{"point":[40,4,0.25],"tag":11,"converged":true}]}`,
 	"resp/reportn":              `{"ok":true,"seq":8,"accepted":2,"refused":1,"queue":5}`,
 	"resp/reportn-backpressure": `{"ok":false,"error":"session backpressure","code":"backpressure","seq":8,"queue":4096}`,

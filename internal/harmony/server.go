@@ -58,11 +58,6 @@ var ErrUnknownSession = errors.New("harmony: unknown session")
 // it remembers at least the last 4096 ids (and at most twice that).
 const maxRememberedReports = 4096
 
-// maxTrackedClients bounds the per-session memory of client frame-sequence
-// tracking; past it the least recently attached client is forgotten (its
-// next resume starts a fresh baseline).
-const maxTrackedClients = 1024
-
 // ServerOptions configures session behaviour.
 type ServerOptions struct {
 	// Estimator reduces repeated measurements per candidate; min-of-3 when
@@ -240,24 +235,12 @@ type session struct {
 	// ridCur and ridOld are the two generations of the idempotency memory
 	// for client report ids; ridCur fills to maxRememberedReports, then
 	// replaces ridOld.
-	ridCur    map[string]struct{}
-	ridOld    map[string]struct{}
-	clients   map[string]*clientTrack // per-client wire frame-sequence tracking
-	clientLRU []string                // eviction order for the clients map
+	ridCur map[string]struct{}
+	ridOld map[string]struct{}
 
 	// stepMu serialises step, stop and Checkpoint: unheld, the engine is
 	// parked or gone. It is last: lockdiscipline reads fields after mu as mu's.
 	stepMu sync.Mutex //paralint:lockrank 25
-}
-
-// clientTrack is one client's wire-level frame bookkeeping within a session:
-// the highest frame sequence dispatched, how many duplicate or stale frames
-// were discarded, and how many resume handshakes the client has performed.
-type clientTrack struct {
-	lastSeq uint64
-	dups    uint64
-	dropped uint64
-	resumes int
 }
 
 func (srv *Server) newSession(name string, sp *space.Space, alg core.Algorithm, restored bool) *session {
@@ -272,7 +255,6 @@ func (srv *Server) newSession(name string, sp *space.Space, alg core.Algorithm, 
 		nextTag:  1,
 		best:     sp.Center(),
 		lastUsed: srv.opts.Clock.Now(),
-		clients:  make(map[string]*clientTrack),
 		restored: restored,
 		resume:   make(chan []float64, 1),
 		parked:   make(chan struct{}, 1),
@@ -776,125 +758,6 @@ func (s *session) rememberRIDLocked(rid string) {
 		s.ridCur = make(map[string]struct{})
 	}
 	s.ridCur[rid] = struct{}{}
-}
-
-// clientLocked returns (creating on first sight, evicting the oldest entry
-// past the cap) the tracking entry for a client id; caller holds s.mu.
-func (s *session) clientLocked(id string) *clientTrack {
-	if ct, ok := s.clients[id]; ok {
-		return ct
-	}
-	ct := &clientTrack{}
-	s.clients[id] = ct
-	s.clientLRU = append(s.clientLRU, id)
-	if len(s.clientLRU) > maxTrackedClients {
-		delete(s.clients, s.clientLRU[0])
-		s.clientLRU = s.clientLRU[1:]
-	}
-	return ct
-}
-
-// trackFrame records one dispatched wire frame for (session, client): a
-// sequence above the client's high-water mark advances it, anything else is
-// counted as a duplicate/stale frame (a reconnect retry, or a chaos-duplicated
-// frame that slipped past the connection-level filter). Blank ids, zero
-// sequences, and unknown sessions are ignored — in-process callers and
-// pre-sequence clients carry neither.
-func (srv *Server) trackFrame(name, client string, seq uint64) {
-	if name == "" || client == "" || seq == 0 {
-		return
-	}
-	s := srv.lookup(name)
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	ct := s.clientLocked(client)
-	if seq > ct.lastSeq {
-		ct.lastSeq = seq
-	} else {
-		ct.dups++
-	}
-	s.mu.Unlock()
-}
-
-// noteDuplicateFrame counts a wire frame the transport layer discarded as a
-// duplicate (same connection, sequence at or below the last one seen) without
-// dispatching it.
-func (srv *Server) noteDuplicateFrame(name, client string) {
-	if name == "" || client == "" {
-		return
-	}
-	s := srv.lookup(name)
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.clientLocked(client).dups++
-	s.mu.Unlock()
-}
-
-// ResumeInfo is the server's answer to a resume handshake.
-type ResumeInfo struct {
-	// LastSeq is the highest frame sequence processed for the client. A
-	// client that tracks which frame carried each in-flight request can use
-	// it to tell lost requests from lost responses; report idempotency does
-	// not depend on it (rids already dedupe).
-	LastSeq uint64
-	// Dropped is the cumulative count of frames the client sent that never
-	// reached dispatch (lost to resets or partitions), summed over resumes.
-	Dropped uint64
-	// Duplicates is the cumulative duplicate/stale frame count discarded for
-	// this client.
-	Duplicates uint64
-	// Resumes counts the client's resume handshakes, this one included.
-	Resumes int
-}
-
-// Resume re-attaches a client to a live session after a connection loss: the
-// session must already exist (registered, restored from a checkpoint, or
-// still live across the reset) — resume never creates state, so it is safe
-// to retry. The server answers with the client's frame high-water mark and
-// loss/duplicate counters, and mirrors the handshake into the event stream
-// as a session_resumed event. A restarted server that lost the client's
-// tracking (it is in-memory only) restarts the baseline at sentSeq: Dropped
-// counts from the new baseline rather than inventing a loss figure.
-func (srv *Server) Resume(name, client string, sentSeq uint64) (ResumeInfo, error) {
-	if client == "" {
-		return ResumeInfo{}, errors.New("harmony: resume requires a client id")
-	}
-	s, err := srv.session(name)
-	if err != nil {
-		return ResumeInfo{}, err
-	}
-	s.mu.Lock()
-	s.lastUsed = s.opts.Clock.Now()
-	ct, known := s.clients[client]
-	if !known {
-		ct = s.clientLocked(client)
-		ct.lastSeq = sentSeq
-	}
-	ct.resumes++
-	// sentSeq is the resume frame's own sequence; the lost data frames are
-	// the gap strictly between the high-water mark and it.
-	if known && sentSeq > 0 && sentSeq-1 > ct.lastSeq {
-		ct.dropped += sentSeq - 1 - ct.lastSeq
-	}
-	if sentSeq > ct.lastSeq {
-		ct.lastSeq = sentSeq
-	}
-	info := ResumeInfo{
-		LastSeq:    ct.lastSeq,
-		Dropped:    ct.dropped,
-		Duplicates: ct.dups,
-		Resumes:    ct.resumes,
-	}
-	s.mu.Unlock()
-	s.rec.Record(event.SessionResumed{
-		Session: name, Client: client, Resumes: info.Resumes,
-		LastSeq: info.LastSeq, Dropped: info.Dropped, Duplicates: info.Duplicates,
-	})
-	return info, nil
 }
 
 // Best returns the best-known configuration and its estimate.

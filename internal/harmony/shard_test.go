@@ -295,8 +295,7 @@ func TestClientBatchRoundTrips(t *testing.T) {
 			if !IsBackpressure(err) || !IsPermanent(err) {
 				t.Fatalf("wire backpressure not classified: %v", err)
 			}
-			n, _ := c.Resumes()
-			if n != 0 {
+			if n := c.Reconnects(); n != 0 {
 				t.Errorf("backpressure triggered %d reconnects; it must not redial", n)
 			}
 			if _, err := c.FetchN("nope", 3); !IsUnknownSession(err) {

@@ -67,7 +67,7 @@ func fromWireParams(ws []wireParam) ([]space.Parameter, error) {
 
 // request is one client message (a JSON line, or a PHWIRE1 frame payload).
 type request struct {
-	Op      string      `json:"op"` // register | fetch | report | best | stats | resume | fetchn | reportn
+	Op      string      `json:"op"` // register | fetch | report | best | stats | fetchn | reportn
 	Session string      `json:"session"`
 	Params  []wireParam `json:"params,omitempty"`
 	Tag     uint64      `json:"tag,omitempty"`
@@ -103,11 +103,6 @@ type response struct {
 	// Seq echoes the request's frame sequence so the client can discard
 	// duplicated or stale response frames after transit faults.
 	Seq uint64 `json:"seq,omitempty"`
-	// LastSeq, Dropped, Duplicates, and Resumes answer a resume handshake.
-	LastSeq    uint64 `json:"last_seq,omitempty"`
-	Dropped    uint64 `json:"dropped,omitempty"`
-	Duplicates uint64 `json:"duplicates,omitempty"`
-	Resumes    int    `json:"resumes,omitempty"`
 	// Batch answers a fetchn request.
 	Batch []FetchResult `json:"batch,omitempty"`
 	// Accepted, Refused, and Rejected classify a reportn frame's items;
@@ -238,6 +233,10 @@ func ServeWith(l net.Listener, srv *Server, opts ConnOptions) error {
 	}
 }
 
+// maxTrackedClients bounds a connection's per-client sequence map; past it
+// the map restarts empty.
+const maxTrackedClients = 1024
+
 func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTracker) {
 	defer tracker.wg.Done()
 	defer tracker.remove(conn)
@@ -247,7 +246,7 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 	}
 	// Negotiate the codec from the connection's first bytes; everything after
 	// the sniff — deadlines, dup suppression, dispatch — is codec-agnostic,
-	// which is how the resume contract stays identical across wire formats.
+	// which is how recovery behaves identically over both wire formats.
 	codec, wire, br, err := sniffServerCodec(conn)
 	if err != nil {
 		return
@@ -299,7 +298,6 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 		}
 		if req.Client != "" && req.Seq != 0 {
 			if last, ok := lastSeq[req.Client]; ok && req.Seq <= last {
-				srv.noteDuplicateFrame(req.Session, req.Client)
 				continue
 			}
 			if lastSeq == nil {
@@ -329,12 +327,6 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 // which the caller reuses across frames (nil allocates a fresh one); the
 // response aliases it until the next dispatch.
 func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) response {
-	if req.Op != "resume" {
-		// Session-level frame accounting: duplicates that slip past the
-		// connection filter (reconnect resends land on a fresh connection)
-		// are counted here and surfaced by the resume handshake.
-		srv.trackFrame(req.Session, req.Client, req.Seq)
-	}
 	switch req.Op {
 	case "register":
 		params, err := fromWireParams(req.Params)
@@ -408,13 +400,6 @@ func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) resp
 			return errResponse(err)
 		}
 		return response{OK: true, Stats: &st, Converged: st.Converged}
-	case "resume":
-		info, err := srv.Resume(req.Session, req.Client, req.Seq)
-		if err != nil {
-			return errResponse(err)
-		}
-		return response{OK: true, LastSeq: info.LastSeq, Dropped: info.Dropped,
-			Duplicates: info.Duplicates, Resumes: info.Resumes}
 	default:
 		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
@@ -442,7 +427,7 @@ type DialOptions struct {
 	Seed int64
 	// Wire selects the wire protocol: WireJSON (the default) or WireBinary.
 	// Both speak the same frame semantics (Seq, dup suppression, rids), so
-	// resume and idempotent retry behave identically either way.
+	// reconnects and idempotent retries behave identically either way.
 	Wire Wire
 	// DialFunc overrides how the client reaches the server — e.g. a chaos
 	// MemListener's Dial, or a net.Pipe in benchmarks. nil dials addr over
@@ -480,26 +465,24 @@ func (o *DialOptions) normalise() {
 // failures (EOF, reset, expired deadline, garbage in the response stream)
 // are transient and retried on a fresh connection with capped, jittered
 // exponential backoff. Every frame carries the client id and a sequence
-// number, so the server can discard frames duplicated in transit, and after
-// a reconnect the client re-attaches to its last session with a resume
-// handshake instead of re-registering. Reports additionally carry a unique
-// id, so a retry that reaches the server twice is counted once.
+// number, so the server can discard frames duplicated in transit. Reports
+// additionally carry a unique id, so a retry that reaches the server twice
+// is counted once, so a reconnect just resends the failed request on the
+// fresh connection.
 type Client struct {
 	addr      string      // immutable after DialWith
 	opts      DialOptions // immutable after DialWith
 	id        string      // stable wire identity; immutable after DialWith
 	ridPrefix string      // "%x-" of the nonce; immutable after DialWith
 
-	mu      sync.Mutex //paralint:lockrank 34
-	conn    net.Conn
-	codec   clientCodec
-	rng     *rand.Rand
-	nonce   int64
-	nextID  uint64
-	seq     uint64 // frame sequence; one per frame put on the wire
-	session string // last session used; target of the auto-resume handshake
-	resumes int    // resume handshakes completed
-	lastRes ResumeInfo
+	mu         sync.Mutex //paralint:lockrank 34
+	conn       net.Conn
+	codec      clientCodec
+	rng        *rand.Rand
+	nonce      int64
+	nextID     uint64
+	seq        uint64 // frame sequence; one per frame put on the wire
+	reconnects int    // connections re-established after a loss
 	// req and resp are the frame in flight: one round trip at a time, so
 	// every call reuses them.
 	req  request
@@ -612,13 +595,13 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Resumes returns how many resume handshakes the client has completed, and
-// the server's answer to the latest one. A non-zero count means the client
-// survived at least one connection loss by re-attaching to its session.
-func (c *Client) Resumes() (int, ResumeInfo) {
+// Reconnects returns how many times the client re-established a lost
+// connection. A non-zero count means it survived at least one connection
+// loss.
+func (c *Client) Reconnects() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.resumes, c.lastRes
+	return c.reconnects
 }
 
 // appError marks a server-side (application-level) failure: the request was
@@ -677,15 +660,12 @@ func (c *Client) roundTrip(req request) (response, error) {
 				// The full dial budget is spent; the server is unreachable.
 				return response{}, err
 			}
-			c.resumeLocked()
+			c.reconnects++
 		}
 		err := c.sendLocked(&c.req)
 		if err == nil {
 			if !c.resp.OK {
 				return response{}, &appError{msg: c.resp.Error, code: c.resp.Code}
-			}
-			if req.Session != "" {
-				c.session = req.Session
 			}
 			return c.resp, nil
 		}
@@ -696,27 +676,6 @@ func (c *Client) roundTrip(req request) (response, error) {
 		c.dropConnLocked()
 	}
 	return response{}, fmt.Errorf("harmony: %s failed after %d attempts: %w", req.Op, attempts, lastErr)
-}
-
-// resumeLocked re-attaches to the last session after a reconnect. It is
-// best-effort: a transport failure just leaves the fresh connection to the
-// caller's retry loop, and an application error (say the session died with
-// the server) is surfaced by the caller's own request instead.
-func (c *Client) resumeLocked() {
-	if c.session == "" || c.conn == nil {
-		return
-	}
-	err := c.sendLocked(&request{Op: "resume", Session: c.session, Client: c.id})
-	if err != nil || !c.resp.OK {
-		return
-	}
-	c.resumes++
-	c.lastRes = ResumeInfo{
-		LastSeq:    c.resp.LastSeq,
-		Dropped:    c.resp.Dropped,
-		Duplicates: c.resp.Duplicates,
-		Resumes:    c.resp.Resumes,
-	}
 }
 
 // sendLocked puts one frame on the wire and reads its response into c.resp,

@@ -25,10 +25,10 @@ import (
 //
 // The codec is canonical: decoding a frame and re-encoding the result yields
 // the same bytes (FuzzBinaryFrameDecode pins this), which is what lets the
-// resume/dup-suppression machinery treat binary frames exactly like JSON
-// lines. Frame semantics — per-frame Seq, per-connection dup suppression,
-// rid-idempotent reports — are shared with the JSON codec; only the encoding
-// differs.
+// dup-suppression machinery treat binary frames exactly like JSON lines.
+// Frame semantics — per-frame Seq, per-connection dup suppression,
+// rid-idempotent reports — are shared with the JSON codec; only the
+// encoding differs.
 
 // WireMagic is the binary client's connection preamble. The first byte can
 // never open a JSON-lines request (those start with '{'), which is the whole
@@ -57,16 +57,16 @@ const (
 	codeBackpressure   = "backpressure"
 )
 
-// Request opcodes. The order is frozen: it is the wire format.
+// Request opcodes. The values are frozen: they are the wire format. Opcode 6
+// (a retired resume handshake) is never reused.
 const (
-	opRegister byte = iota + 1
-	opFetch
-	opReport
-	opBest
-	opStats
-	opResume
-	opFetchN
-	opReportN
+	opRegister byte = 1
+	opFetch    byte = 2
+	opReport   byte = 3
+	opBest     byte = 4
+	opStats    byte = 5
+	opFetchN   byte = 7
+	opReportN  byte = 8
 )
 
 // Static errors for the hot encode path: returning one allocates nothing.
@@ -88,8 +88,6 @@ func opCode(op string) (byte, bool) {
 		return opBest, true
 	case "stats":
 		return opStats, true
-	case "resume":
-		return opResume, true
 	case "fetchn":
 		return opFetchN, true
 	case "reportn":
@@ -111,8 +109,6 @@ func opName(code byte) (string, bool) {
 		return "best", true
 	case opStats:
 		return "stats", true
-	case opResume:
-		return "resume", true
 	case opFetchN:
 		return "fetchn", true
 	case opReportN:
@@ -231,10 +227,8 @@ func appendResponse(dst []byte, resp *response) []byte {
 		dst = binary.AppendUvarint(dst, uint64(resp.Stats.Pending))
 		dst = binary.AppendUvarint(dst, resp.Stats.NextTag)
 	}
-	dst = binary.AppendUvarint(dst, resp.LastSeq)
-	dst = binary.AppendUvarint(dst, resp.Dropped)
-	dst = binary.AppendUvarint(dst, resp.Duplicates)
-	dst = binary.AppendUvarint(dst, uint64(resp.Resumes))
+	// Four retired counter slots, always zero (one uvarint byte each).
+	dst = append(dst, 0, 0, 0, 0)
 	dst = binary.AppendUvarint(dst, uint64(len(resp.Batch)))
 	for i := range resp.Batch {
 		b := &resp.Batch[i]
@@ -418,10 +412,12 @@ func decodeResponse(payload []byte, resp *response) error {
 		st.NextTag = r.Uvarint()
 		resp.Stats = st
 	}
-	resp.LastSeq = r.Uvarint()
-	resp.Dropped = r.Uvarint()
-	resp.Duplicates = r.Uvarint()
-	resp.Resumes = intVal(&r)
+	// The retired counter slots must be zero, keeping the codec canonical.
+	for i := 0; i < 4; i++ {
+		if r.Uvarint() != 0 {
+			r.Fail()
+		}
+	}
 	if n := r.Count(2); n > 0 {
 		resp.Batch = make([]FetchResult, n)
 		// One slab holds every point: it has room for every float the rest

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func wireRequests() []request {
 		{Op: "fetch", Session: "sess-два", Client: "client/1", Seq: 2},
 		{Op: "report", Session: "s", Tag: 99, Value: 3.25, RID: "rid-1", Seq: 300},
 		{Op: "stats", Session: "s", Seq: ^uint64(0)},
-		{Op: "resume", Session: "s", Client: "c", Seq: 1 << 40},
+		{Op: "best", Session: "s", Client: "c", Seq: 1 << 40},
 		{Op: "fetchn", Session: "s", N: 64, Seq: 7},
 		{Op: "reportn", Session: "s", Seq: 8, Reports: []ReportItem{
 			{Tag: 1, Value: 0.5, RID: "a"},
@@ -40,7 +41,7 @@ func wireResponses() []response {
 		{OK: true, Seq: 1},
 		{OK: false, Seq: 2, Code: codeUnknownSession, Error: "unknown session \"s\""},
 		{OK: true, Seq: 3, Point: []float64{1, 2.5, -3}, Tag: 17, Converged: true},
-		{OK: true, Seq: 4, Value: 0.125, LastSeq: 40, Dropped: 3, Duplicates: 1, Resumes: 2},
+		{OK: true, Seq: 4, Value: 0.125},
 		{OK: true, Seq: 5, Stats: &SessionStats{
 			Name: "s", Converged: true, Best: []float64{9, 8}, BestValue: 0.25,
 			Pending: 4, NextTag: 77,
@@ -107,6 +108,7 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":              {},
 		"unknown op":         append([]byte{0xee}, valid[1:]...),
+		"retired resume op":  append([]byte{6}, valid[1:]...),
 		"truncated":          valid[:len(valid)-1],
 		"trailing byte":      append(append([]byte{}, valid...), 0),
 		"non-minimal seq":    append(append([]byte{valid[0]}, 0x81, 0x00), valid[2:]...),
@@ -127,6 +129,15 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		"stats flag no stats": append([]byte{respFlagStats | respValid[0]}, respValid[1:]...),
 		"truncated":           respValid[:len(respValid)-1],
 		"trailing":            append(append([]byte{}, respValid...), 7),
+	}
+	// The four retired counter slots sit just before the five trailing
+	// one-byte fields (batch count, accepted, refused, rejected, queue); any
+	// non-zero slot is malformed.
+	slots := len(respValid) - 4 - 5
+	for i := 0; i < 4; i++ {
+		bad := append([]byte{}, respValid...)
+		bad[slots+i] = 1
+		respCases["non-zero retired slot "+strconv.Itoa(i)] = bad
 	}
 	for name, payload := range respCases {
 		var resp response
@@ -353,7 +364,10 @@ func BenchmarkDecodeReportN(b *testing.B) {
 func TestWireCodecTablesFrozen(t *testing.T) {
 	frozenOps := map[string]byte{
 		"register": 1, "fetch": 2, "report": 3, "best": 4,
-		"stats": 5, "resume": 6, "fetchn": 7, "reportn": 8,
+		"stats": 5, "fetchn": 7, "reportn": 8,
+	}
+	if _, ok := opName(6); ok {
+		t.Error("opName(6) accepted the retired resume opcode; it is never reused")
 	}
 	frozenKinds := map[string]byte{"continuous": 0, "integer": 1, "discrete": 2}
 

@@ -133,21 +133,16 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.gc.Import(path)
 }
 
-// LoadDir parses and type-checks the single package in dir (non-test .go
-// files), assigning it asImportPath. Imports are resolved through the go
-// tool, so only importable (typically stdlib) dependencies are supported.
-// This is the entry point the golden-file tests use: testdata packages are
-// invisible to `go list ./...` but still need real type information, and
-// asImportPath lets a testdata package impersonate a simulation package.
-func LoadDir(dir, asImportPath string) (*Package, error) {
-	return LoadDirWithDeps(dir, asImportPath, nil)
-}
-
-// LoadDirWithDeps is LoadDir with additional pre-checked dependencies: an
-// import of a path present in deps resolves to that package instead of
-// export data. The fact-propagation tests use it to chain testdata packages
-// the go tool cannot see (package A checked first, then package B importing
-// A's impersonated path).
+// LoadDirWithDeps parses and type-checks the single package in dir (non-test
+// .go files), assigning it asImportPath. Imports are resolved through the go
+// tool, so only importable (typically stdlib) dependencies are supported,
+// except that an import of a path present in deps resolves to that
+// pre-checked package instead of export data. This is the entry point the
+// golden-file tests use: testdata packages are invisible to `go list ./...`
+// but still need real type information, asImportPath lets a testdata package
+// impersonate a simulation package, and deps chain testdata packages the go
+// tool cannot see (package A checked first, then package B importing A's
+// impersonated path).
 func LoadDirWithDeps(dir, asImportPath string, deps map[string]*Package) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -18,7 +18,7 @@ func TestAppendObsAllocs(t *testing.T) {
 		s.Observe(p, float64(i))
 	}
 	dst := make([]float64, 0, 8)
-	alloccheck.Guard(t, "measuredb.Store.AppendObs", 0, func() {
-		dst, _ = s.AppendObs(dst[:0], p, 3)
+	alloccheck.Guard(t, "measuredb.Store.AppendObsSource", 0, func() {
+		dst, _, _ = s.AppendObsSource(dst[:0], p, 3)
 	})
 }

@@ -9,10 +9,10 @@
 // The store answers two questions:
 //
 //   - exact match: "has this configuration already been measured at least K
-//     times?" — the memoisation path ([Store.AppendObs], [Memo]) that lets a
+//     times?" — the memoisation path ([Store.AppendObsSource], [Memo]) that lets a
 //     warm-started run skip re-measuring resolved configurations;
 //   - aggregation: per-configuration min / mean / median / p90 over all raw
-//     observations ([Store.Aggregate]), computed with internal/stats.
+//     observations ([Store.ForEach]), computed with internal/stats.
 //
 // Every observation additionally carries a federation identity: the origin
 // (the store that first recorded it) and a per-origin sequence number.
@@ -112,7 +112,7 @@ type RecoveryInfo struct {
 // federated Apply) is also framed into the WAL so a crashed process loses at
 // most the torn tail record.
 //
-// Reads (AppendObs, Aggregate, ForEach) take only the shard locks; writes
+// Reads (AppendObsSource, ForEach) take only the shard locks; writes
 // and persistence state serialise on mu, keeping WAL frame order identical
 // to in-memory arrival order.
 type Store struct {
@@ -475,37 +475,14 @@ func (s *Store) SetApplyHook(fn func(key string)) {
 	s.mu.Unlock()
 }
 
-// AppendObs is the exact-match lookup: it appends up to max stored raw
-// observations for p (in canonical order) to dst and reports whether the
-// configuration exists at all. max <= 0 means all. The caller owns dst, so a
-// reused buffer with capacity makes the lookup allocation-free — the memo
-// path calls this once per candidate per iteration, and the alloccheck test
-// pins a zero-alloc budget.
-func (s *Store) AppendObs(dst []float64, p space.Point, max int) ([]float64, bool) {
-	var kb [8 * maxStackDim]byte
-	key := kb[:0]
-	if len(p) > maxStackDim {
-		key = make([]byte, 0, 8*len(p))
-	}
-	key = AppendKey(key, p)
-	sh := &s.shards[shardFor(key)]
-	sh.mu.Lock()
-	r := sh.recs[string(key)]
-	found := r != nil
-	if found {
-		n := len(r.obs)
-		if max > 0 && n > max {
-			n = max
-		}
-		dst = append(dst, r.obs[:n]...)
-	}
-	sh.mu.Unlock()
-	return dst, found
-}
-
-// AppendObsSource is AppendObs plus provenance: federated reports whether
-// any of the returned observations was first recorded by a different store
-// — the signal behind the db_hit event's "federated" source tag.
+// AppendObsSource is the exact-match lookup: it appends up to max stored
+// raw observations for p (in canonical order) to dst and reports whether the
+// configuration exists at all; max <= 0 means all. federated reports whether
+// any returned observation was first recorded by a different store — the
+// signal behind the db_hit event's "federated" source tag. The caller owns
+// dst, so a reused buffer with capacity makes the lookup allocation-free —
+// the memo path calls this once per candidate per iteration, and the
+// alloccheck test pins a zero-alloc budget.
 func (s *Store) AppendObsSource(dst []float64, p space.Point, max int) (obs []float64, found, federated bool) {
 	var kb [8 * maxStackDim]byte
 	key := kb[:0]
@@ -556,20 +533,6 @@ func aggOf(p space.Point, obs []float64) Agg {
 		Median: stats.Median(obs),
 		P90:    stats.Percentile(obs, 0.9),
 	}
-}
-
-// Aggregate returns p's aggregate, if the configuration has been observed.
-// The returned Point is a copy.
-func (s *Store) Aggregate(p space.Point) (Agg, bool) {
-	key := AppendKey(nil, p)
-	sh := &s.shards[shardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := sh.recs[string(key)]
-	if r == nil {
-		return Agg{}, false
-	}
-	return aggOf(r.point.Clone(), r.obs), true
 }
 
 // gather snapshots every record as codec entries in canonical key order.

@@ -10,24 +10,34 @@ import (
 	"paratune/internal/space"
 )
 
+// aggregate is p's aggregate over its raw observations, as ForEach reports
+// it; false when p was never observed.
+func aggregate(s *Store, p space.Point) (Agg, bool) {
+	obs, ok, _ := s.AppendObsSource(nil, p, 0)
+	if !ok {
+		return Agg{}, false
+	}
+	return aggOf(p.Clone(), obs), true
+}
+
 func TestObserveAggregate(t *testing.T) {
 	s := NewMemory(Options{Seed: 1})
 	p := space.Point{1, 2, 3}
 	for _, v := range []float64{5, 3, 4, 8} {
 		s.Observe(p, v)
 	}
-	a, ok := s.Aggregate(p)
+	a, ok := aggregate(s, p)
 	if !ok {
-		t.Fatal("Aggregate: configuration not found")
+		t.Fatal("aggregate: configuration not found")
 	}
 	if a.Count != 4 || a.Min != 3 {
-		t.Fatalf("Aggregate = count %d min %g, want count 4 min 3", a.Count, a.Min)
+		t.Fatalf("aggregate = count %d min %g, want count 4 min 3", a.Count, a.Min)
 	}
 	if a.Mean != 5 {
 		t.Fatalf("Mean = %g, want 5", a.Mean)
 	}
-	if _, ok := s.Aggregate(space.Point{9, 9, 9}); ok {
-		t.Fatal("Aggregate found a never-observed configuration")
+	if _, ok := aggregate(s, space.Point{9, 9, 9}); ok {
+		t.Fatal("aggregate found a never-observed configuration")
 	}
 }
 
@@ -37,11 +47,11 @@ func TestObserveIgnoresInvalidValues(t *testing.T) {
 	s.Observe(p, math.NaN())
 	s.Observe(p, math.Inf(1))
 	s.Observe(p, -3)
-	if _, ok := s.Aggregate(p); ok {
+	if _, ok := aggregate(s, p); ok {
 		t.Fatal("invalid values were recorded")
 	}
 	s.Observe(p, 2)
-	if a, _ := s.Aggregate(p); a.Count != 1 {
+	if a, _ := aggregate(s, p); a.Count != 1 {
 		t.Fatalf("Count = %d, want 1", a.Count)
 	}
 }
@@ -57,19 +67,19 @@ func TestAppendObsOrderAndCap(t *testing.T) {
 	for _, v := range []float64{9, 1, 4} {
 		s.Observe(p, v)
 	}
-	obs, ok := s.AppendObs(nil, p, 0)
+	obs, ok, _ := s.AppendObsSource(nil, p, 0)
 	if !ok || len(obs) != 3 {
-		t.Fatalf("AppendObs(all) = %v, %v", obs, ok)
+		t.Fatalf("AppendObsSource(all) = %v, %v", obs, ok)
 	}
 	if obs[0] != 9 || obs[1] != 1 || obs[2] != 4 {
 		t.Fatalf("observations out of arrival order: %v", obs)
 	}
-	obs, _ = s.AppendObs(obs[:0], p, 2)
+	obs, _, _ = s.AppendObsSource(obs[:0], p, 2)
 	if len(obs) != 2 || obs[0] != 9 || obs[1] != 1 {
-		t.Fatalf("AppendObs(max=2) = %v, want first two in arrival order", obs)
+		t.Fatalf("AppendObsSource(max=2) = %v, want first two in arrival order", obs)
 	}
-	if _, ok := s.AppendObs(nil, space.Point{0, 0}, 0); ok {
-		t.Fatal("AppendObs found a never-observed configuration")
+	if _, ok, _ := s.AppendObsSource(nil, space.Point{0, 0}, 0); ok {
+		t.Fatal("AppendObsSource found a never-observed configuration")
 	}
 }
 
@@ -84,8 +94,8 @@ func TestKeyInjective(t *testing.T) {
 	if cfgs, _ := s.Stats(); cfgs != 2 {
 		t.Fatalf("Stats configs = %d, want 2 distinct configurations", cfgs)
 	}
-	av, _ := s.Aggregate(a)
-	bv, _ := s.Aggregate(b)
+	av, _ := aggregate(s, a)
+	bv, _ := aggregate(s, b)
 	if av.Min != 10 || bv.Min != 20 {
 		t.Fatalf("adjacent floats collided: %g %g", av.Min, bv.Min)
 	}
@@ -122,7 +132,7 @@ func TestConcurrentObserve(t *testing.T) {
 			for i := 0; i < per; i++ {
 				p := space.Point{float64(i % 10), float64(g % 3)}
 				s.Observe(p, float64(i))
-				s.AppendObs(nil, p, 4)
+				s.AppendObsSource(nil, p, 4)
 			}
 		}(g)
 	}
@@ -264,7 +274,7 @@ func TestHighDimensionalKey(t *testing.T) {
 	}
 	s := NewMemory(Options{})
 	s.Observe(p, 42)
-	obs, ok := s.AppendObs(nil, p, 0)
+	obs, ok, _ := s.AppendObsSource(nil, p, 0)
 	if !ok || len(obs) != 1 || obs[0] != 42 {
 		t.Fatalf("high-dim lookup = %v, %v", obs, ok)
 	}

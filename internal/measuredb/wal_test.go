@@ -210,7 +210,7 @@ func TestCompactAndReopen(t *testing.T) {
 	if len(got) != len(want)+1 {
 		t.Fatalf("configs after compact+append = %d, want %d", len(got), len(want)+1)
 	}
-	if a, ok := st2.Aggregate(extra); !ok || a.Min != 1 {
+	if a, ok := aggregate(st2, extra); !ok || a.Min != 1 {
 		t.Fatal("post-compaction observation lost")
 	}
 }
@@ -238,7 +238,7 @@ func TestCompactPreservesObservationOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	obs, ok := st2.AppendObs(nil, p, 0)
+	obs, ok, _ := st2.AppendObsSource(nil, p, 0)
 	if !ok || len(obs) != 3 || obs[0] != 9 || obs[1] != 2 || obs[2] != 7 {
 		t.Fatalf("observation order after compact = %v, want [9 2 7]", obs)
 	}

@@ -33,15 +33,6 @@ func RequiredK(alpha, beta, lambda, eps float64) (int, error) {
 	return int(math.Ceil(k)), nil
 }
 
-// ExceedanceProb returns Eq. 20 directly: the probability that the minimum
-// of k Pareto(alpha, beta) noise samples exceeds beta + lambda.
-func ExceedanceProb(alpha, beta, lambda float64, k int) float64 {
-	if lambda <= 0 || k < 1 {
-		return 1
-	}
-	return math.Pow(beta/(beta+lambda), float64(k)*alpha)
-}
-
 // KTuner chooses the per-configuration sample count on line — the §5.2
 // extension the paper names as future work ("we are working on optimization
 // algorithms that update K adaptively"). It estimates the Pareto noise scale

@@ -7,6 +7,15 @@ import (
 	"paratune/internal/dist"
 )
 
+// exceedanceProb returns Eq. 20 directly: the probability that the minimum
+// of k Pareto(alpha, beta) noise samples exceeds beta + lambda.
+func exceedanceProb(alpha, beta, lambda float64, k int) float64 {
+	if lambda <= 0 || k < 1 {
+		return 1
+	}
+	return math.Pow(beta/(beta+lambda), float64(k)*alpha)
+}
+
 func TestRequiredKValidation(t *testing.T) {
 	cases := []struct {
 		alpha, beta, lambda, eps float64
@@ -41,11 +50,11 @@ func TestRequiredKMatchesEq20(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := ExceedanceProb(c.alpha, c.beta, c.lambda, k); p > c.eps {
+		if p := exceedanceProb(c.alpha, c.beta, c.lambda, k); p > c.eps {
 			t.Errorf("K=%d gives exceedance %g > eps %g", k, p, c.eps)
 		}
 		if k > 1 {
-			if p := ExceedanceProb(c.alpha, c.beta, c.lambda, k-1); p <= c.eps {
+			if p := exceedanceProb(c.alpha, c.beta, c.lambda, k-1); p <= c.eps {
 				t.Errorf("K=%d not minimal: K-1 already gives %g <= %g", k, p, c.eps)
 			}
 		}
@@ -95,7 +104,7 @@ func TestExceedanceProbEmpirical(t *testing.T) {
 		}
 	}
 	got := float64(exceed) / trials
-	want := ExceedanceProb(alpha, beta, lambda, k)
+	want := exceedanceProb(alpha, beta, lambda, k)
 	if math.Abs(got-want) > 0.005 {
 		t.Errorf("empirical exceedance %g vs analytic %g", got, want)
 	}

@@ -61,43 +61,6 @@ func (p Point) Sub(q Point) Point {
 	return out
 }
 
-// Scale returns a*p as a new point.
-func (p Point) Scale(a float64) Point {
-	out := make(Point, len(p))
-	for i := range p {
-		out[i] = a * p[i]
-	}
-	return out
-}
-
-// Axpy returns p + a*q as a new point.
-func (p Point) Axpy(a float64, q Point) Point {
-	out := make(Point, len(p))
-	for i := range p {
-		out[i] = p[i] + a*q[i]
-	}
-	return out
-}
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	var s float64
-	for i := range p {
-		d := p[i] - q[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// Norm returns the Euclidean norm of p.
-func (p Point) Norm() float64 {
-	var s float64
-	for _, v := range p {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Key returns a canonical string encoding of the point, usable as a map key
 // for databases of evaluated configurations: the coordinates formatted as by
 // fmt's %g, comma-separated.

@@ -303,16 +303,6 @@ func (s *Space) Names() []string {
 	return names
 }
 
-// Index returns the position of the named parameter, or -1.
-func (s *Space) Index(name string) int {
-	for i, p := range s.params {
-		if p.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Center returns the admissible centre point c of the region.
 func (s *Space) Center() Point {
 	c := make(Point, len(s.params))

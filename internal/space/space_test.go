@@ -273,12 +273,6 @@ func TestGridSizeAndEnumerate(t *testing.T) {
 
 func TestIndexAndNames(t *testing.T) {
 	s := testSpace3(t)
-	if got := s.Index("negrid"); got != 1 {
-		t.Errorf("Index(negrid) = %d", got)
-	}
-	if got := s.Index("absent"); got != -1 {
-		t.Errorf("Index(absent) = %d", got)
-	}
 	names := s.Names()
 	if len(names) != 3 || names[2] != "nodes" {
 		t.Errorf("Names = %v", names)

@@ -21,7 +21,7 @@ func TestStdErr(t *testing.T) {
 func TestQQPointsStraightLineForMatchingDist(t *testing.T) {
 	rng := dist.NewRNG(3)
 	d := dist.Exponential{Lambda: 2}
-	xs := dist.SampleN(d, rng, 50000)
+	xs := sampleN(d, rng, 50000)
 	th, em, err := QQPoints(xs, d, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestQQPointsStraightLineForMatchingDist(t *testing.T) {
 
 func TestQQPointsDetectHeavierTail(t *testing.T) {
 	rng := dist.NewRNG(4)
-	heavy := dist.SampleN(dist.Pareto{Alpha: 1.2, Beta: 1}, rng, 50000)
+	heavy := sampleN(dist.Pareto{Alpha: 1.2, Beta: 1}, rng, 50000)
 	// Compare against an exponential reference with the same median.
 	ref := dist.Exponential{Lambda: math.Ln2 / Percentile(heavy, 0.5)}
 	th, em, err := QQPoints(heavy, ref, 40)

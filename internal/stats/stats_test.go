@@ -2,11 +2,21 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"paratune/internal/dist"
 )
+
+// sampleN draws n variates from d.
+func sampleN(d dist.Distribution, rng *rand.Rand, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = d.Sample(rng)
+	}
+	return xs
+}
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
@@ -198,7 +208,7 @@ func TestFitLine(t *testing.T) {
 func TestLogLogTailFitRecoversAlpha(t *testing.T) {
 	p := dist.Pareto{Alpha: 1.7, Beta: 1}
 	rng := dist.NewRNG(4242)
-	xs := dist.SampleN(p, rng, 50000)
+	xs := sampleN(p, rng, 50000)
 	fit, err := LogLogTailFit(xs, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +227,7 @@ func TestLogLogTailFitRecoversAlpha(t *testing.T) {
 // Light-tailed data must NOT register as heavy-tailed.
 func TestLogLogTailFitLightTail(t *testing.T) {
 	rng := dist.NewRNG(7)
-	xs := dist.SampleN(dist.Exponential{Lambda: 1}, rng, 50000)
+	xs := sampleN(dist.Exponential{Lambda: 1}, rng, 50000)
 	fit, err := LogLogTailFit(xs, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +255,7 @@ func TestLogLogTailFitValidation(t *testing.T) {
 func TestHillEstimator(t *testing.T) {
 	p := dist.Pareto{Alpha: 1.7, Beta: 1}
 	rng := dist.NewRNG(11)
-	xs := dist.SampleN(p, rng, 50000)
+	xs := sampleN(p, rng, 50000)
 	alpha, err := HillEstimator(xs, 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +326,7 @@ func TestRunningMeanMinCumSum(t *testing.T) {
 func TestMinConvergesWhereMeanDiverges(t *testing.T) {
 	p := dist.Pareto{Alpha: 0.8, Beta: 1}
 	rng := dist.NewRNG(5)
-	xs := dist.SampleN(p, rng, 100000)
+	xs := sampleN(p, rng, 100000)
 	rmin := RunningMin(xs)
 	final := rmin[len(rmin)-1]
 	if !almost(final, 1, 0.01) {
@@ -331,7 +341,7 @@ func TestMinConvergesWhereMeanDiverges(t *testing.T) {
 // Property: ECDF evaluated at its own quantile is consistent.
 func TestECDFQuantileConsistency(t *testing.T) {
 	rng := dist.NewRNG(21)
-	xs := dist.SampleN(dist.Uniform{A: 0, B: 1}, rng, 500)
+	xs := sampleN(dist.Uniform{A: 0, B: 1}, rng, 500)
 	e, err := NewECDF(xs)
 	if err != nil {
 		t.Fatal(err)
