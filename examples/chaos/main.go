@@ -63,7 +63,7 @@ func main() {
 
 	// --- Act 2: tuning through an unreliable network ------------------------
 	fmt.Println("act 2: 2 clients tune GS2 through delays, drops, dups, truncation, resets")
-	baseline := run(db, chaos.Config{Seed: 1}, false) // fault-free: every frame passes
+	baseline, _ := run(db, chaos.Config{Seed: 1}, false) // fault-free: every frame passes
 	var mem event.Memory
 	faulty := chaos.Config{
 		Seed:   19,
@@ -71,7 +71,7 @@ func main() {
 		DelayMinMS: 1, DelayMaxMS: 5,
 		Recorder: &mem,
 	}
-	chaotic := run(db, faulty, false)
+	chaotic, _ := run(db, faulty, false)
 	fmt.Printf("  faults applied on the wire: %d (of %d planned)\n",
 		mem.Count(event.KindChaosApplied), mem.Count(event.KindChaosPlan))
 	fmt.Printf("  fault-free best -> %.4f\n", baseline)
@@ -80,13 +80,19 @@ func main() {
 
 	// --- Act 3: kill -9 mid-tuning, restore from checkpoint -----------------
 	fmt.Println("act 3: scheduled mid-tuning kill; restart from checkpoint + WAL")
+	// The two clients send 56-67 frames in all before they converge, so the
+	// kill is drawn in [1, 50] frames (seed 19 draws 28) to land mid-tuning.
 	kill := chaos.Config{
 		Seed:  19,
-		Kills: 1, KillEveryFrames: 40, DownMinMS: 10, DownMaxMS: 30,
+		Kills: 1, KillEveryFrames: 25, DownMinMS: 10, DownMaxMS: 30,
 	}
-	killed := run(db, kill, true)
+	killed, gen := run(db, kill, true)
 	fmt.Printf("  post-restart best -> %.4f  (%.1f%% off fault-free)\n",
 		killed, 100*(killed-baseline)/baseline)
+	if gen < 2 {
+		fmt.Fprintln(os.Stderr, "chaos: the scheduled kill never fired, so the demo showed no restart")
+		os.Exit(1)
+	}
 }
 
 // renderPlan builds a chaos schedule and renders its plan stream as JSONL.
@@ -102,9 +108,10 @@ func renderPlan(cfg chaos.Config) []byte {
 
 // run wires supervisor → chaos proxy → TCP listener, drives two clients to
 // convergence through the proxy, and returns the noise-free value of the best
-// point found. With durable set, the server checkpoints to disk and persists
+// point found and the server's generation (2 or more once a kill restarted
+// it). With durable set, the server checkpoints to disk and persists
 // measurements so a scheduled kill restarts it mid-tuning.
-func run(db objective.Function, cfg chaos.Config, durable bool) float64 {
+func run(db objective.Function, cfg chaos.Config, durable bool) (float64, int) {
 	var ckpt, dbDir string
 	if durable {
 		dir, err := os.MkdirTemp("", "chaos-example")
@@ -225,15 +232,16 @@ func run(db objective.Function, cfg chaos.Config, durable bool) float64 {
 		}(i)
 	}
 	wg.Wait()
+	gen := sup.Generation()
 	if cfg.Kills > 0 {
 		fmt.Printf("  server generation %d (>=2 means the scheduled kill fired), %d client reconnect(s)\n",
-			sup.Generation(), reconnects)
+			gen, reconnects)
 	}
 
 	// The clients read the best point at convergence: a kill landing after
 	// that may restart the server from a checkpoint that predates the
 	// session, so the server is not asked again.
-	return db.Eval(best)
+	return db.Eval(best), gen
 }
 
 func spaceParams(s *space.Space) []space.Parameter {

@@ -384,7 +384,7 @@ func TestSupervisorKillRestart(t *testing.T) {
 
 	// kill -9 and restart from the checkpoint + WAL.
 	h.sup.Kill()
-	if err := h.sup.Restart(); err != nil {
+	if err := h.sup.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if g := h.sup.Generation(); g < 2 {

@@ -88,9 +88,9 @@ type SupervisorConfig struct {
 // Supervisor runs a harmony server as a crash-restartable incarnation chain:
 // Start brings one up, Kill tears it down abruptly — closing the listener,
 // every live connection, and the server with *no* final checkpoint, the
-// in-process equivalent of kill -9 — and Restart builds the next incarnation
-// from the durable state the last auto-checkpoint and the measuredb WAL
-// preserved. The proxy's backend dialer calls Dial, which targets whichever
+// in-process equivalent of kill -9 — and the next Start builds the next
+// incarnation from the durable state the last auto-checkpoint and the
+// measuredb WAL preserved. The proxy's backend dialer calls Dial, which targets whichever
 // incarnation is live and fails fast between them.
 type Supervisor struct {
 	cfg SupervisorConfig
@@ -186,13 +186,6 @@ func (s *Supervisor) Kill() {
 	}
 }
 
-// Restart is Kill followed by Start: the next incarnation rebuilds from the
-// checkpoint file and the measuredb WAL via the NewServer factory.
-func (s *Supervisor) Restart() error {
-	s.Kill()
-	return s.Start()
-}
-
 // Stop shuts the incarnation down gracefully: one final checkpoint, then
 // the same teardown as Kill.
 func (s *Supervisor) Stop() {
@@ -208,7 +201,7 @@ func (s *Supervisor) Stop() {
 
 // Dial connects to the live incarnation, or fails when the server is down
 // (mid-kill) — the proxy surfaces that as a refused link and the harmony
-// client's capped backoff retries until Restart completes.
+// client's capped backoff retries until the next Start completes.
 func (s *Supervisor) Dial() (net.Conn, error) {
 	s.mu.Lock()
 	l := s.l

@@ -6,6 +6,7 @@ import (
 	"paratune/internal/alloccheck"
 	"paratune/internal/noise"
 	"paratune/internal/objective"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 )
 
@@ -56,6 +57,29 @@ func TestSubmitAllocBudget(t *testing.T) {
 			if _, ok := s.Next(); !ok {
 				break
 			}
+		}
+	})
+}
+
+func TestEvalAllocBudget(t *testing.T) {
+	f := allocSurface(t)
+	s, err := New(4, noise.None{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := sample.NewMinOfK(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(s, f, est)
+	ev.Fill = f.Space().Center()
+	pts := []space.Point{{1, 2}, {3, 4}}
+	// Budget per Eval of 2 points at K=3: the estimates handed to the
+	// caller and one RunStep observation slice per step. Observations,
+	// the step order and the processor assignment run on scratch.
+	alloccheck.Guard(t, "Evaluator.Eval", 4, func() {
+		if _, err := ev.Eval(pts); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

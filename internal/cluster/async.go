@@ -11,6 +11,7 @@ import (
 	"paratune/internal/fault"
 	"paratune/internal/noise"
 	"paratune/internal/objective"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 )
 
@@ -219,28 +220,20 @@ func (s *AsyncSim) Pending() int { return s.queue.Len() }
 type AsyncEvaluator struct {
 	Sim *AsyncSim
 	F   objective.Function
-	Est interface {
-		K() int
-		Estimate([]float64) float64
-	}
+	Est sample.Estimator
 	// Sink, when non-nil, receives every raw valid candidate measurement.
 	Sink ObservationSink
 
-	// worstKnown mirrors Evaluator's degradation stand-in: the largest
-	// estimate produced so far, used to score candidates whose every
-	// observation was lost to injected faults.
-	worstKnown float64
-	haveWorst  bool
+	lost lossRule
 }
 
 // Eval implements core.Evaluator. Corrupt completions (non-finite or
 // negative values) are discarded; samples lost to drops or crashes are
 // reissued up to two rounds, after which a candidate with zero surviving
-// observations is scored at the worst estimate seen so far (rank ordering
-// proceeds instead of blocking).
+// observations is scored by the shared lossRule.
 func (e *AsyncEvaluator) Eval(points []space.Point) ([]float64, error) {
 	if len(points) == 0 {
-		return nil, errors.New("cluster: Eval of empty batch")
+		return nil, errEmptyBatch
 	}
 	k := e.Est.K()
 	ids := make(map[uint64]int, len(points))
@@ -272,9 +265,6 @@ func (e *AsyncEvaluator) Eval(points []space.Point) ([]float64, error) {
 		if !ok {
 			// Completions exhausted with the batch incomplete: reports were
 			// lost. Reissue the missing samples a bounded number of times.
-			if e.Sim.Faults() == nil {
-				return nil, errors.New("cluster: async completions exhausted before batch finished")
-			}
 			if reissues >= 2 {
 				break
 			}
@@ -295,28 +285,7 @@ func (e *AsyncEvaluator) Eval(points []space.Point) ([]float64, error) {
 			}
 		}
 	}
-	out := make([]float64, len(points))
-	var missing []int
-	for i := range points {
-		if len(obs[i]) == 0 {
-			missing = append(missing, i)
-			continue
-		}
-		out[i] = e.Est.Estimate(obs[i])
-		if !e.haveWorst || out[i] > e.worstKnown {
-			e.worstKnown, e.haveWorst = out[i], true
-		}
-	}
-	if len(missing) > 0 {
-		if !e.haveWorst {
-			return nil, errors.New("cluster: every measurement in the batch was lost")
-		}
-		for _, i := range missing {
-			out[i] = e.worstKnown
-		}
-	}
-	if e.Sim.rec != nil {
-		e.Sim.rec.Record(event.BatchEvaluated{Points: len(points), VTime: e.Sim.Makespan()})
-	}
-	return out, nil
+	ests := make([]float64, len(points))
+	e.lost.estimate(e.Est, obs, ests)
+	return e.lost.settle(obs, ests, e.Sim.rec, e.Sim.Makespan())
 }

@@ -173,13 +173,6 @@ func (s *Sim) TotalTimeAt(k int) (float64, error) {
 // the model's idle throughput.
 func (s *Sim) NTT() float64 { return (1 - s.model.Rho()) * s.totalTime }
 
-// Reset clears time accounting but keeps the random streams advancing, so a
-// reset mid-experiment does not replay noise.
-func (s *Sim) Reset() {
-	s.stepTimes = s.stepTimes[:0]
-	s.totalTime = 0
-}
-
 // RunStep executes one SPMD time step. assign maps processors to candidate
 // configurations: candidate i runs on the i-th live processor. len(assign)
 // must be in [1, Live()]; processors beyond len(assign) idle (they are
@@ -291,27 +284,26 @@ func (s *Sim) recordStep(worst float64) {
 
 // RunFixed runs the application at a fixed configuration for n steps on all
 // P processors — the §4.3 methodology behind the Fig. 3 traces. It returns
-// traces[p][k], the time of step k on processor p, and records each step.
+// traces[p][k], the time of step k on processor p; each step is one RunStep
+// with every processor assigned x.
 func (s *Sim) RunFixed(f objective.Function, x space.Point, n int) ([][]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: RunFixed needs n >= 1, got %d", n)
 	}
+	assign := make([]space.Point, s.p)
 	traces := make([][]float64, s.p)
 	for p := range traces {
+		assign[p] = x
 		traces[p] = make([]float64, n)
 	}
-	base := f.Eval(x)
 	for k := 0; k < n; k++ {
-		s.beginStep()
-		worst := 0.0
-		for p := 0; p < s.p; p++ {
-			y := s.model.Perturb(base, s.rngs[p])
-			traces[p][k] = y
-			if y > worst {
-				worst = y
-			}
+		ys, err := s.RunStep(f, assign)
+		if err != nil {
+			return nil, err
 		}
-		s.recordStep(worst)
+		for p, y := range ys {
+			traces[p][k] = y
+		}
 	}
 	return traces, nil
 }
@@ -346,12 +338,16 @@ type Evaluator struct {
 	// measurements. The on-line driver keeps Fill at the incumbent best.
 	Fill space.Point
 
-	// worstKnown tracks the largest estimate produced so far; when every
-	// observation of a candidate is permanently lost to injected faults, the
-	// candidate is scored at this value so rank ordering proceeds instead of
-	// blocking (GSS convergence tolerates a pessimistic stand-in).
-	worstKnown float64
-	haveWorst  bool
+	lost lossRule
+
+	// Scratch reused across calls, so a step allocates only RunStep's
+	// observation slice: each candidate's observations, the candidates run
+	// this step, and per assigned processor its configuration and
+	// candidate index (-1 for Fill).
+	obs    [][]float64
+	order  []int
+	assign []space.Point
+	idx    []int
 }
 
 // NewEvaluator wires an evaluator; est defaults to Single.
@@ -364,143 +360,48 @@ func NewEvaluator(sim *Sim, f objective.Function, est sample.Estimator) *Evaluat
 
 // Eval evaluates every point, taking the estimator's sample count per point
 // (adaptively extended for sample.Adaptive estimators), and returns one
-// estimate per point in order. Batches wider than P are split into waves.
-// Candidates whose every observation was lost to injected faults are scored
-// at the worst estimate seen so far rather than blocking the batch.
+// estimate per point in order. Batches wider than P are split into waves,
+// each estimated before the next runs (a sample.Controlled estimator
+// retunes K from each estimate). Candidates whose every observation
+// was lost to injected faults are scored by the shared lossRule.
 func (e *Evaluator) Eval(points []space.Point) ([]float64, error) {
 	if len(points) == 0 {
-		return nil, errors.New("cluster: Eval of empty batch")
+		return nil, errEmptyBatch
 	}
 	ests := make([]float64, len(points))
-	var missing []int
+	for len(e.obs) < len(points) {
+		e.obs = append(e.obs, nil)
+	}
+	obs := e.obs[:len(points)]
+	for i := range obs {
+		obs[i] = obs[i][:0]
+	}
 	for start := 0; start < len(points); start += e.Sim.P() {
-		end := start + e.Sim.P()
-		if end > len(points) {
-			end = len(points)
-		}
-		wave := points[start:end]
-		obs, err := e.evalWave(wave)
-		if err != nil {
+		end := min(start+e.Sim.P(), len(points))
+		if err := e.evalWave(points[start:end], obs[start:end]); err != nil {
 			return nil, err
 		}
-		for i := range wave {
-			if len(obs[i]) == 0 {
-				missing = append(missing, start+i)
-				continue
-			}
-			v := e.Est.Estimate(obs[i])
-			ests[start+i] = v
-			if !e.haveWorst || v > e.worstKnown {
-				e.worstKnown, e.haveWorst = v, true
-			}
-		}
+		e.lost.estimate(e.Est, obs[start:end], ests[start:end])
 	}
-	if len(missing) > 0 {
-		if !e.haveWorst {
-			return nil, errors.New("cluster: every measurement in the batch was lost")
-		}
-		for _, i := range missing {
-			ests[i] = e.worstKnown
-		}
-	}
-	if e.Sim.rec != nil {
-		e.Sim.rec.Record(event.BatchEvaluated{Points: len(points), VTime: e.Sim.TotalTime()})
-	}
-	return ests, nil
+	return e.lost.settle(obs, ests, e.Sim.rec, e.Sim.TotalTime())
 }
 
-// evalWave gathers observations for a wave of at most P points.
-func (e *Evaluator) evalWave(wave []space.Point) ([][]float64, error) {
-	if e.Sim.Faults() != nil {
-		return e.evalWaveFaulty(wave)
-	}
+// evalWave gathers observations into obs for a wave of at most P points, one
+// barrier step at a time. A step runs every candidate of the wave in index
+// order when they all fit on the live processors, and otherwise only the
+// candidates still short of samples. Spare processors replicate the
+// assigned candidates round-robin (ParallelSampling) or run Fill. Reports
+// failing fault.ValidValue are dropped. The wave ends when every candidate
+// has enough samples, or at the retry limit; a candidate left with no
+// observations is then scored by the lossRule.
+func (e *Evaluator) evalWave(wave []space.Point, obs [][]float64) error {
 	n := len(wave)
-	obs := make([][]float64, n)
 	adaptive, isAdaptive := e.Est.(sample.Adaptive)
-
-	// Per-step assignment: each candidate on one processor; in parallel
-	// sampling mode, idle processors replicate candidates round-robin so one
-	// step yields several samples per candidate; otherwise, with Fill set,
-	// idle processors run the incumbent configuration and gate the barrier
-	// without producing measurements.
-	assign := make([]space.Point, n, e.Sim.P())
-	copy(assign, wave)
-	switch {
-	case e.ParallelSampling:
-		for i := n; i < e.Sim.P(); i++ {
-			assign = append(assign, wave[i%n])
-		}
-	case e.Fill != nil:
-		for i := n; i < e.Sim.P(); i++ {
-			assign = append(assign, e.Fill)
-		}
-	}
-
-	done := func() bool {
-		for i := range obs {
-			if isAdaptive {
-				if !adaptive.Enough(obs[i]) {
-					return false
-				}
-			} else if len(obs[i]) < e.Est.K() {
-				return false
-			}
-		}
-		return true
-	}
-
-	maxSteps := e.Est.K()
-	if isAdaptive {
-		maxSteps = adaptive.MaxK()
-	}
-	for step := 0; step < maxSteps && !done(); step++ {
-		ys, err := e.Sim.RunStep(e.F, assign)
-		if err != nil {
-			return nil, err
-		}
-		if e.ParallelSampling {
-			// Every replica is a measurement of its candidate.
-			for i, y := range ys {
-				obs[i%n] = append(obs[i%n], y)
-				if e.Sink != nil {
-					e.Sink.Observe(wave[i%n], y)
-				}
-			}
-		} else {
-			// Fill observations (indices >= n) gate the barrier only.
-			for i := 0; i < n; i++ {
-				obs[i] = append(obs[i], ys[i])
-				if e.Sink != nil {
-					e.Sink.Observe(wave[i], ys[i])
-				}
-			}
-		}
-	}
-	return obs, nil
-}
-
-// evalWaveFaulty is the fault-aware wave loop: each step assigns only the
-// candidates still needing observations to the processors still alive,
-// discards lost (NaN) and corrupt (non-finite/negative) observations, and
-// grants a bounded retry budget before giving up on a candidate. Candidates
-// left with zero observations are degraded by Eval, not here.
-func (e *Evaluator) evalWaveFaulty(wave []space.Point) ([][]float64, error) {
-	n := len(wave)
-	obs := make([][]float64, n)
-	adaptive, isAdaptive := e.Est.(sample.Adaptive)
-	needMore := func(i int) bool {
+	short := func(i int) bool {
 		if isAdaptive {
 			return !adaptive.Enough(obs[i])
 		}
 		return len(obs[i]) < e.Est.K()
-	}
-	done := func() bool {
-		for i := range obs {
-			if needMore(i) {
-				return false
-			}
-		}
-		return true
 	}
 	maxSteps := e.Est.K()
 	if isAdaptive {
@@ -509,60 +410,92 @@ func (e *Evaluator) evalWaveFaulty(wave []space.Point) ([][]float64, error) {
 	// Lost reports cost extra steps: allow up to 3x the fault-free budget
 	// (plus slack for waves wider than the live processor count) before the
 	// remaining candidates degrade to worst-known substitution.
-	limit := 3 * maxSteps * (1 + (n-1)/maxInt(1, e.Sim.Live()))
-	for step := 0; step < limit && !done(); step++ {
+	limit := 3 * maxSteps * (1 + (n-1)/max(1, e.Sim.Live()))
+	for step := 0; step < limit; step++ {
 		live := e.Sim.Live()
 		if live == 0 {
-			return nil, ErrAllProcessorsCrashed
+			return ErrAllProcessorsCrashed
 		}
-		var pending []int
-		for i := range obs {
-			if needMore(i) {
-				pending = append(pending, i)
+		order, done := e.order[:0], true
+		for i := range wave {
+			if short(i) {
+				done = false
+			} else if n > live {
+				continue
+			}
+			order = append(order, i)
+		}
+		if done {
+			break
+		}
+		width := min(len(order), live)
+		assign, idx := e.assign[:0], e.idx[:0]
+		for k := 0; k < live; k++ {
+			switch i := order[k%len(order)]; {
+			case k < width || e.ParallelSampling:
+				assign, idx = append(assign, wave[i]), append(idx, i)
+			case e.Fill != nil:
+				assign, idx = append(assign, e.Fill), append(idx, -1)
 			}
 		}
-		width := len(pending)
-		if width > live {
-			width = live
-		}
-		assign := make([]space.Point, 0, live)
-		idx := make([]int, 0, live)
-		for _, i := range pending[:width] {
-			assign = append(assign, wave[i])
-			idx = append(idx, i)
-		}
-		switch {
-		case e.ParallelSampling:
-			for k := width; k < live; k++ {
-				i := pending[k%len(pending)]
-				assign = append(assign, wave[i])
-				idx = append(idx, i)
-			}
-		case e.Fill != nil:
-			for k := width; k < live; k++ {
-				assign = append(assign, e.Fill)
-				idx = append(idx, -1)
-			}
-		}
+		e.order, e.assign, e.idx = order, assign, idx
 		ys, err := e.Sim.RunStep(e.F, assign)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for k, y := range ys {
-			if idx[k] >= 0 && fault.ValidValue(y) {
-				obs[idx[k]] = append(obs[idx[k]], y)
+			if i := idx[k]; i >= 0 && fault.ValidValue(y) {
+				obs[i] = append(obs[i], y)
 				if e.Sink != nil {
-					e.Sink.Observe(wave[idx[k]], y)
+					e.Sink.Observe(wave[i], y)
 				}
 			}
 		}
 	}
-	return obs, nil
+	return nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+var errEmptyBatch = errors.New("cluster: Eval of empty batch")
+
+// lossRule is the lost-measurement rule both evaluators share. It tracks
+// the largest estimate produced so far; a candidate whose every observation
+// was lost to injected faults is scored at that value, so rank ordering
+// proceeds instead of blocking (GSS convergence tolerates a pessimistic
+// stand-in).
+type lossRule struct {
+	worst float64
+	have  bool
+}
+
+// estimate writes the estimate of every candidate with observations into
+// ests and raises the worst-known estimate.
+func (r *lossRule) estimate(est sample.Estimator, obs [][]float64, ests []float64) {
+	for i, o := range obs {
+		if len(o) == 0 {
+			continue
+		}
+		ests[i] = est.Estimate(o)
+		if !r.have || ests[i] > r.worst {
+			r.worst, r.have = ests[i], true
+		}
 	}
-	return b
+}
+
+// settle scores every candidate left without observations at the
+// worst-known estimate, failing when there is none yet, and records the
+// batch at virtual time vtime.
+func (r *lossRule) settle(obs [][]float64, ests []float64, rec event.Recorder, vtime float64) ([]float64, error) {
+	for i, o := range obs {
+		if len(o) > 0 {
+			continue
+		}
+		if !r.have {
+			return nil, errors.New("cluster: every measurement in the batch was lost")
+		}
+		ests[i] = r.worst
+	}
+	if rec != nil {
+		rec.Record(event.BatchEvaluated{Points: len(obs), VTime: vtime})
+	}
+	return ests, nil
 }

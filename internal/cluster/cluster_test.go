@@ -103,15 +103,6 @@ func TestNTT(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	sim, _ := New(1, noise.None{}, 1)
-	_, _ = sim.RunStep(bowl(), []space.Point{{5, 5}})
-	sim.Reset()
-	if sim.Steps() != 0 || sim.TotalTime() != 0 {
-		t.Error("Reset did not clear accounting")
-	}
-}
-
 func TestRunFixedTraces(t *testing.T) {
 	m, _ := noise.NewIIDPareto(1.7, 0.3)
 	sim, _ := New(4, m, 42)
@@ -201,27 +192,52 @@ func TestEvaluatorSubsequentStepsCost(t *testing.T) {
 }
 
 func TestEvaluatorParallelSampling(t *testing.T) {
-	// 8 processors, 2 candidates, K=3: replicas give 4 samples per step,
-	// so a single step suffices.
-	m, _ := noise.NewIIDPareto(1.7, 0.2)
-	sim, _ := New(8, m, 3)
-	est, _ := sample.NewMinOfK(3)
-	ev := NewEvaluator(sim, bowl(), est)
-	ev.ParallelSampling = true
-	vals, err := ev.Eval([]space.Point{{5, 5}, {0, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.Steps() != 1 {
-		t.Errorf("parallel sampling should finish in 1 step, took %d", sim.Steps())
-	}
-	if len(vals) != 2 {
-		t.Fatalf("vals = %v", vals)
-	}
-	// Estimates can never be below the noise-free values.
-	if vals[0] < 1 || vals[1] < 1.5 {
-		t.Errorf("estimates below noise-free values: %v", vals)
-	}
+	t.Run("one step", func(t *testing.T) {
+		// 8 processors, 2 candidates, K=3: replicas give 4 samples per
+		// step, so a single step suffices.
+		m, _ := noise.NewIIDPareto(1.7, 0.2)
+		sim, _ := New(8, m, 3)
+		est, _ := sample.NewMinOfK(3)
+		ev := NewEvaluator(sim, bowl(), est)
+		ev.ParallelSampling = true
+		vals, err := ev.Eval([]space.Point{{5, 5}, {0, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Steps() != 1 {
+			t.Errorf("parallel sampling should finish in 1 step, took %d", sim.Steps())
+		}
+		if len(vals) != 2 {
+			t.Fatalf("vals = %v", vals)
+		}
+		// Estimates can never be below the noise-free values.
+		if vals[0] < 1 || vals[1] < 1.5 {
+			t.Errorf("estimates below noise-free values: %v", vals)
+		}
+	})
+	t.Run("uneven replicas", func(t *testing.T) {
+		// 16 processors, 6 candidates, K=3: the 10 replicas of step 1 give
+		// candidates 0-3 three samples and 4-5 two. Step 2 still runs the
+		// whole wave, because it fits on the live processors, so every
+		// candidate gains samples again; it is not narrowed to the two
+		// short candidates.
+		m, _ := noise.NewIIDPareto(1.7, 0.2)
+		sim, _ := New(16, m, 3)
+		est, _ := sample.NewMinOfK(3)
+		ev := NewEvaluator(sim, bowl(), est)
+		ev.ParallelSampling = true
+		sink := &countSink{}
+		ev.Sink = sink
+		pts := []space.Point{{5, 5}, {0, 0}, {10, 5}, {2, 8}, {7, 1}, {3, 3}}
+		vals, err := ev.Eval(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWave(t, sim, sink, pts, vals, 2, []int{6, 6, 6, 6, 4, 4}, []float64{
+			1.1175681703299856, 1.6676619179137984, 1.3792384972080125,
+			1.307425195528212, 1.3284072703478105, 1.2179058561321365,
+		})
+	})
 }
 
 func TestEvaluatorWaves(t *testing.T) {
@@ -248,22 +264,74 @@ func TestEvaluatorWaves(t *testing.T) {
 }
 
 func TestEvaluatorAdaptive(t *testing.T) {
-	m, _ := noise.NewIIDPareto(1.7, 0.3)
-	sim, _ := New(2, m, 5)
-	est, err := sample.NewAdaptiveMin(2, 8, 0.01, 2)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("bounded steps", func(t *testing.T) {
+		m, _ := noise.NewIIDPareto(1.7, 0.3)
+		sim, _ := New(2, m, 5)
+		est, err := sample.NewAdaptiveMin(2, 8, 0.01, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewEvaluator(sim, bowl(), est)
+		vals, err := ev.Eval([]space.Point{{5, 5}, {0, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.Steps() < 2 || sim.Steps() > 8 {
+			t.Errorf("adaptive sampling took %d steps, want within [2, 8]", sim.Steps())
+		}
+		if vals[0] < 1 || vals[1] < 1.5 {
+			t.Errorf("adaptive estimates below noise-free values: %v", vals)
+		}
+	})
+	t.Run("uneven stopping", func(t *testing.T) {
+		// The three candidates have enough samples at different steps. The
+		// wave fits on the live processors, so every step runs all three
+		// until the last one has enough: each gets one sample per step,
+		// and none is dropped from a step once its own samples suffice.
+		m, _ := noise.NewIIDPareto(1.7, 0.3)
+		sim, _ := New(4, m, 3)
+		est, err := sample.NewAdaptiveMin(2, 8, 0.01, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewEvaluator(sim, bowl(), est)
+		sink := &countSink{}
+		ev.Sink = sink
+		pts := []space.Point{{5, 5}, {0, 0}, {10, 5}}
+		vals, err := ev.Eval(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWave(t, sim, sink, pts, vals, 6, []int{6, 6, 6}, []float64{
+			1.1796656979505407, 1.7874204307093686, 1.4989502255584732,
+		})
+	})
+}
+
+// countSink counts the observations the evaluator forwards per point.
+type countSink struct{ n map[string]int }
+
+func (c *countSink) Observe(p space.Point, _ float64) {
+	if c.n == nil {
+		c.n = map[string]int{}
 	}
-	ev := NewEvaluator(sim, bowl(), est)
-	vals, err := ev.Eval([]space.Point{{5, 5}, {0, 0}})
-	if err != nil {
-		t.Fatal(err)
+	c.n[p.String()]++
+}
+
+// checkWave pins one evaluated wave: its step count, the observations of
+// each candidate, and each estimate bit for bit.
+func checkWave(t *testing.T, sim *Sim, sink *countSink, pts []space.Point, vals []float64, steps int, counts []int, want []float64) {
+	t.Helper()
+	if sim.Steps() != steps {
+		t.Errorf("wave took %d steps, want %d", sim.Steps(), steps)
 	}
-	if sim.Steps() < 2 || sim.Steps() > 8 {
-		t.Errorf("adaptive sampling took %d steps, want within [2, 8]", sim.Steps())
-	}
-	if vals[0] < 1 || vals[1] < 1.5 {
-		t.Errorf("adaptive estimates below noise-free values: %v", vals)
+	for i, p := range pts {
+		if got := sink.n[p.String()]; got != counts[i] {
+			t.Errorf("candidate %d: %d observations, want %d", i, got, counts[i])
+		}
+		if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+			t.Errorf("candidate %d: estimate %v, want %v", i, vals[i], want[i])
+		}
 	}
 }
 

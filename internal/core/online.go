@@ -142,14 +142,16 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 	}
 
 	// Production phase: the application keeps running at the best
-	// configuration on every processor until the budget is reached.
+	// configuration on every live processor until the budget is reached.
 	best, bestVal := alg.Best()
 	prodAssign := make([]space.Point, cfg.Sim.P())
 	for i := range prodAssign {
 		prodAssign[i] = best
 	}
 	for cfg.Sim.Steps() < cfg.Budget {
-		if _, err := cfg.Sim.RunStep(cfg.F, prodAssign); err != nil {
+		// With every processor crashed, RunStep reports it.
+		live := max(1, cfg.Sim.Live())
+		if _, err := cfg.Sim.RunStep(cfg.F, prodAssign[:live]); err != nil {
 			return nil, err
 		}
 	}

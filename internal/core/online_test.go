@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"paratune/internal/cluster"
+	"paratune/internal/fault"
 	"paratune/internal/noise"
 	"paratune/internal/objective"
 	"paratune/internal/sample"
@@ -51,6 +52,28 @@ func TestRunOnlineExactBudget(t *testing.T) {
 	}
 	if res.NTT != res.TotalTime { // rho = 0
 		t.Errorf("NTT %g != TotalTime %g at rho=0", res.NTT, res.TotalTime)
+	}
+}
+
+// Processors that crash during tuning stay dead: the production phase runs
+// the best configuration on the survivors and still fills the budget.
+func TestRunOnlineProductionAfterCrashes(t *testing.T) {
+	sp := bowlSpace()
+	f := objective.NewSphere(sp, space.Point{50, 50}, 1)
+	sim, _ := cluster.New(8, noise.None{}, 1)
+	in, err := fault.New(fault.Config{Seed: 1, PCrash: 0.05, MaxCrashes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetFaults(in)
+	p, _ := NewPRO(Options{Space: sp})
+	res, err := RunOnline(p, OnlineConfig{Sim: sim, F: f, Budget: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.Live() != 6 || res.ConvergedAtStep < 0 || res.Steps != 200 {
+		t.Errorf("live = %d, converged at step %d, steps = %d; want 6 live, converged, 200 steps",
+			sim.Live(), res.ConvergedAtStep, res.Steps)
 	}
 }
 

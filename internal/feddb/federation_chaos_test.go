@@ -97,7 +97,7 @@ func TestKillMidSyncResumesFromDigest(t *testing.T) {
 
 	// The server dies abruptly and comes back from its WAL.
 	sup.Kill()
-	if err := sup.Restart(); err != nil {
+	if err := sup.Start(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,13 +1,10 @@
 package harmony
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock abstracts the server's wall-time source for session bookkeeping —
 // lastUsed stamps and idle-expiry checks — so tests drive expiry with a
-// FakeClock instead of real sleeps, and the paralint determinism contract
+// fake clock instead of real sleeps, and the paralint determinism contract
 // has a single, documented wall-clock seam.
 type Clock interface {
 	// Now returns the current time.
@@ -25,69 +22,3 @@ func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d
 // SystemClock returns the real-time Clock used when ServerOptions.Clock is
 // nil.
 func SystemClock() Clock { return systemClock{} }
-
-// FakeClock is a manually advanced Clock for tests. Time only moves when
-// Advance is called; waiters registered through After fire as soon as the
-// clock passes their deadline.
-type FakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// NewFakeClock returns a FakeClock reading start.
-func NewFakeClock(start time.Time) *FakeClock {
-	return &FakeClock{now: start}
-}
-
-// Now returns the fake current time.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// After returns a channel that fires once Advance moves the clock at least d
-// past the current reading. A non-positive d fires immediately.
-func (c *FakeClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
-	return ch
-}
-
-// Advance moves the clock forward by d and fires every waiter whose deadline
-// has passed.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	kept := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w.at.After(c.now) {
-			kept = append(kept, w)
-			continue
-		}
-		w.ch <- w.at // buffered; never blocks
-	}
-	c.waiters = kept
-}
-
-// Waiters returns how many After channels are armed but not yet fired;
-// tests use it to synchronise with a goroutine's select loop before
-// advancing the clock.
-func (c *FakeClock) Waiters() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}

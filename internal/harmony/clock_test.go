@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -90,4 +91,70 @@ func TestFakeClockAdvanceFiresOnlyDueWaiters(t *testing.T) {
 	default:
 		t.Fatal("remaining waiter did not fire after its deadline")
 	}
+}
+
+// FakeClock is a manually advanced Clock for tests. Time only moves when
+// Advance is called; waiters registered through After fire as soon as the
+// clock passes their deadline.
+type FakeClock struct {
+	mu      sync.Mutex
+	now     time.Time
+	waiters []fakeWaiter
+}
+
+type fakeWaiter struct {
+	at time.Time
+	ch chan time.Time
+}
+
+// NewFakeClock returns a FakeClock reading start.
+func NewFakeClock(start time.Time) *FakeClock {
+	return &FakeClock{now: start}
+}
+
+// Now returns the fake current time.
+func (c *FakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// After returns a channel that fires once Advance moves the clock at least d
+// past the current reading. A non-positive d fires immediately.
+func (c *FakeClock) After(d time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d <= 0 {
+		ch <- c.now
+		return ch
+	}
+	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
+	return ch
+}
+
+// Advance moves the clock forward by d and fires every waiter whose deadline
+// has passed.
+func (c *FakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	kept := c.waiters[:0]
+	for _, w := range c.waiters {
+		if w.at.After(c.now) {
+			kept = append(kept, w)
+			continue
+		}
+		w.ch <- w.at // buffered; never blocks
+	}
+	c.waiters = kept
+}
+
+// Waiters returns how many After channels are armed but not yet fired;
+// tests use it to synchronise with a goroutine's select loop before
+// advancing the clock.
+func (c *FakeClock) Waiters() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.waiters)
 }

@@ -82,7 +82,7 @@ type ServerOptions struct {
 	IdleTimeout time.Duration
 	// Clock supplies wall time for session bookkeeping (lastUsed stamps,
 	// idle expiry and batch deadlines). nil uses the system clock; tests
-	// inject a FakeClock so expiry runs without real sleeps.
+	// inject a fake clock so expiry runs without real sleeps.
 	Clock Clock
 	// Recorder receives session lifecycle and optimiser iteration events
 	// (registered/restored, batch proposed/complete/degraded, converged,

@@ -24,7 +24,7 @@ type diagKey struct {
 // error.
 func loadTestdata(t *testing.T, dir, importPath string, deps map[string]*Package) *Package {
 	t.Helper()
-	pkg, err := LoadDirWithDeps(filepath.Join("testdata", dir), importPath, deps)
+	pkg, err := loadDirWithDeps(filepath.Join("testdata", dir), importPath, deps)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
@@ -163,7 +163,7 @@ func TestSeedFlowFactPropagation(t *testing.T) {
 // call's argument would silently stop every importer's seed from being
 // traced.
 func TestSeedFlowRealNewRNG(t *testing.T) {
-	dep, err := LoadDirWithDeps(filepath.Join("..", "dist"), "paratune/internal/dist", nil)
+	dep, err := loadDirWithDeps(filepath.Join("..", "dist"), "paratune/internal/dist", nil)
 	if err != nil {
 		t.Fatalf("loading internal/dist: %v", err)
 	}
@@ -587,7 +587,7 @@ func TestCtxArmFixRoundTrip(t *testing.T) {
 			t.Fatalf("writing fixed source: %v", err)
 		}
 	}
-	fixed, err := LoadDirWithDeps(dir, "paratune/internal/harmony", nil)
+	fixed, err := loadDirWithDeps(dir, "paratune/internal/harmony", nil)
 	if err != nil {
 		t.Fatalf("reloading fixed package: %v", err)
 	}

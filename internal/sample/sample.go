@@ -16,7 +16,8 @@ import (
 type Estimator interface {
 	// K returns how many observations the estimator wants per point.
 	K() int
-	// Estimate reduces the observations; obs has at least one element.
+	// Estimate reduces the observations; obs has at least one element and
+	// may be reused once Estimate returns, so it must not be retained.
 	Estimate(obs []float64) float64
 	String() string
 }

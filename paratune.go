@@ -238,14 +238,13 @@ func Minimize(s *Space, fn func([]float64) float64, opts Options) ([]float64, fl
 	if err != nil {
 		return nil, 0, false, err
 	}
-	ev := directEvaluator{f: &funcObjective{s: s, fn: fn}}
-	if err := alg.Init(ev); err != nil {
-		return nil, 0, false, err
+	eng := &core.Engine{
+		Alg:      alg,
+		Ev:       directEvaluator{f: &funcObjective{s: s, fn: fn}},
+		Continue: func(iterations int) bool { return iterations < opts.MaxIterations },
 	}
-	for i := 0; i < opts.MaxIterations && !alg.Converged(); i++ {
-		if _, err := alg.Step(ev); err != nil {
-			return nil, 0, false, err
-		}
+	if _, err := eng.Run(); err != nil {
+		return nil, 0, false, err
 	}
 	best, val := alg.Best()
 	return []float64(best), val, alg.Converged(), nil
@@ -295,37 +294,52 @@ func closeDB(db *measuredb.Store, err error) error {
 	return err
 }
 
-func tuneFunction(f objective.Function, opts Options) (*Result, error) {
-	var model noise.Model = noise.None{}
+// runParts is what both on-line drivers build from Options: the noise
+// model, the algorithm, the estimator and the optional measurement store.
+type runParts struct {
+	model noise.Model
+	alg   core.Algorithm
+	est   sample.Estimator
+	db    *measuredb.Store
+}
+
+// buildRun builds the parts of an on-line run over s. It opens the store
+// last, so an error leaves nothing to close.
+func buildRun(s *Space, opts Options) (runParts, error) {
+	r := runParts{model: noise.None{}}
 	if opts.Rho > 0 {
 		m, err := noise.NewIIDPareto(opts.Alpha, opts.Rho)
 		if err != nil {
-			return nil, err
+			return r, err
 		}
-		model = m
+		r.model = m
 	}
-	sim, err := cluster.New(opts.Processors, model, opts.Seed)
+	var err error
+	if r.alg, err = buildAlgorithm(opts.Algorithm, s, opts); err != nil {
+		return r, err
+	}
+	if r.est, err = buildEstimator(opts.Estimator, opts.Samples); err != nil {
+		return r, err
+	}
+	r.db, err = openDB(opts, s)
+	return r, err
+}
+
+func tuneFunction(f objective.Function, opts Options) (*Result, error) {
+	r, err := buildRun(f.Space(), opts)
 	if err != nil {
 		return nil, err
 	}
-	alg, err := buildAlgorithm(opts.Algorithm, f.Space(), opts)
+	sim, err := cluster.New(opts.Processors, r.model, opts.Seed)
 	if err != nil {
-		return nil, err
+		return nil, closeDB(r.db, err)
 	}
-	est, err := buildEstimator(opts.Estimator, opts.Samples)
-	if err != nil {
-		return nil, err
-	}
-	db, err := openDB(opts, f.Space())
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunOnline(alg, core.OnlineConfig{
-		Sim: sim, F: f, Est: est,
+	res, err := core.RunOnline(r.alg, core.OnlineConfig{
+		Sim: sim, F: f, Est: r.est,
 		Budget: opts.Budget, ParallelSampling: opts.ParallelSampling,
-		Recorder: opts.Recorder, DB: db,
+		Recorder: opts.Recorder, DB: r.db,
 	})
-	if err = closeDB(db, err); err != nil {
+	if err = closeDB(r.db, err); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -343,35 +357,19 @@ func TuneAsync(s *Space, fn func([]float64) float64, timeBudget float64, opts Op
 		return nil, errors.New("paratune: TuneAsync requires a space and a function")
 	}
 	opts.normalise(opts.Rho > 0)
-	var model noise.Model = noise.None{}
-	if opts.Rho > 0 {
-		m, err := noise.NewIIDPareto(opts.Alpha, opts.Rho)
-		if err != nil {
-			return nil, err
-		}
-		model = m
-	}
-	sim, err := cluster.NewAsync(opts.Processors, model, opts.Seed)
+	r, err := buildRun(s, opts)
 	if err != nil {
 		return nil, err
 	}
-	alg, err := buildAlgorithm(opts.Algorithm, s, opts)
+	sim, err := cluster.NewAsync(opts.Processors, r.model, opts.Seed)
 	if err != nil {
-		return nil, err
+		return nil, closeDB(r.db, err)
 	}
-	est, err := buildEstimator(opts.Estimator, opts.Samples)
-	if err != nil {
-		return nil, err
-	}
-	db, err := openDB(opts, s)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunOnlineAsync(alg, core.AsyncConfig{
-		Sim: sim, F: &funcObjective{s: s, fn: fn}, Est: est, TimeBudget: timeBudget,
-		Recorder: opts.Recorder, DB: db,
+	res, err := core.RunOnlineAsync(r.alg, core.AsyncConfig{
+		Sim: sim, F: &funcObjective{s: s, fn: fn}, Est: r.est, TimeBudget: timeBudget,
+		Recorder: opts.Recorder, DB: r.db,
 	})
-	if err = closeDB(db, err); err != nil {
+	if err = closeDB(r.db, err); err != nil {
 		return nil, err
 	}
 	return res, nil
