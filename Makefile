@@ -120,7 +120,7 @@ fuzz:
 	$(GO) test -fuzz FuzzNewRNGMatchesMathRand -fuzztime 15s ./internal/dist/
 
 # Full-scale regeneration of every paper figure, ablation and extension
-# (~18 s on 2 vCPUs), plus the consolidated markdown report.
+# (~10 s on an idle 2-vCPU host), plus the consolidated markdown report.
 results:
 	$(GO) run ./cmd/expgen -out results -seed 42 -report
 

@@ -1,0 +1,180 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"paratune/internal/measuredb"
+	"paratune/internal/space"
+)
+
+// childEnv makes the test binary run measuredb's main instead of the tests,
+// so the tests drive the real command (subcommands, flags, exit status)
+// without building a separate binary.
+const childEnv = "MEASUREDB_TEST_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(childEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCmd runs the command with args and returns its stdout, its stderr and
+// its exit status.
+func runCmd(t *testing.T, args ...string) (stdout, stderr string, status int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		status = exit.ExitCode()
+	case err != nil:
+		t.Fatalf("measuredb %s: %v", strings.Join(args, " "), err)
+	}
+	return out.String(), errb.String(), status
+}
+
+// mustRun runs the command and fails the test unless it exits 0.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	out, stderr, status := runCmd(t, args...)
+	if status != 0 {
+		t.Fatalf("measuredb %s: exit %d\n%s", strings.Join(args, " "), status, stderr)
+	}
+	return out
+}
+
+var (
+	spaceA = space.MustNew(space.IntParam("x", 0, 8), space.IntParam("y", 0, 8)).String()
+	spaceB = space.MustNew(space.IntParam("x", 0, 9), space.IntParam("y", 0, 8)).String()
+)
+
+// seedStore writes a store in a new directory under t's temp dir: seed 7,
+// the given origin and space, and five observations of three
+// configurations. It returns the directory.
+func seedStore(t *testing.T, origin, sig string) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), origin)
+	s, err := measuredb.Open(dir, measuredb.Options{Seed: 7, Origin: origin, Space: sig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []struct {
+		p space.Point
+		v float64
+	}{
+		{space.Point{1, 2}, 0.5}, {space.Point{1, 2}, 0.25}, {space.Point{3, 4}, 1.5},
+		{space.Point{1, 2}, 2}, {space.Point{5, 0}, 0.75},
+	} {
+		s.Observe(o.p, o.v)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func TestInfo(t *testing.T) {
+	dir := seedStore(t, "a", spaceA)
+	out := mustRun(t, "info", dir)
+	for _, want := range []string{
+		"seed:          7\n",
+		"space:         " + spaceA + "\n",
+		"configs:       3\n",
+		"observations:  5\n",
+		"wal.db:",
+		"best config:   (1,2)  (min 0.25 over 3 observations)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("info output lacks %q:\n%s", want, out)
+		}
+	}
+	if _, stderr, status := runCmd(t, "info"); status != 1 || !strings.Contains(stderr, "want one store directory") {
+		t.Errorf("info with no directory: exit %d, stderr %q", status, stderr)
+	}
+}
+
+const wantCSV = `x0,x1,count,min,mean,median,p90
+1,2,3,0.25,0.9166666666666666,0.5,1.7000000000000002
+3,4,1,1.5,1.5,1.5,1.5
+5,0,1,0.75,0.75,0.75,0.75
+`
+
+func TestExport(t *testing.T) {
+	dir := seedStore(t, "a", spaceA)
+	if got := mustRun(t, "export", "-format", "csv", dir); got != wantCSV {
+		t.Errorf("csv export:\n%s\nwant:\n%s", got, wantCSV)
+	}
+
+	type agg struct {
+		Point  []float64 `json:"point"`
+		Count  int       `json:"count"`
+		Min    float64   `json:"min"`
+		Median float64   `json:"median"`
+	}
+	var aggs []agg
+	for _, line := range strings.Split(strings.TrimSpace(mustRun(t, "export", "-format", "jsonl", dir)), "\n") {
+		var a agg
+		if err := json.Unmarshal([]byte(line), &a); err != nil {
+			t.Fatalf("jsonl line %q: %v", line, err)
+		}
+		aggs = append(aggs, a)
+	}
+	if len(aggs) != 3 || aggs[0].Count != 3 || aggs[0].Min != 0.25 || aggs[0].Median != 0.5 || aggs[2].Point[0] != 5 {
+		t.Errorf("jsonl export: %+v", aggs)
+	}
+
+	if _, stderr, status := runCmd(t, "export", "-format", "xml", dir); status != 1 || !strings.Contains(stderr, `unknown format "xml"`) {
+		t.Errorf("export -format xml: exit %d, stderr %q", status, stderr)
+	}
+}
+
+// Compaction folds the WAL into a snapshot without changing what the store
+// holds.
+func TestCompact(t *testing.T) {
+	dir := seedStore(t, "a", spaceA)
+	if out := mustRun(t, "compact", dir); out != "compacted "+dir+": 3 configs, 5 observations\n" {
+		t.Errorf("compact printed %q", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.db")); err != nil {
+		t.Fatalf("no snapshot after compact: %v", err)
+	}
+	if got := mustRun(t, "export", dir); got != wantCSV {
+		t.Errorf("export after compact:\n%s\nwant:\n%s", got, wantCSV)
+	}
+}
+
+// merge unions stores by (origin, seq): a second copy of an origin is all
+// duplicates. Sources bound to different spaces conflict, and the failed
+// merge leaves no -out store behind.
+func TestMerge(t *testing.T) {
+	a, b := seedStore(t, "a", spaceA), seedStore(t, "b", spaceA)
+	out := filepath.Join(t.TempDir(), "merged")
+	got := mustRun(t, "merge", "-out", out, a, b, a)
+	want := "merged 3 store(s) into " + out + ": 3 configs, 10 observations\n5 duplicate observations skipped\n"
+	if got != want {
+		t.Errorf("merge printed %q, want %q", got, want)
+	}
+
+	c := seedStore(t, "c", spaceB)
+	conflict := filepath.Join(t.TempDir(), "conflict")
+	stdout, stderr, status := runCmd(t, "merge", "-out", conflict, a, c)
+	if status != 1 || stdout != "" || !strings.Contains(stderr, "is bound to space") {
+		t.Errorf("conflicting merge: exit %d, stdout %q, stderr %q", status, stdout, stderr)
+	}
+	if _, err := os.Stat(conflict); !os.IsNotExist(err) {
+		t.Errorf("conflicting merge left %s behind (stat: %v)", conflict, err)
+	}
+}

@@ -9,7 +9,7 @@
 //     are scored at the worst known value (a pessimistic stand-in that rank
 //     ordering tolerates).
 //
-//  2. A harmony tuning server driven by 8 concurrent simulated clients with
+//  2. A harmony tuning server driven by 8 simulated clients, taking turns, with
 //     2 injected client crashes, 10% dropped reports, and 5% corrupted
 //     reports. Batch deadlines with bounded reissue keep the session moving;
 //     the converged result is compared against a fault-free run.
@@ -24,8 +24,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 	"time"
 
 	"paratune/internal/cluster"
@@ -135,6 +134,10 @@ func main() {
 
 // drill runs the 8-client fault drill against an in-process harmony server
 // and returns the converged best point. A nil injector runs it fault-free.
+// One goroutine drives the clients round-robin, so the noise and fault
+// draws happen in the same order on every run: the turn passes on only
+// after a tagged fetch, and a fetch with no work (Tag 0, between batches)
+// retries the same client after a pause.
 func drill(db objective.Function, in *fault.Injector) space.Point {
 	srv := harmony.NewServer(harmony.ServerOptions{
 		Estimator:          mustMinOfK(3),
@@ -149,41 +152,39 @@ func drill(db objective.Function, in *fault.Injector) space.Point {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := dist.NewRNG(int64(100 + id))
-			for !stop.Load() {
-				fr, err := srv.Fetch("drill")
-				if err != nil {
-					return
-				}
-				if fr.Converged {
-					stop.Store(true)
-					return
-				}
-				if fr.Tag == 0 {
-					time.Sleep(time.Millisecond) // between batches
-					continue
-				}
-				y := model.Perturb(db.Eval(fr.Point), rng)
-				out := in.Next(id, fr.Tag)
-				switch out.Kind {
-				case fault.Crash:
-					return // this client process dies for good
-				case fault.Drop:
-					continue // measurement ran, report lost in transit
-				case fault.Corrupt:
-					y = out.Value // garbage reaches the server boundary
-				}
-				_ = srv.Report("drill", fr.Tag, y)
-			}
-		}(c)
+	live := make([]int, 8) // the client ids still running, in turn order
+	rngs := make([]*rand.Rand, len(live))
+	for id := range live {
+		live[id], rngs[id] = id, dist.NewRNG(int64(100+id))
 	}
-	wg.Wait()
+	for turn := 0; len(live) > 0; {
+		id := live[turn]
+		fr, err := srv.Fetch("drill")
+		if err != nil || fr.Converged {
+			break
+		}
+		if fr.Tag == 0 {
+			time.Sleep(time.Millisecond) // between batches
+			continue
+		}
+		y := model.Perturb(db.Eval(fr.Point), rngs[id])
+		switch out := in.Next(id, fr.Tag); out.Kind {
+		case fault.Crash:
+			// This client process dies for good; the next one takes the turn.
+			live = append(live[:turn], live[turn+1:]...)
+			if turn == len(live) {
+				turn = 0
+			}
+			continue
+		case fault.Drop:
+			// The measurement ran; its report is lost in transit.
+		case fault.Corrupt:
+			_ = srv.Report("drill", fr.Tag, out.Value) // garbage reaches the server boundary
+		default:
+			_ = srv.Report("drill", fr.Tag, y)
+		}
+		turn = (turn + 1) % len(live)
+	}
 	best, _, conv, err := srv.Best("drill")
 	if err != nil || !conv {
 		log.Fatalf("drill did not converge: %v", err)

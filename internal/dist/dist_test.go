@@ -111,6 +111,21 @@ func TestParetoSampleAboveBeta(t *testing.T) {
 	}
 }
 
+// Sample is Quantile of the stream's next Float64, bit for bit, so a caller
+// may draw the uniforms first and transform them elsewhere (the estimator
+// ablation does, on the pool).
+func TestParetoSampleIsQuantileOfFloat64(t *testing.T) {
+	for _, alpha := range []float64{0.9, 1.7, 3} {
+		p := Pareto{Alpha: alpha, Beta: 0.3}
+		a, b := NewRNG(11), NewRNG(11)
+		for i := 0; i < 200000; i++ {
+			if x, y := p.Sample(a), p.Quantile(b.Float64()); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("alpha %g, draw %d: Sample %v, Quantile(Float64()) %v", alpha, i, x, y)
+			}
+		}
+	}
+}
+
 // Eq. 19: the minimum of K Pareto(alpha) samples is Pareto(K*alpha).
 // Check analytically (MinK) and empirically via a Kolmogorov-Smirnov-style
 // max-deviation test against the predicted cdf.

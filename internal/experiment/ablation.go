@@ -2,12 +2,12 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
 	"paratune/internal/core"
 	"paratune/internal/dist"
 	"paratune/internal/event"
 	"paratune/internal/noise"
+	"paratune/internal/par"
 	"paratune/internal/plot"
 	"paratune/internal/sample"
 )
@@ -19,22 +19,32 @@ import (
 // Pareto(1.7) noise and under an infinite-mean Pareto(0.9) stress model.
 // The paper predicts the min's accuracy climbs with K even when the mean's
 // does not (Eqs. 11–19).
+//
+// Each (model, estimator, K) cell draws its uniforms serially from the one
+// seeded stream, per trial and per sample f1's then f2's, and then turns
+// them into observations, estimates and counts on par.For's pool, one chunk
+// of trials per job. Pareto.Quantile of a uniform is Pareto.Sample's draw bit
+// for bit, so the counts are those of drawing each observation in turn.
 func AblationEstimators(cfg Config) (*Figure, error) {
 	trials := cfg.reps(20000, 2000)
 	const f1, f2 = 1.0, 1.1 // 10% performance gap
 
+	iid, err := noise.NewIIDPareto(1.7, 0.3)
+	if err != nil {
+		return nil, err
+	}
+	fixed, err := noise.NewParetoFixedBeta(0.9, 0.3)
+	if err != nil {
+		return nil, err
+	}
 	models := []struct {
-		name    string
-		perturb func(f float64, rng *rand.Rand) float64
+		name   string
+		p1, p2 dist.Pareto // the noise added to f1 and to f2
 	}{
-		{"pareto a=1.7 rho=0.3", func(f float64, rng *rand.Rand) float64 {
-			m, _ := noise.NewIIDPareto(1.7, 0.3)
-			return m.Perturb(f, rng)
-		}},
-		{"pareto a=0.9 (inf mean)", func(f float64, rng *rand.Rand) float64 {
-			m, _ := noise.NewParetoFixedBeta(0.9, 0.3)
-			return m.Perturb(f, rng)
-		}},
+		{"pareto a=1.7 rho=0.3",
+			dist.Pareto{Alpha: iid.Alpha, Beta: iid.Beta(f1)}, dist.Pareto{Alpha: iid.Alpha, Beta: iid.Beta(f2)}},
+		{"pareto a=0.9 (inf mean)",
+			dist.Pareto{Alpha: fixed.Alpha, Beta: fixed.BetaFrac * f1}, dist.Pareto{Alpha: fixed.Alpha, Beta: fixed.BetaFrac * f2}},
 	}
 	type estMaker struct {
 		name string
@@ -47,6 +57,10 @@ func AblationEstimators(cfg Config) (*Figure, error) {
 	}
 	ks := []int{1, 2, 3, 5, 7}
 
+	const chunk = 256 // trials per pool job
+	chunks := (trials + chunk - 1) / chunk
+	counts := make([]int, chunks)
+	uniforms := make([]float64, trials*2*ks[len(ks)-1])
 	var rows [][]float64
 	acc := make(map[string]map[string][]float64) // model -> est -> per-K accuracy
 	rng := dist.NewRNG(cfg.Seed + 4)
@@ -56,17 +70,29 @@ func AblationEstimators(cfg Config) (*Figure, error) {
 			perK := make([]float64, len(ks))
 			for ki, k := range ks {
 				est := em.mk(k)
+				u := uniforms[:trials*2*k]
+				for i := range u {
+					u[i] = rng.Float64()
+				}
+				par.For(chunks, func(c int) {
+					obs1 := make([]float64, k)
+					obs2 := make([]float64, k)
+					n := 0
+					for t := c * chunk; t < min((c+1)*chunk, trials); t++ {
+						draws := u[t*2*k : (t+1)*2*k]
+						for j := range obs1 {
+							obs1[j] = f1 + m.p1.Quantile(draws[2*j])
+							obs2[j] = f2 + m.p2.Quantile(draws[2*j+1])
+						}
+						if est.Estimate(obs1) < est.Estimate(obs2) {
+							n++
+						}
+					}
+					counts[c] = n
+				})
 				correct := 0
-				obs1 := make([]float64, k)
-				obs2 := make([]float64, k)
-				for t := 0; t < trials; t++ {
-					for j := 0; j < k; j++ {
-						obs1[j] = m.perturb(f1, rng)
-						obs2[j] = m.perturb(f2, rng)
-					}
-					if est.Estimate(obs1) < est.Estimate(obs2) {
-						correct++
-					}
+				for _, n := range counts {
+					correct += n
 				}
 				perK[ki] = float64(correct) / float64(trials)
 				rows = append(rows, []float64{float64(mi), float64(ei), float64(k), perK[ki]})

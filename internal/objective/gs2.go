@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"paratune/internal/dist"
-	"paratune/internal/par"
 	"paratune/internal/space"
 )
 
@@ -92,33 +91,88 @@ func GS2Surface(cfg GS2Config) Function {
 }
 
 // Eval implements Function: the per-time-step cost (seconds) for (ntheta,
-// negrid, nodes).
+// negrid, nodes). It computes the per-axis terms GenerateGS2 tables and
+// combines them with the same step, so both evaluate one formula.
 func (m *gs2Model) Eval(x space.Point) float64 {
 	ntheta, negrid, nodes := x[0], x[1], x[2]
+	t, g, n := m.thetaTerms(ntheta), m.gridTerms(negrid), m.nodesTerms(nodes)
+	return m.combine(ntheta, negrid, &t, &g, &n, math.Mod(ntheta, nodes))
+}
+
+// The terms of Eval that depend on one axis value. GenerateGS2 computes them
+// once per grid value; Eval computes them for its one point.
+type (
+	thetaTerms struct {
+		edge, sin float64
+		hash      uint64 // FNV-1a state after "seed:ntheta,"
+	}
+	gridTerms struct {
+		edge, cos float64
+		key       axisKey // "negrid,"
+	}
+	nodesTerms struct {
+		pow, logc, max, edge, rip float64
+		key                       axisKey // "nodes"
+	}
+)
+
+func (m *gs2Model) thetaTerms(ntheta float64) thetaTerms {
+	uTheta := (ntheta - 8) / 56
+	var buf [64]byte
+	prefix := append(strconv.AppendInt(buf[:0], m.seed, 10), ':')
+	prefix = append(space.Point{ntheta}.AppendKey(prefix), ',')
+	return thetaTerms{
+		edge: math.Pow(2*uTheta-1, 4),
+		sin:  math.Sin(ntheta/3.1 + m.phase1),
+		hash: fnv1a(fnvOffset, prefix),
+	}
+}
+
+func (m *gs2Model) gridTerms(negrid float64) gridTerms {
+	uGrid := (negrid - 4) / 28
+	return gridTerms{
+		edge: math.Pow(2*uGrid-1, 4),
+		cos:  math.Cos(negrid/2.3 + m.phase2),
+		key:  newAxisKey(negrid, true),
+	}
+}
+
+func (m *gs2Model) nodesTerms(nodes float64) nodesTerms {
+	uNodes := math.Log2(nodes) / 6
+	return nodesTerms{
+		pow:  math.Pow(nodes, 0.82),
+		logc: 0.012 * math.Log2(nodes+1),
+		max:  math.Max(nodes, 1),
+		edge: math.Pow(2*uNodes-1, 4),
+		rip:  1 + 0.5*math.Sin(math.Log2(nodes+1)*2.9+m.phase3),
+		key:  newAxisKey(nodes, false),
+	}
+}
+
+// combine is the surface formula over one point's per-axis terms; rem is
+// Mod(ntheta, nodes).
+func (m *gs2Model) combine(ntheta, negrid float64, t *thetaTerms, g *gridTerms, n *nodesTerms, rem float64) float64 {
 	work := ntheta * negrid // grid points ∝ compute per step
 	// Strong-scaling compute: parallel efficiency decays with node count.
-	compute := 0.004 * work / math.Pow(nodes, 0.82)
+	compute := 0.004 * work / n.pow
 	// Communication: per-step exchanges grow with node count and surface
 	// size; log factor models tree reductions over Myrinet.
-	comm := 0.012 * math.Log2(nodes+1) * math.Sqrt(work) / 8
+	comm := n.logc * math.Sqrt(work) / 8
 	// Load imbalance penalty when the grid does not divide across nodes.
-	rem := math.Mod(ntheta, nodes)
-	imbalance := 0.02 * rem / math.Max(nodes, 1)
+	imbalance := 0.02 * rem / n.max
 	// Marginal parameter values perform poorly ([3], §6.1): too-coarse or
 	// too-fine grids are numerically wasteful and extreme node counts pay
 	// either serialisation or communication saturation. A quartic edge
 	// penalty per normalised coordinate (node count on a log2 scale) makes
 	// both extremes of every parameter expensive.
-	uTheta := (ntheta - 8) / 56
-	uGrid := (negrid - 4) / 28
-	uNodes := math.Log2(nodes) / 6
-	edge := math.Pow(2*uTheta-1, 4) + math.Pow(2*uGrid-1, 4) + math.Pow(2*uNodes-1, 4)
+	edge := t.edge + g.edge + n.edge
 	base := 0.5 + compute + comm + imbalance + 0.35*edge
 	// Ripples: interacting periodic terms create many local minima.
-	rip := m.rippleAmp * (math.Sin(ntheta/3.1+m.phase1) * math.Cos(negrid/2.3+m.phase2) *
-		(1 + 0.5*math.Sin(math.Log2(nodes+1)*2.9+m.phase3)))
-	// Deterministic per-point jitter: same point, same value, every run.
-	jit := m.jitterAmp * (pointHash01(m.seed, x) - 0.5)
+	rip := m.rippleAmp * (t.sin * g.cos * n.rip)
+	// Deterministic per-point jitter: same point, same value, every run. The
+	// hash is the 64-bit FNV-1a of "seed:key", key being the point's Key.
+	h := fnv1a(fnv1a(t.hash, g.key.bytes()), n.key.bytes())
+	jit := m.jitterAmp * (float64(h%1e9)/1e9 - 0.5)
 	v := base + rip + jit
 	if v < 0.05 {
 		v = 0.05
@@ -131,17 +185,34 @@ func (m *gs2Model) Space() *space.Space { return m.s }
 
 func (m *gs2Model) String() string { return fmt.Sprintf("gs2-surface(seed=%d)", m.seed) }
 
-// pointHash01 maps (seed, point) to a deterministic value in [0, 1): the
-// 64-bit FNV-1a hash of "seed:key", key being x.Key().
-func pointHash01(seed int64, x space.Point) float64 {
-	var buf [128]byte
-	b := strconv.AppendInt(buf[:0], seed, 10)
-	b = x.AppendKey(append(b, ':'))
-	h := uint64(14695981039346656037) // FNV-1a offset basis
+// axisKey holds one coordinate's bytes in space.Point's Key, followed by
+// the separator when the coordinate is not the last. Any float64 formats in
+// at most 24 bytes.
+type axisKey struct {
+	b [25]byte
+	n uint8
+}
+
+func newAxisKey(v float64, sep bool) axisKey {
+	var k axisKey
+	b := space.Point{v}.AppendKey(k.b[:0])
+	if sep {
+		b = append(b, ',')
+	}
+	k.n = uint8(copy(k.b[:], b))
+	return k
+}
+
+func (k *axisKey) bytes() []byte { return k.b[:k.n] }
+
+const fnvOffset = uint64(14695981039346656037) // FNV-1a offset basis
+
+// fnv1a folds b into the 64-bit FNV-1a state h.
+func fnv1a(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h = (h ^ uint64(c)) * 1099511628211 // FNV-1a prime
 	}
-	return float64(h%1e9) / 1e9
+	return h
 }
 
 // DB is a performance database over a fully discrete space: exact hits are
@@ -153,35 +224,55 @@ type DB struct {
 }
 
 // GenerateGS2 builds the surrogate GS2 database. Which cells are kept is
-// decided serially, in Enumerate order, by the seed's RNG; the kept cells are
-// then evaluated in parallel into one flat coordinate array and stored in
-// that same order.
+// decided serially, in Enumerate order, by the seed's RNG. Every per-axis
+// term of the surface is tabled once per grid value (and Mod(ntheta, nodes)
+// once per pair), so each kept cell only combines tabled terms; the cells are
+// evaluated serially, as the pool cost more than the ~100 ns of work per
+// cell. Points are stored in Enumerate order as sub-slices of one flat
+// coordinate array.
 func GenerateGS2(cfg GS2Config) *DB {
 	cfg.setDefaults()
 	model := newGS2Model(cfg)
 	s := model.s
-	dim := s.Dim()
+	thetas, grids, nodes := axisValues(s.Param(0)), axisValues(s.Param(1)), axisValues(s.Param(2))
+	ts := make([]thetaTerms, len(thetas))
+	rems := make([]float64, len(thetas)*len(nodes))
+	for i, v := range thetas {
+		ts[i] = model.thetaTerms(v)
+		for j, n := range nodes {
+			rems[i*len(nodes)+j] = math.Mod(v, n)
+		}
+	}
+	gs := make([]gridTerms, len(grids))
+	for i, v := range grids {
+		gs[i] = model.gridTerms(v)
+	}
+	ns := make([]nodesTerms, len(nodes))
+	for i, v := range nodes {
+		ns[i] = model.nodesTerms(v)
+	}
+
 	cells, _ := s.GridSize()
-	coords := make([]float64, 0, cells*dim)
+	coords := make([]float64, 0, cells*3)
+	db := &DB{s: s, knn: NewKNN(s, cfg.Neighbors)}
+	db.knn.pts = make([]space.Point, 0, cells)
+	db.knn.vals = make([]float64, 0, cells)
 	rng := dist.NewRNG(cfg.Seed + 1)
 	center := s.Center()
-	_ = s.Enumerate(func(p space.Point) {
-		// Always keep the centre (the tuner's start region); drop others
-		// with probability 1-coverage.
-		if !p.Equal(center) && rng.Float64() > cfg.Coverage {
-			return
+	for ti, ntheta := range thetas {
+		for gi, negrid := range grids {
+			for ni, nv := range nodes {
+				coords = append(coords, ntheta, negrid, nv)
+				p := space.Point(coords[len(coords)-3 : len(coords) : len(coords)])
+				// Always keep the centre (the tuner's start region); drop
+				// others with probability 1-coverage.
+				if !p.Equal(center) && rng.Float64() > cfg.Coverage {
+					coords = coords[:len(coords)-3]
+					continue
+				}
+				db.knn.Add(p, model.combine(ntheta, negrid, &ts[ti], &gs[gi], &ns[ni], rems[ti*len(nodes)+ni]))
+			}
 		}
-		coords = append(coords, p...)
-	})
-	n := len(coords) / dim
-	pt := func(i int) space.Point { return coords[i*dim : (i+1)*dim : (i+1)*dim] }
-	vals := make([]float64, n)
-	par.For(n, func(i int) { vals[i] = model.Eval(pt(i)) })
-	db := &DB{s: s, knn: NewKNN(s, cfg.Neighbors)}
-	db.knn.pts = make([]space.Point, 0, n)
-	db.knn.vals = make([]float64, 0, n)
-	for i, v := range vals {
-		db.knn.Add(pt(i), v)
 	}
 	return db
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -253,28 +254,73 @@ func TestDBAllocs(t *testing.T) {
 	_ = sink
 }
 
-// GS2Surface is the function GenerateGS2 stores: equal bits at every stored
-// point, for several seeds and coverages.
+// gs2EvalRef is the surface formula written out in one expression per
+// term, as gs2Model.Eval computed it before the build tabled its per-axis
+// terms, with the jitter hash taken over the whole "seed:key" string.
+func gs2EvalRef(m *gs2Model, x space.Point) float64 {
+	ntheta, negrid, nodes := x[0], x[1], x[2]
+	work := ntheta * negrid
+	compute := 0.004 * work / math.Pow(nodes, 0.82)
+	comm := 0.012 * math.Log2(nodes+1) * math.Sqrt(work) / 8
+	rem := math.Mod(ntheta, nodes)
+	imbalance := 0.02 * rem / math.Max(nodes, 1)
+	uTheta := (ntheta - 8) / 56
+	uGrid := (negrid - 4) / 28
+	uNodes := math.Log2(nodes) / 6
+	edge := math.Pow(2*uTheta-1, 4) + math.Pow(2*uGrid-1, 4) + math.Pow(2*uNodes-1, 4)
+	base := 0.5 + compute + comm + imbalance + 0.35*edge
+	rip := m.rippleAmp * (math.Sin(ntheta/3.1+m.phase1) * math.Cos(negrid/2.3+m.phase2) *
+		(1 + 0.5*math.Sin(math.Log2(nodes+1)*2.9+m.phase3)))
+	key := strconv.FormatInt(m.seed, 10) + ":" + x.Key()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	jit := m.jitterAmp * (float64(h%1e9)/1e9 - 0.5)
+	v := base + rip + jit
+	if v < 0.05 {
+		v = 0.05
+	}
+	return v
+}
+
+// GS2Surface is the function GenerateGS2 stores, and both are the reference
+// formula: equal bits at every stored point, for several seeds (a negative
+// one puts a '-' in the jitter hash's prefix), coverages and amplitudes.
+// The surface also matches the reference off the grid.
 func TestGS2SurfaceMatchesDB(t *testing.T) {
-	for _, cfg := range []GS2Config{{Seed: 42, Coverage: 0.85}, {Seed: 7, Coverage: 1}, {Seed: 3, Coverage: 0.3}} {
+	off := []space.Point{{36.5, 17.25, 3}, {8, 4, 0.5}, {100, -3, 64}, {1e7, 2.5e-9, 2}}
+	for _, cfg := range []GS2Config{
+		{Seed: 42, Coverage: 0.85}, {Seed: 7, Coverage: 1}, {Seed: 3, Coverage: 0.3},
+		{Seed: -12345, Coverage: 0.6, RuggednessAmp: 0.9, JitterAmp: 0.4},
+	} {
 		db := GenerateGS2(cfg)
 		surf := GS2Surface(cfg)
 		if surf.Space().String() != db.Space().String() {
 			t.Fatalf("surface space %v, database space %v", surf.Space(), db.Space())
 		}
-		for _, p := range db.knn.pts {
-			if got, want := surf.Eval(p), db.Eval(p); !sameBits(got, want) {
-				t.Fatalf("seed %d: GS2Surface.Eval(%v) = %v, DB.Eval %v", cfg.Seed, p, got, want)
+		m := surf.(*gs2Model)
+		for _, p := range append(db.knn.pts[:len(db.knn.pts):len(db.knn.pts)], off...) {
+			ref := gs2EvalRef(m, p)
+			if got := surf.Eval(p); !sameBits(got, ref) {
+				t.Fatalf("seed %d: GS2Surface.Eval(%v) = %v, reference %v", cfg.Seed, p, got, ref)
+			}
+			if v, ok := db.Lookup(p); ok && !sameBits(v, ref) {
+				t.Fatalf("seed %d: DB stores %v at %v, reference %v", cfg.Seed, v, p, ref)
 			}
 		}
 	}
 }
 
 // A GS2 build stores its points as sub-slices of one pre-sized coordinate
-// array; it must not allocate per point.
-// AllocsPerRun measures at GOMAXPROCS 1, so the pool runs inline here.
+// array; it must not allocate per point. The surface evaluates one point
+// without allocating.
 func TestGenerateGS2Allocs(t *testing.T) {
-	alloccheck.Guard(t, "objective.GenerateGS2", 40, func() { sinkDB = GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85}) })
+	alloccheck.Guard(t, "objective.GenerateGS2", 31, func() { sinkDB = GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85}) })
+	surf, p := GS2Surface(GS2Config{Seed: -3}), space.Point{36, 18, 8}
+	var sink float64
+	alloccheck.Guard(t, "objective.GS2Surface.Eval", 0, func() { sink = surf.Eval(p) })
+	_ = sink
 }
 
 var sinkDB *DB
