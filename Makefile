@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-fix lint-sarif lint-selftest test race bench bench-smoke trace-smoke db-smoke chaos-smoke load-smoke fed-smoke fuzz results results-check examples clean
+.PHONY: all build lint lint-sarif lint-selftest test race bench bench-smoke trace-smoke db-smoke chaos-smoke fed-smoke fuzz results results-check examples clean
 
 all: build test
 
@@ -10,18 +10,12 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Project-specific static analysis, twelve rules: determinism, lock
+# Project-specific static analysis, ten rules: determinism, lock
 # discipline, float comparisons, wire-boundary error handling, seed
-# provenance, goroutine lifecycle, event hygiene, lock order, channel flow,
-# context flow, atomics, and wire-table drift. See DESIGN.md.
+# provenance, event hygiene, lock order, context flow, typed atomics, and
+# wire-table drift. See DESIGN.md.
 lint:
 	$(GO) run ./cmd/paralint ./...
-
-# Preview the suggested fixes as a unified diff, then apply them in place.
-# Applying refuses files whose unstaged changes overlap an edit.
-lint-fix:
-	$(GO) run ./cmd/paralint -diff ./...
-	$(GO) run ./cmd/paralint -fix ./...
 
 # Machine-readable findings for CI code-scanning upload.
 lint-sarif:
@@ -89,12 +83,6 @@ db-smoke:
 # converged quality within a bound of the fault-free baseline.
 chaos-smoke:
 	$(GO) run -race ./cmd/chaosharness -seeds 20 -kills 2
-
-# Saturation smoke: 256 synthetic sessions against an in-process server over
-# the binary wire with batched round trips, race-enabled. Exercises the
-# sharded session table and PHWIRE1 codec under real concurrency.
-load-smoke:
-	$(GO) run -race ./cmd/harmonyload -sessions 256 -duration 5s -wire binary -batch 16
 
 # Federation smoke: two harmonyd peers tune in partition, one anti-entropy
 # round unions their measurement databases (byte-identical exports, second

@@ -178,3 +178,26 @@ func TestMerge(t *testing.T) {
 		t.Errorf("conflicting merge left %s behind (stat: %v)", conflict, err)
 	}
 }
+
+// Two stores claiming origin "a" with different histories do not merge: the
+// divergence surfaces before -out is created.
+func TestMergeRefusesDivergedOrigin(t *testing.T) {
+	a := seedStore(t, "a", spaceA)
+	other := filepath.Join(t.TempDir(), "a")
+	s, err := measuredb.Open(other, measuredb.Options{Seed: 7, Origin: "a", Space: spaceA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Observe(space.Point{7, 7}, 9)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "merged")
+	stdout, stderr, status := runCmd(t, "merge", "-out", out, a, other)
+	if status != 1 || stdout != "" || !strings.Contains(stderr, "origin a diverged") {
+		t.Errorf("diverged merge: exit %d, stdout %q, stderr %q", status, stdout, stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("diverged merge left %s behind (stat: %v)", out, err)
+	}
+}

@@ -10,27 +10,22 @@
 //   - floatcompare: no float ==/!= in rank-ordering and stats code
 //   - errdiscipline: no discarded errors at the harmony wire boundary
 //
-// three follow dataflow across package boundaries through typed facts:
+// two follow dataflow across package boundaries through typed facts:
 //
 //   - seedflow: RNG seeds in simulation packages trace to injected seeds,
 //     never the wall clock, crypto/rand, or the process id
-//   - goroutinelifecycle: go statements in the server, simulator, engine,
-//     worker pool and experiments have a provable join or cancel path
 //   - eventhygiene: event emissions use registered kinds, carry no
 //     wall-clock payload, and never happen under a mutex
 //
-// four enforce the concurrency contract (DESIGN.md "Concurrency
+// three enforce the concurrency contract (DESIGN.md "Concurrency
 // contract"):
 //
 //   - lockorder: the whole-program lock-acquisition graph is acyclic and
 //     respects ranks declared with //paralint:lockrank N on the mutex
-//   - chanflow: unbuffered sends have a provable receiver, ranged channels
-//     are closed, and no defaultless select runs under a held mutex
-//   - ctxflow: blocking channel ops in harmony/chaos/cluster carry a
-//     cancellation path (ctx.Done/done-channel/timer arm, buffered send);
-//     the missing-ctx-arm finding has a mechanical -fix
-//   - atomics: a variable accessed via sync/atomic anywhere is accessed
-//     atomically everywhere
+//   - ctxflow: blocking channel ops in harmony/chaos/cluster/feddb carry a
+//     cancellation path (ctx.Done/done-channel/timer arm, buffered send),
+//     and a ranged channel is closed somewhere in its package
+//   - atomics: no legacy sync/atomic functions; typed atomics only
 //
 // and one gates the PHWIRE1 wire tables:
 //
@@ -38,28 +33,20 @@
 //     dispatch switches cover every wire op, and server-built error codes
 //     are classified client-side somewhere in the program
 //
-// Frame-buffer lifetimes, per-request bounds and hot-path allocation counts
-// are pinned by runtime tests instead (DESIGN.md "paralint keep-or-cut
-// audit").
+// Goroutine leaks, frame-buffer lifetimes, per-request bounds and hot-path
+// allocation counts are pinned by runtime tests instead (DESIGN.md
+// "paralint keep-or-cut audit").
 //
 // Usage:
 //
-//	paralint [flags] [packages]
+//	paralint [-rules r1,r2] [-list] [-json|-sarif] [packages]
 //
 // With no packages, ./... is analysed, including _test.go files. Findings
-// print as file:line:col: rule: message. Exit status: 0 clean, 1 findings,
-// 2 load or type-check failure, 3 when any finding is a malformed or
-// dangling //paralint:lockrank directive — an annotation that silently
-// stopped enforcing its contract outranks an ordinary finding.
-//
-// Output and repair flags:
-//
-//	-json    machine-readable findings (one JSON array)
-//	-sarif   SARIF 2.1.0 log for code-scanning upload
-//	-diff    preview suggested fixes as a unified diff (dry run; default
-//	         behaviour of the fixer — nothing is written without -fix)
-//	-fix     apply suggested fixes in place; files whose unstaged git
-//	         changes overlap a fix are left untouched and listed
+// print as file:line:col: rule: message; -json emits them as one JSON array
+// and -sarif as a SARIF 2.1.0 log for code-scanning upload. Exit status: 0
+// clean, 1 findings, 2 load or type-check failure, 3 when any finding is a
+// malformed or dangling //paralint:lockrank directive — an annotation that
+// silently stopped enforcing its contract outranks an ordinary finding.
 //
 // Suppress an individual finding with a trailing (or immediately preceding)
 // comment naming the rule and, by convention, the reason:
@@ -84,10 +71,8 @@ func main() {
 	list := flag.Bool("list", false, "list available rules and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	diffOut := flag.Bool("diff", false, "preview suggested fixes as a unified diff (no files written)")
-	applyFix := flag.Bool("fix", false, "apply suggested fixes in place (skips files with overlapping unstaged changes)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paralint [-rules r1,r2] [-list] [-json|-sarif] [-diff|-fix] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: paralint [-rules r1,r2] [-list] [-json|-sarif] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -123,25 +108,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Fix application works on absolute paths; do it before relativising.
-	if *applyFix || *diffOut {
-		cwd, _ := os.Getwd()
-		diff, applied, skipped, err := lint.ApplyFixes(cwd, diags, !*applyFix)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paralint:", err)
-			os.Exit(2)
-		}
-		if *diffOut {
-			fmt.Print(diff)
-		}
-		for _, f := range applied {
-			fmt.Fprintf(os.Stderr, "paralint: fixed %s\n", f)
-		}
-		for _, s := range skipped {
-			fmt.Fprintf(os.Stderr, "paralint: skipped %s\n", s)
-		}
-	}
-
 	cwd, _ := os.Getwd()
 	lint.RelPaths(cwd, diags)
 
@@ -160,13 +126,9 @@ func main() {
 			os.Exit(2)
 		}
 		os.Stdout.Write(append(out, '\n'))
-	case !*diffOut:
+	default:
 		for _, d := range diags {
-			suffix := ""
-			if d.Fix != nil {
-				suffix = " [fixable: " + d.Fix.Message + "]"
-			}
-			fmt.Printf("%s:%d:%d: %s: %s%s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message, suffix)
+			fmt.Println(d)
 		}
 	}
 	os.Exit(exitStatus(os.Stderr, diags))

@@ -14,13 +14,13 @@ func TestExitStatus(t *testing.T) {
 	if got := exitStatus(&buf, nil); got != 0 {
 		t.Errorf("exitStatus(no findings) = %d, want 0", got)
 	}
-	ordinary := []lint.Diagnostic{{Rule: "chanflow", Message: "x"}}
+	ordinary := []lint.Diagnostic{{Rule: "ctxflow", Message: "x"}}
 	buf.Reset()
 	if got := exitStatus(&buf, ordinary); got != 1 {
 		t.Errorf("exitStatus(ordinary finding) = %d, want 1", got)
 	}
 	mixed := []lint.Diagnostic{
-		{Rule: "chanflow", Message: "x"},
+		{Rule: "ctxflow", Message: "x"},
 		{Rule: "lockorder", Message: "malformed lockrank", Category: lint.CategoryDirective},
 		{Rule: "lockorder", Message: "dangling lockrank", Category: lint.CategoryDirective},
 	}

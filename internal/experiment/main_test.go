@@ -1,0 +1,9 @@
+package experiment
+
+import (
+	"testing"
+
+	"paratune/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

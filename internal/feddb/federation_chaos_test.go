@@ -201,7 +201,16 @@ func TestSyncThroughChaosProxy(t *testing.T) {
 }
 
 func clientCaughtUp(client, server *measuredb.Store) bool {
-	cd, cok := client.DigestOf("srv")
-	sd, sok := server.DigestOf("srv")
+	cd, cok := digestOf(client, "srv")
+	sd, sok := digestOf(server, "srv")
 	return cok && sok && cd == sd
+}
+
+func digestOf(s *measuredb.Store, origin string) (measuredb.OriginDigest, bool) {
+	for _, d := range s.Digest() {
+		if d.Origin == origin {
+			return d, true
+		}
+	}
+	return measuredb.OriginDigest{}, false
 }

@@ -161,11 +161,11 @@ func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Sta
 	}
 	rec.Record(event.SyncStart{Peer: peer, PullLag: pullLag, PushLag: pushLag, Origins: len(origins)})
 
-	// Divergence is detectable the moment both sides hold the same prefix:
-	// equal highs must mean equal chain hashes.
+	// Divergence is detectable wherever the local store holds the peer's
+	// whole history of an origin: before anything is pulled or pushed.
 	for _, d := range remote.Origins {
-		if ld, ok := store.DigestOf(d.Origin); ok && ld.High == d.High && ld.Hash != d.Hash {
-			return stats, fmt.Errorf("feddb: sync: origin %s diverged at seq %d (digest hash mismatch)", d.Origin, d.High)
+		if err := store.CheckPrefix(d); err != nil {
+			return stats, fmt.Errorf("feddb: sync: %w", err)
 		}
 	}
 
@@ -311,8 +311,8 @@ func pullSegments(c *syncConn, store *measuredb.Store, peer string, d measuredb.
 			Peer: peer, Origin: d.Origin, Dir: "pull",
 			From: from, Frames: len(resp.Frames), Duplicates: dups,
 		})
-		if ld, ok := store.DigestOf(d.Origin); ok && ld.High == resp.High && ld.Hash != resp.Hash {
-			return fmt.Errorf("feddb: sync: origin %s diverged at seq %d (chain hash mismatch after pull)", d.Origin, ld.High)
+		if err := store.CheckPrefix(measuredb.OriginDigest{Origin: d.Origin, High: resp.High, Hash: resp.Hash}); err != nil {
+			return fmt.Errorf("feddb: sync: after pull: %w", err)
 		}
 		if uint64(len(resp.Frames)) < req.Max && store.High(d.Origin) >= d.High {
 			break

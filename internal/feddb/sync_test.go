@@ -318,6 +318,23 @@ func TestSyncDetectsDivergedOrigin(t *testing.T) {
 	}
 }
 
+// A client holding more of an origin than the peer, diverged on the prefix
+// both hold, refuses before pushing: the peer would otherwise append the
+// client's later frames to its own diverged prefix.
+func TestSyncDetectsDivergedOriginWhenAhead(t *testing.T) {
+	a, b := newPeer(t, "x"), newPeer(t, "x")
+	for v := 1.0; v <= 3; v++ {
+		a.Observe(space.Point{v}, v)
+	}
+	b.Observe(space.Point{9}, 9)
+	if _, err := syncOnce(t, a, b, Options{}); err == nil {
+		t.Fatal("sync of diverged same-origin histories unexpectedly succeeded")
+	}
+	if h := b.High("x"); h != 1 {
+		t.Fatalf("peer high %d after the refused sync, want 1", h)
+	}
+}
+
 // TestSyncRejectsLocalDigestOverCap pins Sync's own bound on the digests it
 // indexes. The decoder caps a remote digest; a local store with one origin
 // more than maxSyncOrigins must be refused by Sync itself. The peer answers

@@ -272,6 +272,7 @@ func TestLostClientDoesNotStall(t *testing.T) {
 
 func TestStopAbandonsSession(t *testing.T) {
 	srv := NewServer(ServerOptions{})
+	defer srv.Close()
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +296,23 @@ func TestStopAbandonsSession(t *testing.T) {
 	case <-doneCh:
 	case <-deadline:
 		t.Fatal("Fetch blocked after Stop")
+	}
+}
+
+// A session cannot start once Close has begun: Close stops only the
+// sessions it finds, so one registered after it would run on with nothing
+// to join it (and the package's leak check would fail).
+func TestNoSessionStartsAfterClose(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	if err := srv.Register("a", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := srv.Register("b", gs2Params()); err == nil {
+		t.Error("Register after Close succeeded")
+	}
+	if got := srv.Sessions(); len(got) != 1 || got[0] != "a" {
+		t.Errorf("sessions after Close = %v, want [a]", got)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"paratune/internal/core"
@@ -52,6 +53,9 @@ var ErrInvalidValue = errors.New("harmony: invalid measurement value (must be fi
 // "unknown_session"; clients treat it as permanent and re-register instead
 // of redialling.
 var ErrUnknownSession = errors.New("harmony: unknown session")
+
+// errServerClosed refuses a session start once Close has begun.
+var errServerClosed = errors.New("harmony: server closed")
 
 // maxRememberedReports sizes one generation of the per-session idempotency
 // memory of client-supplied report ids. The memory keeps two generations, so
@@ -145,6 +149,7 @@ type Server struct {
 	shards    []sessionShard     // fixed at construction; shard() hashes into it
 	stopSweep context.CancelFunc // ends the sweeper
 	sweeping  sync.WaitGroup     // the sweeper, joined by Close
+	closed    atomic.Bool        // set by Close; no session starts after it
 }
 
 // NewServer creates an empty server.
@@ -288,8 +293,11 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 		if err != nil {
 			return nil, err
 		}
-		fresh = srv.newSession(name, sp, alg, false)
-		srv.startLocked(sh, fresh)
+		s := srv.newSession(name, sp, alg, false)
+		if err := srv.startLocked(sh, s); err != nil {
+			return nil, err
+		}
+		fresh = s
 		return []event.Event{event.Session{Session: name, Phase: "registered", Detail: alg.String()}}, nil
 	})
 	if fresh != nil {
@@ -310,10 +318,16 @@ func (srv *Server) newAlgorithm(sp *space.Space) (core.Algorithm, error) {
 }
 
 // startLocked inserts s into its shard and starts its engine goroutine,
-// which waits for the first step. Caller holds the shard lock.
-func (srv *Server) startLocked(sh *sessionShard, s *session) {
+// which waits for the first step. Caller holds the shard lock. It refuses
+// once Close has begun: Close stops the sessions it finds in the shards, so
+// one a still-connected client registers after that would never be joined.
+func (srv *Server) startLocked(sh *sessionShard, s *session) error {
+	if srv.closed.Load() {
+		return errServerClosed
+	}
 	sh.sessions[s.name] = s
 	go s.run()
+	return nil
 }
 
 // sweepPeriod is the sweeper's tick: a quarter of the shorter enabled
@@ -800,6 +814,7 @@ func (srv *Server) Stop(name string) error {
 // Close stops the sweeper and every session, and returns once all their
 // goroutines have exited.
 func (srv *Server) Close() {
+	srv.closed.Store(true)
 	srv.stopSweep()
 	srv.sweeping.Wait()
 	for _, n := range srv.Sessions() {
@@ -929,7 +944,9 @@ func (srv *Server) RestoreSession(data []byte) error {
 		if best, val := alg.Best(); best != nil {
 			s.best, s.bestVal = best, val
 		}
-		srv.startLocked(sh, s)
+		if err := srv.startLocked(sh, s); err != nil {
+			return nil, err
+		}
 		fresh = s
 		return []event.Event{event.Session{Session: cp.Name, Phase: "restored", Detail: alg.String()}}, nil
 	})

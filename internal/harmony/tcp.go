@@ -160,8 +160,8 @@ func Serve(l net.Listener, srv *Server) error {
 // connTracker joins the per-connection goroutines ServeWith launches: every
 // live connection is registered so shutdown can close it (unblocking its
 // read loop), and the WaitGroup collects the goroutines before ServeWith
-// returns. This is the lifecycle contract paralint's goroutinelifecycle
-// rule demands of every `go` statement in this package.
+// returns, which the package's goroutine-leak check (internal/leakcheck)
+// holds every test to.
 type connTracker struct {
 	wg sync.WaitGroup
 

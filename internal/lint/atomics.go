@@ -2,42 +2,23 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
-// AtomicField marks a variable (struct field or package-level var) that some
-// package accesses through sync/atomic. Once a variable is atomic anywhere
-// it must be atomic everywhere: a plain load can observe a torn or stale
-// value next to the atomic writers, and the race detector only catches the
-// interleavings a given run happens to produce.
-type AtomicField struct {
-	// Site is one atomic access position, for cross-package messages.
-	Site string
-}
-
-// AFact marks AtomicField as a paralint fact.
-func (*AtomicField) AFact() {}
-
-// Atomics enforces all-or-nothing atomic access discipline. Typed atomics
-// (atomic.Int64, atomic.Bool, ...) are immune by construction — the type
-// system already forbids plain access — so the rule concerns the legacy
-// pointer-based API: atomic.AddInt64(&s.n, 1) in one function and s.n++ in
-// another is an error, whichever package each lives in.
+// Atomics bans the legacy pointer-based sync/atomic functions
+// (atomic.AddInt64(&s.n, 1), LoadUint32, StoreInt64, SwapPointer,
+// CompareAndSwapInt32, ...). A variable reached through them is an ordinary
+// variable everywhere else, so a plain read beside the atomic writers is a
+// data race the race detector sees only on the interleavings a run happens
+// to produce. The typed atomics (atomic.Int64, atomic.Bool, ...) admit no
+// plain access, so "atomic everywhere" holds by construction.
 var Atomics = &Analyzer{
-	Name:      "atomics",
-	Doc:       "a variable accessed via sync/atomic anywhere must be accessed atomically everywhere",
-	FactTypes: []Fact{(*AtomicField)(nil)},
-	Run:       runAtomics,
+	Name: "atomics",
+	Doc:  "no legacy sync/atomic functions; use the typed atomics (atomic.Int64, atomic.Bool, ...)",
+	Run:  runAtomics,
 }
 
 func runAtomics(pass *Pass) {
-	// Phase 1: find legacy sync/atomic call sites and the variables they
-	// target; export a fact per variable and remember the arg nodes so the
-	// access scan below does not flag the atomic sites themselves.
-	atomicVars := make(map[types.Object]string) // object -> first site
-	handled := make(map[ast.Node]bool)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -45,112 +26,11 @@ func runAtomics(pass *Pass) {
 				return true
 			}
 			fn := calleeAnyFunc(pass.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || len(call.Args) == 0 {
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
 				return true
 			}
-			for _, arg := range call.Args {
-				ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || ue.Op != token.AND {
-					continue
-				}
-				obj := addressedVar(pass.Info, ue.X)
-				if obj == nil {
-					continue
-				}
-				if _, seen := atomicVars[obj]; !seen {
-					atomicVars[obj] = pass.Fset.Position(ue.Pos()).String()
-				}
-				markAddrNodes(handled, ue)
-			}
+			pass.Reportf(call.Lparen, "atomic.%s on a plain variable; use a typed atomic so no access can bypass it", fn.Name())
 			return true
 		})
-	}
-	objs := make([]types.Object, 0, len(atomicVars))
-	for obj := range atomicVars {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-	for _, obj := range objs {
-		pass.ExportObjectFact(obj, &AtomicField{Site: atomicVars[obj]})
-	}
-
-	// Phase 2: every other appearance of an atomic variable — local sites
-	// from phase 1 plus facts imported from dependencies — is a plain access
-	// and therefore a race with the atomic users.
-	isAtomic := func(obj types.Object) (string, bool) {
-		if site, ok := atomicVars[obj]; ok {
-			return site, true
-		}
-		var fact AtomicField
-		if pass.ImportObjectFact(obj, &fact) {
-			return fact.Site, true
-		}
-		return "", false
-	}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if handled[n] {
-				return false
-			}
-			var obj types.Object
-			var pos ast.Node
-			switch e := n.(type) {
-			case *ast.SelectorExpr:
-				if handled[e.Sel] {
-					return true
-				}
-				obj = pass.Info.Uses[e.Sel]
-				pos = e.Sel
-			case *ast.Ident:
-				// Uses only: the declaration site of a field or variable is
-				// not an access.
-				obj = pass.Info.Uses[e]
-				pos = e
-			default:
-				return true
-			}
-			v, ok := obj.(*types.Var)
-			if !ok {
-				return true
-			}
-			if site, atomic := isAtomic(v); atomic {
-				pass.Reportf(pos.Pos(),
-					"plain access to %s, which is accessed with sync/atomic (at %s); mixed access is a data race — use the atomic API everywhere or a typed atomic",
-					v.Name(), site)
-			}
-			return true
-		})
-	}
-}
-
-// addressedVar resolves &x to the variable x names: a struct field selected
-// through any receiver, or a plain (possibly package-level) variable.
-func addressedVar(info *types.Info, x ast.Expr) types.Object {
-	switch e := ast.Unparen(x).(type) {
-	case *ast.SelectorExpr:
-		if v, ok := info.Uses[e.Sel].(*types.Var); ok {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok {
-			return v
-		}
-	case *ast.IndexExpr:
-		// &arr[i]: per-element atomicity is beyond object granularity.
-		return nil
-	}
-	return nil
-}
-
-// markAddrNodes marks the &x expression and its component idents as consumed
-// by an atomic call.
-func markAddrNodes(handled map[ast.Node]bool, ue *ast.UnaryExpr) {
-	handled[ue] = true
-	switch e := ast.Unparen(ue.X).(type) {
-	case *ast.SelectorExpr:
-		handled[e] = true
-		handled[e.Sel] = true
-	case *ast.Ident:
-		handled[e] = true
 	}
 }

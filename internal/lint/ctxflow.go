@@ -169,6 +169,10 @@ func firstUncancellableSite(env *ctxEnv, body *ast.BlockStmt, blockingCallee fun
 				record(s.Select, "select with no default and no cancellation arm")
 			}
 			return true
+		case *ast.RangeStmt:
+			if env.rangeUnending(s) {
+				record(s.For, "range over a channel the package never closes")
+			}
 		case *ast.SendStmt:
 			if !env.sendExempt(s) && !insideSelectComm(body, s) {
 				record(s.Arrow, "bare send with no cancellation path")
@@ -188,9 +192,9 @@ func firstUncancellableSite(env *ctxEnv, body *ast.BlockStmt, blockingCallee fun
 }
 
 // reportCtxFlow reports every uncancellable blocking site in a scoped
-// function: selects without a cancellation arm (with a mechanical ctx-arm
-// fix when a context is in scope), bare sends/receives outside selects, and
-// calls into out-of-scope helpers that park uncancellably.
+// function: selects without a cancellation arm, ranges over channels the
+// package never closes, bare sends/receives outside selects, and calls into
+// out-of-scope helpers that park uncancellably.
 func reportCtxFlow(env *ctxEnv, fd *ast.FuncDecl, blockingCallee func(*ast.CallExpr) (bool, string)) {
 	pass := env.pass
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -199,12 +203,12 @@ func reportCtxFlow(env *ctxEnv, fd *ast.FuncDecl, blockingCallee func(*ast.CallE
 			if selectCancellable(env, s) {
 				return true
 			}
-			if fix := ctxArmFix(pass, s); fix != nil {
-				pass.ReportWithFix(s.Select, fix,
-					"select with no default and no cancellation arm; a goroutine parked here cannot be shut down")
-			} else {
-				pass.Reportf(s.Select,
-					"select with no default and no cancellation arm; a goroutine parked here cannot be shut down")
+			pass.Reportf(s.Select,
+				"select with no default and no cancellation arm; a goroutine parked here cannot be shut down")
+		case *ast.RangeStmt:
+			if env.rangeUnending(s) {
+				pass.Reportf(s.For,
+					"range over channel %s, which is never closed in the package; the loop cannot terminate", types.ExprString(s.X))
 			}
 		case *ast.SendStmt:
 			if !env.sendExempt(s) && !insideSelectComm(fd.Body, s) {
@@ -240,6 +244,20 @@ func (env *ctxEnv) sendExempt(s *ast.SendStmt) bool {
 		return true // undertyped; don't guess
 	}
 	return env.bufferedType[t.String()]
+}
+
+// rangeUnending reports whether s ranges over a channel that no close() in
+// the package can end: a timer channel or a channel never closed here.
+func (env *ctxEnv) rangeUnending(s *ast.RangeStmt) bool {
+	t := env.pass.Info.TypeOf(s.X)
+	if t == nil {
+		return false
+	}
+	if _, ok := t.Underlying().(*types.Chan); !ok {
+		return false
+	}
+	obj := chanExprObj(env.pass.Info, s.X)
+	return obj == nil || !env.closedObjs[obj]
 }
 
 // recvExempt reports whether a receive expression carries its own
@@ -441,75 +459,32 @@ func closedChanObjs(pass *Pass) map[types.Object]bool {
 	return out
 }
 
-// ctxArmFix builds the mechanical repair for a select with no cancellation
-// arm: insert `case <-ctx.Done(): return` before the closing brace, when an
-// identifier `ctx` of type context.Context is in scope and the enclosing
-// function returns nothing (so a bare return is well-formed).
-func ctxArmFix(pass *Pass, sel *ast.SelectStmt) *SuggestedFix {
-	scope := pass.Pkg.Scope().Innermost(sel.Select)
-	if scope == nil {
-		return nil
-	}
-	_, obj := scope.LookupParent("ctx", sel.Select)
-	v, ok := obj.(*types.Var)
-	if !ok || !isContextType(v.Type()) {
-		return nil
-	}
-	if !enclosingFuncReturnsNothing(pass, sel) {
-		return nil
-	}
-	// Indent the new arm like the closing brace's line, one tab deeper for
-	// its body.
-	rb := pass.Fset.Position(sel.Body.Rbrace)
-	lineStart, ok := pass.SrcText(sel.Body.Rbrace-token.Pos(rb.Column-1), sel.Body.Rbrace)
-	if !ok {
-		return nil
-	}
-	ws := lineStart[:len(lineStart)-len(strings.TrimLeft(lineStart, " \t"))]
-	arm := ws + "case <-ctx.Done():\n" + ws + "\treturn\n" + ws
-	edit := pass.Edit(sel.Body.Rbrace, sel.Body.Rbrace, arm)
-	// Replace the whitespace run before the brace so the brace keeps its
-	// indentation after the inserted text.
-	edit.Start -= len(ws)
-	edit.StartLine = rb.Line
-	return &SuggestedFix{
-		Message: "add a case <-ctx.Done() arm",
-		Edits:   []TextEdit{edit},
-	}
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
+// isMakeChan reports whether call is make(chan T[, n]).
+func isMakeChan(pass *Pass, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "make" || len(call.Args) == 0 {
 		return false
 	}
-	return named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
+	if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
+		return false
+	}
+	t := pass.Info.TypeOf(call.Args[0])
+	if t == nil {
+		return false
+	}
+	_, isChan := t.Underlying().(*types.Chan)
+	return isChan
 }
 
-// enclosingFuncReturnsNothing reports whether the innermost function
-// enclosing pos has no results, so an inserted bare `return` compiles.
-func enclosingFuncReturnsNothing(pass *Pass, sel *ast.SelectStmt) bool {
-	var results *ast.FieldList
-	found := false
-	for _, file := range pass.Files {
-		if file.Pos() <= sel.Pos() && sel.Pos() <= file.End() {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Pos() <= sel.Pos() && sel.Pos() <= fn.End() {
-						results = fn.Type.Results
-						found = true
-					}
-				case *ast.FuncLit:
-					if fn.Pos() <= sel.Pos() && sel.Pos() <= fn.End() {
-						results = fn.Type.Results
-						found = true
-					}
-				}
-				return true
-			})
-		}
+// makeChanBuffered reports whether the make site has a constant capacity > 0;
+// known is false when the capacity is a non-constant expression.
+func makeChanBuffered(pass *Pass, call *ast.CallExpr) (buffered, known bool) {
+	if len(call.Args) < 2 {
+		return false, true
 	}
-	return found && (results == nil || len(results.List) == 0)
+	tv, ok := pass.Info.Types[call.Args[1]]
+	if !ok || tv.Value == nil {
+		return false, false
+	}
+	return tv.Value.String() != "0", true
 }

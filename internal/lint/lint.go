@@ -3,9 +3,10 @@
 // DESIGN.md "Determinism contract & static analysis"): the paper's §6
 // evaluation is a seeded simulation, so every figure is reproducible only if
 // the simulator and estimators are bit-deterministic under a fixed seed, and
-// trustworthy only if the concurrent harmony server is race- and leak-free.
+// trustworthy only if the concurrent harmony server is race- and
+// deadlock-free.
 //
-// Twelve rules are enforced. Four are syntax-local:
+// Ten rules are enforced. Four are syntax-local:
 //
 //   - determinism: no wall-clock time and no process-global rand inside
 //     simulation packages; no wall-clock-seeded RNG sources anywhere.
@@ -16,32 +17,28 @@
 //   - errdiscipline: no silently discarded errors at the harmony wire
 //     boundary.
 //
-// Three reason through dataflow and across package boundaries via the fact
+// Two reason through dataflow and across package boundaries via the fact
 // system (see FactBase):
 //
 //   - seedflow: every RNG-seed argument in simulation packages must trace
 //     back to a seed parameter, field, or another seeded stream — never to
 //     the wall clock, crypto/rand, or the process id.
-//   - goroutinelifecycle: every go statement in the server/simulator core
-//     must have a provable join or cancel path.
 //   - eventhygiene: event.Recorder emissions use registered event kinds,
 //     carry no wall-clock-derived payload, and never happen under a mutex.
 //
-// Four more are the concurrency contract (DESIGN.md "Concurrency
+// Three more are the concurrency contract (DESIGN.md "Concurrency
 // contract"), the machine-checked precondition for sharding the harmony
 // session table:
 //
 //   - lockorder: the whole-program lock-acquisition graph — including
 //     acquisitions reached through calls, via LockSet facts — must be
 //     acyclic, and must respect ranks declared with //paralint:lockrank.
-//   - chanflow: a send on an unbuffered channel needs a provable receiver, a
-//     ranged channel needs a close, and a select with no default must not
-//     run under a held mutex.
-//   - ctxflow: blocking channel operations in harmony/chaos/cluster must be
-//     cancellable (ctx.Done()/done-channel/timer arm, or a provably
-//     buffered send); CtxAware facts carry the property across calls.
-//   - atomics: a variable accessed via sync/atomic anywhere must be
-//     accessed atomically everywhere.
+//   - ctxflow: blocking channel operations in harmony/chaos/cluster/feddb
+//     must be cancellable (ctx.Done()/done-channel/timer arm, or a provably
+//     buffered send), and a ranged channel must be closed in its package;
+//     CtxAware facts carry the property across calls.
+//   - atomics: no legacy pointer-based sync/atomic functions; the typed
+//     atomics make "atomic everywhere" hold by construction.
 //
 // One more gates the PHWIRE1 wire tables:
 //
@@ -51,9 +48,10 @@
 //     every structured error code a server constructs must be classified
 //     by a client-side comparison somewhere in the program.
 //
-// Buffer lifetimes, per-request bounds and hot-path allocation counts are
-// pinned by runtime tests on the sites themselves, not by rules (DESIGN.md
-// "Buffer ownership", "Bounded resources" and "paralint keep-or-cut audit").
+// Goroutine leaks, buffer lifetimes, per-request bounds and hot-path
+// allocation counts are pinned by runtime tests on the sites themselves, not
+// by rules (internal/leakcheck; DESIGN.md "Buffer ownership", "Bounded
+// resources" and "paralint keep-or-cut audit").
 //
 // A finding can be suppressed with a comment on the same line or the line
 // immediately above:
@@ -75,23 +73,6 @@ import (
 	"strings"
 )
 
-// TextEdit is one replacement of a byte span with new text.
-type TextEdit struct {
-	Filename  string `json:"filename"`
-	Start     int    `json:"start"` // byte offset, inclusive
-	End       int    `json:"end"`   // byte offset, exclusive
-	StartLine int    `json:"start_line"`
-	EndLine   int    `json:"end_line"`
-	NewText   string `json:"new_text"`
-}
-
-// SuggestedFix is a mechanical repair for a finding, applied by
-// `paralint -fix` and previewed by `paralint -diff`.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
 	Pos     token.Position `json:"pos"`
@@ -103,8 +84,6 @@ type Diagnostic struct {
 	// for those — a directive that silently stops enforcing its contract is
 	// config rot, not a code finding.
 	Category string `json:"category,omitempty"`
-	// Fix, when non-nil, is a mechanical edit that resolves the finding.
-	Fix *SuggestedFix `json:"fix,omitempty"`
 }
 
 // CategoryDirective marks malformed or dangling paralint directives.
@@ -112,12 +91,6 @@ const CategoryDirective = "directive"
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
-}
-
-// sameFinding reports whether two diagnostics describe the same defect
-// (position, rule, and message; fixes are not compared).
-func sameFinding(a, b Diagnostic) bool {
-	return a.Pos == b.Pos && a.Rule == b.Rule && a.Message == b.Message
 }
 
 // Analyzer is one named rule.
@@ -164,22 +137,17 @@ func newPkgContext(pkg *Package) *pkgContext {
 // Reportf records a finding at pos unless a //paralint:allow comment
 // suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, "", format, args...)
-}
-
-// ReportWithFix records a finding carrying a suggested mechanical fix.
-func (p *Pass) ReportWithFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	p.report(pos, fix, "", format, args...)
+	p.report(pos, "", format, args...)
 }
 
 // ReportDirective records a malformed/dangling-directive finding, tagged
 // with the "directive" category so the driver can fail with a distinct exit
 // status.
 func (p *Pass) ReportDirective(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, CategoryDirective, format, args...)
+	p.report(pos, CategoryDirective, format, args...)
 }
 
-func (p *Pass) report(pos token.Pos, fix *SuggestedFix, category, format string, args ...any) {
+func (p *Pass) report(pos token.Pos, category, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.suppressedAt(position) {
 		return
@@ -189,7 +157,6 @@ func (p *Pass) report(pos token.Pos, fix *SuggestedFix, category, format string,
 		Rule:     p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 		Category: category,
-		Fix:      fix,
 	})
 }
 
@@ -202,35 +169,12 @@ func (p *Pass) suppressedAt(position token.Position) bool {
 	return ok && (rules[p.Analyzer.Name] || rules["all"])
 }
 
-// SrcText returns the source text of the node span, for fix construction.
-func (p *Pass) SrcText(start, end token.Pos) (string, bool) {
-	sp, ep := p.Fset.Position(start), p.Fset.Position(end)
-	src, ok := p.ctx.pkg.Src[sp.Filename]
-	if !ok || sp.Filename != ep.Filename || sp.Offset > ep.Offset || ep.Offset > len(src) {
-		return "", false
-	}
-	return string(src[sp.Offset:ep.Offset]), true
-}
-
-// Edit builds a TextEdit replacing the span [start, end) with newText.
-func (p *Pass) Edit(start, end token.Pos, newText string) TextEdit {
-	sp, ep := p.Fset.Position(start), p.Fset.Position(end)
-	return TextEdit{
-		Filename:  sp.Filename,
-		Start:     sp.Offset,
-		End:       ep.Offset,
-		StartLine: sp.Line,
-		EndLine:   ep.Line,
-		NewText:   newText,
-	}
-}
-
 // Analyzers returns every paralint rule in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, LockDiscipline, FloatCompare, ErrDiscipline,
-		SeedFlow, GoroutineLifecycle, EventHygiene,
-		LockOrder, ChanFlow, CtxFlow, Atomics,
+		SeedFlow, EventHygiene,
+		LockOrder, CtxFlow, Atomics,
 		WireProto,
 	}
 }
@@ -347,7 +291,7 @@ func sortDiags(diags []Diagnostic) []Diagnostic {
 	})
 	out := diags[:0]
 	for i, d := range diags {
-		if i > 0 && sameFinding(d, diags[i-1]) {
+		if i > 0 && d == diags[i-1] {
 			continue
 		}
 		out = append(out, d)

@@ -1,10 +1,8 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -126,47 +124,9 @@ func checkMethod(pass *Pass, fd *ast.FuncDecl, recvObj *types.Var, gs *guardSet)
 		return true
 	})
 	if firstAccess != nil && !locks {
-		pass.ReportWithFix(firstAccess.Pos(), lockedRenameFix(pass, fd, recvObj, gs),
+		pass.Reportf(firstAccess.Pos(),
 			"%s accesses %s.%s (guarded by %s) without holding the lock; acquire %s or use the ...Locked naming convention",
 			fd.Name.Name, recvObj.Name(), firstAccess.Sel.Name, gs.mutexField, gs.mutexField)
-	}
-}
-
-// lockedRenameFix builds the ...Locked rename — declaration plus every
-// same-package use — documenting that the caller must hold the mutex. Only
-// unexported methods qualify (renaming an exported method breaks the API),
-// and only when the new name is free on the receiver type.
-func lockedRenameFix(pass *Pass, fd *ast.FuncDecl, recvObj *types.Var, gs *guardSet) *SuggestedFix {
-	name := fd.Name.Name
-	if fd.Name.IsExported() || strings.HasSuffix(name, "Locked") {
-		return nil
-	}
-	newName := name + "Locked"
-	if obj, _, _ := types.LookupFieldOrMethod(recvObj.Type(), true, pass.Pkg, newName); obj != nil {
-		return nil // name already taken on the receiver type
-	}
-	obj := pass.Info.Defs[fd.Name]
-	if obj == nil {
-		return nil
-	}
-	edits := []TextEdit{pass.Edit(fd.Name.Pos(), fd.Name.End(), newName)}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
-				edits = append(edits, pass.Edit(id.Pos(), id.End(), newName))
-			}
-			return true
-		})
-	}
-	sort.Slice(edits, func(i, j int) bool {
-		if edits[i].Filename != edits[j].Filename {
-			return edits[i].Filename < edits[j].Filename
-		}
-		return edits[i].Start < edits[j].Start
-	})
-	return &SuggestedFix{
-		Message: fmt.Sprintf("rename %s to %s (caller must hold %s)", name, newName, gs.mutexField),
-		Edits:   edits,
 	}
 }
 

@@ -249,19 +249,6 @@ func RelPaths(base string, diags []Diagnostic) {
 	for i := range diags {
 		if rel, err := filepath.Rel(base, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Pos.Filename = rel
-			for j := range diagEdits(&diags[i]) {
-				e := &diags[i].Fix.Edits[j]
-				if rel2, err := filepath.Rel(base, e.Filename); err == nil && !strings.HasPrefix(rel2, "..") {
-					e.Filename = rel2
-				}
-			}
 		}
 	}
-}
-
-func diagEdits(d *Diagnostic) []TextEdit {
-	if d.Fix == nil {
-		return nil
-	}
-	return d.Fix.Edits
 }

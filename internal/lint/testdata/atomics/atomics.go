@@ -1,36 +1,26 @@
-// Package atomics is golden-file input for the atomics analyzer: a field
-// and a package-level variable accessed both through sync/atomic and
-// plainly, plus the typed-atomic shape that is immune by construction.
+// Package atomics is golden-file input for the atomics analyzer: every
+// legacy pointer-based sync/atomic call is flagged, and the typed atomics
+// stay silent.
 package atomics
 
 import "sync/atomic"
 
 type counter struct {
-	hits  int64
-	total int64
+	hits int64
 }
 
 func (c *counter) bump() {
-	atomic.AddInt64(&c.hits, 1)
-	c.total++ // plain everywhere: fine
+	atomic.AddInt64(&c.hits, 1) // want "atomic.AddInt64 on a plain variable"
 }
 
 func (c *counter) read() int64 {
-	return c.hits // want "plain access to hits"
-}
-
-func (c *counter) readAtomic() int64 {
-	return atomic.LoadInt64(&c.hits)
+	return atomic.LoadInt64(&c.hits) // want "atomic.LoadInt64 on a plain variable"
 }
 
 var generation uint32
 
-func advance() {
-	atomic.AddUint32(&generation, 1)
-}
-
-func current() uint32 {
-	return generation // want "plain access to generation"
+func advance(old uint32) bool {
+	return atomic.CompareAndSwapUint32(&generation, old, old+1) // want "atomic.CompareAndSwapUint32 on a plain variable"
 }
 
 // gauge uses a typed atomic: no plain access is expressible, so the rule

@@ -1,7 +1,7 @@
-// Package chanflow is golden-file input for the chanflow analyzer: a send
-// with no receiver anywhere, a range over a never-closed channel, a blocking
-// select entered under a held mutex, and the negative shapes (buffered,
-// escaped, closed, aliased) that must stay silent.
+// Package chanflow is golden-file input pinning that ctxflow catches the
+// channel-flow hazards: a send nothing receives, a range over a
+// never-closed channel, and a blocking select entered under a held mutex,
+// with the closed and non-blocking shapes that must stay silent.
 package chanflow
 
 import "sync"
@@ -9,90 +9,51 @@ import "sync"
 // droppedSend parks forever: nothing in the package receives from signal.
 func droppedSend() {
 	signal := make(chan struct{})
-	signal <- struct{}{} // want "send on unbuffered channel signal with no receive"
+	signal <- struct{}{} // want "blocking send outside a select"
 }
 
-// bufferedSend is fine: the buffer absorbs the value.
-func bufferedSend() {
-	acks := make(chan int, 1)
-	acks <- 1
-}
-
-// aliasedRecv is fine: the receive happens through an alias of the channel.
-func aliasedRecv() {
-	ch := make(chan struct{})
-	alias := ch
-	go func() { <-alias }()
-	ch <- struct{}{}
-}
-
-// handoff is fine: the channel escapes into sink, so a receiver may exist
-// beyond the analysis horizon.
-func handoff(sink func(chan int)) {
-	ch := make(chan int)
-	sink(ch)
-	ch <- 1
-}
-
-// feed's queue is filled and ranged but never closed: drain cannot
-// terminate.
+// feed's queue is ranged but never closed: drain cannot terminate.
 type feed struct {
 	q chan int
 }
 
-func (f *feed) init() {
-	f.q = make(chan int, 4)
-}
-
-func (f *feed) pump(n int) {
-	for i := 0; i < n; i++ {
-		f.q <- i
-	}
-}
-
 func (f *feed) drain() int {
 	sum := 0
-	for v := range f.q { // want "range over channel q, which is never closed"
+	for v := range f.q { // want "range over channel f.q, which is never closed"
 		sum += v
 	}
 	return sum
 }
 
-// closedDrain is fine: the close lets the range terminate.
-func closedDrain() int {
-	ch := make(chan int, 2)
-	ch <- 1
-	ch <- 2
-	close(ch)
+// batch closes out in finish, so total's range terminates.
+type batch struct {
+	out chan int
+}
+
+func (b *batch) finish() { close(b.out) }
+
+func (b *batch) total() int {
 	sum := 0
-	for v := range ch {
+	for v := range b.out {
 		sum += v
 	}
 	return sum
 }
 
-// relay demonstrates the lock rule: forward parks inside a select while
-// holding r.mu, convoying every other path through the lock.
+// relay's forward parks inside a select while holding r.mu, convoying
+// every other path through the lock, and nothing can cancel it.
 type relay struct {
-	mu   sync.Mutex
-	out  chan int
-	stop chan struct{}
+	mu  sync.Mutex
+	out chan int
+	in  chan int
 }
 
 func (r *relay) forward(v int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	select { // want "blocking select while holding r.mu"
+	select { // want "select with no default and no cancellation arm"
 	case r.out <- v:
-	case <-r.stop:
-	}
-}
-
-// forwardUnlocked is the same select outside the lock: fine.
-func (r *relay) forwardUnlocked(v int) {
-	select {
-	case r.out <- v:
-	case <-r.stop:
+	case v = <-r.in:
 	}
 }
 

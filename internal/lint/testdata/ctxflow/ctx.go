@@ -1,7 +1,8 @@
 // Package ctxflow is golden-file input for the ctxflow analyzer, loaded
 // under a scoped import path (harmony): blocking channel ops must carry a
 // cancellation path — a ctx.Done()/done-channel/timer arm in the select, a
-// provably buffered send — or be flagged.
+// provably buffered send — and a ranged channel must be closed in the
+// package, or be flagged.
 package ctxflow
 
 import (
@@ -10,8 +11,9 @@ import (
 )
 
 type worker struct {
-	jobs chan int
-	done chan struct{}
+	jobs    chan int
+	done    chan struct{}
+	results chan int
 }
 
 // stop closes done, making it a recognised cancellation channel.
@@ -34,8 +36,7 @@ func (w *worker) uncancellable() {
 	}
 }
 
-// ctxSelect has a context in scope: the finding carries the mechanical
-// ctx-arm fix.
+// ctxSelect has a context in scope but never selects on it.
 func (w *worker) ctxSelect(ctx context.Context) {
 	for {
 		select { // want "select with no default and no cancellation arm"
@@ -85,4 +86,31 @@ func (w *worker) ctxSelectDone(ctx context.Context) {
 		_ = j
 	case <-ctx.Done():
 	}
+}
+
+// drainJobs never ends: nothing in the package closes jobs.
+func (w *worker) drainJobs() int {
+	sum := 0
+	for j := range w.jobs { // want "range over channel w.jobs, which is never closed"
+		sum += j
+	}
+	return sum
+}
+
+// poll never ends: a ticker's channel is never closed.
+func (w *worker) poll(d time.Duration) {
+	for range time.NewTicker(d).C { // want "range over channel time.NewTicker\(d\).C, which is never closed"
+		w.cancellable()
+	}
+}
+
+// finish closes results, so collect's range terminates.
+func (w *worker) finish() { close(w.results) }
+
+func (w *worker) collect() int {
+	sum := 0
+	for r := range w.results {
+		sum += r
+	}
+	return sum
 }

@@ -357,18 +357,6 @@ func (s *Store) Digest() []OriginDigest {
 	return ds
 }
 
-// DigestOf returns one origin's digest entry, if the store holds any of its
-// frames.
-func (s *Store) DigestOf(origin string) (OriginDigest, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, ok := s.originIdx[origin]; ok && s.origins[i].high > 0 {
-		o := s.origins[i]
-		return OriginDigest{Origin: o.name, High: o.high, Hash: o.hash}, true
-	}
-	return OriginDigest{}, false
-}
-
 // High returns the highest contiguous sequence the store holds for origin
 // (0 if the origin is unknown).
 func (s *Store) High(origin string) uint64 {
@@ -407,6 +395,46 @@ func (s *Store) AppendFrames(dst []Frame, origin string, from uint64, max int) (
 	return dst, ost.high, ost.hash
 }
 
+// CheckPrefix reports an error when the store's history of d.Origin and the
+// history d summarises disagree on the frames both hold. A digest carries
+// one chain hash, the one at d.High, so the check decides only when the
+// store holds at least d.High frames of the origin; with fewer it returns
+// nil, and a caller catching up checks again once it holds d.High. Merge
+// and feddb's sync run every overlap through this one rule.
+func (s *Store) CheckPrefix(d OriginDigest) error {
+	if h, ok := s.hashAt(d.Origin, d.High); ok && h != d.Hash {
+		return fmt.Errorf("measuredb: origin %s diverged at seq %d (chain hash mismatch)", d.Origin, d.High)
+	}
+	return nil
+}
+
+// hashAt returns the chain hash over origin's first n frames, or false when
+// the store holds fewer than n (or n is 0). Below the origin's high the
+// chain is replayed outside s.mu, which is safe because a log's first n
+// entries never change once written.
+func (s *Store) hashAt(origin string, n uint64) (uint64, bool) {
+	s.mu.Lock()
+	i, ok := s.originIdx[origin]
+	if !ok || n == 0 || s.origins[i].high < n {
+		s.mu.Unlock()
+		return 0, false
+	}
+	ost := s.origins[i]
+	hash, log := ost.hash, ost.log[:n]
+	replay := n < ost.high
+	s.mu.Unlock()
+	if !replay {
+		return hash, true
+	}
+	var h uint64
+	var buf []byte
+	for i, ref := range log {
+		buf = appendMeasurementPayload(buf[:0], ref.rec.point, ref.value, origin, uint64(i+1))
+		h = chainHash(h, buf)
+	}
+	return h, true
+}
+
 // MergeStats reports a Merge outcome: frames applied and duplicate
 // observations skipped (already present on the destination).
 type MergeStats struct {
@@ -417,8 +445,11 @@ type MergeStats struct {
 // Merge unions src's observations into s through the same (origin, seq)
 // set-union core live sync uses: for each origin, frames past s's high are
 // shipped in chunks and applied; everything at or below it is counted as a
-// skipped duplicate. Merge is idempotent and never holds both stores' locks
-// at once. Space signatures must agree when both stores are bound.
+// skipped duplicate once CheckPrefix has matched it. Every origin's overlap
+// is checked before any frame is applied, so a source whose history of an
+// origin diverges from s's leaves s unchanged. Merge is idempotent and never
+// holds both stores' locks at once. Space signatures must agree when both
+// stores are bound.
 func (s *Store) Merge(src *Store) (MergeStats, error) {
 	var st MergeStats
 	if s == nil || src == nil || s == src {
@@ -428,6 +459,15 @@ func (s *Store) Merge(src *Store) (MergeStats, error) {
 	if ssig != "" && dsig != "" && ssig != dsig {
 		return st, fmt.Errorf("measuredb: merge: source is bound to space %q, not %q", ssig, dsig)
 	}
+	digests := src.Digest()
+	for _, d := range digests {
+		n := min(s.High(d.Origin), d.High)
+		if h, ok := src.hashAt(d.Origin, n); ok {
+			if err := s.CheckPrefix(OriginDigest{Origin: d.Origin, High: n, Hash: h}); err != nil {
+				return st, fmt.Errorf("measuredb: merge: %w", err)
+			}
+		}
+	}
 	if ssig != "" && dsig == "" {
 		if err := s.BindSpace(ssig); err != nil {
 			return st, err
@@ -435,7 +475,7 @@ func (s *Store) Merge(src *Store) (MergeStats, error) {
 	}
 	const chunk = 512
 	buf := make([]Frame, 0, chunk)
-	for _, d := range src.Digest() {
+	for _, d := range digests {
 		from := s.High(d.Origin) + 1
 		if from > 1 {
 			dup := from - 1

@@ -279,3 +279,40 @@ func TestHighDimensionalKey(t *testing.T) {
 		t.Fatalf("high-dim lookup = %v, %v", obs, ok)
 	}
 }
+
+// observed returns a memory store with origin "x" holding one observation
+// per value, each at the point {v}.
+func observed(vals ...float64) *Store {
+	s := NewMemory(Options{Origin: "x"})
+	for _, v := range vals {
+		s.Observe(space.Point{v}, v)
+	}
+	return s
+}
+
+// Merge compares the frames both stores hold of an origin before applying
+// any: two histories of origin "x" that disagree on their common prefix do
+// not merge, in either direction, and leave the destination unchanged. A
+// source that extends the destination's history merges as before.
+func TestMergeRefusesDivergedOrigin(t *testing.T) {
+	for _, c := range []struct{ dst, src []float64 }{
+		{[]float64{5, 6, 7}, []float64{1, 2}},
+		{[]float64{1, 2}, []float64{5, 6, 7}},
+		{[]float64{1, 2}, []float64{1, 6, 7}},
+	} {
+		dst, src := observed(c.dst...), observed(c.src...)
+		st, err := dst.Merge(src)
+		if err == nil {
+			t.Errorf("merging %v into %v: no error (applied %d, duplicates %d)", c.src, c.dst, st.Applied, st.Duplicates)
+		}
+		if _, obs := dst.Stats(); obs != len(c.dst) || dst.High("x") != uint64(len(c.dst)) {
+			t.Errorf("merging %v into %v changed the destination: %d observations, high %d", c.src, c.dst, obs, dst.High("x"))
+		}
+	}
+
+	dst := observed(1, 2)
+	st, err := dst.Merge(observed(1, 2, 3))
+	if err != nil || st != (MergeStats{Applied: 1, Duplicates: 2}) {
+		t.Fatalf("merging an extension: %+v, %v; want 1 applied, 2 duplicates", st, err)
+	}
+}
