@@ -44,9 +44,11 @@ type Sim struct {
 
 	// Scratch buffers reused across RunStep calls so the per-step hot path
 	// allocates only the observation slice it hands to the caller.
-	liveScratch []int
-	procScratch []float64
-	jobScratch  []stepJob
+	liveScratch  []int
+	procScratch  []float64
+	jobScratch   []stepJob
+	fxScratch    []float64 // f at each assigned candidate
+	firstScratch []int     // the first candidate of each distinct point
 }
 
 // stepJob is one queued execution within a step: candidate cand runs on
@@ -178,7 +180,9 @@ func (s *Sim) NTT() float64 { return (1 - s.model.Rho()) * s.totalTime }
 // must be in [1, Live()]; processors beyond len(assign) idle (they are
 // running the same binary but their times are not gated on, see footnote 1 of
 // the paper). It returns the observed time per assigned candidate and records
-// T_k = max accumulated time over live processors.
+// T_k = max accumulated time over live processors. Assigned entries that
+// share one slice are one point: f is evaluated there once per step, and
+// each processor perturbs that value with its own noise draw.
 //
 // With a fault injector attached, each execution may crash its processor
 // (the candidate is redistributed to the least-loaded surviving processor,
@@ -200,6 +204,7 @@ func (s *Sim) RunStep(f objective.Function, assign []space.Point) ([]float64, er
 	s.beginStep()
 	// obs is handed to the caller, so it cannot come from scratch.
 	obs := make([]float64, len(assign))
+	fx := s.evalAssigned(f, assign)
 	procTime := s.procTimeScratch()
 	queue := s.jobScratch[:0]
 	for i := range assign {
@@ -215,7 +220,7 @@ func (s *Sim) RunStep(f objective.Function, assign []space.Point) ([]float64, er
 				return nil, ErrAllProcessorsCrashed
 			}
 		}
-		y := s.model.Perturb(f.Eval(assign[j.cand]), s.rngs[j.proc])
+		y := s.model.Perturb(fx[j.cand], s.rngs[j.proc])
 		switch out := s.faults.Next(j.proc, 0); out.Kind {
 		case fault.Crash:
 			// The processor dies mid-execution: its partial work is wasted and
@@ -257,6 +262,30 @@ var errEmptyAssignment = errors.New("cluster: empty assignment")
 
 func errCandidateOverflow(n, live int) error {
 	return fmt.Errorf("cluster: %d candidates exceed %d live processors", n, live)
+}
+
+// evalAssigned returns f at every assigned candidate, calling f once per
+// distinct point: processors that replicate a candidate, run Fill or run
+// RunFixed's configuration share one slice, so identity finds them, and
+// objective.Function.Eval is a pure function of x. The result aliases
+// scratch and is valid until the next step.
+func (s *Sim) evalAssigned(f objective.Function, assign []space.Point) []float64 {
+	fx, first := s.fxScratch[:0], s.firstScratch[:0]
+	for i, x := range assign {
+		k := len(first) - 1
+		for ; k >= 0; k-- {
+			if y := assign[first[k]]; len(y) == len(x) && (len(x) == 0 || &y[0] == &x[0]) {
+				break
+			}
+		}
+		if k >= 0 {
+			fx = append(fx, fx[first[k]])
+			continue
+		}
+		fx, first = append(fx, f.Eval(x)), append(first, i)
+	}
+	s.fxScratch, s.firstScratch = fx, first
+	return fx
 }
 
 // procTimeScratch returns the per-processor accumulator zeroed for a new

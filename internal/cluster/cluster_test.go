@@ -52,6 +52,46 @@ func TestRunStepAccounting(t *testing.T) {
 	}
 }
 
+// TestRunStepEvaluatesEachCandidateOnce runs 64 processors, 60 of them
+// replicating 3 candidates round-robin (ParallelSampling) and 4 running
+// Fill: each step evaluates f at the 4 distinct points once, not once per
+// processor, and every observation equals a per-processor reference loop's
+// bit for bit.
+func TestRunStepEvaluatesEachCandidateOnce(t *testing.T) {
+	f := &objective.Counting{F: bowl()}
+	model, err := noise.NewIIDPareto(1.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := []space.Point{{2, 3}, {7, 1}, {4, 9}}
+	fill := space.Point{5, 5}
+	assign := make([]space.Point, 64)
+	for k := range assign {
+		if assign[k] = cands[k%len(cands)]; k >= 60 {
+			assign[k] = fill
+		}
+	}
+	sim, _ := New(64, model, 9)
+	ref, _ := New(64, model, 9)
+	const steps = 5
+	for step := 0; step < steps; step++ {
+		obs, err := sim.RunStep(f, assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.beginStep()
+		for k, x := range assign {
+			want := ref.model.Perturb(f.F.Eval(x), ref.rngs[k])
+			if math.Float64bits(obs[k]) != math.Float64bits(want) {
+				t.Fatalf("step %d processor %d: observed %v, per-processor loop gives %v", step, k, obs[k], want)
+			}
+		}
+	}
+	if got := f.Count(); got != 4*steps {
+		t.Errorf("%d steps evaluated f %d times, want %d (4 distinct points per step)", steps, got, 4*steps)
+	}
+}
+
 func TestRunStepValidation(t *testing.T) {
 	sim, _ := New(2, noise.None{}, 1)
 	if _, err := sim.RunStep(bowl(), nil); err == nil {

@@ -90,8 +90,9 @@ func streamSeeds() []int64 {
 
 // TestNewRNGMatchesMathRand pins NewRNG to rand.New(rand.NewSource(seed))
 // over 2,011 seeds: 1,300 mixed draws (past two register revolutions), a
-// re-seed, a partial lazy fill, a second re-seed in the middle of it, and
-// another 1,300 draws.
+// re-seed, up to 333 draws, re-seeds after draw 273 (the last short draw),
+// 274 (the register's first) and 334 (the last to read a seeded feed
+// word), and another 1,300 draws.
 func TestNewRNGMatchesMathRand(t *testing.T) {
 	for i, seed := range streamSeeds() {
 		p := newRNGPair(t, seed)
@@ -108,6 +109,10 @@ func TestNewRNGMatchesMathRand(t *testing.T) {
 		ops(1300)
 		p.reseed(seed ^ int64(i)<<33)
 		ops(i % 334)
+		for _, k := range []int{273, 274, 334} {
+			p.reseed(seed + int64(k*i))
+			ops(k)
+		}
 		p.reseed(seed + int64(i))
 		ops(1300)
 	}
@@ -135,6 +140,27 @@ func TestNewRNGUnusedIsSmall(t *testing.T) {
 	}
 }
 
+// TestNewRNGRegisterAtDraw274 pins when the 607-word register appears: a
+// stream that draws 273 times keeps the unused budget of two allocations,
+// and draw 274 adds exactly one, the register.
+func TestNewRNGRegisterAtDraw274(t *testing.T) {
+	draws := func(n int) func() {
+		return func() {
+			rng := NewRNG(7)
+			for j := 0; j < n; j++ {
+				rng.Int63()
+			}
+		}
+	}
+	alloccheck.Guard(t, "NewRNG plus 273 draws", 2, draws(rngTap))
+	if alloccheck.RaceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(100, draws(rngTap+1)); got != 3 {
+		t.Errorf("NewRNG plus 274 draws: %.1f allocs/run, want 3 (the register)", got)
+	}
+}
+
 // FuzzNewRNGMatchesMathRand compares NewRNG with math/rand from a fuzzed
 // seed, draw count and op mix (Int63, Uint64, Float64, Intn, Seed).
 func FuzzNewRNGMatchesMathRand(f *testing.F) {
@@ -155,7 +181,8 @@ func FuzzNewRNGMatchesMathRand(f *testing.F) {
 
 // BenchmarkNewRNG prices NewRNG against math/rand's seeded source: an RNG
 // that never draws, seeding plus 200 draws (the common life of a simulated
-// processor's stream), and one Float64 from a long-running stream.
+// processor's stream, which never allocates a register), and one Float64
+// from a long-running stream.
 func BenchmarkNewRNG(b *testing.B) {
 	ctors := []struct {
 		name string

@@ -209,6 +209,29 @@ func TestExtParallelSampling(t *testing.T) {
 	}
 }
 
+// TestExtParallelSamplingClaims pins §5.2's closing observation at three
+// seeds: on 64 processors, each extra sample taken in a subsequent step
+// costs NTT, and taking it in parallel on idle processors costs less than
+// half as much. The slopes run from the smallest to the largest K.
+func TestExtParallelSamplingClaims(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		f, err := ExtParallelSampling(Config{Seed: seed, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := f.CSVRows[0], f.CSVRows[len(f.CSVRows)-1]
+		dk := last[0] - first[0]
+		seq, par := (last[1]-first[1])/dk, (last[3]-first[3])/dk
+		if !(seq > 0) {
+			t.Errorf("seed %d: sequential sampling costs %.2f NTT per sample, want a positive slope", seed, seq)
+		}
+		if !(par < seq/2) {
+			t.Errorf("seed %d: parallel sampling costs %.2f NTT per sample, want under half of sequential %.2f", seed, par, seq)
+		}
+		t.Logf("seed %d: NTT per sample %.2f sequential, %.2f parallel", seed, seq, par)
+	}
+}
+
 func TestExtSharedNoise(t *testing.T) {
 	f, err := ExtSharedNoise(quickCfg)
 	checkFigure(t, f, err)

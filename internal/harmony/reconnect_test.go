@@ -322,6 +322,33 @@ func TestDuplicateFrameSuppressed(t *testing.T) {
 	}
 }
 
+// TestRegisterAfterCloseDropsConnection sends a Register to a server whose
+// Close has begun while its listener still serves: the connection drops, so
+// a client reconnects and resends, instead of reading "server closed" as an
+// ordinary error reply it does not retry.
+func TestRegisterAfterCloseDropsConnection(t *testing.T) {
+	for _, wire := range wireCases {
+		t.Run(string(wire), func(t *testing.T) {
+			srv := NewServer(ServerOptions{})
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			serveAsync(l, srv)
+			rw := newRawWire(t, l.Addr().String(), wire)
+			srv.Close()
+			if _, err := rw.conn.Write(rw.frame(&request{Op: "register", Session: "s", Params: toWireParams(gs2Params()), Client: "c", Seq: 1})); err != nil {
+				t.Fatal(err)
+			}
+			_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if resp, ok := rw.readResp(); ok {
+				t.Fatalf("closing server answered a register (ok=%v, error %q); want the connection dropped", resp.OK, resp.Error)
+			}
+		})
+	}
+}
+
 // TestPermanentErrorNoRetry reports an invalid value and asserts the client
 // fails fast on the very first connection — no redial loop — with an error
 // the classifier helpers recognise.

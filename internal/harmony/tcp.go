@@ -311,6 +311,13 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 			lastSeq[req.Client] = req.Seq
 		}
 		resp = dispatch(srv, &req, wire, &grant)
+		if !resp.OK && srv.closed.Load() {
+			// A closing server drops the connection instead of answering
+			// with a refusal it caused: the client's recovery rule then
+			// reconnects and resends the request, reaching the restarted
+			// server where there is one.
+			return
+		}
 		resp.Seq = req.Seq
 		if opts.WriteTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))

@@ -17,7 +17,9 @@ import (
 // Implementations must be safe for concurrent Eval calls.
 type Function interface {
 	// Eval returns the noise-free cost at x. x must have Space().Dim()
-	// coordinates; implementations may assume admissibility.
+	// coordinates; implementations may assume admissibility. Eval must be
+	// a pure function of x: the cluster simulator calls it once per step
+	// for all the processors running x, not once per processor.
 	Eval(x space.Point) float64
 	// Space returns the admissible region the function is defined over.
 	Space() *space.Space

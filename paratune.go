@@ -252,7 +252,9 @@ func Minimize(s *Space, fn func([]float64) float64, opts Options) ([]float64, fl
 
 // Tune runs a full on-line tuning simulation of fn on a P-processor SPMD
 // cluster with i.i.d. Pareto variability at idle throughput Rho (Eq. 17
-// scaling), for exactly Budget application time steps.
+// scaling), for exactly Budget application time steps. fn must be a pure
+// function of its argument: each step calls it once per candidate, however
+// many processors run that candidate.
 func Tune(s *Space, fn func([]float64) float64, opts Options) (*Result, error) {
 	if s == nil || fn == nil {
 		return nil, errors.New("paratune: Tune requires a space and a function")
@@ -351,7 +353,9 @@ type AsyncResult = core.AsyncResult
 // TuneAsync runs the on-line tuning simulation on the asynchronous cluster
 // model (the paper's footnote 1: no barrier, every processor advances its
 // own clock). timeBudget is the virtual wall-clock budget in seconds; the
-// remaining Options fields keep their Tune meanings.
+// remaining Options fields keep their Tune meanings. fn must be a pure
+// function of its argument: it is called once per submitted candidate, for
+// all of that candidate's samples.
 func TuneAsync(s *Space, fn func([]float64) float64, timeBudget float64, opts Options) (*AsyncResult, error) {
 	if s == nil || fn == nil {
 		return nil, errors.New("paratune: TuneAsync requires a space and a function")
