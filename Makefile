@@ -108,7 +108,7 @@ fuzz:
 	$(GO) test -fuzz FuzzNewRNGMatchesMathRand -fuzztime 15s ./internal/dist/
 
 # Full-scale regeneration of every paper figure, ablation and extension
-# (~15 s on a shared 2-vCPU host), plus the consolidated markdown report.
+# (~11 s on a shared 2-vCPU host), plus the consolidated markdown report.
 results:
 	$(GO) run ./cmd/expgen -out results -seed 42 -report
 

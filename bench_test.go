@@ -175,19 +175,36 @@ func BenchmarkGS2EvalInterpolated(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkClusterStep measures one barrier-synchronised SPMD step with 16
-// processors under Pareto noise.
-func BenchmarkClusterStep(b *testing.B) {
+// BenchmarkClusterStepTuning measures one barrier-synchronised SPMD step of
+// 64 processors under Pareto noise in a tuning shape: 6 observed candidates
+// and 58 processors running Fill, whose draws only gate the barrier.
+func BenchmarkClusterStepTuning(b *testing.B) {
+	benchClusterStep(b, 6)
+}
+
+// BenchmarkClusterStepProduction measures the same step in the production
+// shape of an on-line run: all 64 processors run the best configuration and
+// none is observed.
+func BenchmarkClusterStepProduction(b *testing.B) {
+	benchClusterStep(b, 0)
+}
+
+func benchClusterStep(b *testing.B, observed int) {
 	db := objective.GenerateGS2(objective.GS2Config{Seed: 1, Coverage: 1})
 	m, _ := noise.NewIIDPareto(1.7, 0.2)
-	sim, _ := cluster.New(16, m, 1)
-	assign := make([]space.Point, 16)
+	sim, _ := cluster.New(64, m, 1)
+	fill := db.Space().Center()
+	assign := make([]space.Point, 64)
 	for i := range assign {
-		assign[i] = db.Space().Center()
+		assign[i] = fill
 	}
+	for i := 0; i < observed; i++ {
+		assign[i] = space.Point{8 + 8*float64(i), 4 + 4*float64(i), 4}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunStep(db, assign); err != nil {
+		if _, err := sim.RunStep(db, assign, observed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +312,8 @@ func BenchmarkStoreAppend(b *testing.B) {
 }
 
 // BenchmarkStoreAppendWAL measures the same insert with persistence on: the
-// frame encode plus buffered write-ahead append.
+// frame encode plus one unbuffered write(2) of the frame to the write-ahead
+// log per Observe, so it costs a system call the in-memory insert does not.
 func BenchmarkStoreAppendWAL(b *testing.B) {
 	s, err := measuredb.Open(b.TempDir(), measuredb.Options{Seed: 1})
 	if err != nil {

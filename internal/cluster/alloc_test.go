@@ -33,7 +33,38 @@ func TestRunStepAllocBudget(t *testing.T) {
 	// Budget: the observation slice handed to the caller. Amortised growth
 	// of the stepTimes record reads as 0; everything else runs on scratch.
 	alloccheck.Guard(t, "Sim.RunStep", 1, func() {
-		if _, err := s.RunStep(f, assign); err != nil {
+		if _, err := s.RunStep(f, assign, len(assign)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestRunStepBarrierOnlyAllocBudget(t *testing.T) {
+	f := allocSurface(t)
+	model, err := noise.NewIIDPareto(1.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(16, model, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]space.Point, 16)
+	for i := range assign {
+		assign[i] = f.Space().Center()
+	}
+	assign[1] = space.Point{3, 4}
+	// Budget: the observation slice of the 2 observed entries, then none
+	// for a production step. Deferred draws run on scratch, and the 202
+	// steps of both guards stay below draw 274, where a stream allocates
+	// its register.
+	alloccheck.Guard(t, "Sim.RunStep with barrier-only entries", 1, func() {
+		if _, err := s.RunStep(f, assign, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	alloccheck.Guard(t, "Sim.RunStep with no observed entry", 0, func() {
+		if _, err := s.RunStep(f, assign, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

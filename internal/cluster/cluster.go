@@ -34,6 +34,7 @@ type Sim struct {
 	p         int
 	model     noise.Model
 	stepModel noise.StepAware // non-nil when model draws shared per-step state
+	transform noise.Transform // non-nil when Perturb transforms one uniform draw
 	rngs      []*rand.Rand    // one independent stream per processor
 	stepRng   *rand.Rand      // stream for machine-wide per-step draws
 	stepTimes []float64       // T_k for every elapsed step
@@ -49,12 +50,22 @@ type Sim struct {
 	jobScratch   []stepJob
 	fxScratch    []float64 // f at each assigned candidate
 	firstScratch []int     // the first candidate of each distinct point
+	deferred     []draw    // barrier-only draws not yet transformed
+	rScratch     []float64 // one f's deferred draws, for Slowest
 }
 
 // stepJob is one queued execution within a step: candidate cand runs on
 // processor proc (-1 when the target is resolved at execution time after a
 // crash redistributes the work).
 type stepJob struct{ cand, proc int }
+
+// draw is a barrier-only execution whose uniform r has been drawn from
+// processor proc's stream but not yet transformed into a time: proc's
+// accumulated time this step is Apply(f, r).
+type draw struct {
+	proc int
+	f, r float64
+}
 
 // New creates a simulator with p processors, the given variability model,
 // and per-processor deterministic random streams derived from seed. Models
@@ -75,6 +86,9 @@ func New(p int, model noise.Model, seed int64) (*Sim, error) {
 	s.stepRng = dist.NewRNG(root.Int63())
 	if sm, ok := model.(noise.StepAware); ok {
 		s.stepModel = sm
+	}
+	if tm, ok := model.(noise.Transform); ok {
+		s.transform = tm
 	}
 	return s, nil
 }
@@ -179,20 +193,34 @@ func (s *Sim) NTT() float64 { return (1 - s.model.Rho()) * s.totalTime }
 // configurations: candidate i runs on the i-th live processor. len(assign)
 // must be in [1, Live()]; processors beyond len(assign) idle (they are
 // running the same binary but their times are not gated on, see footnote 1 of
-// the paper). It returns the observed time per assigned candidate and records
-// T_k = max accumulated time over live processors. Assigned entries that
-// share one slice are one point: f is evaluated there once per step, and
-// each processor perturbs that value with its own noise draw.
+// the paper). The caller observes the first observed entries: RunStep returns
+// their observed times and records T_k = max accumulated time over live
+// processors. Assigned entries that share one slice are one point: f is
+// evaluated there once per step, and each processor perturbs that value with
+// its own noise draw.
+//
+// The entries from observed on are barrier-only: they gate the barrier but
+// nobody reads their values (Evaluator.Fill, the production phase of an
+// on-line run). Under a noise.Transform model each still draws its uniform
+// from its processor's stream in order, but only the draws that can be the
+// step's maximum are transformed (noise.IIDPareto.Slowest: those within a
+// relative 2^-20 of the smallest 1-r). Step times, observations and stream
+// states are bit-identical to observing every entry.
 //
 // With a fault injector attached, each execution may crash its processor
 // (the candidate is redistributed to the least-loaded surviving processor,
 // whose step time then includes the re-run), stretch by a straggler factor,
 // lose its report (the returned observation is NaN — time was spent but no
 // value arrived), or deliver a corrupted value. Dead processors stop gating
-// the barrier; the redistributed work still counts toward T_k.
-func (s *Sim) RunStep(f objective.Function, assign []space.Point) ([]float64, error) {
+// the barrier; the redistributed work still counts toward T_k. A straggler
+// transforms its own draw, and a redistribution transforms every deferred
+// draw before it compares the processors' times.
+func (s *Sim) RunStep(f objective.Function, assign []space.Point, observed int) ([]float64, error) {
 	if len(assign) == 0 {
 		return nil, errEmptyAssignment
+	}
+	if observed < 0 || observed > len(assign) {
+		return nil, errObserved(observed, len(assign))
 	}
 	live := s.liveProcs()
 	if len(live) == 0 {
@@ -203,7 +231,7 @@ func (s *Sim) RunStep(f objective.Function, assign []space.Point) ([]float64, er
 	}
 	s.beginStep()
 	// obs is handed to the caller, so it cannot come from scratch.
-	obs := make([]float64, len(assign))
+	obs := make([]float64, observed)
 	fx := s.evalAssigned(f, assign)
 	procTime := s.procTimeScratch()
 	queue := s.jobScratch[:0]
@@ -216,33 +244,52 @@ func (s *Sim) RunStep(f objective.Function, assign []space.Point) ([]float64, er
 			// Redistributed (or orphaned by an earlier crash this step):
 			// resolve the target at execution time so re-runs balance across
 			// the least-loaded survivors.
+			s.applyDeferred(procTime)
 			if j.proc = s.leastLoaded(procTime); j.proc < 0 {
 				return nil, ErrAllProcessorsCrashed
 			}
 		}
-		y := s.model.Perturb(fx[j.cand], s.rngs[j.proc])
-		switch out := s.faults.Next(j.proc, 0); out.Kind {
+		// A barrier-only execution on a processor with no time yet this step
+		// defers its transform; 0 + y is y, so the sum is unchanged.
+		x, rng := fx[j.cand], s.rngs[j.proc]
+		lazy := j.cand >= observed && s.transform != nil && procTime[j.proc] == 0 && s.transform.Draws(x)
+		var y, r float64
+		if lazy {
+			r = rng.Float64()
+		} else {
+			y = s.model.Perturb(x, rng)
+		}
+		out := s.faults.Next(j.proc, 0)
+		switch out.Kind {
 		case fault.Crash:
 			// The processor dies mid-execution: its partial work is wasted and
 			// it no longer gates the barrier; the candidate re-runs elsewhere.
 			s.dead[j.proc] = true
-			if s.leastLoaded(procTime) < 0 {
+			if s.Live() == 0 {
 				return nil, ErrAllProcessorsCrashed
 			}
 			queue = append(queue, stepJob{cand: j.cand, proc: -1})
+			continue
 		case fault.Straggler:
+			if lazy {
+				y, lazy = s.transform.Apply(x, r), false
+			}
 			y *= out.Factor
-			procTime[j.proc] += y
-			obs[j.cand] = y
-		case fault.Drop:
-			procTime[j.proc] += y
-			obs[j.cand] = math.NaN()
-		case fault.Corrupt:
-			procTime[j.proc] += y
-			obs[j.cand] = out.Value
-		default:
-			procTime[j.proc] += y
-			obs[j.cand] = y
+		}
+		if lazy {
+			s.deferred = append(s.deferred, draw{proc: j.proc, f: x, r: r})
+			continue
+		}
+		procTime[j.proc] += y
+		if j.cand < observed {
+			switch out.Kind {
+			case fault.Drop:
+				obs[j.cand] = math.NaN()
+			case fault.Corrupt:
+				obs[j.cand] = out.Value
+			default:
+				obs[j.cand] = y
+			}
 		}
 	}
 	worst := 0.0
@@ -251,14 +298,53 @@ func (s *Sim) RunStep(f objective.Function, assign []space.Point) ([]float64, er
 			worst = t
 		}
 	}
+	worst = s.slowestDeferred(worst)
 	s.jobScratch = queue[:0]
 	s.recordStep(worst)
 	return obs, nil
 }
 
-// errEmptyAssignment and errCandidateOverflow live outside the hot path so
-// RunStep itself carries no fmt dependency.
+// applyDeferred transforms every deferred draw into its processor's time.
+func (s *Sim) applyDeferred(procTime []float64) {
+	for _, d := range s.deferred {
+		procTime[d.proc] += s.transform.Apply(d.f, d.r)
+	}
+	s.deferred = s.deferred[:0]
+}
+
+// slowestDeferred returns the larger of worst and the slowest deferred draw,
+// handing each noise-free time's draws to Slowest in turn. Every deferred
+// draw sits on a live processor: a crash discards its own draw, and a
+// redistribution applies them all first.
+func (s *Sim) slowestDeferred(worst float64) float64 {
+	rest := s.deferred
+	for len(rest) > 0 {
+		f := rest[0].f
+		fb := math.Float64bits(f)
+		rs, keep := s.rScratch[:0], rest[:0]
+		for _, d := range rest {
+			if math.Float64bits(d.f) == fb {
+				rs = append(rs, d.r)
+			} else {
+				keep = append(keep, d)
+			}
+		}
+		if y := s.transform.Slowest(f, rs); y > worst {
+			worst = y
+		}
+		s.rScratch, rest = rs, keep
+	}
+	s.deferred = s.deferred[:0]
+	return worst
+}
+
+// RunStep's errors live outside the hot path so RunStep itself carries no
+// fmt dependency.
 var errEmptyAssignment = errors.New("cluster: empty assignment")
+
+func errObserved(observed, n int) error {
+	return fmt.Errorf("cluster: %d observed entries outside an assignment of %d", observed, n)
+}
 
 func errCandidateOverflow(n, live int) error {
 	return fmt.Errorf("cluster: %d candidates exceed %d live processors", n, live)
@@ -326,7 +412,7 @@ func (s *Sim) RunFixed(f objective.Function, x space.Point, n int) ([][]float64,
 		traces[p] = make([]float64, n)
 	}
 	for k := 0; k < n; k++ {
-		ys, err := s.RunStep(f, assign)
+		ys, err := s.RunStep(f, assign, len(assign))
 		if err != nil {
 			return nil, err
 		}
@@ -371,8 +457,8 @@ type Evaluator struct {
 
 	// Scratch reused across calls, so a step allocates only RunStep's
 	// observation slice: each candidate's observations, the candidates run
-	// this step, and per assigned processor its configuration and
-	// candidate index (-1 for Fill).
+	// this step, per assigned processor its configuration, and per observed
+	// processor its candidate index.
 	obs    [][]float64
 	order  []int
 	assign []space.Point
@@ -419,8 +505,9 @@ func (e *Evaluator) Eval(points []space.Point) ([]float64, error) {
 // barrier step at a time. A step runs every candidate of the wave in index
 // order when they all fit on the live processors, and otherwise only the
 // candidates still short of samples. Spare processors replicate the
-// assigned candidates round-robin (ParallelSampling) or run Fill. Reports
-// failing fault.ValidValue are dropped. The wave ends when every candidate
+// assigned candidates round-robin (ParallelSampling) or run Fill, whose
+// entries follow the candidates' and are barrier-only. Reports failing
+// fault.ValidValue are dropped. The wave ends when every candidate
 // has enough samples, or at the retry limit; a candidate left with no
 // observations is then scored by the lossRule.
 func (e *Evaluator) evalWave(wave []space.Point, obs [][]float64) error {
@@ -464,16 +551,16 @@ func (e *Evaluator) evalWave(wave []space.Point, obs [][]float64) error {
 			case k < width || e.ParallelSampling:
 				assign, idx = append(assign, wave[i]), append(idx, i)
 			case e.Fill != nil:
-				assign, idx = append(assign, e.Fill), append(idx, -1)
+				assign = append(assign, e.Fill)
 			}
 		}
 		e.order, e.assign, e.idx = order, assign, idx
-		ys, err := e.Sim.RunStep(e.F, assign)
+		ys, err := e.Sim.RunStep(e.F, assign, len(idx))
 		if err != nil {
 			return err
 		}
 		for k, y := range ys {
-			if i := idx[k]; i >= 0 && fault.ValidValue(y) {
+			if i := idx[k]; fault.ValidValue(y) {
 				obs[i] = append(obs[i], y)
 				if e.Sink != nil {
 					e.Sink.Observe(wave[i], y)

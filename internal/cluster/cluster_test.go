@@ -33,7 +33,7 @@ func TestRunStepAccounting(t *testing.T) {
 	f := bowl()
 	sim, _ := New(3, noise.None{}, 1)
 	// Values: f(5,5)=1, f(0,0)=1+2*(25/100)=1.5, f(10,5)=1.25.
-	obs, err := sim.RunStep(f, []space.Point{{5, 5}, {0, 0}, {10, 5}})
+	obs, err := sim.RunStep(f, []space.Point{{5, 5}, {0, 0}, {10, 5}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRunStepEvaluatesEachCandidateOnce(t *testing.T) {
 	ref, _ := New(64, model, 9)
 	const steps = 5
 	for step := 0; step < steps; step++ {
-		obs, err := sim.RunStep(f, assign)
+		obs, err := sim.RunStep(f, assign, len(assign))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,10 +94,10 @@ func TestRunStepEvaluatesEachCandidateOnce(t *testing.T) {
 
 func TestRunStepValidation(t *testing.T) {
 	sim, _ := New(2, noise.None{}, 1)
-	if _, err := sim.RunStep(bowl(), nil); err == nil {
+	if _, err := sim.RunStep(bowl(), nil, 0); err == nil {
 		t.Error("empty assignment should fail")
 	}
-	if _, err := sim.RunStep(bowl(), []space.Point{{1, 1}, {2, 2}, {3, 3}}); err == nil {
+	if _, err := sim.RunStep(bowl(), []space.Point{{1, 1}, {2, 2}, {3, 3}}, 3); err == nil {
 		t.Error("oversubscription should fail")
 	}
 }
@@ -106,7 +106,7 @@ func TestTotalTimeAt(t *testing.T) {
 	sim, _ := New(1, noise.None{}, 1)
 	f := bowl()
 	for i := 0; i < 5; i++ {
-		if _, err := sim.RunStep(f, []space.Point{{5, 5}}); err != nil {
+		if _, err := sim.RunStep(f, []space.Point{{5, 5}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestNTT(t *testing.T) {
 	sim, _ := New(1, m, 1)
 	f := bowl()
 	for i := 0; i < 10; i++ {
-		if _, err := sim.RunStep(f, []space.Point{{5, 5}}); err != nil {
+		if _, err := sim.RunStep(f, []space.Point{{5, 5}}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,7 +397,7 @@ func TestTotalTimeIsSumProperty(t *testing.T) {
 		sim, _ := New(3, m, int64(seed))
 		fn := bowl()
 		for i := 0; i < steps; i++ {
-			if _, err := sim.RunStep(fn, []space.Point{{5, 5}, {1, 2}}); err != nil {
+			if _, err := sim.RunStep(fn, []space.Point{{5, 5}, {1, 2}}, 2); err != nil {
 				return false
 			}
 		}
@@ -416,7 +416,7 @@ func TestTotalTimeIsSumProperty(t *testing.T) {
 // step accounting without panicking.
 func TestInfSpikePropagates(t *testing.T) {
 	sim, _ := New(2, noise.Spike{Base: noise.None{}, P: 1}, 1)
-	obs, err := sim.RunStep(bowl(), []space.Point{{5, 5}})
+	obs, err := sim.RunStep(bowl(), []space.Point{{5, 5}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

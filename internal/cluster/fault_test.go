@@ -38,7 +38,7 @@ func TestSimCrashRedistributes(t *testing.T) {
 	in, _ := fault.New(fault.Config{Seed: 1, PCrash: 1, MaxCrashes: 2})
 	sim.SetFaults(in)
 	assign := []space.Point{onePoint(), onePoint(), onePoint(), onePoint()}
-	obs, err := sim.RunStep(f, assign)
+	obs, err := sim.RunStep(f, assign, len(assign))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestSimAllCrashed(t *testing.T) {
 	sim, _ := New(2, nil, 1)
 	in, _ := fault.New(fault.Config{Seed: 1, PCrash: 1})
 	sim.SetFaults(in)
-	if _, err := sim.RunStep(f, []space.Point{onePoint()}); err == nil {
+	if _, err := sim.RunStep(f, []space.Point{onePoint()}, 1); err == nil {
 		t.Fatal("expected ErrAllProcessorsCrashed")
 	}
 	if sim.Live() != 0 {
 		t.Errorf("live = %d", sim.Live())
 	}
-	if _, err := sim.RunStep(f, []space.Point{onePoint()}); err != ErrAllProcessorsCrashed {
+	if _, err := sim.RunStep(f, []space.Point{onePoint()}, 1); err != ErrAllProcessorsCrashed {
 		t.Errorf("err = %v, want ErrAllProcessorsCrashed", err)
 	}
 }
@@ -83,7 +83,7 @@ func TestSimDropAndCorruptObservations(t *testing.T) {
 	sim, _ := New(1, nil, 1)
 	in, _ := fault.New(fault.Config{Seed: 3, PDrop: 1})
 	sim.SetFaults(in)
-	obs, err := sim.RunStep(f, []space.Point{onePoint()})
+	obs, err := sim.RunStep(f, []space.Point{onePoint()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSimDropAndCorruptObservations(t *testing.T) {
 	sim2, _ := New(1, nil, 1)
 	in2, _ := fault.New(fault.Config{Seed: 3, PCorrupt: 1})
 	sim2.SetFaults(in2)
-	obs2, err := sim2.RunStep(f, []space.Point{onePoint()})
+	obs2, err := sim2.RunStep(f, []space.Point{onePoint()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSimStragglerStretchesStep(t *testing.T) {
 	sim, _ := New(1, nil, 1)
 	in, _ := fault.New(fault.Config{Seed: 5, PStraggler: 1})
 	sim.SetFaults(in)
-	obs, err := sim.RunStep(f, []space.Point{onePoint()})
+	obs, err := sim.RunStep(f, []space.Point{onePoint()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,9 +149,10 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 		prodAssign[i] = best
 	}
 	for cfg.Sim.Steps() < cfg.Budget {
-		// With every processor crashed, RunStep reports it.
+		// With every processor crashed, RunStep reports it. Nobody reads a
+		// production step's values, only its barrier time.
 		live := max(1, cfg.Sim.Live())
-		if _, err := cfg.Sim.RunStep(cfg.F, prodAssign[:live]); err != nil {
+		if _, err := cfg.Sim.RunStep(cfg.F, prodAssign[:live], 0); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,38 @@ func TestFig10(t *testing.T) {
 	checkFigure(t, f, err)
 	if !strings.Contains(f.Notes, "optimal K") {
 		t.Errorf("notes: %s", f.Notes)
+	}
+}
+
+// TestFig10Claims pins Fig. 10 at three seeds. At ρ=0 every sample costs
+// the same whole step, so the NTT line rises linearly in K: its increments
+// are positive and equal to within 1e-9 relative. And K=1 has the lowest
+// NTT at every ρ, the flat optimum K that EXPERIMENTS.md records.
+func TestFig10Claims(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		f, err := Fig10MultiSampling(Config{Seed: seed, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := f.CSVRows
+		if f.CSVHeader[1] != "rho=0.00" {
+			t.Fatalf("seed %d: column 1 is %q, want the ρ=0 line", seed, f.CSVHeader[1])
+		}
+		d0 := rows[1][1] - rows[0][1]
+		for i := 1; i+1 < len(rows); i++ {
+			if d := rows[i+1][1] - rows[i][1]; !(d0 > 0) || math.Abs(d-d0) > 1e-9*d0 {
+				t.Errorf("seed %d: ρ=0 NTT rises by %v then %v between K=%g, %g, %g; want equal positive steps",
+					seed, d0, d, rows[i-1][0], rows[i][0], rows[i+1][0])
+			}
+		}
+		for c := 1; c < len(f.CSVHeader); c += 2 {
+			for _, row := range rows[1:] {
+				if !(rows[0][c] < row[c]) {
+					t.Errorf("seed %d %s: K=1 NTT %.2f, K=%g %.2f; want K=1 lowest", seed, f.CSVHeader[c], rows[0][c], row[0], row[c])
+				}
+			}
+		}
+		t.Logf("seed %d: ρ=0 NTT %.2f, %.2f, %.2f", seed, rows[0][1], rows[1][1], rows[2][1])
 	}
 }
 

@@ -133,13 +133,38 @@ func errResponse(err error) response {
 	return r
 }
 
-// ConnOptions sets transport deadlines for served connections.
+// ConnOptions sets transport deadlines for served connections. A deadline
+// of timeout T is re-armed only when the one in force is more than T/64
+// short of now+T, so a busy connection does not reset its timer on every
+// request: each deadline lands between 63T/64 and T after the request.
 type ConnOptions struct {
 	// ReadTimeout is the per-request read deadline: a connection idle past it
 	// is closed (the client reconnects with backoff). Default 5 minutes.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each response write. Default 30 seconds.
 	WriteTimeout time.Duration
+}
+
+// lazyDeadline is one connection deadline of timeout T, re-armed only when
+// the one in force has fallen more than T/64 short of now+T. An idle
+// connection is still cut between 63T/64 and T after its last arm check.
+type lazyDeadline struct {
+	timeout time.Duration
+	at      time.Time // the deadline in force; zero before the first arm
+}
+
+// next returns the deadline to set and true when the one in force is too
+// early, and false when it may stay (or the timeout is disabled).
+func (d *lazyDeadline) next() (time.Time, bool) {
+	if d.timeout <= 0 {
+		return time.Time{}, false
+	}
+	want := time.Now().Add(d.timeout)
+	if !d.at.IsZero() && want.Sub(d.at) <= d.timeout/64 {
+		return time.Time{}, false
+	}
+	d.at = want
+	return want, true
 }
 
 func (o *ConnOptions) normalise() {
@@ -241,8 +266,9 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 	defer tracker.wg.Done()
 	defer tracker.remove(conn)
 	defer conn.Close()
-	if opts.ReadTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
+	readDL, writeDL := lazyDeadline{timeout: opts.ReadTimeout}, lazyDeadline{timeout: opts.WriteTimeout}
+	if t, ok := readDL.next(); ok {
+		_ = conn.SetReadDeadline(t)
 	}
 	// Negotiate the codec from the connection's first bytes; everything after
 	// the sniff — deadlines, dup suppression, dispatch — is codec-agnostic,
@@ -281,15 +307,15 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 		grant []FetchResult
 	)
 	for {
-		if opts.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
+		if t, ok := readDL.next(); ok {
+			_ = conn.SetReadDeadline(t)
 		}
 		req = request{}
 		if err := codec.readRequest(&req); err != nil {
 			var bad *badRequestError
 			if errors.As(err, &bad) {
-				if opts.WriteTimeout > 0 {
-					_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
+				if t, ok := writeDL.next(); ok {
+					_ = conn.SetWriteDeadline(t)
 				}
 				//paralint:allow errdiscipline best-effort error reply; the connection closes either way
 				_ = codec.writeResponse(&response{OK: false, Error: "bad request: " + bad.Unwrap().Error()})
@@ -319,8 +345,8 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 			return
 		}
 		resp.Seq = req.Seq
-		if opts.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
+		if t, ok := writeDL.next(); ok {
+			_ = conn.SetWriteDeadline(t)
 		}
 		if err := codec.writeResponse(&resp); err != nil {
 			return
@@ -425,7 +451,9 @@ type DialOptions struct {
 	// outage costs bounded per-attempt waits instead of runaway sleeps;
 	// default 30x Backoff.
 	MaxBackoff time.Duration
-	// Timeout bounds each request/response round trip; default 30s.
+	// Timeout bounds each request/response round trip; default 30s. Like
+	// the server's, the deadline is re-armed only when the one in force is
+	// more than Timeout/64 short, so a round trip gets at least 63/64 of it.
 	Timeout time.Duration
 	// Seed seeds the client's backoff-jitter and report-id RNG, making
 	// redial behaviour reproducible; 0 (the default) draws an unpredictable
@@ -484,6 +512,7 @@ type Client struct {
 
 	mu         sync.Mutex //paralint:lockrank 34
 	conn       net.Conn
+	dl         lazyDeadline // conn's read and write deadline
 	codec      clientCodec
 	rng        *rand.Rand
 	nonce      int64
@@ -588,6 +617,7 @@ func (c *Client) dropConnLocked() {
 		_ = c.conn.Close()
 		c.conn = nil
 	}
+	c.dl = lazyDeadline{timeout: c.opts.Timeout}
 }
 
 // Close closes the connection.
@@ -692,8 +722,8 @@ func (c *Client) roundTrip(req request) (response, error) {
 func (c *Client) sendLocked(req *request) error {
 	c.seq++
 	req.Seq = c.seq
-	if c.opts.Timeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
+	if t, ok := c.dl.next(); ok {
+		_ = c.conn.SetDeadline(t)
 	}
 	if err := c.codec.send(req); err != nil {
 		return err

@@ -70,11 +70,49 @@ func (m IIDPareto) Beta(f float64) float64 {
 }
 
 func (m IIDPareto) Perturb(f float64, rng *rand.Rand) float64 {
-	if m.RhoV == 0 || f <= 0 {
+	if !m.Draws(f) {
 		return f
 	}
-	p := dist.Pareto{Alpha: m.Alpha, Beta: m.Beta(f)}
-	return f + p.Sample(rng)
+	return m.Apply(f, rng.Float64())
+}
+
+// Draws reports whether Perturb draws for a step of noise-free time f: the
+// model is exact, and draws nothing, at ρ = 0 and for f <= 0.
+func (m IIDPareto) Draws(f float64) bool { return m.RhoV != 0 && f > 0 }
+
+// Apply returns the observed time for the uniform draw r in [0, 1): f plus
+// the Pareto(Alpha, β(f)) inverse transform of dist.Pareto.Sample.
+func (m IIDPareto) Apply(f, r float64) float64 {
+	return f + m.Beta(f)*math.Pow(1-r, -1/m.Alpha)
+}
+
+// Slowest returns the largest Apply(f, r) over rs, bit for bit, and
+// transforms only the draws that can give it. Apply falls as u = 1-r grows.
+// A draw whose u exceeds the smallest u by more than a relative b = 2^-20
+// has an exact u^(-1/α) smaller by a relative b/(2α) >= 2^-41 for
+// α <= 2^20. math.Pow's result for an exponent in (-1, 0) is within a
+// relative 2^-44 of the exact power: Exp(yf·Log(u)) with |yf·Log(u)| < 19,
+// at most one mantissa product, a reciprocal and an exact Ldexp. So rounding
+// cannot lift such a draw's Pow above the smallest u's, and multiplying by
+// β and adding f round monotonically. Larger α transforms every draw.
+func (m IIDPareto) Slowest(f float64, rs []float64) float64 {
+	umin := 1.0
+	for _, r := range rs {
+		umin = min(umin, 1-r)
+	}
+	lim := math.Inf(1)
+	if m.Alpha <= 0x1p20 {
+		lim = umin * (1 + 0x1p-20)
+	}
+	y := math.Inf(-1)
+	for _, r := range rs {
+		if 1-r <= lim {
+			if v := m.Apply(f, r); v > y {
+				y = v
+			}
+		}
+	}
+	return y
 }
 
 func (m IIDPareto) Rho() float64 { return m.RhoV }
@@ -258,6 +296,21 @@ func GenerateTrace(m Model, f float64, n int, rng *rand.Rand) []float64 {
 		out[i] = m.Perturb(f, rng)
 	}
 	return out
+}
+
+// Transform is a Model whose Perturb transforms at most one uniform draw:
+// Perturb(f, rng) is f, with no draw, when !Draws(f), and otherwise
+// Apply(f, rng.Float64()). A cluster simulator that needs only the largest
+// of many such values, the barrier's step time, still draws every uniform
+// from its stream in order but hands them to Slowest, which may skip the
+// transforms that cannot win. Simulators find it by type assertion, as
+// they find StepAware.
+type Transform interface {
+	Model
+	Draws(f float64) bool
+	Apply(f, r float64) float64
+	// Slowest returns max Apply(f, r) over the non-empty rs bit for bit.
+	Slowest(f float64, rs []float64) float64
 }
 
 // StepAware models draw state once per cluster time step, shared by every

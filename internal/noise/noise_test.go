@@ -2,6 +2,7 @@ package noise
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"paratune/internal/dist"
@@ -79,6 +80,102 @@ func TestIIDParetoZeroRhoAndZeroF(t *testing.T) {
 	m2, _ := NewIIDPareto(1.7, 0.3)
 	if m2.Perturb(0, rng) != 0 {
 		t.Error("f=0 must stay 0")
+	}
+}
+
+// TestIIDParetoPerturbIsApply pins the draw/transform split: Perturb draws
+// one uniform exactly when Draws, returns Apply of it, and gives the same
+// bits as the Pareto(Alpha, β(f)) sample it has always added.
+func TestIIDParetoPerturbIsApply(t *testing.T) {
+	for _, rho := range []float64{0, 0.3} {
+		m, _ := NewIIDPareto(1.7, rho)
+		a, b, c := dist.NewRNG(5), dist.NewRNG(5), dist.NewRNG(5)
+		for i := 0; i < 1000; i++ {
+			f := []float64{2, 0, -1, 0.7}[i%4]
+			got := m.Perturb(f, a)
+			want, sample := f, f
+			if m.Draws(f) {
+				want = m.Apply(f, b.Float64())
+				sample = f + dist.Pareto{Alpha: m.Alpha, Beta: m.Beta(f)}.Sample(c)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(sample) {
+				t.Fatalf("rho=%g f=%g draw %d: Perturb %v, Apply %v, Pareto sample %v", rho, f, i, got, want, sample)
+			}
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("rho=%g: Perturb and Apply left the streams at different draws", rho)
+		}
+	}
+}
+
+// slowestByApply is the reference Slowest: transform every draw.
+func slowestByApply(m IIDPareto, f float64, rs []float64) float64 {
+	y := math.Inf(-1)
+	for _, r := range rs {
+		if v := m.Apply(f, r); v > y {
+			y = v
+		}
+	}
+	return y
+}
+
+// TestIIDParetoSlowestBand checks that Slowest's band keeps every draw that
+// rounding can make the maximum. The adversarial pairs are adjacent draws
+// where math.Pow's rounding inverts the order, so transforming only the
+// smallest 1-r would return the wrong maximum; the binade-edge draws put
+// 1-r on both sides of a power of two.
+func TestIIDParetoSlowestBand(t *testing.T) {
+	m02, _ := NewIIDPareto(1.7, 0.2)
+	check := func(m IIDPareto, f float64, rs []float64) {
+		t.Helper()
+		if got, want := m.Slowest(f, rs), slowestByApply(m, f, rs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("α=%g ρ=%g f=%g draws %v: Slowest %v, max of Apply %v", m.Alpha, m.RhoV, f, rs, got, want)
+		}
+	}
+	// Adjacent draws r < r' whose larger 1-r transforms to the larger time.
+	adversarial := [][2]float64{{0.5037642245925453, 0.5037642245925454}}
+	rng := dist.NewRNG(11)
+	for len(adversarial) < 20 {
+		r := 0.5 + rng.Float64()/2
+		if next := math.Nextafter(r, 1); next < 1 && m02.Apply(1, r) > m02.Apply(1, next) {
+			adversarial = append(adversarial, [2]float64{r, next})
+		}
+	}
+	for _, pair := range adversarial {
+		if !(m02.Apply(1, pair[0]) > m02.Apply(1, pair[1])) {
+			t.Fatalf("draws %v are not an inverted pair", pair)
+		}
+		check(m02, 1, pair[:])
+		check(m02, 1, []float64{pair[1], 0.1, pair[0], 0.3})
+	}
+	// Binade edges: 1-r = 2^-k and the draws either side of it.
+	for _, rho := range []float64{0.2, 0.4} {
+		m, _ := NewIIDPareto(1.7, rho)
+		for k := 1; k <= 52; k++ {
+			r := 1 - math.Ldexp(1, -k)
+			rs := []float64{math.Nextafter(r, 0), r, math.Nextafter(r, 1)}
+			if rs[2] >= 1 {
+				rs = rs[:2]
+			}
+			for _, f := range []float64{1, 3.7, 1e-3} {
+				check(m, f, rs)
+			}
+		}
+	}
+	// Clusters of adjacent draws among random ones, and an α so large the
+	// band covers every draw.
+	huge, _ := NewIIDPareto(0x1p21, 0.4)
+	for i := 0; i < 2000; i++ {
+		base := rng.Float64()
+		rs := []float64{base}
+		for j := 0; j < 1+i%6; j++ {
+			rs = append(rs, math.Nextafter(rs[len(rs)-1], 1), rng.Float64())
+		}
+		if slices.Max(rs) >= 1 {
+			continue
+		}
+		check(m02, 1+float64(i%7), rs)
+		check(huge, 1, rs)
 	}
 }
 

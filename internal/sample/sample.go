@@ -111,7 +111,9 @@ func NewMedianOfK(k int) (MedianOfK, error) {
 func (m MedianOfK) K() int { return m.Samples }
 
 func (m MedianOfK) Estimate(obs []float64) float64 {
-	s := append([]float64(nil), obs...)
+	// Sort a copy, held on the stack for the usual small K.
+	var buf [16]float64
+	s := append(buf[:0], obs...)
 	sort.Float64s(s)
 	n := len(s)
 	if n%2 == 1 {
