@@ -34,8 +34,8 @@
 // With -peers set (and -db), harmonyd federates: it runs a gossip-style
 // anti-entropy round against every peer each -sync-interval, pulling frames
 // it is missing and pushing frames the peer is missing, so every peer
-// converges on the union of all measurements. A peer far behind is caught up
-// with a resumable snapshot transfer instead of frame-by-frame segments.
+// converges on the union of all measurements. A peer far behind catches up
+// the same way; a round cut short is finished by the next one.
 // -db-origin names this store's identity in federated merges (defaults to a
 // seed-derived name; distinct peers must use distinct origins).
 //

@@ -12,7 +12,9 @@
 //
 // merge and sync are the same set union keyed by each observation's
 // (origin, seq) identity: both are idempotent and order-independent, and
-// both report how many shipped observations the receiver already held.
+// both report how many shipped observations the receiver already held. sync
+// ships per-origin WAL segments both ways; a round cut short keeps what it
+// applied, and the next round pulls exactly the remainder.
 // merge validates every source before the destination is touched, so a
 // failed merge never leaves a partial -out store behind.
 //
@@ -69,7 +71,9 @@ commands:
                                   write aggregates (or raw observations) to stdout
   compact  <dir>                  fold the write-ahead log into a snapshot
   merge    -out <dir> <src>...    merge source stores into a new one
-  sync     <dir> <host:port>      run one anti-entropy round against a peer`)
+  sync     <dir> <host:port>      run one anti-entropy round against a peer:
+                                  pull and push the WAL segments either side
+                                  lacks; rerun after a cut to pull the rest`)
 	os.Exit(2)
 }
 
@@ -281,7 +285,6 @@ func runMerge(args []string) error {
 
 func runSync(args []string) error {
 	fs := flag.NewFlagSet("sync", flag.ExitOnError)
-	snapLag := fs.Int("snapshot-lag", 0, "pull lag above which the round ships a snapshot instead of segments (0 = default 512, <0 = never)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("sync: want <dir> <host:port>, got %d args", fs.NArg())
@@ -297,7 +300,7 @@ func runSync(args []string) error {
 		return err
 	}
 	defer conn.Close()
-	stats, err := feddb.Sync(conn, s, addr, feddb.Options{SnapshotLag: *snapLag})
+	stats, err := feddb.Sync(conn, s, addr, feddb.Options{})
 	if err != nil {
 		return err
 	}
@@ -306,9 +309,6 @@ func runSync(args []string) error {
 	// header (written at store creation) cannot carry retroactively.
 	if err := s.Compact(); err != nil {
 		return err
-	}
-	if stats.Snapshot {
-		fmt.Printf("snapshot transfer: %d bytes\n", stats.SnapshotBytes)
 	}
 	fmt.Printf("pulled %d, pushed %d, %d duplicate observations skipped\n", stats.Pulled, stats.Pushed, stats.Duplicates)
 	return nil

@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"paratune/internal/feddb"
 	"paratune/internal/measuredb"
 	"paratune/internal/space"
 )
@@ -199,5 +204,67 @@ func TestMergeRefusesDivergedOrigin(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("diverged merge left %s behind (stat: %v)", out, err)
+	}
+}
+
+// serveSync serves store over PHSYNC1 on a loopback listener until the test
+// ends and returns the listener's address.
+func serveSync(t *testing.T, store *measuredb.Store) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				var magic [len(feddb.SyncMagic)]byte
+				if _, err := io.ReadFull(br, magic[:]); err != nil {
+					return
+				}
+				//paralint:allow errdiscipline the serve loop always ends with the client's close
+				_ = feddb.ServeConn(conn, br, feddb.ServeOptions{Store: store})
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// sync pulls every frame the peer holds and pushes every frame the local
+// store holds; a second round between the converged pair ships nothing.
+func TestSync(t *testing.T) {
+	dir := seedStore(t, "cli", spaceA)
+	peer := measuredb.NewMemory(measuredb.Options{Seed: 7, Origin: "srv", Space: spaceA})
+	for i := 0; i < 3; i++ {
+		peer.Observe(space.Point{float64(i), 1}, float64(i))
+	}
+	addr := serveSync(t, peer)
+
+	if got, want := mustRun(t, "sync", dir, addr), "pulled 3, pushed 5, 0 duplicate observations skipped\n"; got != want {
+		t.Errorf("first sync printed %q, want %q", got, want)
+	}
+	if _, obs := peer.Stats(); obs != 8 {
+		t.Errorf("peer holds %d observations after sync, want 8", obs)
+	}
+	if got, want := mustRun(t, "sync", dir, addr), "pulled 0, pushed 0, 0 duplicate observations skipped\n"; got != want {
+		t.Errorf("second sync printed %q, want %q", got, want)
+	}
+	if out := mustRun(t, "info", dir); !strings.Contains(out, "observations:  8\n") {
+		t.Errorf("synced store info:\n%s", out)
 	}
 }

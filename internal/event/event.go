@@ -43,7 +43,6 @@ const (
 
 	KindSyncStart    = "sync_start"
 	KindSyncSegments = "sync_segments"
-	KindSyncSnapshot = "sync_snapshot"
 	KindSyncComplete = "sync_complete"
 )
 
@@ -403,28 +402,6 @@ type SyncSegments struct {
 // EventKind implements Event.
 func (SyncSegments) EventKind() string { return KindSyncSegments }
 
-// SyncSnapshot reports a snapshot shipment: the cold side's pull lag
-// exceeded the cutover threshold, so the peer's compacted state was
-// transferred in resumable chunks and applied through the set-union core.
-type SyncSnapshot struct {
-	// Peer is the remote address.
-	Peer string `json:"peer"`
-	// Bytes is the snapshot's encoded size.
-	Bytes int `json:"bytes"`
-	// Configs is the number of distinct configurations it carried.
-	Configs int `json:"configs"`
-	// Applied is how many observations were new to the receiver.
-	Applied int `json:"applied"`
-	// Duplicates is how many it already held.
-	Duplicates int `json:"duplicates,omitempty"`
-	// Resumed marks a transfer that continued from a previous partial
-	// download instead of starting over.
-	Resumed bool `json:"resumed,omitempty"`
-}
-
-// EventKind implements Event.
-func (SyncSnapshot) EventKind() string { return KindSyncSnapshot }
-
 // SyncComplete closes one anti-entropy round. A converged pair reports 0/0:
 // repeated rounds ship nothing (idempotence).
 type SyncComplete struct {
@@ -437,8 +414,6 @@ type SyncComplete struct {
 	// Duplicates counts frames shipped in either direction that the
 	// receiver already held.
 	Duplicates int `json:"duplicates,omitempty"`
-	// Snapshot marks a round that cut over to snapshot shipping.
-	Snapshot bool `json:"snapshot,omitempty"`
 }
 
 // EventKind implements Event.

@@ -1,6 +1,11 @@
 package feddb
 
 import (
+	"bufio"
+	"io"
+	"net"
+	"reflect"
+	"sync"
 	"testing"
 
 	"paratune/internal/measuredb"
@@ -63,5 +68,69 @@ func BenchmarkSegmentShip(b *testing.B) {
 		if len(msg.Frames) != 512 {
 			b.Fatalf("round-tripped %d frames", len(msg.Frames))
 		}
+	}
+}
+
+// BenchmarkColdSync is one cold peer's whole catch-up over loopback TCP: a
+// new memory store runs one round against a 4-origin × 12,000-frame peer and
+// pulls every frame as WAL segments.
+func BenchmarkColdSync(b *testing.B) {
+	const origins, perOrigin = 4, 12000
+	server := benchStore(origins, perOrigin)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				var magic [len(SyncMagic)]byte
+				if _, err := io.ReadFull(br, magic[:]); err != nil {
+					return
+				}
+				//paralint:allow errdiscipline the serve loop always ends with the client's close
+				_ = ServeConn(conn, br, ServeOptions{Store: server})
+			}()
+		}
+	}()
+	defer wg.Wait()
+	defer ln.Close()
+
+	catchUp := func() (*measuredb.Store, Stats) {
+		client := measuredb.NewMemory(measuredb.Options{Seed: 7, Origin: "cold"})
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		stats, err := Sync(conn, client, "bench", Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return client, stats
+	}
+
+	client, stats := catchUp()
+	if stats.Pulled != origins*perOrigin {
+		b.Fatalf("cold round pulled %d frames, want %d", stats.Pulled, origins*perOrigin)
+	}
+	if !reflect.DeepEqual(client.Digest(), server.Digest()) || !reflect.DeepEqual(framesOf(client), framesOf(server)) {
+		b.Fatal("cold peer did not converge on the server's frames")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		catchUp()
 	}
 }

@@ -77,7 +77,7 @@ func TestKillMidSyncResumesFromDigest(t *testing.T) {
 
 	client := measuredb.NewMemory(measuredb.Options{Seed: 5, Origin: "cli"})
 	opts := feddb.Options{
-		MaxBatch: 16, SnapshotLag: -1, // force frame-by-frame segments
+		MaxBatch:    16, // small batches, so the cut lands between pulls
 		ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second,
 	}
 

@@ -19,9 +19,11 @@ func mustEncode(f *testing.F, m *syncMsg) []byte {
 
 // FuzzSyncFrameDecode pins the PHSYNC1 codec's canonicality: the decoder
 // must never panic on arbitrary payload bytes, and any payload it accepts
-// must re-encode to exactly the same bytes (minimal uvarints, strict 0/1
-// bools, no trailing garbage). That identity is what makes frames relayable
-// and replayable byte-for-byte through the chaos proxy.
+// must re-encode to exactly the same bytes (minimal uvarints, no trailing
+// garbage). That identity is what makes frames relayable and replayable
+// byte-for-byte through the chaos proxy. Payloads of the retired opcodes 7
+// and 8 seed the corpus; TestSyncCodecTablesFrozen asserts they are
+// rejected.
 func FuzzSyncFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -32,8 +34,8 @@ func FuzzSyncFrameDecode(f *testing.F) {
 	f.Add(mustEncode(f, &syncMsg{Op: "frames", Origin: "a", High: 3, Hash: 9, Frames: []measuredb.Frame{{Origin: "a", Seq: 3, Point: space.Point{1.5, -2}, Value: 0.25}}}))
 	f.Add(mustEncode(f, &syncMsg{Op: "push", Origin: "b", Frames: []measuredb.Frame{{Origin: "b", Seq: 1, Point: space.Point{0}, Value: 0}}}))
 	f.Add(mustEncode(f, &syncMsg{Op: "ack", Applied: 5, Dups: 2}))
-	f.Add(mustEncode(f, &syncMsg{Op: "snappull", From: 65536, Hash: 0xabc}))
-	f.Add(mustEncode(f, &syncMsg{Op: "snapchunk", Size: 1 << 20, Hash: 1, Data: []byte{1, 2, 3}, Done: true}))
+	f.Add(retiredSnapPull)
+	f.Add(retiredSnapChunk)
 	f.Add(mustEncode(f, &syncMsg{Op: "error", Detail: "space signature mismatch"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m syncMsg

@@ -38,8 +38,6 @@ func goldenSyncMsgs() []goldenMsg {
 		{"frames", syncMsg{Op: "frames", Origin: "n1", Frames: frames, High: 3, Hash: 0x0123456789abcdef}},
 		{"push", syncMsg{Op: "push", Origin: "n1", Frames: frames[:1]}},
 		{"ack", syncMsg{Op: "ack", Applied: 1, Dups: 300}},
-		{"snappull", syncMsg{Op: "snappull", From: 65536, Hash: 0xabc}},
-		{"snapchunk", syncMsg{Op: "snapchunk", Size: 1 << 20, Hash: 0xabc, Data: []byte("PMDBSNP1\x02"), Done: true}},
 		{"error", syncMsg{Op: "error", Detail: "space signature mismatch"}},
 	}
 }

@@ -3,7 +3,6 @@ package feddb
 import (
 	"bufio"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 const (
 	maxPullFrames   = 1024
 	maxSegmentBytes = 256 << 10
-	snapChunkBytes  = 64 << 10
 )
 
 // ServeOptions configures one served sync connection.
@@ -33,9 +31,8 @@ type ServeOptions struct {
 // preamble has already been consumed by the caller's codec sniffer. br is
 // the connection's buffered reader (it may hold frames beyond the
 // preamble). The loop answers hello with the store's digest, pull with WAL
-// segments, push with set-union application, and snappull with resumable
-// snapshot chunks; it returns when the peer disconnects or on the first
-// protocol violation.
+// segments, and push with set-union application; it returns when the peer
+// disconnects or on the first protocol violation.
 func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 	if opts.Store == nil {
 		return fmt.Errorf("feddb: serve: no store")
@@ -48,12 +45,6 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 	}
 	var bufs syncBufs
 	var msg, reply syncMsg
-	// Snapshot bytes are generated once per connection and served in chunks;
-	// the sum lets a reconnecting peer resume mid-transfer as long as the
-	// regenerated snapshot is identical (which deterministic encoding
-	// guarantees for an unchanged store).
-	var snapData []byte
-	var snapSum uint64
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout)); err != nil {
 			return err
@@ -97,29 +88,7 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 			if !fatal {
 				reply = syncMsg{Op: "ack", Applied: applied, Dups: dups}
 			}
-		case "snappull":
-			if snapData == nil {
-				snapData = opts.Store.Snapshot()
-				snapSum = snapshotSum(snapData)
-			}
-			off := int(msg.From)
-			if msg.Hash != snapSum || off < 0 || off > len(snapData) {
-				// The peer's partial data belongs to a different snapshot:
-				// restart the transfer from the top.
-				off = 0
-			}
-			end := off + snapChunkBytes
-			if end > len(snapData) {
-				end = len(snapData)
-			}
-			reply = syncMsg{
-				Op:   "snapchunk",
-				Size: uint64(len(snapData)),
-				Hash: snapSum,
-				Data: snapData[off:end],
-				Done: end == len(snapData),
-			}
-		case "digest", "frames", "ack", "snapchunk", "error":
+		case "digest", "frames", "ack", "error":
 			// Response ops have no business arriving at the server.
 			reply = syncMsg{Op: "error", Detail: "unexpected op " + msg.Op}
 			fatal = true
@@ -155,11 +124,4 @@ func trimFrames(frames []measuredb.Frame) []measuredb.Frame {
 // frameWireSize is a conservative upper bound on one frame's encoding.
 func frameWireSize(f *measuredb.Frame) int {
 	return 32 + len(f.Origin) + 8*len(f.Point)
-}
-
-// snapshotSum fingerprints snapshot bytes for chunked-transfer resume.
-func snapshotSum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
 }

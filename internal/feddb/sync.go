@@ -12,10 +12,6 @@ import (
 
 // Options configures one anti-entropy round.
 type Options struct {
-	// SnapshotLag is the pull-lag threshold (total missing frames) above
-	// which the round cuts over from segment pulls to snapshot shipping.
-	// 0 means the default (512); negative disables snapshot shipping.
-	SnapshotLag int
 	// MaxBatch bounds the frames per pull/push message; 0 means 512.
 	MaxBatch int
 	// Recorder receives the sync lifecycle events; nil records nothing.
@@ -23,17 +19,6 @@ type Options struct {
 	// ReadTimeout/WriteTimeout bound each frame exchange; 0 means 10s.
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
-	// Resume, when non-nil, carries partial snapshot-transfer state across
-	// rounds: a round that dies mid-snapshot leaves its progress here and
-	// the next round continues from that offset instead of re-shipping.
-	Resume *SnapshotResume
-}
-
-// SnapshotResume is a partial snapshot download: the bytes received so far
-// and the fingerprint of the snapshot they belong to.
-type SnapshotResume struct {
-	Sum  uint64
-	Data []byte
 }
 
 // Stats summarises one sync round. A converged pair reports all zeros.
@@ -43,10 +28,6 @@ type Stats struct {
 	Pushed int
 	// Duplicates counts shipped frames the receiver already held.
 	Duplicates int
-	// Snapshot marks a round that cut over to snapshot shipping, of
-	// SnapshotBytes encoded bytes.
-	Snapshot      bool
-	SnapshotBytes int
 }
 
 // syncConn is one client-side sync conversation: sequential request/reply
@@ -81,17 +62,15 @@ func (c *syncConn) roundTrip(req, resp *syncMsg) error {
 }
 
 // Sync runs one full anti-entropy round against the peer on conn: digest
-// exchange, snapshot cutover when the local store is too cold, per-origin
-// segment pulls, then pushes of everything the peer is missing. The
-// connection is left open for further rounds; the caller owns closing it.
+// exchange, per-origin segment pulls, then pushes of everything the peer is
+// missing. A round that fails part way keeps every frame it applied, so the
+// next round's digest picks up exactly the remainder. The connection is
+// left open for further rounds; the caller owns closing it.
 // peer is a display label for events (typically the dialled address).
 func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Stats, error) {
 	var stats Stats
 	if store == nil {
 		return stats, fmt.Errorf("feddb: sync: no store")
-	}
-	if opts.SnapshotLag == 0 {
-		opts.SnapshotLag = 512
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 512
@@ -169,15 +148,6 @@ func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Sta
 		}
 	}
 
-	// Snapshot cutover: a peer missing more than SnapshotLag frames fetches
-	// the whole compacted state in resumable chunks instead of dribbling
-	// segments.
-	if opts.SnapshotLag > 0 && pullLag > uint64(opts.SnapshotLag) {
-		if err := pullSnapshot(c, store, peer, &opts, &stats, rec); err != nil {
-			return stats, err
-		}
-	}
-
 	// Segment pulls: per origin, everything past the local high.
 	for _, d := range remote.Origins {
 		if err := pullSegments(c, store, peer, d, &opts, &stats, rec); err != nil {
@@ -196,79 +166,9 @@ func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Sta
 
 	rec.Record(event.SyncComplete{
 		Peer: peer, Pulled: stats.Pulled, Pushed: stats.Pushed,
-		Duplicates: stats.Duplicates, Snapshot: stats.Snapshot,
+		Duplicates: stats.Duplicates,
 	})
 	return stats, nil
-}
-
-// pullSnapshot fetches the peer's snapshot in chunks (resuming a previous
-// partial transfer when opts.Resume matches) and applies every observation
-// through the set-union core.
-func pullSnapshot(c *syncConn, store *measuredb.Store, peer string, opts *Options, stats *Stats, rec event.Recorder) error {
-	var data []byte
-	var sum uint64
-	resumed := false
-	if opts.Resume != nil && len(opts.Resume.Data) > 0 {
-		data, sum = opts.Resume.Data, opts.Resume.Sum
-		resumed = true
-	}
-	for {
-		req := syncMsg{Op: "snappull", From: uint64(len(data)), Hash: sum}
-		var resp syncMsg
-		if err := c.roundTrip(&req, &resp); err != nil {
-			// Persist partial progress for the next round before failing.
-			if opts.Resume != nil {
-				opts.Resume.Data, opts.Resume.Sum = data, sum
-			}
-			return err
-		}
-		if resp.Op != "snapchunk" {
-			return fmt.Errorf("feddb: sync: expected snapchunk, got %q", resp.Op)
-		}
-		if resp.Hash != sum {
-			// Different snapshot than our partial data: restart.
-			data, sum, resumed = data[:0], resp.Hash, false
-		}
-		if len(resp.Data) == 0 && !resp.Done {
-			return fmt.Errorf("feddb: sync: snapshot transfer stalled at %d/%d bytes", len(data), resp.Size)
-		}
-		data = append(data, resp.Data...)
-		if uint64(len(data)) > resp.Size {
-			return fmt.Errorf("feddb: sync: snapshot transfer overran (%d > %d bytes)", len(data), resp.Size)
-		}
-		if resp.Done {
-			break
-		}
-	}
-	if opts.Resume != nil {
-		// Transfer complete: the resume slot is spent either way.
-		opts.Resume.Data, opts.Resume.Sum = nil, 0
-	}
-	frames, configs, err := measuredb.SnapshotFrames(data)
-	if err != nil {
-		return fmt.Errorf("feddb: sync: shipped snapshot: %w", err)
-	}
-	applied, dups := 0, 0
-	for i := range frames {
-		ok, aerr := store.Apply(frames[i])
-		if aerr != nil {
-			return fmt.Errorf("feddb: sync: apply snapshot frame: %w", aerr)
-		}
-		if ok {
-			applied++
-		} else {
-			dups++
-		}
-	}
-	stats.Pulled += applied
-	stats.Duplicates += dups
-	stats.Snapshot = true
-	stats.SnapshotBytes = len(data)
-	rec.Record(event.SyncSnapshot{
-		Peer: peer, Bytes: len(data), Configs: configs,
-		Applied: applied, Duplicates: dups, Resumed: resumed,
-	})
-	return nil
 }
 
 // pullSegments catches the local store up on one origin, batch by batch,

@@ -83,7 +83,7 @@ func TestPairSyncConvergesBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pulled != 2 || stats.Pushed != 3 || stats.Duplicates != 0 || stats.Snapshot {
+	if stats.Pulled != 2 || stats.Pushed != 3 || stats.Duplicates != 0 {
 		t.Fatalf("first round stats = %+v", stats)
 	}
 	requireConverged(t, a, b)
@@ -173,29 +173,6 @@ func TestThreePeerAnyOrderConverges(t *testing.T) {
 	}
 }
 
-func TestSnapshotCutover(t *testing.T) {
-	server, client := newPeer(t, "srv"), newPeer(t, "cli")
-	for i := 0; i < 60; i++ {
-		server.Observe(space.Point{float64(i)}, float64(i)/2)
-	}
-	var mem event.Memory
-	stats, err := syncOnce(t, client, server, Options{SnapshotLag: 20, Recorder: &mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Snapshot || stats.Pulled != 60 || stats.SnapshotBytes == 0 {
-		t.Fatalf("cutover stats = %+v", stats)
-	}
-	if mem.Count(event.KindSyncSnapshot) != 1 {
-		t.Fatal("no sync_snapshot event")
-	}
-	requireConverged(t, client, server)
-	// After the snapshot landed, no segment pulls were needed on top.
-	if n := mem.Count(event.KindSyncSegments); n != 0 {
-		t.Fatalf("snapshot round also shipped %d segment batches", n)
-	}
-}
-
 // readLimitConn severs the connection (from the client's point of view)
 // after limit bytes have been read — a deterministic stand-in for a peer
 // dying mid-transfer.
@@ -216,20 +193,19 @@ func (c *readLimitConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func TestSnapshotResumeAfterCut(t *testing.T) {
+// TestColdPeerCutMidPullResumesOnSegments cuts a cold client's link part way
+// through its pulls. Every batch applied before the cut stays applied, so
+// the next round's digest exchange asks for exactly the remainder: no frame
+// crosses the wire twice, and the pair converges.
+func TestColdPeerCutMidPullResumesOnSegments(t *testing.T) {
 	server, client := newPeer(t, "srv"), newPeer(t, "cli")
-	for i := 0; i < 3000; i++ {
+	const total = 600
+	for i := 0; i < total; i++ {
 		server.Observe(space.Point{float64(i), float64(i % 7)}, float64(i))
 	}
-	full := server.Snapshot()
-	if len(full) <= snapChunkBytes {
-		t.Fatalf("test store snapshot is %d bytes; need > one %d-byte chunk", len(full), snapChunkBytes)
-	}
+	opts := Options{MaxBatch: 16, ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second}
 
-	resume := &SnapshotResume{}
-	opts := Options{SnapshotLag: 100, Resume: resume, ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second}
-
-	// Round 1: the link dies after roughly one chunk of snapshot bytes.
+	// Round 1: the link dies 6000 bytes in, part way through the pulls.
 	cc, sc := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -243,36 +219,36 @@ func TestSnapshotResumeAfterCut(t *testing.T) {
 		//paralint:allow errdiscipline the cut link is the point of the test
 		_ = ServeConn(sc, br, ServeOptions{Store: server})
 	}()
-	cut := &readLimitConn{Conn: cc, left: snapChunkBytes + 4096}
-	if _, err := Sync(cut, client, "peer", opts); err == nil {
+	if _, err := Sync(&readLimitConn{Conn: cc, left: 6000}, client, "peer", opts); err == nil {
 		t.Fatal("sync over the cut link unexpectedly succeeded")
 	}
 	_ = cc.Close()
 	<-done
-	if len(resume.Data) == 0 || len(resume.Data) >= len(full) {
-		t.Fatalf("resume holds %d of %d snapshot bytes; want a strict partial", len(resume.Data), len(full))
+	held := client.High("srv")
+	if held == 0 || held >= total {
+		t.Fatalf("client holds %d of %d frames after the cut; want a strict partial", held, total)
 	}
-	got := len(resume.Data)
 
-	// Round 2 continues from the saved offset instead of re-shipping.
+	// Round 2 starts from the digest and pulls the rest, beginning right
+	// after the last frame round 1 applied.
 	var mem event.Memory
 	opts.Recorder = &mem
 	stats, err := syncOnce(t, client, server, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Snapshot || stats.SnapshotBytes != len(full) {
-		t.Fatalf("resumed round stats = %+v, want full %d-byte snapshot", stats, len(full))
+	if stats.Pulled != total-int(held) || stats.Duplicates != 0 || stats.Pushed != 0 {
+		t.Fatalf("resumed round stats = %+v, want the %d-frame remainder and no duplicates", stats, total-int(held))
 	}
-	requireConverged(t, client, server)
 	for _, e := range mem.Events() {
-		if snap, ok := e.(event.SyncSnapshot); ok {
-			if !snap.Resumed {
-				t.Fatal("sync_snapshot event not marked resumed")
+		if seg, ok := e.(event.SyncSegments); ok {
+			if seg.From != held+1 {
+				t.Fatalf("resumed round's first pull starts at seq %d, want %d", seg.From, held+1)
 			}
+			break
 		}
 	}
-	_ = got // the resumed round transferred only len(full)-got further bytes by construction
+	requireConverged(t, client, server)
 }
 
 func TestServeRejectsSpaceMismatch(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 
 // Syncer runs periodic anti-entropy rounds against a fixed peer set. Each
 // round dials every peer in turn, syncs, and closes the connection; a peer
-// that is down simply costs one failed dial until the next round. Partial
-// snapshot transfers are carried across rounds per peer, so a sync killed
-// mid-snapshot resumes from its last received byte instead of re-shipping.
+// that is down simply costs one failed dial until the next round. The
+// syncer keeps no per-peer state: a round killed part way is resumed by the
+// next round's digest exchange.
 type Syncer struct {
 	store *measuredb.Store
 	peers []string
@@ -20,7 +20,6 @@ type Syncer struct {
 	dial  func(addr string) (net.Conn, error)
 
 	mu     sync.Mutex //paralint:lockrank 24
-	resume map[string]*SnapshotResume
 	rounds uint64
 	errs   uint64
 }
@@ -34,10 +33,9 @@ type SyncerStats struct {
 
 // NewSyncer builds a syncer over store for the given peer addresses. dial
 // is the connection factory (nil means net.Dial "tcp" with the options'
-// write timeout); opts configures each round — its Resume field is managed
-// per peer by the syncer and must be left nil.
+// write timeout); opts configures each round.
 func NewSyncer(store *measuredb.Store, peers []string, dial func(addr string) (net.Conn, error), opts Options) *Syncer {
-	s := &Syncer{store: store, peers: peers, opts: opts, dial: dial, resume: make(map[string]*SnapshotResume)}
+	s := &Syncer{store: store, peers: peers, opts: opts, dial: dial}
 	if s.dial == nil {
 		timeout := opts.WriteTimeout
 		if timeout <= 0 {
@@ -62,26 +60,15 @@ func (s *Syncer) RunOnce() error {
 	return first
 }
 
-// syncPeer dials one peer and runs one round, threading that peer's resume
-// state through.
+// syncPeer dials one peer and runs one round.
 func (s *Syncer) syncPeer(addr string) error {
-	s.mu.Lock()
-	res := s.resume[addr]
-	if res == nil {
-		res = &SnapshotResume{}
-		s.resume[addr] = res
-	}
-	s.mu.Unlock()
-
 	err := func() error {
 		conn, derr := s.dial(addr)
 		if derr != nil {
 			return derr
 		}
 		defer conn.Close()
-		opts := s.opts
-		opts.Resume = res
-		_, serr := Sync(conn, s.store, addr, opts)
+		_, serr := Sync(conn, s.store, addr, s.opts)
 		return serr
 	}()
 

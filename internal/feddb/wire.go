@@ -1,7 +1,6 @@
 // Package feddb federates measurement databases across a fleet: a
 // gossip-style anti-entropy protocol that keeps peers' measuredb stores
-// convergent, snapshot shipping for cold peers, and a read-through cache
-// tier in front of the sharded store.
+// convergent, and a read-through cache tier in front of the sharded store.
 //
 // The protocol rides the existing TCP layer as a sibling of PHWIRE1: a sync
 // client opens with the 8-byte preamble "PHSYNC1\n" (the harmony server
@@ -11,12 +10,12 @@
 //
 // One round is digest-driven: hello carries the caller's per-origin
 // (high, chained-hash) digest, digest answers with the server's, and the
-// diff decides what ships — per-origin WAL segments (pull/frames, push/ack)
-// when the lag is modest, a chunked resumable snapshot (snappull/snapchunk)
-// when the caller is too cold. Observations are immutable and identified by
-// (origin, seq), so applying shipped frames is a set union: idempotent,
-// order-independent across origins, and convergent regardless of peer
-// pairing or sync ordering (the three-peer property test pins this).
+// diff decides which per-origin WAL segments ship (pull/frames, push/ack),
+// however cold the caller. A round cut short resumes from the next round's
+// digest; no other state carries over. Observations are immutable and
+// identified by (origin, seq), so applying shipped frames is a set union:
+// idempotent, order-independent across origins, and convergent regardless
+// of peer pairing or sync ordering (the three-peer property test pins this).
 //
 // The codec is canonical like PHWIRE1's — frame's field encoding throughout
 // — so decoding then re-encoding a valid frame yields the same bytes
@@ -42,17 +41,16 @@ const SyncMagic = "PHSYNC1\n"
 // store, so a list anywhere near the frame cap is an attack, not a fleet.
 const maxSyncOrigins = 1 << 12
 
-// Sync opcodes. The order is frozen: it is the wire format.
+// Sync opcodes. The values are frozen: they are the wire format. Opcodes 7
+// and 8 (the retired snapshot transfer, snappull/snapchunk) are never reused.
 const (
-	opHello byte = iota + 1
-	opDigest
-	opPull
-	opFrames
-	opPush
-	opAck
-	opSnapPull
-	opSnapChunk
-	opError
+	opHello  byte = 1
+	opDigest byte = 2
+	opPull   byte = 3
+	opFrames byte = 4
+	opPush   byte = 5
+	opAck    byte = 6
+	opError  byte = 9
 )
 
 // errSyncUnknownOp rejects encoding a message with no opcode.
@@ -73,10 +71,6 @@ func opCode(op string) (byte, bool) {
 		return opPush, true
 	case "ack":
 		return opAck, true
-	case "snappull":
-		return opSnapPull, true
-	case "snapchunk":
-		return opSnapChunk, true
 	case "error":
 		return opError, true
 	}
@@ -98,10 +92,6 @@ func opName(code byte) (string, bool) {
 		return "push", true
 	case opAck:
 		return "ack", true
-	case opSnapPull:
-		return "snappull", true
-	case opSnapChunk:
-		return "snapchunk", true
 	case opError:
 		return "error", true
 	}
@@ -132,13 +122,6 @@ type syncMsg struct {
 	// ack: the receiver's outcome for a pushed segment.
 	Applied uint64
 	Dups    uint64
-
-	// snappull: resume offset and the snapshot sum the caller already has
-	// partial data for (0 when starting cold).
-	// snapchunk: total size, snapshot sum, one chunk, and the done marker.
-	Size uint64
-	Data []byte
-	Done bool
 
 	// error: what went wrong (the connection closes after).
 	Detail string
@@ -176,15 +159,6 @@ func appendSyncMsg(dst []byte, m *syncMsg) ([]byte, error) {
 	case "ack":
 		dst = binary.AppendUvarint(dst, m.Applied)
 		dst = binary.AppendUvarint(dst, m.Dups)
-	case "snappull":
-		dst = binary.AppendUvarint(dst, m.From)
-		dst = binary.BigEndian.AppendUint64(dst, m.Hash)
-	case "snapchunk":
-		dst = binary.AppendUvarint(dst, m.Size)
-		dst = binary.BigEndian.AppendUint64(dst, m.Hash)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Data)))
-		dst = append(dst, m.Data...)
-		dst = frame.AppendBool(dst, m.Done)
 	case "error":
 		dst = frame.AppendString(dst, m.Detail)
 	}
@@ -207,8 +181,8 @@ func appendSyncFrames(dst []byte, frames []measuredb.Frame) []byte {
 }
 
 // decodeSyncMsg parses one sync payload into m. Decoding is strict (minimal
-// uvarints, 0/1 bools, exact consumption), so decode∘encode is the identity
-// on valid frames; every field is copied out of payload.
+// uvarints, exact consumption), so decode∘encode is the identity on valid
+// frames; every field is copied out of payload.
 func decodeSyncMsg(payload []byte, m *syncMsg) error {
 	r := frame.NewReader(payload)
 	op, ok := opName(r.Byte())
@@ -247,14 +221,6 @@ func decodeSyncMsg(payload []byte, m *syncMsg) error {
 	case "ack":
 		m.Applied = r.Uvarint()
 		m.Dups = r.Uvarint()
-	case "snappull":
-		m.From = r.Uvarint()
-		m.Hash = r.U64()
-	case "snapchunk":
-		m.Size = r.Uvarint()
-		m.Hash = r.U64()
-		m.Data = r.Bytes()
-		m.Done = r.Bool()
 	case "error":
 		m.Detail = r.Str()
 	}

@@ -35,8 +35,8 @@ func TestWriteSyncMsgAllocs(t *testing.T) {
 
 // TestSyncMsgOutlivesNextFrame decodes message A, keeps it, and reads a
 // same-length message B with different bytes through the same scratch. A's
-// strings, origins, points and snapshot Data must still hold A's bytes, for
-// every message shape that carries them.
+// strings, origins and points must still hold A's bytes, for every message
+// shape that carries them.
 func TestSyncMsgOutlivesNextFrame(t *testing.T) {
 	shapes := []func(x string, v float64) syncMsg{
 		func(x string, v float64) syncMsg {
@@ -48,9 +48,6 @@ func TestSyncMsgOutlivesNextFrame(t *testing.T) {
 			return syncMsg{Op: "frames", Origin: "origin-" + x, High: 2, Hash: 6, Frames: []measuredb.Frame{
 				{Origin: "frame-" + x, Seq: 1, Point: space.Point{v, 2 * v}, Value: v},
 			}}
-		},
-		func(x string, v float64) syncMsg {
-			return syncMsg{Op: "snapchunk", Size: 9, Hash: 7, Data: []byte("data-" + x)}
 		},
 		func(x string, v float64) syncMsg {
 			return syncMsg{Op: "error", Detail: "detail-" + x}
@@ -109,6 +106,56 @@ func TestDecodeRejectsOriginsOverCap(t *testing.T) {
 		}
 		if n > maxSyncOrigins && !errors.Is(err, frame.ErrMalformed) {
 			t.Errorf("digest of %d origins: err = %v, want frame.ErrMalformed", n, err)
+		}
+	}
+}
+
+// Payloads of the retired snapshot transfer ops, byte for byte as the last
+// codec that knew them encoded them: opcode 7 (snappull) and 8 (snapchunk).
+var (
+	retiredSnapPull  = []byte{7, 0x80, 0x80, 0x04, 0, 0, 0, 0, 0, 0, 0x0a, 0xbc}
+	retiredSnapChunk = append([]byte{8, 0x80, 0x80, 0x40, 0, 0, 0, 0, 0, 0, 0x0a, 0xbc, 9}, "PMDBSNP1\x02\x01"...)
+)
+
+// TestSyncCodecTablesFrozen pins the PHSYNC1 opcode table: opCode and opName
+// are exact inverses, every op keeps its frozen value, the retired snapshot
+// opcodes 7 and 8 decode as unknown ops, and every byte outside the table is
+// rejected both ways.
+func TestSyncCodecTablesFrozen(t *testing.T) {
+	frozen := map[string]byte{
+		"hello": 1, "digest": 2, "pull": 3, "frames": 4, "push": 5, "ack": 6, "error": 9,
+	}
+	for name, code := range frozen {
+		if got, ok := opCode(name); !ok || got != code {
+			t.Errorf("opCode(%q) = %d, %v; want %d, true — the frozen wire order moved", name, got, ok, code)
+		}
+	}
+	for _, name := range []string{"snappull", "snapchunk"} {
+		if code, ok := opCode(name); ok {
+			t.Errorf("opCode(%q) = %d, true; the retired op must not encode", name, code)
+		}
+	}
+	names := make(map[byte]string, len(frozen))
+	for name, code := range frozen {
+		names[code] = name
+	}
+	for b := 0; b <= 0xFF; b++ {
+		code := byte(b)
+		name, ok := opName(code)
+		if want, known := names[code]; known {
+			if !ok || name != want {
+				t.Errorf("opName(%d) = %q, %v; want %q, true", code, name, ok, want)
+			} else if back, ok := opCode(name); !ok || back != code {
+				t.Errorf("opCode(opName(%d)) = %d, %v; not an inverse", code, back, ok)
+			}
+		} else if ok {
+			t.Errorf("opName(%d) = %q, true; want rejection of an unassigned opcode", code, name)
+		}
+	}
+	for _, payload := range [][]byte{retiredSnapPull, retiredSnapChunk} {
+		var m syncMsg
+		if err := decodeSyncMsg(payload, &m); !errors.Is(err, frame.ErrMalformed) {
+			t.Errorf("retired opcode %d: err = %v, want frame.ErrMalformed", payload[0], err)
 		}
 	}
 }

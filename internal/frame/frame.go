@@ -284,18 +284,6 @@ func (r *Reader) View() []byte {
 	return b
 }
 
-// Bytes reads a uvarint-length-prefixed byte string into a fresh slice; nil
-// when empty.
-func (r *Reader) Bytes() []byte {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	b := append([]byte(nil), r.buf[r.off:r.off+n]...)
-	r.off += n
-	return b
-}
-
 // Bool reads a 0/1 byte.
 func (r *Reader) Bool() bool {
 	b := r.Byte()

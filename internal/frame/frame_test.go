@@ -144,8 +144,6 @@ func TestReaderRoundTrip(t *testing.T) {
 	b = binary.AppendUvarint(b, 2)
 	b = AppendF64(b, 1)
 	b = AppendF64(b, math.Inf(-1))
-	b = AppendString(b, "raw")
-	b = AppendString(b, "")
 
 	r := NewReader(b)
 	if got := r.Byte(); got != 0xab {
@@ -174,13 +172,6 @@ func TestReaderRoundTrip(t *testing.T) {
 	}
 	if one, inf := r.F64(), r.F64(); math.Float64bits(one) != math.Float64bits(1) || !math.IsInf(inf, -1) {
 		t.Error("float pair mismatch")
-	}
-	got := r.Bytes()
-	if string(got) != "raw" || &got[0] == &b[len(b)-4] {
-		t.Errorf("Bytes = %q, or aliases the payload", got)
-	}
-	if r.Bytes() != nil {
-		t.Error("empty Bytes is not nil")
 	}
 	if err := r.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)

@@ -87,7 +87,7 @@ func TestServerEmitsStoppedPhase(t *testing.T) {
 // the optimiser, so it comes first; the digest covers the events after it.
 func TestWarmSessionEventGolden(t *testing.T) {
 	const (
-		want                 = "9a46eb4affd101e82057eb8fa1982d8f30a17c19bba5edf737ea9e93b15dfaa4"
+		want                 = "062fb25d478358bf07f791c2607d7d0a83da36875ad0a6ddbc42a3c99bfa42c0"
 		wantHits, wantMisses = 53, 17
 	)
 	for _, cached := range []bool{true, false} {

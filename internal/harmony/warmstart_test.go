@@ -1,10 +1,12 @@
 package harmony
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"paratune/internal/alloccheck"
+	"paratune/internal/core"
 	"paratune/internal/event"
 	"paratune/internal/feddb"
 	"paratune/internal/measuredb"
@@ -96,6 +98,86 @@ func TestWarmStartAcrossServers(t *testing.T) {
 	}
 	if v1 != v2 {
 		t.Fatalf("best value diverged: %g vs %g", v1, v2)
+	}
+}
+
+// repeatAlg proposes one batch that names its incumbent twice beside a worse
+// configuration, and keeps the lower of the incumbent's two estimates. PRO
+// does the same when projection folds several candidates onto one grid
+// point.
+type repeatAlg struct {
+	inc, other space.Point
+	best       float64
+	done       bool
+}
+
+func (a *repeatAlg) Init(ev core.Evaluator) error {
+	vals, err := ev.Eval([]space.Point{a.inc, a.other, a.inc})
+	if err != nil {
+		return err
+	}
+	a.best, a.done = math.Min(vals[0], vals[2]), true
+	return nil
+}
+
+func (a *repeatAlg) Step(core.Evaluator) (core.StepInfo, error) {
+	return core.StepInfo{Kind: core.StepConverged, Best: a.inc, BestValue: a.best}, nil
+}
+
+func (a *repeatAlg) Best() (space.Point, float64) { return a.inc, a.best }
+func (a *repeatAlg) Converged() bool              { return a.done }
+func (a *repeatAlg) String() string               { return "repeat" }
+
+// A batch that proposes the incumbent twice measures it once, so the cold
+// session's estimate is the first-K estimate the store later serves a warm
+// session. Every report is lower than the one before, so copies measured
+// apart would estimate differently, and the cold session would keep the
+// lower one.
+func TestRepeatedIncumbentSameEstimateColdAndWarm(t *testing.T) {
+	db := measuredb.NewMemory(measuredb.Options{})
+	opts := ServerOptions{
+		Estimator: mustMinOfK(t, 2), DB: db,
+		NewAlgorithm: func(*space.Space) (core.Algorithm, error) {
+			return &repeatAlg{inc: space.Point{8, 4, 1}, other: space.Point{32, 16, 8}}, nil
+		},
+	}
+	reports := 0
+	run := func() float64 {
+		t.Helper()
+		srv := NewServer(opts)
+		defer srv.Close()
+		if err := srv.Register("app", gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			fr, err := srv.Fetch("app")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr.Converged {
+				break
+			}
+			reports++
+			if err := srv.Report("app", fr.Tag, fr.Point[0]-float64(reports)/64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, v, _, err := srv.Best("app")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	cold := run()
+	coldReports := reports
+	warm := run()
+	if math.Float64bits(cold) != math.Float64bits(warm) {
+		t.Fatalf("incumbent estimate %v cold, %v warm", cold, warm)
+	}
+	if coldReports != 4 || reports != coldReports {
+		t.Fatalf("sessions took %d reports cold and %d warm, want 4 (K=2 for each distinct configuration) and 0",
+			coldReports, reports-coldReports)
 	}
 }
 

@@ -295,15 +295,3 @@ func chainHash(h uint64, payload []byte) uint64 {
 	}
 	return x
 }
-
-// SnapshotFrames decodes a PMDBSNP1 snapshot into replayable frames sorted
-// by (origin, seq) — the order Apply requires — plus the configuration
-// count. The federation layer uses it to apply a shipped snapshot through
-// the same set-union core as live segment sync.
-func SnapshotFrames(data []byte) (frames []Frame, configs int, err error) {
-	_, _, _, origins, entries, err := decodeSnapshot(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return flattenEntries(origins, entries), len(entries), nil
-}

@@ -19,10 +19,14 @@ type BatchEvaluator interface {
 // and spends no simulator steps or client measurements. Unresolved
 // candidates are forwarded to the inner evaluator in one batch (whose
 // measurements reach the store through the cluster's observation sink),
-// preserving batch semantics for the optimiser.
+// preserving batch semantics for the optimiser. A configuration named more
+// than once in a batch is forwarded once and every copy gets its value, so
+// the live estimate is the one a later lookup serves: the first K
+// observations.
 //
 // Every lookup is mirrored to the event stream as db_hit or db_miss when a
-// recorder is listening; without one no event or config key is built.
+// recorder is listening; without one no event or config-key string is
+// built, and a hit builds no key at all.
 //
 // Memo is the one warm-start lookup of every driver: core.RunOnline,
 // core.RunOnlineAsync and each harmony session wrap their evaluator in it.
@@ -45,11 +49,17 @@ type Memo struct {
 	hits   int
 	misses int
 
-	// Scratch reused across Eval calls.
-	obsBuf  []float64
-	missPts []space.Point
-	missIdx []int
+	// Scratch reused across Eval calls; missAt maps a config key to its
+	// index in missPts.
+	obsBuf   []float64
+	missPts  []space.Point
+	missRefs []missRef
+	missAt   map[string]int
 }
+
+// missRef links a candidate the store could not serve to the missPts entry
+// measured for it.
+type missRef struct{ cand, pt int }
 
 // EstimateCache is a read-through estimate cache over a store (implemented by
 // feddb.Cache). Lookup returns the cached or freshly computed estimate for p,
@@ -77,7 +87,8 @@ func NewMemo(inner BatchEvaluator, store *Store, est sample.Estimator, rec event
 func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 	out := make([]float64, len(points))
 	m.missPts = m.missPts[:0]
-	m.missIdx = m.missIdx[:0]
+	m.missRefs = m.missRefs[:0]
+	clear(m.missAt)
 	k := m.est.K()
 	var vt float64
 	if m.rec != nil && m.vtime != nil {
@@ -101,16 +112,26 @@ func (m *Memo) Eval(points []space.Point) ([]float64, error) {
 				Session: m.Session, Config: p.Key(), Count: count, VTime: vt,
 			})
 		}
-		m.missIdx = append(m.missIdx, i)
-		m.missPts = append(m.missPts, p)
+		var kb [8 * 16]byte // room for 16 coordinates; wider points grow onto the heap
+		key := AppendKey(kb[:0], p)
+		j, dup := m.missAt[string(key)]
+		if !dup {
+			if m.missAt == nil {
+				m.missAt = make(map[string]int)
+			}
+			j = len(m.missPts)
+			m.missAt[string(key)] = j
+			m.missPts = append(m.missPts, p)
+		}
+		m.missRefs = append(m.missRefs, missRef{cand: i, pt: j})
 	}
 	if len(m.missPts) > 0 {
 		ys, err := m.inner.Eval(m.missPts)
 		if err != nil {
 			return nil, err
 		}
-		for j, i := range m.missIdx {
-			out[i] = ys[j]
+		for _, r := range m.missRefs {
+			out[r.cand] = ys[r.pt]
 		}
 	}
 	return out, nil
@@ -142,5 +163,7 @@ func hitSource(federated bool) string {
 // Hits returns how many candidate evaluations were served from the store.
 func (m *Memo) Hits() int { return m.hits }
 
-// Misses returns how many candidate evaluations went to the inner evaluator.
+// Misses returns how many candidate evaluations the store could not serve;
+// copies of one configuration in a batch count once each but are measured
+// once.
 func (m *Memo) Misses() int { return m.misses }

@@ -211,6 +211,38 @@ func TestMemoHitMiss(t *testing.T) {
 	}
 }
 
+// seqEval hands every forwarded point a fresh value, so two copies of one
+// configuration measured separately come back different.
+type seqEval struct{ pts int }
+
+func (c *seqEval) Eval(points []space.Point) ([]float64, error) {
+	out := make([]float64, len(points))
+	for i := range out {
+		c.pts++
+		out[i] = float64(c.pts) + 0.5
+	}
+	return out, nil
+}
+
+// A configuration named twice in one batch is measured once, and both copies
+// get that one value.
+func TestMemoMeasuresRepeatOnce(t *testing.T) {
+	est, _ := sample.NewMinOfK(2)
+	inner := &seqEval{}
+	m := NewMemo(inner, NewMemory(Options{}), est, nil, nil)
+	a, b := space.Point{1, 2}, space.Point{3, 4}
+	out, err := m.Eval([]space.Point{a, b, a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner.pts != 2 {
+		t.Fatalf("inner evaluator measured %d points, want 2", inner.pts)
+	}
+	if math.Float64bits(out[0]) != math.Float64bits(out[2]) || out[0] == out[1] {
+		t.Fatalf("Eval([a b a]) = %v, want out[0] == out[2] != out[1]", out)
+	}
+}
+
 // A configuration with fewer than K stored observations must still go to the
 // inner evaluator: a partial history is not a resolved estimate.
 func TestMemoPartialHistoryIsMiss(t *testing.T) {

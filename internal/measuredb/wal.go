@@ -298,15 +298,6 @@ func (s *Store) snapshotLocked() (data []byte, es []entry) {
 	return encodeSnapshot(s.seed, s.origin, s.spaceSig, sorted, es), es
 }
 
-// Snapshot serialises the current store state in PMDBSNP1 form — the bytes
-// snapshot shipping sends to a cold peer. Works for memory-only stores too.
-func (s *Store) Snapshot() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, _ := s.snapshotLocked()
-	return data
-}
-
 // Compact writes the full aggregate state to the snapshot file (atomically:
 // tmp + rename) and truncates the WAL back to its header. Observation order
 // within each configuration is preserved, so estimates computed from the
