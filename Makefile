@@ -106,6 +106,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSyncFrameDecode -fuzztime 15s ./internal/feddb/
 	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
 	$(GO) test -fuzz FuzzNewRNGMatchesMathRand -fuzztime 15s ./internal/dist/
+	$(GO) test -fuzz FuzzParetoOrderStat -fuzztime 15s ./internal/dist/
 
 # Full-scale regeneration of every paper figure, ablation and extension
 # (~11 s on a shared 2-vCPU host), plus the consolidated markdown report.

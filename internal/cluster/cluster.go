@@ -203,9 +203,10 @@ func (s *Sim) NTT() float64 { return (1 - s.model.Rho()) * s.totalTime }
 // nobody reads their values (Evaluator.Fill, the production phase of an
 // on-line run). Under a noise.Transform model each still draws its uniform
 // from its processor's stream in order, but only the draws that can be the
-// step's maximum are transformed (noise.IIDPareto.Slowest: those within a
-// relative 2^-20 of the smallest 1-r). Step times, observations and stream
-// states are bit-identical to observing every entry.
+// step's maximum are transformed (noise.IIDPareto.Slowest, the top rank of
+// dist.Pareto.OrderStat: those within a relative 2^-20 of the smallest
+// 1-r). Step times, observations and stream states are bit-identical to
+// observing every entry.
 //
 // With a fault injector attached, each execution may crash its processor
 // (the candidate is redistributed to the least-loaded surviving processor,

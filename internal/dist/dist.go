@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Distribution is a one-dimensional probability distribution.
@@ -106,6 +107,102 @@ func (p Pareto) HeavyTailed() bool { return p.Alpha > 0 && p.Alpha < 2 }
 // and variance even when the samples do not.
 func (p Pareto) MinK(k int) Pareto {
 	return Pareto{Alpha: float64(k) * p.Alpha, Beta: p.Beta}
+}
+
+// orderStatBand is OrderStat's band: a relative width on u = 1-r.
+const orderStatBand = 0x1p-20
+
+// OrderStat returns the rank-th smallest (0-based) of f + p.Quantile(r) over
+// the non-empty rs, each r in [0, 1), bit for bit, and transforms only the
+// draws that can give it. A draw's transform is Quantile's β·(1-r)^(-1/α),
+// which is Quantile(r) for every r in [0, 1), with the exponent computed
+// once. It does not allocate for up to 16 draws, and for the smallest and
+// largest rank at any length.
+//
+// The value falls as u = 1-r grows. Let u* be the u of the rank-th smallest
+// value in exact arithmetic. A draw whose u lies outside the band
+// [u*(1-b), u*(1+b)], b = 2^-20, has a u a relative b or more (up to the
+// rounding of the band's ends) beyond that of every draw on the far side of
+// u*, and so an exact power u^(-1/α) a relative b/(2α) >= 2^-41 or more
+// beyond theirs when α <= 2^20. math.Pow's result is within a relative
+// 2^-44 of the exact power for α >= 1/2: it is Exp(yf·Log(u)) with
+// |yf| <= 1/2 and |yf·Log(u)| < 19, times at most one squaring and one
+// mantissa product for an integer part of 1 or 2 (0.9's exponent, -1.11,
+// has integer part 1), then a reciprocal and an exact Ldexp; α = 2 takes
+// 1/Sqrt(u), and u = 1 gives exactly 1. So rounding cannot carry a draw
+// across the band, and multiplying by β and adding f round monotonically.
+// The L draws with u above the band are then no larger than every draw
+// with u <= u*, those with u below it no smaller than every draw with
+// u >= u*, and the rank-th smallest of all is the (rank-L)-th smallest of
+// the band's. So the L are counted, those below skipped, and only the band
+// is transformed. α outside [1/2, 2^20] transforms every draw.
+func (p Pareto) OrderStat(f float64, rs []float64, rank int) float64 {
+	last, e := len(rs)-1, -1/p.Alpha
+	band := p.Alpha >= 0.5 && p.Alpha <= 0x1p20
+	switch rank {
+	case last: // the smallest u; nothing lies below its band
+		u := 1.0
+		for _, r := range rs {
+			u = min(u, 1-r)
+		}
+		hi := math.Inf(1)
+		if band {
+			hi = u * (1 + orderStatBand)
+		}
+		y := math.Inf(-1)
+		for _, r := range rs {
+			if 1-r <= hi {
+				if v := f + p.Beta*math.Pow(1-r, e); v > y {
+					y = v
+				}
+			}
+		}
+		return y
+	case 0: // the largest u; nothing lies above its band
+		u := 0.0
+		for _, r := range rs {
+			u = max(u, 1-r)
+		}
+		lo := 0.0
+		if band {
+			lo = u * (1 - orderStatBand)
+		}
+		y := math.Inf(1)
+		for _, r := range rs {
+			if 1-r >= lo {
+				if v := f + p.Beta*math.Pow(1-r, e); v < y {
+					y = v
+				}
+			}
+		}
+		return y
+	}
+	return p.orderStatInner(f, rs, rank, e, band)
+}
+
+// orderStatInner is OrderStat for a rank strictly between the extremes.
+func (p Pareto) orderStatInner(f float64, rs []float64, rank int, e float64, band bool) float64 {
+	var buf [16]float64
+	us := buf[:0]
+	for _, r := range rs {
+		us = append(us, 1-r)
+	}
+	slices.Sort(us)
+	lo, hi := 0.0, math.Inf(1)
+	if u := us[len(us)-1-rank]; band {
+		lo, hi = u*(1-orderStatBand), u*(1+orderStatBand)
+	}
+	vs, above := us[:0], 0
+	for _, r := range rs {
+		switch w := 1 - r; {
+		case w > hi:
+			above++
+		case w >= lo:
+			vs = append(vs, f+p.Beta*math.Pow(1-r, e))
+		}
+	}
+	slices.Sort(vs)
+	return vs[rank-above]
 }
 
 func (p Pareto) String() string { return fmt.Sprintf("Pareto(α=%g, β=%g)", p.Alpha, p.Beta) }

@@ -22,9 +22,12 @@ import (
 //
 // Each (model, estimator, K) cell draws its uniforms serially from the one
 // seeded stream, per trial and per sample f1's then f2's, and then turns
-// them into observations, estimates and counts on par.For's pool, one chunk
-// of trials per job. Pareto.Quantile of a uniform is Pareto.Sample's draw bit
-// for bit, so the counts are those of drawing each observation in turn.
+// them into estimates and counts on par.For's pool, one chunk of trials per
+// job. Pareto.Quantile of a uniform is Pareto.Sample's draw bit for bit, so
+// the counts are those of drawing each observation in turn. Min-of-K and
+// odd-K median-of-K read one order statistic per side, so
+// dist.Pareto.OrderStat transforms only the draws that can be it; mean-of-K
+// and the K = 2 median transform every draw.
 func AblationEstimators(cfg Config) (*Figure, error) {
 	trials := cfg.reps(20000, 2000)
 	const f1, f2 = 1.0, 1.1 // 10% performance gap
@@ -49,11 +52,22 @@ func AblationEstimators(cfg Config) (*Figure, error) {
 	type estMaker struct {
 		name string
 		mk   func(k int) sample.Estimator
+		// rank is the order statistic of K observations the estimate is,
+		// or -1 when it reads them all.
+		rank func(k int) int
 	}
 	ests := []estMaker{
-		{"min", func(k int) sample.Estimator { e, _ := sample.NewMinOfK(k); return e }},
-		{"mean", func(k int) sample.Estimator { e, _ := sample.NewMeanOfK(k); return e }},
-		{"median", func(k int) sample.Estimator { e, _ := sample.NewMedianOfK(k); return e }},
+		{"min", func(k int) sample.Estimator { e, _ := sample.NewMinOfK(k); return e },
+			func(int) int { return 0 }},
+		{"mean", func(k int) sample.Estimator { e, _ := sample.NewMeanOfK(k); return e },
+			func(int) int { return -1 }},
+		{"median", func(k int) sample.Estimator { e, _ := sample.NewMedianOfK(k); return e },
+			func(k int) int {
+				if k%2 == 0 {
+					return -1
+				}
+				return k / 2
+			}},
 	}
 	ks := []int{1, 2, 3, 5, 7}
 
@@ -69,22 +83,35 @@ func AblationEstimators(cfg Config) (*Figure, error) {
 		for ei, em := range ests {
 			perK := make([]float64, len(ks))
 			for ki, k := range ks {
-				est := em.mk(k)
+				est, rank := em.mk(k), em.rank(k)
+				// Drawn f1's then f2's per sample; kept as f1's K then f2's K.
 				u := uniforms[:trials*2*k]
-				for i := range u {
-					u[i] = rng.Float64()
+				for t := 0; t < trials; t++ {
+					draws := u[t*2*k : (t+1)*2*k]
+					for j := 0; j < k; j++ {
+						draws[j] = rng.Float64()
+						draws[k+j] = rng.Float64()
+					}
 				}
 				par.For(chunks, func(c int) {
-					obs1 := make([]float64, k)
-					obs2 := make([]float64, k)
+					var obs1, obs2 []float64
+					if rank < 0 {
+						obs1, obs2 = make([]float64, k), make([]float64, k)
+					}
 					n := 0
 					for t := c * chunk; t < min((c+1)*chunk, trials); t++ {
-						draws := u[t*2*k : (t+1)*2*k]
-						for j := range obs1 {
-							obs1[j] = f1 + m.p1.Quantile(draws[2*j])
-							obs2[j] = f2 + m.p2.Quantile(draws[2*j+1])
+						d1, d2 := u[t*2*k:t*2*k+k], u[t*2*k+k:(t+1)*2*k]
+						var e1, e2 float64
+						if rank >= 0 {
+							e1, e2 = m.p1.OrderStat(f1, d1, rank), m.p2.OrderStat(f2, d2, rank)
+						} else {
+							for j := range obs1 {
+								obs1[j] = f1 + m.p1.Quantile(d1[j])
+								obs2[j] = f2 + m.p2.Quantile(d2[j])
+							}
+							e1, e2 = est.Estimate(obs1), est.Estimate(obs2)
 						}
-						if est.Estimate(obs1) < est.Estimate(obs2) {
+						if e1 < e2 {
 							n++
 						}
 					}

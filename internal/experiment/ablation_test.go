@@ -60,12 +60,16 @@ func ablationEstimatorsSerial(cfg Config) [][]float64 {
 }
 
 // The pooled figure reproduces the serial loop's rows bit for bit, at any
-// pool width.
+// pool width. The full-scale case draws 10× the uniforms, so more of the
+// order statistics' band edge cases.
 func TestAblationEstimatorsMatchesSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	for _, seed := range []int64{1, 7, 42} {
-		cfg := Config{Seed: seed, Quick: true}
+	cfgs := []Config{{Seed: 1, Quick: true}, {Seed: 7, Quick: true}, {Seed: 42, Quick: true}}
+	if !testing.Short() {
+		cfgs = append(cfgs, Config{Seed: 42})
+	}
+	for _, cfg := range cfgs {
 		want := ablationEstimatorsSerial(cfg)
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
@@ -74,12 +78,12 @@ func TestAblationEstimatorsMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(f.CSVRows) != len(want) {
-				t.Fatalf("seed %d, GOMAXPROCS %d: %d rows, serial %d", seed, procs, len(f.CSVRows), len(want))
+				t.Fatalf("%+v, GOMAXPROCS %d: %d rows, serial %d", cfg, procs, len(f.CSVRows), len(want))
 			}
 			for i, row := range f.CSVRows {
 				for j, v := range row {
 					if math.Float64bits(v) != math.Float64bits(want[i][j]) {
-						t.Fatalf("seed %d, GOMAXPROCS %d: row %d = %v, serial %v", seed, procs, i, row, want[i])
+						t.Fatalf("%+v, GOMAXPROCS %d: row %d = %v, serial %v", cfg, procs, i, row, want[i])
 					}
 				}
 			}

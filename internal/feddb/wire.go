@@ -212,12 +212,12 @@ func decodeSyncMsg(payload []byte, m *syncMsg) error {
 		m.Max = r.Uvarint()
 	case "frames":
 		m.Origin = r.Str()
-		m.Frames = readFrames(&r)
+		m.Frames = readFrames(&r, m.Origin)
 		m.High = r.Uvarint()
 		m.Hash = r.U64()
 	case "push":
 		m.Origin = r.Str()
-		m.Frames = readFrames(&r)
+		m.Frames = readFrames(&r, m.Origin)
 	case "ack":
 		m.Applied = r.Uvarint()
 		m.Dups = r.Uvarint()
@@ -227,19 +227,31 @@ func decodeSyncMsg(payload []byte, m *syncMsg) error {
 	return r.Finish()
 }
 
-// readFrames decodes a counted list of measurement frames.
-func readFrames(r *frame.Reader) []measuredb.Frame {
+// readFrames decodes a counted list of measurement frames. A frame reuses
+// the previous frame's origin string (origin's for the first) when the
+// bytes match, and the points share one slab: every consumer applies the
+// frames through measuredb.Store.Apply, which copies what it keeps.
+func readFrames(r *frame.Reader, origin string) []measuredb.Frame {
 	n := r.Count(2)
 	if n == 0 {
 		return nil
 	}
 	fs := make([]measuredb.Frame, n)
+	var slab []float64
 	for i := range fs {
 		f := &fs[i]
-		f.Origin = r.Str()
+		if o := r.View(); string(o) != origin {
+			origin = string(o)
+		}
+		f.Origin = origin
 		f.Seq = r.Uvarint()
 		if dim := r.Count(8); dim > 0 {
-			f.Point = make([]float64, dim)
+			if len(slab) < dim {
+				// This dimension for every frame left, but no more floats
+				// than the rest of the payload holds.
+				slab = make([]float64, min(dim*(n-i), r.Len()/8))
+			}
+			f.Point, slab = slab[:dim:dim], slab[dim:]
 			for j := range f.Point {
 				f.Point[j] = r.F64()
 			}

@@ -87,6 +87,54 @@ func TestSyncMsgOutlivesNextFrame(t *testing.T) {
 	}
 }
 
+// TestDecodeFramesAllocs pins the decode side of a segment: 512 frames of
+// one origin decode into the origin string, the frame slice and one point
+// slab, not a point and a string per frame. Points of mixed dimension
+// round-trip too, each capped so that growing one leaves the next intact.
+func TestDecodeFramesAllocs(t *testing.T) {
+	m := syncMsg{Op: "frames", Origin: "o1", High: 512, Hash: 1}
+	for i := 0; i < 512; i++ {
+		m.Frames = append(m.Frames, measuredb.Frame{Origin: "o1", Seq: uint64(i + 1), Point: space.Point{float64(i % 64), 1}, Value: float64(i)})
+	}
+	payload, err := appendSyncMsg(nil, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got syncMsg
+	alloccheck.Guard(t, "feddb.decodeSyncMsg/frames×512", 3, func() {
+		if err := decodeSyncMsg(payload, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got, m) {
+		t.Fatal("512-frame segment did not round-trip")
+	}
+
+	mixed := syncMsg{Op: "push", Origin: "a", Frames: []measuredb.Frame{
+		{Origin: "a", Seq: 1, Point: space.Point{1}, Value: 1},
+		{Origin: "b", Seq: 2, Point: space.Point{2, 3, 4}, Value: 2},
+		{Origin: "b", Seq: 3, Point: space.Point{5, 6}, Value: 3},
+		{Origin: "a", Seq: 4, Point: space.Point{7, 8, 9, 10}, Value: 4},
+	}}
+	if payload, err = appendSyncMsg(nil, &mixed); err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeSyncMsg(payload, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, mixed) {
+		t.Fatalf("mixed dimensions decoded as %+v, want %+v", got, mixed)
+	}
+	for i := range got.Frames[:len(got.Frames)-1] {
+		got.Frames[i].Point = append(got.Frames[i].Point, -1)
+	}
+	for i := range got.Frames[1:] {
+		if want := mixed.Frames[i+1].Point; !reflect.DeepEqual(got.Frames[i+1].Point[:len(want)], want) {
+			t.Fatalf("growing point %d changed point %d to %v", i, i+1, got.Frames[i+1].Point)
+		}
+	}
+}
+
 // TestDecodeRejectsOriginsOverCap pins the decoder's bound on a digest's
 // origin list: maxSyncOrigins origins decode, one more is malformed.
 func TestDecodeRejectsOriginsOverCap(t *testing.T) {

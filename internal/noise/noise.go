@@ -87,32 +87,12 @@ func (m IIDPareto) Apply(f, r float64) float64 {
 }
 
 // Slowest returns the largest Apply(f, r) over rs, bit for bit, and
-// transforms only the draws that can give it. Apply falls as u = 1-r grows.
-// A draw whose u exceeds the smallest u by more than a relative b = 2^-20
-// has an exact u^(-1/α) smaller by a relative b/(2α) >= 2^-41 for
-// α <= 2^20. math.Pow's result for an exponent in (-1, 0) is within a
-// relative 2^-44 of the exact power: Exp(yf·Log(u)) with |yf·Log(u)| < 19,
-// at most one mantissa product, a reciprocal and an exact Ldexp. So rounding
-// cannot lift such a draw's Pow above the smallest u's, and multiplying by
-// β and adding f round monotonically. Larger α transforms every draw.
+// transforms only the draws that can give it: it is the top rank of
+// dist.Pareto.OrderStat over Pareto(Alpha, β(f)), whose Quantile(r) plus f
+// is Apply(f, r) (r = 0 included), and whose doc comment holds the band
+// argument.
 func (m IIDPareto) Slowest(f float64, rs []float64) float64 {
-	umin := 1.0
-	for _, r := range rs {
-		umin = min(umin, 1-r)
-	}
-	lim := math.Inf(1)
-	if m.Alpha <= 0x1p20 {
-		lim = umin * (1 + 0x1p-20)
-	}
-	y := math.Inf(-1)
-	for _, r := range rs {
-		if 1-r <= lim {
-			if v := m.Apply(f, r); v > y {
-				y = v
-			}
-		}
-	}
-	return y
+	return dist.Pareto{Alpha: m.Alpha, Beta: m.Beta(f)}.OrderStat(f, rs, len(rs)-1)
 }
 
 func (m IIDPareto) Rho() float64 { return m.RhoV }
