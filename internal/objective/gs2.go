@@ -228,13 +228,14 @@ type DB struct {
 // term of the surface is tabled once per grid value (and Mod(ntheta, nodes)
 // once per pair), so each kept cell only combines tabled terms; the cells are
 // evaluated serially, as the pool cost more than the ~100 ns of work per
-// cell. Points are stored in Enumerate order as sub-slices of one flat
-// coordinate array.
+// cell. Enumerate order is cell-table order, so the loop counter is the cell
+// index and the build writes the KNN's flat tables directly.
 func GenerateGS2(cfg GS2Config) *DB {
 	cfg.setDefaults()
 	model := newGS2Model(cfg)
 	s := model.s
-	thetas, grids, nodes := axisValues(s.Param(0)), axisValues(s.Param(1)), axisValues(s.Param(2))
+	knn, _ := NewKNN(s, cfg.Neighbors) // GS2Space is an 11,571-cell grid, which NewKNN accepts
+	thetas, grids, nodes := knn.axes[0], knn.axes[1], knn.axes[2]
 	ts := make([]thetaTerms, len(thetas))
 	rems := make([]float64, len(thetas)*len(nodes))
 	for i, v := range thetas {
@@ -252,37 +253,34 @@ func GenerateGS2(cfg GS2Config) *DB {
 		ns[i] = model.nodesTerms(v)
 	}
 
-	cells, _ := s.GridSize()
-	coords := make([]float64, 0, cells*3)
-	db := &DB{s: s, knn: NewKNN(s, cfg.Neighbors)}
-	db.knn.pts = make([]space.Point, 0, cells)
-	db.knn.vals = make([]float64, 0, cells)
+	knn.vals = make([]float64, 0, len(knn.cells))
+	knn.at = make([]int32, 0, len(knn.cells))
 	rng := dist.NewRNG(cfg.Seed + 1)
-	center := s.Center()
+	center := knn.cell(s.Center())
+	c := 0
 	for ti, ntheta := range thetas {
 		for gi, negrid := range grids {
-			for ni, nv := range nodes {
-				coords = append(coords, ntheta, negrid, nv)
-				p := space.Point(coords[len(coords)-3 : len(coords) : len(coords)])
+			for ni := range nodes {
 				// Always keep the centre (the tuner's start region); drop
 				// others with probability 1-coverage.
-				if !p.Equal(center) && rng.Float64() > cfg.Coverage {
-					coords = coords[:len(coords)-3]
-					continue
+				if c == center || rng.Float64() <= cfg.Coverage {
+					knn.cells[c] = int32(len(knn.vals))
+					knn.at = append(knn.at, int32(c))
+					knn.vals = append(knn.vals, model.combine(ntheta, negrid, &ts[ti], &gs[gi], &ns[ni], rems[ti*len(nodes)+ni]))
 				}
-				db.knn.Add(p, model.combine(ntheta, negrid, &ts[ti], &gs[gi], &ns[ni], rems[ti*len(nodes)+ni]))
+				c++
 			}
 		}
 	}
-	return db
+	return &DB{s: s, knn: knn}
 }
 
 // NewDB builds an empty database over a fully discrete space for manual
 // population (and for loading saved databases). neighbors <= 0 defaults to 4.
 func NewDB(s *space.Space, neighbors int) (*DB, error) {
-	knn := NewKNN(s, neighbors)
-	if knn.cells == nil {
-		return nil, fmt.Errorf("objective: DB requires a fully discrete space of at most %d grid points, have %v", maxGridCells, s)
+	knn, err := NewKNN(s, neighbors)
+	if err != nil {
+		return nil, err
 	}
 	return &DB{s: s, knn: knn}, nil
 }
@@ -292,10 +290,9 @@ func NewDB(s *space.Space, neighbors int) (*DB, error) {
 // value (so -0 does not stand for 0). Add panics otherwise; LoadDB reports
 // such points as errors instead.
 func (db *DB) Add(p space.Point, v float64) {
-	if db.knn.cell(p) < 0 {
+	if !db.knn.Add(p, v) {
 		panic(fmt.Sprintf("objective: DB.Add of %v, which is not a grid point of %v", p, db.s))
 	}
-	db.knn.Add(p.Clone(), v)
 }
 
 // Len returns the number of stored points.
@@ -333,7 +330,7 @@ func (db *DB) Min() (space.Point, float64, error) {
 			bi = i
 		}
 	}
-	return db.knn.pts[bi].Clone(), vals[bi], nil
+	return db.knn.appendPoint(nil, bi), vals[bi], nil
 }
 
 // Slice evaluates the surface over the full grids of parameters xi and yi
@@ -390,13 +387,16 @@ func (db *DB) Save(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "%s,time\n", strings.Join(db.s.Names(), ",")); err != nil {
 		return err
 	}
-	for i, p := range db.knn.pts {
-		cols := make([]string, len(p)+1)
-		for j, v := range p {
-			cols[j] = strconv.FormatFloat(v, 'g', -1, 64)
+	var p space.Point // one stored point, then its value
+	var line []byte
+	for i, v := range db.knn.vals {
+		line = line[:0]
+		p = append(db.knn.appendPoint(p[:0], i), v)
+		for _, c := range p {
+			line = append(strconv.AppendFloat(line, c, 'g', -1, 64), ',')
 		}
-		cols[len(p)] = strconv.FormatFloat(db.knn.vals[i], 'g', -1, 64)
-		if _, err := fmt.Fprintln(bw, strings.Join(cols, ",")); err != nil {
+		line[len(line)-1] = '\n'
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -410,6 +410,7 @@ func LoadDB(s *space.Space, neighbors int, r io.Reader) (*DB, error) {
 		return nil, err
 	}
 	sc := bufio.NewScanner(r)
+	p := make(space.Point, s.Dim())
 	line := 0
 	for sc.Scan() {
 		line++
@@ -424,8 +425,7 @@ func LoadDB(s *space.Space, neighbors int, r io.Reader) (*DB, error) {
 		if len(cols) != s.Dim()+1 {
 			return nil, fmt.Errorf("objective: line %d has %d columns, want %d", line, len(cols), s.Dim()+1)
 		}
-		p := make(space.Point, s.Dim())
-		for j := 0; j < s.Dim(); j++ {
+		for j := range p {
 			v, err := strconv.ParseFloat(cols[j], 64)
 			if err != nil {
 				return nil, fmt.Errorf("objective: line %d column %d: %v", line, j, err)
@@ -436,10 +436,9 @@ func LoadDB(s *space.Space, neighbors int, r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("objective: line %d time column: %v", line, err)
 		}
-		if db.knn.cell(p) < 0 {
+		if !db.knn.Add(p, v) {
 			return nil, fmt.Errorf("objective: line %d point %v not admissible in %v", line, p, s)
 		}
-		db.knn.Add(p, v)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

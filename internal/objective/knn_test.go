@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -57,7 +58,8 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // TestDBEvalMatchesReferenceScan is the kernel's differential test: on every
 // grid point and thousands of off-grid probes per (seed, coverage) — down to
 // 5% coverage, where distance ties are common — DB.Eval and DB.Lookup return
-// the same bits as the pre-kernel scan and formatted-key index.
+// the same bits as the pre-kernel scan and formatted-key index. Each (seed,
+// coverage) case is a parallel subtest.
 func TestDBEvalMatchesReferenceScan(t *testing.T) {
 	seeds := []int64{1, 7, 42, 99}
 	if testing.Short() || alloccheck.RaceEnabled {
@@ -65,26 +67,29 @@ func TestDBEvalMatchesReferenceScan(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		for _, cov := range []float64{0.05, 0.3, 0.85, 1} {
-			db := GenerateGS2(GS2Config{Seed: seed, Coverage: cov})
-			ref := newRefDB(db)
-			check := func(p space.Point) {
-				t.Helper()
-				if got, want := db.Eval(p), ref.eval(p); !sameBits(got, want) {
-					t.Fatalf("seed %d coverage %g: Eval(%v) = %v, reference %v", seed, cov, p, got, want)
+			t.Run(fmt.Sprintf("seed=%d/coverage=%g", seed, cov), func(t *testing.T) {
+				t.Parallel()
+				db := GenerateGS2(GS2Config{Seed: seed, Coverage: cov})
+				ref := newRefDB(db)
+				check := func(p space.Point) {
+					t.Helper()
+					if got, want := db.Eval(p), ref.eval(p); !sameBits(got, want) {
+						t.Fatalf("Eval(%v) = %v, reference %v", p, got, want)
+					}
+					gv, gok := db.Lookup(p)
+					wv, wok := ref.lookup(p)
+					if gok != wok || !sameBits(gv, wv) {
+						t.Fatalf("Lookup(%v) = %v,%v, reference %v,%v", p, gv, gok, wv, wok)
+					}
 				}
-				gv, gok := db.Lookup(p)
-				wv, wok := ref.lookup(p)
-				if gok != wok || !sameBits(gv, wv) {
-					t.Fatalf("seed %d coverage %g: Lookup(%v) = %v,%v, reference %v,%v", seed, cov, p, gv, gok, wv, wok)
+				_ = GS2Space().Enumerate(check)
+				for _, p := range offGridProbes(rand.New(rand.NewSource(seed)), 3000) {
+					check(p)
 				}
-			}
-			_ = GS2Space().Enumerate(check)
-			for _, p := range offGridProbes(rand.New(rand.NewSource(seed)), 3000) {
-				check(p)
-			}
-			for _, p := range specialProbes() {
-				check(p)
-			}
+				for _, p := range specialProbes() {
+					check(p)
+				}
+			})
 		}
 	}
 }
@@ -177,8 +182,10 @@ func TestGenerateGS2GoldenDigest(t *testing.T) {
 	db := GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85})
 	h := sha256.New()
 	var b [8]byte
-	for i, p := range db.knn.pts {
-		for _, c := range append(p[:len(p):len(p)], db.knn.vals[i]) {
+	var p space.Point
+	for i, v := range db.knn.vals {
+		p = append(db.knn.appendPoint(p[:0], i), v)
+		for _, c := range p {
 			binary.BigEndian.PutUint64(b[:], math.Float64bits(c))
 			h.Write(b[:])
 		}
@@ -188,6 +195,20 @@ func TestGenerateGS2GoldenDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("GS2 database digest %s, golden %s", got, want)
+	}
+}
+
+// Save writes coordinates rebuilt from each stored cell; its CSV (which
+// cmd/gs2gen writes) is pinned byte for byte at the experiments' seed and
+// coverage, as Save wrote it from stored coordinates.
+func TestSaveGoldenDigest(t *testing.T) {
+	const want = "a310122c46bbf646f22198758fc1939723fe04aa44591f5b49cc150b26f30fd5"
+	h := sha256.New()
+	if err := GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85}).Save(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("GS2 Save digest %s, golden %s", got, want)
 	}
 }
 
@@ -300,7 +321,7 @@ func TestGS2SurfaceMatchesDB(t *testing.T) {
 			t.Fatalf("surface space %v, database space %v", surf.Space(), db.Space())
 		}
 		m := surf.(*gs2Model)
-		for _, p := range append(db.knn.pts[:len(db.knn.pts):len(db.knn.pts)], off...) {
+		for _, p := range append(storedPoints(db), off...) {
 			ref := gs2EvalRef(m, p)
 			if got := surf.Eval(p); !sameBits(got, ref) {
 				t.Fatalf("seed %d: GS2Surface.Eval(%v) = %v, reference %v", cfg.Seed, p, got, ref)
@@ -312,11 +333,21 @@ func TestGS2SurfaceMatchesDB(t *testing.T) {
 	}
 }
 
-// A GS2 build stores its points as sub-slices of one pre-sized coordinate
-// array; it must not allocate per point. The surface evaluates one point
+// A GS2 build fills three pre-sized flat tables and keeps no coordinates:
+// it must not allocate per point, and its bytes stay under 256 KiB (storing
+// each point's coordinates took 718 KB). The surface evaluates one point
 // without allocating.
 func TestGenerateGS2Allocs(t *testing.T) {
-	alloccheck.Guard(t, "objective.GenerateGS2", 31, func() { sinkDB = GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85}) })
+	build := func() { sinkDB = GenerateGS2(GS2Config{Seed: 42, Coverage: 0.85}) }
+	alloccheck.Guard(t, "objective.GenerateGS2", 26, build)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			build()
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 256<<10 {
+		t.Errorf("objective.GenerateGS2 allocates %d bytes per build, budget %d", got, 256<<10)
+	}
 	surf, p := GS2Surface(GS2Config{Seed: -3}), space.Point{36, 18, 8}
 	var sink float64
 	alloccheck.Guard(t, "objective.GS2Surface.Eval", 0, func() { sink = surf.Eval(p) })

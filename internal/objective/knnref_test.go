@@ -57,9 +57,18 @@ type refDB struct {
 	index map[string]int
 }
 
+// storedPoints rebuilds db's stored points in insertion order.
+func storedPoints(db *DB) []space.Point {
+	pts := make([]space.Point, db.Len())
+	for i := range pts {
+		pts[i] = db.knn.appendPoint(nil, i)
+	}
+	return pts
+}
+
 // newRefDB snapshots db's stored points in insertion order.
 func newRefDB(db *DB) *refDB {
-	r := &refDB{pts: db.knn.pts, vals: db.knn.vals, k: db.knn.k, index: map[string]int{}}
+	r := &refDB{pts: storedPoints(db), vals: db.knn.vals, k: db.knn.k, index: map[string]int{}}
 	for i := 0; i < db.s.Dim(); i++ {
 		rg := db.s.Param(i).Range()
 		if rg == 0 {
