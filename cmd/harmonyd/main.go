@@ -77,7 +77,6 @@ func main() {
 		syncEvery   = flag.Duration("sync-interval", 2*time.Second, "how often to sync with each -peers address")
 		supervise   = flag.Bool("supervise", false, "run a supervisor that re-execs this binary as a worker and restarts it on abnormal exit")
 		maxRestarts = flag.Int("max-restarts", 10, "with -supervise: give up after this many abnormal worker exits")
-		maxPending  = flag.Int("max-pending-reports", 0, "per-session surplus-measurement queue bound before backpressure (0 = default 4096, <0 = unbounded)")
 	)
 	flag.Parse()
 
@@ -106,7 +105,6 @@ func main() {
 		Estimator:          est,
 		MeasurementTimeout: *measureTO,
 		IdleTimeout:        *idleExpiry,
-		MaxPendingReports:  *maxPending,
 	}
 	if rec != nil {
 		opts.Recorder = rec

@@ -162,10 +162,10 @@ func (c *chaosCounts) report(w io.Writer) bool {
 	return had
 }
 
-// wireCounts aggregates the fleet-facing server's batching and backpressure
-// events from a JSONL trace. Traces may mix JSON- and binary-origin frames
-// freely (a fleet mid-migration); the Wire tag on each event is tallied
-// rather than assumed uniform.
+// wireCounts aggregates the fleet-facing server's batching events from a
+// JSONL trace. Traces may mix JSON- and binary-origin frames freely (a fleet
+// mid-migration); the Wire tag on each event is tallied rather than assumed
+// uniform.
 type wireCounts struct {
 	fetchFrames  int
 	fetchGranted int
@@ -173,52 +173,8 @@ type wireCounts struct {
 	reportItems  int
 	accepted     int
 	rejected     int
-	refused      int            // measurements shed, both single and batched
-	bpEvents     int            // single-report backpressure refusal events
+	refused      int            // items past the per-frame cap
 	byWire       map[string]int // codec origin → frames seen
-	sessions     map[string]*wireSession
-	byOp         map[string]*wireOpStats
-}
-
-// wireOpStats is the per-op backpressure aggregate: how many shed
-// measurements forced a client retry (each refusal is re-sent after the
-// client's backoff) and the deepest pending queue observed alongside a
-// refusal for that op.
-type wireOpStats struct {
-	retries  int
-	maxQueue int
-}
-
-// op returns the per-op aggregate, creating it on first sight.
-func (c *wireCounts) op(name string) *wireOpStats {
-	if c.byOp == nil {
-		c.byOp = make(map[string]*wireOpStats)
-	}
-	st := c.byOp[name]
-	if st == nil {
-		st = &wireOpStats{}
-		c.byOp[name] = st
-	}
-	return st
-}
-
-// wireSession is the per-session aggregate: the deepest pending queue seen
-// and how many measurements were shed.
-type wireSession struct {
-	maxQueue int
-	refused  int
-}
-
-func (c *wireCounts) session(name string) *wireSession {
-	if c.sessions == nil {
-		c.sessions = make(map[string]*wireSession)
-	}
-	ws := c.sessions[name]
-	if ws == nil {
-		ws = &wireSession{}
-		c.sessions[name] = ws
-	}
-	return ws
 }
 
 func (c *wireCounts) noteWire(wire string) {
@@ -233,24 +189,6 @@ func (c *wireCounts) noteWire(wire string) {
 
 func (c *wireCounts) observe(env *event.Envelope) bool {
 	switch env.Kind {
-	case event.KindBackpressure:
-		var bp event.Backpressure
-		if err := json.Unmarshal(env.Event, &bp); err != nil {
-			return true
-		}
-		c.bpEvents++
-		c.refused += bp.Refused
-		c.noteWire(bp.Wire)
-		ws := c.session(bp.Session)
-		ws.refused += bp.Refused
-		if bp.Queue > ws.maxQueue {
-			ws.maxQueue = bp.Queue
-		}
-		st := c.op("report")
-		st.retries += bp.Refused
-		if bp.Queue > st.maxQueue {
-			st.maxQueue = bp.Queue
-		}
 	case event.KindBatchFetch:
 		var bf event.BatchFetch
 		if err := json.Unmarshal(env.Event, &bf); err != nil {
@@ -259,7 +197,6 @@ func (c *wireCounts) observe(env *event.Envelope) bool {
 		c.fetchFrames++
 		c.fetchGranted += bf.Granted
 		c.noteWire(bf.Wire)
-		c.session(bf.Session)
 	case event.KindBatchReport:
 		var br event.BatchReport
 		if err := json.Unmarshal(env.Event, &br); err != nil {
@@ -271,64 +208,22 @@ func (c *wireCounts) observe(env *event.Envelope) bool {
 		c.rejected += br.Rejected
 		c.refused += br.Refused
 		c.noteWire(br.Wire)
-		ws := c.session(br.Session)
-		ws.refused += br.Refused
-		if br.Queue > ws.maxQueue {
-			ws.maxQueue = br.Queue
-		}
-		if br.Refused > 0 {
-			st := c.op("reportn")
-			st.retries += br.Refused
-			if br.Queue > st.maxQueue {
-				st.maxQueue = br.Queue
-			}
-		}
 	default:
 		return false
 	}
 	return true
 }
 
-// report prints the batching/backpressure summary; false when the trace
-// carried none of those events (plain traces stay unchanged).
+// report prints the batching summary; false when the trace carried no
+// batching events (plain traces stay unchanged).
 func (c *wireCounts) report(w io.Writer) bool {
-	had := false
-	if c.fetchFrames > 0 || c.reportFrames > 0 {
-		had = true
-		fmt.Fprintf(w, "batching: %d fetchn frame(s) granting %d candidate(s), %d reportn frame(s) carrying %d measurement(s) (%d accepted, %d rejected, %d refused) [%s]\n",
-			c.fetchFrames, c.fetchGranted, c.reportFrames, c.reportItems,
-			c.accepted, c.rejected, c.refused, actionList(c.byWire))
+	if c.fetchFrames == 0 && c.reportFrames == 0 {
+		return false
 	}
-	if c.bpEvents > 0 {
-		had = true
-		fmt.Fprintf(w, "backpressure: %d single-report refusal event(s)\n", c.bpEvents)
-	}
-	if len(c.byOp) > 0 {
-		had = true
-		ops := make([]string, 0, len(c.byOp))
-		for op := range c.byOp {
-			ops = append(ops, op)
-		}
-		sort.Strings(ops)
-		for _, op := range ops {
-			st := c.byOp[op]
-			fmt.Fprintf(w, "backpressure: op %q: %d retry-provoking refusal(s), max observed pending depth %d\n",
-				op, st.retries, st.maxQueue)
-		}
-	}
-	if len(c.sessions) > 0 {
-		had = true
-		names := make([]string, 0, len(c.sessions))
-		for s := range c.sessions {
-			names = append(names, s)
-		}
-		sort.Strings(names)
-		for _, s := range names {
-			ws := c.sessions[s]
-			fmt.Fprintf(w, "queue: session %q max depth %d, %d refusal(s)\n", s, ws.maxQueue, ws.refused)
-		}
-	}
-	return had
+	fmt.Fprintf(w, "batching: %d fetchn frame(s) granting %d candidate(s), %d reportn frame(s) carrying %d measurement(s) (%d accepted, %d rejected, %d refused) [%s]\n",
+		c.fetchFrames, c.fetchGranted, c.reportFrames, c.reportItems,
+		c.accepted, c.rejected, c.refused, actionList(c.byWire))
+	return true
 }
 
 // actionList renders an action→count map as "3 delay + 2 drop", in a stable
@@ -355,8 +250,8 @@ func actionList(m map[string]int) string {
 // event.Envelope, the T_k of every "step_time" event becomes a sample,
 // db_hit/db_miss events are tallied for the hit-rate summary, chaos and
 // recovery events (chaos_plan/chaos_applied/chaos_kill plus checkpoint
-// restores) feed the chaos summary, and batching/backpressure
-// events (batch_fetch/batch_report/backpressure) feed the wire summary.
+// restores) feed the chaos summary, and batching events
+// (batch_fetch/batch_report) feed the wire summary.
 func readColumn(r io.Reader, col int) ([]float64, dbCounts, chaosCounts, wireCounts, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -105,18 +105,16 @@ func TestReportRuns(t *testing.T) {
 	}
 }
 
-// TestWireCountsPerOpBackpressure pins the per-op summary on a synthetic
-// trace: single-report refusals aggregate under op "report", batched
-// refusals under op "reportn", each with its own retry count and deepest
-// observed queue; refusal-free batch frames contribute nothing.
-func TestWireCountsPerOpBackpressure(t *testing.T) {
+// TestWireSummary pins the batching summary on a synthetic trace: frames,
+// grants and item classes are summed across both codecs, and the summary is
+// the one batching line.
+func TestWireSummary(t *testing.T) {
 	var buf bytes.Buffer
 	j := event.NewJSONL(&buf)
 	j.Record(event.RunStart{Mode: "sync", Algorithm: "pro"})
-	j.Record(event.Backpressure{Session: "s", Queue: 12, Limit: 16, Refused: 1, Wire: "binary"})
-	j.Record(event.Backpressure{Session: "s", Queue: 30, Limit: 16, Refused: 1, Wire: "binary"})
-	j.Record(event.BatchReport{Session: "s", Items: 64, Accepted: 60, Rejected: 0, Refused: 4, Queue: 17, Wire: "binary"})
-	j.Record(event.BatchReport{Session: "s", Items: 8, Accepted: 8, Queue: 2, Wire: "json"})
+	j.Record(event.BatchFetch{Session: "s", Requested: 16, Granted: 12, Wire: "binary"})
+	j.Record(event.BatchReport{Session: "s", Items: 1030, Accepted: 1020, Rejected: 4, Refused: 6, Wire: "binary"})
+	j.Record(event.BatchReport{Session: "t", Items: 8, Accepted: 8, Wire: "json"})
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,27 +122,15 @@ func TestWireCountsPerOpBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := wires.byOp["report"]
-	if !ok || rep.retries != 2 || rep.maxQueue != 30 {
-		t.Errorf("report op stats = %+v, want 2 retries, max depth 30", rep)
-	}
-	repn, ok := wires.byOp["reportn"]
-	if !ok || repn.retries != 4 || repn.maxQueue != 17 {
-		t.Errorf("reportn op stats = %+v, want 4 retries, max depth 17", repn)
-	}
-	if len(wires.byOp) != 2 {
-		t.Errorf("byOp has %d entries, want 2: %v", len(wires.byOp), wires.byOp)
-	}
 	var out bytes.Buffer
 	if !wires.report(&out) {
 		t.Fatal("wire summary reported nothing")
 	}
-	for _, want := range []string{
-		`op "report": 2 retry-provoking refusal(s), max observed pending depth 30`,
-		`op "reportn": 4 retry-provoking refusal(s), max observed pending depth 17`,
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("summary missing %q:\n%s", want, out.String())
-		}
+	want := "batching: 1 fetchn frame(s) granting 12 candidate(s), 2 reportn frame(s) carrying 1038 measurement(s) (1028 accepted, 4 rejected, 6 refused) [2 binary + 1 json]\n"
+	if out.String() != want {
+		t.Errorf("wire summary:\n got %q\nwant %q", out.String(), want)
+	}
+	if (&wireCounts{}).report(&out) {
+		t.Error("a trace without batching events rendered a wire summary")
 	}
 }

@@ -37,9 +37,8 @@ const (
 	KindChaosApplied = "chaos_applied"
 	KindChaosKill    = "chaos_kill"
 
-	KindBackpressure = "backpressure"
-	KindBatchFetch   = "batch_fetch"
-	KindBatchReport  = "batch_report"
+	KindBatchFetch  = "batch_fetch"
+	KindBatchReport = "batch_report"
 
 	KindSyncStart    = "sync_start"
 	KindSyncSegments = "sync_segments"
@@ -291,32 +290,6 @@ type ChaosKill struct {
 // EventKind implements Event.
 func (ChaosKill) EventKind() string { return KindChaosKill }
 
-// Backpressure reports the server refusing surplus measurements for a
-// session: the per-session pending queue (observations buffered beyond what
-// the current candidate batch still needs) hit its bound, so the excess was
-// rejected with a retryable "backpressure" answer instead of being buffered
-// without limit. One noisy client flooding a session degrades only that
-// session — its surplus is shed, every other session's locks and memory are
-// untouched. Client-driven, so timing-dependent:
-// observability data, not part of the byte-identity contract.
-type Backpressure struct {
-	// Session is the session name.
-	Session string `json:"session"`
-	// Queue is the pending-queue depth (buffered surplus observations) when
-	// the refusal happened.
-	Queue int `json:"queue"`
-	// Limit is the session's pending-queue bound.
-	Limit int `json:"limit"`
-	// Refused is how many measurements this frame had to shed.
-	Refused int `json:"refused"`
-	// Wire names the codec the refused frame arrived over ("json", "binary",
-	// or "" for in-process calls).
-	Wire string `json:"wire,omitempty"`
-}
-
-// EventKind implements Event.
-func (Backpressure) EventKind() string { return KindBackpressure }
-
 // BatchFetch reports one batched fetchN round-trip: a client asked for up to
 // Requested samples in a single frame and was granted Granted of them. A
 // candidate appears once per sample it still needs, pass-major around the
@@ -340,7 +313,7 @@ func (BatchFetch) EventKind() string { return KindBatchFetch }
 
 // BatchReport reports one batched reportN round-trip: Items measurements in
 // a single frame, of which Accepted were stored, Rejected were invalid or
-// named unknown/completed tags, and Refused were shed by backpressure.
+// named unknown/completed tags, and Refused lay past the per-frame item cap.
 type BatchReport struct {
 	// Session is the session name.
 	Session string `json:"session"`
@@ -352,10 +325,9 @@ type BatchReport struct {
 	Accepted int `json:"accepted"`
 	// Rejected is how many were invalid values or unknown/completed tags.
 	Rejected int `json:"rejected,omitempty"`
-	// Refused is how many were shed by backpressure.
+	// Refused is how many lay past the per-frame item cap and were not
+	// applied.
 	Refused int `json:"refused,omitempty"`
-	// Queue is the session's pending-queue depth after the frame.
-	Queue int `json:"queue"`
 	// Wire names the codec the frame arrived over.
 	Wire string `json:"wire,omitempty"`
 }

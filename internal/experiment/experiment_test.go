@@ -87,6 +87,46 @@ func TestFig3(t *testing.T) {
 	}
 }
 
+// TestFig3Claims pins Fig. 3 at three seeds at Quick scale, from the
+// figure's CSV traces: the curves are highly correlated (mean Pearson
+// correlation of each processor with processor 0 at least 0.9), and the big
+// spike class is present (some sample exceeds traceThreshold).
+func TestFig3Claims(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		f, err := Fig3Traces(Config{Seed: seed, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces := make([][]float64, traceProcs)
+		big, n := 0, 0
+		for _, row := range f.CSVRows { // step, proc0 … proc3
+			for p, v := range row[1:] {
+				traces[p] = append(traces[p], v)
+				n++
+				if v > traceThreshold {
+					big++
+				}
+			}
+		}
+		corr := 0.0
+		for p := 1; p < traceProcs; p++ {
+			c, err := crossCorrelation(traces[0], traces[p])
+			if err != nil {
+				t.Fatal(err)
+			}
+			corr += c
+		}
+		corr /= traceProcs - 1
+		if !(corr >= 0.9) {
+			t.Errorf("seed %d: mean cross-processor correlation %.3f, want at least 0.9", seed, corr)
+		}
+		if big == 0 {
+			t.Errorf("seed %d: no sample of %d exceeds %gs; want the big spike class", seed, n, traceThreshold)
+		}
+		t.Logf("seed %d: correlation %.3f, %d big spikes of %d samples", seed, corr, big, n)
+	}
+}
+
 func TestFig4(t *testing.T) {
 	f, err := Fig4Pdf(quickCfg)
 	checkFigure(t, f, err)

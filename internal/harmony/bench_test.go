@@ -86,7 +86,6 @@ func benchServerStack(b *testing.B, stack benchStack, sessions int) {
 		NewAlgorithm: func(sp *space.Space) (core.Algorithm, error) {
 			return &benchAlg{sp: sp, rng: rand.New(rand.NewSource(1)), k: batchK}, nil
 		},
-		MaxPendingReports: -1, // throughput benchmark: never shed
 	}
 	srv := newServerWithShards(opts, stack.shards)
 	defer srv.Close()

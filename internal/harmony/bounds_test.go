@@ -9,7 +9,7 @@ import (
 
 // Per-session and per-connection memory that a client controls the size of
 // must stay bounded however many distinct ids it sends. These tests pin each
-// bound at its site; MaxPendingReports is pinned by TestBackpressureRefusal.
+// bound at its site.
 
 // registeredSession registers a GS2 session on a fresh server and returns it.
 func registeredSession(t *testing.T) *session {

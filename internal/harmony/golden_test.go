@@ -62,8 +62,7 @@ func goldenResponses() []goldenResp {
 			{Point: []float64{24, 8, 0.125}, Tag: 10},
 			{Point: []float64{40, 4, 0.25}, Tag: 11, Converged: true},
 		}}},
-		{"resp/reportn", response{OK: true, Seq: 8, Accepted: 2, Refused: 1, Rejected: 0, Queue: 5}},
-		{"resp/reportn-backpressure", response{Seq: 8, Code: codeBackpressure, Error: "session backpressure", Queue: 4096}},
+		{"resp/reportn", response{OK: true, Seq: 8, Accepted: 2, Refused: 1, Rejected: 0}},
 	}
 }
 
@@ -145,15 +144,14 @@ func TestWireGoldenBytes(t *testing.T) {
 // batch's elements are FetchResults, so FetchResult's JSON tags are part of
 // the protocol.
 var goldenJSON = map[string]string{
-	"resp/register":             `{"ok":true,"seq":1}`,
-	"resp/fetch":                `{"ok":true,"point":[24,8,0.125],"tag":7,"seq":2}`,
-	"resp/report":               `{"ok":true,"seq":3}`,
-	"resp/report-invalid":       `{"ok":false,"error":"invalid value -1","code":"invalid_value","seq":3}`,
-	"resp/best":                 `{"ok":true,"point":[32,16,0.05],"value":0.75,"converged":true,"seq":4}`,
-	"resp/stats":                `{"ok":true,"stats":{"name":"gs2","converged":false,"best":[32,16,0.05],"best_value":0.75,"pending":3,"next_tag":12},"seq":5}`,
-	"resp/fetchn":               `{"ok":true,"seq":7,"batch":[{"point":[24,8,0.125],"tag":10},{"point":[40,4,0.25],"tag":11,"converged":true}]}`,
-	"resp/reportn":              `{"ok":true,"seq":8,"accepted":2,"refused":1,"queue":5}`,
-	"resp/reportn-backpressure": `{"ok":false,"error":"session backpressure","code":"backpressure","seq":8,"queue":4096}`,
+	"resp/register":       `{"ok":true,"seq":1}`,
+	"resp/fetch":          `{"ok":true,"point":[24,8,0.125],"tag":7,"seq":2}`,
+	"resp/report":         `{"ok":true,"seq":3}`,
+	"resp/report-invalid": `{"ok":false,"error":"invalid value -1","code":"invalid_value","seq":3}`,
+	"resp/best":           `{"ok":true,"point":[32,16,0.05],"value":0.75,"converged":true,"seq":4}`,
+	"resp/stats":          `{"ok":true,"stats":{"name":"gs2","converged":false,"best":[32,16,0.05],"best_value":0.75,"pending":3,"next_tag":12},"seq":5}`,
+	"resp/fetchn":         `{"ok":true,"seq":7,"batch":[{"point":[24,8,0.125],"tag":10},{"point":[40,4,0.25],"tag":11,"converged":true}]}`,
+	"resp/reportn":        `{"ok":true,"seq":8,"accepted":2,"refused":1}`,
 }
 
 // TestJSONGoldenBytes pins the JSON-lines response bytes of every golden

@@ -107,13 +107,6 @@ type ServerOptions struct {
 	// every store write, local or federated. Ignored unless DB is set; the
 	// cache-less lookup serves the same values.
 	Cache measuredb.EstimateCache
-	// MaxPendingReports bounds each session's pending measurement queue: the
-	// surplus observations buffered beyond what the current candidate batch
-	// still needs. Past the bound further surplus reports are refused with
-	// ErrBackpressure (wire code "backpressure") until the optimiser consumes
-	// the batch; measurements the batch still needs are never refused. 0
-	// picks the 4096 default; negative disables the bound.
-	MaxPendingReports int
 }
 
 func (o *ServerOptions) normalise() {
@@ -134,9 +127,6 @@ func (o *ServerOptions) normalise() {
 	}
 	if o.Clock == nil {
 		o.Clock = SystemClock()
-	}
-	if o.MaxPendingReports == 0 {
-		o.MaxPendingReports = defaultMaxPendingReports
 	}
 }
 
@@ -222,7 +212,6 @@ type session struct {
 	missing  int // candidates in cands still short of their need
 	batchObs int // measurements accepted for the current batch
 	rrNext   int // round-robin cursor for batched fetchN dispatch
-	surplus  int // surplus observations buffered for the current batch
 	nextTag  uint64
 	// deadline closes the batch's progress window; lastProgress is batchObs
 	// when it opened, and stale counts windows that closed without progress.
@@ -503,7 +492,6 @@ func (s *session) Eval(points []space.Point) ([]float64, error) {
 	s.cands = cands
 	s.missing = len(cands)
 	s.batchObs = 0
-	s.surplus = 0
 	s.rrNext = 0
 	s.deadline, s.lastProgress, s.stale = s.opts.Clock.Now().Add(s.opts.MeasurementTimeout), 0, 0
 	// Keep the session's public best in sync with the optimiser.
@@ -527,8 +515,8 @@ func (s *session) Eval(points []space.Point) ([]float64, error) {
 
 // newCandidates builds one batch's candidates, untagged, on two slabs: the
 // candidates themselves, and one float slab holding every point followed by
-// every candidate's observation buffer of capacity k (surplus observations
-// past k grow their own).
+// every candidate's observation buffer of capacity k, which is all it ever
+// holds.
 func newCandidates(points []space.Point, k int) []candidate {
 	n := 0
 	for _, p := range points {
@@ -573,7 +561,6 @@ func (s *session) forceCompleteLocked() []float64 {
 func (s *session) endBatchLocked() {
 	s.cands = nil
 	s.missing = 0
-	s.surplus = 0
 }
 
 // candLocked resolves a tag of the outstanding batch; nil for tag 0, tags of
@@ -663,15 +650,11 @@ func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 	for i := range items {
 		it := &items[i]
 		c, err := s.applyLocked(it, now)
-		switch {
-		case err == nil:
-			res.Accepted++
-		case errors.Is(err, ErrBackpressure):
-			res.Refused++
-			last = err
-		default:
+		if err != nil {
 			res.Rejected++
 			last = err
+		} else {
+			res.Accepted++
 		}
 		if c == nil {
 			continue
@@ -683,7 +666,6 @@ func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 			vals = s.completeLocked()
 		}
 	}
-	res.Queue = s.surplus
 	s.mu.Unlock()
 	for _, o := range stored {
 		s.db.Observe(o.p, o.v)
@@ -699,11 +681,10 @@ func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 
 // applyLocked records one measurement arriving at now and returns the
 // candidate it was recorded for; nil when nothing was recorded (tag 0, an
-// idempotent retry, or a failure). Caller holds s.mu. Surplus measurements — values for a
-// candidate that already has enough observations — are buffered only up to
-// MaxPendingReports; past the bound they are refused with a
-// *BackpressureError. Measurements the batch still needs are never refused,
-// so backpressure cannot wedge tuning.
+// idempotent retry, or a failure). Caller holds s.mu. A candidate's estimate
+// is taken over its first K accepted reports: a surplus report, one for a
+// candidate that already has them, is accepted, remembered by rid and
+// returned for the store, but never added to the candidate's observations.
 func (s *session) applyLocked(it *ReportItem, now time.Time) (*candidate, error) {
 	if !fault.ValidValue(it.Value) {
 		return nil, fmt.Errorf("%w: %g", ErrInvalidValue, it.Value)
@@ -719,20 +700,14 @@ func (s *session) applyLocked(it *ReportItem, now time.Time) (*candidate, error)
 	if c == nil {
 		return nil, fmt.Errorf("harmony: unknown or completed tag %d", it.Tag)
 	}
-	if len(c.obs) >= c.need {
-		if limit := s.opts.MaxPendingReports; limit > 0 && s.surplus >= limit {
-			// The rid is deliberately not remembered: a later retry, once the
-			// queue has drained, must be processable.
-			return nil, &BackpressureError{Queue: s.surplus, Limit: limit}
-		}
-		s.surplus++
-	}
 	if it.RID != "" {
 		s.rememberRIDLocked(it.RID)
 	}
-	c.obs = append(c.obs, it.Value)
-	if len(c.obs) == c.need {
-		s.missing--
+	if len(c.obs) < c.need {
+		c.obs = append(c.obs, it.Value)
+		if len(c.obs) == c.need {
+			s.missing--
+		}
 	}
 	s.batchObs++
 	if !s.haveWorst || it.Value > s.worstObs {

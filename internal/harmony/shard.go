@@ -1,7 +1,6 @@
 package harmony
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -16,11 +15,6 @@ import (
 // against registrations or lookups of another. Dispatch itself is guarded by
 // each session's own mutex; the shard lock is held only for map access.
 const sessionShards = 16
-
-// defaultMaxPendingReports bounds the per-session pending measurement queue
-// (surplus observations buffered beyond what the current batch still needs)
-// when ServerOptions.MaxPendingReports is 0.
-const defaultMaxPendingReports = 4096
 
 // maxBatchOps caps how many candidates or measurements one batched fetchN /
 // reportN frame may carry, so a hostile frame cannot request an unbounded
@@ -120,44 +114,6 @@ func (srv *Server) Sessions() []string {
 	return names
 }
 
-// ErrBackpressure marks a measurement the server refused because the
-// session's pending queue — surplus observations buffered beyond what the
-// current candidate batch still needs — is full. Wire responses carry it as
-// code "backpressure". It is retryable: the queue drains when the optimiser
-// consumes the batch, and measurements the batch still *needs* are never
-// refused, so backpressure can shed a flood without wedging tuning.
-var ErrBackpressure = errors.New("harmony: session pending queue full (backpressure)")
-
-// BackpressureError is the structured form of ErrBackpressure, carrying the
-// queue depth and bound at refusal time for the backpressure event.
-type BackpressureError struct {
-	// Queue is the pending-queue depth when the report was refused.
-	Queue int
-	// Limit is the session's configured bound.
-	Limit int
-}
-
-// Error implements error.
-func (e *BackpressureError) Error() string {
-	return fmt.Sprintf("harmony: session pending queue full (backpressure): %d buffered, limit %d", e.Queue, e.Limit)
-}
-
-// Is reports ErrBackpressure identity, so errors.Is(err, ErrBackpressure)
-// matches the structured form.
-func (e *BackpressureError) Is(target error) bool { return target == ErrBackpressure }
-
-// IsBackpressure reports whether an error is the server's backpressure
-// refusal — on the wire client it carries code "backpressure"; in-process it
-// is a *BackpressureError. The cure is to back off until the session's batch
-// advances, not to redial.
-func IsBackpressure(err error) bool {
-	if errors.Is(err, ErrBackpressure) {
-		return true
-	}
-	var ae *appError
-	return errors.As(err, &ae) && ae.code == codeBackpressure
-}
-
 // ReportItem is one measurement inside a batched reportn frame.
 type ReportItem struct {
 	// Tag identifies the candidate the measurement belongs to; 0 reports
@@ -178,12 +134,10 @@ type BatchReportResult struct {
 	Accepted int
 	// Rejected counts invalid values and unknown or completed tags.
 	Rejected int
-	// Refused counts measurements shed by backpressure, plus the items of an
-	// oversized frame past the first maxBatchOps (1024), which are not
-	// applied. Both are retryable: send them again in a later frame.
+	// Refused counts the items of an oversized frame past the first
+	// maxBatchOps (1024), which are not applied. They are retryable: send
+	// them again in a later frame.
 	Refused int
-	// Queue is the session's pending-queue depth after the frame.
-	Queue int
 }
 
 // FetchN returns up to n units of work for a client of the named session in
@@ -266,9 +220,8 @@ func (srv *Server) fetchN(dst []FetchResult, name string, n int) ([]FetchResult,
 // ReportN records a batch of measurements for the named session in one round
 // trip. Items are applied in order under one hold of the session lock; each
 // is classified rather than failing the frame — invalid values and
-// unknown/completed tags count as Rejected, backpressure refusals and items
-// past maxBatchOps as Refused — so one bad measurement cannot void the rest
-// of the frame.
+// unknown/completed tags count as Rejected, items past maxBatchOps as
+// Refused — so one bad measurement cannot void the rest of the frame.
 func (srv *Server) ReportN(name string, items []ReportItem) (BatchReportResult, error) {
 	s, err := srv.session(name)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"paratune/internal/measuredb"
 )
 
 // pendingBatch returns the named session's pending candidate count, failing
@@ -164,11 +166,13 @@ func TestReportNClassification(t *testing.T) {
 	}
 }
 
-// TestBackpressureRefusal pins the shedding contract: surplus observations
-// beyond MaxPendingReports are refused with a structured, retryable error,
-// while measurements the batch still needs are never refused.
-func TestBackpressureRefusal(t *testing.T) {
-	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1), MaxPendingReports: 2})
+// TestSurplusReportsAccepted pins the surplus contract: a report for a
+// candidate that already has its K observations is accepted, written to the
+// store and remembered by rid, but never estimated, so a client cannot grow
+// any per-session buffer however many it sends.
+func TestSurplusReportsAccepted(t *testing.T) {
+	db := measuredb.NewMemory(measuredb.Options{})
+	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1), DB: db})
 	defer srv.Close()
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
@@ -181,81 +185,48 @@ func TestBackpressureRefusal(t *testing.T) {
 	if len(batch) < 2 || batch[0].Tag == 0 {
 		t.Fatalf("need 2 tagged candidates, got %+v", batch)
 	}
-	tag := batch[0].Tag
+	tag, pt := batch[0].Tag, batch[0].Point
 
-	// need=1: the first report fills the candidate; the next two are surplus
-	// and fit the queue bound of 2; the fourth must be refused.
+	// need=1: the first report fills the candidate; the rest are surplus.
 	for i := 0; i < 3; i++ {
 		if err := srv.ReportTagged("s", tag, 1.0, fmt.Sprintf("r-%d", i)); err != nil {
-			t.Fatalf("report %d refused early: %v", i, err)
+			t.Fatalf("report %d refused: %v", i, err)
 		}
 	}
-	err = srv.ReportTagged("s", tag, 1.0, "r-over")
-	if err == nil {
-		t.Fatal("surplus report beyond the bound was accepted")
-	}
-	if !errors.Is(err, ErrBackpressure) || !IsBackpressure(err) {
-		t.Fatalf("refusal not classified as backpressure: %v", err)
-	}
-	var bp *BackpressureError
-	if !errors.As(err, &bp) {
-		t.Fatalf("refusal is not a *BackpressureError: %v", err)
-	}
-	if bp.Queue != 2 || bp.Limit != 2 {
-		t.Errorf("refusal carried queue=%d limit=%d, want 2/2", bp.Queue, bp.Limit)
-	}
-
-	// A needed measurement (unmeasured candidate) is never refused.
-	if err := srv.ReportTagged("s", batch[1].Tag, 2.0, "r-needed"); err != nil {
-		t.Fatalf("needed measurement refused under backpressure: %v", err)
-	}
-
-	// The refused rid was deliberately not remembered: after the batch
-	// completes and the queue resets, a retry of the same rid must succeed
-	// on the next batch (or be cleanly rejected as unknown tag) — never
-	// surface as a duplicate suppression.
-	res, err := srv.ReportN("s", []ReportItem{{Tag: tag, Value: 1.0, RID: "r-over"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Refused+res.Accepted+res.Rejected != 1 {
-		t.Errorf("retry after refusal not classified: %+v", res)
-	}
-
-	// ReportN classifies refusals rather than failing the frame.
-	srv2 := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1), MaxPendingReports: 1})
-	defer srv2.Close()
-	if err := srv2.Register("s", gs2Params()); err != nil {
-		t.Fatal(err)
-	}
-	pendingBatch(t, srv2, "s", 1)
-	b2, err := srv2.FetchN("s", 1)
-	if err != nil {
-		t.Fatal(err)
+	// A surplus report's rid is remembered: its retry records nothing.
+	if err := srv.ReportTagged("s", tag, 1.0, "r-2"); err != nil {
+		t.Fatalf("retry of a surplus report refused: %v", err)
 	}
 	items := make([]ReportItem, 4)
 	for i := range items {
-		items[i] = ReportItem{Tag: b2[0].Tag, Value: 1.0, RID: fmt.Sprintf("q-%d", i)}
+		items[i] = ReportItem{Tag: tag, Value: 1.0, RID: fmt.Sprintf("q-%d", i)}
 	}
-	res2, err := srv2.ReportN("s", items)
+	res, err := srv.ReportN("s", items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Accepted != 2 || res2.Refused != 2 {
-		t.Errorf("bounded ReportN = %+v, want 2 accepted / 2 refused", res2)
+	if res != (BatchReportResult{Accepted: 4}) {
+		t.Errorf("surplus ReportN = %+v, want 4 accepted", res)
 	}
-	if res2.Queue != 1 {
-		t.Errorf("queue depth after frame = %d, want 1", res2.Queue)
+	s := srv.lookup("s")
+	s.mu.Lock()
+	c := s.candLocked(tag)
+	if c == nil || len(c.obs) != 1 {
+		t.Errorf("candidate holds %v after 7 surplus reports, want its one observation", c)
+	}
+	s.mu.Unlock()
+	if obs, _, _ := db.AppendObsSource(nil, pt, 0); len(obs) != 7 {
+		t.Errorf("store holds %d observations of the candidate, want 7 (the retry is not one)", len(obs))
 	}
 }
 
 // TestClientBatchRoundTrips drives FetchN/ReportN through a real client under
-// both wire protocols, including a wire-level backpressure refusal, which
-// must classify as permanent (back off, don't redial).
+// both wire protocols, including a frame past maxBatchOps, whose excess items
+// come back refused rather than failing the frame.
 func TestClientBatchRoundTrips(t *testing.T) {
 	for _, wire := range wireCases {
 		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1), MaxPendingReports: 1})
+			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1)})
 			defer srv.Close()
 			c, _ := dialTestWire(t, srv, wire)
 			if err := c.Register("s", gs2Params()); err != nil {
@@ -282,21 +253,28 @@ func TestClientBatchRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Accepted != 2 || res.Rejected != 1 || res.Refused != 2 {
-				t.Errorf("wire ReportN = %+v, want 2 accepted / 1 rejected / 2 refused", res)
+			if res.Accepted != 4 || res.Rejected != 1 || res.Refused != 0 {
+				t.Errorf("wire ReportN = %+v, want 4 accepted / 1 rejected / 0 refused", res)
 			}
 
-			// A single report shed by backpressure surfaces as a structured,
-			// permanent error on the client.
-			err = c.Report("s", batch[0].Tag, 1.5)
-			if err == nil {
-				t.Fatal("over-quota single report accepted")
+			// Items past maxBatchOps are refused, not applied; the rest of
+			// the frame is.
+			over := make([]ReportItem, maxBatchOps+3)
+			for i := range over {
+				over[i] = ReportItem{Tag: batch[0].Tag, Value: 1.5}
 			}
-			if !IsBackpressure(err) || !IsPermanent(err) {
-				t.Fatalf("wire backpressure not classified: %v", err)
+			res, err = c.ReportN("s", over)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Accepted != maxBatchOps || res.Rejected != 0 || res.Refused != 3 {
+				t.Errorf("oversized ReportN = %+v, want %d accepted / 0 rejected / 3 refused", res, maxBatchOps)
+			}
+			if err := c.Report("s", batch[0].Tag, 1.5); err != nil {
+				t.Fatalf("surplus single report refused: %v", err)
 			}
 			if n := c.Reconnects(); n != 0 {
-				t.Errorf("backpressure triggered %d reconnects; it must not redial", n)
+				t.Errorf("batch frames triggered %d reconnects", n)
 			}
 			if _, err := c.FetchN("nope", 3); !IsUnknownSession(err) {
 				t.Fatalf("unknown session via FetchN not classified: %v", err)

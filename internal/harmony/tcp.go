@@ -105,13 +105,10 @@ type response struct {
 	Seq uint64 `json:"seq,omitempty"`
 	// Batch answers a fetchn request.
 	Batch []FetchResult `json:"batch,omitempty"`
-	// Accepted, Refused, and Rejected classify a reportn frame's items;
-	// Queue is the session's pending-queue depth (also set on a single
-	// report's backpressure refusal, so clients can size their backoff).
+	// Accepted, Refused, and Rejected classify a reportn frame's items.
 	Accepted int `json:"accepted,omitempty"`
 	Refused  int `json:"refused,omitempty"`
 	Rejected int `json:"rejected,omitempty"`
-	Queue    int `json:"queue,omitempty"`
 }
 
 // errResponse builds a failure response, attaching a machine-readable code
@@ -123,12 +120,6 @@ func errResponse(err error) response {
 		r.Code = codeInvalidValue
 	case errors.Is(err, ErrUnknownSession):
 		r.Code = codeUnknownSession
-	case errors.Is(err, ErrBackpressure):
-		r.Code = codeBackpressure
-		var bp *BackpressureError
-		if errors.As(err, &bp) {
-			r.Queue = bp.Queue
-		}
 	}
 	return r
 }
@@ -356,9 +347,9 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 
 // dispatch routes one decoded request; wire names the codec it arrived over
 // ("json" or "binary", "" for direct in-process use) and tags the batching
-// and backpressure observability events. A fetchn grant is built in *grant,
-// which the caller reuses across frames (nil allocates a fresh one); the
-// response aliases it until the next dispatch.
+// observability events. A fetchn grant is built in *grant, which the caller
+// reuses across frames (nil allocates a fresh one); the response aliases it
+// until the next dispatch.
 func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) response {
 	switch req.Op {
 	case "register":
@@ -378,13 +369,6 @@ func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) resp
 		return response{OK: true, Point: fr.Point, Tag: fr.Tag, Converged: fr.Converged}
 	case "report":
 		if err := srv.ReportTagged(req.Session, req.Tag, req.Value, req.RID); err != nil {
-			var bp *BackpressureError
-			if errors.As(err, &bp) {
-				srv.rec.Record(event.Backpressure{
-					Session: req.Session, Queue: bp.Queue, Limit: bp.Limit,
-					Refused: 1, Wire: wire,
-				})
-			}
 			return errResponse(err)
 		}
 		return response{OK: true}
@@ -416,11 +400,11 @@ func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) resp
 			srv.rec.Record(event.BatchReport{
 				Session: req.Session, Items: len(req.Reports),
 				Accepted: res.Accepted, Rejected: res.Rejected, Refused: res.Refused,
-				Queue: res.Queue, Wire: wire,
+				Wire: wire,
 			})
 		}
 		return response{OK: true, Accepted: res.Accepted, Refused: res.Refused,
-			Rejected: res.Rejected, Queue: res.Queue}
+			Rejected: res.Rejected}
 	case "best":
 		p, v, conv, err := srv.Best(req.Session)
 		if err != nil {
@@ -817,7 +801,8 @@ func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
 // ReportN sends a batch of measurements in one round trip. Items without a
 // RID are stamped with a client-unique one, so a reconnect retry of the whole
 // frame cannot double-count any measurement. The result classifies every
-// item; a Refused count above zero is the server's backpressure signal.
+// item; a Refused count above zero means the frame carried more than the
+// server's per-frame cap of 1024 items, and those past it were not applied.
 func (c *Client) ReportN(session string, items []ReportItem) (BatchReportResult, error) {
 	c.mu.Lock()
 	c.stampRIDsLocked(items)
@@ -830,7 +815,6 @@ func (c *Client) ReportN(session string, items []ReportItem) (BatchReportResult,
 		Accepted: resp.Accepted,
 		Rejected: resp.Rejected,
 		Refused:  resp.Refused,
-		Queue:    resp.Queue,
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package harmony
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"paratune/internal/feddb"
 	"paratune/internal/measuredb"
 	"paratune/internal/objective"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 )
 
@@ -178,6 +180,107 @@ func TestRepeatedIncumbentSameEstimateColdAndWarm(t *testing.T) {
 	if coldReports != 4 || reports != coldReports {
 		t.Fatalf("sessions took %d reports cold and %d warm, want 4 (K=2 for each distinct configuration) and 0",
 			coldReports, reports-coldReports)
+	}
+}
+
+// lenEstimator wraps an estimator and records the length of every
+// observation slice it reduces. Wire sessions estimate on server goroutines,
+// so the record is locked.
+type lenEstimator struct {
+	sample.Estimator
+	mu   sync.Mutex
+	lens []int
+}
+
+func (e *lenEstimator) Estimate(obs []float64) float64 {
+	e.mu.Lock()
+	e.lens = append(e.lens, len(obs))
+	e.mu.Unlock()
+	return e.Estimator.Estimate(obs)
+}
+
+// A candidate's estimate is its first K reports. With min-of-3, a reissued
+// sample of candidate A is reported (5) before A's three originals (4, 3, 1):
+// the last is surplus. The estimator sees exactly K values per candidate, and
+// the estimate the session used, its best value, is the first-K estimate the
+// store serves a warm session, in-process and over both wires.
+func TestEstimateIsFirstKReports(t *testing.T) {
+	const k = 3
+	a, b := space.Point{8, 4, 1}, space.Point{32, 16, 8}
+	type tuner interface {
+		Register(name string, params []space.Parameter) error
+		FetchN(name string, n int) ([]FetchResult, error)
+		Report(name string, tag uint64, value float64) error
+		Best(name string) (space.Point, float64, bool, error)
+	}
+	for _, path := range []Wire{"", WireJSON, WireBinary} {
+		name := string(path)
+		if path == "" {
+			name = "in-process"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := measuredb.NewMemory(measuredb.Options{})
+			est := &lenEstimator{Estimator: mustMinOfK(t, k)}
+			srv := NewServer(ServerOptions{
+				Estimator: est, DB: db,
+				NewAlgorithm: func(*space.Space) (core.Algorithm, error) {
+					return &repeatAlg{inc: a, other: b}, nil
+				},
+			})
+			defer srv.Close()
+			var tu tuner = srv
+			if path != "" {
+				tu, _ = dialTestWire(t, srv, path)
+			}
+			if err := tu.Register("s", gs2Params()); err != nil {
+				t.Fatal(err)
+			}
+			grant, err := tu.FetchN("s", 2*k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tags := map[bool]uint64{}
+			for _, fr := range grant {
+				tags[fr.Point.Equal(a)] = fr.Tag
+			}
+			// Every sample is out, so the next fetch reissues A.
+			again, err := tu.FetchN("s", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(grant) != 2*k || len(again) != 1 || again[0].Tag != tags[true] {
+				t.Fatalf("grant %+v then %+v, want %d samples then a reissue of A (tag %d)", grant, again, 2*k, tags[true])
+			}
+			for _, v := range []float64{5, 4, 3, 1} {
+				if err := tu.Report("s", tags[true], v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < k; i++ {
+				if err := tu.Report("s", tags[false], 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			est.mu.Lock()
+			lens := append([]int(nil), est.lens...)
+			est.mu.Unlock()
+			if len(lens) != 2 || lens[0] != k || lens[1] != k {
+				t.Errorf("estimator saw observation counts %v, want [%d %d]", lens, k, k)
+			}
+			_, best, converged, err := tu.Best("s")
+			if err != nil || !converged {
+				t.Fatalf("best after the batch: converged %v, %v", converged, err)
+			}
+			first, _, _ := db.AppendObsSource(nil, a, k)
+			all, _, _ := db.AppendObsSource(nil, a, 0)
+			if len(all) != 4 {
+				t.Errorf("store holds %v for A, want all 4 reports", all)
+			}
+			if warm := est.Estimator.Estimate(first); best != warm || best != 3 {
+				t.Errorf("session estimated A as %v, store's first-%d estimate %v, want 3", best, k, warm)
+			}
+		})
 	}
 }
 

@@ -54,7 +54,6 @@ const wireSync = "sync"
 const (
 	codeInvalidValue   = "invalid_value"
 	codeUnknownSession = "unknown_session"
-	codeBackpressure   = "backpressure"
 )
 
 // Request opcodes. The values are frozen: they are the wire format. Opcode 6
@@ -239,8 +238,8 @@ func appendResponse(dst []byte, resp *response) []byte {
 	dst = binary.AppendUvarint(dst, uint64(resp.Accepted))
 	dst = binary.AppendUvarint(dst, uint64(resp.Refused))
 	dst = binary.AppendUvarint(dst, uint64(resp.Rejected))
-	dst = binary.AppendUvarint(dst, uint64(resp.Queue))
-	return dst
+	// The retired queue slot, always zero.
+	return append(dst, 0)
 }
 
 // --- decoder ---
@@ -433,7 +432,10 @@ func decodeResponse(payload []byte, resp *response) error {
 	resp.Accepted = intVal(&r)
 	resp.Refused = intVal(&r)
 	resp.Rejected = intVal(&r)
-	resp.Queue = intVal(&r)
+	// The retired queue slot must be zero, like the counter slots.
+	if r.Uvarint() != 0 {
+		r.Fail()
+	}
 	return r.Finish()
 }
 

@@ -50,8 +50,7 @@ func wireResponses() []response {
 			{Point: []float64{1, 2}, Tag: 5},
 			{Point: []float64{3, 4}, Tag: 6, Converged: true},
 		}},
-		{OK: true, Seq: 7, Accepted: 10, Refused: 2, Rejected: 1, Queue: 5},
-		{OK: false, Seq: 8, Code: codeBackpressure, Error: "session backpressure", Queue: 4096},
+		{OK: true, Seq: 7, Accepted: 10, Refused: 2, Rejected: 1},
 	}
 }
 
@@ -131,14 +130,17 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		"trailing":            append(append([]byte{}, respValid...), 7),
 	}
 	// The four retired counter slots sit just before the five trailing
-	// one-byte fields (batch count, accepted, refused, rejected, queue); any
-	// non-zero slot is malformed.
+	// one-byte fields (batch count, accepted, refused, rejected, and the
+	// retired queue slot); any non-zero retired slot is malformed.
 	slots := len(respValid) - 4 - 5
 	for i := 0; i < 4; i++ {
 		bad := append([]byte{}, respValid...)
 		bad[slots+i] = 1
 		respCases["non-zero retired slot "+strconv.Itoa(i)] = bad
 	}
+	queueSlot := append([]byte{}, respValid...)
+	queueSlot[len(queueSlot)-1] = 5
+	respCases["non-zero queue slot"] = queueSlot
 	for name, payload := range respCases {
 		var resp response
 		if err := decodeResponse(payload, &resp); err == nil {
