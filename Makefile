@@ -92,21 +92,22 @@ chaos-smoke:
 fed-smoke:
 	bash scripts/fed-smoke.sh
 
-# Brief fuzzing passes over the parsing/projection boundaries.
+# Brief fuzzing passes over the parsing/projection boundaries, 10 s per
+# fuzzer. CI's "Fuzz smoke" step runs this target, so the list lives here.
 fuzz:
-	$(GO) test -fuzz FuzzProject -fuzztime 15s ./internal/space/
-	$(GO) test -fuzz FuzzParameterNeighbors -fuzztime 15s ./internal/space/
-	$(GO) test -fuzz FuzzDispatch -fuzztime 15s ./internal/harmony/
-	$(GO) test -fuzz FuzzTCPFrameDecode -fuzztime 15s ./internal/harmony/
-	$(GO) test -fuzz FuzzBinaryFrameDecode -fuzztime 15s ./internal/harmony/
-	$(GO) test -fuzz FuzzLoadDB -fuzztime 15s ./internal/objective/
-	$(GO) test -fuzz FuzzDBEval -fuzztime 15s ./internal/objective/
-	$(GO) test -fuzz FuzzWALDecode -fuzztime 15s ./internal/measuredb/
-	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/measuredb/
-	$(GO) test -fuzz FuzzSyncFrameDecode -fuzztime 15s ./internal/feddb/
-	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/frame/
-	$(GO) test -fuzz FuzzNewRNGMatchesMathRand -fuzztime 15s ./internal/dist/
-	$(GO) test -fuzz FuzzParetoOrderStat -fuzztime 15s ./internal/dist/
+	$(GO) test -fuzz FuzzProject -fuzztime 10s ./internal/space/
+	$(GO) test -fuzz FuzzParameterNeighbors -fuzztime 10s ./internal/space/
+	$(GO) test -fuzz FuzzDispatch -fuzztime 10s ./internal/harmony/
+	$(GO) test -fuzz FuzzTCPFrameDecode -fuzztime 10s ./internal/harmony/
+	$(GO) test -fuzz FuzzBinaryFrameDecode -fuzztime 10s ./internal/harmony/
+	$(GO) test -fuzz FuzzLoadDB -fuzztime 10s ./internal/objective/
+	$(GO) test -fuzz FuzzDBEval -fuzztime 10s ./internal/objective/
+	$(GO) test -fuzz FuzzWALDecode -fuzztime 10s ./internal/measuredb/
+	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 10s ./internal/measuredb/
+	$(GO) test -fuzz FuzzSyncFrameDecode -fuzztime 10s ./internal/feddb/
+	$(GO) test -fuzz FuzzFrame -fuzztime 10s ./internal/frame/
+	$(GO) test -fuzz FuzzNewRNGMatchesMathRand -fuzztime 10s ./internal/dist/
+	$(GO) test -fuzz FuzzParetoOrderStat -fuzztime 10s ./internal/dist/
 
 # Full-scale regeneration of every paper figure, ablation and extension
 # (~11 s on a shared 2-vCPU host), plus the consolidated markdown report.

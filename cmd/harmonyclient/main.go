@@ -5,11 +5,12 @@
 // times back until the server converges.
 //
 // Run several instances against one harmonyd to exercise parallel tuning.
+// The client speaks PHWIRE1, harmonyd's one tuning protocol.
 //
 // Usage:
 //
 //	harmonyclient [-addr localhost:7779] [-session gs2] [-rho 0.2]
-//	              [-seed 1] [-max-iters 100000] [-wire json|binary]
+//	              [-seed 1] [-max-iters 100000]
 //	              [-dial-retries 5] [-dial-backoff 100ms]
 //
 // The client survives server restarts: a broken connection is redialled with
@@ -40,7 +41,6 @@ func main() {
 		maxIters    = flag.Int("max-iters", 100000, "iteration cap")
 		dialRetries = flag.Int("dial-retries", 5, "connection attempts before giving up")
 		dialBackoff = flag.Duration("dial-backoff", 100*time.Millisecond, "initial redial backoff (doubles per attempt, with jitter)")
-		wire        = flag.String("wire", "json", "wire protocol: json or binary (PHWIRE1)")
 	)
 	flag.Parse()
 
@@ -48,7 +48,6 @@ func main() {
 		Retries: *dialRetries,
 		Backoff: *dialBackoff,
 		Seed:    *seed,
-		Wire:    harmony.Wire(*wire),
 	})
 	if err != nil {
 		fatal(err)

@@ -1,7 +1,9 @@
 // Command harmonyd runs the Active-Harmony-style tuning server over TCP.
-// Applications connect with the newline-delimited JSON protocol (see
-// internal/harmony) or the paratune.Client library, register their tunable
-// parameters, and drive fetch/report loops.
+// Applications connect with the paratune.Client library, which speaks the
+// PHWIRE1 binary protocol (see internal/harmony), register their tunable
+// parameters, and drive fetch/report loops. Federation peers reach the same
+// port with the PHSYNC1 preamble; a connection that opens with neither
+// preamble is closed without a reply.
 //
 // Usage:
 //

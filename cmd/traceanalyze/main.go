@@ -9,7 +9,8 @@
 // does not parse), or a JSONL event trace as written by paratune/harmonyd
 // -trace. JSONL input is detected automatically (lines starting with '{');
 // the per-step barrier times of its "step_time" events become the sample
-// stream.
+// stream. An event trace with fewer than 10 of them (a harmonyd trace has
+// none) prints its summaries alone and exits 0.
 //
 // Usage:
 //
@@ -51,26 +52,27 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	data, db, chaos, wires, err := readColumn(r, *col)
+	tr, err := readColumn(r, *col)
 	if err != nil {
 		fatal(err)
 	}
-	if line, ok := hitRateLine(db); ok {
+	if line, ok := hitRateLine(tr.db); ok {
 		fmt.Println(line)
 	}
-	hadChaos := chaos.report(os.Stdout)
-	hadWire := wires.report(os.Stdout)
-	if len(data) < 10 {
-		if hadChaos || hadWire {
-			// A chaos/recovery/load trace need not carry step samples; the
-			// summary above is the analysis.
-			fmt.Printf("(%d step samples — too few for variability diagnostics)\n", len(data))
+	tr.chaos.report(os.Stdout)
+	tr.wires.report(os.Stdout)
+	if len(tr.data) < 10 {
+		if tr.jsonl {
+			// An event trace need not carry step samples (a harmonyd, chaos
+			// or recovery trace has none); the summaries above are the
+			// analysis.
+			fmt.Printf("(%d step samples — too few for variability diagnostics)\n", len(tr.data))
 			return
 		}
-		fatal(fmt.Errorf("need at least 10 samples, got %d", len(data)))
+		fatal(fmt.Errorf("need at least 10 samples, got %d", len(tr.data)))
 	}
 
-	if err := report(os.Stdout, data, *threshold, *bins, *tailFrac); err != nil {
+	if err := report(os.Stdout, tr.data, *threshold, *bins, *tailFrac); err != nil {
 		fatal(err)
 	}
 }
@@ -146,26 +148,20 @@ func (c *chaosCounts) observe(env *event.Envelope) bool {
 	return true
 }
 
-// report prints the chaos/recovery summary; false when the trace carried no
-// chaos or restore events (non-chaos traces stay unchanged).
-func (c *chaosCounts) report(w io.Writer) bool {
-	had := false
+// report prints the chaos/recovery summary; nothing when the trace carried
+// no chaos or restore events (non-chaos traces stay unchanged).
+func (c *chaosCounts) report(w io.Writer) {
 	if len(c.planned) > 0 || len(c.applied) > 0 || c.killsPlanned > 0 || c.killsApplied > 0 {
-		had = true
 		fmt.Fprintf(w, "chaos: %s planned, %s applied, kills %d planned / %d executed\n",
 			actionList(c.planned), actionList(c.applied), c.killsPlanned, c.killsApplied)
 	}
 	if c.restored > 0 {
-		had = true
 		fmt.Fprintf(w, "recovery: %d session restore(s) from checkpoint\n", c.restored)
 	}
-	return had
 }
 
 // wireCounts aggregates the fleet-facing server's batching events from a
-// JSONL trace. Traces may mix JSON- and binary-origin frames freely (a fleet
-// mid-migration); the Wire tag on each event is tallied rather than assumed
-// uniform.
+// JSONL trace.
 type wireCounts struct {
 	fetchFrames  int
 	fetchGranted int
@@ -173,18 +169,7 @@ type wireCounts struct {
 	reportItems  int
 	accepted     int
 	rejected     int
-	refused      int            // items past the per-frame cap
-	byWire       map[string]int // codec origin → frames seen
-}
-
-func (c *wireCounts) noteWire(wire string) {
-	if wire == "" {
-		wire = "in-proc"
-	}
-	if c.byWire == nil {
-		c.byWire = make(map[string]int)
-	}
-	c.byWire[wire]++
+	refused      int // items past the per-frame cap
 }
 
 func (c *wireCounts) observe(env *event.Envelope) bool {
@@ -196,7 +181,6 @@ func (c *wireCounts) observe(env *event.Envelope) bool {
 		}
 		c.fetchFrames++
 		c.fetchGranted += bf.Granted
-		c.noteWire(bf.Wire)
 	case event.KindBatchReport:
 		var br event.BatchReport
 		if err := json.Unmarshal(env.Event, &br); err != nil {
@@ -207,23 +191,21 @@ func (c *wireCounts) observe(env *event.Envelope) bool {
 		c.accepted += br.Accepted
 		c.rejected += br.Rejected
 		c.refused += br.Refused
-		c.noteWire(br.Wire)
 	default:
 		return false
 	}
 	return true
 }
 
-// report prints the batching summary; false when the trace carried no
+// report prints the batching summary; nothing when the trace carried no
 // batching events (plain traces stay unchanged).
-func (c *wireCounts) report(w io.Writer) bool {
+func (c *wireCounts) report(w io.Writer) {
 	if c.fetchFrames == 0 && c.reportFrames == 0 {
-		return false
+		return
 	}
-	fmt.Fprintf(w, "batching: %d fetchn frame(s) granting %d candidate(s), %d reportn frame(s) carrying %d measurement(s) (%d accepted, %d rejected, %d refused) [%s]\n",
+	fmt.Fprintf(w, "batching: %d fetchn frame(s) granting %d candidate(s), %d reportn frame(s) carrying %d measurement(s) (%d accepted, %d rejected, %d refused)\n",
 		c.fetchFrames, c.fetchGranted, c.reportFrames, c.reportItems,
-		c.accepted, c.rejected, c.refused, actionList(c.byWire))
-	return true
+		c.accepted, c.rejected, c.refused)
 }
 
 // actionList renders an action→count map as "3 delay + 2 drop", in a stable
@@ -244,6 +226,15 @@ func actionList(m map[string]int) string {
 	return strings.Join(parts, " + ")
 }
 
+// trace is what readColumn gathers from its input.
+type trace struct {
+	data  []float64 // the samples
+	jsonl bool      // the input was a JSONL event trace
+	db    dbCounts
+	chaos chaosCounts
+	wires wireCounts
+}
+
 // readColumn parses one float column from line- or comma-separated input,
 // skipping unparsable lines (headers). Input whose first non-empty line
 // starts with '{' is treated as a JSONL event trace instead: each line is an
@@ -252,14 +243,10 @@ func actionList(m map[string]int) string {
 // recovery events (chaos_plan/chaos_applied/chaos_kill plus checkpoint
 // restores) feed the chaos summary, and batching events
 // (batch_fetch/batch_report) feed the wire summary.
-func readColumn(r io.Reader, col int) ([]float64, dbCounts, chaosCounts, wireCounts, error) {
+func readColumn(r io.Reader, col int) (trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []float64
-	var db dbCounts
-	var chaos chaosCounts
-	var wires wireCounts
-	jsonl := false
+	var tr trace
 	first := true
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -268,28 +255,28 @@ func readColumn(r io.Reader, col int) ([]float64, dbCounts, chaosCounts, wireCou
 		}
 		if first {
 			first = false
-			jsonl = strings.HasPrefix(line, "{")
+			tr.jsonl = strings.HasPrefix(line, "{")
 		}
-		if jsonl {
+		if tr.jsonl {
 			var env event.Envelope
 			if err := json.Unmarshal([]byte(line), &env); err != nil {
 				continue
 			}
-			if chaos.observe(&env) {
+			if tr.chaos.observe(&env) {
 				continue
 			}
-			if wires.observe(&env) {
+			if tr.wires.observe(&env) {
 				continue
 			}
 			switch env.Kind {
 			case event.KindDBHit:
-				db.hits++
+				tr.db.hits++
 			case event.KindDBMiss:
-				db.misses++
+				tr.db.misses++
 			case event.KindStepTime:
 				var st event.StepTime
 				if err := json.Unmarshal(env.Event, &st); err == nil {
-					out = append(out, st.T)
+					tr.data = append(tr.data, st.T)
 				}
 			}
 			continue
@@ -302,9 +289,9 @@ func readColumn(r io.Reader, col int) ([]float64, dbCounts, chaosCounts, wireCou
 		if err != nil {
 			continue // header or junk line
 		}
-		out = append(out, v)
+		tr.data = append(tr.data, v)
 	}
-	return out, db, chaos, wires, sc.Err()
+	return tr, sc.Err()
 }
 
 // report writes the full diagnostic battery.

@@ -1,5 +1,5 @@
 // Package chaos is a seeded, deterministic in-process network fault layer
-// for the harmony protocol: a line-framed TCP proxy that sits between the
+// for the harmony protocol: a frame-relaying TCP proxy that sits between the
 // client's dial and Server.ServeWith and injects connection resets, one-way
 // partitions (dropped frames), latency stalls, duplicated frames, truncated
 // frames, and mid-session server kill/restart — plus the supervisor that

@@ -431,14 +431,16 @@ func TestScheduledKillFires(t *testing.T) {
 
 // TestProxyDropsMisframedLink pins the relay's framing to the endpoints':
 // a length prefix they reject — non-minimal, or overflowing 64 bits in its
-// tenth byte — drops the link instead of being relayed as some other frame.
-// Only the preamble reaches the backend.
+// tenth byte — drops the link instead of being relayed as some other frame,
+// and only the preamble reaches the backend. A link that opens with neither
+// preamble, such as a JSON line, is dropped before anything is relayed.
 func TestProxyDropsMisframedLink(t *testing.T) {
-	cases := map[string][]byte{
-		"non-minimal": {0x80, 0x00, 0, 0, 0, 0},
-		"overflowing": {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0, 0, 0, 0},
+	cases := map[string]struct{ sent, relayed string }{
+		"non-minimal": {harmony.WireMagic + "\x80\x00\x00\x00\x00\x00", harmony.WireMagic},
+		"overflowing": {harmony.WireMagic + "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02\x00\x00\x00\x00", harmony.WireMagic},
+		"json line":   {`{"op":"best","session":"s"}` + "\n", ""},
 	}
-	for name, bad := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			backend, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -480,13 +482,13 @@ func TestProxyDropsMisframedLink(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer client.Close()
-			if _, err := client.Write(append([]byte(harmony.WireMagic), bad...)); err != nil {
+			if _, err := client.Write([]byte(tc.sent)); err != nil {
 				t.Fatal(err)
 			}
 			select {
 			case b := <-got:
-				if string(b) != harmony.WireMagic {
-					t.Fatalf("backend received %x, want only the preamble", b)
+				if string(b) != tc.relayed {
+					t.Fatalf("backend received %q, want %q", b, tc.relayed)
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("proxy kept the misframed link open")

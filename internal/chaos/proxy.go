@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"paratune/internal/event"
@@ -32,8 +31,8 @@ func (f KillerFunc) Kill(downMS float64) { f(downMS) }
 
 // Proxy is the fault-injecting relay. Each accepted client connection is
 // paired with one backend connection (a "link"); the two forwarding
-// goroutines per link consult the pre-drawn schedule for every line-framed
-// message they relay. Link ordinals are assigned in accept order.
+// goroutines per link consult the pre-drawn schedule for every frame they
+// relay. Link ordinals are assigned in accept order.
 type Proxy struct {
 	cfg     Config
 	sched   *schedule
@@ -118,11 +117,8 @@ func (p *Proxy) Serve(l net.Listener) error {
 		p.conns[server] = struct{}{}
 		p.mu.Unlock()
 		p.wg.Add(2)
-		// Both forwarders of a link share one binary-protocol flag; the
-		// client→server side settles it from the connection preamble.
-		bin := new(atomic.Bool)
-		go p.forward(link, 0, client, server, bin)
-		go p.forward(link, 1, server, client, bin)
+		go p.forward(link, 0, client, server)
+		go p.forward(link, 1, server, client)
 	}
 }
 
@@ -156,65 +152,42 @@ func (p *Proxy) drop(a, b net.Conn) {
 	_ = b.Close()
 }
 
-// forward relays whole messages src → dst — newline-framed JSON lines, or
-// internal/frame envelopes once the link's preamble negotiated PHWIRE1 or
-// PHSYNC1 — applying the planned fault for each frame ordinal. dir 0 is
-// client→server (counted toward kill triggers), 1 is server→client. The
-// goroutine exits when either side closes; both forwarders of a link share
-// its fate because every fault that severs the link closes both connections.
+// forward relays whole internal/frame envelopes src → dst, applying the
+// planned fault for each frame ordinal. dir 0 is client→server (counted
+// toward kill triggers), 1 is server→client. The goroutine exits when either
+// side closes; both forwarders of a link share its fate because every fault
+// that severs the link closes both connections.
 //
-// A preamble is forwarded verbatim outside the fault schedule: it is
-// connection negotiation, not a frame — the client writes it atomically with
-// connect, so faulting it would model a failure the endpoints cannot
-// experience and would shift every frame ordinal after it, breaking the
-// same-seed plan-replay contract between JSON and binary runs. Sync links
-// share the envelope, so they are relayed and faulted exactly like binary
-// tuning links.
-func (p *Proxy) forward(link, dir int, src, dst net.Conn, bin *atomic.Bool) {
+// The client's PHWIRE1 or PHSYNC1 preamble is forwarded verbatim outside the
+// fault schedule: it is connection negotiation, not a frame — the client
+// writes it atomically with connect, so faulting it would model a failure
+// the endpoints cannot experience and would shift every frame ordinal after
+// it, breaking the same-seed plan-replay contract. Tuning and sync links
+// share the envelope, so they are relayed and faulted alike. A link that
+// opens with any other preamble is dropped.
+func (p *Proxy) forward(link, dir int, src, dst net.Conn) {
 	defer p.wg.Done()
 	defer p.drop(src, dst)
 	rd := bufio.NewReader(src)
 	if dir == 0 {
-		// Sniff the client's first byte for a binary preamble and, if
-		// present, relay it verbatim before any scheduled fault applies.
-		first, err := rd.Peek(1)
-		if err != nil {
+		var magic [len(harmony.WireMagic)]byte
+		if _, err := io.ReadFull(rd, magic[:]); err != nil {
 			return
 		}
-		if first[0] == harmony.WireMagic[0] {
-			var magic [len(harmony.WireMagic)]byte
-			if _, err := io.ReadFull(rd, magic[:]); err != nil {
-				return
-			}
-			if string(magic[:]) != harmony.WireMagic && string(magic[:]) != feddb.SyncMagic {
-				return
-			}
-			if _, err := dst.Write(magic[:]); err != nil {
-				return
-			}
-			bin.Store(true)
+		if string(magic[:]) != harmony.WireMagic && string(magic[:]) != feddb.SyncMagic {
+			return
 		}
-	} else if _, err := rd.Peek(1); err != nil {
-		// Block until the server's first byte. The server only writes after a
-		// complete request was relayed — which the dir-0 forwarder could only
-		// do after settling the preamble — so once Peek returns, the link's
-		// binary flag is final.
-		return
+		if _, err := dst.Write(magic[:]); err != nil {
+			return
+		}
 	}
-	binary := bin.Load()
 	for f := 0; ; f++ {
 		// The proxy never checks CRCs — it is a transparent relay, and
 		// deliberately broken frames (Truncate faults) are exactly what the
 		// endpoints must detect themselves — but it holds length prefixes to
 		// the endpoints' rules: one they would reject drops the link rather
 		// than being buffered or misframed.
-		var msg []byte
-		var err error
-		if binary {
-			msg, err = frame.ReadRaw(rd, frame.MaxPayload)
-		} else {
-			msg, err = rd.ReadBytes('\n')
-		}
+		msg, err := frame.ReadRaw(rd, frame.MaxPayload)
 		if err != nil {
 			// A partial final message is garbage mid-frame: forwarding it
 			// would invent a truncation the plan never drew, so it is

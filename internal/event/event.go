@@ -304,8 +304,6 @@ type BatchFetch struct {
 	// candidate awaits a measurement and the client got the best-known
 	// configuration instead.
 	Granted int `json:"granted"`
-	// Wire names the codec the frame arrived over.
-	Wire string `json:"wire,omitempty"`
 }
 
 // EventKind implements Event.
@@ -328,8 +326,6 @@ type BatchReport struct {
 	// Refused is how many lay past the per-frame item cap and were not
 	// applied.
 	Refused int `json:"refused,omitempty"`
-	// Wire names the codec the frame arrived over.
-	Wire string `json:"wire,omitempty"`
 }
 
 // EventKind implements Event.

@@ -53,23 +53,22 @@ func (a *benchAlg) String() string               { return "benchalg" }
 // benchStack describes one end of the before/after comparison.
 type benchStack struct {
 	name   string
-	shards int  // session table width: 1 = the old single-mutex table
-	wire   Wire // client codec
-	batch  int  // measurements per round trip: 1 = the old single-op protocol
+	shards int // session table width: 1 = the old single-mutex table
+	batch  int // measurements per round trip: 1 = the old single-op protocol
 }
 
 // BenchmarkServerParallelSessions compares the pre-refactor stack (single
-// session-table mutex, JSON codec, one measurement per round trip) against
-// the fleet stack (16-way sharded table, PHWIRE1 binary codec, batched
-// fetchn/reportn frames) at increasing session counts. Each iteration pushes
+// session-table mutex, one measurement per round trip) against the fleet
+// stack (16-way sharded table, batched fetchn/reportn frames) at increasing
+// session counts; both speak PHWIRE1. Each iteration pushes
 // a fixed number of measurements through real clients over TCP, so ns/op is
 // directly comparable across stacks and the reports/sec metric is the
 // headline throughput number. The repository benchmark (perfbench/, with
 // medians over repeated passes) tracks serving throughput end to end.
 func BenchmarkServerParallelSessions(b *testing.B) {
 	stacks := []benchStack{
-		{name: "pre", shards: 1, wire: WireJSON, batch: 1},
-		{name: "sharded", shards: sessionShards, wire: WireBinary, batch: 16},
+		{name: "pre", shards: 1, batch: 1},
+		{name: "sharded", shards: sessionShards, batch: 16},
 	}
 	for _, stack := range stacks {
 		for _, sessions := range []int{1, 16, 256, 4096} {
@@ -116,7 +115,6 @@ func benchServerStack(b *testing.B, stack benchStack, sessions int) {
 	clients := make([]*Client, workers)
 	for i := range clients {
 		c, err := DialWith(l.Addr().String(), DialOptions{
-			Wire:    stack.wire,
 			Retries: 4,
 			Backoff: time.Millisecond,
 			Timeout: 30 * time.Second,

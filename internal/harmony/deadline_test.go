@@ -1,7 +1,7 @@
 package harmony
 
 import (
-	"bufio"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -29,13 +29,15 @@ func serveDeadlines(t *testing.T, readT time.Duration) string {
 	return l.Addr().String()
 }
 
-// roundTrip sends one JSON request line and reads the response line.
-func roundTrip(conn net.Conn, br *bufio.Reader) error {
-	if _, err := conn.Write([]byte(`{"op":"best","session":"none"}` + "\n")); err != nil {
+// roundTrip sends one request frame and reads the response frame.
+func roundTrip(rw *rawWire) error {
+	if _, err := rw.conn.Write(rw.frame(&request{Op: "best", Session: "none"})); err != nil {
 		return err
 	}
-	_, err := br.ReadString('\n')
-	return err
+	if _, ok := rw.readResp(); !ok {
+		return io.ErrUnexpectedEOF
+	}
+	return nil
 }
 
 // TestIdleConnectionClosedAfterReadTimeout: re-arming the read deadline
@@ -43,18 +45,13 @@ func roundTrip(conn net.Conn, br *bufio.Reader) error {
 // T after its last request.
 func TestIdleConnectionClosedAfterReadTimeout(t *testing.T) {
 	const readT = 300 * time.Millisecond
-	conn, err := net.Dial("tcp", serveDeadlines(t, readT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	if err := roundTrip(conn, br); err != nil {
+	rw := newRawWire(t, serveDeadlines(t, readT))
+	if err := roundTrip(rw); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_ = conn.SetReadDeadline(start.Add(10 * readT))
-	if _, err := br.ReadByte(); err == nil {
+	_ = rw.conn.SetReadDeadline(start.Add(10 * readT))
+	if _, err := rw.br.ReadByte(); err == nil {
 		t.Fatal("the server sent bytes nobody asked for")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatalf("an idle connection was still open after %v (read timeout %v)", time.Since(start), readT)
@@ -68,18 +65,13 @@ func TestIdleConnectionClosedAfterReadTimeout(t *testing.T) {
 // every T/2 keeps moving its read deadline, so it outlives several T.
 func TestConnectionSendingEveryHalfTimeoutStaysOpen(t *testing.T) {
 	const readT = 300 * time.Millisecond
-	conn, err := net.Dial("tcp", serveDeadlines(t, readT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	rw := newRawWire(t, serveDeadlines(t, readT))
 	start := time.Now()
 	for i := 0; i < 8; i++ {
 		if i > 0 {
 			time.Sleep(readT / 2)
 		}
-		if err := roundTrip(conn, br); err != nil {
+		if err := roundTrip(rw); err != nil {
 			t.Fatalf("request %d, %v after the first: %v", i, time.Since(start), err)
 		}
 	}

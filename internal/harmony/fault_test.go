@@ -43,25 +43,17 @@ func TestWireRejectsInvalidValueWithCode(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	resp := dispatch(srv, &request{Op: "report", Session: "s", Tag: 1, Value: -3}, "", nil)
+	resp := dispatch(srv, &request{Op: "report", Session: "s", Tag: 1, Value: -3}, nil)
 	if resp.OK || resp.Code != "invalid_value" {
 		t.Errorf("resp = %+v, want structured invalid_value error", resp)
 	}
-	// Over a real connection the client can classify it.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	serveAsync(l, srv)
-	cl, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Report("s", 1, -3)
-	if err == nil || !IsInvalidValue(err) {
-		t.Errorf("wire report of -3: err = %v, want invalid_value", err)
+	// Over a real connection the client can classify it. PHWIRE1 carries
+	// NaN and ±Inf bit for bit, so they reach the server's validation too.
+	cl, _ := dialTest(t, srv)
+	for _, bad := range []float64{-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := cl.Report("s", 1, bad); !IsInvalidValue(err) {
+			t.Errorf("wire report of %g: err = %v, want invalid_value", bad, err)
+		}
 	}
 }
 
@@ -185,64 +177,62 @@ func (c *dropReplyConn) Write(b []byte) (int, error) {
 // frame the server already applied: the client reconnects and resends the
 // frame with the same report ids, and every measurement is counted once.
 func TestReportNRetriedOverReconnectCountedOnce(t *testing.T) {
-	for _, wire := range wireCases {
-		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
-			defer srv.Close()
-			raw, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer raw.Close()
-			// Replies on the first connection: register, fetchn, then the
-			// reportn reply that is lost.
-			serveAsync(&dropReplyListener{Listener: raw, nth: 3}, srv)
-			c, err := DialWith(raw.Addr().String(), DialOptions{
-				Retries: 8, Backoff: 5 * time.Millisecond, Timeout: 5 * time.Second, Seed: 42, Wire: wire,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.Register("s", gs2Params()); err != nil {
-				t.Fatal(err)
-			}
-			pendingBatch(t, srv, "s", 1)
-			frs, err := c.FetchN("s", 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			items := make([]ReportItem, len(frs))
-			for i, fr := range frs {
-				items[i] = ReportItem{Tag: fr.Tag, Value: 1 + float64(i)}
-			}
-			res, err := c.ReportN("s", items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := c.Reconnects(); n != 1 {
-				t.Fatalf("client reconnected %d times, want 1: the reply was not lost", n)
-			}
-			if res.Accepted != len(items) {
-				t.Errorf("retried ReportN = %+v, want all %d accepted", res, len(items))
-			}
-			for i := range items {
-				if want := fmt.Sprintf("%x-%d", c.nonce, i+1); items[i].RID != want {
-					t.Errorf("item %d rid %q, want %q", i, items[i].RID, want)
-				}
-			}
-			s, err := srv.session("s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.mu.Lock()
-			recorded := s.batchObs
-			s.mu.Unlock()
-			if recorded != len(items) {
-				t.Errorf("server recorded %d measurements from a twice-delivered frame of %d", recorded, len(items))
-			}
+	t.Run("binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
+		defer srv.Close()
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		// Replies on the first connection: register, fetchn, then the
+		// reportn reply that is lost.
+		serveAsync(&dropReplyListener{Listener: raw, nth: 3}, srv)
+		c, err := DialWith(raw.Addr().String(), DialOptions{
+			Retries: 8, Backoff: 5 * time.Millisecond, Timeout: 5 * time.Second, Seed: 42,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Register("s", gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+		pendingBatch(t, srv, "s", 1)
+		frs, err := c.FetchN("s", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := make([]ReportItem, len(frs))
+		for i, fr := range frs {
+			items[i] = ReportItem{Tag: fr.Tag, Value: 1 + float64(i)}
+		}
+		res, err := c.ReportN("s", items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Reconnects(); n != 1 {
+			t.Fatalf("client reconnected %d times, want 1: the reply was not lost", n)
+		}
+		if res.Accepted != len(items) {
+			t.Errorf("retried ReportN = %+v, want all %d accepted", res, len(items))
+		}
+		for i := range items {
+			if want := fmt.Sprintf("%x-%d", c.nonce, i+1); items[i].RID != want {
+				t.Errorf("item %d rid %q, want %q", i, items[i].RID, want)
+			}
+		}
+		s, err := srv.session("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		recorded := s.batchObs
+		s.mu.Unlock()
+		if recorded != len(items) {
+			t.Errorf("server recorded %d measurements from a twice-delivered frame of %d", recorded, len(items))
+		}
+	})
 }
 
 // --- satellite: the session-wedge regression ---

@@ -2,32 +2,43 @@ package harmony
 
 import (
 	"bytes"
-	"encoding/json"
+	"math"
 	"net"
 	"testing"
 	"time"
 
+	"paratune/internal/feddb"
 	"paratune/internal/frame"
 )
 
-// FuzzTCPFrameDecode: arbitrary bytes on the wire — truncated frames,
-// oversized frames, garbage, binary noise — must never panic the connection
-// handler or leak its goroutine. The frame is fed through a real handleConn
-// over an in-process pipe; whatever happens, the handler must exit once the
-// connection closes (the connTracker join below hangs the test otherwise,
-// and -timeout converts that into a failure rather than a silent leak).
+// FuzzTCPFrameDecode: arbitrary bytes on a fresh connection — preambles
+// right and wrong, truncated frames, oversized frames, garbage — must never
+// panic the connection handler or leak its goroutine. The bytes are fed
+// through a real handleConn over an in-process pipe; whatever happens, the
+// handler must exit once the connection closes (the connTracker join below
+// hangs the test otherwise, and -timeout converts that into a failure
+// rather than a silent leak).
 func FuzzTCPFrameDecode(f *testing.F) {
-	f.Add([]byte(`{"op":"best","session":"s"}` + "\n"))
-	f.Add([]byte(`{"op":"fetch","session":"s"`)) // truncated: no brace, no newline
-	f.Add([]byte(`{"op":`))
-	f.Add([]byte("\n\n\n"))
-	f.Add([]byte{0xff, 0xfe, 0x00, 0x01})
-	f.Add([]byte(`{"op":"report","session":"s","tag":1,"value":`))
-	f.Add(bytes.Repeat([]byte("a"), 4096))
-	f.Add(append(bytes.Repeat([]byte(" "), 2048), '\n'))
-	// The retired resume op is now an unknown op.
-	f.Add([]byte(`{"op":"resume","session":"s","client":"c","seq":18446744073709551615}` + "\n"))
-	f.Add([]byte(`{"op":"best","session":"s","seq":1,"client":"c"}` + "\n" + `{"op":"best","session":"s","seq":1,"client":"c"}` + "\n"))
+	preamble := func(frames ...[]byte) []byte {
+		return append([]byte(WireMagic), bytes.Join(frames, nil)...)
+	}
+	good := binSeed(&request{Op: "best", Session: "s", Client: "c", Seq: 1})
+	crc := append([]byte{}, good...)
+	crc[len(crc)-1] ^= 0xff
+	f.Add(preamble(good))
+	f.Add(preamble(crc))
+	f.Add(preamble([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})) // oversized length prefix
+	f.Add(preamble(good[:len(good)/2]))
+	f.Add(preamble(good, good)) // the second copy repeats seq 1
+	// A sync peer on a server without a measurement database.
+	f.Add([]byte(feddb.SyncMagic))
+	// A JSON line, which no longer opens any protocol.
+	f.Add([]byte(`{"op":"best","session":"s","seq":1,"client":"c"}` + "\n"))
+	// Preamble edge cases: a bare preamble, a cut one, and a wrong one that
+	// shares the right one's first seven bytes.
+	f.Add([]byte(WireMagic))
+	f.Add([]byte(WireMagic[:3]))
+	f.Add(append([]byte("PHWIRE9\n"), good...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		srv := NewServer(ServerOptions{})
 		defer srv.Close()
@@ -162,40 +173,54 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzDispatch: arbitrary request JSON must never panic the server and must
-// always produce a well-formed response.
+// FuzzDispatch: an arbitrary request payload that PHWIRE1 decodes must never
+// panic the server, must produce a well-formed response, and that response
+// must survive appendResponse → decodeResponse byte for byte.
 func FuzzDispatch(f *testing.F) {
-	f.Add(`{"op":"register","session":"s","params":[{"name":"x","kind":"integer","lower":0,"upper":5}]}`)
-	f.Add(`{"op":"fetch","session":"s"}`)
-	f.Add(`{"op":"report","session":"s","tag":1,"value":2.5}`)
-	f.Add(`{"op":"best","session":"s"}`)
-	f.Add(`{"op":"stats","session":"s"}`)
-	f.Add(`{"op":"???","session":""}`)
-	f.Add(`{"op":"register","session":"s","params":[{"name":"","kind":"weird"}]}`)
-	// Corrupt measurement reports: negative and absurd values must be
-	// rejected with a structured error, never accepted or panicking. (JSON
-	// cannot encode NaN/Inf; those arrive only via the in-process API and are
-	// covered by TestReportRejectsInvalidValues.)
-	f.Add(`{"op":"report","session":"s","tag":1,"value":-1}`)
-	f.Add(`{"op":"report","session":"s","tag":1,"value":-1e308}`)
-	f.Add(`{"op":"report","session":"s","tag":1,"value":1e308,"rid":"r-1"}`)
-	f.Add(`{"op":"report","session":"s","tag":0,"value":-0.001,"rid":""}`)
-	f.Fuzz(func(t *testing.T, raw string) {
+	seed := func(req *request) {
+		payload, err := appendRequest(nil, req)
+		if err != nil {
+			panic(err)
+		}
+		f.Add(payload)
+	}
+	seed(&request{Op: "register", Session: "s", Params: []wireParam{{Name: "x", Kind: "integer", Lower: 0, Upper: 5}}})
+	seed(&request{Op: "register", Session: "s", Params: []wireParam{{Name: "", Kind: "discrete"}}})
+	seed(&request{Op: "fetch", Session: "s"})
+	seed(&request{Op: "fetchn", Session: "s", N: 16})
+	seed(&request{Op: "report", Session: "s", Tag: 1, Value: 2.5})
+	seed(&request{Op: "best", Session: "s"})
+	seed(&request{Op: "stats", Session: "s"})
+	seed(&request{Op: "stats", Session: ""})
+	// Corrupt measurement reports: negative, absurd and non-finite values
+	// must be rejected with a structured error, never accepted or panicking.
+	for _, v := range []float64{-1, -1e308, 1e308, -0.001, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		seed(&request{Op: "report", Session: "s", Tag: 1, Value: v, RID: "r-1"})
+		seed(&request{Op: "reportn", Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}, {Tag: 0, Value: v, RID: "r-2"}}})
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
 		var req request
-		if err := json.Unmarshal([]byte(raw), &req); err != nil {
-			return // transport layer rejects malformed JSON before dispatch
+		if err := decodeRequest(payload, &req); err != nil {
+			return // the codec rejects a malformed payload before dispatch
 		}
 		srv := NewServer(ServerOptions{})
 		defer srv.Close()
-		resp := dispatch(srv, &req, "", nil)
+		//paralint:allow errdiscipline fuzz setup; a failed register still exercises dispatch
+		_ = srv.Register("s", gs2Params())
+		resp := dispatch(srv, &req, nil)
 		if !resp.OK && resp.Error == "" {
-			t.Fatalf("failed response without error message for %q", raw)
+			t.Fatalf("failed response without error message for %+v", req)
 		}
 		if resp.OK && resp.Code != "" {
-			t.Fatalf("successful response carrying error code %q for %q", resp.Code, raw)
+			t.Fatalf("successful response carrying error code %q for %+v", resp.Code, req)
 		}
-		if _, err := json.Marshal(resp); err != nil {
-			t.Fatalf("unmarshalable response: %v", err)
+		out := appendResponse(nil, &resp)
+		var back response
+		if err := decodeResponse(out, &back); err != nil {
+			t.Fatalf("response %+v does not decode: %v", resp, err)
+		}
+		if re := appendResponse(nil, &back); !bytes.Equal(re, out) {
+			t.Fatalf("response round trip changed its bytes:\n in: %x\nout: %x", out, re)
 		}
 	})
 }

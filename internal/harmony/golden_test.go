@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"os"
 	"reflect"
 	"strings"
@@ -137,48 +136,5 @@ func TestWireGoldenBytes(t *testing.T) {
 	}
 	if used != len(golden) {
 		t.Errorf("%s holds %d vectors, the test checks %d", goldenPHWIRE1, len(golden), used)
-	}
-}
-
-// goldenJSON is the JSON-lines encoding of every golden response. The fetchn
-// batch's elements are FetchResults, so FetchResult's JSON tags are part of
-// the protocol.
-var goldenJSON = map[string]string{
-	"resp/register":       `{"ok":true,"seq":1}`,
-	"resp/fetch":          `{"ok":true,"point":[24,8,0.125],"tag":7,"seq":2}`,
-	"resp/report":         `{"ok":true,"seq":3}`,
-	"resp/report-invalid": `{"ok":false,"error":"invalid value -1","code":"invalid_value","seq":3}`,
-	"resp/best":           `{"ok":true,"point":[32,16,0.05],"value":0.75,"converged":true,"seq":4}`,
-	"resp/stats":          `{"ok":true,"stats":{"name":"gs2","converged":false,"best":[32,16,0.05],"best_value":0.75,"pending":3,"next_tag":12},"seq":5}`,
-	"resp/fetchn":         `{"ok":true,"seq":7,"batch":[{"point":[24,8,0.125],"tag":10},{"point":[40,4,0.25],"tag":11,"converged":true}]}`,
-	"resp/reportn":        `{"ok":true,"seq":8,"accepted":2,"refused":1}`,
-}
-
-// TestJSONGoldenBytes pins the JSON-lines response bytes of every golden
-// response, through the server codec's encoder, and decodes each back.
-func TestJSONGoldenBytes(t *testing.T) {
-	resps := goldenResponses()
-	if len(resps) != len(goldenJSON) {
-		t.Fatalf("%d golden responses, %d JSON vectors", len(resps), len(goldenJSON))
-	}
-	for _, g := range resps {
-		want, ok := goldenJSON[g.name]
-		if !ok {
-			t.Fatalf("%s: no JSON vector", g.name)
-		}
-		var w bytes.Buffer
-		if err := (&jsonServerCodec{enc: json.NewEncoder(&w)}).writeResponse(&g.resp); err != nil {
-			t.Fatalf("%s: encode: %v", g.name, err)
-		}
-		if got := w.String(); got != want+"\n" {
-			t.Errorf("%s: JSON changed:\n got %s\nwant %s", g.name, got, want)
-		}
-		var back response
-		if err := json.Unmarshal([]byte(want), &back); err != nil {
-			t.Fatalf("%s: decode: %v", g.name, err)
-		}
-		if !reflect.DeepEqual(back, g.resp) {
-			t.Errorf("%s: JSON decode mismatch:\n got %+v\nwant %+v", g.name, back, g.resp)
-		}
 	}
 }

@@ -136,19 +136,17 @@ func TestFetchNGrantMatchesSinglePass(t *testing.T) {
 	}
 	// The wire path encodes grants from a reused per-connection slice; the
 	// trajectory must not notice.
-	for _, wire := range wireCases {
-		t.Run("wire/"+string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
-			defer srv.Close()
-			want := driveBatched(t, srv, "in", f, 7, 1)
-			c, _ := dialTestWire(t, srv, wire)
-			got := driveBatched(t, c, "wire", f, 7, 16)
-			if !got.best.Equal(want.best) || got.bestBits != want.bestBits || got.accepted != want.accepted {
-				t.Errorf("wire n=16: best %v (bits %x), %d accepted; in-process n=1: best %v (bits %x), %d accepted",
-					got.best, got.bestBits, got.accepted, want.best, want.bestBits, want.accepted)
-			}
-		})
-	}
+	t.Run("wire/binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
+		defer srv.Close()
+		want := driveBatched(t, srv, "in", f, 7, 1)
+		c, _ := dialTest(t, srv)
+		got := driveBatched(t, c, "wire", f, 7, 16)
+		if !got.best.Equal(want.best) || got.bestBits != want.bestBits || got.accepted != want.accepted {
+			t.Errorf("wire n=16: best %v (bits %x), %d accepted; in-process n=1: best %v (bits %x), %d accepted",
+				got.best, got.bestBits, got.accepted, want.best, want.bestBits, want.accepted)
+		}
+	})
 	// One grant rule: a report landing while another sample is in flight —
 	// fetch and report, fetch and hold, then eight more fetches — and Fetch
 	// hands out the same tags as FetchN(1).
@@ -339,7 +337,7 @@ func TestReportNOversizedFrameCountsEveryItem(t *testing.T) {
 	}
 	res, err := srv.ReportN("s", items)
 	check("in-process", res, err)
-	c, _ := dialTestWire(t, srv, WireBinary)
+	c, _ := dialTest(t, srv)
 	res, err = c.ReportN("s", items)
 	check("binary wire", res, err)
 }
@@ -362,7 +360,7 @@ func TestDispatchBatchAllocs(t *testing.T) {
 	var resp response
 	dispatchOK := func(req *request) {
 		req.Seq++
-		if resp = dispatch(srv, req, "binary", &grant); !resp.OK {
+		if resp = dispatch(srv, req, &grant); !resp.OK {
 			t.Fatalf("%s: %s", req.Op, resp.Error)
 		}
 	}

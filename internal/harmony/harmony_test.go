@@ -208,7 +208,7 @@ func TestSequentialClientNeverIdles(t *testing.T) {
 	model := mustPareto(t, 1.7, 0.3)
 	srv := NewServer(ServerOptions{})
 	defer srv.Close()
-	c, _ := dialTestWire(t, srv, WireBinary)
+	c, _ := dialTest(t, srv)
 	for _, path := range []struct {
 		name string
 		api  seqAPI
@@ -404,6 +404,11 @@ func TestTCPErrors(t *testing.T) {
 	if _, err := cl.Fetch("missing"); err == nil {
 		t.Error("fetch of missing session should fail over TCP")
 	}
+	// PHWIRE1 is the only client protocol.
+	if c, err := DialWith(l.Addr().String(), DialOptions{Wire: "json"}); err == nil {
+		_ = c.Close()
+		t.Error(`DialWith accepted Wire "json"`)
+	}
 	// Unknown parameter kind rejected.
 	if _, err := fromWireParams([]wireParam{{Name: "x", Kind: "weird"}}); err == nil {
 		t.Error("unknown kind should fail")
@@ -421,7 +426,7 @@ func TestTCPErrors(t *testing.T) {
 func TestDispatchUnknownOp(t *testing.T) {
 	srv := NewServer(ServerOptions{})
 	defer srv.Close()
-	resp := dispatch(srv, &request{Op: "nonsense"}, "", nil)
+	resp := dispatch(srv, &request{Op: "nonsense"}, nil)
 	if resp.OK || resp.Error == "" {
 		t.Errorf("resp = %+v", resp)
 	}

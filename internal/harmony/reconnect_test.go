@@ -3,7 +3,6 @@ package harmony
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
 	"math/rand"
 	"net"
@@ -14,19 +13,9 @@ import (
 	"paratune/internal/frame"
 )
 
-// wireCases enumerates the two wire protocols; reconnects and dup
-// suppression must behave identically under both.
-var wireCases = []Wire{WireJSON, WireBinary}
-
-// dialTest connects a JSON Client to a served Server with fast,
-// deterministic retry options and returns both plus the listener address.
+// dialTest connects a Client to a served Server with fast, deterministic
+// retry options and returns both plus the listener address.
 func dialTest(t *testing.T, srv *Server) (*Client, string) {
-	t.Helper()
-	return dialTestWire(t, srv, WireJSON)
-}
-
-// dialTestWire is dialTest with an explicit wire protocol.
-func dialTestWire(t *testing.T, srv *Server, wire Wire) (*Client, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,7 +28,6 @@ func dialTestWire(t *testing.T, srv *Server, wire Wire) (*Client, string) {
 		Backoff: 5 * time.Millisecond,
 		Timeout: 5 * time.Second,
 		Seed:    42,
-		Wire:    wire,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,71 +36,48 @@ func dialTestWire(t *testing.T, srv *Server, wire Wire) (*Client, string) {
 	return c, l.Addr().String()
 }
 
-// rawWire drives a served connection with hand-built frames in either codec,
-// for tests that need wire-level control (duplicated frames, raw sequences).
+// rawWire drives a served connection with hand-built PHWIRE1 frames, for
+// tests that need wire-level control (duplicated frames, raw sequences).
 type rawWire struct {
 	t    *testing.T
 	conn net.Conn
-	wire Wire
-	sc   *bufio.Scanner
 	br   *bufio.Reader
 	rbuf []byte
 }
 
-func newRawWire(t *testing.T, addr string, wire Wire) *rawWire {
+// newRawWire dials addr and sends the PHWIRE1 preamble.
+func newRawWire(t *testing.T, addr string) *rawWire {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	rw := &rawWire{t: t, conn: conn, wire: wire}
-	if wire == WireBinary {
-		if _, err := io.WriteString(conn, WireMagic); err != nil {
-			t.Fatal(err)
-		}
-		rw.br = bufio.NewReader(conn)
-	} else {
-		rw.sc = bufio.NewScanner(conn)
+	if _, err := io.WriteString(conn, WireMagic); err != nil {
+		t.Fatal(err)
 	}
-	return rw
+	return &rawWire{t: t, conn: conn, br: bufio.NewReader(conn)}
 }
 
-// frame encodes one request in the connection's codec.
+// frame encodes one request as a PHWIRE1 frame.
 func (rw *rawWire) frame(req *request) []byte {
 	rw.t.Helper()
-	if rw.wire == WireBinary {
-		payload, err := appendRequest(nil, req)
-		if err != nil {
-			rw.t.Fatal(err)
-		}
-		return frame.Append(nil, payload)
-	}
-	b, err := json.Marshal(req)
+	payload, err := appendRequest(nil, req)
 	if err != nil {
 		rw.t.Fatal(err)
 	}
-	return append(b, '\n')
+	return frame.Append(nil, payload)
 }
 
 // readResp reads one response frame; false on connection end.
 func (rw *rawWire) readResp() (response, bool) {
 	rw.t.Helper()
 	var resp response
-	if rw.wire == WireBinary {
-		payload, err := frame.Read(rw.br, frame.MaxPayload, &rw.rbuf)
-		if err != nil {
-			return resp, false
-		}
-		if err := decodeResponse(payload, &resp); err != nil {
-			rw.t.Fatal(err)
-		}
-		return resp, true
-	}
-	if !rw.sc.Scan() {
+	payload, err := frame.Read(rw.br, frame.MaxPayload, &rw.rbuf)
+	if err != nil {
 		return resp, false
 	}
-	if err := json.Unmarshal(rw.sc.Bytes(), &resp); err != nil {
+	if err := decodeResponse(payload, &resp); err != nil {
 		rw.t.Fatal(err)
 	}
 	return resp, true
@@ -121,28 +86,26 @@ func (rw *rawWire) readResp() (response, bool) {
 // TestResumeHandshake severs a client's connection behind its back: the
 // next call must transparently reconnect and succeed on the live session.
 func TestResumeHandshake(t *testing.T) {
-	for _, wire := range wireCases {
-		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1)})
-			defer srv.Close()
-			c, _ := dialTestWire(t, srv, wire)
-			if err := c.Register("s", gs2Params()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Fetch("s"); err != nil {
-				t.Fatal(err)
-			}
-			c.mu.Lock()
-			_ = c.conn.Close()
-			c.mu.Unlock()
-			if _, err := c.Fetch("s"); err != nil {
-				t.Fatalf("fetch after severed connection: %v", err)
-			}
-			if n := c.Reconnects(); n != 1 {
-				t.Fatalf("reconnects = %d, want 1", n)
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1)})
+		defer srv.Close()
+		c, _ := dialTest(t, srv)
+		if err := c.Register("s", gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Fetch("s"); err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		_ = c.conn.Close()
+		c.mu.Unlock()
+		if _, err := c.Fetch("s"); err != nil {
+			t.Fatalf("fetch after severed connection: %v", err)
+		}
+		if n := c.Reconnects(); n != 1 {
+			t.Fatalf("reconnects = %d, want 1", n)
+		}
+	})
 }
 
 // inboundListener records, per accepted connection, every byte the server
@@ -189,13 +152,10 @@ func (c *inboundConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// requestFrames counts the request frames in a connection's inbound bytes:
-// JSON lines, or PHWIRE1 frames after the preamble.
-func requestFrames(t *testing.T, wire Wire, in []byte) int {
+// requestFrames counts the PHWIRE1 request frames after the preamble in a
+// connection's inbound bytes.
+func requestFrames(t *testing.T, in []byte) int {
 	t.Helper()
-	if wire == WireJSON {
-		return bytes.Count(in, []byte("\n"))
-	}
 	in = bytes.TrimPrefix(in, []byte(WireMagic))
 	n := 0
 	for len(in) > 0 {
@@ -213,44 +173,42 @@ func requestFrames(t *testing.T, wire Wire, in []byte) int {
 // FetchN calls: the fresh connection carries exactly one request frame, the
 // retried fetchn, and no handshake before it.
 func TestReconnectSendsOnlyTheRetry(t *testing.T) {
-	for _, wire := range wireCases {
-		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
-			defer srv.Close()
-			raw, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer raw.Close()
-			l := &inboundListener{Listener: raw}
-			serveAsync(l, srv)
-			c, err := DialWith(raw.Addr().String(), DialOptions{
-				Retries: 8, Backoff: 5 * time.Millisecond, Timeout: 5 * time.Second, Seed: 42, Wire: wire,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.Register("s", gs2Params()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.FetchN("s", 4); err != nil {
-				t.Fatal(err)
-			}
-			c.mu.Lock()
-			_ = c.conn.Close()
-			c.mu.Unlock()
-			if _, err := c.FetchN("s", 4); err != nil {
-				t.Fatalf("fetchn after severed connection: %v", err)
-			}
-			if got := requestFrames(t, wire, l.inbound(0)); got != 2 {
-				t.Fatalf("first connection carried %d request frames, want 2 (register, fetchn)", got)
-			}
-			if got := requestFrames(t, wire, l.inbound(1)); got != 1 {
-				t.Errorf("second connection carried %d request frames, want 1 (the retried fetchn)", got)
-			}
+	t.Run("binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
+		defer srv.Close()
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		l := &inboundListener{Listener: raw}
+		serveAsync(l, srv)
+		c, err := DialWith(raw.Addr().String(), DialOptions{
+			Retries: 8, Backoff: 5 * time.Millisecond, Timeout: 5 * time.Second, Seed: 42,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Register("s", gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.FetchN("s", 4); err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		_ = c.conn.Close()
+		c.mu.Unlock()
+		if _, err := c.FetchN("s", 4); err != nil {
+			t.Fatalf("fetchn after severed connection: %v", err)
+		}
+		if got := requestFrames(t, l.inbound(0)); got != 2 {
+			t.Fatalf("first connection carried %d request frames, want 2 (register, fetchn)", got)
+		}
+		if got := requestFrames(t, l.inbound(1)); got != 1 {
+			t.Errorf("second connection carried %d request frames, want 1 (the retried fetchn)", got)
+		}
+	})
 }
 
 // TestDuplicateFrameSuppressed replays one rid-less report frame twice on a
@@ -259,67 +217,65 @@ func TestReconnectSendsOnlyTheRetry(t *testing.T) {
 // gains exactly one observation, since nothing else dedupes a report that
 // carries no rid.
 func TestDuplicateFrameSuppressed(t *testing.T) {
-	for _, wire := range wireCases {
-		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{})
-			defer srv.Close()
-			if err := srv.Register("s", gs2Params()); err != nil {
-				t.Fatal(err)
-			}
-			fr, err := srv.Fetch("s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fr.Tag == 0 {
-				t.Fatal("no candidate outstanding after Register")
-			}
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			serveAsync(l, srv)
+	t.Run("binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{})
+		defer srv.Close()
+		if err := srv.Register("s", gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := srv.Fetch("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Tag == 0 {
+			t.Fatal("no candidate outstanding after Register")
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		serveAsync(l, srv)
 
-			rw := newRawWire(t, l.Addr().String(), wire)
-			dup := rw.frame(&request{Op: "report", Session: "s", Client: "dup-test", Seq: 1, Tag: fr.Tag, Value: 2})
-			// The duplicated frame, then a fresh one so the reader can prove
-			// exactly one response was sent for the pair of duplicates.
-			if _, err := rw.conn.Write(append(append([]byte{}, dup...), dup...)); err != nil {
-				t.Fatal(err)
-			}
-			next := rw.frame(&request{Op: "best", Session: "s", Client: "dup-test", Seq: 2})
-			if _, err := rw.conn.Write(next); err != nil {
-				t.Fatal(err)
-			}
+		rw := newRawWire(t, l.Addr().String())
+		dup := rw.frame(&request{Op: "report", Session: "s", Client: "dup-test", Seq: 1, Tag: fr.Tag, Value: 2})
+		// The duplicated frame, then a fresh one so the reader can prove
+		// exactly one response was sent for the pair of duplicates.
+		if _, err := rw.conn.Write(append(append([]byte{}, dup...), dup...)); err != nil {
+			t.Fatal(err)
+		}
+		next := rw.frame(&request{Op: "best", Session: "s", Client: "dup-test", Seq: 2})
+		if _, err := rw.conn.Write(next); err != nil {
+			t.Fatal(err)
+		}
 
-			_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			var seqs []uint64
-			for len(seqs) < 2 {
-				resp, ok := rw.readResp()
-				if !ok {
-					break
-				}
-				if resp.Seq == 1 && !resp.OK {
-					t.Fatalf("report rejected: %s", resp.Error)
-				}
-				seqs = append(seqs, resp.Seq)
+		_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var seqs []uint64
+		for len(seqs) < 2 {
+			resp, ok := rw.readResp()
+			if !ok {
+				break
 			}
-			if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 2 {
-				t.Fatalf("response seqs = %v, want [1 2] (duplicate must get no response)", seqs)
+			if resp.Seq == 1 && !resp.OK {
+				t.Fatalf("report rejected: %s", resp.Error)
 			}
+			seqs = append(seqs, resp.Seq)
+		}
+		if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 2 {
+			t.Fatalf("response seqs = %v, want [1 2] (duplicate must get no response)", seqs)
+		}
 
-			s := srv.lookup("s")
-			s.mu.Lock()
-			obs := -1 // the candidate is gone
-			if c := s.candLocked(fr.Tag); c != nil {
-				obs = len(c.obs)
-			}
-			s.mu.Unlock()
-			if obs != 1 {
-				t.Errorf("candidate holds %d observations after a duplicated report, want 1", obs)
-			}
-		})
-	}
+		s := srv.lookup("s")
+		s.mu.Lock()
+		obs := -1 // the candidate is gone
+		if c := s.candLocked(fr.Tag); c != nil {
+			obs = len(c.obs)
+		}
+		s.mu.Unlock()
+		if obs != 1 {
+			t.Errorf("candidate holds %d observations after a duplicated report, want 1", obs)
+		}
+	})
 }
 
 // TestRegisterAfterCloseDropsConnection sends a Register to a server whose
@@ -327,66 +283,62 @@ func TestDuplicateFrameSuppressed(t *testing.T) {
 // a client reconnects and resends, instead of reading "server closed" as an
 // ordinary error reply it does not retry.
 func TestRegisterAfterCloseDropsConnection(t *testing.T) {
-	for _, wire := range wireCases {
-		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{})
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			serveAsync(l, srv)
-			rw := newRawWire(t, l.Addr().String(), wire)
-			srv.Close()
-			if _, err := rw.conn.Write(rw.frame(&request{Op: "register", Session: "s", Params: toWireParams(gs2Params()), Client: "c", Seq: 1})); err != nil {
-				t.Fatal(err)
-			}
-			_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if resp, ok := rw.readResp(); ok {
-				t.Fatalf("closing server answered a register (ok=%v, error %q); want the connection dropped", resp.OK, resp.Error)
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{})
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		serveAsync(l, srv)
+		rw := newRawWire(t, l.Addr().String())
+		srv.Close()
+		if _, err := rw.conn.Write(rw.frame(&request{Op: "register", Session: "s", Params: toWireParams(gs2Params()), Client: "c", Seq: 1})); err != nil {
+			t.Fatal(err)
+		}
+		_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if resp, ok := rw.readResp(); ok {
+			t.Fatalf("closing server answered a register (ok=%v, error %q); want the connection dropped", resp.OK, resp.Error)
+		}
+	})
 }
 
 // TestPermanentErrorNoRetry reports an invalid value and asserts the client
 // fails fast on the very first connection — no redial loop — with an error
 // the classifier helpers recognise.
 func TestPermanentErrorNoRetry(t *testing.T) {
-	for _, wire := range wireCases {
-		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{})
-			defer srv.Close()
-			c, _ := dialTestWire(t, srv, wire)
-			if err := c.Register("s", gs2Params()); err != nil {
-				t.Fatal(err)
-			}
-			fr, err := c.Fetch("s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			err = c.Report("s", fr.Tag, -1)
-			if err == nil {
-				t.Fatal("negative report should fail")
-			}
-			if !IsInvalidValue(err) || !IsPermanent(err) {
-				t.Fatalf("error not classified permanent/invalid_value: %v", err)
-			}
-			// A retried permanent error would cost at least one backoff sleep;
-			// fast failure stays well under the first delay's floor.
-			if d := time.Since(start); d > 3*time.Second {
-				t.Errorf("permanent error took %v; looks like it was retried", d)
-			}
-			if err := c.Register("other", gs2Params()); err != nil {
-				t.Fatalf("client unusable after permanent error: %v", err)
-			}
-			_, err = c.Fetch("nope")
-			if !IsUnknownSession(err) {
-				t.Fatalf("unknown session not classified: %v", err)
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{})
+		defer srv.Close()
+		c, _ := dialTest(t, srv)
+		if err := c.Register("s", gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := c.Fetch("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		err = c.Report("s", fr.Tag, -1)
+		if err == nil {
+			t.Fatal("negative report should fail")
+		}
+		if !IsInvalidValue(err) || !IsPermanent(err) {
+			t.Fatalf("error not classified permanent/invalid_value: %v", err)
+		}
+		// A retried permanent error would cost at least one backoff sleep;
+		// fast failure stays well under the first delay's floor.
+		if d := time.Since(start); d > 3*time.Second {
+			t.Errorf("permanent error took %v; looks like it was retried", d)
+		}
+		if err := c.Register("other", gs2Params()); err != nil {
+			t.Fatalf("client unusable after permanent error: %v", err)
+		}
+		_, err = c.Fetch("nope")
+		if !IsUnknownSession(err) {
+			t.Fatalf("unknown session not classified: %v", err)
+		}
+	})
 }
 
 // TestBackoffCap drives the redial loop against a dead address and asserts

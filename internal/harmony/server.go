@@ -14,10 +14,9 @@
 // idle sessions expire, and whole sessions can be checkpointed and restored
 // across server restarts without losing the optimiser's simplex.
 //
-// Three transports are provided: direct in-process calls on *Server, and two
-// codecs over TCP (Serve/Client) that share one request/response schema —
-// newline-delimited JSON, and PHWIRE1, a length-prefixed binary framing
-// (wire.go) a client selects with DialOptions.Wire.
+// Two transports are provided: direct in-process calls on *Server, and
+// PHWIRE1 over TCP (Serve/Client), a length-prefixed binary framing
+// (wire.go).
 package harmony
 
 import (
@@ -576,7 +575,7 @@ func (s *session) candLocked(tag uint64) *candidate {
 }
 
 // FetchResult is a unit of work for a client; a fetchn response carries a
-// list of them, in this JSON form.
+// list of them.
 type FetchResult struct {
 	// Point is the configuration to run next.
 	Point space.Point `json:"point,omitempty"`

@@ -28,8 +28,7 @@ const (
 )
 
 // sessionShard is one lock-striped slice of the session table. The shard
-// mutex sits between Server-level coordination (rank 20, now unused on the
-// dispatch path) and the per-session step lock and mutex (ranks 25, 30) in
+// mutex ranks below the per-session step lock and mutex (ranks 25, 30) in
 // the lock-rank ladder: a shard lock may be taken while no lock is held, and session or
 // measuredb locks may be taken under it (registration binds the DB space
 // under the shard lock), but never another shard's.

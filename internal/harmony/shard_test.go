@@ -220,65 +220,63 @@ func TestSurplusReportsAccepted(t *testing.T) {
 	}
 }
 
-// TestClientBatchRoundTrips drives FetchN/ReportN through a real client under
-// both wire protocols, including a frame past maxBatchOps, whose excess items
-// come back refused rather than failing the frame.
+// TestClientBatchRoundTrips drives FetchN/ReportN through a real client,
+// including a frame past maxBatchOps, whose excess items come back refused
+// rather than failing the frame.
 func TestClientBatchRoundTrips(t *testing.T) {
-	for _, wire := range wireCases {
-		t.Run(string(wire), func(t *testing.T) {
-			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1)})
-			defer srv.Close()
-			c, _ := dialTestWire(t, srv, wire)
-			if err := c.Register("s", gs2Params()); err != nil {
-				t.Fatal(err)
-			}
-			pendingBatch(t, srv, "s", 2)
-			batch, err := c.FetchN("s", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(batch) < 2 || batch[0].Tag == 0 || batch[0].Tag == batch[1].Tag {
-				t.Fatalf("client FetchN = %+v, want 2 distinct tagged candidates", batch)
-			}
-			if len(batch[0].Point) == 0 {
-				t.Fatal("client FetchN candidate has no point")
-			}
-			res, err := c.ReportN("s", []ReportItem{
-				{Tag: batch[0].Tag, Value: 1.5},
-				{Tag: batch[1].Tag, Value: -1}, // invalid: rejected, frame survives
-				{Tag: batch[0].Tag, Value: 1.5},
-				{Tag: batch[0].Tag, Value: 1.5},
-				{Tag: batch[0].Tag, Value: 1.5},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Accepted != 4 || res.Rejected != 1 || res.Refused != 0 {
-				t.Errorf("wire ReportN = %+v, want 4 accepted / 1 rejected / 0 refused", res)
-			}
-
-			// Items past maxBatchOps are refused, not applied; the rest of
-			// the frame is.
-			over := make([]ReportItem, maxBatchOps+3)
-			for i := range over {
-				over[i] = ReportItem{Tag: batch[0].Tag, Value: 1.5}
-			}
-			res, err = c.ReportN("s", over)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Accepted != maxBatchOps || res.Rejected != 0 || res.Refused != 3 {
-				t.Errorf("oversized ReportN = %+v, want %d accepted / 0 rejected / 3 refused", res, maxBatchOps)
-			}
-			if err := c.Report("s", batch[0].Tag, 1.5); err != nil {
-				t.Fatalf("surplus single report refused: %v", err)
-			}
-			if n := c.Reconnects(); n != 0 {
-				t.Errorf("batch frames triggered %d reconnects", n)
-			}
-			if _, err := c.FetchN("nope", 3); !IsUnknownSession(err) {
-				t.Fatalf("unknown session via FetchN not classified: %v", err)
-			}
+	t.Run("binary", func(t *testing.T) {
+		srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1)})
+		defer srv.Close()
+		c, _ := dialTest(t, srv)
+		if err := c.Register("s", gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+		pendingBatch(t, srv, "s", 2)
+		batch, err := c.FetchN("s", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) < 2 || batch[0].Tag == 0 || batch[0].Tag == batch[1].Tag {
+			t.Fatalf("client FetchN = %+v, want 2 distinct tagged candidates", batch)
+		}
+		if len(batch[0].Point) == 0 {
+			t.Fatal("client FetchN candidate has no point")
+		}
+		res, err := c.ReportN("s", []ReportItem{
+			{Tag: batch[0].Tag, Value: 1.5},
+			{Tag: batch[1].Tag, Value: -1}, // invalid: rejected, frame survives
+			{Tag: batch[0].Tag, Value: 1.5},
+			{Tag: batch[0].Tag, Value: 1.5},
+			{Tag: batch[0].Tag, Value: 1.5},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted != 4 || res.Rejected != 1 || res.Refused != 0 {
+			t.Errorf("wire ReportN = %+v, want 4 accepted / 1 rejected / 0 refused", res)
+		}
+
+		// Items past maxBatchOps are refused, not applied; the rest of
+		// the frame is.
+		over := make([]ReportItem, maxBatchOps+3)
+		for i := range over {
+			over[i] = ReportItem{Tag: batch[0].Tag, Value: 1.5}
+		}
+		res, err = c.ReportN("s", over)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accepted != maxBatchOps || res.Rejected != 0 || res.Refused != 3 {
+			t.Errorf("oversized ReportN = %+v, want %d accepted / 0 rejected / 3 refused", res, maxBatchOps)
+		}
+		if err := c.Report("s", batch[0].Tag, 1.5); err != nil {
+			t.Fatalf("surplus single report refused: %v", err)
+		}
+		if n := c.Reconnects(); n != 0 {
+			t.Errorf("batch frames triggered %d reconnects", n)
+		}
+		if _, err := c.FetchN("nope", 3); !IsUnknownSession(err) {
+			t.Fatalf("unknown session via FetchN not classified: %v", err)
+		}
+	})
 }

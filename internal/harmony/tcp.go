@@ -29,7 +29,7 @@ func cryptoSeed() int64 {
 	return int64(binary.LittleEndian.Uint64(b[:]))
 }
 
-// wireParam is the JSON encoding of a space.Parameter.
+// wireParam is the wire and checkpoint form of a space.Parameter.
 type wireParam struct {
 	Name   string    `json:"name"`
 	Kind   string    `json:"kind"` // "continuous" | "integer" | "discrete"
@@ -65,50 +65,50 @@ func fromWireParams(ws []wireParam) ([]space.Parameter, error) {
 	return out, nil
 }
 
-// request is one client message (a JSON line, or a PHWIRE1 frame payload).
+// request is one client message, the payload of one PHWIRE1 frame.
 type request struct {
-	Op      string      `json:"op"` // register | fetch | report | best | stats | fetchn | reportn
-	Session string      `json:"session"`
-	Params  []wireParam `json:"params,omitempty"`
-	Tag     uint64      `json:"tag,omitempty"`
-	Value   float64     `json:"value,omitempty"`
+	Op      string // register | fetch | report | best | stats | fetchn | reportn
+	Session string
+	Params  []wireParam
+	Tag     uint64
+	Value   float64
 	// RID is an optional client-unique report id; the server deduplicates
 	// reports by it so reconnect retries are idempotent.
-	RID string `json:"rid,omitempty"`
+	RID string
 	// Client is the sender's stable wire id, constant across reconnects.
-	Client string `json:"client,omitempty"`
+	Client string
 	// Seq is the client's frame sequence number: every frame put on the wire
 	// (retries included — a resend is a new frame) carries the next value.
 	// The server discards a frame whose sequence does not advance past the
 	// connection's high-water mark — that is a duplicate injected in transit,
 	// and answering it would desynchronise the response stream.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// N is the batch size for fetchn.
-	N int `json:"n,omitempty"`
+	N int
 	// Reports carries the measurements of a reportn frame.
-	Reports []ReportItem `json:"reports,omitempty"`
+	Reports []ReportItem
 }
 
-// response is one JSON-line server reply.
+// response is one server reply, the payload of one PHWIRE1 frame.
 type response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
+	OK    bool
+	Error string
 	// Code classifies structured errors ("invalid_value", "unknown_session").
-	Code      string        `json:"code,omitempty"`
-	Point     []float64     `json:"point,omitempty"`
-	Tag       uint64        `json:"tag,omitempty"`
-	Value     float64       `json:"value,omitempty"`
-	Converged bool          `json:"converged,omitempty"`
-	Stats     *SessionStats `json:"stats,omitempty"`
+	Code      string
+	Point     []float64
+	Tag       uint64
+	Value     float64
+	Converged bool
+	Stats     *SessionStats
 	// Seq echoes the request's frame sequence so the client can discard
 	// duplicated or stale response frames after transit faults.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Batch answers a fetchn request.
-	Batch []FetchResult `json:"batch,omitempty"`
+	Batch []FetchResult
 	// Accepted, Refused, and Rejected classify a reportn frame's items.
-	Accepted int `json:"accepted,omitempty"`
-	Refused  int `json:"refused,omitempty"`
-	Rejected int `json:"rejected,omitempty"`
+	Accepted int
+	Refused  int
+	Rejected int
 }
 
 // errResponse builds a failure response, attaching a machine-readable code
@@ -167,8 +167,9 @@ func (o *ConnOptions) normalise() {
 	}
 }
 
-// Serve accepts connections on l and dispatches the JSON-line protocol to
-// srv with default transport deadlines until l is closed.
+// Serve accepts connections on l and dispatches PHWIRE1 requests to srv
+// with default transport deadlines until l is closed. A connection that
+// opens with the PHSYNC1 preamble is served by internal/feddb instead.
 func Serve(l net.Listener, srv *Server) error {
 	return ServeWith(l, srv, ConnOptions{})
 }
@@ -261,14 +262,11 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 	if t, ok := readDL.next(); ok {
 		_ = conn.SetReadDeadline(t)
 	}
-	// Negotiate the codec from the connection's first bytes; everything after
-	// the sniff — deadlines, dup suppression, dispatch — is codec-agnostic,
-	// which is how recovery behaves identically over both wire formats.
-	codec, wire, br, err := sniffServerCodec(conn)
+	codec, br, err := sniffServerCodec(conn)
 	if err != nil {
 		return
 	}
-	if wire == wireSync {
+	if codec == nil {
 		// A federation peer, not a tuning client: hand the connection to the
 		// anti-entropy server against the shared measurement database. A
 		// server without a database has nothing to sync, so the connection
@@ -327,7 +325,7 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 			}
 			lastSeq[req.Client] = req.Seq
 		}
-		resp = dispatch(srv, &req, wire, &grant)
+		resp = dispatch(srv, &req, &grant)
 		if !resp.OK && srv.closed.Load() {
 			// A closing server drops the connection instead of answering
 			// with a refusal it caused: the client's recovery rule then
@@ -345,12 +343,10 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 	}
 }
 
-// dispatch routes one decoded request; wire names the codec it arrived over
-// ("json" or "binary", "" for direct in-process use) and tags the batching
-// observability events. A fetchn grant is built in *grant, which the caller
-// reuses across frames (nil allocates a fresh one); the response aliases it
-// until the next dispatch.
-func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) response {
+// dispatch routes one decoded request. A fetchn grant is built in *grant,
+// which the caller reuses across frames (nil allocates a fresh one); the
+// response aliases it until the next dispatch.
+func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 	switch req.Op {
 	case "register":
 		params, err := fromWireParams(req.Params)
@@ -388,7 +384,7 @@ func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) resp
 					granted++
 				}
 			}
-			srv.rec.Record(event.BatchFetch{Session: req.Session, Requested: req.N, Granted: granted, Wire: wire})
+			srv.rec.Record(event.BatchFetch{Session: req.Session, Requested: req.N, Granted: granted})
 		}
 		return response{OK: true, Batch: batch}
 	case "reportn":
@@ -400,7 +396,6 @@ func dispatch(srv *Server, req *request, wire string, grant *[]FetchResult) resp
 			srv.rec.Record(event.BatchReport{
 				Session: req.Session, Items: len(req.Reports),
 				Accepted: res.Accepted, Rejected: res.Rejected, Refused: res.Refused,
-				Wire: wire,
 			})
 		}
 		return response{OK: true, Accepted: res.Accepted, Refused: res.Refused,
@@ -444,9 +439,8 @@ type DialOptions struct {
 	// seed from crypto/rand so independently started clients de-correlate
 	// their jitter. Tests and experiments set it explicitly.
 	Seed int64
-	// Wire selects the wire protocol: WireJSON (the default) or WireBinary.
-	// Both speak the same frame semantics (Seq, dup suppression, rids), so
-	// reconnects and idempotent retries behave identically either way.
+	// Wire must be "" or WireBinary: PHWIRE1 is the only client protocol.
+	// The field stays only for perfbench/serve.go, which sets it.
 	Wire Wire
 	// DialFunc overrides how the client reaches the server — e.g. a chaos
 	// MemListener's Dial, or a net.Pipe in benchmarks. nil dials addr over
@@ -455,9 +449,6 @@ type DialOptions struct {
 }
 
 func (o *DialOptions) normalise() {
-	if o.Wire == "" {
-		o.Wire = WireJSON
-	}
 	if o.Retries <= 0 {
 		o.Retries = 5
 	}
@@ -475,7 +466,7 @@ func (o *DialOptions) normalise() {
 	}
 }
 
-// Client is a TCP client for the harmony protocol. Safe for use by one
+// Client is a TCP client for the harmony protocol, PHWIRE1. Safe for use by one
 // goroutine at a time per method call (calls are serialised internally).
 //
 // Errors are classified before any retry: server-side application errors
@@ -497,7 +488,7 @@ type Client struct {
 	mu         sync.Mutex //paralint:lockrank 34
 	conn       net.Conn
 	dl         lazyDeadline // conn's read and write deadline
-	codec      clientCodec
+	codec      *binClientCodec
 	rng        *rand.Rand
 	nonce      int64
 	nextID     uint64
@@ -521,7 +512,7 @@ func Dial(addr string) (*Client, error) {
 // with capped exponential backoff per opts.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
 	opts.normalise()
-	if opts.Wire != WireJSON && opts.Wire != WireBinary {
+	if opts.Wire != "" && opts.Wire != WireBinary {
 		return nil, fmt.Errorf("harmony: unknown wire protocol %q", opts.Wire)
 	}
 	seed := opts.Seed
@@ -567,21 +558,17 @@ func (c *Client) reconnectLocked() error {
 			lastErr = err
 			continue
 		}
-		if c.opts.Wire == WireBinary {
-			// Announce the binary protocol before the first frame; the server
-			// sniffs this preamble to pick the codec.
-			if c.opts.Timeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
-			}
-			if _, err := io.WriteString(conn, WireMagic); err != nil {
-				_ = conn.Close()
-				lastErr = err
-				continue
-			}
-			c.conn, c.codec = conn, newBinClientCodec(conn)
-			return nil
+		// Announce PHWIRE1 before the first frame; the server reads this
+		// preamble to tell a tuning client from a sync peer.
+		if c.opts.Timeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
 		}
-		c.conn, c.codec = conn, newJSONClientCodec(conn)
+		if _, err := io.WriteString(conn, WireMagic); err != nil {
+			_ = conn.Close()
+			lastErr = err
+			continue
+		}
+		c.conn, c.codec = conn, newBinClientCodec(conn)
 		return nil
 	}
 	return fmt.Errorf("harmony: dial %s failed after %d attempts: %w", c.addr, c.opts.Retries, lastErr)

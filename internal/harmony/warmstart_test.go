@@ -203,7 +203,7 @@ func (e *lenEstimator) Estimate(obs []float64) float64 {
 // sample of candidate A is reported (5) before A's three originals (4, 3, 1):
 // the last is surplus. The estimator sees exactly K values per candidate, and
 // the estimate the session used, its best value, is the first-K estimate the
-// store serves a warm session, in-process and over both wires.
+// store serves a warm session, in-process and over the wire.
 func TestEstimateIsFirstKReports(t *testing.T) {
 	const k = 3
 	a, b := space.Point{8, 4, 1}, space.Point{32, 16, 8}
@@ -213,12 +213,8 @@ func TestEstimateIsFirstKReports(t *testing.T) {
 		Report(name string, tag uint64, value float64) error
 		Best(name string) (space.Point, float64, bool, error)
 	}
-	for _, path := range []Wire{"", WireJSON, WireBinary} {
-		name := string(path)
-		if path == "" {
-			name = "in-process"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, path := range []string{"in-process", "binary"} {
+		t.Run(path, func(t *testing.T) {
 			db := measuredb.NewMemory(measuredb.Options{})
 			est := &lenEstimator{Estimator: mustMinOfK(t, k)}
 			srv := NewServer(ServerOptions{
@@ -229,8 +225,8 @@ func TestEstimateIsFirstKReports(t *testing.T) {
 			})
 			defer srv.Close()
 			var tu tuner = srv
-			if path != "" {
-				tu, _ = dialTestWire(t, srv, path)
+			if path == "binary" {
+				tu, _ = dialTest(t, srv)
 			}
 			if err := tu.Register("s", gs2Params()); err != nil {
 				t.Fatal(err)

@@ -3,7 +3,6 @@ package harmony
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -15,40 +14,28 @@ import (
 
 // The PHWIRE1 binary protocol.
 //
-// A binary client opens the conversation with the 8-byte magic preamble
-// "PHWIRE1\n"; the server sniffs the first byte of every new connection ('{'
-// means a JSON-lines client, which keeps working byte-for-byte) and locks the
-// connection to the negotiated codec. After the preamble both directions
-// exchange internal/frame envelopes whose payload is every request/response
-// field in fixed order (see appendRequest / appendResponse), in frame's
-// canonical field encoding.
+// A tuning client opens the conversation with the 8-byte magic preamble
+// "PHWIRE1\n"; the server reads the preamble of every new connection and
+// closes, unanswered, any connection that opens with neither it nor
+// PHSYNC1's. After the preamble both directions exchange internal/frame
+// envelopes whose payload is every request/response field in fixed order
+// (see appendRequest / appendResponse), in frame's canonical field encoding.
 //
 // The codec is canonical: decoding a frame and re-encoding the result yields
-// the same bytes (FuzzBinaryFrameDecode pins this), which is what lets the
-// dup-suppression machinery treat binary frames exactly like JSON lines.
-// Frame semantics — per-frame Seq, per-connection dup suppression,
-// rid-idempotent reports — are shared with the JSON codec; only the
-// encoding differs.
+// the same bytes (FuzzBinaryFrameDecode pins this), so a frame duplicated in
+// transit is byte-identical to its original. Frame semantics — per-frame
+// Seq, per-connection dup suppression, rid-idempotent reports — live in
+// handleConn and Client.
 
-// WireMagic is the binary client's connection preamble. The first byte can
-// never open a JSON-lines request (those start with '{'), which is the whole
-// negotiation.
+// WireMagic is a tuning client's connection preamble.
 const WireMagic = "PHWIRE1\n"
 
-// Wire selects a client wire protocol.
+// Wire names a client wire protocol. PHWIRE1 is the only one; the type and
+// WireBinary stay because DialOptions.Wire keeps its one existing caller.
 type Wire string
 
-const (
-	// WireJSON is the newline-delimited JSON protocol; the default.
-	WireJSON Wire = "json"
-	// WireBinary is the length-prefixed PHWIRE1 binary protocol.
-	WireBinary Wire = "binary"
-)
-
-// wireSync names the PHSYNC1 anti-entropy protocol in the sniffer's
-// return; such connections bypass the request codecs entirely and are
-// served by internal/feddb against the server's measurement database.
-const wireSync = "sync"
+// WireBinary is the length-prefixed PHWIRE1 binary protocol.
+const WireBinary Wire = "binary"
 
 // Structured error codes carried in response.Code.
 const (
@@ -442,41 +429,11 @@ func decodeResponse(payload []byte, resp *response) error {
 // --- codec plumbing shared by the server and client loops ---
 
 // badRequestError marks a parse-level failure the server answers with one
-// final "bad request" response before closing the connection, matching the
-// JSON protocol's historical behaviour.
+// final "bad request" response before closing the connection.
 type badRequestError struct{ err error }
 
 func (e *badRequestError) Error() string { return e.err.Error() }
 func (e *badRequestError) Unwrap() error { return e.err }
-
-// serverCodec reads requests and writes responses for one served connection.
-type serverCodec interface {
-	readRequest(req *request) error
-	writeResponse(resp *response) error
-}
-
-// jsonServerCodec speaks the newline-delimited JSON protocol.
-type jsonServerCodec struct {
-	sc  *bufio.Scanner
-	enc *json.Encoder
-}
-
-func (c *jsonServerCodec) readRequest(req *request) error {
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return err
-		}
-		return io.EOF
-	}
-	if err := json.Unmarshal(c.sc.Bytes(), req); err != nil {
-		return &badRequestError{err: err}
-	}
-	return nil
-}
-
-func (c *jsonServerCodec) writeResponse(resp *response) error {
-	return c.enc.Encode(resp)
-}
 
 // binServerCodec speaks PHWIRE1. The encode and decode buffers are reused
 // across frames, so a steady-state connection reads requests and writes
@@ -511,64 +468,25 @@ func (c *binServerCodec) writeResponse(resp *response) error {
 	return err
 }
 
-// sniffServerCodec negotiates the wire protocol for a freshly accepted
-// connection: a '{' first byte is a JSON-lines client, the PHWIRE1 magic
-// preamble selects the binary codec, the PHSYNC1 preamble marks a
-// federation sync peer (nil codec, wire "sync" — the caller routes it to
-// internal/feddb with the returned reader, which may hold buffered frames
-// past the preamble), anything else is handed to the JSON scanner whose
-// parse error produces the historical "bad request" reply.
-func sniffServerCodec(conn net.Conn) (serverCodec, string, *bufio.Reader, error) {
+// sniffServerCodec reads a freshly accepted connection's 8-byte preamble.
+// PHWIRE1 selects the binary codec. PHSYNC1 marks a federation sync peer: the
+// codec is nil, and the caller routes the connection to internal/feddb with
+// the returned reader, which may hold buffered frames past the preamble. Any
+// other preamble is an error, and the caller closes the connection without a
+// reply.
+func sniffServerCodec(conn net.Conn) (*binServerCodec, *bufio.Reader, error) {
 	br := bufio.NewReaderSize(conn, 64*1024)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, "", nil, err
+	var magic [len(WireMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, nil, err
 	}
-	if first[0] == WireMagic[0] {
-		var magic [len(WireMagic)]byte
-		if _, err := io.ReadFull(br, magic[:]); err != nil {
-			return nil, "", nil, err
-		}
-		switch string(magic[:]) {
-		case WireMagic:
-			return &binServerCodec{br: br, w: conn}, string(WireBinary), br, nil
-		case feddb.SyncMagic:
-			return nil, wireSync, br, nil
-		}
-		return nil, "", nil, frame.ErrMalformed
+	switch string(magic[:]) {
+	case WireMagic:
+		return &binServerCodec{br: br, w: conn}, br, nil
+	case feddb.SyncMagic:
+		return nil, br, nil
 	}
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	return &jsonServerCodec{sc: sc, enc: json.NewEncoder(conn)}, string(WireJSON), br, nil
-}
-
-// clientCodec puts request frames on the wire and reads response frames.
-type clientCodec interface {
-	send(req *request) error
-	recv(resp *response) error
-}
-
-type jsonClientCodec struct {
-	enc *json.Encoder
-	sc  *bufio.Scanner
-}
-
-func newJSONClientCodec(conn net.Conn) *jsonClientCodec {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	return &jsonClientCodec{enc: json.NewEncoder(conn), sc: sc}
-}
-
-func (c *jsonClientCodec) send(req *request) error { return c.enc.Encode(req) }
-
-func (c *jsonClientCodec) recv(resp *response) error {
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return err
-		}
-		return io.ErrUnexpectedEOF
-	}
-	return json.Unmarshal(c.sc.Bytes(), resp)
+	return nil, nil, frame.ErrMalformed
 }
 
 // binClientCodec speaks PHWIRE1 from the client side, with the same reused

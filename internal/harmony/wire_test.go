@@ -3,6 +3,7 @@ package harmony
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"reflect"
 	"strconv"
@@ -176,7 +177,7 @@ func TestBadFrameDrawsBadRequest(t *testing.T) {
 	defer l.Close()
 	serveAsync(l, srv)
 
-	rw := newRawWire(t, l.Addr().String(), WireBinary)
+	rw := newRawWire(t, l.Addr().String())
 	bad := rw.frame(&request{Op: "best", Session: "s", Seq: 1})
 	bad[len(bad)-1] ^= 0x01
 	if _, err := rw.conn.Write(bad); err != nil {
@@ -189,6 +190,37 @@ func TestBadFrameDrawsBadRequest(t *testing.T) {
 	}
 	if _, ok := rw.readResp(); ok {
 		t.Error("connection stayed open after a bad request")
+	}
+}
+
+// TestJSONLineClosedUnanswered sends a JSON request line, a connection that
+// opens with neither PHWIRE1's nor PHSYNC1's preamble: the server closes it
+// without writing a byte.
+func TestJSONLineClosedUnanswered(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	serveAsync(l, srv)
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"op":"best","session":"s"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("connection not closed: %v", err)
+	}
+	if len(got) != 0 {
+		t.Errorf("server answered a JSON line with %q, want no reply", got)
 	}
 }
 
