@@ -19,6 +19,7 @@ import (
 	"paratune/internal/core"
 	"paratune/internal/dist"
 	"paratune/internal/experiment"
+	"paratune/internal/harmony"
 	"paratune/internal/measuredb"
 	"paratune/internal/noise"
 	"paratune/internal/objective"
@@ -351,6 +352,66 @@ func BenchmarkHarmonyFetchReport(b *testing.B) {
 		}
 		if fr.Tag != 0 {
 			_ = srv.Report("bench", fr.Tag, db.Eval(fr.Point))
+		}
+	}
+}
+
+// BenchmarkHarmonyReportN measures one 16-item ReportN round trip over
+// loopback PHWIRE1: client encode, the socket both ways, server decode, the
+// session's slot fills and the reply. Each frame fills 16 fresh sample
+// slots, taken from a 1024-slot FetchN made outside the timer. K = 4096
+// keeps a batch open for many frames, so the optimiser steps on few of
+// them; a converged session is replaced by a fresh one, also untimed.
+func BenchmarkHarmonyReportN(b *testing.B) {
+	const frameItems = 16
+	db := objective.GenerateGS2(objective.GS2Config{Seed: 1, Coverage: 1})
+	est, _ := sample.NewMinOfK(4096)
+	l, srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{Estimator: est})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	defer l.Close()
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	sp := db.Space()
+	params := make([]Param, sp.Dim())
+	for i := range params {
+		params[i] = sp.Param(i)
+	}
+	sessions, name := 0, ""
+	var slots []FetchResult
+	items := make([]harmony.ReportItem, frameItems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for len(slots) < frameItems {
+			b.StopTimer()
+			if len(slots) == 0 || slots[0].Converged {
+				sessions++
+				name = fmt.Sprintf("bench-%d", sessions)
+				if err := c.Register(name, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if slots, err = c.FetchN(name, 1024); err != nil {
+				b.Fatal(err)
+			}
+			if len(slots) < frameItems && !slots[0].Converged {
+				b.Fatalf("FetchN granted %d slots", len(slots))
+			}
+			b.StartTimer()
+		}
+		for j := range items {
+			items[j] = harmony.ReportItem{Tag: slots[j].Tag, Value: 1 + float64(j)}
+		}
+		slots = slots[frameItems:]
+		res, err := c.ReportN(name, items)
+		if err != nil || res.Accepted != frameItems {
+			b.Fatalf("ReportN = %+v, %v", res, err)
 		}
 	}
 }

@@ -15,8 +15,8 @@
 //
 // The client survives server restarts: a broken connection is redialled with
 // exponential backoff (-dial-retries attempts starting at -dial-backoff, with
-// jitter), and reports carry idempotency ids so retries are never counted
-// twice by the server.
+// jitter), and each report names the sample slot it fills, so a retry finds
+// its slot filled and is never counted twice by the server.
 package main
 
 import (

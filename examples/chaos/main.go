@@ -9,9 +9,9 @@
 //  2. Tuning through faults. Two clients tune a GS2 surrogate through a
 //     chaos proxy that delays, drops, duplicates, truncates, and resets
 //     wire frames. Per-frame sequence numbers (the server discards
-//     duplicated frames), report ids (a retried report counts once) and
-//     capped backoff let the session converge anyway; the run's quality is
-//     compared against a fault-free baseline.
+//     duplicated frames), sample slots (a retried report finds its slot
+//     filled and counts once) and capped backoff let the session converge
+//     anyway; the run's quality is compared against a fault-free baseline.
 //
 //  3. Mid-tuning server kill. A supervised server with atomic
 //     auto-checkpoints is killed abruptly (no final checkpoint — a

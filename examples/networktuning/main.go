@@ -3,6 +3,12 @@
 // fetch configurations, measure the GS2 surrogate under noise, and report
 // back over the wire until the session converges.
 //
+// Each measurement's noise is drawn from a stream keyed by (seed, tag), and
+// a tag names one sample slot of one candidate, so a sample measures the
+// same whichever process it is granted to. The best configuration and the
+// server's estimate are therefore the same on every run; only which process
+// took how many measurements, and the wall time, vary with scheduling.
+//
 //	go run ./examples/networktuning
 package main
 
@@ -35,7 +41,10 @@ func main() {
 		params[i] = sp.Param(i)
 	}
 
-	const clients = 4
+	const (
+		clients   = 4
+		noiseSeed = 1
+	)
 	var wg sync.WaitGroup
 	var once sync.Once
 	stop := make(chan struct{})
@@ -56,7 +65,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			rng := dist.NewRNG(int64(id))
 			measurements := 0
 			for {
 				select {
@@ -74,9 +82,9 @@ func main() {
 					fmt.Printf("client %d: saw convergence after %d measurements\n", id, measurements)
 					return
 				}
-				y := model.Perturb(db.Eval(fr.Point), rng)
 				if fr.Tag != 0 {
-					if err := cl.Report("gs2", fr.Tag, y); err == nil {
+					rng := dist.NewRNG(noiseSeed<<32 | int64(fr.Tag))
+					if err := cl.Report("gs2", fr.Tag, model.Perturb(db.Eval(fr.Point), rng)); err == nil {
 						measurements++
 					}
 				}

@@ -310,18 +310,19 @@ type BatchFetch struct {
 func (BatchFetch) EventKind() string { return KindBatchFetch }
 
 // BatchReport reports one batched reportN round-trip: Items measurements in
-// a single frame, of which Accepted were stored, Rejected were invalid or
-// named unknown/completed tags, and Refused lay past the per-frame item cap.
+// a single frame, of which Accepted the session took, Rejected were invalid
+// or named tags never issued, and Refused lay past the per-frame item cap.
 type BatchReport struct {
 	// Session is the session name.
 	Session string `json:"session"`
 	// Items is the number of measurements the frame carried.
 	Items int `json:"items"`
-	// Accepted is how many were stored (idempotent duplicates count as
-	// accepted: the client's retry succeeded even though nothing new was
-	// recorded).
+	// Accepted is how many the session took: measurements that filled a
+	// sample slot or were surplus for a filled one, plus resends of a slot's
+	// value and reports for a retired batch's tags, which record nothing but
+	// count as accepted because the client's retry succeeded.
 	Accepted int `json:"accepted"`
-	// Rejected is how many were invalid values or unknown/completed tags.
+	// Rejected is how many were invalid values or tags never issued.
 	Rejected int `json:"rejected,omitempty"`
 	// Refused is how many lay past the per-frame item cap and were not
 	// applied.

@@ -5,39 +5,46 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"paratune/internal/alloccheck"
 )
 
 // Per-session and per-connection memory that a client controls the size of
-// must stay bounded however many distinct ids it sends. These tests pin each
-// bound at its site.
+// must stay bounded however many reports or distinct ids it sends. These
+// tests pin each bound at its site.
 
-// registeredSession registers a GS2 session on a fresh server and returns it.
-func registeredSession(t *testing.T) *session {
-	t.Helper()
-	srv := NewServer(ServerOptions{})
-	t.Cleanup(srv.Close)
+// TestSlotMemoryBounded sends one sample slot hundreds of reports through
+// the session's report path — resends of its value and surplus new values,
+// each beside a tag-0 report — and none of them allocates: the slot buffer
+// keeps its K values, and a report leaves no per-report state behind.
+func TestSlotMemoryBounded(t *testing.T) {
+	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
+	defer srv.Close()
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	return srv.lookup("s")
-}
-
-// TestRememberedRIDsBounded drives three generations of distinct report ids
-// through the idempotency memory: the two generations together never hold
-// more than 2×maxRememberedReports, and a recent id is still deduplicated.
-func TestRememberedRIDsBounded(t *testing.T) {
-	s := registeredSession(t)
+	frs, err := srv.FetchN("s", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := srv.lookup("s")
+	items := []ReportItem{{Tag: frs[0].Tag, Value: 1}, {Tag: 0, Value: 1}}
+	sent := 0
+	send := func(v float64) {
+		items[0].Value = v
+		sent++
+		if _, err := s.report(items); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1) // fills the slot
+	alloccheck.Guard(t, "harmony.session.report/resend", 0, func() { send(1) })
+	alloccheck.Guard(t, "harmony.session.report/surplus", 0, func() { send(float64(1 + sent)) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 3 * maxRememberedReports
-	for i := 0; i < n; i++ {
-		s.rememberRIDLocked("rid-" + strconv.Itoa(i))
-	}
-	if got := len(s.ridCur) + len(s.ridOld); got > 2*maxRememberedReports {
-		t.Errorf("remembered %d report ids after %d distinct ones, bound %d", got, n, 2*maxRememberedReports)
-	}
-	if recent := "rid-" + strconv.Itoa(n-1); !s.seenRIDLocked(recent) {
-		t.Errorf("most recent report id %q is no longer deduplicated", recent)
+	c, j := s.slotLocked(frs[0].Tag)
+	if c == nil || len(c.obs) != 3 || cap(c.obs) != 3 || c.filled != 1 || c.obs[j] != 1 {
+		t.Errorf("after %d reports for one slot the candidate is %+v, want its 3 slots, only this one filled, with 1", sent, c)
 	}
 }
 

@@ -1,10 +1,12 @@
 package harmony
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,6 +15,7 @@ import (
 
 	"paratune/internal/dist"
 	"paratune/internal/fault"
+	"paratune/internal/frame"
 	"paratune/internal/objective"
 	"paratune/internal/space"
 )
@@ -70,74 +73,121 @@ func fetchWork(t *testing.T, srv *Server, name string) FetchResult {
 	return fr
 }
 
-// --- idempotent reports (rid deduplication) ---
+// --- idempotent reports (sample slots) ---
 
-func TestReportDeduplicationByRID(t *testing.T) {
-	db := objective.GenerateGS2(objective.GS2Config{Seed: 5, Coverage: 1})
-	est := mustMinOfK(t, 3)
-	srv := NewServer(ServerOptions{Estimator: est})
+// TestReportClassifiedBySlot delivers reports for the slots of one batch:
+// one slot's value three times counts once, a new value for a filled slot
+// is surplus, another slot counts separately, and a tag never issued is
+// rejected.
+func TestReportClassifiedBySlot(t *testing.T) {
+	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
 	defer srv.Close()
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	fr := fetchWork(t, srv, "s")
-	y := db.Eval(fr.Point)
-	// The same rid delivered three times counts once.
-	for i := 0; i < 3; i++ {
-		if err := srv.ReportTagged("s", fr.Tag, y, "retry-1"); err != nil {
-			t.Fatalf("retry %d: %v", i, err)
-		}
-	}
-	s, err := srv.session("s")
+	frs, err := srv.FetchN("s", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	c := s.candLocked(fr.Tag)
-	var obs int
-	if c != nil {
-		obs = len(c.obs)
+	tag, other := frs[0].Tag, frs[1].Tag
+	s := srv.lookup("s")
+	// state reads the slot tag names; a slot that is gone reads as empty.
+	state := func() (slot float64, filled, recorded int) {
+		s.mu.Lock()
+		if c, j := s.slotLocked(tag); c != nil {
+			slot, filled = c.obs[j], c.filled
+		}
+		recorded = s.batchObs
+		s.mu.Unlock()
+		return slot, filled, recorded
 	}
-	s.mu.Unlock()
-	if obs != 1 {
-		t.Errorf("candidate has %d observations after 3 retries of one rid, want 1", obs)
+	for i := 0; i < 3; i++ {
+		if err := srv.Report("s", tag, 0.5); err != nil {
+			t.Fatalf("delivery %d: %v", i, err)
+		}
 	}
-	// Distinct rids count separately.
-	if err := srv.ReportTagged("s", fr.Tag, y, "retry-2"); err != nil {
+	if slot, filled, recorded := state(); slot != 0.5 || filled != 1 || recorded != 1 {
+		t.Errorf("after 3 deliveries of one slot: slot %v, %d filled, %d recorded; want 0.5, 1, 1", slot, filled, recorded)
+	}
+	if err := srv.Report("s", tag, 0.25); err != nil {
+		t.Fatalf("surplus report refused: %v", err)
+	}
+	if slot, filled, recorded := state(); slot != 0.5 || filled != 1 || recorded != 2 {
+		t.Errorf("after a surplus report: slot %v, %d filled, %d recorded; want 0.5 kept, 1, 2", slot, filled, recorded)
+	}
+	if err := srv.Report("s", other, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	if c != nil {
-		obs = len(c.obs)
+	if _, _, recorded := state(); recorded != 3 {
+		t.Errorf("another slot's report: %d recorded, want 3", recorded)
 	}
-	s.mu.Unlock()
-	if obs != 2 {
-		t.Errorf("candidate has %d observations, want 2", obs)
+	st, err := srv.Stats("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Report("s", st.NextTag, 0.5); err == nil {
+		t.Errorf("report for tag %d, never issued, was accepted", st.NextTag)
 	}
 }
 
-// TestClientRIDsMatchSprintf pins the client's report ids byte for byte to
-// "%x-%d" of (nonce, counter), across signs, widths and digit boundaries, and
-// checks that ids a caller already set are kept.
-func TestClientRIDsMatchSprintf(t *testing.T) {
-	for _, nonce := range []int64{0, 1, 0xabc, math.MaxInt64, -1, -0x1f, math.MinInt64} {
-		for _, start := range []uint64{0, 8, 99_999, math.MaxUint64 - 3} {
-			c := &Client{ridPrefix: ridPrefix(nonce), nextID: start}
-			items := []ReportItem{{}, {RID: "caller-set"}, {}, {}}
-			c.stampRIDsLocked(items)
-			want := []string{
-				fmt.Sprintf("%x-%d", nonce, start+1), "caller-set",
-				fmt.Sprintf("%x-%d", nonce, start+2), fmt.Sprintf("%x-%d", nonce, start+3),
-			}
-			for i := range items {
-				if items[i].RID != want[i] {
-					t.Errorf("nonce %d, counter %d: item %d rid %q, want %q", nonce, start, i, items[i].RID, want[i])
-				}
-			}
-			if c.nextID != start+3 {
-				t.Errorf("nonce %d: counter advanced to %d, want %d", nonce, c.nextID, start+3)
-			}
+// TestClientReportFramesCarrySlotsOnly reads the frames a Client's Report
+// and ReportN put on the wire: each decodes to exactly the caller's tags and
+// values, nothing is added to them, and the caller's items are not touched.
+func TestClientReportFramesCarrySlotsOnly(t *testing.T) {
+	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
+	defer srv.Close()
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &inboundListener{Listener: raw}
+	defer l.Close()
+	serveAsync(l, srv)
+	c, err := DialWith(raw.Addr().String(), DialOptions{Timeout: 5 * time.Second, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	frs, err := c.FetchN("s", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []ReportItem{{Tag: frs[0].Tag, Value: 1.5}, {Tag: frs[1].Tag, Value: 2.5}}
+	sent := append([]ReportItem(nil), items...)
+	if _, err := c.ReportN("s", items); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Report("s", frs[2].Tag, 3.5); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(items, sent) {
+		t.Errorf("ReportN changed the caller's items to %+v", items)
+	}
+	in := bytes.TrimPrefix(l.inbound(0), []byte(WireMagic))
+	var reqs []request
+	for len(in) > 0 {
+		payload, used, err := frame.Split(in, frame.MaxPayload)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var req request
+		if err := decodeRequest(payload, &req); err != nil {
+			t.Fatalf("frame %d: %v", len(reqs), err)
+		}
+		reqs = append(reqs, req)
+		in = in[used:]
+	}
+	if len(reqs) != 4 {
+		t.Fatalf("client sent %d frames, want register, fetchn, reportn and report", len(reqs))
+	}
+	if got := reqs[2]; got.Op != "reportn" || !reflect.DeepEqual(got.Reports, sent) {
+		t.Errorf("reportn frame carried %+v, want %+v", got.Reports, sent)
+	}
+	if got := reqs[3]; got.Op != "report" || got.Tag != frs[2].Tag || got.Value != 3.5 {
+		t.Errorf("report frame carried tag %d value %v, want %d and 3.5", got.Tag, got.Value, frs[2].Tag)
 	}
 }
 
@@ -175,64 +225,80 @@ func (c *dropReplyConn) Write(b []byte) (int, error) {
 
 // TestReportNRetriedOverReconnectCountedOnce loses the reply to a reportn
 // frame the server already applied: the client reconnects and resends the
-// frame with the same report ids, and every measurement is counted once.
+// same frame, whose items find their slots filled with the same values, and
+// every measurement is counted once. At K=1 the frame completes the batch,
+// so the resend names retired tags: it is accepted whole and records
+// nothing in the next batch.
 func TestReportNRetriedOverReconnectCountedOnce(t *testing.T) {
-	t.Run("binary", func(t *testing.T) {
-		srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 3)})
-		defer srv.Close()
-		raw, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer raw.Close()
-		// Replies on the first connection: register, fetchn, then the
-		// reportn reply that is lost.
-		serveAsync(&dropReplyListener{Listener: raw, nth: 3}, srv)
-		c, err := DialWith(raw.Addr().String(), DialOptions{
-			Retries: 8, Backoff: 5 * time.Millisecond, Timeout: 5 * time.Second, Seed: 42,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Register("s", gs2Params()); err != nil {
-			t.Fatal(err)
-		}
-		pendingBatch(t, srv, "s", 1)
-		frs, err := c.FetchN("s", 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items := make([]ReportItem, len(frs))
-		for i, fr := range frs {
-			items[i] = ReportItem{Tag: fr.Tag, Value: 1 + float64(i)}
-		}
-		res, err := c.ReportN("s", items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := c.Reconnects(); n != 1 {
-			t.Fatalf("client reconnected %d times, want 1: the reply was not lost", n)
-		}
-		if res.Accepted != len(items) {
-			t.Errorf("retried ReportN = %+v, want all %d accepted", res, len(items))
-		}
-		for i := range items {
-			if want := fmt.Sprintf("%x-%d", c.nonce, i+1); items[i].RID != want {
-				t.Errorf("item %d rid %q, want %q", i, items[i].RID, want)
+	for _, tc := range []struct {
+		name     string
+		k        int
+		complete bool
+	}{{"binary", 3, false}, {"batch-completing", 1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, tc.k)})
+			defer srv.Close()
+			raw, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		s, err := srv.session("s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.mu.Lock()
-		recorded := s.batchObs
-		s.mu.Unlock()
-		if recorded != len(items) {
-			t.Errorf("server recorded %d measurements from a twice-delivered frame of %d", recorded, len(items))
-		}
-	})
+			defer raw.Close()
+			// Replies on the first connection: register, fetchn, then the
+			// reportn reply that is lost.
+			serveAsync(&dropReplyListener{Listener: raw, nth: 3}, srv)
+			c, err := DialWith(raw.Addr().String(), DialOptions{
+				Retries: 8, Backoff: 5 * time.Millisecond, Timeout: 5 * time.Second, Seed: 42,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Register("s", gs2Params()); err != nil {
+				t.Fatal(err)
+			}
+			pendingBatch(t, srv, "s", 1)
+			frs, err := c.FetchN("s", 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := make([]ReportItem, len(frs))
+			for i, fr := range frs {
+				items[i] = ReportItem{Tag: fr.Tag, Value: 1 + float64(i)}
+			}
+			st, err := srv.Stats("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if completes := st.Pending*tc.k == len(items); completes != tc.complete {
+				t.Fatalf("%d items for %d candidates at K=%d: completing the batch is %v, want %v",
+					len(items), st.Pending, tc.k, completes, tc.complete)
+			}
+			res, err := c.ReportN("s", items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := c.Reconnects(); n != 1 {
+				t.Fatalf("client reconnected %d times, want 1: the reply was not lost", n)
+			}
+			if res != (BatchReportResult{Accepted: len(items)}) {
+				t.Errorf("retried ReportN = %+v, want all %d accepted", res, len(items))
+			}
+			s, err := srv.session("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			recorded := s.batchObs
+			s.mu.Unlock()
+			want := len(items)
+			if tc.complete {
+				want = 0 // the next batch's count
+			}
+			if recorded != want {
+				t.Errorf("server recorded %d measurements from a twice-delivered frame of %d, want %d", recorded, len(items), want)
+			}
+		})
+	}
 }
 
 // --- satellite: the session-wedge regression ---

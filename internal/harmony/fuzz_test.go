@@ -99,10 +99,10 @@ func binSeedOp(op byte, req *request) []byte {
 func FuzzBinaryFrameDecode(f *testing.F) {
 	f.Add(binSeed(&request{Op: "best", Session: "s", Client: "c", Seq: 1}))
 	f.Add(binSeed(&request{Op: "fetch", Session: "s", Client: "c", Seq: 2}))
-	f.Add(binSeed(&request{Op: "report", Session: "s", Tag: 1, Value: 2.5, RID: "r-1", Seq: 3}))
+	f.Add(binSeed(&request{Op: "report", Session: "s", Tag: 1, Value: 2.5, Seq: 3}))
 	f.Add(binSeed(&request{Op: "fetchn", Session: "s", N: 8, Seq: 4}))
 	f.Add(binSeed(&request{Op: "reportn", Session: "s", Seq: 5,
-		Reports: []ReportItem{{Tag: 1, Value: 3.5, RID: "r-2"}, {Tag: 2, Value: 4.5}}}))
+		Reports: []ReportItem{{Tag: 1, Value: 3.5}, {Tag: 2, Value: 4.5}}}))
 	f.Add(binSeed(&request{Op: "register", Session: "s", Seq: 6, Params: []wireParam{
 		{Name: "x", Kind: "integer", Lower: 0, Upper: 5},
 		{Name: "m", Kind: "discrete", Values: []float64{1, 2, 4}},
@@ -195,8 +195,8 @@ func FuzzDispatch(f *testing.F) {
 	// Corrupt measurement reports: negative, absurd and non-finite values
 	// must be rejected with a structured error, never accepted or panicking.
 	for _, v := range []float64{-1, -1e308, 1e308, -0.001, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		seed(&request{Op: "report", Session: "s", Tag: 1, Value: v, RID: "r-1"})
-		seed(&request{Op: "reportn", Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}, {Tag: 0, Value: v, RID: "r-2"}}})
+		seed(&request{Op: "report", Session: "s", Tag: 1, Value: v})
+		seed(&request{Op: "reportn", Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}, {Tag: 0, Value: v}}})
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var req request

@@ -33,13 +33,13 @@ func goldenRequests() []goldenReq {
 			{Name: "delt", Kind: "continuous", Lower: 0.005, Upper: 0.5},
 		}}},
 		{"req/fetch", request{Op: "fetch", Seq: 2, Client: "c1", Session: "gs2"}},
-		{"req/report", request{Op: "report", Seq: 3, Client: "c1", Session: "gs2", Tag: 7, Value: 0.8125, RID: "c1-7"}},
+		{"req/report", request{Op: "report", Seq: 3, Client: "c1", Session: "gs2", Tag: 7, Value: 0.8125}},
 		{"req/best", request{Op: "best", Seq: 4, Client: "c1", Session: "gs2"}},
 		{"req/stats", request{Op: "stats", Seq: 5, Client: "c1", Session: "gs2"}},
 		{"req/fetchn", request{Op: "fetchn", Seq: 7, Client: "c1", Session: "gs2", N: 16}},
 		{"req/reportn", request{Op: "reportn", Seq: 8, Client: "c1", Session: "gs2", Reports: []ReportItem{
-			{Tag: 8, Value: 1.5, RID: "c1-8"},
-			{Tag: 9, Value: 2.25e-3, RID: "c1-9"},
+			{Tag: 8, Value: 1.5},
+			{Tag: 9, Value: 2.25e-3},
 			{Tag: 300, Value: 1e9},
 		}}},
 	}

@@ -191,7 +191,9 @@ func TestFetchNGrantMatchesSinglePass(t *testing.T) {
 
 // TestFetchNDrainsBatchInOneRoundTrip pins the point of the grant rule: at
 // min-of-K a P-candidate batch with K·P ≤ n is fetched pass-major in one
-// FetchN and completed by one ReportN.
+// FetchN, slot j of every candidate in pass j, and completed by one ReportN.
+// Resending that ReportN is idempotent: the tags are retired, so every item
+// is accepted and nothing is recorded.
 func TestFetchNDrainsBatchInOneRoundTrip(t *testing.T) {
 	const k, n = 3, 64
 	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, k)})
@@ -210,18 +212,12 @@ func TestFetchNDrainsBatchInOneRoundTrip(t *testing.T) {
 	if len(frs) != k*p {
 		t.Fatalf("FetchN(%d) granted %d samples, want K·P = %d", n, len(frs), k*p)
 	}
-	first := map[uint64]bool{}
 	for i, fr := range frs {
-		if fr.Tag == 0 {
-			t.Fatalf("sample %d has tag 0", i)
-		}
-		if i < p {
-			if first[fr.Tag] {
-				t.Fatalf("tag %d twice in the first pass", fr.Tag)
-			}
-			first[fr.Tag] = true
-		} else if fr.Tag != frs[i%p].Tag {
-			t.Fatalf("sample %d is tag %d, want pass-major tag %d", i, fr.Tag, frs[i%p].Tag)
+		// Candidate c's slot j is tag base + c·K + j, and pass j grants it
+		// as sample j·P + c.
+		c, j := i%p, i/p
+		if want := frs[0].Tag + uint64(c*k+j); fr.Tag != want || !fr.Point.Equal(frs[c].Point) {
+			t.Fatalf("sample %d is tag %d at %v, want pass-major slot tag %d at %v", i, fr.Tag, fr.Point, want, frs[c].Point)
 		}
 	}
 	items := make([]ReportItem, len(frs))
@@ -235,20 +231,28 @@ func TestFetchNDrainsBatchInOneRoundTrip(t *testing.T) {
 	if res.Accepted != len(items) || res.Rejected+res.Refused != 0 {
 		t.Fatalf("ReportN = %+v, want all %d accepted", res, len(items))
 	}
-	// The batch is complete: its tags are retired.
-	late, err := srv.ReportN("s", items[:1])
+	// The batch is complete and its tags retired: a resend of the whole
+	// frame is accepted and records nothing in the next batch.
+	late, err := srv.ReportN("s", items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if late.Rejected != 1 {
-		t.Errorf("report for a tag of the completed batch = %+v, want rejected", late)
+	if late != (BatchReportResult{Accepted: len(items)}) {
+		t.Errorf("resent frame for the completed batch = %+v, want all %d accepted", late, len(items))
+	}
+	s := srv.lookup("s")
+	s.mu.Lock()
+	recorded := s.batchObs
+	s.mu.Unlock()
+	if recorded != 0 {
+		t.Errorf("the resent frame recorded %d measurements in the next batch", recorded)
 	}
 }
 
 // TestFetchNConcurrentFetchersDisjoint checks that two fetchers racing on
-// one batch get disjoint unissued samples — together exactly K of every
+// one batch get disjoint unissued slots — together every slot, K of every
 // candidate — and that only then FetchN falls back to reissuing each
-// unmeasured candidate once.
+// unmeasured candidate's first slot once.
 func TestFetchNConcurrentFetchersDisjoint(t *testing.T) {
 	const k = 3
 	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, k)})
@@ -274,38 +278,42 @@ func TestFetchNConcurrentFetchersDisjoint(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	issued := map[uint64]int{}
-	total := 0
+	s := srv.lookup("s")
+	s.mu.Lock()
+	base := s.cands[0].tag
+	s.mu.Unlock()
+	issued := map[uint64]bool{}
+	perCand := map[uint64]int{}
 	for i := range got {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
 		for _, fr := range got[i] {
-			if fr.Tag == 0 {
-				t.Fatalf("fetcher %d got tag 0 while samples were unissued", i)
+			if fr.Tag < base || issued[fr.Tag] {
+				t.Fatalf("fetcher %d got tag %d, not a fresh slot of the batch at %d", i, fr.Tag, base)
 			}
-			issued[fr.Tag]++
-			total++
+			issued[fr.Tag] = true
+			perCand[(fr.Tag-base)/k]++
 		}
 	}
-	if total != k*p || len(issued) != p {
-		t.Fatalf("fetchers got %d samples of %d candidates, want %d of %d", total, len(issued), k*p, p)
+	if len(issued) != k*p || len(perCand) != p {
+		t.Fatalf("fetchers got %d slots of %d candidates, want %d of %d", len(issued), len(perCand), k*p, p)
 	}
-	for tag, c := range issued {
-		if c != k {
-			t.Errorf("tag %d issued %d times across both fetchers, want exactly %d", tag, c, k)
+	for c, n := range perCand {
+		if n != k {
+			t.Errorf("candidate %d had %d slots issued across both fetchers, want exactly %d", c, n, k)
 		}
 	}
 	// Everything is issued and nothing measured: the fallback reissues each
-	// candidate once.
+	// candidate's first slot once.
 	again, err := srv.FetchN("s", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint64]bool{}
 	for _, fr := range again {
-		if fr.Tag == 0 || seen[fr.Tag] || issued[fr.Tag] == 0 {
-			t.Fatalf("fallback grant %+v is not each candidate once", again)
+		if !issued[fr.Tag] || (fr.Tag-base)%k != 0 || seen[fr.Tag] {
+			t.Fatalf("fallback grant %+v is not each candidate's slot 0 once", again)
 		}
 		seen[fr.Tag] = true
 	}
@@ -344,9 +352,11 @@ func TestReportNOversizedFrameCountsEveryItem(t *testing.T) {
 
 // TestDispatchBatchAllocs pins the steady-state batch path: against a warm
 // session, dispatching fetchn(16) and reportn(16) frames allocates nothing.
-// The estimator's K is large enough that the batch never completes while
-// the guard runs, and the reports carry no rid, so nothing is remembered.
+// Each guarded reportn fills the 16 slots one guarded fetchn granted, with
+// items as Client.ReportN sends them. The estimator's K only has to leave
+// every guarded fetch 16 fresh slots, so the batch never completes.
 func TestDispatchBatchAllocs(t *testing.T) {
+	const runs = 101 // testing.AllocsPerRun(100, f) calls f once more to warm up
 	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 4096)})
 	defer srv.Close()
 	if err := srv.Register("s", gs2Params()); err != nil {
@@ -364,17 +374,38 @@ func TestDispatchBatchAllocs(t *testing.T) {
 			t.Fatalf("%s: %s", req.Op, resp.Error)
 		}
 	}
-	dispatchOK(&fetch) // grows the grant and registers the client
-	for i := range items {
-		items[i] = ReportItem{Tag: resp.Batch[i].Tag, Value: 1}
+	// tags holds every slot a fetch granted, in grant order; sent counts
+	// those already reported.
+	tags := make([]uint64, 0, 16*(runs+1))
+	sent := 0
+	fetchN := func() {
+		dispatchOK(&fetch)
+		for i := range resp.Batch {
+			tags = append(tags, resp.Batch[i].Tag)
+		}
 	}
-	dispatchOK(&report)
-	alloccheck.Guard(t, "harmony.dispatch/fetchn16", 0, func() { dispatchOK(&fetch) })
-	if len(resp.Batch) != 16 || resp.Batch[0].Tag == 0 {
-		t.Fatalf("fetchn(16) granted %+v", resp.Batch)
+	reportN := func() {
+		for i := range items {
+			items[i] = ReportItem{Tag: tags[sent+i], Value: float64(sent + i + 1)}
+		}
+		sent += len(items)
+		dispatchOK(&report)
 	}
-	alloccheck.Guard(t, "harmony.dispatch/reportn16", 0, func() { dispatchOK(&report) })
+	fetchN() // grows the grant and registers the client
+	reportN()
+	alloccheck.Guard(t, "harmony.dispatch/fetchn16", 0, fetchN)
+	if len(resp.Batch) != 16 || resp.Batch[0].Tag == 0 || len(tags) != 16*(runs+1) {
+		t.Fatalf("fetchn(16) granted %+v, %d slots in all", resp.Batch, len(tags))
+	}
+	alloccheck.Guard(t, "harmony.dispatch/reportn16", 0, reportN)
 	if resp.Accepted != 16 {
 		t.Fatalf("reportn(16) = %+v, want 16 accepted", resp)
+	}
+	s := srv.lookup("s")
+	s.mu.Lock()
+	recorded := s.batchObs
+	s.mu.Unlock()
+	if recorded != len(tags) {
+		t.Errorf("the session recorded %d measurements, want one per granted slot, %d", recorded, len(tags))
 	}
 }

@@ -211,11 +211,10 @@ func TestReconnectSendsOnlyTheRetry(t *testing.T) {
 	})
 }
 
-// TestDuplicateFrameSuppressed replays one rid-less report frame twice on a
-// raw connection: exactly one response comes back, or every later round
-// trip on the connection would read the wrong response, and the candidate
-// gains exactly one observation, since nothing else dedupes a report that
-// carries no rid.
+// TestDuplicateFrameSuppressed replays one report frame twice on a raw
+// connection: exactly one response comes back, or every later round trip on
+// the connection would read the wrong response, and the sample slot the
+// report names holds its one value.
 func TestDuplicateFrameSuppressed(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		srv := NewServer(ServerOptions{})
@@ -267,13 +266,13 @@ func TestDuplicateFrameSuppressed(t *testing.T) {
 
 		s := srv.lookup("s")
 		s.mu.Lock()
-		obs := -1 // the candidate is gone
-		if c := s.candLocked(fr.Tag); c != nil {
-			obs = len(c.obs)
+		filled, recorded := -1, s.batchObs // -1: the candidate is gone
+		if c, j := s.slotLocked(fr.Tag); c != nil && c.obs[j] == 2 {
+			filled = c.filled
 		}
 		s.mu.Unlock()
-		if obs != 1 {
-			t.Errorf("candidate holds %d observations after a duplicated report, want 1", obs)
+		if filled != 1 || recorded != 1 {
+			t.Errorf("after a duplicated report: %d slots filled and %d measurements recorded, want the one slot and 1", filled, recorded)
 		}
 	})
 }

@@ -9,10 +9,11 @@
 // The measurement pipeline is fault-tolerant: reported values are validated
 // (NaN/±Inf/negative reports are rejected before they can poison the
 // estimator), every candidate batch carries a progress deadline with bounded
-// reissue so a vanished client cannot wedge a session, reports are
-// deduplicated by client-supplied id so reconnect retries are idempotent,
-// idle sessions expire, and whole sessions can be checkpointed and restored
-// across server restarts without losing the optimiser's simplex.
+// reissue so a vanished client cannot wedge a session, every grant names one
+// sample slot so a resent report finds its slot filled and reconnect
+// retries are idempotent, idle sessions expire, and whole sessions can be
+// checkpointed and restored across server restarts without losing the
+// optimiser's simplex.
 //
 // Two transports are provided: direct in-process calls on *Server, and
 // PHWIRE1 over TCP (Serve/Client), a length-prefixed binary framing
@@ -25,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -55,11 +57,6 @@ var ErrUnknownSession = errors.New("harmony: unknown session")
 
 // errServerClosed refuses a session start once Close has begun.
 var errServerClosed = errors.New("harmony: server closed")
-
-// maxRememberedReports sizes one generation of the per-session idempotency
-// memory of client-supplied report ids. The memory keeps two generations, so
-// it remembers at least the last 4096 ids (and at most twice that).
-const maxRememberedReports = 4096
 
 // ServerOptions configures session behaviour.
 type ServerOptions struct {
@@ -171,14 +168,39 @@ func newServerWithShards(opts ServerOptions, n int) *Server {
 	return srv
 }
 
-// candidate is one configuration awaiting measurements. Its point is never
-// written after the batch is proposed, so fetch responses share it.
+// candidate is one configuration awaiting measurements in K sample slots,
+// tagged tag, tag+1, …, tag+K−1. Its point is never written after the batch
+// is proposed, so fetch responses share it.
 type candidate struct {
 	point  space.Point
-	tag    uint64
-	obs    []float64
-	need   int
-	issued int
+	tag    uint64    // slot 0's tag
+	obs    []float64 // one value per slot; NaN while the slot is empty
+	filled int       // slots holding a value
+	next   int       // slots below it were handed out this issue round
+}
+
+// emptySlot marks a slot no report has filled. fault.ValidValue never admits
+// NaN, so no measurement can be mistaken for it.
+func emptySlot(v float64) bool { return math.IsNaN(v) }
+
+// unissued returns the first empty slot at or past next, len(obs) when none.
+// Reports fill only issued slots, so in a round without reissue that is next
+// itself; the cursor skips what it passes, keeping later calls O(1).
+func (c *candidate) unissued() int {
+	for c.next < len(c.obs) && !emptySlot(c.obs[c.next]) {
+		c.next++
+	}
+	return c.next
+}
+
+// firstEmpty returns the candidate's first empty slot, len(obs) when full.
+func (c *candidate) firstEmpty() int {
+	for j, v := range c.obs {
+		if emptySlot(v) {
+			return j
+		}
+	}
+	return len(c.obs)
 }
 
 // session is one application's tuning state. Everything above mu is
@@ -205,10 +227,10 @@ type session struct {
 
 	mu sync.Mutex //paralint:lockrank 30
 	// cands is the outstanding batch in submission order, nil when none is
-	// outstanding. Its tags run consecutively from cands[0].tag, so a tag
-	// resolves by subtraction.
+	// outstanding. Its slot tags run consecutively from cands[0].tag, K per
+	// candidate, up to nextTag, so a tag resolves by division.
 	cands    []candidate
-	missing  int // candidates in cands still short of their need
+	missing  int // candidates in cands with an empty slot
 	batchObs int // measurements accepted for the current batch
 	rrNext   int // round-robin cursor for batched fetchN dispatch
 	nextTag  uint64
@@ -225,11 +247,6 @@ type session struct {
 	runErr       error
 	stopped      bool
 	lastUsed     time.Time
-	// ridCur and ridOld are the two generations of the idempotency memory
-	// for client report ids; ridCur fills to maxRememberedReports, then
-	// replaces ridOld.
-	ridCur map[string]struct{}
-	ridOld map[string]struct{}
 
 	// stepMu serialises step, stop and Checkpoint: unheld, the engine is
 	// parked or gone. It is last: lockdiscipline reads fields after mu as mu's.
@@ -398,7 +415,7 @@ func (s *session) deadlineLocked(now time.Time) []float64 {
 	s.stale++
 	if s.stale <= s.opts.MaxReissues {
 		for i := range s.cands {
-			s.cands[i].issued = 0
+			s.cands[i].next = 0
 		}
 		return nil
 	}
@@ -478,7 +495,8 @@ func (s *session) newEvaluator() core.Evaluator {
 // then parks until step hands back their values. It runs on the engine
 // goroutine; a stop ends it with an error.
 func (s *session) Eval(points []space.Point) ([]float64, error) {
-	cands := newCandidates(points, s.est.K())
+	k := s.est.K()
+	cands := newCandidates(points, k)
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -486,7 +504,7 @@ func (s *session) Eval(points []space.Point) ([]float64, error) {
 	}
 	for i := range cands {
 		cands[i].tag = s.nextTag
-		s.nextTag++
+		s.nextTag += uint64(k)
 	}
 	s.cands = cands
 	s.missing = len(cands)
@@ -514,8 +532,7 @@ func (s *session) Eval(points []space.Point) ([]float64, error) {
 
 // newCandidates builds one batch's candidates, untagged, on two slabs: the
 // candidates themselves, and one float slab holding every point followed by
-// every candidate's observation buffer of capacity k, which is all it ever
-// holds.
+// every candidate's k sample slots, all empty.
 func newCandidates(points []space.Point, k int) []candidate {
 	n := 0
 	for _, p := range points {
@@ -523,13 +540,16 @@ func newCandidates(points []space.Point, k int) []candidate {
 	}
 	floats := make([]float64, n+len(points)*k)
 	obs := floats[n:]
+	for i := range obs {
+		obs[i] = math.NaN()
+	}
 	cands := make([]candidate, len(points))
 	at := 0
 	for i, p := range points {
 		pt := floats[at : at+len(p) : at+len(p)]
 		copy(pt, p)
 		at += len(p)
-		cands[i] = candidate{point: pt, obs: obs[i*k : i*k : (i+1)*k], need: k}
+		cands[i] = candidate{point: pt, obs: obs[i*k : (i+1)*k : (i+1)*k]}
 	}
 	return cands
 }
@@ -546,32 +566,40 @@ func (s *session) forceCompleteLocked() []float64 {
 		stand = 1
 	}
 	for i := range s.cands {
-		if c := &s.cands[i]; len(c.obs) > 0 {
-			vals[i] = s.est.Estimate(c.obs)
-		} else {
+		c := &s.cands[i]
+		if c.filled == 0 {
 			vals[i] = stand
+			continue
 		}
+		// The batch retires here, so its slots are compacted in place: the
+		// filled ones, in slot order.
+		obs := c.obs[:0]
+		for _, v := range c.obs {
+			if !emptySlot(v) {
+				obs = append(obs, v)
+			}
+		}
+		vals[i] = s.est.Estimate(obs)
 	}
 	s.endBatchLocked()
 	return vals
 }
 
-// endBatchLocked retires the outstanding batch: its tags become unknown.
+// endBatchLocked retires the outstanding batch: reports for its tags are
+// acknowledged and ignored from now on.
 func (s *session) endBatchLocked() {
 	s.cands = nil
 	s.missing = 0
 }
 
-// candLocked resolves a tag of the outstanding batch; nil for tag 0, tags of
-// retired batches and tags never issued.
-func (s *session) candLocked(tag uint64) *candidate {
-	if len(s.cands) == 0 || tag < s.cands[0].tag {
-		return nil
+// slotLocked resolves a tag of the outstanding batch to its candidate and
+// slot; nil for tag 0, tags of retired batches and tags never issued.
+func (s *session) slotLocked(tag uint64) (*candidate, int) {
+	if s.cands == nil || tag < s.cands[0].tag || tag >= s.nextTag {
+		return nil, 0
 	}
-	if i := tag - s.cands[0].tag; i < uint64(len(s.cands)) {
-		return &s.cands[i]
-	}
-	return nil
+	off, k := tag-s.cands[0].tag, uint64(len(s.cands[0].obs))
+	return &s.cands[off/k], int(off % k)
 }
 
 // FetchResult is a unit of work for a client; a fetchn response carries a
@@ -579,8 +607,9 @@ func (s *session) candLocked(tag uint64) *candidate {
 type FetchResult struct {
 	// Point is the configuration to run next.
 	Point space.Point `json:"point,omitempty"`
-	// Tag identifies the candidate for Report; 0 means the point is the
-	// best-known configuration and needs no measurement report.
+	// Tag names the sample slot a Report fills: one (candidate, sample)
+	// of the outstanding batch. 0 means the point is the best-known
+	// configuration and needs no measurement report.
 	Tag uint64 `json:"tag,omitempty"`
 	// Converged reports whether tuning has finished.
 	Converged bool `json:"converged,omitempty"`
@@ -600,25 +629,19 @@ func (srv *Server) Fetch(name string) (FetchResult, error) {
 	return out[0], nil
 }
 
-// Report records a measurement for the tagged candidate. Tag 0 reports
-// (measurements of the production configuration) are accepted and ignored.
-// Non-finite or negative values are rejected with ErrInvalidValue. When every
-// candidate in the current batch has enough measurements, the batch is
-// reduced with the estimator and the optimiser resumes.
+// Report records a measurement into the tagged sample slot. Reports for
+// tag 0 (measurements of the production configuration) and for tags of
+// retired batches are accepted and ignored, and a resend of a filled slot's
+// value is accepted without being counted twice. Non-finite or negative
+// values are rejected with ErrInvalidValue. When every slot of the current
+// batch is filled, the batch is reduced with the estimator and the optimiser
+// resumes.
 func (srv *Server) Report(name string, tag uint64, value float64) error {
-	return srv.ReportTagged(name, tag, value, "")
-}
-
-// ReportTagged is Report with an optional client-supplied report id: a
-// reconnecting client that retries a report with the same rid is acknowledged
-// without the measurement being counted twice (the per-session memory holds
-// at least the last 4096 ids).
-func (srv *Server) ReportTagged(name string, tag uint64, value float64, rid string) error {
 	s, err := srv.session(name)
 	if err != nil {
 		return err
 	}
-	_, err = s.report([]ReportItem{{Tag: tag, Value: value, RID: rid}})
+	_, err = s.report([]ReportItem{{Tag: tag, Value: value}})
 	return err
 }
 
@@ -678,35 +701,39 @@ func (s *session) report(items []ReportItem) (BatchReportResult, error) {
 	return res, last
 }
 
-// applyLocked records one measurement arriving at now and returns the
-// candidate it was recorded for; nil when nothing was recorded (tag 0, an
-// idempotent retry, or a failure). Caller holds s.mu. A candidate's estimate
-// is taken over its first K accepted reports: a surplus report, one for a
-// candidate that already has them, is accepted, remembered by rid and
-// returned for the store, but never added to the candidate's observations.
+// applyLocked records one measurement arriving at now into its slot and
+// returns the candidate it was recorded for; nil when nothing was recorded.
+// Caller holds s.mu. The tag alone classifies the report:
+//   - an empty slot is filled;
+//   - a filled slot holding the bit-identical value takes a resend, which
+//     records nothing;
+//   - a filled slot holding another value takes a surplus report, which is
+//     recorded for the store but never estimated;
+//   - tag 0 and tags of retired batches record nothing;
+//   - a tag never issued is an error, as is an invalid value.
 func (s *session) applyLocked(it *ReportItem, now time.Time) (*candidate, error) {
 	if !fault.ValidValue(it.Value) {
 		return nil, fmt.Errorf("%w: %g", ErrInvalidValue, it.Value)
+	}
+	if it.Tag >= s.nextTag {
+		return nil, fmt.Errorf("harmony: tag %d was never issued", it.Tag)
 	}
 	if it.Tag == 0 {
 		return nil, nil
 	}
 	s.lastUsed = now
-	if it.RID != "" && s.seenRIDLocked(it.RID) {
+	c, j := s.slotLocked(it.Tag)
+	if c == nil {
 		return nil, nil
 	}
-	c := s.candLocked(it.Tag)
-	if c == nil {
-		return nil, fmt.Errorf("harmony: unknown or completed tag %d", it.Tag)
-	}
-	if it.RID != "" {
-		s.rememberRIDLocked(it.RID)
-	}
-	if len(c.obs) < c.need {
-		c.obs = append(c.obs, it.Value)
-		if len(c.obs) == c.need {
+	switch slot := &c.obs[j]; {
+	case emptySlot(*slot):
+		*slot = it.Value
+		if c.filled++; c.filled == len(c.obs) {
 			s.missing--
 		}
+	case math.Float64bits(*slot) == math.Float64bits(it.Value):
+		return nil, nil
 	}
 	s.batchObs++
 	if !s.haveWorst || it.Value > s.worstObs {
@@ -724,28 +751,6 @@ func (s *session) completeLocked() []float64 {
 	}
 	s.endBatchLocked()
 	return vals
-}
-
-// seenRIDLocked reports whether either generation remembers rid.
-func (s *session) seenRIDLocked(rid string) bool {
-	if _, ok := s.ridCur[rid]; ok {
-		return true
-	}
-	_, ok := s.ridOld[rid]
-	return ok
-}
-
-// rememberRIDLocked records a report id. A full current generation becomes
-// the old one, and the previous old generation is cleared and reused.
-func (s *session) rememberRIDLocked(rid string) {
-	if len(s.ridCur) >= maxRememberedReports {
-		clear(s.ridOld)
-		s.ridOld, s.ridCur = s.ridCur, s.ridOld
-	}
-	if s.ridCur == nil {
-		s.ridCur = make(map[string]struct{})
-	}
-	s.ridCur[rid] = struct{}{}
 }
 
 // Best returns the best-known configuration and its estimate.

@@ -115,23 +115,23 @@ func (srv *Server) Sessions() []string {
 
 // ReportItem is one measurement inside a batched reportn frame.
 type ReportItem struct {
-	// Tag identifies the candidate the measurement belongs to; 0 reports
-	// (production-configuration measurements) are accepted and ignored.
+	// Tag names the sample slot the measurement fills, as its grant did; 0
+	// reports (production-configuration measurements) are accepted and
+	// ignored.
 	Tag uint64 `json:"tag"`
 	// Value is the measured time.
 	Value float64 `json:"value"`
-	// RID is the optional client-unique report id for idempotent retries.
-	RID string `json:"rid,omitempty"`
 }
 
 // BatchReportResult summarises one ReportN frame. Every item lands in
 // exactly one of Accepted, Rejected and Refused, so the three sum to the
 // frame's item count.
 type BatchReportResult struct {
-	// Accepted counts measurements stored (idempotent duplicates included:
-	// the retry succeeded even though nothing new was recorded).
+	// Accepted counts the items the session took: slots filled, surplus
+	// values, and resends and retired-batch reports, which record nothing
+	// but succeed.
 	Accepted int
-	// Rejected counts invalid values and unknown or completed tags.
+	// Rejected counts invalid values and tags never issued.
 	Rejected int
 	// Refused counts the items of an oversized frame past the first
 	// maxBatchOps (1024), which are not applied. They are retryable: send
@@ -141,18 +141,19 @@ type BatchReportResult struct {
 
 // FetchN returns up to n units of work for a client of the named session in
 // one round trip, so a client can collect every sample a batch still needs
-// at once. It walks the session's candidate ring from a per-session cursor
-// in passes, pass-major (c1…cP, then c1…cP again), handing out a candidate
-// while it still has unissued samples: need − max(measured, issued) > 0. A
-// P-candidate batch at min-of-K therefore drains in one FetchN and one
-// ReportN whenever K·P ≤ n, and the sequence of samples is exactly that of
-// repeated one-pass fetches, so a client that reports everything it fetched
-// follows the same trajectory at any n. Concurrent fetchers get disjoint
-// samples first; only when every sample is issued does FetchN fall back to
-// handing each unmeasured candidate out once per call, so work lost with a
-// client is reissued. When every candidate is fully measured (or no batch is
-// outstanding) it returns the single best-known configuration with Tag 0.
-// Fetch is FetchN(name, 1).
+// at once. Each unit is one sample slot of one candidate, and its tag names
+// that slot. FetchN walks the session's candidate ring from a per-session
+// cursor in passes, pass-major (c1…cP, then c1…cP again), handing out each
+// candidate's next empty slot not yet issued. A P-candidate batch at
+// min-of-K therefore drains in one FetchN and one ReportN whenever K·P ≤ n,
+// and the sequence of samples is exactly that of repeated one-pass fetches,
+// so a client that reports everything it fetched follows the same trajectory
+// at any n. Concurrent fetchers get disjoint slots first; only when every
+// slot is issued does FetchN fall back to handing out each unmeasured
+// candidate's first empty slot once per call, so work lost with a client is
+// reissued. When every slot is filled (or no batch is outstanding) it
+// returns the single best-known configuration with Tag 0. Fetch is
+// FetchN(name, 1).
 func (srv *Server) FetchN(name string, n int) ([]FetchResult, error) {
 	out, err := srv.fetchN(nil, name, n)
 	for i := range out {
@@ -184,30 +185,32 @@ func (srv *Server) fetchN(dst []FetchResult, name string, n int) ([]FetchResult,
 	start := len(dst)
 	limit := start + n
 	total := len(s.cands)
-	// Unissued samples, pass after pass, until a whole revolution of the
-	// ring grants nothing.
+	// Unissued slots, pass after pass, until a whole revolution of the ring
+	// grants nothing.
 	for pos, idle := s.rrNext, 0; len(dst) < limit && idle < total; pos = (pos + 1) % total {
 		c := &s.cands[pos]
-		if c.need-max(len(c.obs), c.issued) <= 0 {
+		j := c.unissued()
+		if j == len(c.obs) {
 			idle++
 			continue
 		}
 		idle = 0
-		c.issued++
-		dst = append(dst, FetchResult{Point: c.point, Tag: c.tag})
+		c.next = j + 1
+		dst = append(dst, FetchResult{Point: c.point, Tag: c.tag + uint64(j)})
 		s.rrNext = (pos + 1) % total
 	}
 	if len(dst) > start {
 		return dst, nil
 	}
-	// Every sample is issued: hand each unmeasured candidate out once.
+	// Every slot is issued: hand out each unmeasured candidate's first empty
+	// slot once.
 	for pos, off := s.rrNext, 0; off < total && len(dst) < limit; pos, off = (pos+1)%total, off+1 {
 		c := &s.cands[pos]
-		if len(c.obs) >= c.need {
+		j := c.firstEmpty()
+		if j == len(c.obs) {
 			continue
 		}
-		c.issued++
-		dst = append(dst, FetchResult{Point: c.point, Tag: c.tag})
+		dst = append(dst, FetchResult{Point: c.point, Tag: c.tag + uint64(j)})
 		s.rrNext = (pos + 1) % total
 	}
 	if len(dst) > start {
@@ -218,9 +221,11 @@ func (srv *Server) fetchN(dst []FetchResult, name string, n int) ([]FetchResult,
 
 // ReportN records a batch of measurements for the named session in one round
 // trip. Items are applied in order under one hold of the session lock; each
-// is classified rather than failing the frame — invalid values and
-// unknown/completed tags count as Rejected, items past maxBatchOps as
-// Refused — so one bad measurement cannot void the rest of the frame.
+// is classified rather than failing the frame — invalid values and tags
+// never issued count as Rejected, items past maxBatchOps as Refused — so one
+// bad measurement cannot void the rest of the frame. A resent frame is
+// accepted whole and records nothing twice, even when its first delivery
+// completed the batch.
 func (srv *Server) ReportN(name string, items []ReportItem) (BatchReportResult, error) {
 	s, err := srv.session(name)
 	if err != nil {

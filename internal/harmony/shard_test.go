@@ -149,11 +149,11 @@ func TestReportNClassification(t *testing.T) {
 		t.Fatalf("need 2 tagged candidates, got %+v", batch)
 	}
 	res, err := srv.ReportN("s", []ReportItem{
-		{Tag: batch[0].Tag, Value: 1.5, RID: "r-1"},
-		{Tag: batch[0].Tag, Value: 1.5, RID: "r-1"}, // idempotent retry: accepted
-		{Tag: batch[1].Tag, Value: -4},              // invalid value: rejected
-		{Tag: 999999, Value: 2.0},                   // unknown tag: rejected
-		{Tag: batch[1].Tag, Value: 2.5, RID: "r-2"},
+		{Tag: batch[0].Tag, Value: 1.5},
+		{Tag: batch[0].Tag, Value: 1.5}, // resend of a filled slot: accepted
+		{Tag: batch[1].Tag, Value: -4},  // invalid value: rejected
+		{Tag: 999999, Value: 2.0},       // tag never issued: rejected
+		{Tag: batch[1].Tag, Value: 2.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +166,10 @@ func TestReportNClassification(t *testing.T) {
 	}
 }
 
-// TestSurplusReportsAccepted pins the surplus contract: a report for a
-// candidate that already has its K observations is accepted, written to the
-// store and remembered by rid, but never estimated, so a client cannot grow
-// any per-session buffer however many it sends.
+// TestSurplusReportsAccepted pins the surplus contract: a report of a new
+// value for a filled slot is accepted and written to the store, but never
+// estimated, so a client cannot grow any per-session buffer however many it
+// sends; a resend of the slot's own value is accepted and records nothing.
 func TestSurplusReportsAccepted(t *testing.T) {
 	db := measuredb.NewMemory(measuredb.Options{})
 	srv := NewServer(ServerOptions{Estimator: mustMinOfK(t, 1), DB: db})
@@ -187,36 +187,33 @@ func TestSurplusReportsAccepted(t *testing.T) {
 	}
 	tag, pt := batch[0].Tag, batch[0].Point
 
-	// need=1: the first report fills the candidate; the rest are surplus.
-	for i := 0; i < 3; i++ {
-		if err := srv.ReportTagged("s", tag, 1.0, fmt.Sprintf("r-%d", i)); err != nil {
+	// K=1: the first report fills the candidate's one slot; a new value
+	// for it is surplus, and the slot's own value again is a resend.
+	for i, v := range []float64{1, 2, 3, 1} {
+		if err := srv.Report("s", tag, v); err != nil {
 			t.Fatalf("report %d refused: %v", i, err)
 		}
 	}
-	// A surplus report's rid is remembered: its retry records nothing.
-	if err := srv.ReportTagged("s", tag, 1.0, "r-2"); err != nil {
-		t.Fatalf("retry of a surplus report refused: %v", err)
-	}
-	items := make([]ReportItem, 4)
+	items := make([]ReportItem, 5)
 	for i := range items {
-		items[i] = ReportItem{Tag: tag, Value: 1.0, RID: fmt.Sprintf("q-%d", i)}
+		items[i] = ReportItem{Tag: tag, Value: float64(4 + i%4)} // 4, 5, 6, 7, then a surplus 4 again
 	}
 	res, err := srv.ReportN("s", items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != (BatchReportResult{Accepted: 4}) {
-		t.Errorf("surplus ReportN = %+v, want 4 accepted", res)
+	if res != (BatchReportResult{Accepted: 5}) {
+		t.Errorf("surplus ReportN = %+v, want 5 accepted", res)
 	}
 	s := srv.lookup("s")
 	s.mu.Lock()
-	c := s.candLocked(tag)
-	if c == nil || len(c.obs) != 1 {
+	c, j := s.slotLocked(tag)
+	if c == nil || c.filled != 1 || len(c.obs) != 1 || c.obs[j] != 1 {
 		t.Errorf("candidate holds %v after 7 surplus reports, want its one observation", c)
 	}
 	s.mu.Unlock()
-	if obs, _, _ := db.AppendObsSource(nil, pt, 0); len(obs) != 7 {
-		t.Errorf("store holds %d observations of the candidate, want 7 (the retry is not one)", len(obs))
+	if obs, _, _ := db.AppendObsSource(nil, pt, 0); len(obs) != 8 {
+		t.Errorf("store holds %d observations of the candidate, want 8 (the resend is not one)", len(obs))
 	}
 }
 

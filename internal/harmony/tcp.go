@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
@@ -72,9 +71,6 @@ type request struct {
 	Params  []wireParam
 	Tag     uint64
 	Value   float64
-	// RID is an optional client-unique report id; the server deduplicates
-	// reports by it so reconnect retries are idempotent.
-	RID string
 	// Client is the sender's stable wire id, constant across reconnects.
 	Client string
 	// Seq is the client's frame sequence number: every frame put on the wire
@@ -364,7 +360,7 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 		}
 		return response{OK: true, Point: fr.Point, Tag: fr.Tag, Converged: fr.Converged}
 	case "report":
-		if err := srv.ReportTagged(req.Session, req.Tag, req.Value, req.RID); err != nil {
+		if err := srv.Report(req.Session, req.Tag, req.Value); err != nil {
 			return errResponse(err)
 		}
 		return response{OK: true}
@@ -434,7 +430,7 @@ type DialOptions struct {
 	// the server's, the deadline is re-armed only when the one in force is
 	// more than Timeout/64 short, so a round trip gets at least 63/64 of it.
 	Timeout time.Duration
-	// Seed seeds the client's backoff-jitter and report-id RNG, making
+	// Seed seeds the client's backoff-jitter RNG and its wire id, making
 	// redial behaviour reproducible; 0 (the default) draws an unpredictable
 	// seed from crypto/rand so independently started clients de-correlate
 	// their jitter. Tests and experiments set it explicitly.
@@ -475,32 +471,26 @@ func (o *DialOptions) normalise() {
 // failures (EOF, reset, expired deadline, garbage in the response stream)
 // are transient and retried on a fresh connection with capped, jittered
 // exponential backoff. Every frame carries the client id and a sequence
-// number, so the server can discard frames duplicated in transit. Reports
-// additionally carry a unique id, so a retry that reaches the server twice
-// is counted once, so a reconnect just resends the failed request on the
-// fresh connection.
+// number, so the server can discard frames duplicated in transit. A report
+// names the sample slot its grant named, so a retry that reaches the server
+// twice finds its slot filled and is counted once; a reconnect just resends
+// the failed request on the fresh connection.
 type Client struct {
-	addr      string      // immutable after DialWith
-	opts      DialOptions // immutable after DialWith
-	id        string      // stable wire identity; immutable after DialWith
-	ridPrefix string      // "%x-" of the nonce; immutable after DialWith
+	addr string      // immutable after DialWith
+	opts DialOptions // immutable after DialWith
+	id   string      // stable wire identity; immutable after DialWith
 
 	mu         sync.Mutex //paralint:lockrank 34
 	conn       net.Conn
 	dl         lazyDeadline // conn's read and write deadline
 	codec      *binClientCodec
 	rng        *rand.Rand
-	nonce      int64
-	nextID     uint64
 	seq        uint64 // frame sequence; one per frame put on the wire
 	reconnects int    // connections re-established after a loss
 	// req and resp are the frame in flight: one round trip at a time, so
 	// every call reuses them.
 	req  request
 	resp response
-	// ridBuf and ridEnds build one frame's report ids into one string.
-	ridBuf  []byte
-	ridEnds []int
 }
 
 // Dial connects to a harmony server with default retry/backoff options.
@@ -524,9 +514,7 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		opts: opts,
 		rng:  dist.NewRNG(seed),
 	}
-	c.nonce = c.rng.Int63()
-	c.id = fmt.Sprintf("%x", uint64(c.nonce))
-	c.ridPrefix = ridPrefix(c.nonce)
+	c.id = fmt.Sprintf("%x", uint64(c.rng.Int63()))
 	if err := c.reconnectLocked(); err != nil {
 		return nil, err
 	}
@@ -678,8 +666,8 @@ func (c *Client) roundTrip(req request) (response, error) {
 			return c.resp, nil
 		}
 		// Connection-level failure: drop the connection and retry on a fresh
-		// one (fetches are idempotent, reports carry a rid, and every resend
-		// is a new frame sequence).
+		// one (fetches are idempotent, a resent report finds its slot
+		// filled, and every resend is a new frame sequence).
 		lastErr = err
 		c.dropConnLocked()
 	}
@@ -718,35 +706,6 @@ func (c *Client) sendLocked(req *request) error {
 	return errors.New("harmony: response stream flooded with stale frames")
 }
 
-// ridPrefix is the "%x-" every report id of a client with this nonce
-// starts with.
-func ridPrefix(nonce int64) string { return strconv.FormatInt(nonce, 16) + "-" }
-
-// stampRIDsLocked gives every item without a RID the next client-unique
-// report id, "%x-%d" of (nonce, counter), all carved from one string.
-func (c *Client) stampRIDsLocked(items []ReportItem) {
-	buf, ends := c.ridBuf[:0], c.ridEnds[:0]
-	for i := range items {
-		if items[i].RID == "" {
-			c.nextID++
-			buf = append(buf, c.ridPrefix...)
-			buf = strconv.AppendUint(buf, c.nextID, 10)
-			ends = append(ends, len(buf))
-		}
-	}
-	c.ridBuf, c.ridEnds = buf, ends
-	if len(ends) == 0 {
-		return
-	}
-	all, at := string(buf), 0
-	for i := range items {
-		if items[i].RID == "" {
-			items[i].RID, at = all[at:ends[0]], ends[0]
-			ends = ends[1:]
-		}
-	}
-}
-
 // Register creates or joins a session.
 func (c *Client) Register(session string, params []space.Parameter) error {
 	_, err := c.roundTrip(request{Op: "register", Session: session, Params: toWireParams(params)})
@@ -762,14 +721,10 @@ func (c *Client) Fetch(session string) (FetchResult, error) {
 	return FetchResult{Point: space.Point(resp.Point), Tag: resp.Tag, Converged: resp.Converged}, nil
 }
 
-// Report sends one measurement, stamped with a client-unique report id so a
-// reconnect retry cannot be double-counted.
+// Report sends one measurement for the sample slot tag names. A reconnect
+// retry finds the slot filled with the same value and is not double-counted.
 func (c *Client) Report(session string, tag uint64, value float64) error {
-	item := [1]ReportItem{{Tag: tag, Value: value}}
-	c.mu.Lock()
-	c.stampRIDsLocked(item[:])
-	c.mu.Unlock()
-	_, err := c.roundTrip(request{Op: "report", Session: session, Tag: tag, Value: value, RID: item[0].RID})
+	_, err := c.roundTrip(request{Op: "report", Session: session, Tag: tag, Value: value})
 	return err
 }
 
@@ -785,15 +740,12 @@ func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
 	return resp.Batch, nil
 }
 
-// ReportN sends a batch of measurements in one round trip. Items without a
-// RID are stamped with a client-unique one, so a reconnect retry of the whole
-// frame cannot double-count any measurement. The result classifies every
-// item; a Refused count above zero means the frame carried more than the
-// server's per-frame cap of 1024 items, and those past it were not applied.
+// ReportN sends a batch of measurements in one round trip. Each item fills
+// the slot its tag names, so a reconnect retry of the whole frame cannot
+// double-count any measurement. The result classifies every item; a Refused
+// count above zero means the frame carried more than the server's per-frame
+// cap of 1024 items, and those past it were not applied.
 func (c *Client) ReportN(session string, items []ReportItem) (BatchReportResult, error) {
-	c.mu.Lock()
-	c.stampRIDsLocked(items)
-	c.mu.Unlock()
 	resp, err := c.roundTrip(request{Op: "reportn", Session: session, Reports: items})
 	if err != nil {
 		return BatchReportResult{}, err
@@ -857,8 +809,7 @@ func RunLoop(c *Client, session string, measure MeasureFunc, maxIters int) (spac
 		}
 		if fr.Tag != 0 {
 			if err := c.Report(session, fr.Tag, y); err != nil {
-				// A concurrently completed tag is expected; other errors are
-				// surfaced on the next Fetch.
+				// A failure that persists surfaces on the next Fetch.
 				continue
 			}
 		}

@@ -1,7 +1,9 @@
 package harmony
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -199,20 +201,25 @@ func (e *lenEstimator) Estimate(obs []float64) float64 {
 	return e.Estimator.Estimate(obs)
 }
 
-// A candidate's estimate is its first K reports. With min-of-3, a reissued
-// sample of candidate A is reported (5) before A's three originals (4, 3, 1):
-// the last is surplus. The estimator sees exactly K values per candidate, and
-// the estimate the session used, its best value, is the first-K estimate the
-// store serves a warm session, in-process and over the wire.
+// reportAPI is the surface the in-process Server and the wire Client share
+// for fetching slots in batches and reporting them one at a time.
+type reportAPI interface {
+	Register(name string, params []space.Parameter) error
+	FetchN(name string, n int) ([]FetchResult, error)
+	Report(name string, tag uint64, value float64) error
+	Best(name string) (space.Point, float64, bool, error)
+}
+
+// A candidate's estimate is taken over its K sample slots. With min-of-3,
+// candidate A's three slots are reported last first (1, 3, 4), then a
+// reissue of slot 0 reports 0.5: the slot is filled, so 0.5 is surplus. The
+// estimator sees exactly K values per candidate, the surplus is stored but
+// never estimated, and the estimate the session used, its best value, is the
+// first-K estimate the store serves a warm session, in-process and over the
+// wire.
 func TestEstimateIsFirstKReports(t *testing.T) {
 	const k = 3
 	a, b := space.Point{8, 4, 1}, space.Point{32, 16, 8}
-	type tuner interface {
-		Register(name string, params []space.Parameter) error
-		FetchN(name string, n int) ([]FetchResult, error)
-		Report(name string, tag uint64, value float64) error
-		Best(name string) (space.Point, float64, bool, error)
-	}
 	for _, path := range []string{"in-process", "binary"} {
 		t.Run(path, func(t *testing.T) {
 			db := measuredb.NewMemory(measuredb.Options{})
@@ -224,7 +231,7 @@ func TestEstimateIsFirstKReports(t *testing.T) {
 				},
 			})
 			defer srv.Close()
-			var tu tuner = srv
+			var tu reportAPI = srv
 			if path == "binary" {
 				tu, _ = dialTest(t, srv)
 			}
@@ -235,25 +242,29 @@ func TestEstimateIsFirstKReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tags := map[bool]uint64{}
+			var slotsA, slotsB []uint64
 			for _, fr := range grant {
-				tags[fr.Point.Equal(a)] = fr.Tag
+				if fr.Point.Equal(a) {
+					slotsA = append(slotsA, fr.Tag)
+				} else {
+					slotsB = append(slotsB, fr.Tag)
+				}
 			}
-			// Every sample is out, so the next fetch reissues A.
+			// Every slot is out, so the next fetch reissues A's slot 0.
 			again, err := tu.FetchN("s", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(grant) != 2*k || len(again) != 1 || again[0].Tag != tags[true] {
-				t.Fatalf("grant %+v then %+v, want %d samples then a reissue of A (tag %d)", grant, again, 2*k, tags[true])
+			if len(slotsA) != k || len(slotsB) != k || len(again) != 1 || again[0].Tag != slotsA[0] {
+				t.Fatalf("grant %+v then %+v, want %d slots each of A and B, then a reissue of A's slot 0", grant, again, k)
 			}
-			for _, v := range []float64{5, 4, 3, 1} {
-				if err := tu.Report("s", tags[true], v); err != nil {
-					t.Fatal(err)
-				}
+			reports := []ReportItem{
+				{Tag: slotsA[2], Value: 1}, {Tag: slotsA[1], Value: 3}, {Tag: slotsA[0], Value: 4},
+				{Tag: again[0].Tag, Value: 0.5},
+				{Tag: slotsB[0], Value: 2}, {Tag: slotsB[1], Value: 2}, {Tag: slotsB[2], Value: 2},
 			}
-			for i := 0; i < k; i++ {
-				if err := tu.Report("s", tags[false], 2); err != nil {
+			for _, r := range reports {
+				if err := tu.Report("s", r.Tag, r.Value); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -273,10 +284,129 @@ func TestEstimateIsFirstKReports(t *testing.T) {
 			if len(all) != 4 {
 				t.Errorf("store holds %v for A, want all 4 reports", all)
 			}
-			if warm := est.Estimator.Estimate(first); best != warm || best != 3 {
-				t.Errorf("session estimated A as %v, store's first-%d estimate %v, want 3", best, k, warm)
+			if warm := est.Estimator.Estimate(first); best != warm || best != 1 {
+				t.Errorf("session estimated A as %v, store's first-%d estimate %v, want 1", best, k, warm)
 			}
 		})
+	}
+}
+
+// singleOfK applies Single's rule, the first observation, to K samples; at
+// K=1 it is Single itself.
+type singleOfK struct {
+	sample.Single
+	k int
+}
+
+func (e singleOfK) K() int { return e.k }
+
+// batchAlg evaluates one batch and converges, keeping the batch's values;
+// its best is the first candidate at its estimate.
+type batchAlg struct {
+	pts  []space.Point
+	vals []float64
+}
+
+func (a *batchAlg) Init(ev core.Evaluator) error {
+	vals, err := ev.Eval(a.pts)
+	a.vals = vals
+	return err
+}
+
+func (a *batchAlg) Step(core.Evaluator) (core.StepInfo, error) {
+	return core.StepInfo{Kind: core.StepConverged, Best: a.pts[0], BestValue: a.vals[0]}, nil
+}
+
+func (a *batchAlg) Best() (space.Point, float64) {
+	if a.vals == nil {
+		return nil, 0
+	}
+	return a.pts[0], a.vals[0]
+}
+func (a *batchAlg) Converged() bool { return a.vals != nil }
+func (a *batchAlg) String() string  { return "batch" }
+
+// A session's estimate depends on its measurements, not on their arrival
+// order. Two clients split candidate A's three samples, and in one run they
+// deliver them in grant order, in the other in the opposite order; in both a
+// reissued sample of A arrives as a surplus report once its slot is filled.
+// The sums of MeanOfK and the first value Single keeps would both change
+// with arrival order; over sample slots both estimates are bit-identical
+// across orders, in-process and over PHWIRE1.
+func TestEstimateIndependentOfArrivalOrder(t *testing.T) {
+	const k = 3
+	a, b := space.Point{8, 4, 1}, space.Point{32, 16, 8}
+	// A's samples in slot order; (0.1+0.2)+0.3 and (0.3+0.2)+0.1 differ in
+	// their last bit.
+	samplesA := []float64{0.1, 0.2, 0.3}
+	for _, est := range []sample.Estimator{sample.MeanOfK{Samples: k}, singleOfK{k: k}} {
+		want := est.Estimate(samplesA)
+		for _, path := range []string{"in-process", "binary"} {
+			for _, reverse := range []bool{false, true} {
+				name := fmt.Sprintf("%T/%s/reverse=%v", est, path, reverse)
+				t.Run(name, func(t *testing.T) {
+					srv := NewServer(ServerOptions{
+						Estimator: est,
+						NewAlgorithm: func(*space.Space) (core.Algorithm, error) {
+							return &batchAlg{pts: []space.Point{a, b}}, nil
+						},
+					})
+					defer srv.Close()
+					var one, two reportAPI = srv, srv
+					if path == "binary" {
+						one, _ = dialTest(t, srv)
+						two, _ = dialTest(t, srv)
+					}
+					if err := one.Register("s", gs2Params()); err != nil {
+						t.Fatal(err)
+					}
+					if err := two.Register("s", gs2Params()); err != nil {
+						t.Fatal(err)
+					}
+					// Pass-major grants: one holds A0 B0 A1, two holds B1 A2
+					// B2, then two is reissued A0.
+					g1, err := one.FetchN("s", k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g2, err := two.FetchN("s", k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					re, err := two.FetchN("s", 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !re[0].Point.Equal(a) || !g1[0].Point.Equal(a) || !g1[2].Point.Equal(a) || !g2[1].Point.Equal(a) {
+						t.Fatalf("grants %+v, %+v and %+v do not split A's samples as expected", g1, g2, re)
+					}
+					type delivery struct {
+						by  reportAPI
+						tag uint64
+						v   float64
+					}
+					aFirst := []delivery{{one, g1[0].Tag, samplesA[0]}, {one, g1[2].Tag, samplesA[1]}, {two, g2[1].Tag, samplesA[2]}}
+					if reverse {
+						slices.Reverse(aFirst)
+					}
+					script := append(aFirst,
+						delivery{two, re[0].Tag, 0.7}, // surplus: A0 is filled
+						delivery{one, g1[1].Tag, 1}, delivery{two, g2[0].Tag, 1}, delivery{two, g2[2].Tag, 1})
+					for _, d := range script {
+						if err := d.by.Report("s", d.tag, d.v); err != nil {
+							t.Fatal(err)
+						}
+					}
+					_, got, converged, err := one.Best("s")
+					if err != nil || !converged {
+						t.Fatalf("best after the batch: converged %v, %v", converged, err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("estimated A as %v (bits %x), want %v (bits %x)", got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -24,8 +24,8 @@ import (
 // The codec is canonical: decoding a frame and re-encoding the result yields
 // the same bytes (FuzzBinaryFrameDecode pins this), so a frame duplicated in
 // transit is byte-identical to its original. Frame semantics — per-frame
-// Seq, per-connection dup suppression, rid-idempotent reports — live in
-// handleConn and Client.
+// Seq, per-connection dup suppression — live in handleConn and Client;
+// report idempotence lives in the sample slot a report's tag names.
 
 // WireMagic is a tuning client's connection preamble.
 const WireMagic = "PHWIRE1\n"
@@ -153,7 +153,8 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 	dst = frame.AppendString(dst, req.Session)
 	dst = binary.AppendUvarint(dst, req.Tag)
 	dst = frame.AppendF64(dst, req.Value)
-	dst = frame.AppendString(dst, req.RID)
+	// The retired report-id slot, always the empty string.
+	dst = append(dst, 0)
 	dst = binary.AppendUvarint(dst, uint64(req.N))
 	dst = binary.AppendUvarint(dst, uint64(len(req.Params)))
 	for i := range req.Params {
@@ -173,7 +174,7 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 		it := &req.Reports[i]
 		dst = binary.AppendUvarint(dst, it.Tag)
 		dst = frame.AppendF64(dst, it.Value)
-		dst = frame.AppendString(dst, it.RID)
+		dst = append(dst, 0) // the retired report-id slot
 	}
 	return dst, nil
 }
@@ -269,22 +270,15 @@ func floatsFrom(r *frame.Reader, slab *[]float64) []float64 {
 	return (*slab)[at:len(*slab):len(*slab)]
 }
 
-// maxScratchRIDBytes bounds the report-id bytes a connection's decode
-// scratch keeps between frames.
-const maxScratchRIDBytes = 64 << 10
-
 // reqScratch holds the per-connection decode scratch the zero-copy path
 // reuses across frames: the variable-length reportn section lands in the
-// same backing array every time instead of a fresh allocation per batch, a
-// frame's report ids share one string, and a client id or session name that
-// repeats the previous frame's reuses its string. Capacity is bounded by
-// maxBatchOps — a frame claiming more items than the server would apply
-// falls back to a one-off allocation rather than pinning an oversized array
-// for the connection's lifetime.
+// same backing array every time instead of a fresh allocation per batch, and
+// a client id or session name that repeats the previous frame's reuses its
+// string. Capacity is bounded by maxBatchOps — a frame claiming more items
+// than the server would apply falls back to a one-off allocation rather than
+// pinning an oversized array for the connection's lifetime.
 type reqScratch struct {
 	reports []ReportItem
-	rids    []byte // one frame's report ids, concatenated
-	ridEnds []int  // end offset of each item's id in rids
 	client  string // the previous frame's client id
 	session string // the previous frame's session name
 }
@@ -311,6 +305,14 @@ func reuseStr(r *frame.Reader, last *string) string {
 	return *last
 }
 
+// retired reads a retired slot: an empty string or a zero count, one zero
+// byte either way. Anything else is malformed, keeping the codec canonical.
+func retired(r *frame.Reader) {
+	if r.Uvarint() != 0 {
+		r.Fail()
+	}
+}
+
 // decodeRequest parses a PHWIRE1 request payload into req. Every decoded
 // field is freshly allocated and owned by the caller.
 func decodeRequest(payload []byte, req *request) error {
@@ -320,8 +322,8 @@ func decodeRequest(payload []byte, req *request) error {
 // decodeRequestInto parses a PHWIRE1 request payload into req, drawing the
 // reportn section from scr. req.Reports aliases scr's backing array and is
 // valid only until the next decode with the same scratch; strings and
-// parameter tables are never overwritten, so everything else in req (the
-// report ids included) may be retained freely.
+// parameter tables are never overwritten, so everything else in req may be
+// retained freely.
 func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	r := frame.NewReader(payload)
 	op, ok := opName(r.Byte())
@@ -334,7 +336,7 @@ func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	req.Session = reuseStr(&r, &scr.session)
 	req.Tag = r.Uvarint()
 	req.Value = r.F64()
-	req.RID = r.Str()
+	retired(&r)
 	req.N = intVal(&r)
 	if n := r.Count(2); n > 0 {
 		req.Params = make([]wireParam, n)
@@ -353,20 +355,11 @@ func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	}
 	if n := r.Count(2); n > 0 {
 		req.Reports = scr.reportSlice(n)
-		rids, ends := scr.rids[:0], scr.ridEnds[:0]
 		for i := range req.Reports {
 			it := &req.Reports[i]
 			it.Tag = r.Uvarint()
 			it.Value = r.F64()
-			rids = append(rids, r.View()...)
-			ends = append(ends, len(rids))
-		}
-		all, at := string(rids), 0
-		for i := range req.Reports {
-			req.Reports[i].RID, at = all[at:ends[i]], ends[i]
-		}
-		if n <= maxBatchOps && cap(rids) <= maxScratchRIDBytes {
-			scr.rids, scr.ridEnds = rids, ends
+			retired(&r)
 		}
 	}
 	return r.Finish()
@@ -398,11 +391,9 @@ func decodeResponse(payload []byte, resp *response) error {
 		st.NextTag = r.Uvarint()
 		resp.Stats = st
 	}
-	// The retired counter slots must be zero, keeping the codec canonical.
+	// The four retired counter slots.
 	for i := 0; i < 4; i++ {
-		if r.Uvarint() != 0 {
-			r.Fail()
-		}
+		retired(&r)
 	}
 	if n := r.Count(2); n > 0 {
 		resp.Batch = make([]FetchResult, n)
@@ -419,10 +410,7 @@ func decodeResponse(payload []byte, resp *response) error {
 	resp.Accepted = intVal(&r)
 	resp.Refused = intVal(&r)
 	resp.Rejected = intVal(&r)
-	// The retired queue slot must be zero, like the counter slots.
-	if r.Uvarint() != 0 {
-		r.Fail()
-	}
+	retired(&r) // the retired queue slot
 	return r.Finish()
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,12 +22,12 @@ func wireRequests() []request {
 	return []request{
 		{Op: "best", Session: "s", Client: "c", Seq: 1},
 		{Op: "fetch", Session: "sess-два", Client: "client/1", Seq: 2},
-		{Op: "report", Session: "s", Tag: 99, Value: 3.25, RID: "rid-1", Seq: 300},
+		{Op: "report", Session: "s", Tag: 99, Value: 3.25, Seq: 300},
 		{Op: "stats", Session: "s", Seq: ^uint64(0)},
 		{Op: "best", Session: "s", Client: "c", Seq: 1 << 40},
 		{Op: "fetchn", Session: "s", N: 64, Seq: 7},
 		{Op: "reportn", Session: "s", Seq: 8, Reports: []ReportItem{
-			{Tag: 1, Value: 0.5, RID: "a"},
+			{Tag: 1, Value: 0.5},
 			{Tag: 2, Value: 1e9},
 		}},
 		{Op: "register", Session: "s", Seq: 9, Params: []wireParam{
@@ -99,7 +100,8 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 
 // TestBinaryDecodeRejects pins the strictness that makes the codec canonical:
 // unknown opcodes, non-minimal uvarints, out-of-range bools, undeclared flag
-// bits, truncation, and trailing garbage are all malformed.
+// bits, non-empty retired slots, truncation, and trailing garbage are all
+// malformed.
 func TestBinaryDecodeRejects(t *testing.T) {
 	valid, err := appendRequest(nil, &request{Op: "best", Session: "s", Client: "c", Seq: 1})
 	if err != nil {
@@ -116,6 +118,22 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		"huge param count":   append(append([]byte{}, valid[:len(valid)-2]...), 0xff, 0x7f),
 		"count eats payload": {byte(opBest), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x21},
 	}
+	// The retired report-id slots, the request's and each report item's,
+	// are always the empty string; a non-empty one is malformed.
+	report, err := appendRequest(nil, &request{Op: "report", Session: "s", Client: "c", Seq: 1, Tag: 7, Value: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// op, seq, client "c", session "s", tag, 8-byte value: the slot follows.
+	ridAt := 1 + 1 + 2 + 2 + 1 + 8
+	cases["non-empty rid"] = slices.Concat(report[:ridAt], []byte{2, 'r', '1'}, report[ridAt+1:])
+	reportN, err := appendRequest(nil, &request{Op: "reportn", Session: "s", Client: "c", Seq: 1,
+		Reports: []ReportItem{{Tag: 7, Value: 0.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The item's slot is the payload's last byte.
+	cases["non-empty item rid"] = slices.Concat(reportN[:len(reportN)-1], []byte{1, 'r'})
 	for name, payload := range cases {
 		var req request
 		if err := decodeRequest(payload, &req); err == nil {
@@ -228,7 +246,7 @@ func TestJSONLineClosedUnanswered(t *testing.T) {
 // allocations per frame once the scratch buffers have grown.
 func TestBinaryEncodeAllocs(t *testing.T) {
 	req := request{Op: "report", Session: "tuning-session", Client: "client-1",
-		Tag: 42, Value: 1.25, RID: "aa-42", Seq: 1000}
+		Tag: 42, Value: 1.25, Seq: 1000}
 	resp := response{OK: true, Seq: 1000, Point: []float64{1, 2, 3}, Tag: 42}
 	pbuf := make([]byte, 0, 1024)
 	fbuf := make([]byte, 0, 1024)
@@ -246,12 +264,32 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	})
 }
 
+// TestClientReportNSendAllocs pins the client's reportn send path at zero
+// allocations per frame: a frame as Client.ReportN builds it, 16 items of
+// tag and value, is encoded and written from the codec's reused buffers.
+func TestClientReportNSendAllocs(t *testing.T) {
+	items := make([]ReportItem, 16)
+	for i := range items {
+		items[i] = ReportItem{Tag: uint64(100 + i), Value: 0.5 + float64(i)}
+	}
+	req := request{Op: "reportn", Session: "tuning-session", Client: "5eed", Reports: items}
+	c := &binClientCodec{w: io.Discard}
+	send := func() {
+		req.Seq++
+		if err := c.send(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send() // grows the encode buffers
+	alloccheck.Guard(t, "harmony.binClientCodec.send/reportn16", 0, send)
+}
+
 // reportNFrame encodes one reportn request with n items as a binary frame.
-func reportNFrame(t testing.TB, n int, rid string) []byte {
+func reportNFrame(t testing.TB, n int) []byte {
 	t.Helper()
 	items := make([]ReportItem, n)
 	for i := range items {
-		items[i] = ReportItem{Tag: uint64(i + 1), Value: float64(i) * 0.5, RID: rid}
+		items[i] = ReportItem{Tag: uint64(i + 1), Value: float64(i) * 0.5}
 	}
 	payload, err := appendRequest(nil, &request{Op: "reportn", Session: "s", Seq: 1, Reports: items})
 	if err != nil {
@@ -263,10 +301,9 @@ func reportNFrame(t testing.TB, n int, rid string) []byte {
 // TestBinaryDecodeAllocs pins the steady-state zero-copy decode path: once
 // the codec's frame and report scratch have grown, reading a reportn batch
 // allocates only its strings — none here, where the session name is a single
-// byte the runtime interns and the RIDs are empty — independent of batch
-// size.
+// byte the runtime interns — independent of batch size.
 func TestBinaryDecodeAllocs(t *testing.T) {
-	stream := bytes.Repeat(reportNFrame(t, 128, ""), 128) // alloccheck runs the body 101 times
+	stream := bytes.Repeat(reportNFrame(t, 128), 128) // alloccheck runs the body 101 times
 	c := &binServerCodec{br: bufio.NewReader(bytes.NewReader(stream))}
 	var req request
 	if err := c.readRequest(&req); err != nil { // warm the scratch buffers
@@ -314,7 +351,7 @@ func TestDecodeRequestIntoScratchReuse(t *testing.T) {
 	var scr reqScratch
 	var req request
 	payload, err := appendRequest(nil, &request{Op: "reportn", Session: "s", Seq: 1,
-		Reports: []ReportItem{{Tag: 1, Value: 2, RID: "r"}}})
+		Reports: []ReportItem{{Tag: 1, Value: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +387,7 @@ func TestDecodeRequestIntoScratchReuse(t *testing.T) {
 // BenchmarkDecodeReportN compares the historical allocate-per-frame decode
 // with the zero-copy scratch path for a 128-item reportn batch.
 func BenchmarkDecodeReportN(b *testing.B) {
-	frm := reportNFrame(b, 128, "")
+	frm := reportNFrame(b, 128)
 	b.Run("alloc", func(b *testing.B) {
 		var req request
 		b.ReportAllocs()
@@ -465,18 +502,18 @@ func sameLengthFrames(t *testing.T, a, b []byte) *bufio.Reader {
 
 // TestBinServerCodecRequestOutlivesNextFrame decodes request A, keeps it,
 // and reads a same-length request B with different bytes through the same
-// codec. Everything A's caller may keep — strings, report ids, parameter
-// names and values — must still hold A's bytes. Only the Reports backing
+// codec. Everything A's caller may keep — strings, parameter names and
+// values — must still hold A's bytes. Only the Reports backing
 // array is documented as reused, so the item values are copied out first.
 func TestBinServerCodecRequestOutlivesNextFrame(t *testing.T) {
 	build := func(x string, v float64) request {
 		return request{
 			Op: "reportn", Seq: 7, Client: "client-" + x, Session: "session-" + x,
-			Tag: 3, Value: v, RID: "rid-" + x, N: 2,
+			Tag: 3, Value: v, N: 2,
 			Params: []wireParam{{Name: "param-" + x, Kind: "discrete", Values: []float64{v, 2 * v}}},
 			Reports: []ReportItem{
-				{Tag: 1, Value: v, RID: "item1-" + x},
-				{Tag: 2, Value: 3 * v, RID: "item2-" + x},
+				{Tag: 1, Value: v},
+				{Tag: 2, Value: 3 * v},
 			},
 		}
 	}
