@@ -13,12 +13,15 @@ package paratune
 
 import (
 	"fmt"
+	"net"
+	"strconv"
 	"testing"
 
 	"paratune/internal/cluster"
 	"paratune/internal/core"
 	"paratune/internal/dist"
 	"paratune/internal/experiment"
+	"paratune/internal/feddb"
 	"paratune/internal/harmony"
 	"paratune/internal/measuredb"
 	"paratune/internal/noise"
@@ -414,6 +417,92 @@ func BenchmarkHarmonyReportN(b *testing.B) {
 			b.Fatalf("ReportN = %+v, %v", res, err)
 		}
 	}
+}
+
+// frameConn counts a client's writes: the PHWIRE1 preamble, then one write
+// per request frame.
+type frameConn struct {
+	net.Conn
+	writes *int
+}
+
+func (c frameConn) Write(b []byte) (int, error) {
+	*c.writes++
+	return c.Conn.Write(b)
+}
+
+// BenchmarkHarmonyWarmRegister measures one fully warm session over
+// loopback PHWIRE1: Register, which converges the session from a pre-filled
+// memory store behind a feddb.Cache, then the FetchN that reads its
+// converged answer. frames/op counts the request frames the client writes
+// per session.
+func BenchmarkHarmonyWarmRegister(b *testing.B) {
+	gs2 := objective.GenerateGS2(objective.GS2Config{Seed: 1, Coverage: 1})
+	sp := gs2.Space()
+	params := make([]Param, sp.Dim())
+	for i := range params {
+		params[i] = sp.Param(i)
+	}
+	est, _ := sample.NewMinOfK(3)
+	db := measuredb.NewMemory(measuredb.Options{})
+	cold := NewServer(ServerOptions{Estimator: est, DB: db})
+	if err := cold.Register("cold", params); err != nil {
+		b.Fatal(err)
+	}
+	for {
+		fr, err := cold.Fetch("cold")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fr.Converged {
+			break
+		}
+		if fr.Tag != 0 {
+			_ = cold.Report("cold", fr.Tag, gs2.Eval(fr.Point))
+		}
+	}
+	cold.Close()
+
+	l, srv, err := ListenAndServe("127.0.0.1:0", ServerOptions{
+		Estimator: est, DB: db, Cache: feddb.NewCache(db, est, est.K(), 0),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	defer l.Close()
+	writes := 0
+	c, err := harmony.DialWith(l.Addr().String(), harmony.DialOptions{
+		DialFunc: func() (net.Conn, error) {
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				return nil, err
+			}
+			return frameConn{Conn: conn, writes: &writes}, nil
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := writes
+	for i := 0; i < b.N; i++ {
+		name := "warm-" + strconv.Itoa(i)
+		if err := c.Register(name, params); err != nil {
+			b.Fatal(err)
+		}
+		frs, err := c.FetchN(name, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(frs) != 1 || !frs[0].Converged {
+			b.Fatalf("warm session %s answered %+v", name, frs)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes-start)/float64(b.N), "frames/op")
 }
 
 // Example of the bench-as-results-table idea: verify the headline Fig. 10

@@ -10,9 +10,6 @@ import (
 	"time"
 
 	"paratune/internal/core"
-	"paratune/internal/feddb"
-	"paratune/internal/measuredb"
-	"paratune/internal/objective"
 	"paratune/internal/space"
 )
 
@@ -188,26 +185,7 @@ func benchServerStack(b *testing.B, stack benchStack, sessions int) {
 // cost is session setup, PRO's steps and the cache reads; allocs/op is the
 // per-session garbage of that path.
 func BenchmarkWarmSession(b *testing.B) {
-	est := mustMinOfK(b, 3)
-	db := measuredb.NewMemory(measuredb.Options{})
-	sp, err := space.New(gs2Params()...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := objective.NewSphere(sp, space.Point{32, 16, 8}, 1)
-	cold := NewServer(ServerOptions{Estimator: est, DB: db})
-	if err := cold.Register("cold", gs2Params()); err != nil {
-		b.Fatal(err)
-	}
-	driveCounting(b, cold, "cold", f)
-	want, _, _, err := cold.Best("cold")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cold.Close()
-
-	srv := NewServer(ServerOptions{Estimator: est, DB: db, Cache: feddb.NewCache(db, est, est.K(), 0)})
-	defer srv.Close()
+	srv, want := warmServer(b, ServerOptions{})
 	name := ""
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -224,8 +202,5 @@ func BenchmarkWarmSession(b *testing.B) {
 	}
 	if !conv || !got.Equal(want) {
 		b.Fatalf("warm session best %v (converged %v), cold best %v", got, conv, want)
-	}
-	if configs, obs := db.Stats(); configs == 0 || obs == 0 {
-		b.Fatalf("store holds %d configs, %d observations", configs, obs)
 	}
 }

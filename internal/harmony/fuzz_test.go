@@ -9,6 +9,7 @@ import (
 
 	"paratune/internal/feddb"
 	"paratune/internal/frame"
+	"paratune/internal/space"
 )
 
 // FuzzTCPFrameDecode: arbitrary bytes on a fresh connection — preambles
@@ -173,6 +174,15 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	})
 }
 
+// onePoint is a space of one configuration. PRO's first batch over it is two
+// candidates at that point, tags 1..6 at min-of-3, and filling it converges
+// the session.
+var onePoint = []space.Parameter{space.IntParam("x", 0, 0)}
+
+// onePointBatch fills every slot of a onePoint session's first batch.
+var onePointBatch = []ReportItem{{Tag: 1, Value: 1}, {Tag: 2, Value: 1}, {Tag: 3, Value: 1},
+	{Tag: 4, Value: 1}, {Tag: 5, Value: 1}, {Tag: 6, Value: 1}}
+
 // FuzzDispatch: an arbitrary request payload that PHWIRE1 decodes must never
 // panic the server, must produce a well-formed response, and that response
 // must survive appendResponse → decodeResponse byte for byte.
@@ -198,6 +208,11 @@ func FuzzDispatch(f *testing.F) {
 		seed(&request{Op: "report", Session: "s", Tag: 1, Value: v})
 		seed(&request{Op: "reportn", Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}, {Tag: 0, Value: v}}})
 	}
+	// Replies that carry a converged session's answer: a register joining
+	// "done", which converged in setup, and the reportn that fills "one"'s
+	// only batch and so converges it.
+	seed(&request{Op: "register", Session: "done", Params: toWireParams(onePoint)})
+	seed(&request{Op: "reportn", Session: "one", Reports: onePointBatch})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var req request
 		if err := decodeRequest(payload, &req); err != nil {
@@ -207,6 +222,12 @@ func FuzzDispatch(f *testing.F) {
 		defer srv.Close()
 		//paralint:allow errdiscipline fuzz setup; a failed register still exercises dispatch
 		_ = srv.Register("s", gs2Params())
+		for _, name := range []string{"one", "done"} {
+			//paralint:allow errdiscipline fuzz setup; a failed register still exercises dispatch
+			_ = srv.Register(name, onePoint)
+		}
+		//paralint:allow errdiscipline fuzz setup; a failed report still exercises dispatch
+		_, _ = srv.ReportN("done", onePointBatch)
 		resp := dispatch(srv, &req, nil)
 		if !resp.OK && resp.Error == "" {
 			t.Fatalf("failed response without error message for %+v", req)

@@ -45,7 +45,8 @@ func goldenRequests() []goldenReq {
 	}
 }
 
-// goldenResponses is one response per op, plus the two structured errors.
+// goldenResponses is one response per op, plus a structured error and two
+// replies carrying a converged session's answer.
 func goldenResponses() []goldenResp {
 	return []goldenResp{
 		{"resp/register", response{OK: true, Seq: 1}},
@@ -62,6 +63,9 @@ func goldenResponses() []goldenResp {
 			{Point: []float64{40, 4, 0.25}, Tag: 11, Converged: true},
 		}}},
 		{"resp/reportn", response{OK: true, Seq: 8, Accepted: 2, Refused: 1, Rejected: 0}},
+		// Replies that find their session converged carry its answer.
+		{"resp/register-converged", response{OK: true, Seq: 1, Point: []float64{32, 16, 0.05}, Converged: true}},
+		{"resp/reportn-converged", response{OK: true, Seq: 8, Point: []float64{32, 16, 0.05}, Converged: true, Accepted: 3}},
 	}
 }
 

@@ -278,20 +278,27 @@ func (srv *Server) newSession(name string, sp *space.Space, alg core.Algorithm, 
 // session; its space must match. The registered event is emitted only after
 // the shard lock is released (shardMutateErr owns that contract).
 func (srv *Server) Register(name string, params []space.Parameter) error {
+	_, err := srv.register(name, params)
+	return err
+}
+
+// register is Register returning the session it created or joined.
+func (srv *Server) register(name string, params []space.Parameter) (*session, error) {
 	if name == "" {
-		return errors.New("harmony: session name required")
+		return nil, errors.New("harmony: session name required")
 	}
 	sp, err := space.New(params...)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var fresh *session
+	var joined, fresh *session
 	err = srv.shardMutateErr(name, func(sh *sessionShard) ([]event.Event, error) {
 		if s, ok := sh.sessions[name]; ok {
 			// Joining: verify the space matches.
 			if sp.String() != s.sp.String() {
 				return nil, fmt.Errorf("harmony: session %q already registered with different parameters", name)
 			}
+			joined = s
 			return nil, nil
 		}
 		alg, err := srv.newAlgorithm(sp)
@@ -307,8 +314,9 @@ func (srv *Server) Register(name string, params []space.Parameter) error {
 	})
 	if fresh != nil {
 		fresh.step(nil)
+		return fresh, err
 	}
-	return err
+	return joined, err
 }
 
 // newAlgorithm binds the measurement database, if any, to sp and builds a

@@ -219,6 +219,14 @@ func (srv *Server) fetchN(dst []FetchResult, name string, n int) ([]FetchResult,
 	return append(dst, FetchResult{Point: s.best, Tag: 0, Converged: s.converged}), nil
 }
 
+// convergedLocked reports whether fetchN would answer {best, tag 0,
+// converged}: the engine finished without error and no candidate has an
+// empty slot left to grant. That answer never changes again, so a reply
+// may carry it in place of the next fetch. Caller holds s.mu.
+func (s *session) convergedLocked() bool {
+	return s.converged && s.runErr == nil && s.missing == 0
+}
+
 // ReportN records a batch of measurements for the named session in one round
 // trip. Items are applied in order under one hold of the session lock; each
 // is classified rather than failing the frame — invalid values and tags
@@ -231,6 +239,11 @@ func (srv *Server) ReportN(name string, items []ReportItem) (BatchReportResult, 
 	if err != nil {
 		return BatchReportResult{}, err
 	}
+	return s.reportN(items), nil
+}
+
+// reportN is ReportN on a resolved session.
+func (s *session) reportN(items []ReportItem) BatchReportResult {
 	over := 0
 	if len(items) > maxBatchOps {
 		over = len(items) - maxBatchOps
@@ -239,5 +252,5 @@ func (srv *Server) ReportN(name string, items []ReportItem) (BatchReportResult, 
 	//paralint:allow errdiscipline the per-item outcomes are in the result; the error repeats the last failure
 	res, _ := s.report(items)
 	res.Refused += over
-	return res, nil
+	return res
 }

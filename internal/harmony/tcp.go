@@ -90,7 +90,11 @@ type response struct {
 	OK    bool
 	Error string
 	// Code classifies structured errors ("invalid_value", "unknown_session").
-	Code      string
+	Code string
+	// Point and Converged answer fetch and best. A register, report or
+	// reportn reply sets them to the session's best and true exactly when
+	// the session's next fetch would answer {best, tag 0, converged}, and
+	// leaves them empty otherwise.
 	Point     []float64
 	Tag       uint64
 	Value     float64
@@ -349,10 +353,11 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		if err := srv.Register(req.Session, params); err != nil {
+		s, err := srv.register(req.Session, params)
+		if err != nil {
 			return errResponse(err)
 		}
-		return response{OK: true}
+		return convergedReply(s)
 	case "fetch":
 		fr, err := srv.Fetch(req.Session)
 		if err != nil {
@@ -360,10 +365,14 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 		}
 		return response{OK: true, Point: fr.Point, Tag: fr.Tag, Converged: fr.Converged}
 	case "report":
-		if err := srv.Report(req.Session, req.Tag, req.Value); err != nil {
+		s, err := srv.session(req.Session)
+		if err != nil {
 			return errResponse(err)
 		}
-		return response{OK: true}
+		if _, err := s.report([]ReportItem{{Tag: req.Tag, Value: req.Value}}); err != nil {
+			return errResponse(err)
+		}
+		return convergedReply(s)
 	case "fetchn":
 		if grant == nil {
 			grant = new([]FetchResult)
@@ -384,18 +393,20 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 		}
 		return response{OK: true, Batch: batch}
 	case "reportn":
-		res, err := srv.ReportN(req.Session, req.Reports)
+		s, err := srv.session(req.Session)
 		if err != nil {
 			return errResponse(err)
 		}
+		res := s.reportN(req.Reports)
 		if srv.opts.Recorder != nil {
 			srv.rec.Record(event.BatchReport{
 				Session: req.Session, Items: len(req.Reports),
 				Accepted: res.Accepted, Rejected: res.Rejected, Refused: res.Refused,
 			})
 		}
-		return response{OK: true, Accepted: res.Accepted, Refused: res.Refused,
-			Rejected: res.Rejected}
+		resp := convergedReply(s)
+		resp.Accepted, resp.Refused, resp.Rejected = res.Accepted, res.Refused, res.Rejected
+		return resp
 	case "best":
 		p, v, conv, err := srv.Best(req.Session)
 		if err != nil {
@@ -411,6 +422,20 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 	default:
 		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+}
+
+// convergedReply is the success reply to a register, report or reportn that
+// reached s. When s's own fetchN would answer {best, tag 0, converged}, the
+// reply carries that answer in Point and Converged, so the client serves its
+// next fetch of s without a round trip. The point is encoded straight from
+// the session, not cloned: a converged session's best never changes.
+func convergedReply(s *session) response {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.convergedLocked() {
+		return response{OK: true}
+	}
+	return response{OK: true, Point: s.best, Converged: true}
 }
 
 // DialOptions configures connection retries and per-call deadlines.
@@ -474,7 +499,9 @@ func (o *DialOptions) normalise() {
 // number, so the server can discard frames duplicated in transit. A report
 // names the sample slot its grant named, so a retry that reaches the server
 // twice finds its slot filled and is counted once; a reconnect just resends
-// the failed request on the fresh connection.
+// the failed request on the fresh connection. A register, report or reportn
+// reply that finds its session converged carries the session's answer, and
+// the next Fetch or FetchN of that session returns it without a round trip.
 type Client struct {
 	addr string      // immutable after DialWith
 	opts DialOptions // immutable after DialWith
@@ -487,11 +514,21 @@ type Client struct {
 	rng        *rand.Rand
 	seq        uint64 // frame sequence; one per frame put on the wire
 	reconnects int    // connections re-established after a loss
+	// answers holds, per session, the best point the last register, report
+	// or reportn reply carried as the session's converged answer, until a
+	// Fetch or FetchN of the session takes it. Bounded by
+	// maxConvergedAnswers.
+	answers map[string]space.Point
 	// req and resp are the frame in flight: one round trip at a time, so
 	// every call reuses them.
 	req  request
 	resp response
 }
+
+// maxConvergedAnswers bounds a client's table of converged answers; past it
+// the table restarts empty, which only forfeits the round trips the dropped
+// answers would have saved.
+const maxConvergedAnswers = 1024
 
 // Dial connects to a harmony server with default retry/backoff options.
 func Dial(addr string) (*Client, error) {
@@ -663,6 +700,7 @@ func (c *Client) roundTrip(req request) (response, error) {
 			if !c.resp.OK {
 				return response{}, &appError{msg: c.resp.Error, code: c.resp.Code}
 			}
+			c.keepAnswerLocked(&c.req)
 			return c.resp, nil
 		}
 		// Connection-level failure: drop the connection and retry on a fresh
@@ -672,6 +710,35 @@ func (c *Client) roundTrip(req request) (response, error) {
 		c.dropConnLocked()
 	}
 	return response{}, fmt.Errorf("harmony: %s failed after %d attempts: %w", req.Op, attempts, lastErr)
+}
+
+// keepAnswerLocked records what a successful register, report or reportn
+// reply says of its session: the converged answer it carries, or, when it
+// carries none, that an answer kept from an earlier reply is stale. Caller
+// holds c.mu.
+func (c *Client) keepAnswerLocked(req *request) {
+	if req.Op != "register" && req.Op != "report" && req.Op != "reportn" {
+		return
+	}
+	if !c.resp.Converged {
+		delete(c.answers, req.Session)
+		return
+	}
+	if c.answers == nil || len(c.answers) >= maxConvergedAnswers {
+		c.answers = make(map[string]space.Point)
+	}
+	c.answers[req.Session] = space.Point(c.resp.Point)
+}
+
+// takeAnswer removes and returns the converged answer kept for session.
+func (c *Client) takeAnswer(session string) (space.Point, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.answers[session]
+	if ok {
+		delete(c.answers, session)
+	}
+	return p, ok
 }
 
 // sendLocked puts one frame on the wire and reads its response into c.resp,
@@ -706,14 +773,26 @@ func (c *Client) sendLocked(req *request) error {
 	return errors.New("harmony: response stream flooded with stale frames")
 }
 
-// Register creates or joins a session.
+// Register creates or joins a session. When the session has converged by
+// the time the server replies (a fully warm session converges inside
+// Register), the reply carries its answer, and the next Fetch or FetchN of
+// the session returns that answer without a round trip.
 func (c *Client) Register(session string, params []space.Parameter) error {
 	_, err := c.roundTrip(request{Op: "register", Session: session, Params: toWireParams(params)})
 	return err
 }
 
-// Fetch obtains the next configuration to run.
+// Fetch obtains the next configuration to run. When the last register,
+// report or reportn reply for the session found it converged, Fetch returns
+// that answer (the best point, Tag 0, Converged) once, without a round trip.
+// It is the answer the server would give, since a converged session's answer
+// never changes. The one difference: a session that expires, or is lost to a
+// server restart without a checkpoint, between that reply and this call is
+// still answered here, and the loss surfaces on the next call.
 func (c *Client) Fetch(session string) (FetchResult, error) {
+	if p, ok := c.takeAnswer(session); ok {
+		return FetchResult{Point: p, Converged: true}, nil
+	}
 	resp, err := c.roundTrip(request{Op: "fetch", Session: session})
 	if err != nil {
 		return FetchResult{}, err
@@ -731,8 +810,13 @@ func (c *Client) Report(session string, tag uint64, value float64) error {
 // FetchN obtains up to n units of work in one round trip, under the grant
 // rule of Server.FetchN: every sample a batch still needs, pass-major, up to
 // n. When no candidate work is outstanding the single returned entry is the
-// best-known configuration with Tag 0, exactly like Fetch.
+// best-known configuration with Tag 0, exactly like Fetch, and like Fetch
+// it is answered locally, once, when the last register, report or reportn
+// reply for the session found it converged.
 func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
+	if p, ok := c.takeAnswer(session); ok {
+		return []FetchResult{{Point: p, Converged: true}}, nil
+	}
 	resp, err := c.roundTrip(request{Op: "fetchn", Session: session, N: n})
 	if err != nil {
 		return nil, err

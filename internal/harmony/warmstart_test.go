@@ -45,6 +45,35 @@ func driveCounting(t testing.TB, srv *Server, name string, f objective.Function)
 	return 0
 }
 
+// warmServer returns a server wired like harmonyd -db, a memory store
+// behind a read-through estimate cache, whose store already resolves every
+// candidate of a gs2Params session: a cold server first drove one such
+// session to convergence into it, noiselessly. A session registered on the
+// returned server therefore converges inside Register, at best. opts
+// supplies everything but the estimator (min-of-3), store and cache.
+func warmServer(t testing.TB, opts ServerOptions) (srv *Server, best space.Point) {
+	t.Helper()
+	est := mustMinOfK(t, 3)
+	db := measuredb.NewMemory(measuredb.Options{})
+	sp, err := space.New(gs2Params()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := NewServer(ServerOptions{Estimator: est, DB: db})
+	defer cold.Close()
+	if err := cold.Register("cold", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	driveCounting(t, cold, "cold", objective.NewSphere(sp, space.Point{32, 16, 8}, 1))
+	if best, _, _, err = cold.Best("cold"); err != nil {
+		t.Fatal(err)
+	}
+	opts.Estimator, opts.DB, opts.Cache = est, db, feddb.NewCache(db, est, est.K(), 0)
+	srv = NewServer(opts)
+	t.Cleanup(srv.Close)
+	return srv, best
+}
+
 // The cross-restart warm-start contract: a second server sharing the first
 // server's measurement store answers every candidate from it, so the session
 // converges to the bit-identical best without a single client report.
