@@ -10,10 +10,10 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Project-specific static analysis, ten rules: determinism, lock
+# Project-specific static analysis, nine rules: determinism, lock
 # discipline, float comparisons, wire-boundary error handling, seed
-# provenance, event hygiene, lock order, context flow, typed atomics, and
-# wire-table drift. See DESIGN.md.
+# provenance, event hygiene, lock order, context flow and typed atomics.
+# See DESIGN.md.
 lint:
 	$(GO) run ./cmd/paralint ./...
 
@@ -27,7 +27,7 @@ lint-sarif:
 # Built as a binary because `go run` flattens the child's exit status.
 lint-selftest:
 	$(GO) build -o "$${TMPDIR:-/tmp}/paralint-selftest" ./cmd/paralint
-	"$${TMPDIR:-/tmp}/paralint-selftest" -rules wireproto,lockorder -json \
+	"$${TMPDIR:-/tmp}/paralint-selftest" -rules lockorder -json \
 	  ./internal/lint/testdata/selftest > selftest-got.json; \
 	  test $$? -eq 3
 	diff -u internal/lint/testdata/selftest/expect.json selftest-got.json

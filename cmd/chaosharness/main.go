@@ -28,6 +28,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -365,8 +366,8 @@ func soak(db *objective.DB, cfg chaos.Config, nClients, iters int, verbose bool,
 				// A kill before the first checkpoint loses the session; the
 				// recovery contract is to re-register and keep tuning. Record
 				// the degradation and its reason.
-				if harmony.IsUnknownSession(err) && round < 8 {
-					if rerr := c.Register(session, params); rerr == nil || harmony.IsUnknownSession(rerr) {
+				if errors.Is(err, harmony.ErrUnknownSession) && round < 8 {
+					if rerr := c.Register(session, params); rerr == nil || errors.Is(rerr, harmony.ErrUnknownSession) {
 						mu.Lock()
 						degraded = append(degraded, "session_lost_reregistered")
 						mu.Unlock()

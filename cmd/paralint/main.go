@@ -27,15 +27,10 @@
 //     and a ranged channel is closed somewhere in its package
 //   - atomics: no legacy sync/atomic functions; typed atomics only
 //
-// and one gates the PHWIRE1 wire tables:
-//
-//   - wireproto: code/name codec tables are exact inverses and exhaustive,
-//     dispatch switches cover every wire op, and server-built error codes
-//     are classified client-side somewhere in the program
-//
-// Goroutine leaks, frame-buffer lifetimes, per-request bounds and hot-path
-// allocation counts are pinned by runtime tests instead (DESIGN.md
-// "paralint keep-or-cut audit").
+// Goroutine leaks, frame-buffer lifetimes, per-request bounds, hot-path
+// allocation counts and the PHWIRE1/PHSYNC1 code tables are pinned by
+// runtime tests instead (DESIGN.md "Wire codec integrity" and "paralint
+// keep-or-cut audit").
 //
 // Usage:
 //

@@ -42,7 +42,7 @@ func TestDirectiveExitOnSelftestFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks packages")
 	}
-	analyzers := selectRules(lint.Analyzers(), "wireproto,lockorder")
+	analyzers := selectRules(lint.Analyzers(), "lockorder")
 	diags, typeErrs, err := lint.Analyze(filepath.Join("..", ".."),
 		[]string{"./internal/lint/testdata/selftest"}, analyzers)
 	if err != nil {
@@ -51,8 +51,8 @@ func TestDirectiveExitOnSelftestFixture(t *testing.T) {
 	if len(typeErrs) > 0 {
 		t.Fatalf("type errors in selftest fixture: %v", typeErrs)
 	}
-	if len(diags) != 2 {
-		t.Fatalf("selftest fixture produced %d findings, want 2: %v", len(diags), diags)
+	if len(diags) != 1 {
+		t.Fatalf("selftest fixture produced %d findings, want 1: %v", len(diags), diags)
 	}
 	var buf bytes.Buffer
 	if got := exitStatus(&buf, diags); got != 3 {

@@ -26,6 +26,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -217,8 +218,8 @@ func run(db objective.Function, cfg chaos.Config, durable bool) (float64, int) {
 				if err == nil {
 					break
 				}
-				if harmony.IsUnknownSession(err) && round < 5 {
-					if rerr := c.Register(session, spaceParams(db.Space())); rerr == nil || harmony.IsUnknownSession(rerr) {
+				if errors.Is(err, harmony.ErrUnknownSession) && round < 5 {
+					if rerr := c.Register(session, spaceParams(db.Space())); rerr == nil || errors.Is(rerr, harmony.ErrUnknownSession) {
 						continue
 					}
 				}

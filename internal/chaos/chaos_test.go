@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"os"
@@ -264,8 +265,8 @@ func tune(t *testing.T, addr, session string, nClients, maxIters int) {
 				if err == nil {
 					return
 				}
-				if harmony.IsUnknownSession(err) && round < 5 {
-					if rerr := c.Register(session, spaceParams(db.Space())); rerr == nil || harmony.IsUnknownSession(rerr) {
+				if errors.Is(err, harmony.ErrUnknownSession) && round < 5 {
+					if rerr := c.Register(session, spaceParams(db.Space())); rerr == nil || errors.Is(rerr, harmony.ErrUnknownSession) {
 						continue
 					}
 				}

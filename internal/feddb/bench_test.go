@@ -56,7 +56,7 @@ func BenchmarkSegmentShip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frames, _, _ = st.AppendFrames(frames[:0], "o1", 1, 512)
-		m := syncMsg{Op: "frames", Origin: "o1", Frames: frames, High: 512, Hash: 1}
+		m := syncMsg{Op: opFrames, Origin: "o1", Frames: frames, High: 512, Hash: 1}
 		var err error
 		buf, err = appendSyncMsg(buf[:0], &m)
 		if err != nil {

@@ -32,13 +32,13 @@ func goldenSyncMsgs() []goldenMsg {
 		{Origin: "n1", Seq: 3, Point: space.Point{40, 4, 0.25}, Value: 1.5e-3},
 	}
 	return []goldenMsg{
-		{"hello", syncMsg{Op: "hello", Seed: -7, Space: "space{x:integer[0,8]}", Origins: origins}},
-		{"digest", syncMsg{Op: "digest", Seed: 42, Space: "space{x:integer[0,8]}", Origins: origins[1:]}},
-		{"pull", syncMsg{Op: "pull", Origin: "n1", From: 2, Max: 512}},
-		{"frames", syncMsg{Op: "frames", Origin: "n1", Frames: frames, High: 3, Hash: 0x0123456789abcdef}},
-		{"push", syncMsg{Op: "push", Origin: "n1", Frames: frames[:1]}},
-		{"ack", syncMsg{Op: "ack", Applied: 1, Dups: 300}},
-		{"error", syncMsg{Op: "error", Detail: "space signature mismatch"}},
+		{"hello", syncMsg{Op: opHello, Seed: -7, Space: "space{x:integer[0,8]}", Origins: origins}},
+		{"digest", syncMsg{Op: opDigest, Seed: 42, Space: "space{x:integer[0,8]}", Origins: origins[1:]}},
+		{"pull", syncMsg{Op: opPull, Origin: "n1", From: 2, Max: 512}},
+		{"frames", syncMsg{Op: opFrames, Origin: "n1", Frames: frames, High: 3, Hash: 0x0123456789abcdef}},
+		{"push", syncMsg{Op: opPush, Origin: "n1", Frames: frames[:1]}},
+		{"ack", syncMsg{Op: opAck, Applied: 1, Dups: 300}},
+		{"error", syncMsg{Op: opError, Detail: "space signature mismatch"}},
 	}
 }
 

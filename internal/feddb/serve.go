@@ -55,27 +55,27 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 		reply = syncMsg{}
 		fatal := false
 		switch msg.Op {
-		case "hello":
+		case opHello:
 			st := opts.Store
 			if msg.Space != "" && st.SpaceSig() != "" && msg.Space != st.SpaceSig() {
-				reply = syncMsg{Op: "error", Detail: fmt.Sprintf("space signature mismatch: store is bound to %q", st.SpaceSig())}
+				reply = syncMsg{Op: opError, Detail: fmt.Sprintf("space signature mismatch: store is bound to %q", st.SpaceSig())}
 				fatal = true
 				break
 			}
-			reply = syncMsg{Op: "digest", Seed: st.Seed(), Space: st.SpaceSig(), Origins: st.Digest()}
-		case "pull":
+			reply = syncMsg{Op: opDigest, Seed: st.Seed(), Space: st.SpaceSig(), Origins: st.Digest()}
+		case opPull:
 			max := int(msg.Max)
 			if max <= 0 || max > maxPullFrames {
 				max = maxPullFrames
 			}
 			frames, high, hash := opts.Store.AppendFrames(nil, msg.Origin, msg.From, max)
-			reply = syncMsg{Op: "frames", Origin: msg.Origin, Frames: trimFrames(frames), High: high, Hash: hash}
-		case "push":
+			reply = syncMsg{Op: opFrames, Origin: msg.Origin, Frames: trimFrames(frames), High: high, Hash: hash}
+		case opPush:
 			var applied, dups uint64
 			for i := range msg.Frames {
 				ok, aerr := opts.Store.Apply(msg.Frames[i])
 				if aerr != nil {
-					reply = syncMsg{Op: "error", Detail: aerr.Error()}
+					reply = syncMsg{Op: opError, Detail: aerr.Error()}
 					fatal = true
 					break
 				}
@@ -86,14 +86,14 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 				}
 			}
 			if !fatal {
-				reply = syncMsg{Op: "ack", Applied: applied, Dups: dups}
+				reply = syncMsg{Op: opAck, Applied: applied, Dups: dups}
 			}
-		case "digest", "frames", "ack", "error":
+		case opDigest, opFrames, opAck, opError:
 			// Response ops have no business arriving at the server.
-			reply = syncMsg{Op: "error", Detail: "unexpected op " + msg.Op}
+			reply = syncMsg{Op: opError, Detail: "unexpected op " + msg.Op.String()}
 			fatal = true
 		default:
-			reply = syncMsg{Op: "error", Detail: "unknown op"}
+			reply = syncMsg{Op: opError, Detail: "unknown op"}
 			fatal = true
 		}
 		if err := conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout)); err != nil {

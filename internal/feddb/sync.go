@@ -55,7 +55,7 @@ func (c *syncConn) roundTrip(req, resp *syncMsg) error {
 	if err := readSyncMsg(c.br, &c.bufs, resp); err != nil {
 		return err
 	}
-	if resp.Op == "error" {
+	if resp.Op == opError {
 		return fmt.Errorf("feddb: peer error: %s", resp.Detail)
 	}
 	return nil
@@ -93,11 +93,11 @@ func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Sta
 
 	local := store.Digest()
 	var remote syncMsg
-	hello := syncMsg{Op: "hello", Seed: store.Seed(), Space: store.SpaceSig(), Origins: local}
+	hello := syncMsg{Op: opHello, Seed: store.Seed(), Space: store.SpaceSig(), Origins: local}
 	if err := c.roundTrip(&hello, &remote); err != nil {
 		return stats, err
 	}
-	if remote.Op != "digest" {
+	if remote.Op != opDigest {
 		return stats, fmt.Errorf("feddb: sync: expected digest, got %q", remote.Op)
 	}
 	if remote.Space != "" && store.SpaceSig() != "" && remote.Space != store.SpaceSig() {
@@ -179,12 +179,12 @@ func pullSegments(c *syncConn, store *measuredb.Store, peer string, d measuredb.
 		if from > d.High {
 			break
 		}
-		req := syncMsg{Op: "pull", Origin: d.Origin, From: from, Max: uint64(opts.MaxBatch)}
+		req := syncMsg{Op: opPull, Origin: d.Origin, From: from, Max: uint64(opts.MaxBatch)}
 		var resp syncMsg
 		if err := c.roundTrip(&req, &resp); err != nil {
 			return err
 		}
-		if resp.Op != "frames" {
+		if resp.Op != opFrames {
 			return fmt.Errorf("feddb: sync: expected frames, got %q", resp.Op)
 		}
 		if len(resp.Frames) == 0 {
@@ -235,12 +235,12 @@ func pushSegments(c *syncConn, store *measuredb.Store, peer string, d measuredb.
 		if len(buf) == 0 {
 			return fmt.Errorf("feddb: sync: origin %s frame at seq %d exceeds segment bound", d.Origin, from)
 		}
-		req := syncMsg{Op: "push", Origin: d.Origin, Frames: buf}
+		req := syncMsg{Op: opPush, Origin: d.Origin, Frames: buf}
 		var resp syncMsg
 		if err := c.roundTrip(&req, &resp); err != nil {
 			return err
 		}
-		if resp.Op != "ack" {
+		if resp.Op != opAck {
 			return fmt.Errorf("feddb: sync: expected ack, got %q", resp.Op)
 		}
 		stats.Pushed += int(resp.Applied)

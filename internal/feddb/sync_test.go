@@ -339,7 +339,7 @@ func TestSyncRejectsLocalDigestOverCap(t *testing.T) {
 		}
 		var bufs syncBufs
 		// A failed reply surfaces as Sync's error.
-		_ = writeSyncMsg(sc, &bufs, &syncMsg{Op: "digest", Seed: 42})
+		_ = writeSyncMsg(sc, &bufs, &syncMsg{Op: opDigest, Seed: 42})
 	}()
 	_, err := Sync(cc, local, "peer", Options{})
 	_ = cc.Close()

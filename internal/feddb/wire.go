@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strconv"
 
 	"paratune/internal/frame"
 	"paratune/internal/measuredb"
@@ -41,67 +42,51 @@ const SyncMagic = "PHSYNC1\n"
 // store, so a list anywhere near the frame cap is an attack, not a fleet.
 const maxSyncOrigins = 1 << 12
 
+// syncOp is a sync opcode: its value is the wire byte, and syncOps names
+// it.
+type syncOp byte
+
 // Sync opcodes. The values are frozen: they are the wire format. Opcodes 7
 // and 8 (the retired snapshot transfer, snappull/snapchunk) are never reused.
 const (
-	opHello  byte = 1
-	opDigest byte = 2
-	opPull   byte = 3
-	opFrames byte = 4
-	opPush   byte = 5
-	opAck    byte = 6
-	opError  byte = 9
+	opHello  syncOp = 1
+	opDigest syncOp = 2
+	opPull   syncOp = 3
+	opFrames syncOp = 4
+	opPush   syncOp = 5
+	opAck    syncOp = 6
+	opError  syncOp = 9
 )
+
+// syncOps is the sync op table: the name of each opcode, "" for a byte no
+// op uses.
+var syncOps = [...]string{
+	opHello: "hello", opDigest: "digest", opPull: "pull", opFrames: "frames",
+	opPush: "push", opAck: "ack", opError: "error",
+}
 
 // errSyncUnknownOp rejects encoding a message with no opcode.
 var errSyncUnknownOp = errors.New("feddb: unknown op for sync encoding")
 
-// opCode maps an op name to its wire opcode.
-func opCode(op string) (byte, bool) {
-	switch op {
-	case "hello":
-		return opHello, true
-	case "digest":
-		return opDigest, true
-	case "pull":
-		return opPull, true
-	case "frames":
-		return opFrames, true
-	case "push":
-		return opPush, true
-	case "ack":
-		return opAck, true
-	case "error":
-		return opError, true
-	}
-	return 0, false
-}
-
-// opName maps a wire opcode back to its op name.
+// opName maps a wire opcode to its op name.
 func opName(code byte) (string, bool) {
-	switch code {
-	case opHello:
-		return "hello", true
-	case opDigest:
-		return "digest", true
-	case opPull:
-		return "pull", true
-	case opFrames:
-		return "frames", true
-	case opPush:
-		return "push", true
-	case opAck:
-		return "ack", true
-	case opError:
-		return "error", true
+	if int(code) < len(syncOps) && syncOps[code] != "" {
+		return syncOps[code], true
 	}
 	return "", false
+}
+
+func (op syncOp) String() string {
+	if name, ok := opName(byte(op)); ok {
+		return name
+	}
+	return "op(" + strconv.Itoa(int(op)) + ")"
 }
 
 // syncMsg is one protocol message; which fields are meaningful depends on
 // Op. The zero value of every unused field encodes (and decodes) as absent.
 type syncMsg struct {
-	Op string
+	Op syncOp
 
 	// hello / digest: the sender's store identity and anti-entropy summary.
 	Seed    int64
@@ -129,13 +114,12 @@ type syncMsg struct {
 
 // appendSyncMsg encodes m's payload onto dst.
 func appendSyncMsg(dst []byte, m *syncMsg) ([]byte, error) {
-	code, ok := opCode(m.Op)
-	if !ok {
+	if _, ok := opName(byte(m.Op)); !ok {
 		return dst, errSyncUnknownOp
 	}
-	dst = append(dst, code)
+	dst = append(dst, byte(m.Op))
 	switch m.Op {
-	case "hello", "digest":
+	case opHello, opDigest:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(m.Seed))
 		dst = frame.AppendString(dst, m.Space)
 		dst = binary.AppendUvarint(dst, uint64(len(m.Origins)))
@@ -144,22 +128,22 @@ func appendSyncMsg(dst []byte, m *syncMsg) ([]byte, error) {
 			dst = binary.AppendUvarint(dst, d.High)
 			dst = binary.BigEndian.AppendUint64(dst, d.Hash)
 		}
-	case "pull":
+	case opPull:
 		dst = frame.AppendString(dst, m.Origin)
 		dst = binary.AppendUvarint(dst, m.From)
 		dst = binary.AppendUvarint(dst, m.Max)
-	case "frames":
+	case opFrames:
 		dst = frame.AppendString(dst, m.Origin)
 		dst = appendSyncFrames(dst, m.Frames)
 		dst = binary.AppendUvarint(dst, m.High)
 		dst = binary.BigEndian.AppendUint64(dst, m.Hash)
-	case "push":
+	case opPush:
 		dst = frame.AppendString(dst, m.Origin)
 		dst = appendSyncFrames(dst, m.Frames)
-	case "ack":
+	case opAck:
 		dst = binary.AppendUvarint(dst, m.Applied)
 		dst = binary.AppendUvarint(dst, m.Dups)
-	case "error":
+	case opError:
 		dst = frame.AppendString(dst, m.Detail)
 	}
 	return dst, nil
@@ -185,13 +169,13 @@ func appendSyncFrames(dst []byte, frames []measuredb.Frame) []byte {
 // frames; every field is copied out of payload.
 func decodeSyncMsg(payload []byte, m *syncMsg) error {
 	r := frame.NewReader(payload)
-	op, ok := opName(r.Byte())
-	if !ok {
+	op := r.Byte()
+	if _, ok := opName(op); !ok {
 		return frame.ErrMalformed
 	}
-	*m = syncMsg{Op: op}
+	*m = syncMsg{Op: syncOp(op)}
 	switch m.Op {
-	case "hello", "digest":
+	case opHello, opDigest:
 		m.Seed = int64(r.U64())
 		m.Space = r.Str()
 		if n := r.Count(1); n > 0 {
@@ -206,22 +190,22 @@ func decodeSyncMsg(payload []byte, m *syncMsg) error {
 				d.Hash = r.U64()
 			}
 		}
-	case "pull":
+	case opPull:
 		m.Origin = r.Str()
 		m.From = r.Uvarint()
 		m.Max = r.Uvarint()
-	case "frames":
+	case opFrames:
 		m.Origin = r.Str()
 		m.Frames = readFrames(&r, m.Origin)
 		m.High = r.Uvarint()
 		m.Hash = r.U64()
-	case "push":
+	case opPush:
 		m.Origin = r.Str()
 		m.Frames = readFrames(&r, m.Origin)
-	case "ack":
+	case opAck:
 		m.Applied = r.Uvarint()
 		m.Dups = r.Uvarint()
-	case "error":
+	case opError:
 		m.Detail = r.Str()
 	}
 	return r.Finish()

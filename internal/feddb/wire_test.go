@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // payload and frame buffers have grown, framing and writing a message
 // allocates nothing.
 func TestWriteSyncMsgAllocs(t *testing.T) {
-	m := syncMsg{Op: "push", Origin: "n1", Frames: []measuredb.Frame{
+	m := syncMsg{Op: opPush, Origin: "n1", Frames: []measuredb.Frame{
 		{Origin: "n1", Seq: 1, Point: space.Point{24, 8, 0.125}, Value: 0.8125},
 		{Origin: "n1", Seq: 2, Point: space.Point{40, 4, 0.25}, Value: 1.5},
 	}}
@@ -40,22 +41,22 @@ func TestWriteSyncMsgAllocs(t *testing.T) {
 func TestSyncMsgOutlivesNextFrame(t *testing.T) {
 	shapes := []func(x string, v float64) syncMsg{
 		func(x string, v float64) syncMsg {
-			return syncMsg{Op: "digest", Seed: 3, Space: "space-" + x, Origins: []measuredb.OriginDigest{
+			return syncMsg{Op: opDigest, Seed: 3, Space: "space-" + x, Origins: []measuredb.OriginDigest{
 				{Origin: "origin-" + x, High: 4, Hash: 5},
 			}}
 		},
 		func(x string, v float64) syncMsg {
-			return syncMsg{Op: "frames", Origin: "origin-" + x, High: 2, Hash: 6, Frames: []measuredb.Frame{
+			return syncMsg{Op: opFrames, Origin: "origin-" + x, High: 2, Hash: 6, Frames: []measuredb.Frame{
 				{Origin: "frame-" + x, Seq: 1, Point: space.Point{v, 2 * v}, Value: v},
 			}}
 		},
 		func(x string, v float64) syncMsg {
-			return syncMsg{Op: "error", Detail: "detail-" + x}
+			return syncMsg{Op: opError, Detail: "detail-" + x}
 		},
 	}
 	for _, shape := range shapes {
 		a, b := shape("A", 1.5), shape("B", 2.5)
-		t.Run(a.Op, func(t *testing.T) {
+		t.Run(a.Op.String(), func(t *testing.T) {
 			var stream bytes.Buffer
 			var bufs syncBufs
 			if err := writeSyncMsg(&stream, &bufs, &a); err != nil {
@@ -92,7 +93,7 @@ func TestSyncMsgOutlivesNextFrame(t *testing.T) {
 // slab, not a point and a string per frame. Points of mixed dimension
 // round-trip too, each capped so that growing one leaves the next intact.
 func TestDecodeFramesAllocs(t *testing.T) {
-	m := syncMsg{Op: "frames", Origin: "o1", High: 512, Hash: 1}
+	m := syncMsg{Op: opFrames, Origin: "o1", High: 512, Hash: 1}
 	for i := 0; i < 512; i++ {
 		m.Frames = append(m.Frames, measuredb.Frame{Origin: "o1", Seq: uint64(i + 1), Point: space.Point{float64(i % 64), 1}, Value: float64(i)})
 	}
@@ -110,7 +111,7 @@ func TestDecodeFramesAllocs(t *testing.T) {
 		t.Fatal("512-frame segment did not round-trip")
 	}
 
-	mixed := syncMsg{Op: "push", Origin: "a", Frames: []measuredb.Frame{
+	mixed := syncMsg{Op: opPush, Origin: "a", Frames: []measuredb.Frame{
 		{Origin: "a", Seq: 1, Point: space.Point{1}, Value: 1},
 		{Origin: "b", Seq: 2, Point: space.Point{2, 3, 4}, Value: 2},
 		{Origin: "b", Seq: 3, Point: space.Point{5, 6}, Value: 3},
@@ -139,7 +140,7 @@ func TestDecodeFramesAllocs(t *testing.T) {
 // origin list: maxSyncOrigins origins decode, one more is malformed.
 func TestDecodeRejectsOriginsOverCap(t *testing.T) {
 	for _, n := range []int{maxSyncOrigins, maxSyncOrigins + 1} {
-		m := syncMsg{Op: "digest", Origins: make([]measuredb.OriginDigest, n)}
+		m := syncMsg{Op: opDigest, Origins: make([]measuredb.OriginDigest, n)}
 		for i := range m.Origins {
 			m.Origins[i] = measuredb.OriginDigest{Origin: "o", High: 1}
 		}
@@ -156,6 +157,17 @@ func TestDecodeRejectsOriginsOverCap(t *testing.T) {
 			t.Errorf("digest of %d origins: err = %v, want frame.ErrMalformed", n, err)
 		}
 	}
+}
+
+// opCode maps an op name to its wire opcode, the inverse of opName. Peers
+// carry ops as syncOp codes, so only the tests look ops up by name.
+func opCode(name string) (byte, bool) {
+	for code := range syncOps {
+		if name != "" && syncOps[code] == name {
+			return byte(code), true
+		}
+	}
+	return 0, false
 }
 
 // Payloads of the retired snapshot transfer ops, byte for byte as the last
@@ -204,6 +216,47 @@ func TestSyncCodecTablesFrozen(t *testing.T) {
 		var m syncMsg
 		if err := decodeSyncMsg(payload, &m); !errors.Is(err, frame.ErrMalformed) {
 			t.Errorf("retired opcode %d: err = %v, want frame.ErrMalformed", payload[0], err)
+		}
+	}
+}
+
+// TestServeCoversSyncOps sends every op of syncOps to ServeConn on a fresh
+// connection: a request op must reach its handler and draw its reply op,
+// and a response op must draw the "unexpected op" error. An op the table
+// names but Serve's switch lacks draws "unknown op" and fails here.
+func TestServeCoversSyncOps(t *testing.T) {
+	replies := map[syncOp]syncOp{opHello: opDigest, opPull: opFrames, opPush: opAck}
+	store := measuredb.NewMemory(measuredb.Options{Seed: 42, Origin: "srv"})
+	for code, name := range syncOps {
+		if name == "" {
+			continue
+		}
+		op := syncOp(code)
+		cc, sc := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer sc.Close()
+			_ = ServeConn(sc, bufio.NewReader(sc), ServeOptions{Store: store})
+		}()
+		var bufs syncBufs
+		var reply syncMsg
+		err := writeSyncMsg(cc, &bufs, &syncMsg{Op: op})
+		if err == nil {
+			err = readSyncMsg(bufio.NewReader(cc), &bufs, &reply)
+		}
+		_ = cc.Close()
+		<-done
+		if err != nil {
+			t.Errorf("op %s: %v", op, err)
+			continue
+		}
+		if want, ok := replies[op]; ok {
+			if reply.Op != want {
+				t.Errorf("request op %s drew %s (%s), want %s", op, reply.Op, reply.Detail, want)
+			}
+		} else if reply.Op != opError || reply.Detail != "unexpected op "+name {
+			t.Errorf("response op %s drew %s %q, want the unexpected-op error", op, reply.Op, reply.Detail)
 		}
 	}
 }

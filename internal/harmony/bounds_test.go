@@ -70,7 +70,7 @@ func TestConnDedupSurvivesClientChurn(t *testing.T) {
 		_ = rw.conn.SetDeadline(time.Now().Add(10 * time.Second))
 		roundTrip := func(client string, seq uint64) {
 			t.Helper()
-			if _, err := rw.conn.Write(rw.frame(&request{Op: "best", Session: "s", Client: client, Seq: seq})); err != nil {
+			if _, err := rw.conn.Write(rw.frame(&request{Op: opBest, Session: "s", Client: client, Seq: seq})); err != nil {
 				t.Fatal(err)
 			}
 			if resp, ok := rw.readResp(); !ok || resp.Seq != seq {
@@ -87,8 +87,8 @@ func TestConnDedupSurvivesClientChurn(t *testing.T) {
 
 		// The duplicate, then a fresh frame: exactly one response, for
 		// the fresh frame, proves the duplicate was discarded.
-		dup := rw.frame(&request{Op: "best", Session: "s", Client: "late", Seq: late})
-		next := rw.frame(&request{Op: "best", Session: "s", Client: "late", Seq: late + 1})
+		dup := rw.frame(&request{Op: opBest, Session: "s", Client: "late", Seq: late})
+		next := rw.frame(&request{Op: opBest, Session: "s", Client: "late", Seq: late + 1})
 		if _, err := rw.conn.Write(append(dup, next...)); err != nil {
 			t.Fatal(err)
 		}

@@ -164,7 +164,7 @@ func TestConvergedReplyAnswersNextFetch(t *testing.T) {
 		if err != nil || len(got) != 1 || !got[0].Converged || frames() != 1 {
 			t.Fatalf("FetchN in the expiry window = %+v, %v after %d frames, want the kept converged answer and no new frame", got, err, frames())
 		}
-		if _, err := c.FetchN("w", 16); !IsUnknownSession(err) {
+		if _, err := c.FetchN("w", 16); !errors.Is(err, ErrUnknownSession) {
 			t.Fatalf("FetchN after the kept answer: err = %v, want unknown session", err)
 		}
 	})
@@ -241,9 +241,9 @@ func TestConvergedReplyMatchesFetch(t *testing.T) {
 				}
 			}
 			for _, req := range []request{
-				{Op: "register", Session: tc.name, Params: toWireParams(gs2Params())},
-				{Op: "report", Session: tc.name, Value: 1},
-				{Op: "reportn", Session: tc.name, Reports: []ReportItem{{Value: 1}}},
+				{Op: opRegister, Session: tc.name, Params: gs2Params()},
+				{Op: opReport, Session: tc.name, Value: 1},
+				{Op: opReportN, Session: tc.name, Reports: []ReportItem{{Value: 1}}},
 			} {
 				resp := dispatch(tc.srv, &req, nil)
 				if !resp.OK {
@@ -255,7 +255,7 @@ func TestConvergedReplyMatchesFetch(t *testing.T) {
 					t.Fatalf("%s reply converged=%v, but the next FetchN answered %+v, %v", req.Op, resp.Converged, fetch, err)
 				}
 				if answered {
-					sameAnswer(t, req.Op+" reply", []FetchResult{{Point: resp.Point, Converged: true}}, fetch)
+					sameAnswer(t, req.Op.String()+" reply", []FetchResult{{Point: resp.Point, Converged: true}}, fetch)
 				} else if resp.Point != nil {
 					t.Fatalf("%s reply without the converged flag carries point %v", req.Op, resp.Point)
 				}
@@ -272,7 +272,7 @@ func TestClientLocalFetchNAllocs(t *testing.T) {
 	var got []FetchResult
 	alloccheck.Guard(t, "harmony.Client.FetchN/local", 1, func() {
 		c.mu.Lock()
-		c.req = request{Op: "register", Session: "w"}
+		c.req = request{Op: opRegister, Session: "w"}
 		c.resp = response{OK: true, Point: best, Converged: true}
 		c.keepAnswerLocked(&c.req)
 		c.mu.Unlock()
@@ -293,7 +293,7 @@ func TestClientLocalFetchNAllocs(t *testing.T) {
 // the converged answer allocates no more than one that does not: the best
 // point is encoded from the session, not cloned.
 func TestDispatchConvergedRegisterAllocs(t *testing.T) {
-	req := request{Op: "register", Session: "s", Params: toWireParams(gs2Params())}
+	req := request{Op: opRegister, Session: "s", Params: gs2Params()}
 	cold := NewServer(ServerOptions{})
 	defer cold.Close()
 	if err := cold.Register("s", gs2Params()); err != nil {

@@ -31,7 +31,7 @@ func serveDeadlines(t *testing.T, readT time.Duration) string {
 
 // roundTrip sends one request frame and reads the response frame.
 func roundTrip(rw *rawWire) error {
-	if _, err := rw.conn.Write(rw.frame(&request{Op: "best", Session: "none"})); err != nil {
+	if _, err := rw.conn.Write(rw.frame(&request{Op: opBest, Session: "none"})); err != nil {
 		return err
 	}
 	if _, ok := rw.readResp(); !ok {

@@ -46,7 +46,7 @@ func TestWireRejectsInvalidValueWithCode(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	resp := dispatch(srv, &request{Op: "report", Session: "s", Tag: 1, Value: -3}, nil)
+	resp := dispatch(srv, &request{Op: opReport, Session: "s", Tag: 1, Value: -3}, nil)
 	if resp.OK || resp.Code != "invalid_value" {
 		t.Errorf("resp = %+v, want structured invalid_value error", resp)
 	}
@@ -54,7 +54,7 @@ func TestWireRejectsInvalidValueWithCode(t *testing.T) {
 	// NaN and ±Inf bit for bit, so they reach the server's validation too.
 	cl, _ := dialTest(t, srv)
 	for _, bad := range []float64{-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := cl.Report("s", 1, bad); !IsInvalidValue(err) {
+		if err := cl.Report("s", 1, bad); !errors.Is(err, ErrInvalidValue) {
 			t.Errorf("wire report of %g: err = %v, want invalid_value", bad, err)
 		}
 	}
@@ -183,10 +183,10 @@ func TestClientReportFramesCarrySlotsOnly(t *testing.T) {
 	if len(reqs) != 4 {
 		t.Fatalf("client sent %d frames, want register, fetchn, reportn and report", len(reqs))
 	}
-	if got := reqs[2]; got.Op != "reportn" || !reflect.DeepEqual(got.Reports, sent) {
+	if got := reqs[2]; got.Op != opReportN || !reflect.DeepEqual(got.Reports, sent) {
 		t.Errorf("reportn frame carried %+v, want %+v", got.Reports, sent)
 	}
-	if got := reqs[3]; got.Op != "report" || got.Tag != frs[2].Tag || got.Value != 3.5 {
+	if got := reqs[3]; got.Op != opReport || got.Tag != frs[2].Tag || got.Value != 3.5 {
 		t.Errorf("report frame carried tag %d value %v, want %d and 3.5", got.Tag, got.Value, frs[2].Tag)
 	}
 }

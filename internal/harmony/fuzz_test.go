@@ -23,7 +23,7 @@ func FuzzTCPFrameDecode(f *testing.F) {
 	preamble := func(frames ...[]byte) []byte {
 		return append([]byte(WireMagic), bytes.Join(frames, nil)...)
 	}
-	good := binSeed(&request{Op: "best", Session: "s", Client: "c", Seq: 1})
+	good := binSeed(&request{Op: opBest, Session: "s", Client: "c", Seq: 1})
 	crc := append([]byte{}, good...)
 	crc[len(crc)-1] ^= 0xff
 	f.Add(preamble(good))
@@ -98,21 +98,21 @@ func binSeedOp(op byte, req *request) []byte {
 // goroutine, and any payload the canonical decoder accepts must re-encode to
 // the exact same bytes (decode∘encode identity).
 func FuzzBinaryFrameDecode(f *testing.F) {
-	f.Add(binSeed(&request{Op: "best", Session: "s", Client: "c", Seq: 1}))
-	f.Add(binSeed(&request{Op: "fetch", Session: "s", Client: "c", Seq: 2}))
-	f.Add(binSeed(&request{Op: "report", Session: "s", Tag: 1, Value: 2.5, Seq: 3}))
-	f.Add(binSeed(&request{Op: "fetchn", Session: "s", N: 8, Seq: 4}))
-	f.Add(binSeed(&request{Op: "reportn", Session: "s", Seq: 5,
+	f.Add(binSeed(&request{Op: opBest, Session: "s", Client: "c", Seq: 1}))
+	f.Add(binSeed(&request{Op: opFetch, Session: "s", Client: "c", Seq: 2}))
+	f.Add(binSeed(&request{Op: opReport, Session: "s", Tag: 1, Value: 2.5, Seq: 3}))
+	f.Add(binSeed(&request{Op: opFetchN, Session: "s", N: 8, Seq: 4}))
+	f.Add(binSeed(&request{Op: opReportN, Session: "s", Seq: 5,
 		Reports: []ReportItem{{Tag: 1, Value: 3.5}, {Tag: 2, Value: 4.5}}}))
-	f.Add(binSeed(&request{Op: "register", Session: "s", Seq: 6, Params: []wireParam{
-		{Name: "x", Kind: "integer", Lower: 0, Upper: 5},
-		{Name: "m", Kind: "discrete", Values: []float64{1, 2, 4}},
+	f.Add(binSeed(&request{Op: opRegister, Session: "s", Seq: 6, Params: []space.Parameter{
+		{Name: "x", Kind: space.Integer, Lower: 0, Upper: 5},
+		{Name: "m", Kind: space.Discrete, Values: []float64{1, 2, 4}},
 	}}))
 	// The retired resume opcode 6 is malformed: a best frame relabelled.
-	f.Add(binSeedOp(6, &request{Op: "best", Session: "s", Client: "c", Seq: ^uint64(0)}))
+	f.Add(binSeedOp(6, &request{Op: opBest, Session: "s", Client: "c", Seq: ^uint64(0)}))
 	// Structural corruption: truncated frame, bad CRC, oversized length
 	// prefix, non-minimal length uvarint, bare garbage.
-	good := binSeed(&request{Op: "best", Session: "s", Client: "c", Seq: 1})
+	good := binSeed(&request{Op: opBest, Session: "s", Client: "c", Seq: 1})
 	f.Add(good[:len(good)/2])
 	bad := append([]byte{}, good...)
 	bad[len(bad)-1] ^= 0xff
@@ -194,25 +194,25 @@ func FuzzDispatch(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	seed(&request{Op: "register", Session: "s", Params: []wireParam{{Name: "x", Kind: "integer", Lower: 0, Upper: 5}}})
-	seed(&request{Op: "register", Session: "s", Params: []wireParam{{Name: "", Kind: "discrete"}}})
-	seed(&request{Op: "fetch", Session: "s"})
-	seed(&request{Op: "fetchn", Session: "s", N: 16})
-	seed(&request{Op: "report", Session: "s", Tag: 1, Value: 2.5})
-	seed(&request{Op: "best", Session: "s"})
-	seed(&request{Op: "stats", Session: "s"})
-	seed(&request{Op: "stats", Session: ""})
+	seed(&request{Op: opRegister, Session: "s", Params: []space.Parameter{{Name: "x", Kind: space.Integer, Lower: 0, Upper: 5}}})
+	seed(&request{Op: opRegister, Session: "s", Params: []space.Parameter{{Name: "", Kind: space.Discrete}}})
+	seed(&request{Op: opFetch, Session: "s"})
+	seed(&request{Op: opFetchN, Session: "s", N: 16})
+	seed(&request{Op: opReport, Session: "s", Tag: 1, Value: 2.5})
+	seed(&request{Op: opBest, Session: "s"})
+	seed(&request{Op: opStats, Session: "s"})
+	seed(&request{Op: opStats, Session: ""})
 	// Corrupt measurement reports: negative, absurd and non-finite values
 	// must be rejected with a structured error, never accepted or panicking.
 	for _, v := range []float64{-1, -1e308, 1e308, -0.001, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		seed(&request{Op: "report", Session: "s", Tag: 1, Value: v})
-		seed(&request{Op: "reportn", Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}, {Tag: 0, Value: v}}})
+		seed(&request{Op: opReport, Session: "s", Tag: 1, Value: v})
+		seed(&request{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}, {Tag: 0, Value: v}}})
 	}
 	// Replies that carry a converged session's answer: a register joining
 	// "done", which converged in setup, and the reportn that fills "one"'s
 	// only batch and so converges it.
-	seed(&request{Op: "register", Session: "done", Params: toWireParams(onePoint)})
-	seed(&request{Op: "reportn", Session: "one", Reports: onePointBatch})
+	seed(&request{Op: opRegister, Session: "done", Params: onePoint})
+	seed(&request{Op: opReportN, Session: "one", Reports: onePointBatch})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var req request
 		if err := decodeRequest(payload, &req); err != nil {

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"paratune/internal/space"
 )
 
 // goldenPHWIRE1 holds the committed PHWIRE1 byte vectors: one request frame
@@ -27,17 +29,17 @@ type goldenResp struct {
 // goldenRequests is one request per op, batches included.
 func goldenRequests() []goldenReq {
 	return []goldenReq{
-		{"req/register", request{Op: "register", Seq: 1, Client: "c1", Session: "gs2", Params: []wireParam{
-			{Name: "ntheta", Kind: "integer", Lower: 8, Upper: 64},
-			{Name: "negrid", Kind: "discrete", Values: []float64{4, 8, 16}},
-			{Name: "delt", Kind: "continuous", Lower: 0.005, Upper: 0.5},
+		{"req/register", request{Op: opRegister, Seq: 1, Client: "c1", Session: "gs2", Params: []space.Parameter{
+			{Name: "ntheta", Kind: space.Integer, Lower: 8, Upper: 64},
+			{Name: "negrid", Kind: space.Discrete, Values: []float64{4, 8, 16}},
+			{Name: "delt", Kind: space.Continuous, Lower: 0.005, Upper: 0.5},
 		}}},
-		{"req/fetch", request{Op: "fetch", Seq: 2, Client: "c1", Session: "gs2"}},
-		{"req/report", request{Op: "report", Seq: 3, Client: "c1", Session: "gs2", Tag: 7, Value: 0.8125}},
-		{"req/best", request{Op: "best", Seq: 4, Client: "c1", Session: "gs2"}},
-		{"req/stats", request{Op: "stats", Seq: 5, Client: "c1", Session: "gs2"}},
-		{"req/fetchn", request{Op: "fetchn", Seq: 7, Client: "c1", Session: "gs2", N: 16}},
-		{"req/reportn", request{Op: "reportn", Seq: 8, Client: "c1", Session: "gs2", Reports: []ReportItem{
+		{"req/fetch", request{Op: opFetch, Seq: 2, Client: "c1", Session: "gs2"}},
+		{"req/report", request{Op: opReport, Seq: 3, Client: "c1", Session: "gs2", Tag: 7, Value: 0.8125}},
+		{"req/best", request{Op: opBest, Seq: 4, Client: "c1", Session: "gs2"}},
+		{"req/stats", request{Op: opStats, Seq: 5, Client: "c1", Session: "gs2"}},
+		{"req/fetchn", request{Op: opFetchN, Seq: 7, Client: "c1", Session: "gs2", N: 16}},
+		{"req/reportn", request{Op: opReportN, Seq: 8, Client: "c1", Session: "gs2", Reports: []ReportItem{
 			{Tag: 8, Value: 1.5},
 			{Tag: 9, Value: 2.25e-3},
 			{Tag: 300, Value: 1e9},
@@ -52,7 +54,7 @@ func goldenResponses() []goldenResp {
 		{"resp/register", response{OK: true, Seq: 1}},
 		{"resp/fetch", response{OK: true, Seq: 2, Point: []float64{24, 8, 0.125}, Tag: 7}},
 		{"resp/report", response{OK: true, Seq: 3}},
-		{"resp/report-invalid", response{Seq: 3, Code: codeInvalidValue, Error: "invalid value -1"}},
+		{"resp/report-invalid", response{Seq: 3, Code: "invalid_value", Error: "invalid value -1"}},
 		{"resp/best", response{OK: true, Seq: 4, Point: []float64{32, 16, 0.05}, Value: 0.75, Converged: true}},
 		{"resp/stats", response{OK: true, Seq: 5, Stats: &SessionStats{
 			Name: "gs2", Converged: false, Best: []float64{32, 16, 0.05}, BestValue: 0.75,

@@ -426,7 +426,7 @@ func TestTCPErrors(t *testing.T) {
 func TestDispatchUnknownOp(t *testing.T) {
 	srv := NewServer(ServerOptions{})
 	defer srv.Close()
-	resp := dispatch(srv, &request{Op: "nonsense"}, nil)
+	resp := dispatch(srv, &request{Op: 0xee}, nil)
 	if resp.OK || resp.Error == "" {
 		t.Errorf("resp = %+v", resp)
 	}

@@ -3,6 +3,7 @@ package harmony
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -237,13 +238,13 @@ func TestDuplicateFrameSuppressed(t *testing.T) {
 		serveAsync(l, srv)
 
 		rw := newRawWire(t, l.Addr().String())
-		dup := rw.frame(&request{Op: "report", Session: "s", Client: "dup-test", Seq: 1, Tag: fr.Tag, Value: 2})
+		dup := rw.frame(&request{Op: opReport, Session: "s", Client: "dup-test", Seq: 1, Tag: fr.Tag, Value: 2})
 		// The duplicated frame, then a fresh one so the reader can prove
 		// exactly one response was sent for the pair of duplicates.
 		if _, err := rw.conn.Write(append(append([]byte{}, dup...), dup...)); err != nil {
 			t.Fatal(err)
 		}
-		next := rw.frame(&request{Op: "best", Session: "s", Client: "dup-test", Seq: 2})
+		next := rw.frame(&request{Op: opBest, Session: "s", Client: "dup-test", Seq: 2})
 		if _, err := rw.conn.Write(next); err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +293,7 @@ func TestRegisterAfterCloseDropsConnection(t *testing.T) {
 		serveAsync(l, srv)
 		rw := newRawWire(t, l.Addr().String())
 		srv.Close()
-		if _, err := rw.conn.Write(rw.frame(&request{Op: "register", Session: "s", Params: toWireParams(gs2Params()), Client: "c", Seq: 1})); err != nil {
+		if _, err := rw.conn.Write(rw.frame(&request{Op: opRegister, Session: "s", Params: gs2Params(), Client: "c", Seq: 1})); err != nil {
 			t.Fatal(err)
 		}
 		_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -322,7 +323,7 @@ func TestPermanentErrorNoRetry(t *testing.T) {
 		if err == nil {
 			t.Fatal("negative report should fail")
 		}
-		if !IsInvalidValue(err) || !IsPermanent(err) {
+		if !errors.Is(err, ErrInvalidValue) || !IsPermanent(err) {
 			t.Fatalf("error not classified permanent/invalid_value: %v", err)
 		}
 		// A retried permanent error would cost at least one backoff sleep;
@@ -334,7 +335,7 @@ func TestPermanentErrorNoRetry(t *testing.T) {
 			t.Fatalf("client unusable after permanent error: %v", err)
 		}
 		_, err = c.Fetch("nope")
-		if !IsUnknownSession(err) {
+		if !errors.Is(err, ErrUnknownSession) {
 			t.Fatalf("unknown session not classified: %v", err)
 		}
 	})

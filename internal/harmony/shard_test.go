@@ -161,7 +161,7 @@ func TestReportNClassification(t *testing.T) {
 	if res.Accepted != 3 || res.Rejected != 2 || res.Refused != 0 {
 		t.Errorf("classification = %+v, want 3 accepted / 2 rejected / 0 refused", res)
 	}
-	if _, err := srv.ReportN("ghost", nil); !IsUnknownSession(err) && !errors.Is(err, ErrUnknownSession) {
+	if _, err := srv.ReportN("ghost", nil); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("unknown session error not classified: %v", err)
 	}
 }
@@ -272,7 +272,7 @@ func TestClientBatchRoundTrips(t *testing.T) {
 		if n := c.Reconnects(); n != 0 {
 			t.Errorf("batch frames triggered %d reconnects", n)
 		}
-		if _, err := c.FetchN("nope", 3); !IsUnknownSession(err) {
+		if _, err := c.FetchN("nope", 3); !errors.Is(err, ErrUnknownSession) {
 			t.Fatalf("unknown session via FetchN not classified: %v", err)
 		}
 	})

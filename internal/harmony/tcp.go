@@ -28,10 +28,11 @@ func cryptoSeed() int64 {
 	return int64(binary.LittleEndian.Uint64(b[:]))
 }
 
-// wireParam is the wire and checkpoint form of a space.Parameter.
+// wireParam is the checkpoint form of a space.Parameter: its kind is the
+// wireKinds name. On PHWIRE1 a parameter's kind is its wireKinds byte.
 type wireParam struct {
 	Name   string    `json:"name"`
-	Kind   string    `json:"kind"` // "continuous" | "integer" | "discrete"
+	Kind   string    `json:"kind"`
 	Lower  float64   `json:"lower,omitempty"`
 	Upper  float64   `json:"upper,omitempty"`
 	Values []float64 `json:"values,omitempty"`
@@ -40,7 +41,11 @@ type wireParam struct {
 func toWireParams(params []space.Parameter) []wireParam {
 	out := make([]wireParam, len(params))
 	for i, p := range params {
-		out[i] = wireParam{Name: p.Name, Kind: p.Kind.String(), Lower: p.Lower, Upper: p.Upper, Values: p.Values}
+		kind := p.Kind.String() // a kind outside wireKinds fails to restore
+		if code, ok := kindByte(p.Kind); ok {
+			kind = wireKinds[code].name
+		}
+		out[i] = wireParam{Name: p.Name, Kind: kind, Lower: p.Lower, Upper: p.Upper, Values: p.Values}
 	}
 	return out
 }
@@ -48,27 +53,20 @@ func toWireParams(params []space.Parameter) []wireParam {
 func fromWireParams(ws []wireParam) ([]space.Parameter, error) {
 	out := make([]space.Parameter, len(ws))
 	for i, w := range ws {
-		var k space.Kind
-		switch w.Kind {
-		case "continuous":
-			k = space.Continuous
-		case "integer":
-			k = space.Integer
-		case "discrete":
-			k = space.Discrete
-		default:
+		code, ok := kindCode(w.Kind)
+		if !ok {
 			return nil, fmt.Errorf("harmony: unknown parameter kind %q", w.Kind)
 		}
-		out[i] = space.Parameter{Name: w.Name, Kind: k, Lower: w.Lower, Upper: w.Upper, Values: w.Values}
+		out[i] = space.Parameter{Name: w.Name, Kind: wireKinds[code].kind, Lower: w.Lower, Upper: w.Upper, Values: w.Values}
 	}
 	return out, nil
 }
 
 // request is one client message, the payload of one PHWIRE1 frame.
 type request struct {
-	Op      string // register | fetch | report | best | stats | fetchn | reportn
+	Op      wireOp
 	Session string
-	Params  []wireParam
+	Params  []space.Parameter
 	Tag     uint64
 	Value   float64
 	// Client is the sender's stable wire id, constant across reconnects.
@@ -89,7 +87,7 @@ type request struct {
 type response struct {
 	OK    bool
 	Error string
-	// Code classifies structured errors ("invalid_value", "unknown_session").
+	// Code classifies structured errors: a code string from wireErrors.
 	Code string
 	// Point and Converged answer fetch and best. A register, report or
 	// reportn reply sets them to the session's best and true exactly when
@@ -111,15 +109,15 @@ type response struct {
 	Rejected int
 }
 
-// errResponse builds a failure response, attaching a machine-readable code
-// for the structured error classes.
+// errResponse builds a failure response, attaching the wireErrors code of
+// the structured error class err belongs to, if any.
 func errResponse(err error) response {
 	r := response{Error: err.Error()}
-	switch {
-	case errors.Is(err, ErrInvalidValue):
-		r.Code = codeInvalidValue
-	case errors.Is(err, ErrUnknownSession):
-		r.Code = codeUnknownSession
+	for _, e := range wireErrors {
+		if errors.Is(err, e.err) {
+			r.Code = e.code
+			break
+		}
 	}
 	return r
 }
@@ -348,23 +346,19 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 // response aliases it until the next dispatch.
 func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 	switch req.Op {
-	case "register":
-		params, err := fromWireParams(req.Params)
-		if err != nil {
-			return errResponse(err)
-		}
-		s, err := srv.register(req.Session, params)
+	case opRegister:
+		s, err := srv.register(req.Session, req.Params)
 		if err != nil {
 			return errResponse(err)
 		}
 		return convergedReply(s)
-	case "fetch":
+	case opFetch:
 		fr, err := srv.Fetch(req.Session)
 		if err != nil {
 			return errResponse(err)
 		}
 		return response{OK: true, Point: fr.Point, Tag: fr.Tag, Converged: fr.Converged}
-	case "report":
+	case opReport:
 		s, err := srv.session(req.Session)
 		if err != nil {
 			return errResponse(err)
@@ -373,7 +367,7 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 			return errResponse(err)
 		}
 		return convergedReply(s)
-	case "fetchn":
+	case opFetchN:
 		if grant == nil {
 			grant = new([]FetchResult)
 		}
@@ -392,7 +386,7 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 			srv.rec.Record(event.BatchFetch{Session: req.Session, Requested: req.N, Granted: granted})
 		}
 		return response{OK: true, Batch: batch}
-	case "reportn":
+	case opReportN:
 		s, err := srv.session(req.Session)
 		if err != nil {
 			return errResponse(err)
@@ -407,13 +401,13 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 		resp := convergedReply(s)
 		resp.Accepted, resp.Refused, resp.Rejected = res.Accepted, res.Refused, res.Rejected
 		return resp
-	case "best":
+	case opBest:
 		p, v, conv, err := srv.Best(req.Session)
 		if err != nil {
 			return errResponse(err)
 		}
 		return response{OK: true, Point: p, Value: v, Converged: conv}
-	case "stats":
+	case opStats:
 		st, err := srv.Stats(req.Session)
 		if err != nil {
 			return errResponse(err)
@@ -639,24 +633,28 @@ func (c *Client) Reconnects() int {
 
 // appError marks a server-side (application-level) failure: the request was
 // delivered and the server answered no. Retrying cannot change the answer,
-// so these are permanent — they must never trigger a reconnect loop.
-type appError struct{ msg, code string }
-
-func (e *appError) Error() string { return e.msg }
-
-// IsInvalidValue reports whether an error returned by a Client method is the
-// server's structured rejection of a non-finite/negative measurement.
-func IsInvalidValue(err error) bool {
-	var ae *appError
-	return errors.As(err, &ae) && ae.code == codeInvalidValue
+// so these are permanent — they must never trigger a reconnect loop. It
+// unwraps to the sentinel its response code names in wireErrors, so
+// errors.Is(err, ErrUnknownSession) holds as it would in-process; a code
+// outside the table unwraps to nothing.
+type appError struct {
+	msg string
+	err error
 }
 
-// IsUnknownSession reports whether an error is the server's structured
-// "no such session" answer — after a server restart whose checkpoint
-// predates the registration, the cure is to re-register, not redial.
-func IsUnknownSession(err error) bool {
-	var ae *appError
-	return errors.As(err, &ae) && ae.code == codeUnknownSession
+func (e *appError) Error() string { return e.msg }
+func (e *appError) Unwrap() error { return e.err }
+
+// newAppError classifies a failure response by its code.
+func newAppError(resp *response) *appError {
+	ae := &appError{msg: resp.Error}
+	for _, e := range wireErrors {
+		if e.code == resp.Code {
+			ae.err = e.err
+			break
+		}
+	}
+	return ae
 }
 
 // IsPermanent reports whether an error returned by a Client method is a
@@ -698,7 +696,7 @@ func (c *Client) roundTrip(req request) (response, error) {
 		err := c.sendLocked(&c.req)
 		if err == nil {
 			if !c.resp.OK {
-				return response{}, &appError{msg: c.resp.Error, code: c.resp.Code}
+				return response{}, newAppError(&c.resp)
 			}
 			c.keepAnswerLocked(&c.req)
 			return c.resp, nil
@@ -717,7 +715,7 @@ func (c *Client) roundTrip(req request) (response, error) {
 // carries none, that an answer kept from an earlier reply is stale. Caller
 // holds c.mu.
 func (c *Client) keepAnswerLocked(req *request) {
-	if req.Op != "register" && req.Op != "report" && req.Op != "reportn" {
+	if req.Op != opRegister && req.Op != opReport && req.Op != opReportN {
 		return
 	}
 	if !c.resp.Converged {
@@ -778,7 +776,7 @@ func (c *Client) sendLocked(req *request) error {
 // Register), the reply carries its answer, and the next Fetch or FetchN of
 // the session returns that answer without a round trip.
 func (c *Client) Register(session string, params []space.Parameter) error {
-	_, err := c.roundTrip(request{Op: "register", Session: session, Params: toWireParams(params)})
+	_, err := c.roundTrip(request{Op: opRegister, Session: session, Params: params})
 	return err
 }
 
@@ -793,7 +791,7 @@ func (c *Client) Fetch(session string) (FetchResult, error) {
 	if p, ok := c.takeAnswer(session); ok {
 		return FetchResult{Point: p, Converged: true}, nil
 	}
-	resp, err := c.roundTrip(request{Op: "fetch", Session: session})
+	resp, err := c.roundTrip(request{Op: opFetch, Session: session})
 	if err != nil {
 		return FetchResult{}, err
 	}
@@ -803,7 +801,7 @@ func (c *Client) Fetch(session string) (FetchResult, error) {
 // Report sends one measurement for the sample slot tag names. A reconnect
 // retry finds the slot filled with the same value and is not double-counted.
 func (c *Client) Report(session string, tag uint64, value float64) error {
-	_, err := c.roundTrip(request{Op: "report", Session: session, Tag: tag, Value: value})
+	_, err := c.roundTrip(request{Op: opReport, Session: session, Tag: tag, Value: value})
 	return err
 }
 
@@ -817,7 +815,7 @@ func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
 	if p, ok := c.takeAnswer(session); ok {
 		return []FetchResult{{Point: p, Converged: true}}, nil
 	}
-	resp, err := c.roundTrip(request{Op: "fetchn", Session: session, N: n})
+	resp, err := c.roundTrip(request{Op: opFetchN, Session: session, N: n})
 	if err != nil {
 		return nil, err
 	}
@@ -830,7 +828,7 @@ func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
 // count above zero means the frame carried more than the server's per-frame
 // cap of 1024 items, and those past it were not applied.
 func (c *Client) ReportN(session string, items []ReportItem) (BatchReportResult, error) {
-	resp, err := c.roundTrip(request{Op: "reportn", Session: session, Reports: items})
+	resp, err := c.roundTrip(request{Op: opReportN, Session: session, Reports: items})
 	if err != nil {
 		return BatchReportResult{}, err
 	}
@@ -843,7 +841,7 @@ func (c *Client) ReportN(session string, items []ReportItem) (BatchReportResult,
 
 // Stats fetches a monitoring snapshot of the session.
 func (c *Client) Stats(session string) (SessionStats, error) {
-	resp, err := c.roundTrip(request{Op: "stats", Session: session})
+	resp, err := c.roundTrip(request{Op: opStats, Session: session})
 	if err != nil {
 		return SessionStats{}, err
 	}
@@ -855,7 +853,7 @@ func (c *Client) Stats(session string) (SessionStats, error) {
 
 // Best returns the best-known configuration.
 func (c *Client) Best(session string) (space.Point, float64, bool, error) {
-	resp, err := c.roundTrip(request{Op: "best", Session: session})
+	resp, err := c.roundTrip(request{Op: opBest, Session: session})
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -7,9 +7,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"strconv"
 
 	"paratune/internal/feddb"
 	"paratune/internal/frame"
+	"paratune/internal/space"
 )
 
 // The PHWIRE1 binary protocol.
@@ -37,23 +39,53 @@ type Wire string
 // WireBinary is the length-prefixed PHWIRE1 binary protocol.
 const WireBinary Wire = "binary"
 
-// Structured error codes carried in response.Code.
-const (
-	codeInvalidValue   = "invalid_value"
-	codeUnknownSession = "unknown_session"
-)
+// wireErrors is the error-code table: each structured error class, paired
+// with the frozen code string a response carries for it in Code. The server
+// writes Code only from this table (errResponse) and the client maps a code
+// back to its sentinel only through it (appError), so errors.Is gives the
+// same answer over PHWIRE1 as in-process.
+var wireErrors = [...]struct {
+	err  error
+	code string
+}{
+	{ErrInvalidValue, "invalid_value"},
+	{ErrUnknownSession, "unknown_session"},
+}
+
+// wireOp is a request opcode: its value is the wire byte, and wireOps names
+// it.
+type wireOp byte
 
 // Request opcodes. The values are frozen: they are the wire format. Opcode 6
 // (a retired resume handshake) is never reused.
 const (
-	opRegister byte = 1
-	opFetch    byte = 2
-	opReport   byte = 3
-	opBest     byte = 4
-	opStats    byte = 5
-	opFetchN   byte = 7
-	opReportN  byte = 8
+	opRegister wireOp = 1
+	opFetch    wireOp = 2
+	opReport   wireOp = 3
+	opBest     wireOp = 4
+	opStats    wireOp = 5
+	opFetchN   wireOp = 7
+	opReportN  wireOp = 8
 )
+
+// wireOps is the request op table: the name of each opcode, "" for a byte
+// no op uses.
+var wireOps = [...]string{
+	opRegister: "register", opFetch: "fetch", opReport: "report", opBest: "best",
+	opStats: "stats", opFetchN: "fetchn", opReportN: "reportn",
+}
+
+// wireKinds is the parameter-kind table: a kind's index is its frozen wire
+// byte, its name is the wireParam form, and kind is the space.Kind it
+// stands for.
+var wireKinds = [...]struct {
+	name string
+	kind space.Kind
+}{
+	{"continuous", space.Continuous},
+	{"integer", space.Integer},
+	{"discrete", space.Discrete},
+}
 
 // Static errors for the hot encode path: returning one allocates nothing.
 var (
@@ -61,72 +93,39 @@ var (
 	errUnknownKind = errors.New("harmony: unknown parameter kind for binary encoding")
 )
 
-// opCode maps an op name to its wire opcode.
-func opCode(op string) (byte, bool) {
-	switch op {
-	case "register":
-		return opRegister, true
-	case "fetch":
-		return opFetch, true
-	case "report":
-		return opReport, true
-	case "best":
-		return opBest, true
-	case "stats":
-		return opStats, true
-	case "fetchn":
-		return opFetchN, true
-	case "reportn":
-		return opReportN, true
-	}
-	return 0, false
-}
-
-// opName maps a wire opcode back to its op name.
+// opName maps a wire opcode to its op name.
 func opName(code byte) (string, bool) {
-	switch code {
-	case opRegister:
-		return "register", true
-	case opFetch:
-		return "fetch", true
-	case opReport:
-		return "report", true
-	case opBest:
-		return "best", true
-	case opStats:
-		return "stats", true
-	case opFetchN:
-		return "fetchn", true
-	case opReportN:
-		return "reportn", true
+	if int(code) < len(wireOps) && wireOps[code] != "" {
+		return wireOps[code], true
 	}
 	return "", false
 }
 
-// kindCode maps a wireParam kind string to its wire byte.
-func kindCode(kind string) (byte, bool) {
-	switch kind {
-	case "continuous":
-		return 0, true
-	case "integer":
-		return 1, true
-	case "discrete":
-		return 2, true
+func (op wireOp) String() string {
+	if name, ok := opName(byte(op)); ok {
+		return name
+	}
+	return "op(" + strconv.Itoa(int(op)) + ")"
+}
+
+// kindCode maps a wireParam kind name to its wire byte.
+func kindCode(name string) (byte, bool) {
+	for code := range wireKinds {
+		if wireKinds[code].name == name {
+			return byte(code), true
+		}
 	}
 	return 0, false
 }
 
-// kindName maps a wire kind byte back to the string form.
-func kindName(code byte) (string, bool) {
-	switch code {
-	case 0:
-		return "continuous", true
-	case 1:
-		return "integer", true
-	case 2:
-		return "discrete", true
+// kindByte maps a space.Kind to its wire byte.
+func kindByte(k space.Kind) (byte, bool) {
+	for code := range wireKinds {
+		if wireKinds[code].kind == k {
+			return byte(code), true
+		}
 	}
-	return "", false
+	return 0, false
 }
 
 // --- append-style encoders (zero allocations into a caller-owned buffer) ---
@@ -143,11 +142,10 @@ func appendFloats(dst []byte, fs []float64) []byte {
 // appendRequest encodes req as a PHWIRE1 request payload. Every field is
 // written in fixed order regardless of op, so the encoding is canonical.
 func appendRequest(dst []byte, req *request) ([]byte, error) {
-	op, ok := opCode(req.Op)
-	if !ok {
+	if _, ok := opName(byte(req.Op)); !ok {
 		return nil, errUnknownOp
 	}
-	dst = append(dst, op)
+	dst = append(dst, byte(req.Op))
 	dst = binary.AppendUvarint(dst, req.Seq)
 	dst = frame.AppendString(dst, req.Client)
 	dst = frame.AppendString(dst, req.Session)
@@ -159,7 +157,7 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(req.Params)))
 	for i := range req.Params {
 		p := &req.Params[i]
-		kind, ok := kindCode(p.Kind)
+		kind, ok := kindByte(p.Kind)
 		if !ok {
 			return nil, errUnknownKind
 		}
@@ -326,11 +324,11 @@ func decodeRequest(payload []byte, req *request) error {
 // retained freely.
 func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	r := frame.NewReader(payload)
-	op, ok := opName(r.Byte())
-	if !ok {
+	op := r.Byte()
+	if _, ok := opName(op); !ok {
 		return frame.ErrMalformed
 	}
-	req.Op = op
+	req.Op = wireOp(op)
 	req.Seq = r.Uvarint()
 	req.Client = reuseStr(&r, &scr.client)
 	req.Session = reuseStr(&r, &scr.session)
@@ -339,15 +337,15 @@ func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	retired(&r)
 	req.N = intVal(&r)
 	if n := r.Count(2); n > 0 {
-		req.Params = make([]wireParam, n)
+		req.Params = make([]space.Parameter, n)
 		for i := range req.Params {
 			p := &req.Params[i]
 			p.Name = r.Str()
-			kind, ok := kindName(r.Byte())
-			if r.Err() == nil && !ok {
+			kind := r.Byte()
+			if int(kind) >= len(wireKinds) {
 				return frame.ErrMalformed
 			}
-			p.Kind = kind
+			p.Kind = wireKinds[kind].kind
 			p.Lower = r.F64()
 			p.Upper = r.F64()
 			p.Values = floats(&r)

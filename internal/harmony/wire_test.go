@@ -3,6 +3,8 @@ package harmony
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -14,26 +16,27 @@ import (
 
 	"paratune/internal/alloccheck"
 	"paratune/internal/frame"
+	"paratune/internal/space"
 )
 
 // wireRequests is a round-trip corpus covering every opcode and every field
 // combination the codec distinguishes.
 func wireRequests() []request {
 	return []request{
-		{Op: "best", Session: "s", Client: "c", Seq: 1},
-		{Op: "fetch", Session: "sess-два", Client: "client/1", Seq: 2},
-		{Op: "report", Session: "s", Tag: 99, Value: 3.25, Seq: 300},
-		{Op: "stats", Session: "s", Seq: ^uint64(0)},
-		{Op: "best", Session: "s", Client: "c", Seq: 1 << 40},
-		{Op: "fetchn", Session: "s", N: 64, Seq: 7},
-		{Op: "reportn", Session: "s", Seq: 8, Reports: []ReportItem{
+		{Op: opBest, Session: "s", Client: "c", Seq: 1},
+		{Op: opFetch, Session: "sess-два", Client: "client/1", Seq: 2},
+		{Op: opReport, Session: "s", Tag: 99, Value: 3.25, Seq: 300},
+		{Op: opStats, Session: "s", Seq: ^uint64(0)},
+		{Op: opBest, Session: "s", Client: "c", Seq: 1 << 40},
+		{Op: opFetchN, Session: "s", N: 64, Seq: 7},
+		{Op: opReportN, Session: "s", Seq: 8, Reports: []ReportItem{
 			{Tag: 1, Value: 0.5},
 			{Tag: 2, Value: 1e9},
 		}},
-		{Op: "register", Session: "s", Seq: 9, Params: []wireParam{
-			{Name: "x", Kind: "continuous", Lower: -1.5, Upper: 1.5},
-			{Name: "n", Kind: "integer", Lower: 0, Upper: 63},
-			{Name: "m", Kind: "discrete", Values: []float64{1, 2, 4, 8}},
+		{Op: opRegister, Session: "s", Seq: 9, Params: []space.Parameter{
+			{Name: "x", Kind: space.Continuous, Lower: -1.5, Upper: 1.5},
+			{Name: "n", Kind: space.Integer, Lower: 0, Upper: 63},
+			{Name: "m", Kind: space.Discrete, Values: []float64{1, 2, 4, 8}},
 		}},
 	}
 }
@@ -41,7 +44,7 @@ func wireRequests() []request {
 func wireResponses() []response {
 	return []response{
 		{OK: true, Seq: 1},
-		{OK: false, Seq: 2, Code: codeUnknownSession, Error: "unknown session \"s\""},
+		{OK: false, Seq: 2, Code: "unknown_session", Error: "unknown session \"s\""},
 		{OK: true, Seq: 3, Point: []float64{1, 2.5, -3}, Tag: 17, Converged: true},
 		{OK: true, Seq: 4, Value: 0.125},
 		{OK: true, Seq: 5, Stats: &SessionStats{
@@ -103,7 +106,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 // bits, non-empty retired slots, truncation, and trailing garbage are all
 // malformed.
 func TestBinaryDecodeRejects(t *testing.T) {
-	valid, err := appendRequest(nil, &request{Op: "best", Session: "s", Client: "c", Seq: 1})
+	valid, err := appendRequest(nil, &request{Op: opBest, Session: "s", Client: "c", Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +117,20 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		"truncated":          valid[:len(valid)-1],
 		"trailing byte":      append(append([]byte{}, valid...), 0),
 		"non-minimal seq":    append(append([]byte{valid[0]}, 0x81, 0x00), valid[2:]...),
-		"string overruns":    {byte(opBest), 1, 0xff, 0x7f},
+		"string overruns":    {valid[0], 1, 0xff, 0x7f},
 		"huge param count":   append(append([]byte{}, valid[:len(valid)-2]...), 0xff, 0x7f),
-		"count eats payload": {byte(opBest), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x21},
+		"count eats payload": {valid[0], 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x21},
 	}
 	// The retired report-id slots, the request's and each report item's,
 	// are always the empty string; a non-empty one is malformed.
-	report, err := appendRequest(nil, &request{Op: "report", Session: "s", Client: "c", Seq: 1, Tag: 7, Value: 0.5})
+	report, err := appendRequest(nil, &request{Op: opReport, Session: "s", Client: "c", Seq: 1, Tag: 7, Value: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// op, seq, client "c", session "s", tag, 8-byte value: the slot follows.
 	ridAt := 1 + 1 + 2 + 2 + 1 + 8
 	cases["non-empty rid"] = slices.Concat(report[:ridAt], []byte{2, 'r', '1'}, report[ridAt+1:])
-	reportN, err := appendRequest(nil, &request{Op: "reportn", Session: "s", Client: "c", Seq: 1,
+	reportN, err := appendRequest(nil, &request{Op: opReportN, Session: "s", Client: "c", Seq: 1,
 		Reports: []ReportItem{{Tag: 7, Value: 0.5}}})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +199,7 @@ func TestBadFrameDrawsBadRequest(t *testing.T) {
 	serveAsync(l, srv)
 
 	rw := newRawWire(t, l.Addr().String())
-	bad := rw.frame(&request{Op: "best", Session: "s", Seq: 1})
+	bad := rw.frame(&request{Op: opBest, Session: "s", Seq: 1})
 	bad[len(bad)-1] ^= 0x01
 	if _, err := rw.conn.Write(bad); err != nil {
 		t.Fatal(err)
@@ -245,7 +248,7 @@ func TestJSONLineClosedUnanswered(t *testing.T) {
 // TestBinaryEncodeAllocs pins the steady-state encode path at zero
 // allocations per frame once the scratch buffers have grown.
 func TestBinaryEncodeAllocs(t *testing.T) {
-	req := request{Op: "report", Session: "tuning-session", Client: "client-1",
+	req := request{Op: opReport, Session: "tuning-session", Client: "client-1",
 		Tag: 42, Value: 1.25, Seq: 1000}
 	resp := response{OK: true, Seq: 1000, Point: []float64{1, 2, 3}, Tag: 42}
 	pbuf := make([]byte, 0, 1024)
@@ -272,7 +275,7 @@ func TestClientReportNSendAllocs(t *testing.T) {
 	for i := range items {
 		items[i] = ReportItem{Tag: uint64(100 + i), Value: 0.5 + float64(i)}
 	}
-	req := request{Op: "reportn", Session: "tuning-session", Client: "5eed", Reports: items}
+	req := request{Op: opReportN, Session: "tuning-session", Client: "5eed", Reports: items}
 	c := &binClientCodec{w: io.Discard}
 	send := func() {
 		req.Seq++
@@ -291,7 +294,7 @@ func reportNFrame(t testing.TB, n int) []byte {
 	for i := range items {
 		items[i] = ReportItem{Tag: uint64(i + 1), Value: float64(i) * 0.5}
 	}
-	payload, err := appendRequest(nil, &request{Op: "reportn", Session: "s", Seq: 1, Reports: items})
+	payload, err := appendRequest(nil, &request{Op: opReportN, Session: "s", Seq: 1, Reports: items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +353,7 @@ func TestClientRecvAllocs(t *testing.T) {
 func TestDecodeRequestIntoScratchReuse(t *testing.T) {
 	var scr reqScratch
 	var req request
-	payload, err := appendRequest(nil, &request{Op: "reportn", Session: "s", Seq: 1,
+	payload, err := appendRequest(nil, &request{Op: opReportN, Session: "s", Seq: 1,
 		Reports: []ReportItem{{Tag: 1, Value: 2}}})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +372,7 @@ func TestDecodeRequestIntoScratchReuse(t *testing.T) {
 	for i := range big {
 		big[i].Tag = uint64(i + 1)
 	}
-	payload, err = appendRequest(nil, &request{Op: "reportn", Session: "s", Seq: 2, Reports: big})
+	payload, err = appendRequest(nil, &request{Op: opReportN, Session: "s", Seq: 2, Reports: big})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,6 +429,27 @@ func BenchmarkDecodeReportN(b *testing.B) {
 		}
 		_ = req
 	})
+}
+
+// opCode maps an op name to its wire opcode, the inverse of opName. The
+// server and client carry ops as wireOp codes, so only the tests look ops up
+// by name.
+func opCode(name string) (byte, bool) {
+	for code := range wireOps {
+		if name != "" && wireOps[code] == name {
+			return byte(code), true
+		}
+	}
+	return 0, false
+}
+
+// kindName maps a wire kind byte to its wireParam name, the inverse of
+// kindCode.
+func kindName(code byte) (string, bool) {
+	if int(code) < len(wireKinds) {
+		return wireKinds[code].name, true
+	}
+	return "", false
 }
 
 // TestWireCodecTablesFrozen sweeps the full byte range in both directions:
@@ -488,6 +512,163 @@ func TestWireCodecTablesFrozen(t *testing.T) {
 	}
 }
 
+// TestDispatchCoversWireTables sends every op of wireOps through dispatch
+// and every kind of wireKinds through the PHWIRE1 codec and the checkpoint
+// form: an op or kind the table names but the server cannot handle fails
+// here, before any client sends it. Each op answers OK on a live session,
+// and an unknown session's fetch carries its wireErrors code.
+func TestDispatchCoversWireTables(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	if err := srv.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	fr := fetchWork(t, srv, "s")
+	for code, name := range wireOps {
+		if name == "" {
+			continue
+		}
+		op := wireOp(code)
+		req := request{
+			Op: op, Session: "s", Params: gs2Params(),
+			Tag: fr.Tag, Value: 1, N: 1,
+			Reports: []ReportItem{{Tag: fr.Tag, Value: 1}},
+		}
+		resp := dispatch(srv, &req, nil)
+		if resp.Error == fmt.Sprintf("unknown op %q", op) {
+			t.Errorf("op %s is in wireOps but dispatch has no arm for it", op)
+			continue
+		}
+		if !resp.OK {
+			t.Errorf("op %s: resp = %+v, want OK", op, resp)
+		}
+	}
+	resp := dispatch(srv, &request{Op: opFetch, Session: "ghost"}, nil)
+	if resp.OK || newAppError(&resp).err != ErrUnknownSession {
+		t.Errorf("fetch of an unknown session: resp = %+v, want code %q", resp, "unknown_session")
+	}
+	for code, k := range wireKinds {
+		reg := request{Op: opRegister, Session: "k", Params: []space.Parameter{{Name: "x", Kind: k.kind, Upper: 1}}}
+		var got request
+		payload, err := appendRequest(nil, &reg)
+		if err == nil {
+			err = decodeRequest(payload, &got)
+		}
+		if err != nil || got.Params[0].Kind != k.kind {
+			t.Errorf("kind %q (byte %d) is in wireKinds but does not cross PHWIRE1: %v, %+v", k.name, code, err, got.Params)
+		}
+		ps, err := fromWireParams([]wireParam{{Name: "x", Kind: k.name}})
+		if err != nil || ps[0].Kind != k.kind {
+			t.Errorf("kind %q (byte %d) is in wireKinds but fromWireParams gives %+v, %v", k.name, code, ps, err)
+			continue
+		}
+		if back := toWireParams(ps)[0].Kind; back != k.name {
+			t.Errorf("toWireParams(%v) = %q, want %q", k.kind, back, k.name)
+		}
+	}
+}
+
+// TestErrorCodesClassifyBothWays sweeps wireErrors: each sentinel, wrapped
+// as the server wraps it, is written with its own code, and a reply with
+// that code unwraps on the client to that sentinel and no other.
+func TestErrorCodesClassifyBothWays(t *testing.T) {
+	for _, e := range wireErrors {
+		resp := errResponse(fmt.Errorf("%w %q", e.err, "s"))
+		if resp.Code != e.code {
+			t.Errorf("errResponse(%v).Code = %q, want %q", e.err, resp.Code, e.code)
+		}
+		err := error(newAppError(&resp))
+		for _, other := range wireErrors {
+			if got := errors.Is(err, other.err); got != (other.err == e.err) {
+				t.Errorf("code %q: errors.Is(err, %v) = %v", e.code, other.err, got)
+			}
+		}
+	}
+	if resp := errResponse(errors.New("harmony: something else")); resp.Code != "" {
+		t.Errorf("an unclassified error got code %q", resp.Code)
+	}
+}
+
+// TestUnknownCodeIsPlainPermanentError answers a client's request with a
+// failure frame whose code is outside wireErrors, as a newer server might:
+// the client surfaces it as a permanent error that matches no sentinel.
+func TestUnknownCodeIsPlainPermanentError(t *testing.T) {
+	cc, sc := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer sc.Close()
+		br := bufio.NewReader(sc)
+		var magic [len(WireMagic)]byte
+		var buf []byte
+		var req request
+		if _, err := io.ReadFull(br, magic[:]); err != nil {
+			t.Errorf("reading the preamble: %v", err)
+			return
+		}
+		payload, err := frame.Read(br, frame.MaxPayload, &buf)
+		if err == nil {
+			err = decodeRequest(payload, &req)
+		}
+		if err != nil {
+			t.Errorf("reading the request: %v", err)
+			return
+		}
+		resp := response{Seq: req.Seq, Code: "session_evicted", Error: "harmony: session evicted"}
+		if _, err := sc.Write(frame.Append(nil, appendResponse(nil, &resp))); err != nil {
+			t.Errorf("writing the reply: %v", err)
+		}
+	}()
+	c, err := DialWith("", DialOptions{Retries: 1, Seed: 1, DialFunc: func() (net.Conn, error) { return cc, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Fetch("s")
+	_ = c.Close()
+	<-done
+	if err == nil || !IsPermanent(err) {
+		t.Fatalf("err = %v, want a permanent application error", err)
+	}
+	for _, e := range wireErrors {
+		if errors.Is(err, e.err) {
+			t.Errorf("an unknown code matched %v", e.err)
+		}
+	}
+}
+
+// TestErrorClassesSameInProcessAndOverWire rejects one report and asks for
+// one unknown session both from the Server directly and through a PHWIRE1
+// Client: errors.Is must give the same answer on both paths.
+func TestErrorClassesSameInProcessAndOverWire(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	if err := srv.Register("s", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	fr := fetchWork(t, srv, "s")
+	cl, _ := dialTest(t, srv)
+	paths := []struct {
+		name   string
+		report func() error
+		fetch  func() error
+	}{
+		{"in-process",
+			func() error { return srv.Report("s", fr.Tag, -1) },
+			func() error { _, err := srv.Fetch("ghost"); return err }},
+		{"phwire1",
+			func() error { return cl.Report("s", fr.Tag, -1) },
+			func() error { _, err := cl.Fetch("ghost"); return err }},
+	}
+	for _, p := range paths {
+		if err := p.report(); !errors.Is(err, ErrInvalidValue) || errors.Is(err, ErrUnknownSession) {
+			t.Errorf("%s: rejected report: err = %v, want ErrInvalidValue only", p.name, err)
+		}
+		if err := p.fetch(); !errors.Is(err, ErrUnknownSession) || errors.Is(err, ErrInvalidValue) {
+			t.Errorf("%s: unknown session: err = %v, want ErrUnknownSession only", p.name, err)
+		}
+	}
+}
+
 // sameLengthFrames frames two payloads for one reused read buffer, failing
 // unless they are the same length: frame B must land on exactly the bytes
 // frame A was decoded from.
@@ -508,9 +689,9 @@ func sameLengthFrames(t *testing.T, a, b []byte) *bufio.Reader {
 func TestBinServerCodecRequestOutlivesNextFrame(t *testing.T) {
 	build := func(x string, v float64) request {
 		return request{
-			Op: "reportn", Seq: 7, Client: "client-" + x, Session: "session-" + x,
+			Op: opReportN, Seq: 7, Client: "client-" + x, Session: "session-" + x,
 			Tag: 3, Value: v, N: 2,
-			Params: []wireParam{{Name: "param-" + x, Kind: "discrete", Values: []float64{v, 2 * v}}},
+			Params: []space.Parameter{{Name: "param-" + x, Kind: space.Discrete, Values: []float64{v, 2 * v}}},
 			Reports: []ReportItem{
 				{Tag: 1, Value: v},
 				{Tag: 2, Value: 3 * v},

@@ -43,34 +43,8 @@ type FactBase struct {
 	// graph in a deterministic finalizer (see lockOrderCycles).
 	graph lockGraph
 
-	// codes is the wireproto analyzer's whole-program error-code registry:
-	// codes constructed server-side accumulate as packages are analyzed,
-	// classification predicates may live in any later package, and the
-	// finalizer reports the difference (see wireCodeDrift).
-	codes wireCodeRegistry
-
 	mu    sync.RWMutex
 	facts map[types.Object]map[reflect.Type]Fact
-}
-
-// wireCodeRegistry tracks structured wire error codes across the whole
-// program: where each code constant is written into a response Code field
-// (construction), and whether any comparison anywhere classifies it.
-type wireCodeRegistry struct {
-	mu          sync.Mutex
-	constructed map[string]wireCodeUse // keyed by the constant's pkgpath.Name
-	classified  map[string]bool
-	reported    map[string]bool
-}
-
-// wireCodeUse records one server-side construction site of an error code.
-type wireCodeUse struct {
-	Code string // the constant's string value, for the message
-	Pos  token.Position
-	// Allowed records a //paralint:allow wireproto directive at the
-	// construction site, captured at record time because per-package allow
-	// indexes are gone by finalize time.
-	Allowed bool
 }
 
 // lockGraph is the lockorder analyzer's shared acquisition graph, with its
@@ -108,62 +82,8 @@ func NewFactBase() *FactBase {
 			ranks:          make(map[string]lockRankDecl),
 			reportedCycles: make(map[string]bool),
 		},
-		codes: wireCodeRegistry{
-			constructed: make(map[string]wireCodeUse),
-			classified:  make(map[string]bool),
-			reported:    make(map[string]bool),
-		},
 		facts: make(map[types.Object]map[reflect.Type]Fact),
 	}
-}
-
-// addWireConstructed records that the error-code constant key was written
-// into a response Code field at u.Pos. The first site wins (re-analysis of
-// the in-test package variant rediscovers the same sites).
-func (fb *FactBase) addWireConstructed(key string, u wireCodeUse) {
-	r := &fb.codes
-	r.mu.Lock()
-	if _, ok := r.constructed[key]; !ok {
-		r.constructed[key] = u
-	}
-	r.mu.Unlock()
-}
-
-// addWireClassified records that some comparison classifies the code.
-func (fb *FactBase) addWireClassified(key string) {
-	r := &fb.codes
-	r.mu.Lock()
-	r.classified[key] = true
-	r.mu.Unlock()
-}
-
-// wireCodeDrift reports every error code constructed server-side that no
-// client-side comparison classifies, once per constant, in deterministic
-// key order.
-func (fb *FactBase) wireCodeDrift() []Diagnostic {
-	r := &fb.codes
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	keys := make([]string, 0, len(r.constructed))
-	for k := range r.constructed {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []Diagnostic
-	for _, k := range keys {
-		u := r.constructed[k]
-		if r.classified[k] || r.reported[k] || u.Allowed {
-			continue
-		}
-		r.reported[k] = true
-		out = append(out, Diagnostic{
-			Pos:  u.Pos,
-			Rule: "wireproto",
-			Message: fmt.Sprintf("error code %s (%q) is constructed server-side but no comparison classifies it client-side — add an Is...-style predicate comparing against the constant",
-				k, u.Code),
-		})
-	}
-	return out
 }
 
 // addLockEdge records one acquisition-order edge, deduplicating repeats (the

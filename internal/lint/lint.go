@@ -6,7 +6,7 @@
 // trustworthy only if the concurrent harmony server is race- and
 // deadlock-free.
 //
-// Ten rules are enforced. Four are syntax-local:
+// Nine rules are enforced. Four are syntax-local:
 //
 //   - determinism: no wall-clock time and no process-global rand inside
 //     simulation packages; no wall-clock-seeded RNG sources anywhere.
@@ -40,18 +40,11 @@
 //   - atomics: no legacy pointer-based sync/atomic functions; the typed
 //     atomics make "atomic everywhere" hold by construction.
 //
-// One more gates the PHWIRE1 wire tables:
-//
-//   - wireproto: the opCode/opName and kindCode/kindName tables must be
-//     exact inverses and exhaustive over the frozen opcode block, every
-//     dispatch switch over a wire-op field must have an arm per op, and
-//     every structured error code a server constructs must be classified
-//     by a client-side comparison somewhere in the program.
-//
-// Goroutine leaks, buffer lifetimes, per-request bounds and hot-path
-// allocation counts are pinned by runtime tests on the sites themselves, not
-// by rules (internal/leakcheck; DESIGN.md "Buffer ownership", "Bounded
-// resources" and "paralint keep-or-cut audit").
+// Goroutine leaks, buffer lifetimes, per-request bounds, hot-path
+// allocation counts and the wire code tables are pinned by runtime tests on
+// the sites themselves, not by rules (internal/leakcheck; DESIGN.md "Buffer
+// ownership", "Bounded resources", "Wire codec integrity" and "paralint
+// keep-or-cut audit").
 //
 // A finding can be suppressed with a comment on the same line or the line
 // immediately above:
@@ -161,9 +154,9 @@ func (p *Pass) report(pos token.Pos, category, format string, args ...any) {
 }
 
 // suppressedAt reports whether a //paralint:allow directive covers the
-// position for the running analyzer. Finalizer-emitted findings capture this
-// at record time, like lockorder's Allowed edges — the per-package allow
-// index is gone by finalize time.
+// position for the running analyzer. lockorder's finalizer-emitted cycles
+// capture this at record time in each edge's Allowed — the per-package
+// allow index is gone by finalize time.
 func (p *Pass) suppressedAt(position token.Position) bool {
 	rules, ok := p.ctx.allow[position.Filename][position.Line]
 	return ok && (rules[p.Analyzer.Name] || rules["all"])
@@ -175,7 +168,6 @@ func Analyzers() []*Analyzer {
 		Determinism, LockDiscipline, FloatCompare, ErrDiscipline,
 		SeedFlow, EventHygiene,
 		LockOrder, CtxFlow, Atomics,
-		WireProto,
 	}
 }
 
@@ -206,19 +198,15 @@ func RunWithFacts(fb *FactBase, pkgs []*Package, analyzers []*Analyzer) []Diagno
 	return sortDiags(diags)
 }
 
-// finalize runs the whole-program checks that need the complete fact store:
-// lockorder's cycle detection over the accumulated acquisition graph, and
-// wireproto's constructed-vs-classified error-code drift. Both are
-// idempotent (each defect is reported once per canonical key) so
-// incremental RunWithFacts callers may invoke finalize after every batch.
+// finalize runs the whole-program check that needs the complete fact store:
+// lockorder's cycle detection over the accumulated acquisition graph. It is
+// idempotent (each cycle is reported once per canonical key) so incremental
+// RunWithFacts callers may invoke finalize after every batch.
 func finalize(fb *FactBase, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, a := range analyzers {
-		switch a {
-		case LockOrder:
+		if a == LockOrder {
 			out = append(out, lockOrderCycles(fb)...)
-		case WireProto:
-			out = append(out, fb.wireCodeDrift()...)
 		}
 	}
 	return out

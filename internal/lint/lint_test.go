@@ -423,29 +423,3 @@ func TestAnalyzerPanicIsSurfaced(t *testing.T) {
 		}
 	}
 }
-
-func TestWireProto(t *testing.T) {
-	runGolden(t, WireProto, "wireproto", "paratune/internal/harmony")
-}
-
-// TestWireProtoCrossPackage pins the whole-program direction: an error code
-// constructed in the dependency is only classified (or not) once the
-// importing package has been analyzed, so the drift finding must survive the
-// package boundary via the wire-code registry.
-func TestWireProtoCrossPackage(t *testing.T) {
-	dep := loadTestdata(t, "wireproto_dep", "paratune/internal/measuredb", nil)
-	use := loadTestdata(t, "wireproto_use", "paratune/internal/harmony",
-		map[string]*Package{"paratune/internal/measuredb": dep})
-	srcs := make(map[string][]byte)
-	for name, b := range dep.Src {
-		srcs[name] = b
-	}
-	for name, b := range use.Src {
-		srcs[name] = b
-	}
-	diags := Run([]*Package{dep, use}, []*Analyzer{WireProto})
-	checkWants(t, srcs, diags)
-	if len(diags) == 0 {
-		t.Fatalf("cross-package wire drift produced no findings; WireTable fact / code registry did not cross the package boundary")
-	}
-}

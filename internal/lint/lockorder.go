@@ -520,7 +520,7 @@ func lockOrderExpr(pass *Pass, n ast.Node, held map[string]token.Pos, lockSetOf 
 // acquisition reached through a call's LockSet.
 func recordAcquire(pass *Pass, key string, pos token.Pos, held map[string]token.Pos, direct bool) {
 	position := pass.Fset.Position(pos)
-	allowed := lockOrderAllowedAt(pass, position)
+	allowed := pass.suppressedAt(position)
 	for from := range held {
 		if from == key {
 			if direct {
@@ -537,14 +537,6 @@ func recordAcquire(pass *Pass, key string, pos token.Pos, held map[string]token.
 			pass.Reportf(pos, "lock rank inversion: %s (rank %d) acquired while holding %s (rank %d); the declared //paralint:lockrank order requires strictly increasing ranks", key, toRank, from, fromRank)
 		}
 	}
-}
-
-// lockOrderAllowedAt mirrors the allow suppression for edges recorded into
-// the global graph, whose diagnostics are minted by the finalizer after the
-// per-package allow index is gone.
-func lockOrderAllowedAt(pass *Pass, position token.Position) bool {
-	rules, ok := pass.ctx.allow[position.Filename][position.Line]
-	return ok && (rules["lockorder"] || rules["all"])
 }
 
 // lockOrderCycles is the whole-program finalizer: once every package has
