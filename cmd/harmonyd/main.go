@@ -145,6 +145,10 @@ func main() {
 		}
 	}
 
+	// Catch SIGINT/SIGTERM before announcing the address, so a signal sent
+	// as soon as the listening line appears still shuts down gracefully.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -188,8 +192,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		close(stopSync)
@@ -221,7 +223,8 @@ func main() {
 // that exits cleanly (normal shutdown via SIGINT/SIGTERM) ends supervision;
 // a worker that keeps dying gives up after maxRestarts attempts. The
 // supervisor forwards its own termination signals to the worker so the
-// final-checkpoint path still runs on graceful shutdown.
+// final-checkpoint path still runs on graceful shutdown; a signal during the
+// restart backoff, with no worker up, ends supervision with status 1.
 func superviseLoop(maxRestarts int) int {
 	self, err := os.Executable()
 	if err != nil {
@@ -229,6 +232,9 @@ func superviseLoop(maxRestarts int) int {
 		return 1
 	}
 	args := workerArgs(os.Args[1:])
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	backoff := time.Second
 	const maxBackoff = 30 * time.Second
 	for restarts := 0; ; restarts++ {
@@ -240,8 +246,6 @@ func superviseLoop(maxRestarts int) int {
 		}
 		fmt.Printf("harmonyd[supervisor]: worker pid %d up (restart %d)\n", cmd.Process.Pid, restarts)
 
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
 		var werr error
@@ -250,14 +254,11 @@ func superviseLoop(maxRestarts int) int {
 			// Graceful stop: hand the signal to the worker so it writes its
 			// final checkpoint, then follow it down.
 			_ = cmd.Process.Signal(s)
-			werr = <-done
-			signal.Stop(sig)
-			if werr != nil {
+			if <-done != nil {
 				return 1
 			}
 			return 0
 		case werr = <-done:
-			signal.Stop(sig)
 		}
 		if werr == nil {
 			return 0 // clean exit: supervision is done
@@ -267,7 +268,11 @@ func superviseLoop(maxRestarts int) int {
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "harmonyd[supervisor]: worker died (%v); restarting in %v\n", werr, backoff)
-		time.Sleep(backoff)
+		select {
+		case <-sig:
+			return 1 // stopped with no worker up; the last one died
+		case <-time.After(backoff):
+		}
 		backoff *= 2
 		if backoff > maxBackoff {
 			backoff = maxBackoff
@@ -275,27 +280,22 @@ func superviseLoop(maxRestarts int) int {
 	}
 }
 
-// workerArgs strips the supervision flags from the argument list handed to
-// the re-execed worker.
+// workerArgs strips the supervision flags, in every spelling the flag
+// package accepts, from the argument list handed to the re-execed worker.
 func workerArgs(args []string) []string {
 	out := make([]string, 0, len(args))
-	skip := false
-	for _, a := range args {
-		if skip {
-			skip = false
+	for i := 0; i < len(args); i++ {
+		name, _, hasValue := strings.Cut(args[i], "=")
+		switch name {
+		case "-supervise", "--supervise":
+			continue
+		case "-max-restarts", "--max-restarts":
+			if !hasValue {
+				i++ // its value follows as a separate argument
+			}
 			continue
 		}
-		switch {
-		case a == "-supervise" || a == "--supervise" ||
-			a == "-supervise=true" || a == "--supervise=true":
-			continue
-		case a == "-max-restarts" || a == "--max-restarts":
-			skip = true // its value follows as a separate argument
-			continue
-		case strings.HasPrefix(a, "-max-restarts=") || strings.HasPrefix(a, "--max-restarts="):
-			continue
-		}
-		out = append(out, a)
+		out = append(out, args[i])
 	}
 	return out
 }

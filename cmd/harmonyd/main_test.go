@@ -2,10 +2,14 @@ package main
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -31,6 +35,7 @@ func TestMain(m *testing.M) {
 type daemon struct {
 	cmd   *exec.Cmd
 	addr  string
+	head  []string    // stdout before the listening line
 	lines chan string // stdout after the listening line; closed at EOF
 }
 
@@ -73,6 +78,8 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 			t.Log(line)
 			if rest, found := strings.CutPrefix(line, "harmonyd listening on "); found {
 				d.addr, _, _ = strings.Cut(rest, " ")
+			} else {
+				d.head = append(d.head, line)
 			}
 		case <-deadline:
 			t.Fatal("harmonyd did not report its listening address")
@@ -166,4 +173,72 @@ func TestDBWarmStartAcrossRestart(t *testing.T) {
 		t.Fatalf("warm best %v, cold best %v", warmBest, coldBest)
 	}
 	t.Logf("cold: %d measurements, best %v; warm: 0 measurements", coldReports, coldBest)
+}
+
+// workerPid parses the supervisor's "worker pid N up" line.
+func workerPid(line string) (int, bool) {
+	var pid int
+	_, err := fmt.Sscanf(line, "harmonyd[supervisor]: worker pid %d up", &pid)
+	return pid, err == nil
+}
+
+// harmonyd -supervise end to end: the supervisor restarts a worker killed
+// with SIGKILL, which logs a new worker pid and listens again, and SIGINT to
+// the supervisor ends both with exit status 0.
+func TestSuperviseRestartsKilledWorker(t *testing.T) {
+	var workers []int
+	t.Cleanup(func() { // after startDaemon's own cleanup has killed the supervisor
+		for _, pid := range workers {
+			_ = syscall.Kill(pid, syscall.SIGKILL)
+		}
+	})
+	d := startDaemon(t, "-supervise", "-max-restarts", "3")
+	for _, line := range d.head {
+		if pid, ok := workerPid(line); ok {
+			workers = append(workers, pid)
+		}
+	}
+	if len(workers) != 1 {
+		t.Fatalf("supervisor logged %d worker pids before listening, want 1: %q", len(workers), d.head)
+	}
+	if err := syscall.Kill(workers[0], syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(30 * time.Second)
+	for listening := false; !listening; {
+		select {
+		case line, ok := <-d.lines:
+			if !ok {
+				t.Fatal("supervisor exited instead of restarting its worker")
+			}
+			t.Log(line)
+			if pid, ok := workerPid(line); ok {
+				workers = append(workers, pid)
+			}
+			listening = len(workers) == 2 && strings.HasPrefix(line, "harmonyd listening on ")
+		case <-deadline:
+			t.Fatal("the killed worker was not restarted")
+		}
+	}
+	if workers[1] == workers[0] {
+		t.Fatalf("restarted worker reuses pid %d", workers[0])
+	}
+	d.stop(t)
+	if err := syscall.Kill(workers[1], 0); !errors.Is(err, syscall.ESRCH) {
+		t.Errorf("worker %d still exists after the supervisor exited (kill -0: %v)", workers[1], err)
+	}
+}
+
+// The worker's argument list keeps every flag but the supervision ones, in
+// each spelling the flag package accepts.
+func TestWorkerArgsStripsSupervision(t *testing.T) {
+	in := []string{
+		"-addr", ":7779", "-supervise", "--supervise", "-supervise=true", "--supervise=false",
+		"-max-restarts", "3", "--max-restarts", "4", "-max-restarts=5", "--max-restarts=6",
+		"-db", "dir",
+	}
+	want := []string{"-addr", ":7779", "-db", "dir"}
+	if got := workerArgs(in); !reflect.DeepEqual(got, want) {
+		t.Errorf("workerArgs(%q) = %q, want %q", in, got, want)
+	}
 }

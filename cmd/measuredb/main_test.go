@@ -233,7 +233,7 @@ func serveSync(t *testing.T, store *measuredb.Store) string {
 				if _, err := io.ReadFull(br, magic[:]); err != nil {
 					return
 				}
-				//paralint:allow errdiscipline the serve loop always ends with the client's close
+				// the serve loop always ends with the client's close
 				_ = feddb.ServeConn(conn, br, feddb.ServeOptions{Store: store})
 			}()
 		}

@@ -10,12 +10,10 @@
 //   - floatcompare: no float ==/!= in rank-ordering and stats code
 //   - errdiscipline: no discarded errors at the harmony wire boundary
 //
-// two follow dataflow across package boundaries through typed facts:
+// one follows dataflow across package boundaries through typed facts:
 //
 //   - seedflow: RNG seeds in simulation packages trace to injected seeds,
 //     never the wall clock, crypto/rand, or the process id
-//   - eventhygiene: event emissions use registered kinds, carry no
-//     wall-clock payload, and never happen under a mutex
 //
 // three enforce the concurrency contract (DESIGN.md "Concurrency
 // contract"):
@@ -28,9 +26,9 @@
 //   - atomics: no legacy sync/atomic functions; typed atomics only
 //
 // Goroutine leaks, frame-buffer lifetimes, per-request bounds, hot-path
-// allocation counts and the PHWIRE1/PHSYNC1 code tables are pinned by
-// runtime tests instead (DESIGN.md "Wire codec integrity" and "paralint
-// keep-or-cut audit").
+// allocation counts, the PHWIRE1/PHSYNC1 code tables and event emission are
+// pinned by runtime tests or the compiler instead (DESIGN.md "Wire codec
+// integrity" and "paralint keep-or-cut audit").
 //
 // Usage:
 //

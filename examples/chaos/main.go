@@ -175,7 +175,7 @@ func run(db objective.Function, cfg chaos.Config, durable bool) (float64, int) {
 	}
 	defer l.Close()
 	go func() {
-		//paralint:allow errdiscipline Serve returns nil once the listener closes
+		// Serve returns nil once the listener closes
 		_ = proxy.Serve(l)
 	}()
 

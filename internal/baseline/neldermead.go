@@ -12,6 +12,10 @@ import (
 	"paratune/internal/space"
 )
 
+// collapseTol is the simplex spread at which Nelder–Mead stops, the same
+// tolerance core's PRO and SRO converge at.
+const collapseTol = 1e-6
+
 // NelderMead is the classic simplex method of §3.1: N+1 vertices, the worst
 // vertex replaced by a point on the line through it and the centroid of the
 // others, with reflection (α=2), expansion (α=3) and contraction (α=0.5)
@@ -91,7 +95,7 @@ func (nm *NelderMead) Step(ev core.Evaluator) (core.StepInfo, error) {
 		return core.StepInfo{Kind: core.StepConverged, Best: p.Clone(), BestValue: v}, nil
 	}
 	nm.simplex.Sort()
-	if nm.simplex.Collapsed(nm.opts.CollapseTol) {
+	if nm.simplex.Collapsed(collapseTol) {
 		nm.converged = true
 		p, v := nm.simplex.Best()
 		return core.StepInfo{Kind: core.StepConverged, Best: p.Clone(), BestValue: v}, nil

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"paratune/internal/event"
+	"paratune/internal/frame"
 	"paratune/internal/harmony"
 	"paratune/internal/measuredb"
 	"paratune/internal/objective"
@@ -193,7 +194,7 @@ func startHarness(t *testing.T, cfg Config, ckpt, dbDir string, every time.Durat
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		//paralint:allow errdiscipline Serve returns nil once the test closes the listener
+		// Serve returns nil once the test closes the listener
 		_ = proxy.Serve(l)
 	}()
 	h := &harness{sup: sup, proxy: proxy, l: l}
@@ -495,5 +496,77 @@ func TestProxyDropsMisframedLink(t *testing.T) {
 				t.Fatal("proxy kept the misframed link open")
 			}
 		})
+	}
+}
+
+// proxyProbe is a recorder that checks, at every event, that the proxy's
+// mutex is free. TryLock turns an emission under it into a test failure
+// instead of a hang. Events recorded before p is set (New's plan replay)
+// have no proxy a recorder could reach yet.
+type proxyProbe struct {
+	t *testing.T
+	p *Proxy
+	event.Memory
+}
+
+func (pr *proxyProbe) Record(e event.Event) {
+	pr.Memory.Record(e)
+	if pr.p == nil {
+		return
+	}
+	if !pr.p.mu.TryLock() {
+		pr.t.Errorf("%s event recorded under the proxy lock", e.EventKind())
+		return
+	}
+	pr.p.mu.Unlock()
+}
+
+// A recorder may call back into the proxy: no applied fault or fired kill
+// is recorded under the proxy's lock. The test forwards one client→server
+// link on its own goroutine, the one that counts frames toward kills and
+// records both kinds, so no other goroutine takes the lock meanwhile.
+func TestRecorderMayReadProxy(t *testing.T) {
+	probe := &proxyProbe{t: t}
+	cfg := Config{
+		Seed: 9, Links: 1, Frames: 32, PDelay: 0.1, PDrop: 0.2, PDup: 0.2,
+		DelayMinMS: 1, DelayMaxMS: 1, Kills: 2, KillEveryFrames: 4, Recorder: probe,
+	}
+	noBackend := func() (net.Conn, error) { return nil, errors.New("no backend") }
+	p, err := New(cfg, noBackend, KillerFunc(func(float64) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.p = p
+	client, src := net.Pipe()
+	dst, server := net.Pipe()
+	var ends sync.WaitGroup
+	ends.Add(2)
+	go func() {
+		defer ends.Done()
+		msg := []byte(harmony.WireMagic)
+		for i := range 32 {
+			msg = frame.Append(msg, []byte{byte(i)})
+		}
+		_, _ = client.Write(msg) // fails only if forward dropped the link early
+		_ = client.Close()
+	}()
+	go func() {
+		defer ends.Done()
+		_, _ = io.Copy(io.Discard, server)
+	}()
+	p.wg.Add(1)
+	p.forward(0, 0, src, dst)
+	p.Close()
+	ends.Wait()
+
+	fired := 0
+	for _, e := range probe.Events() {
+		if k, ok := e.(event.ChaosKill); ok && k.Applied {
+			fired++
+		}
+	}
+	if probe.Count(event.KindChaosApplied) == 0 || fired == 0 {
+		t.Errorf("%d applied faults and %d fired kills recorded; an emission site went unprobed",
+			probe.Count(event.KindChaosApplied), fired)
 	}
 }

@@ -141,7 +141,7 @@ func (s *Supervisor) Start() error {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		//paralint:allow errdiscipline ServeWith returns nil once Kill closes the listener
+		// ServeWith returns nil once Kill closes the listener
 		_ = harmony.ServeWith(l, srv, s.cfg.ConnOptions)
 	}()
 	if s.cfg.Checkpoint != nil {
@@ -155,7 +155,7 @@ func (s *Supervisor) Start() error {
 				case <-stop:
 					return
 				case <-t.C:
-					//paralint:allow errdiscipline a failed periodic checkpoint only widens the loss window
+					// a failed periodic checkpoint only widens the loss window
 					_ = s.cfg.Checkpoint(srv)
 				}
 			}
@@ -193,7 +193,7 @@ func (s *Supervisor) Stop() {
 	srv := s.srv
 	s.mu.Unlock()
 	if srv != nil && s.cfg.Checkpoint != nil {
-		//paralint:allow errdiscipline best-effort final checkpoint; teardown proceeds regardless
+		// best-effort final checkpoint; teardown proceeds regardless
 		_ = s.cfg.Checkpoint(srv)
 	}
 	s.Kill()
@@ -235,7 +235,7 @@ func (s *Supervisor) KillFor() Killer {
 	return KillerFunc(func(downMS float64) {
 		s.Kill()
 		time.Sleep(time.Duration(downMS * float64(time.Millisecond)))
-		//paralint:allow errdiscipline a failed restart leaves the server down; clients surface it as dial failures
+		// a failed restart leaves the server down; clients surface it as dial failures
 		_ = s.Start()
 	})
 }

@@ -115,6 +115,10 @@ func (s Shape) String() string {
 	return "2N"
 }
 
+// collapseTol is the spread below which the simplex counts as collapsed for
+// the convergence check (discrete spaces collapse exactly).
+const collapseTol = 1e-6
+
 // Options configures PRO and SRO.
 type Options struct {
 	// Space is the admissible region (required).
@@ -126,10 +130,6 @@ type Options struct {
 	R float64
 	// SimplexShape picks the 2N (default) or minimal construction.
 	SimplexShape Shape
-	// CollapseTol is the spread below which the simplex counts as collapsed
-	// for the convergence check; default 1e-6 (discrete spaces collapse
-	// exactly).
-	CollapseTol float64
 	// EagerExpansion disables the §3.2 expansion *check* and expands the
 	// whole simplex as soon as reflection succeeds. Ablation knob: the paper
 	// found checking the most promising point first avoids very poor
@@ -180,9 +180,6 @@ func (o *Options) normalise() error {
 	}
 	if o.R <= 0 {
 		o.R = 0.2
-	}
-	if o.CollapseTol <= 0 {
-		o.CollapseTol = 1e-6
 	}
 	if o.Center != nil && !o.Space.Admissible(o.Center) {
 		return fmt.Errorf("core: centre %v not admissible in %v", o.Center, o.Space)

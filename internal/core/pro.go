@@ -79,7 +79,7 @@ func (p *PRO) Step(ev Evaluator) (StepInfo, error) {
 		return StepInfo{Kind: StepConverged, Best: pt.Clone(), BestValue: v}, nil
 	}
 	p.simplex.Sort()
-	if p.simplex.Collapsed(p.opts.CollapseTol) {
+	if p.simplex.Collapsed(collapseTol) {
 		return p.convergenceCheck(ev)
 	}
 	p.iters++

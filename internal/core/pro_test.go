@@ -46,7 +46,7 @@ func TestNewPROValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.opts.R != 0.2 || p.opts.CollapseTol != 1e-6 {
+	if p.opts.R != 0.2 {
 		t.Errorf("defaults not applied: %+v", p.opts)
 	}
 }

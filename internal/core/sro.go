@@ -82,7 +82,7 @@ func (s *SRO) Step(ev Evaluator) (StepInfo, error) {
 		return StepInfo{Kind: StepConverged, Best: pt.Clone(), BestValue: v}, nil
 	}
 	s.simplex.Sort()
-	if s.simplex.Collapsed(s.opts.CollapseTol) {
+	if s.simplex.Collapsed(collapseTol) {
 		return s.convergenceCheck(ev)
 	}
 	s.iters++

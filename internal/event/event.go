@@ -13,10 +13,13 @@ package event
 import "strconv"
 
 // Event is one structured tuning event. Implementations are plain data; the
-// kind tag is stable and used in serialised streams.
+// kind tag is stable and used in serialised streams. Event is sealed: only
+// the types declared in this package implement it, so every emitted value is
+// a kind the trace format and its decoders know.
 type Event interface {
 	// EventKind returns the stable kind tag ("run_start", "iteration", ...).
 	EventKind() string
+	sealed()
 }
 
 // Event kind tags, one per typed event.
@@ -393,3 +396,24 @@ func (SyncComplete) EventKind() string { return KindSyncComplete }
 func FormatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
+
+// sealed implements Event for each kind declared above.
+func (RunStart) sealed()       {}
+func (RunEnd) sealed()         {}
+func (Iteration) sealed()      {}
+func (BatchEvaluated) sealed() {}
+func (StepTime) sealed()       {}
+func (Converged) sealed()      {}
+func (FaultInjected) sealed()  {}
+func (Session) sealed()        {}
+func (DBHit) sealed()          {}
+func (DBMiss) sealed()         {}
+func (DBSnapshot) sealed()     {}
+func (ChaosPlan) sealed()      {}
+func (ChaosApplied) sealed()   {}
+func (ChaosKill) sealed()      {}
+func (BatchFetch) sealed()     {}
+func (BatchReport) sealed()    {}
+func (SyncStart) sealed()      {}
+func (SyncSegments) sealed()   {}
+func (SyncComplete) sealed()   {}

@@ -121,6 +121,13 @@ func (p *Plan) Len() int {
 	return len(p.events)
 }
 
+// The straggler delay factor is Pareto-tailed: at least stragglerMin, with
+// tail index stragglerAlpha (heavy tail, finite mean).
+const (
+	stragglerAlpha = 1.5
+	stragglerMin   = 2
+)
+
 // Config sets per-kind injection probabilities. Probabilities are evaluated
 // in order Crash, Straggler, Drop, Corrupt on a single uniform draw, so their
 // sum must not exceed 1.
@@ -132,11 +139,6 @@ type Config struct {
 	MaxCrashes int
 	// PStraggler is the per-attempt probability of a Pareto-tail delay.
 	PStraggler float64
-	// StragglerAlpha is the Pareto tail index of the delay factor;
-	// default 1.5 (heavy tail, finite mean).
-	StragglerAlpha float64
-	// StragglerMin is the minimum delay multiplier; default 2.
-	StragglerMin float64
 	// PDrop is the per-attempt probability the report is lost.
 	PDrop float64
 	// PCorrupt is the per-attempt probability the report carries garbage.
@@ -174,12 +176,6 @@ func New(cfg Config) (*Injector, error) {
 	}
 	if sum := cfg.PCrash + cfg.PStraggler + cfg.PDrop + cfg.PCorrupt; sum > 1 {
 		return nil, fmt.Errorf("fault: probabilities sum to %g > 1", sum)
-	}
-	if cfg.StragglerAlpha <= 0 {
-		cfg.StragglerAlpha = 1.5
-	}
-	if cfg.StragglerMin < 1 {
-		cfg.StragglerMin = 2
 	}
 	return &Injector{cfg: cfg, rng: dist.NewRNG(cfg.Seed)}, nil
 }
@@ -265,7 +261,7 @@ func (in *Injector) next(proc int, tag uint64) (Outcome, event.Recorder, event.E
 		return Outcome{Kind: Crash}, rec, ev
 	case u < c.PCrash+c.PStraggler:
 		// Pareto-tailed delay multiplier: min · U^(-1/α).
-		f := c.StragglerMin * math.Pow(1-in.rng.Float64(), -1/c.StragglerAlpha)
+		f := stragglerMin * math.Pow(1-in.rng.Float64(), -1/stragglerAlpha)
 		rec, ev := in.recordLocked(Event{Kind: Straggler, Proc: proc, Tag: tag, Factor: f})
 		return Outcome{Kind: Straggler, Factor: f}, rec, ev
 	case u < c.PCrash+c.PStraggler+c.PDrop:

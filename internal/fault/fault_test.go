@@ -3,6 +3,8 @@ package fault
 import (
 	"math"
 	"testing"
+
+	"paratune/internal/event"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -143,5 +145,54 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), want)
 		}
+	}
+}
+
+// injectorProbe is a recorder that checks, at every event, that neither the
+// injector's mutex nor its plan's is held, then reads the plan back. TryLock
+// turns an emission under either into a test failure instead of a hang; the
+// test draws from one goroutine, so nothing else holds them.
+type injectorProbe struct {
+	t  *testing.T
+	in *Injector
+	n  int
+}
+
+func (p *injectorProbe) Record(e event.Event) {
+	p.n++
+	if !p.in.mu.TryLock() {
+		p.t.Errorf("%s event recorded under the injector lock", e.EventKind())
+		return
+	}
+	p.in.mu.Unlock()
+	if !p.in.plan.mu.TryLock() {
+		p.t.Errorf("%s event recorded under the plan lock", e.EventKind())
+		return
+	}
+	p.in.plan.mu.Unlock()
+	if got := p.in.Plan().Len(); got != p.n {
+		p.t.Errorf("plan holds %d events at the %dth mirror", got, p.n)
+	}
+}
+
+// A recorder may call back into the injector: no fault is mirrored under
+// the injector's or the plan's lock, and each mirror follows its plan entry.
+func TestRecorderMayReadInjector(t *testing.T) {
+	in, err := New(Config{Seed: 3, PCrash: 0.1, PStraggler: 0.2, PDrop: 0.2, PCorrupt: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &injectorProbe{t: t, in: in}
+	in.SetRecorder(p)
+	for i := range 200 {
+		in.Next(i%4, uint64(i))
+	}
+	for _, k := range []Kind{Crash, Straggler, Drop, Corrupt} {
+		if in.Plan().Count(k) == 0 {
+			t.Errorf("no %v fault drawn; an emission path went unprobed", k)
+		}
+	}
+	if p.n != in.Plan().Len() {
+		t.Errorf("recorder saw %d events, plan holds %d", p.n, in.Plan().Len())
 	}
 }

@@ -99,7 +99,7 @@ func BenchmarkColdSync(b *testing.B) {
 				if _, err := io.ReadFull(br, magic[:]); err != nil {
 					return
 				}
-				//paralint:allow errdiscipline the serve loop always ends with the client's close
+				// the serve loop always ends with the client's close
 				_ = ServeConn(conn, br, ServeOptions{Store: server})
 			}()
 		}

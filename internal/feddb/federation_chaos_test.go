@@ -145,7 +145,7 @@ func TestSyncThroughChaosProxy(t *testing.T) {
 			if _, err := io.ReadFull(br, magic[:]); err != nil {
 				return
 			}
-			//paralint:allow errdiscipline the relay test tears links down on purpose
+			// the relay test tears links down on purpose
 			_ = feddb.ServeConn(sc, br, feddb.ServeOptions{Store: server, ReadTimeout: 2 * time.Second, WriteTimeout: 2 * time.Second})
 		}()
 		return cc, nil
@@ -167,7 +167,7 @@ func TestSyncThroughChaosProxy(t *testing.T) {
 			serveDone := make(chan struct{})
 			go func() {
 				defer close(serveDone)
-				//paralint:allow errdiscipline Serve returns once the test closes the listener
+				// Serve returns once the test closes the listener
 				_ = proxy.Serve(front)
 			}()
 

@@ -8,12 +8,14 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"paratune/internal/event"
 	"paratune/internal/frame"
 	"paratune/internal/measuredb"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 )
 
@@ -36,8 +38,7 @@ func syncOnce(t *testing.T, client, server *measuredb.Store, opts Options) (Stat
 		if _, err := io.ReadFull(br, magic[:]); err != nil {
 			return
 		}
-		//paralint:allow errdiscipline the serve loop always ends with the client's close
-		_ = ServeConn(sc, br, ServeOptions{Store: server})
+		_ = ServeConn(sc, br, ServeOptions{Store: server}) // always ends with the client's close
 	}()
 	stats, err := Sync(cc, client, "peer", opts)
 	_ = cc.Close()
@@ -216,7 +217,7 @@ func TestColdPeerCutMidPullResumesOnSegments(t *testing.T) {
 		if _, err := io.ReadFull(br, magic[:]); err != nil {
 			return
 		}
-		//paralint:allow errdiscipline the cut link is the point of the test
+		// the cut link is the point of the test
 		_ = ServeConn(sc, br, ServeOptions{Store: server})
 	}()
 	if _, err := Sync(&readLimitConn{Conn: cc, left: 6000}, client, "peer", opts); err == nil {
@@ -346,5 +347,87 @@ func TestSyncRejectsLocalDigestOverCap(t *testing.T) {
 	<-done
 	if want := strconv.Itoa(maxSyncOrigins+1) + "+0 origins"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Sync with %d local origins: err = %v, want the digest-cap refusal (%q)", maxSyncOrigins+1, err, want)
+	}
+}
+
+// syncProbe is a recorder that checks, at every event, that neither the
+// syncer's mutex nor the read-through cache's is held, then reads the
+// syncer, the cache and the store back through their Stats. TryLock turns
+// an emission under one of them into a test failure instead of a hang; the
+// peer's serve loop touches neither, so nothing else holds them.
+type syncProbe struct {
+	t     *testing.T
+	sy    *Syncer
+	cache *Cache
+	store *measuredb.Store
+	event.Memory
+}
+
+func (p *syncProbe) Record(e event.Event) {
+	p.Memory.Record(e)
+	for name, mu := range map[string]*sync.Mutex{"syncer": &p.sy.mu, "cache": &p.cache.mu} {
+		if !mu.TryLock() {
+			p.t.Errorf("%s event recorded under the %s lock", e.EventKind(), name)
+			return
+		}
+		mu.Unlock()
+	}
+	p.sy.Stats()
+	p.cache.Stats()
+	p.store.Stats()
+}
+
+// runSyncProbe runs one syncer round between two fresh peers under a
+// syncProbe and returns the recorded stream as JSONL.
+func runSyncProbe(t *testing.T) string {
+	a, b := newPeer(t, "a"), newPeer(t, "b")
+	a.Observe(space.Point{1, 2}, 9)
+	b.Observe(space.Point{3, 4}, 7)
+	est, err := sample.NewMinOfK(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &syncProbe{t: t, cache: NewCache(a, est, 1, 0), store: a}
+	var serving sync.WaitGroup
+	dial := func(string) (net.Conn, error) {
+		cc, sc := net.Pipe()
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			defer sc.Close()
+			br := bufio.NewReader(sc)
+			var magic [len(SyncMagic)]byte
+			if _, err := io.ReadFull(br, magic[:]); err != nil {
+				return
+			}
+			_ = ServeConn(sc, br, ServeOptions{Store: b}) // always ends with the syncer's close
+		}()
+		return cc, nil
+	}
+	p.sy = NewSyncer(a, []string{"b"}, dial, Options{Recorder: p})
+	err = p.sy.RunOnce()
+	serving.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	jl := event.NewJSONL(&buf)
+	for _, e := range p.Events() {
+		jl.Record(e)
+	}
+	for _, kind := range []string{event.KindSyncStart, event.KindSyncSegments, event.KindSyncComplete} {
+		if p.Count(kind) == 0 {
+			t.Errorf("no %s event recorded; an emission site went unprobed", kind)
+		}
+	}
+	return buf.String()
+}
+
+// A recorder may call back into the syncer, the cache and the store: no
+// sync event is recorded under a feddb lock. Two runs of one round record
+// byte-identical streams, so no payload reads the wall clock.
+func TestRecorderMayReadSyncer(t *testing.T) {
+	if first, second := runSyncProbe(t), runSyncProbe(t); first != second {
+		t.Errorf("two runs of one sync round recorded different streams:\n%s\n%s", first, second)
 	}
 }

@@ -95,7 +95,7 @@ func (s *Syncer) Run(stop <-chan struct{}, interval time.Duration) {
 		case <-stop:
 			return
 		case <-t.C:
-			//paralint:allow errdiscipline a failed round is counted and retried next tick
+			// a failed round is counted and retried next tick
 			_ = s.RunOnce()
 		}
 	}

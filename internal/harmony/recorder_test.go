@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -142,5 +143,148 @@ func TestWarmSessionEventGolden(t *testing.T) {
 					got, hits, misses, want, wantHits, wantMisses)
 			}
 		})
+	}
+}
+
+// lockProbe is a recorder that checks, at every event, that no lock a
+// recorder could deadlock on is held: each shard's and each session's
+// mutex. TryLock turns an emission under one of them into a test failure
+// instead of a hang; runLockProbe drives one client at a time and never
+// advances the clock the sweeper waits on, so no other goroutine holds
+// them. With the locks free, the probe reads every session back through
+// Sessions, Best and Stats, as a monitoring recorder would. It also
+// rejects an event whose type is declared outside internal/event, which
+// the sealed Event interface admits only by embedding a declared kind.
+type lockProbe struct {
+	t    *testing.T
+	srv  *Server
+	seen map[*session]bool // every session ever live, expired ones included
+	event.Memory
+}
+
+func (p *lockProbe) Record(e event.Event) {
+	p.Memory.Record(e)
+	if pkg := reflect.TypeOf(e).PkgPath(); pkg != "paratune/internal/event" {
+		p.t.Errorf("%T recorded: event types are declared in internal/event, not %s", e, pkg)
+	}
+	for i := range p.srv.shards {
+		sh := &p.srv.shards[i]
+		if !sh.mu.TryLock() {
+			p.t.Errorf("%s event recorded under shard %d's lock", e.EventKind(), i)
+			return
+		}
+		for _, s := range sh.sessions {
+			p.seen[s] = true
+		}
+		sh.mu.Unlock()
+	}
+	for s := range p.seen {
+		if !s.mu.TryLock() {
+			p.t.Errorf("%s event recorded under session %q's lock", e.EventKind(), s.name)
+			return
+		}
+		s.mu.Unlock()
+	}
+	for _, name := range p.srv.Sessions() {
+		if _, _, _, err := p.srv.Best(name); err != nil {
+			p.t.Errorf("recorder Best(%q): %v", name, err)
+		}
+		if _, err := p.srv.Stats(name); err != nil {
+			p.t.Errorf("recorder Stats(%q): %v", name, err)
+		}
+	}
+}
+
+// runLockProbe drives every harmony emission site under a lockProbe and
+// returns the recorded stream as JSONL. Session "a" runs one batch over the
+// wire ops, one batch the deadline degrades, convergence, a checkpoint,
+// idle expiry and a restore; "b" is stopped mid-run; "c" warm-starts from
+// what "a" stored. The sweeper's clock never moves: sweepSession is called
+// directly at chosen times.
+func runLockProbe(t *testing.T) []byte {
+	clk := NewFakeClock(time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC))
+	p := &lockProbe{t: t, seen: make(map[*session]bool)}
+	srv := NewServer(ServerOptions{
+		Estimator: mustMinOfK(t, 2), Recorder: p, Clock: clk,
+		DB:                 measuredb.NewMemory(measuredb.Options{Seed: 1, Origin: "local"}),
+		MeasurementTimeout: time.Second, MaxReissues: 1, IdleTimeout: time.Hour,
+	})
+	p.srv = srv
+	defer srv.Close()
+	sp, err := space.New(gs2Params()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := objective.NewSphere(sp, space.Point{32, 16, 8}, 1)
+	for _, name := range []string{"a", "b"} {
+		if err := srv.Register(name, gs2Params()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var grant []FetchResult
+	resp := dispatch(srv, &request{Op: opFetchN, Session: "a", N: maxBatchOps}, &grant)
+	items := make([]ReportItem, 0, len(resp.Batch))
+	for _, fr := range resp.Batch {
+		items = append(items, ReportItem{Tag: fr.Tag, Value: f.Eval(fr.Point)})
+	}
+	if resp := dispatch(srv, &request{Op: opReportN, Session: "a", Reports: items}, &grant); resp.Error != "" {
+		t.Fatal(resp.Error)
+	}
+	a := srv.lookup("a")
+	srv.sweepSession(a, clk.Now().Add(time.Second))   // stale window: reissue
+	srv.sweepSession(a, clk.Now().Add(2*time.Second)) // past MaxReissues: degrade
+	driveCounting(t, srv, "a", f)
+	cp, err := srv.Checkpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.sweepSession(a, clk.Now().Add(2*time.Hour)) // idle: expire
+	if err := srv.RestoreSession(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Stop("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register("c", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	driveCounting(t, srv, "c", f)
+
+	phases := map[string]bool{}
+	var buf bytes.Buffer
+	jl := event.NewJSONL(&buf)
+	for _, e := range p.Events() {
+		jl.Record(e)
+		if s, ok := e.(event.Session); ok {
+			phases[s.Phase] = true
+		}
+		phases[e.EventKind()] = true
+	}
+	for _, want := range []string{
+		"registered", "batch_proposed", "batch_complete", "batch_degraded", "converged",
+		"expired", "restored", "stopped",
+		event.KindIteration, event.KindBatchFetch, event.KindBatchReport, event.KindDBHit, event.KindDBMiss,
+	} {
+		if !phases[want] {
+			t.Errorf("scenario recorded no %q event; an emission site went unprobed", want)
+		}
+	}
+	return buf.Bytes()
+}
+
+// A recorder may call back into the server's read API, so no harmony event
+// is recorded under a shard or session lock. Two runs of one scenario record
+// byte-identical streams, so no payload reads the wall clock.
+func TestRecorderMayReadServer(t *testing.T) {
+	first, second := runLockProbe(t), runLockProbe(t)
+	if !bytes.Equal(first, second) {
+		a, b := bytes.Split(first, []byte("\n")), bytes.Split(second, []byte("\n"))
+		for i := range min(len(a), len(b)) {
+			if !bytes.Equal(a[i], b[i]) {
+				t.Fatalf("two runs of one scenario differ at event %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("two runs of one scenario recorded %d and %d events", len(a)-1, len(b)-1)
 	}
 }

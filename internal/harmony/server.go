@@ -87,8 +87,11 @@ type ServerOptions struct {
 	// Recorder receives session lifecycle and optimiser iteration events
 	// (registered/restored, batch proposed/complete/degraded, converged,
 	// stopped, expired); nil records nothing. Payloads carry session names
-	// and counters only — never wall-clock time. It must not call back into
-	// Stop or Checkpoint, which wait for the step lock it records under.
+	// and counters only — never wall-clock time. No event is recorded under
+	// a shard or session mutex (TestRecorderMayReadServer), so the recorder
+	// may call Best, Stats, Sessions and FetchN, which take only those. It
+	// must not call Stop or Checkpoint, which wait for the step lock it may
+	// record under.
 	Recorder event.Recorder
 	// DB, when non-nil, is the measurement database: every accepted candidate
 	// report is recorded into it, and batch candidates whose estimate is

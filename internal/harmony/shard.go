@@ -50,9 +50,8 @@ func (srv *Server) shard(name string) *sessionShard {
 // event fn queued only after the lock is released. It is the single place
 // the "emit only after the table lock is released" rule lives for
 // shard-table mutations (register, restore, expire): the recorder may block
-// or re-enter the server, and emitting under the shard lock would deadlock —
-// routing every mutation through this helper keeps the event-hygiene
-// contract from regressing one call site at a time.
+// or re-enter the server, and emitting under the shard lock would deadlock.
+// Routing every mutation through this helper keeps that rule in one place.
 func (srv *Server) shardMutateErr(name string, fn func(sh *sessionShard) ([]event.Event, error)) error {
 	sh := srv.shard(name)
 	sh.mu.Lock()

@@ -18,7 +18,9 @@ import (
 // map-order-dependent may reach the encoder.
 // internal/chaos is included because its whole contract is that the fault
 // plan replays byte-identically from a seed: a wall-clock read in the
-// schedule path would break same-seed trace comparison.
+// schedule path would break same-seed trace comparison. internal/fault is
+// included for the same reason: its injector draws from a seeded stream and
+// mirrors each fault as an event that no golden trace pins.
 var simPackages = []string{
 	"paratune/internal/baseline",
 	"paratune/internal/chaos",
@@ -27,6 +29,7 @@ var simPackages = []string{
 	"paratune/internal/dist",
 	"paratune/internal/event",
 	"paratune/internal/experiment",
+	"paratune/internal/fault",
 	"paratune/internal/measuredb",
 	"paratune/internal/noise",
 	"paratune/internal/objective",

@@ -6,7 +6,7 @@
 // trustworthy only if the concurrent harmony server is race- and
 // deadlock-free.
 //
-// Nine rules are enforced. Four are syntax-local:
+// Eight rules are enforced. Four are syntax-local:
 //
 //   - determinism: no wall-clock time and no process-global rand inside
 //     simulation packages; no wall-clock-seeded RNG sources anywhere.
@@ -17,14 +17,12 @@
 //   - errdiscipline: no silently discarded errors at the harmony wire
 //     boundary.
 //
-// Two reason through dataflow and across package boundaries via the fact
+// One reasons through dataflow and across package boundaries via the fact
 // system (see FactBase):
 //
 //   - seedflow: every RNG-seed argument in simulation packages must trace
 //     back to a seed parameter, field, or another seeded stream — never to
 //     the wall clock, crypto/rand, or the process id.
-//   - eventhygiene: event.Recorder emissions use registered event kinds,
-//     carry no wall-clock-derived payload, and never happen under a mutex.
 //
 // Three more are the concurrency contract (DESIGN.md "Concurrency
 // contract"), the machine-checked precondition for sharding the harmony
@@ -41,10 +39,11 @@
 //     atomics make "atomic everywhere" hold by construction.
 //
 // Goroutine leaks, buffer lifetimes, per-request bounds, hot-path
-// allocation counts and the wire code tables are pinned by runtime tests on
-// the sites themselves, not by rules (internal/leakcheck; DESIGN.md "Buffer
-// ownership", "Bounded resources", "Wire codec integrity" and "paralint
-// keep-or-cut audit").
+// allocation counts, the wire code tables and event emission are pinned by
+// runtime tests on the sites themselves, or by the compiler, not by rules
+// (internal/leakcheck; the sealed event.Event; DESIGN.md "Buffer ownership",
+// "Bounded resources", "Wire codec integrity" and "paralint keep-or-cut
+// audit").
 //
 // A finding can be suppressed with a comment on the same line or the line
 // immediately above:
@@ -120,7 +119,13 @@ type Pass struct {
 // suppression directives and the source map.
 type pkgContext struct {
 	pkg   *Package
-	allow map[string]map[int]map[string]bool // filename -> line -> allowed rules
+	allow map[string]map[int]map[string]*allowRule // filename -> covered line -> rule
+}
+
+// allowRule is one rule named by a //paralint:allow directive.
+type allowRule struct {
+	pos  token.Position // the directive comment
+	used bool           // it suppressed a finding
 }
 
 func newPkgContext(pkg *Package) *pkgContext {
@@ -154,19 +159,47 @@ func (p *Pass) report(pos token.Pos, category, format string, args ...any) {
 }
 
 // suppressedAt reports whether a //paralint:allow directive covers the
-// position for the running analyzer. lockorder's finalizer-emitted cycles
-// capture this at record time in each edge's Allowed — the per-package
-// allow index is gone by finalize time.
+// position for the running analyzer, and marks the directive used.
+// lockorder's finalizer-emitted cycles capture this at record time in each
+// edge's Allowed — the per-package allow index is gone by finalize time — so
+// a lockorder directive counts as used once it covers an acquisition.
 func (p *Pass) suppressedAt(position token.Position) bool {
-	rules, ok := p.ctx.allow[position.Filename][position.Line]
-	return ok && (rules[p.Analyzer.Name] || rules["all"])
+	rules := p.ctx.allow[position.Filename][position.Line]
+	for _, name := range [...]string{p.Analyzer.Name, "all"} {
+		if r := rules[name]; r != nil {
+			r.used = true
+			return true
+		}
+	}
+	return false
+}
+
+// unusedAllows reports every directive rule in ran that suppressed no
+// finding: a stale allow hides nothing today and would hide the next real
+// finding on its line.
+func (ctx *pkgContext) unusedAllows(ran map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, lines := range ctx.allow {
+		for _, rules := range lines {
+			for name, r := range rules {
+				if !r.used && ran[name] {
+					out = append(out, Diagnostic{
+						Pos:     r.pos,
+						Rule:    name,
+						Message: "//paralint:allow " + name + " suppresses no finding; delete it",
+					})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Analyzers returns every paralint rule in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, LockDiscipline, FloatCompare, ErrDiscipline,
-		SeedFlow, EventHygiene,
+		SeedFlow,
 		LockOrder, CtxFlow, Atomics,
 	}
 }
@@ -188,7 +221,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 func RunWithFacts(fb *FactBase, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		pkgDiags, err := runPackage(fb, pkg, analyzers, false, nil)
+		pkgDiags, err := runPackage(fb, pkg, analyzers, nil, false, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -212,13 +245,15 @@ func finalize(fb *FactBase, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// runPackage applies every analyzer to one type-checked package. When
-// onlyFiles is non-nil, findings outside that filename set are discarded
-// (used to keep test-variant passes from double-reporting non-test files).
+// runPackage applies every analyzer to one type-checked package. When ran
+// is non-nil, allow directives for the rules in it that suppressed nothing
+// are findings too. When onlyFiles is non-nil, findings outside that
+// filename set are discarded (used to keep test-variant passes from
+// double-reporting non-test files).
 // A panicking analyzer is caught and surfaced as an error naming the
 // analyzer and the package, so the driver can fail loudly instead of
 // silently losing the package's findings.
-func runPackage(fb *FactBase, pkg *Package, analyzers []*Analyzer, testVariant bool, onlyFiles map[string]bool) (diags []Diagnostic, err error) {
+func runPackage(fb *FactBase, pkg *Package, analyzers []*Analyzer, ran map[string]bool, testVariant bool, onlyFiles map[string]bool) (diags []Diagnostic, err error) {
 	ctx := newPkgContext(pkg)
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -235,6 +270,9 @@ func runPackage(fb *FactBase, pkg *Package, analyzers []*Analyzer, testVariant b
 		if err := runAnalyzer(pass, a); err != nil {
 			return nil, err
 		}
+	}
+	if ran != nil {
+		diags = append(diags, ctx.unusedAllows(ran)...)
 	}
 	if onlyFiles == nil {
 		return diags, nil
@@ -314,8 +352,8 @@ func isDirective(comment, prefix string) bool {
 // allowIndex maps file -> line -> rules suppressed on that line. A trailing
 // comment suppresses its own line; a standalone comment line suppresses the
 // line below it.
-func allowIndex(pkg *Package) map[string]map[int]map[string]bool {
-	idx := make(map[string]map[int]map[string]bool)
+func allowIndex(pkg *Package) map[string]map[int]map[string]*allowRule {
+	idx := make(map[string]map[int]map[string]*allowRule)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -335,16 +373,16 @@ func allowIndex(pkg *Package) map[string]map[int]map[string]bool {
 				}
 				byLine := idx[pos.Filename]
 				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
+					byLine = make(map[int]map[string]*allowRule)
 					idx[pos.Filename] = byLine
 				}
 				set := byLine[line]
 				if set == nil {
-					set = make(map[string]bool)
+					set = make(map[string]*allowRule)
 					byLine[line] = set
 				}
 				for _, r := range rules {
-					set[r] = true
+					set[r] = &allowRule{pos: pos}
 				}
 			}
 		}

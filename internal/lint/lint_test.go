@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -175,10 +176,6 @@ func TestSeedFlowRealNewRNG(t *testing.T) {
 	}
 }
 
-func TestEventHygiene(t *testing.T) {
-	runGolden(t, EventHygiene, "eventhygiene", "paratune/internal/experiment")
-}
-
 // TestSARIFStructure validates the emitted log against the SARIF 2.1.0
 // structural requirements GitHub code scanning enforces: version, schema,
 // tool driver with rules, and results with ruleId, message, and physical
@@ -287,6 +284,29 @@ func TestRepoIsClean(t *testing.T) {
 	if len(diags) > 0 {
 		t.Logf("fix the findings or annotate deliberate exceptions with //paralint:allow <rule> <reason>")
 	}
+}
+
+// TestAnalyzeReportsUnusedAllow pins the driver's report of stale
+// suppressions: of the fixture's two //paralint:allow directives, the one
+// that hides a determinism finding is silent and the errdiscipline one,
+// which hides nothing, is a finding at the directive.
+func TestAnalyzeReportsUnusedAllow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks packages")
+	}
+	diags, _, err := Analyze(filepath.Join("..", ".."), []string{"./internal/lint/testdata/deadallow"}, Analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := filepath.Abs(filepath.Join("testdata", "deadallow", "deadallow.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWants(t, map[string][]byte{file: src}, diags)
 }
 
 // TestAnalyzeMatchesSequentialRun pins that the parallel fact-propagating

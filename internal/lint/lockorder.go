@@ -393,8 +393,8 @@ func embeddedMutexClassFromSpec(pass *Pass, sp *ast.TypeSpec) *lockClass {
 // walkLockOrder interprets stmts, maintaining the held lock classes (key ->
 // acquisition position), and records an acquisition-order edge for every lock
 // class acquired — directly or via a call's LockSet — while another is held.
-// The shape mirrors eventhygiene's walkLockStmts: defer Unlock holds to the
-// end of the function, branches fork the held set, go bodies start empty.
+// defer Unlock holds to the end of the function, branches fork the held set,
+// and go bodies start empty.
 func walkLockOrder(pass *Pass, stmts []ast.Stmt, held map[string]token.Pos, lockSetOf func(*types.Func) []string) {
 	fork := func() map[string]token.Pos {
 		c := make(map[string]token.Pos, len(held))

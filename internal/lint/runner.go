@@ -22,7 +22,9 @@ import (
 //
 // It returns the findings for the matched packages (dependencies outside
 // the pattern set contribute facts but no findings) plus any type-check
-// errors encountered.
+// errors encountered. A //paralint:allow directive in a matched package
+// that names a running rule and suppresses nothing is a finding; one naming
+// "all" is checked only when every rule runs.
 func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, []error, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -59,6 +61,11 @@ func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic
 	fset := token.NewFileSet()
 	imp := newModuleImporter(fset, exports)
 	fb := NewFactBase()
+	ran := make(map[string]bool, len(analyzers)+1)
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	ran["all"] = len(ran) == len(Analyzers())
 
 	// One unit per analysis: the pure package (source files only, used as
 	// the import of every dependent), plus augmented and external test
@@ -115,7 +122,7 @@ func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic
 			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			u.run(fset, imp, fb, analyzers)
+			u.run(fset, imp, fb, analyzers, ran)
 		}(u)
 	}
 	wg.Wait()
@@ -165,7 +172,7 @@ type analysisUnit struct {
 	err      error
 }
 
-func (u *analysisUnit) run(fset *token.FileSet, imp *moduleImporter, fb *FactBase, analyzers []*Analyzer) {
+func (u *analysisUnit) run(fset *token.FileSet, imp *moduleImporter, fb *FactBase, analyzers []*Analyzer, ran map[string]bool) {
 	lp := u.lp
 	switch u.kind {
 	case unitPure:
@@ -179,7 +186,7 @@ func (u *analysisUnit) run(fset *token.FileSet, imp *moduleImporter, fb *FactBas
 		imp.provide(lp.ImportPath, pkg.Types)
 		u.pure = pkg
 		u.typeErrs = wrapTypeErrs(lp.ImportPath, pkg.TypeErrors)
-		diags, err := runPackage(fb, pkg, analyzers, false, nil)
+		diags, err := runPackage(fb, pkg, analyzers, ran, false, nil)
 		if err != nil {
 			u.err = err
 			return
@@ -211,7 +218,7 @@ func (u *analysisUnit) run(fset *token.FileSet, imp *moduleImporter, fb *FactBas
 		pkg := &Package{ImportPath: lp.ImportPath, Dir: lp.Dir, Fset: fset, Files: files, Src: src}
 		pkg.Types, pkg.Info, pkg.TypeErrors = typeCheck(fset, lp.ImportPath, files, imp)
 		u.typeErrs = wrapTypeErrs(lp.ImportPath, pkg.TypeErrors)
-		u.diags, u.err = runPackage(fb, pkg, analyzers, true, only)
+		u.diags, u.err = runPackage(fb, pkg, analyzers, ran, true, only)
 
 	case unitXTest:
 		files, src, err := parseFiles(fset, lp.Dir, lp.XTestGoFiles)
@@ -223,7 +230,7 @@ func (u *analysisUnit) run(fset *token.FileSet, imp *moduleImporter, fb *FactBas
 		pkg := &Package{ImportPath: path, Dir: lp.Dir, Fset: fset, Files: files, Src: src}
 		pkg.Types, pkg.Info, pkg.TypeErrors = typeCheck(fset, path, files, imp)
 		u.typeErrs = wrapTypeErrs(path, pkg.TypeErrors)
-		u.diags, u.err = runPackage(fb, pkg, analyzers, true, nil)
+		u.diags, u.err = runPackage(fb, pkg, analyzers, ran, true, nil)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"paratune/internal/event"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 )
 
@@ -336,4 +337,91 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// storeProbe is a recorder that checks, at every event, that neither the
+// store's mutex nor any shard's is held, then reads the store back through
+// Stats, Err and Digest. TryLock turns an emission under one of them into a
+// test failure instead of a hang; the test drives the store from one
+// goroutine, so nothing else holds them. Events recorded before st is set
+// (Open's) have no store a recorder could reach yet.
+type storeProbe struct {
+	t  *testing.T
+	st *Store
+	event.Memory
+}
+
+func (p *storeProbe) Record(e event.Event) {
+	p.Memory.Record(e)
+	if p.st == nil {
+		return
+	}
+	if !p.st.mu.TryLock() {
+		p.t.Errorf("%s event recorded under the store lock", e.EventKind())
+		return
+	}
+	p.st.mu.Unlock()
+	for i := range p.st.shards {
+		if !p.st.shards[i].mu.TryLock() {
+			p.t.Errorf("%s event recorded under shard %d's lock", e.EventKind(), i)
+			return
+		}
+		p.st.shards[i].mu.Unlock()
+	}
+	p.st.Stats()
+	p.st.Digest()
+	if err := p.st.Err(); err != nil {
+		p.t.Errorf("recorder Err: %v", err)
+	}
+}
+
+// A recorder may call back into the store: no measuredb event — a WAL
+// recovery at Open, a snapshot at Compact, a Memo hit or miss — is recorded
+// under a store or shard lock.
+func TestRecorderMayReadStore(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x17, 0xff}); err != nil { // a torn append
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := &storeProbe{t: t}
+	if st, err = Open(dir, Options{Recorder: p}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p.st = st
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	est, err := sample.NewMinOfK(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMemo(&countingEval{store: st, k: est.K()}, st, est, p, nil)
+	pts := []space.Point{{1, 1}, {2, 0}, {7, 7}}
+	for range 2 {
+		if _, err := m.Eval(pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kind := range []string{event.KindFault, event.KindDBSnapshot, event.KindDBHit, event.KindDBMiss} {
+		if p.Count(kind) == 0 {
+			t.Errorf("no %s event recorded; an emission site went unprobed", kind)
+		}
+	}
 }

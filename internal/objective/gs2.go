@@ -24,6 +24,10 @@ func GS2Space() *space.Space {
 	)
 }
 
+// gs2Neighbors is the number of nearest stored points averaged for off-grid
+// estimates.
+const gs2Neighbors = 4
+
 // GS2Config controls surrogate-database generation.
 type GS2Config struct {
 	// Seed drives every random choice; equal seeds give identical databases.
@@ -32,9 +36,6 @@ type GS2Config struct {
 	// mirroring the paper's incomplete measurement database ("the data base
 	// does not contain all possible combinations"). 1 stores everything.
 	Coverage float64
-	// Neighbors is the number of nearest stored points averaged for off-grid
-	// estimates (default 4).
-	Neighbors int
 	// RuggednessAmp scales the multi-minimum ripple component (default 0.35).
 	RuggednessAmp float64
 	// JitterAmp scales deterministic per-point irregularity (default 0.15).
@@ -44,9 +45,6 @@ type GS2Config struct {
 func (c *GS2Config) setDefaults() {
 	if c.Coverage <= 0 || c.Coverage > 1 {
 		c.Coverage = 0.7
-	}
-	if c.Neighbors <= 0 {
-		c.Neighbors = 4
 	}
 	if c.RuggednessAmp == 0 {
 		c.RuggednessAmp = 0.35
@@ -234,7 +232,7 @@ func GenerateGS2(cfg GS2Config) *DB {
 	cfg.setDefaults()
 	model := newGS2Model(cfg)
 	s := model.s
-	knn, _ := NewKNN(s, cfg.Neighbors) // GS2Space is an 11,571-cell grid, which NewKNN accepts
+	knn, _ := NewKNN(s, gs2Neighbors) // GS2Space is an 11,571-cell grid, which NewKNN accepts
 	thetas, grids, nodes := knn.axes[0], knn.axes[1], knn.axes[2]
 	ts := make([]thetaTerms, len(thetas))
 	rems := make([]float64, len(thetas)*len(nodes))

@@ -20,10 +20,12 @@ type Series struct {
 	Y    []float64
 }
 
+// plotHeight is the plot area's row count.
+const plotHeight = 20
+
 // Config controls chart rendering.
 type Config struct {
 	Width  int // plot area columns (default 72)
-	Height int // plot area rows (default 20)
 	Title  string
 	XLabel string
 	YLabel string
@@ -34,9 +36,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.Width <= 0 {
 		c.Width = 72
-	}
-	if c.Height <= 0 {
-		c.Height = 20
 	}
 }
 
@@ -88,7 +87,7 @@ func Line(cfg Config, series ...Series) (string, error) {
 		maxY = minY + 1
 	}
 
-	grid := make([][]byte, cfg.Height)
+	grid := make([][]byte, plotHeight)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", cfg.Width))
 	}
@@ -96,7 +95,7 @@ func Line(cfg Config, series ...Series) (string, error) {
 		g := seriesGlyphs[si%len(seriesGlyphs)]
 		for _, p := range ps {
 			col := int((p.x - minX) / (maxX - minX) * float64(cfg.Width-1))
-			row := cfg.Height - 1 - int((p.y-minY)/(maxY-minY)*float64(cfg.Height-1))
+			row := plotHeight - 1 - int((p.y-minY)/(maxY-minY)*float64(plotHeight-1))
 			grid[row][col] = g
 		}
 	}
@@ -165,7 +164,7 @@ func Heatmap(cfg Config, xs, ys []float64, z [][]float64) (string, error) {
 		fmt.Fprintf(&b, "%s\n", cfg.Title)
 	}
 	// Downsample rows/cols to fit the configured size.
-	rStep := float64(len(xs)) / float64(min(cfg.Height, len(xs)))
+	rStep := float64(len(xs)) / float64(min(plotHeight, len(xs)))
 	cStep := float64(len(ys)) / float64(min(cfg.Width, len(ys)))
 	for r := 0.0; int(r) < len(xs); r += rStep {
 		i := int(r)
