@@ -10,10 +10,10 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Project-specific static analysis, eight rules: determinism, lock
-# discipline, float comparisons, wire-boundary error handling, seed
-# provenance, lock order, context flow and typed atomics. A full-tree run
-# also reports //paralint:allow directives that suppress nothing.
+# Project-specific static analysis, seven rules: determinism, lock
+# discipline, float comparisons, wire-boundary error handling, lock order,
+# context flow and typed atomics. A full-tree run also reports
+# //paralint:allow directives that suppress nothing or name no rule.
 # See DESIGN.md.
 lint:
 	$(GO) run ./cmd/paralint ./...

@@ -184,7 +184,9 @@ func workerPid(line string) (int, bool) {
 
 // harmonyd -supervise end to end: the supervisor restarts a worker killed
 // with SIGKILL, which logs a new worker pid and listens again, and SIGINT to
-// the supervisor ends both with exit status 0.
+// the supervisor ends both with exit status 0. The supervisor logs a
+// worker's pid only after starting it, so on a loaded host the worker's
+// listening line may come first: the test waits for both, in either order.
 func TestSuperviseRestartsKilledWorker(t *testing.T) {
 	var workers []int
 	t.Cleanup(func() { // after startDaemon's own cleanup has killed the supervisor
@@ -198,27 +200,45 @@ func TestSuperviseRestartsKilledWorker(t *testing.T) {
 			workers = append(workers, pid)
 		}
 	}
+	deadline := time.After(30 * time.Second)
+	// next returns the daemon's next line after the listening one.
+	next := func(waiting string) string {
+		t.Helper()
+		select {
+		case line, ok := <-d.lines:
+			if !ok {
+				t.Fatalf("supervisor exited while %s", waiting)
+			}
+			t.Log(line)
+			return line
+		case <-deadline:
+			t.Fatalf("timed out while %s", waiting)
+			return ""
+		}
+	}
+	for len(workers) == 0 {
+		if pid, ok := workerPid(next("waiting for the first worker's pid")); ok {
+			workers = append(workers, pid)
+		}
+	}
 	if len(workers) != 1 {
-		t.Fatalf("supervisor logged %d worker pids before listening, want 1: %q", len(workers), d.head)
+		t.Fatalf("supervisor logged %d worker pids before the first worker listened, want 1: %q", len(workers), d.head)
 	}
 	if err := syscall.Kill(workers[0], syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(30 * time.Second)
-	for listening := false; !listening; {
-		select {
-		case line, ok := <-d.lines:
-			if !ok {
-				t.Fatal("supervisor exited instead of restarting its worker")
-			}
-			t.Log(line)
-			if pid, ok := workerPid(line); ok {
-				workers = append(workers, pid)
-			}
-			listening = len(workers) == 2 && strings.HasPrefix(line, "harmonyd listening on ")
-		case <-deadline:
-			t.Fatal("the killed worker was not restarted")
+	// The first worker's listening line was read by startDaemon, so the
+	// next one is the restarted worker's.
+	for relistened := false; len(workers) < 2 || !relistened; {
+		line := next("waiting for the killed worker to be restarted")
+		if pid, ok := workerPid(line); ok {
+			workers = append(workers, pid)
+		} else if strings.HasPrefix(line, "harmonyd listening on ") {
+			relistened = true
 		}
+	}
+	if len(workers) != 2 {
+		t.Fatalf("supervisor started %d workers, want 2: %v", len(workers), workers)
 	}
 	if workers[1] == workers[0] {
 		t.Fatalf("restarted worker reuses pid %d", workers[0])

@@ -1,22 +1,19 @@
 // Command paralint is the project's vet-style static analysis driver. It
 // enforces the determinism contract the paper's evaluation depends on (see
-// DESIGN.md "Determinism contract & static analysis"). Four rules are
-// syntax-local:
+// DESIGN.md "Determinism contract & static analysis"). Four of its seven
+// rules are syntax-local:
 //
-//   - determinism: no wall-clock time or global rand in simulation packages;
-//     no wall-clock-seeded RNG sources anywhere
+//   - determinism: no wall-clock time, crypto/rand, process id or global
+//     rand in simulation packages and their tests; no global rand and no
+//     wall-clock-seeded RNG sources anywhere
 //   - lockdiscipline: mutex-guarded fields are accessed under the lock or
 //     behind the ...Locked naming convention
 //   - floatcompare: no float ==/!= in rank-ordering and stats code
 //   - errdiscipline: no discarded errors at the harmony wire boundary
 //
-// one follows dataflow across package boundaries through typed facts:
-//
-//   - seedflow: RNG seeds in simulation packages trace to injected seeds,
-//     never the wall clock, crypto/rand, or the process id
-//
 // three enforce the concurrency contract (DESIGN.md "Concurrency
-// contract"):
+// contract"), the first two following calls across package boundaries
+// through typed facts:
 //
 //   - lockorder: the whole-program lock-acquisition graph is acyclic and
 //     respects ranks declared with //paralint:lockrank N on the mutex
@@ -38,8 +35,9 @@
 // print as file:line:col: rule: message; -json emits them as one JSON array
 // and -sarif as a SARIF 2.1.0 log for code-scanning upload. Exit status: 0
 // clean, 1 findings, 2 load or type-check failure, 3 when any finding is a
-// malformed or dangling //paralint:lockrank directive — an annotation that
-// silently stopped enforcing its contract outranks an ordinary finding.
+// malformed or dangling //paralint:lockrank directive or a //paralint:allow
+// that names no rule — an annotation that silently stopped enforcing its
+// contract outranks an ordinary finding.
 //
 // Suppress an individual finding with a trailing (or immediately preceding)
 // comment naming the rule and, by convention, the reason:

@@ -105,9 +105,6 @@ func (s *AsyncSim) Live() int {
 	return n
 }
 
-// Dead reports whether processor p has crashed.
-func (s *AsyncSim) Dead(p int) bool { return s.dead[p] }
-
 // Makespan returns the largest per-processor virtual clock: the wall-clock
 // time the tuning activity has consumed so far.
 func (s *AsyncSim) Makespan() float64 {

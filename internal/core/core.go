@@ -142,10 +142,6 @@ type Options struct {
 	// ProjectNearest uses plain nearest-value rounding instead of §3.2.1's
 	// round-toward-centre projection. Ablation knob.
 	ProjectNearest bool
-	// DisableConvergenceProbe skips the §3.2.2 local-minimum certificate;
-	// the algorithm then reports convergence as soon as the simplex
-	// collapses.
-	DisableConvergenceProbe bool
 	// Restless keeps the optimiser tuning even after a failed §3.2.2
 	// certificate: the probe simplex is adopted and the search continues
 	// instead of stopping. This models the paper's §6 simulations, where

@@ -206,10 +206,6 @@ func (p *PRO) expand(ev Evaluator, best space.Point) (StepInfo, error) {
 // continue.
 func (p *PRO) convergenceCheck(ev Evaluator) (StepInfo, error) {
 	best, bestVal := p.simplex.Best()
-	if p.opts.DisableConvergenceProbe {
-		p.converged = true
-		return StepInfo{Kind: StepConverged, Best: best.Clone(), BestValue: bestVal}, nil
-	}
 	probes := space.ConvergenceProbe(p.opts.Space, best)
 	if len(probes) == 0 {
 		p.converged = true

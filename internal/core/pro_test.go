@@ -213,7 +213,6 @@ func TestPROAblationKnobsStillConverge(t *testing.T) {
 	f := objective.NewSphere(s, space.Point{25, 75}, 0)
 	for _, opts := range []Options{
 		{Space: s, SimplexShape: ShapeMinimal},
-		{Space: s, DisableConvergenceProbe: true},
 	} {
 		p, err := NewPRO(opts)
 		if err != nil {

@@ -162,10 +162,6 @@ func (s *SRO) evalOne(ev Evaluator, x space.Point) (float64, error) {
 // convergenceCheck mirrors PRO's §3.2.2 probe, evaluated sequentially.
 func (s *SRO) convergenceCheck(ev Evaluator) (StepInfo, error) {
 	best, bestVal := s.simplex.Best()
-	if s.opts.DisableConvergenceProbe {
-		s.converged = true
-		return StepInfo{Kind: StepConverged, Best: best.Clone(), BestValue: bestVal}, nil
-	}
 	probes := space.ConvergenceProbe(s.opts.Space, best)
 	if len(probes) == 0 {
 		s.converged = true

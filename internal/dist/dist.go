@@ -235,192 +235,6 @@ func (e Exponential) Mean() float64     { return 1 / e.Lambda }
 func (e Exponential) Variance() float64 { return 1 / (e.Lambda * e.Lambda) }
 func (e Exponential) String() string    { return fmt.Sprintf("Exp(λ=%g)", e.Lambda) }
 
-// Normal is the Gaussian distribution.
-type Normal struct {
-	Mu    float64
-	Sigma float64
-}
-
-func (n Normal) Sample(rng *rand.Rand) float64 { return n.Mu + n.Sigma*rng.NormFloat64() }
-
-func (n Normal) CDF(x float64) float64 {
-	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
-// Quantile uses bisection on the cdf; adequate for test and harness use.
-func (n Normal) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	}
-	lo, hi := n.Mu-12*n.Sigma, n.Mu+12*n.Sigma
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if n.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-func (n Normal) Mean() float64     { return n.Mu }
-func (n Normal) Variance() float64 { return n.Sigma * n.Sigma }
-func (n Normal) String() string    { return fmt.Sprintf("N(μ=%g, σ=%g)", n.Mu, n.Sigma) }
-
-// LogNormal: exp(N(Mu, Sigma)).
-type LogNormal struct {
-	Mu    float64
-	Sigma float64
-}
-
-func (l LogNormal) Sample(rng *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())
-}
-
-func (l LogNormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return Normal{Mu: l.Mu, Sigma: l.Sigma}.CDF(math.Log(x))
-}
-
-func (l LogNormal) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return math.Inf(1)
-	}
-	return math.Exp(Normal{Mu: l.Mu, Sigma: l.Sigma}.Quantile(p))
-}
-
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-func (l LogNormal) Variance() float64 {
-	s2 := l.Sigma * l.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
-}
-
-func (l LogNormal) String() string { return fmt.Sprintf("LogN(μ=%g, σ=%g)", l.Mu, l.Sigma) }
-
-// Uniform on [A, B].
-type Uniform struct {
-	A, B float64
-}
-
-func (u Uniform) Sample(rng *rand.Rand) float64 { return u.A + rng.Float64()*(u.B-u.A) }
-
-func (u Uniform) CDF(x float64) float64 {
-	switch {
-	case x < u.A:
-		return 0
-	case x > u.B:
-		return 1
-	}
-	return (x - u.A) / (u.B - u.A)
-}
-
-func (u Uniform) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return u.A
-	case p >= 1:
-		return u.B
-	}
-	return u.A + p*(u.B-u.A)
-}
-
-func (u Uniform) Mean() float64     { return (u.A + u.B) / 2 }
-func (u Uniform) Variance() float64 { return (u.B - u.A) * (u.B - u.A) / 12 }
-func (u Uniform) String() string    { return fmt.Sprintf("U(%g, %g)", u.A, u.B) }
-
-// Weibull with shape K and scale Lambda.
-type Weibull struct {
-	K      float64
-	Lambda float64
-}
-
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	u := 1 - rng.Float64()
-	return w.Lambda * math.Pow(-math.Log(u), 1/w.K)
-}
-
-func (w Weibull) CDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return 1 - math.Exp(-math.Pow(x/w.Lambda, w.K))
-}
-
-func (w Weibull) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return math.Inf(1)
-	}
-	return w.Lambda * math.Pow(-math.Log(1-p), 1/w.K)
-}
-
-func (w Weibull) Mean() float64 { return w.Lambda * math.Gamma(1+1/w.K) }
-
-func (w Weibull) Variance() float64 {
-	g1 := math.Gamma(1 + 1/w.K)
-	g2 := math.Gamma(1 + 2/w.K)
-	return w.Lambda * w.Lambda * (g2 - g1*g1)
-}
-
-func (w Weibull) String() string { return fmt.Sprintf("Weibull(k=%g, λ=%g)", w.K, w.Lambda) }
-
-// Degenerate always returns V; the zero-variability control.
-type Degenerate struct {
-	V float64
-}
-
-func (d Degenerate) Sample(*rand.Rand) float64 { return d.V }
-
-func (d Degenerate) CDF(x float64) float64 {
-	if x < d.V {
-		return 0
-	}
-	return 1
-}
-
-func (d Degenerate) Quantile(float64) float64 { return d.V }
-func (d Degenerate) Mean() float64            { return d.V }
-func (d Degenerate) Variance() float64        { return 0 }
-func (d Degenerate) String() string           { return fmt.Sprintf("δ(%g)", d.V) }
-
-// Shifted adds Offset to every sample of D.
-type Shifted struct {
-	D      Distribution
-	Offset float64
-}
-
-func (s Shifted) Sample(rng *rand.Rand) float64 { return s.D.Sample(rng) + s.Offset }
-func (s Shifted) CDF(x float64) float64         { return s.D.CDF(x - s.Offset) }
-func (s Shifted) Quantile(p float64) float64    { return s.D.Quantile(p) + s.Offset }
-func (s Shifted) Mean() float64                 { return s.D.Mean() + s.Offset }
-func (s Shifted) Variance() float64             { return s.D.Variance() }
-func (s Shifted) String() string                { return fmt.Sprintf("%v + %g", s.D, s.Offset) }
-
-// Scaled multiplies every sample of D by Factor (> 0).
-type Scaled struct {
-	D      Distribution
-	Factor float64
-}
-
-func (s Scaled) Sample(rng *rand.Rand) float64 { return s.D.Sample(rng) * s.Factor }
-func (s Scaled) CDF(x float64) float64         { return s.D.CDF(x / s.Factor) }
-func (s Scaled) Quantile(p float64) float64    { return s.D.Quantile(p) * s.Factor }
-func (s Scaled) Mean() float64                 { return s.D.Mean() * s.Factor }
-func (s Scaled) Variance() float64             { return s.D.Variance() * s.Factor * s.Factor }
-func (s Scaled) String() string                { return fmt.Sprintf("%g × %v", s.Factor, s.D) }
-
 // Mixture draws from Components[i] with probability Weights[i]. Weights must
 // be non-negative and sum to 1 (checked by NewMixture). Mixtures of a narrow
 // bulk and a fat Pareto tail reproduce the "small and big spikes" structure
@@ -534,37 +348,3 @@ func (m Mixture) Variance() float64 {
 }
 
 func (m Mixture) String() string { return fmt.Sprintf("Mixture(%d components)", len(m.Components)) }
-
-// Bernoulli takes value 1 with probability P, else 0.
-type Bernoulli struct {
-	P float64
-}
-
-func (b Bernoulli) Sample(rng *rand.Rand) float64 {
-	if rng.Float64() < b.P {
-		return 1
-	}
-	return 0
-}
-
-func (b Bernoulli) CDF(x float64) float64 {
-	switch {
-	case x < 0:
-		return 0
-	case x < 1:
-		return 1 - b.P
-	default:
-		return 1
-	}
-}
-
-func (b Bernoulli) Quantile(p float64) float64 {
-	if p <= 1-b.P {
-		return 0
-	}
-	return 1
-}
-
-func (b Bernoulli) Mean() float64     { return b.P }
-func (b Bernoulli) Variance() float64 { return b.P * (1 - b.P) }
-func (b Bernoulli) String() string    { return fmt.Sprintf("Bernoulli(%g)", b.P) }

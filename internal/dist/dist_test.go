@@ -195,113 +195,6 @@ func TestExponential(t *testing.T) {
 	}
 }
 
-func TestNormal(t *testing.T) {
-	n := Normal{Mu: 3, Sigma: 2}
-	checkQuantileInvertsCDF(t, n, math.Inf(-1), math.Inf(1))
-	checkEmpiricalMean(t, n, 100000, 0.03)
-	if math.Abs(n.CDF(3)-0.5) > 1e-12 {
-		t.Errorf("CDF at mean = %g", n.CDF(3))
-	}
-	if math.Abs(n.Quantile(0.5)-3) > 1e-9 {
-		t.Errorf("median = %g", n.Quantile(0.5))
-	}
-	if !math.IsInf(n.Quantile(0), -1) || !math.IsInf(n.Quantile(1), 1) {
-		t.Error("Quantile edges")
-	}
-}
-
-func TestLogNormal(t *testing.T) {
-	l := LogNormal{Mu: 0, Sigma: 0.5}
-	checkQuantileInvertsCDF(t, l, 0, math.Inf(1))
-	checkEmpiricalMean(t, l, 200000, 0.02)
-	if l.CDF(0) != 0 || l.CDF(-1) != 0 {
-		t.Error("CDF of non-positive should be 0")
-	}
-	if l.Quantile(0) != 0 {
-		t.Error("Quantile(0) should be 0")
-	}
-	if v := l.Variance(); v <= 0 {
-		t.Errorf("Variance = %g", v)
-	}
-}
-
-func TestUniform(t *testing.T) {
-	u := Uniform{A: -1, B: 3}
-	checkQuantileInvertsCDF(t, u, -1, 3)
-	checkEmpiricalMean(t, u, 100000, 0.02)
-	if u.CDF(-2) != 0 || u.CDF(4) != 1 {
-		t.Error("CDF outside range")
-	}
-	if u.Quantile(0) != -1 || u.Quantile(1) != 3 {
-		t.Error("Quantile edges")
-	}
-	if math.Abs(u.Variance()-16.0/12) > 1e-12 {
-		t.Errorf("Variance = %g", u.Variance())
-	}
-}
-
-func TestWeibull(t *testing.T) {
-	w := Weibull{K: 1.5, Lambda: 2}
-	checkQuantileInvertsCDF(t, w, 0, math.Inf(1))
-	checkEmpiricalMean(t, w, 200000, 0.02)
-	if w.CDF(-1) != 0 {
-		t.Error("CDF negative")
-	}
-	if w.Quantile(0) != 0 || !math.IsInf(w.Quantile(1), 1) {
-		t.Error("Quantile edges")
-	}
-	if w.Variance() <= 0 {
-		t.Error("Variance should be positive")
-	}
-}
-
-func TestDegenerate(t *testing.T) {
-	d := Degenerate{V: 5}
-	rng := NewRNG(1)
-	if d.Sample(rng) != 5 || d.Mean() != 5 || d.Variance() != 0 {
-		t.Error("degenerate basics")
-	}
-	if d.CDF(4.999) != 0 || d.CDF(5) != 1 {
-		t.Error("degenerate CDF")
-	}
-	if d.Quantile(0.3) != 5 {
-		t.Error("degenerate quantile")
-	}
-}
-
-func TestShiftedScaled(t *testing.T) {
-	base := Exponential{Lambda: 1}
-	s := Shifted{D: base, Offset: 10}
-	if math.Abs(s.Mean()-11) > 1e-12 {
-		t.Errorf("shifted mean = %g", s.Mean())
-	}
-	if math.Abs(s.Quantile(0.5)-(base.Quantile(0.5)+10)) > 1e-12 {
-		t.Error("shifted quantile")
-	}
-	if s.Variance() != base.Variance() {
-		t.Error("shift changes variance")
-	}
-	sc := Scaled{D: base, Factor: 3}
-	if math.Abs(sc.Mean()-3) > 1e-12 {
-		t.Errorf("scaled mean = %g", sc.Mean())
-	}
-	if math.Abs(sc.Variance()-9) > 1e-12 {
-		t.Errorf("scaled variance = %g", sc.Variance())
-	}
-	if math.Abs(sc.CDF(3)-base.CDF(1)) > 1e-12 {
-		t.Error("scaled cdf")
-	}
-	rng := NewRNG(2)
-	for i := 0; i < 100; i++ {
-		if s.Sample(rng) < 10 {
-			t.Fatal("shifted sample below offset")
-		}
-		if sc.Sample(rng) < 0 {
-			t.Fatal("scaled sample negative")
-		}
-	}
-}
-
 func TestMixtureValidation(t *testing.T) {
 	e := Exponential{Lambda: 1}
 	if _, err := NewMixture(nil, nil); err == nil {
@@ -319,18 +212,21 @@ func TestMixtureValidation(t *testing.T) {
 }
 
 func TestMixtureMoments(t *testing.T) {
+	// Exp(1) has mean 1 and variance 1, Exp(0.1) mean 10 and variance 100:
+	// the mean is 5.5 and, by the law of total variance, the variance is
+	// E[X²] - 5.5² = (2 + 200)/2 - 30.25 = 70.75.
 	m, err := NewMixture(
-		[]Distribution{Degenerate{V: 0}, Degenerate{V: 10}},
+		[]Distribution{Exponential{Lambda: 1}, Exponential{Lambda: 0.1}},
 		[]float64{0.5, 0.5},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.Mean()-5) > 1e-12 {
+	if math.Abs(m.Mean()-5.5) > 1e-12 {
 		t.Errorf("mixture mean = %g", m.Mean())
 	}
-	if math.Abs(m.Variance()-25) > 1e-9 {
-		t.Errorf("mixture variance = %g, want 25", m.Variance())
+	if math.Abs(m.Variance()-70.75) > 1e-9 {
+		t.Errorf("mixture variance = %g, want 70.75", m.Variance())
 	}
 	// Heavy component poisons moments.
 	hm, err := NewMixture(
@@ -346,30 +242,32 @@ func TestMixtureMoments(t *testing.T) {
 }
 
 func TestMixtureCDFAndQuantile(t *testing.T) {
+	// Two narrow Pareto bands, [1, 2) and [10, 20): a draw of either
+	// component leaves its band with probability 2^-50.
 	m, err := NewMixture(
-		[]Distribution{Uniform{A: 0, B: 1}, Uniform{A: 10, B: 11}},
+		[]Distribution{Pareto{Alpha: 50, Beta: 1}, Pareto{Alpha: 50, Beta: 10}},
 		[]float64{0.5, 0.5},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.CDF(1)-0.5) > 1e-12 {
-		t.Errorf("CDF(1) = %g", m.CDF(1))
+	if math.Abs(m.CDF(2)-0.5) > 1e-12 {
+		t.Errorf("CDF(2) = %g", m.CDF(2))
 	}
-	if q := m.Quantile(0.75); q < 10 || q > 11 {
-		t.Errorf("Quantile(0.75) = %g, want in [10,11]", q)
+	if q := m.Quantile(0.75); q < 10 || q > 20 {
+		t.Errorf("Quantile(0.75) = %g, want in [10,20]", q)
 	}
-	if q := m.Quantile(0.25); q < 0 || q > 1 {
-		t.Errorf("Quantile(0.25) = %g, want in [0,1]", q)
+	if q := m.Quantile(0.25); q < 1 || q > 2 {
+		t.Errorf("Quantile(0.25) = %g, want in [1,2]", q)
 	}
 	rng := NewRNG(3)
 	var lowBand, highBand int
 	for i := 0; i < 10000; i++ {
 		x := m.Sample(rng)
 		switch {
-		case x >= 0 && x <= 1:
+		case x >= 1 && x < 2:
 			lowBand++
-		case x >= 10 && x <= 11:
+		case x >= 10 && x < 20:
 			highBand++
 		default:
 			t.Fatalf("sample %g outside both components", x)
@@ -382,10 +280,8 @@ func TestMixtureCDFAndQuantile(t *testing.T) {
 
 func TestStrings(t *testing.T) {
 	ds := []Distribution{
-		Pareto{1.7, 1}, Exponential{1}, Normal{0, 1}, LogNormal{0, 1},
-		Uniform{0, 1}, Weibull{1, 1}, Degenerate{0},
-		Shifted{Degenerate{0}, 1}, Scaled{Degenerate{1}, 2},
-		Mixture{Components: []Distribution{Degenerate{0}}, Weights: []float64{1}},
+		Pareto{1.7, 1}, Exponential{1},
+		Mixture{Components: []Distribution{Exponential{1}}, Weights: []float64{1}},
 	}
 	for _, d := range ds {
 		if d.String() == "" {
@@ -401,36 +297,5 @@ func TestRNGDeterminism(t *testing.T) {
 		if p.Sample(a) != p.Sample(b) {
 			t.Fatal("same seed produced different streams")
 		}
-	}
-}
-
-func TestBernoulli(t *testing.T) {
-	b := Bernoulli{P: 0.3}
-	rng := NewRNG(4)
-	ones := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		switch b.Sample(rng) {
-		case 1:
-			ones++
-		case 0:
-		default:
-			t.Fatal("Bernoulli sample outside {0, 1}")
-		}
-	}
-	if f := float64(ones) / n; math.Abs(f-0.3) > 0.01 {
-		t.Errorf("P(1) = %g, want 0.3", f)
-	}
-	if b.CDF(-1) != 0 || math.Abs(b.CDF(0.5)-0.7) > 1e-12 || b.CDF(1) != 1 {
-		t.Error("Bernoulli CDF")
-	}
-	if b.Quantile(0.5) != 0 || b.Quantile(0.9) != 1 {
-		t.Error("Bernoulli quantile")
-	}
-	if b.Mean() != 0.3 || math.Abs(b.Variance()-0.21) > 1e-12 {
-		t.Error("Bernoulli moments")
-	}
-	if b.String() == "" {
-		t.Error("String")
 	}
 }

@@ -7,9 +7,11 @@ import (
 )
 
 // simPackages are the seed-pure simulation packages: everything the paper's
-// §6 figures are computed from. Code here must be a pure function of its
-// inputs and an injected seed — wall-clock reads or the process-global rand
-// source make a figure irreproducible in a way no test can pin down.
+// §6 figures are computed from, and everything whose output must replay
+// byte-identically under a seed. Code here must be a pure function of its
+// inputs and an injected seed — a wall-clock read, the process-global rand
+// source, crypto entropy or the process id makes a run irreproducible in a
+// way no test can pin down.
 // internal/event is included because its stream must be byte-identical
 // across same-seed runs: events carry virtual time only, and a wall-clock
 // read anywhere in the recorder path would silently break the golden traces.
@@ -21,6 +23,9 @@ import (
 // schedule path would break same-seed trace comparison. internal/fault is
 // included for the same reason: its injector draws from a seeded stream and
 // mirrors each fault as an event that no golden trace pins.
+// internal/sample is included because its estimators turn a candidate's
+// samples into the estimate every figure ranks by: they must be pure
+// functions of those samples.
 var simPackages = []string{
 	"paratune/internal/baseline",
 	"paratune/internal/chaos",
@@ -33,10 +38,14 @@ var simPackages = []string{
 	"paratune/internal/measuredb",
 	"paratune/internal/noise",
 	"paratune/internal/objective",
+	"paratune/internal/sample",
 	"paratune/internal/stats",
 }
 
+// isSimPackage reports whether path is a simulation package, a subpackage of
+// one, or the external test package (path_test) of either.
 func isSimPackage(path string) bool {
+	path = strings.TrimSuffix(path, "_test")
 	for _, p := range simPackages {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true
@@ -45,15 +54,18 @@ func isSimPackage(path string) bool {
 	return false
 }
 
-// Determinism flags nondeterminism sources that break seeded reproduction:
-// wall-clock reads (time.Now/Since/Until) inside simulation packages,
-// process-global math/rand calls anywhere, and RNG sources seeded from the
-// wall clock anywhere. Genuinely wall-clock code (TCP deadlines, progress
+// Determinism flags nondeterminism sources that break seeded reproduction.
+// Inside simulation packages it flags every wall-clock read
+// (time.Now/Since/Until), every use of crypto/rand and every process-id read
+// (os.Getpid/Getppid), wherever the value goes: a clock laundered through a
+// local or a helper before it seeds an RNG is reported at the read.
+// Everywhere it flags process-global math/rand calls, and RNG sources seeded
+// from the wall clock. Genuinely wall-clock code (TCP deadlines, progress
 // logging) lives outside the simulation packages or carries a
 // //paralint:allow determinism annotation.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag wall-clock time and unseeded randomness in seed-pure code",
+	Doc:  "flag wall-clock time, entropy, pids and unseeded randomness in seed-pure code",
 	Run:  runDeterminism,
 }
 
@@ -61,6 +73,14 @@ func runDeterminism(pass *Pass) {
 	sim := isSimPackage(pass.Pkg.Path())
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sim {
+				if obj := pass.Info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "crypto/rand" {
+					pass.Reportf(sel.Pos(),
+						"crypto/rand.%s in simulation package %s draws irreproducible entropy; thread a seed",
+						obj.Name(), pass.Pkg.Path())
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -74,6 +94,12 @@ func runDeterminism(pass *Pass) {
 				if sim && isWallClockFunc(fn.Name()) {
 					pass.Reportf(call.Pos(),
 						"wall-clock time.%s in simulation package %s; inject a clock or thread a seed",
+						fn.Name(), pass.Pkg.Path())
+				}
+			case "os":
+				if sim && (fn.Name() == "Getpid" || fn.Name() == "Getppid") {
+					pass.Reportf(call.Pos(),
+						"process id os.%s in simulation package %s differs per run; thread a seed",
 						fn.Name(), pass.Pkg.Path())
 				}
 			case "math/rand", "math/rand/v2":

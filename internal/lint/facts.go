@@ -11,11 +11,12 @@ import (
 
 // Fact is a typed, analyzer-defined piece of knowledge attached to a
 // types.Object while a package is analyzed, and visible to every later
-// analysis of a package that imports it. Facts are how paralint's dataflow
-// rules reason across package boundaries: the seedflow analyzer, for
-// example, exports a SeedSink fact on dist.NewRNG while analyzing
-// internal/dist, and the analysis of internal/cluster imports that fact to
-// know that the first argument of a dist.NewRNG call is an RNG seed.
+// analysis of a package that imports it. Facts are how paralint's two
+// dataflow rules reason across package boundaries: lockorder exports a
+// LockSet fact on each function that acquires locks, so a caller in another
+// package adds those acquisitions to the lock graph, and ctxflow exports a
+// CtxAware fact on each function that can block uncancellably, so a scoped
+// caller is reported at its call site.
 //
 // Fact types must be pointers to structs. Each analyzer declares the fact
 // types it exports in Analyzer.FactTypes.

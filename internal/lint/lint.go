@@ -6,10 +6,11 @@
 // trustworthy only if the concurrent harmony server is race- and
 // deadlock-free.
 //
-// Eight rules are enforced. Four are syntax-local:
+// Seven rules are enforced. Four are syntax-local:
 //
-//   - determinism: no wall-clock time and no process-global rand inside
-//     simulation packages; no wall-clock-seeded RNG sources anywhere.
+//   - determinism: no wall-clock time, crypto/rand, process id or
+//     process-global rand inside simulation packages and their tests; no
+//     process-global rand and no wall-clock-seeded RNG sources anywhere.
 //   - lockdiscipline: methods of mutex-holding structs must hold the lock
 //     when touching guarded fields, or follow the ...Locked convention.
 //   - floatcompare: no ==/!= on floats in rank-ordering and stats packages;
@@ -17,16 +18,10 @@
 //   - errdiscipline: no silently discarded errors at the harmony wire
 //     boundary.
 //
-// One reasons through dataflow and across package boundaries via the fact
-// system (see FactBase):
-//
-//   - seedflow: every RNG-seed argument in simulation packages must trace
-//     back to a seed parameter, field, or another seeded stream — never to
-//     the wall clock, crypto/rand, or the process id.
-//
 // Three more are the concurrency contract (DESIGN.md "Concurrency
 // contract"), the machine-checked precondition for sharding the harmony
-// session table:
+// session table; lockorder and ctxflow reason across package boundaries
+// through the fact system (see FactBase):
 //
 //   - lockorder: the whole-program lock-acquisition graph — including
 //     acquisitions reached through calls, via LockSet facts — must be
@@ -53,7 +48,9 @@
 // The reason text is free-form but encouraged: the escape hatch is for code
 // that is genuinely wall-clock (TCP deadlines), genuinely exact (ECDF tie
 // collapsing), or genuinely best-effort (error replies on a closing
-// connection) — the annotation documents which.
+// connection) — the annotation documents which. A directive whose first
+// word names no rule suppresses nothing, and a full Analyze run reports it
+// as a directive finding.
 package lint
 
 import (
@@ -109,10 +106,6 @@ type Pass struct {
 	ctx   *pkgContext
 	facts *FactBase
 	out   *[]Diagnostic
-
-	// seedSinks caches the SeedSink facts computed for the current package
-	// mid-run, before they are published to the fact store (seedflow only).
-	seedSinks map[*types.Func]*SeedSink
 }
 
 // pkgContext is the per-package state shared by every analyzer pass:
@@ -120,6 +113,9 @@ type Pass struct {
 type pkgContext struct {
 	pkg   *Package
 	allow map[string]map[int]map[string]*allowRule // filename -> covered line -> rule
+	// unknown holds a directive finding for each //paralint:allow whose
+	// first word names no rule: it suppresses nothing.
+	unknown []Diagnostic
 }
 
 // allowRule is one rule named by a //paralint:allow directive.
@@ -129,7 +125,9 @@ type allowRule struct {
 }
 
 func newPkgContext(pkg *Package) *pkgContext {
-	return &pkgContext{pkg: pkg, allow: allowIndex(pkg)}
+	ctx := &pkgContext{pkg: pkg}
+	ctx.allow, ctx.unknown = allowIndex(pkg)
+	return ctx
 }
 
 // Reportf records a finding at pos unless a //paralint:allow comment
@@ -175,10 +173,10 @@ func (p *Pass) suppressedAt(position token.Position) bool {
 }
 
 // unusedAllows reports every directive rule in ran that suppressed no
-// finding: a stale allow hides nothing today and would hide the next real
-// finding on its line.
+// finding, and every directive that names no rule: a stale allow hides
+// nothing today and would hide the next real finding on its line.
 func (ctx *pkgContext) unusedAllows(ran map[string]bool) []Diagnostic {
-	var out []Diagnostic
+	out := append([]Diagnostic(nil), ctx.unknown...)
 	for _, lines := range ctx.allow {
 		for _, rules := range lines {
 			for name, r := range rules {
@@ -199,7 +197,6 @@ func (ctx *pkgContext) unusedAllows(ran map[string]bool) []Diagnostic {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, LockDiscipline, FloatCompare, ErrDiscipline,
-		SeedFlow,
 		LockOrder, CtxFlow, Atomics,
 	}
 }
@@ -351,9 +348,12 @@ func isDirective(comment, prefix string) bool {
 
 // allowIndex maps file -> line -> rules suppressed on that line. A trailing
 // comment suppresses its own line; a standalone comment line suppresses the
-// line below it.
-func allowIndex(pkg *Package) map[string]map[int]map[string]*allowRule {
+// line below it. A directive whose first word is not a rule name (a typo,
+// or a rule since deleted) suppresses nothing and is returned as a
+// directive finding instead.
+func allowIndex(pkg *Package) (map[string]map[int]map[string]*allowRule, []Diagnostic) {
 	idx := make(map[string]map[int]map[string]*allowRule)
+	var unknown []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -362,11 +362,22 @@ func allowIndex(pkg *Package) map[string]map[int]map[string]*allowRule {
 				if !strings.HasPrefix(text, allowPrefix) {
 					continue
 				}
-				rules := parseAllowRules(strings.TrimPrefix(text, allowPrefix))
+				rest := strings.TrimPrefix(text, allowPrefix)
+				rules := parseAllowRules(rest)
+				pos := pkg.Fset.Position(c.Pos())
 				if len(rules) == 0 {
+					first := ""
+					if f := strings.Fields(rest); len(f) > 0 {
+						first = f[0]
+					}
+					unknown = append(unknown, Diagnostic{
+						Pos:      pos,
+						Rule:     "paralint",
+						Message:  fmt.Sprintf("//paralint:allow names no rule (first word %q); it suppresses nothing", first),
+						Category: CategoryDirective,
+					})
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
 				line := pos.Line
 				if standaloneComment(pkg, pos) {
 					line++ // the directive covers the next source line
@@ -387,7 +398,7 @@ func allowIndex(pkg *Package) map[string]map[int]map[string]*allowRule {
 			}
 		}
 	}
-	return idx
+	return idx, unknown
 }
 
 // parseAllowRules extracts the rule names at the head of an allow directive;

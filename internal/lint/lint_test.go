@@ -85,8 +85,42 @@ func runGolden(t *testing.T, a *Analyzer, dir, importPath string) {
 	checkWants(t, pkg.Src, Run([]*Package{pkg}, []*Analyzer{a}))
 }
 
+// TestDeterminismSimPackage runs the simulation-package fixture as
+// internal/cluster and as the external test package of a listed package.
 func TestDeterminismSimPackage(t *testing.T) {
-	runGolden(t, Determinism, "determinism_sim", "paratune/internal/cluster")
+	for _, path := range []string{
+		"paratune/internal/cluster",
+		"paratune/internal/noise_test",
+	} {
+		t.Run(path, func(t *testing.T) {
+			runGolden(t, Determinism, "determinism_sim", path)
+		})
+	}
+}
+
+// TestDeterminismSamplePackage runs the simulation-package fixture as
+// internal/sample, whose estimators seed per-candidate streams: every clock,
+// pid or crypto/rand seed in it is reported.
+func TestDeterminismSamplePackage(t *testing.T) {
+	runGolden(t, Determinism, "determinism_sim", "paratune/internal/sample")
+}
+
+// TestDeterminismRealNewRNG runs determinism over the source of the real
+// internal/dist and the fixture as an importer of it: dist itself, the one
+// seeded-RNG constructor, raises nothing, and each clock or pid seed the
+// importer hands to dist.NewRNG is reported at its read.
+func TestDeterminismRealNewRNG(t *testing.T) {
+	dep, err := loadDirWithDeps(filepath.Join("..", "dist"), "paratune/internal/dist", nil)
+	if err != nil {
+		t.Fatalf("loading internal/dist: %v", err)
+	}
+	use := loadTestdata(t, "determinism_sim", "paratune/internal/noise",
+		map[string]*Package{"paratune/internal/dist": dep})
+	diags := Run([]*Package{dep, use}, []*Analyzer{Determinism})
+	checkWants(t, use.Src, diags)
+	if len(diags) == 0 {
+		t.Fatal("determinism reported nothing over an importer of the real dist.NewRNG")
+	}
 }
 
 // TestDeterminismEventPackage pins that the event stream layer is held to
@@ -94,6 +128,23 @@ func TestDeterminismSimPackage(t *testing.T) {
 // recorder would break byte-identical golden traces.
 func TestDeterminismEventPackage(t *testing.T) {
 	runGolden(t, Determinism, "determinism_sim", "paratune/internal/event")
+}
+
+// TestDeterminismImpersonatedDist runs the simulation-package fixture with
+// its dist import bound to a testdata stand-in: a clock-derived seed is
+// reported at the clock read whatever NewRNG it reaches.
+func TestDeterminismImpersonatedDist(t *testing.T) {
+	dep := loadTestdata(t, "determinism_dist", "paratune/internal/dist", nil)
+	use := loadTestdata(t, "determinism_sim", "paratune/internal/cluster",
+		map[string]*Package{"paratune/internal/dist": dep})
+	srcs := make(map[string][]byte)
+	for name, b := range dep.Src {
+		srcs[name] = b
+	}
+	for name, b := range use.Src {
+		srcs[name] = b
+	}
+	checkWants(t, srcs, Run([]*Package{dep, use}, []*Analyzer{Determinism}))
 }
 
 func TestDeterminismNonSimPackage(t *testing.T) {
@@ -129,53 +180,6 @@ func TestErrDisciplineScope(t *testing.T) {
 	}
 }
 
-func TestSeedFlow(t *testing.T) {
-	runGolden(t, SeedFlow, "seedflow", "paratune/internal/noise")
-}
-
-// TestSeedFlowFactPropagation is the cross-package dataflow test: package A
-// (impersonating internal/dist) exports a SeedSink fact on its NewRNG, and
-// package B (impersonating internal/cluster) is reported for feeding that
-// imported sink a wall-clock seed. The defect is only visible through the
-// fact — neither package is wrong in isolation under a syntax-local rule.
-func TestSeedFlowFactPropagation(t *testing.T) {
-	dep := loadTestdata(t, "seedflow_dep", "paratune/internal/dist", nil)
-	use := loadTestdata(t, "seedflow_use", "paratune/internal/cluster",
-		map[string]*Package{"paratune/internal/dist": dep})
-	srcs := make(map[string][]byte)
-	for name, b := range dep.Src {
-		srcs[name] = b
-	}
-	for name, b := range use.Src {
-		srcs[name] = b
-	}
-	diags := Run([]*Package{dep, use}, []*Analyzer{SeedFlow})
-	checkWants(t, srcs, diags)
-	if len(diags) == 0 {
-		t.Fatalf("fact propagation produced no findings; SeedSink fact did not cross the package boundary")
-	}
-}
-
-// TestSeedFlowRealNewRNG runs seedflow over the real internal/dist and a
-// simulation-package importer. dist.NewRNG is the one seeded-RNG
-// constructor, so it must keep exporting its SeedSink fact however its
-// source is built: a constructor whose seed never reaches a math/rand
-// call's argument would silently stop every importer's seed from being
-// traced.
-func TestSeedFlowRealNewRNG(t *testing.T) {
-	dep, err := loadDirWithDeps(filepath.Join("..", "dist"), "paratune/internal/dist", nil)
-	if err != nil {
-		t.Fatalf("loading internal/dist: %v", err)
-	}
-	use := loadTestdata(t, "seedflow_realdist", "paratune/internal/cluster",
-		map[string]*Package{"paratune/internal/dist": dep})
-	diags := Run([]*Package{dep, use}, []*Analyzer{SeedFlow})
-	checkWants(t, use.Src, diags)
-	if len(diags) == 0 {
-		t.Fatalf("wall-clock seed into dist.NewRNG produced no findings; the real NewRNG exports no SeedSink fact")
-	}
-}
-
 // TestSARIFStructure validates the emitted log against the SARIF 2.1.0
 // structural requirements GitHub code scanning enforces: version, schema,
 // tool driver with rules, and results with ruleId, message, and physical
@@ -184,8 +188,8 @@ func TestSARIFStructure(t *testing.T) {
 	diags := []Diagnostic{
 		{
 			Pos:     token.Position{Filename: "internal/cluster/cluster.go", Line: 10, Column: 3},
-			Rule:    "seedflow",
-			Message: "RNG seed derives from the wall clock",
+			Rule:    "determinism",
+			Message: "wall-clock time.Now in simulation package",
 		},
 		{
 			Pos:     token.Position{Filename: "internal/harmony/tcp.go", Line: 99, Column: 2},
@@ -287,9 +291,10 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestAnalyzeReportsUnusedAllow pins the driver's report of stale
-// suppressions: of the fixture's two //paralint:allow directives, the one
-// that hides a determinism finding is silent and the errdiscipline one,
-// which hides nothing, is a finding at the directive.
+// suppressions: of the fixture's //paralint:allow directives, the one that
+// hides a determinism finding is silent, the errdiscipline one, which hides
+// nothing, is a finding at the directive, and the two whose first word names
+// no rule (a deleted rule, a typo) are directive findings there.
 func TestAnalyzeReportsUnusedAllow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks packages")
@@ -307,6 +312,18 @@ func TestAnalyzeReportsUnusedAllow(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkWants(t, map[string][]byte{file: src}, diags)
+	unknown := 0
+	for _, d := range diags {
+		if strings.Contains(d.Message, "names no rule") {
+			unknown++
+			if d.Category != CategoryDirective {
+				t.Errorf("%s: category %q, want %q", d, d.Category, CategoryDirective)
+			}
+		}
+	}
+	if unknown != 2 {
+		t.Errorf("got %d findings for allows naming no rule, want 2", unknown)
+	}
 }
 
 // TestAnalyzeMatchesSequentialRun pins that the parallel fact-propagating
@@ -331,7 +348,9 @@ func TestAnalyzeMatchesSequentialRun(t *testing.T) {
 }
 
 // TestAllowParsing pins the directive grammar: rule list up front, free-form
-// reason after.
+// reason after. A directive whose first word is not a rule, such as
+// seedflow, names no rule (TestAnalyzeReportsUnusedAllow pins that the
+// driver reports it).
 func TestAllowParsing(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -341,7 +360,7 @@ func TestAllowParsing(t *testing.T) {
 		{" determinism, floatcompare reason text", []string{"determinism", "floatcompare"}},
 		{" all because everything here is deliberate", []string{"all"}},
 		{" floatcompare exact tie collapsing", []string{"floatcompare"}},
-		{" seedflow laundered clock", []string{"seedflow"}},
+		{" seedflow laundered clock", nil},
 		{" not-a-rule determinism", nil},
 		{"", nil},
 	}

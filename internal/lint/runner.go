@@ -24,7 +24,8 @@ import (
 // the pattern set contribute facts but no findings) plus any type-check
 // errors encountered. A //paralint:allow directive in a matched package
 // that names a running rule and suppresses nothing is a finding; one naming
-// "all" is checked only when every rule runs.
+// "all" is checked only when every rule runs, and one naming no rule is a
+// directive finding whatever rules run.
 func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, []error, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {

@@ -135,40 +135,6 @@ func (m ParetoFixedBeta) String() string {
 	return fmt.Sprintf("pareto-fixed(α=%g, β/f=%g)", m.Alpha, m.BetaFrac)
 }
 
-// Additive adds a sample of D to f, clamping the result at zero. A Gaussian
-// D gives the light-tailed control used to show when the mean estimator is
-// adequate.
-type Additive struct {
-	D dist.Distribution
-}
-
-func (m Additive) Perturb(f float64, rng *rand.Rand) float64 {
-	y := f + m.D.Sample(rng)
-	if y < 0 {
-		return 0
-	}
-	return y
-}
-
-func (m Additive) Rho() float64   { return 0 }
-func (m Additive) String() string { return fmt.Sprintf("additive(%v)", m.D) }
-
-// Multiplicative scales f by a sample of D (clamped at zero).
-type Multiplicative struct {
-	D dist.Distribution
-}
-
-func (m Multiplicative) Perturb(f float64, rng *rand.Rand) float64 {
-	y := f * m.D.Sample(rng)
-	if y < 0 {
-		return 0
-	}
-	return y
-}
-
-func (m Multiplicative) Rho() float64   { return 0 }
-func (m Multiplicative) String() string { return fmt.Sprintf("multiplicative(%v)", m.D) }
-
 // TwoPriorityQueue simulates the §4.1 machine: the application is the
 // second-priority job; first-priority jobs arrive Poisson(Lambda) with
 // service times from Service and preempt it. The observed time is the first
@@ -225,30 +191,6 @@ func (m *TwoPriorityQueue) Rho() float64 { return m.rho }
 func (m *TwoPriorityQueue) String() string {
 	return fmt.Sprintf("two-priority(λ=%g, S=%v, ρ=%g)", m.Lambda, m.Service, m.rho)
 }
-
-// Trace replays recorded noise offsets cyclically: observation k is
-// f + Offsets[k mod len]. Useful for deterministic regression tests and for
-// replaying measured traces.
-type Trace struct {
-	Offsets []float64
-	pos     int
-}
-
-func (m *Trace) Perturb(f float64, _ *rand.Rand) float64 {
-	if len(m.Offsets) == 0 {
-		return f
-	}
-	off := m.Offsets[m.pos%len(m.Offsets)]
-	m.pos++
-	y := f + off
-	if y < 0 {
-		return 0
-	}
-	return y
-}
-
-func (m *Trace) Rho() float64   { return 0 }
-func (m *Trace) String() string { return fmt.Sprintf("trace(%d offsets)", len(m.Offsets)) }
 
 // Spike wraps a base model and with probability P replaces the observation
 // with +Inf, modelling a hung node. Used for failure-injection tests.

@@ -1,7 +1,9 @@
 package noise
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -211,35 +213,6 @@ func TestParetoFixedBeta(t *testing.T) {
 	}
 }
 
-func TestAdditiveClampsAtZero(t *testing.T) {
-	m := Additive{D: dist.Degenerate{V: -10}}
-	rng := dist.NewRNG(6)
-	if got := m.Perturb(3, rng); got != 0 {
-		t.Errorf("clamped observation = %g, want 0", got)
-	}
-	g := Additive{D: dist.Normal{Mu: 0, Sigma: 0.1}}
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += g.Perturb(5, rng)
-	}
-	if math.Abs(sum/n-5) > 0.01 {
-		t.Errorf("gaussian additive mean = %g, want ≈ 5", sum/n)
-	}
-}
-
-func TestMultiplicative(t *testing.T) {
-	m := Multiplicative{D: dist.Degenerate{V: 2}}
-	rng := dist.NewRNG(7)
-	if got := m.Perturb(3, rng); got != 6 {
-		t.Errorf("multiplicative = %g, want 6", got)
-	}
-	neg := Multiplicative{D: dist.Degenerate{V: -1}}
-	if got := neg.Perturb(3, rng); got != 0 {
-		t.Errorf("negative multiplicative should clamp to 0, got %g", got)
-	}
-}
-
 func TestTwoPriorityQueueValidation(t *testing.T) {
 	if _, err := NewTwoPriorityQueue(-1, dist.Exponential{Lambda: 1}); err == nil {
 		t.Error("negative lambda should fail")
@@ -300,9 +273,20 @@ func TestTwoPriorityQueueNeverShrinks(t *testing.T) {
 	}
 }
 
+// signedService is a test-local service distribution, uniform on
+// [-0.15, 0.25]: its mean is 0.05, and 37.5% of its samples are negative.
+type signedService struct{}
+
+func (signedService) Sample(rng *rand.Rand) float64 { return -0.15 + 0.4*rng.Float64() }
+func (signedService) CDF(x float64) float64         { return math.Min(1, math.Max(0, (x+0.15)/0.4)) }
+func (signedService) Quantile(p float64) float64    { return -0.15 + 0.4*p }
+func (signedService) Mean() float64                 { return 0.05 }
+func (signedService) Variance() float64             { return 0.4 * 0.4 / 12 }
+func (signedService) String() string                { return "U(-0.15, 0.25)" }
+
 // Negative service samples must be treated as zero, not shrink the step.
 func TestTwoPriorityQueueNegativeService(t *testing.T) {
-	q, err := NewTwoPriorityQueue(5, dist.Normal{Mu: 0.05, Sigma: 0.2})
+	q, err := NewTwoPriorityQueue(5, signedService{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,26 +295,6 @@ func TestTwoPriorityQueueNegativeService(t *testing.T) {
 		if y := q.Perturb(1, rng); y < 1 {
 			t.Fatalf("negative service shrank the step: %g", y)
 		}
-	}
-}
-
-func TestTrace(t *testing.T) {
-	m := &Trace{Offsets: []float64{1, 2, 3}}
-	rng := dist.NewRNG(12)
-	got := []float64{m.Perturb(10, rng), m.Perturb(10, rng), m.Perturb(10, rng), m.Perturb(10, rng)}
-	want := []float64{11, 12, 13, 11}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("trace playback = %v, want %v", got, want)
-		}
-	}
-	empty := &Trace{}
-	if empty.Perturb(10, rng) != 10 {
-		t.Error("empty trace should be identity")
-	}
-	clamp := &Trace{Offsets: []float64{-100}}
-	if clamp.Perturb(10, rng) != 0 {
-		t.Error("trace should clamp at 0")
 	}
 }
 
@@ -390,8 +354,7 @@ func TestStrings(t *testing.T) {
 	q, _ := NewTwoPriorityQueue(1, dist.Exponential{Lambda: 5})
 	ms := []Model{
 		None{}, IIDPareto{1.7, 0.2}, ParetoFixedBeta{0.9, 0.1},
-		Additive{dist.Normal{Mu: 0, Sigma: 1}}, Multiplicative{dist.Uniform{A: 0.9, B: 1.1}},
-		q, &Trace{}, Spike{None{}, 0.01},
+		q, Spike{None{}, 0.01},
 	}
 	for _, m := range ms {
 		if m.String() == "" {
@@ -468,9 +431,17 @@ func TestSharedIIDParetoZeroCases(t *testing.T) {
 	}
 }
 
+// offset is a test-local model that adds a constant, negative ones
+// included, so Composite's sum and its clamp at zero show exactly.
+type offset float64
+
+func (o offset) Perturb(f float64, _ *rand.Rand) float64 { return f + float64(o) }
+func (offset) Rho() float64                              { return 0 }
+func (o offset) String() string                          { return fmt.Sprintf("offset(%g)", float64(o)) }
+
 func TestComposite(t *testing.T) {
 	shared, _ := NewSharedIIDPareto(1.7, 0.1)
-	comp := Composite{Models: []Model{shared, Additive{D: dist.Degenerate{V: 0.5}}}}
+	comp := Composite{Models: []Model{shared, offset(0.5)}}
 	rng := dist.NewRNG(3)
 	comp.BeginStep(rng)
 	y := comp.Perturb(2, rng)
@@ -484,7 +455,7 @@ func TestComposite(t *testing.T) {
 	if comp.String() == "" {
 		t.Error("String")
 	}
-	neg := Composite{Models: []Model{Additive{D: dist.Degenerate{V: -10}}}}
+	neg := Composite{Models: []Model{offset(-10)}}
 	if neg.Perturb(2, rng) != 0 {
 		t.Error("composite should clamp at zero")
 	}
@@ -499,11 +470,11 @@ func TestRhoAccessors(t *testing.T) {
 	if pf.Rho() != 0 {
 		t.Error("ParetoFixedBeta.Rho")
 	}
-	if (Multiplicative{D: dist.Degenerate{V: 1}}).Rho() != 0 {
-		t.Error("Multiplicative.Rho")
+	if (None{}).Rho() != 0 {
+		t.Error("None.Rho")
 	}
-	if (&Trace{}).Rho() != 0 {
-		t.Error("Trace.Rho")
+	if (Spike{Base: ip, P: 0.1}).Rho() != 0.25 {
+		t.Error("Spike.Rho should delegate to its base")
 	}
 }
 
