@@ -86,7 +86,7 @@ func main() {
 		os.Exit(superviseLoop(*maxRestarts))
 	}
 
-	est, err := buildEstimator(*estimator, *samples)
+	est, err := sample.New(*estimator, *samples)
 	if err != nil {
 		fatal(err)
 	}
@@ -298,21 +298,6 @@ func workerArgs(args []string) []string {
 		out = append(out, args[i])
 	}
 	return out
-}
-
-func buildEstimator(name string, k int) (sample.Estimator, error) {
-	switch name {
-	case "min":
-		return sample.NewMinOfK(k)
-	case "mean":
-		return sample.NewMeanOfK(k)
-	case "median":
-		return sample.NewMedianOfK(k)
-	case "single":
-		return sample.Single{}, nil
-	default:
-		return nil, fmt.Errorf("unknown estimator %q", name)
-	}
 }
 
 func fatal(err error) {

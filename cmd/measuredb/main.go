@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	measuredb info <dir>                     summary: seed, space, sizes, best config
+//	measuredb info <dir>                     summary: seed, space, WAL size, best config
 //	measuredb export [-format jsonl] <dir>   per-configuration aggregates to stdout
 //	measuredb export -raw <dir>              raw observations to stdout (JSONL)
-//	measuredb compact <dir>                  fold the WAL into a snapshot
+//	measuredb compact <dir>                  rewrite the WAL in (origin, seq) order
 //	measuredb merge -out <dir> <src>...      merge source stores into one
 //	measuredb sync <dir> <host:port>         anti-entropy round against a harmonyd peer
 //
@@ -69,7 +69,8 @@ commands:
   info     <dir>                  print store summary
   export   [-format csv|jsonl] [-raw] <dir>
                                   write aggregates (or raw observations) to stdout
-  compact  <dir>                  fold the write-ahead log into a snapshot
+  compact  <dir>                  rewrite the write-ahead log in (origin, seq)
+                                  order with the current header
   merge    -out <dir> <src>...    merge source stores into a new one
   sync     <dir> <host:port>      run one anti-entropy round against a peer:
                                   pull and push the WAL segments either side
@@ -111,10 +112,8 @@ func runInfo(args []string) error {
 	}
 	fmt.Printf("configs:       %d\n", configs)
 	fmt.Printf("observations:  %d\n", obs)
-	for _, name := range []string{"wal.db", "snapshot.db"} {
-		if fi, err := os.Stat(filepath.Join(s.Dir(), name)); err == nil {
-			fmt.Printf("%-14s %d bytes\n", name+":", fi.Size())
-		}
+	if fi, err := os.Stat(filepath.Join(s.Dir(), "wal.db")); err == nil {
+		fmt.Printf("wal.db:        %d bytes\n", fi.Size())
 	}
 	var best *measuredb.Agg
 	s.ForEach(func(a measuredb.Agg) {
@@ -304,9 +303,9 @@ func runSync(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Fold the pulled frames into a snapshot, like merge does: compacting
-	// also persists a space binding adopted from the peer, which the WAL
-	// header (written at store creation) cannot carry retroactively.
+	// Compact like merge does: the rewritten WAL header persists a space
+	// binding adopted from the peer, which the header written at store
+	// creation does not carry.
 	if err := s.Compact(); err != nil {
 		return err
 	}

@@ -126,9 +126,6 @@ func (s *Sim) Live() int {
 	return n
 }
 
-// Dead reports whether processor p has crashed.
-func (s *Sim) Dead(p int) bool { return s.dead[p] }
-
 // liveProcs returns the indices of processors still alive. The returned
 // slice aliases the simulator's scratch buffer and is valid until the next
 // call.

@@ -170,11 +170,12 @@ func opCode(name string) (byte, bool) {
 	return 0, false
 }
 
-// Payloads of the retired snapshot transfer ops, byte for byte as the last
-// codec that knew them encoded them: opcode 7 (snappull) and 8 (snapchunk).
+// Payloads of the retired snapshot transfer ops as the last codec that knew
+// them encoded them: opcode 7 (snappull), and 8 (snapchunk) carrying ten
+// opaque bytes of chunk data.
 var (
 	retiredSnapPull  = []byte{7, 0x80, 0x80, 0x04, 0, 0, 0, 0, 0, 0, 0x0a, 0xbc}
-	retiredSnapChunk = append([]byte{8, 0x80, 0x80, 0x40, 0, 0, 0, 0, 0, 0, 0x0a, 0xbc, 9}, "PMDBSNP1\x02\x01"...)
+	retiredSnapChunk = []byte{8, 0x80, 0x80, 0x40, 0, 0, 0, 0, 0, 0, 0x0a, 0xbc, 9, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5, 0xa5}
 )
 
 // TestSyncCodecTablesFrozen pins the PHSYNC1 opcode table: opCode and opName

@@ -40,73 +40,6 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip builds a snapshot from fuzz-derived primitives and
-// checks encode→decode→encode is the identity, plus that the decoder
-// survives (and rejects) arbitrary mutations of valid snapshots.
-func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add(int64(0), "", []byte{}, uint8(0))
-	f.Add(int64(42), "space{a:integer[0,8]}", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(0))
-	f.Add(int64(-1), "sig", []byte{0xff, 0x00, 0x80, 0x7f, 0x01, 0xfe}, uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, sig string, raw []byte, flip uint8) {
-		if len(sig) > 1<<12 {
-			return
-		}
-		origins, entries := entriesFromBytes(raw)
-		enc := encodeSnapshot(seed, "self", sig, origins, entries)
-
-		gotSeed, gotOrigin, gotSig, gotOrigins, gotEntries, err := decodeSnapshot(enc)
-		if err != nil {
-			t.Fatalf("decode of a valid snapshot failed: %v", err)
-		}
-		if gotSeed != seed || gotSig != sig || gotOrigin != "self" {
-			t.Fatalf("header round-trip: (%d, %q, %q) != (%d, %q, self)", gotSeed, gotSig, gotOrigin, seed, sig)
-		}
-		re := encodeSnapshot(gotSeed, gotOrigin, gotSig, gotOrigins, gotEntries)
-		if !bytes.Equal(re, enc) {
-			t.Fatal("snapshot encode→decode→encode is not the identity")
-		}
-
-		// Any single-byte mutation must be caught by the trailing CRC (or a
-		// structural check) — never accepted silently, never a panic.
-		if len(enc) > 0 {
-			mut := append([]byte(nil), enc...)
-			mut[int(flip)%len(mut)] ^= 0xa5
-			if _, _, _, _, _, err := decodeSnapshot(mut); err == nil {
-				t.Fatal("decoder accepted a mutated snapshot")
-			}
-		}
-	})
-}
-
-// entriesFromBytes deterministically derives a small, canonically ordered
-// entry list from fuzz bytes. Keys must be unique and sorted, matching what
-// gather produces; values avoid NaN so bit-level equality holds. Each
-// observation gets a valid (origin, seq) identity over a two-origin table.
-func entriesFromBytes(raw []byte) ([]string, []entry) {
-	origins := []string{"a", "b"}
-	seqs := make([]uint64, len(origins))
-	var es []entry
-	for i := 0; i+1 < len(raw) && len(es) < 8; i += 2 {
-		dim := int(raw[i]%3) + 1
-		p := make(space.Point, dim)
-		p[0] = float64(len(es)) // strictly increasing ⇒ keys unique and sorted
-		for j := 1; j < dim; j++ {
-			p[j] = float64(int8(raw[i+1])) / 4
-		}
-		oi := uint32(raw[i] % 2)
-		nobs := int(raw[i+1]%4) + 1
-		obs := make([]float64, nobs)
-		meta := make([]obsMeta, nobs)
-		for j := range obs {
-			obs[j] = float64(int(raw[i])*j) / 8
-			seqs[oi]++
-			meta[j] = obsMeta{origin: oi, seq: seqs[oi]}
-		}
-		es = append(es, entry{point: p, obs: obs, meta: meta})
-	}
-	return origins, es
-}
-
 // FuzzWALDecode's canonical-prefix property needs the encoder to agree with
 // itself; pin one golden frame so codec changes are loud.
 func TestWALFrameGolden(t *testing.T) {

@@ -13,13 +13,14 @@ import (
 	"paratune/internal/space"
 )
 
-// goldenFiles holds the committed PMDBWAL1 and PMDBSNP1 byte vectors of
-// goldenFill's store, as "name hex" lines.
+// goldenFiles holds the committed PMDBWAL1 byte vector of goldenFill's
+// store, as a "name hex" line.
 const goldenFiles = "testdata/files.golden"
 
 // goldenFill fills a fresh store in dir: three points with K=3 seeded
 // observations each, the third point's arriving from a peer origin through
-// Apply so the snapshot's origin table has two entries.
+// Apply. Every "golden" frame arrives before every "peer" frame, so the
+// arrival order is already the (origin, seq) order Compact writes.
 func goldenFill(t *testing.T, dir string) *Store {
 	t.Helper()
 	st, err := Open(dir, Options{Seed: 3, Origin: "golden", Space: "space{x:integer[0,8],y:discrete{1,2,4}}"})
@@ -61,59 +62,56 @@ func contentOf(st *Store) storeContent {
 	return c
 }
 
-// TestFilesGoldenBytes pins both on-disk formats against committed byte
-// vectors: the seeded fill writes exactly the golden WAL and, once
-// compacted, exactly the golden snapshot; a store opened from either file
-// alone reads back the fill's content.
+// TestFilesGoldenBytes pins the on-disk format against a committed byte
+// vector: the seeded fill writes exactly the golden WAL, Compact rewrites it
+// to the same bytes, and a store opened from the golden file reads back the
+// fill's content.
 func TestFilesGoldenBytes(t *testing.T) {
 	golden := readGolden(t, goldenFiles)
+	if len(golden) != 1 {
+		t.Errorf("%s holds %d vectors, want 1", goldenFiles, len(golden))
+	}
 	dir := t.TempDir()
 	st := goldenFill(t, dir)
 	want := contentOf(st)
-	wal, err := os.ReadFile(filepath.Join(dir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := os.ReadFile(filepath.Join(dir, snapFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string][]byte{"wal": wal, "snapshot": snap} {
-		if !bytes.Equal(got, golden[name]) {
-			t.Errorf("%s encoding changed:\n got %x\nwant %x", name, got, golden[name])
+	walPath := filepath.Join(dir, walFileName)
+	for _, stage := range []string{"fill", "compact"} {
+		if stage == "compact" {
+			if err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if len(golden) != 2 {
-		t.Errorf("%s holds %d vectors, want 2", goldenFiles, len(golden))
+		got, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, golden["wal"]) {
+			t.Errorf("WAL after %s changed:\n got %x\nwant %x", stage, got, golden["wal"])
+		}
 	}
 
-	for name, file := range map[string]string{"wal": walFileName, "snapshot": snapFileName} {
-		d := t.TempDir()
-		if err := os.WriteFile(filepath.Join(d, file), golden[name], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(d, Options{})
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
-		}
-		if re.Recovery() != nil {
-			t.Errorf("%s: golden file needed recovery: %+v", name, re.Recovery())
-		}
-		if got := contentOf(re); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded content mismatch:\n got %+v\nwant %+v", name, got, want)
-		}
-		if re.Seed() != 3 || re.Origin() != "golden" || re.SpaceSig() != "space{x:integer[0,8],y:discrete{1,2,4}}" {
-			t.Errorf("%s: header decoded as seed %d origin %q space %q", name, re.Seed(), re.Origin(), re.SpaceSig())
-		}
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
+	d := t.TempDir()
+	if err := os.WriteFile(filepath.Join(d, walFileName), golden["wal"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(d, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if re.Recovery() != nil {
+		t.Errorf("golden file needed recovery: %+v", re.Recovery())
+	}
+	if got := contentOf(re); !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded content mismatch:\n got %+v\nwant %+v", got, want)
+	}
+	if re.Seed() != 3 || re.Origin() != "golden" || re.SpaceSig() != "space{x:integer[0,8],y:discrete{1,2,4}}" {
+		t.Errorf("header decoded as seed %d origin %q space %q", re.Seed(), re.Origin(), re.SpaceSig())
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

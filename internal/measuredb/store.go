@@ -1,10 +1,10 @@
 // Package measuredb is a persistent, concurrent measurement database: every
 // (configuration, raw measurement) pair observed during tuning is recorded in
-// a sharded in-memory store backed by an append-only write-ahead log plus a
-// compacted snapshot. The paper's §6 evaluation replays a *measured
-// performance database* with weighted-nearest interpolation; this package
-// makes that database a first-class, durable artefact shared across tuning
-// sessions instead of an ephemeral in-memory grid.
+// a sharded in-memory store backed by one append-only write-ahead log. The
+// paper's §6 evaluation replays a *measured performance database* with
+// weighted-nearest interpolation; this package makes that database a
+// first-class, durable artefact shared across tuning sessions instead of an
+// ephemeral in-memory grid.
 //
 // The store answers two questions:
 //
@@ -24,11 +24,13 @@
 // (high, chained-hash) digest so peers can tell at a glance which frames the
 // other side is missing.
 //
-// Persistence is deterministic: files carry the run seed in their header and
-// every encoding is iteration-order-free, so two same-seed runs produce
-// byte-identical WALs and snapshots (a property db-smoke pins). A torn WAL
-// tail — the expected artefact of a crash mid-append — is truncated at the
-// last good record on open and surfaced as a wal_corrupt fault event.
+// Persistence is deterministic: the WAL carries the run seed in its header
+// and its encoding is iteration-order-free, so two same-seed runs produce
+// byte-identical files (a property db-smoke pins). Compaction rewrites the
+// WAL in (origin, seq) order, so a store directory holds exactly one file.
+// A torn WAL tail — the expected artefact of a
+// crash mid-append — is truncated at the last good record on open and
+// surfaced as a wal_corrupt fault event.
 package measuredb
 
 import (
@@ -69,6 +71,13 @@ type record struct {
 	point space.Point
 	obs   []float64
 	meta  []obsMeta // parallel to obs: each observation's (origin, seq)
+}
+
+// obsMeta is one observation's federation identity: the origin (as an index
+// into the store's interned origin table) and the per-origin sequence.
+type obsMeta struct {
+	origin uint32
+	seq    uint64
 }
 
 // shard is one lock-striped slice of the store. recs is keyed by the
@@ -117,14 +126,12 @@ type RecoveryInfo struct {
 // to in-memory arrival order.
 type Store struct {
 	// Immutable after Open/NewMemory.
-	seed      int64
-	dir       string // "" for a memory-only store
-	origin    string // this store's identity in federated merges
-	local     uint32 // origins index of the local origin
-	walPath   string
-	snapPath  string
-	headerLen int64
-	recovery  *RecoveryInfo // non-nil iff Open truncated a corrupt WAL tail
+	seed     int64
+	dir      string // "" for a memory-only store
+	origin   string // this store's identity in federated merges
+	local    uint32 // origins index of the local origin
+	walPath  string
+	recovery *RecoveryInfo // non-nil iff Open truncated a corrupt WAL tail
 
 	shards [numShards]shard
 
@@ -226,12 +233,12 @@ func (s *Store) insertObsLocked(r *record, v float64, m obsMeta) {
 }
 
 // applyLocked is the set-union core every ingest path funnels through:
-// local Observe, federated Apply, offline Merge, snapshot load, and WAL
-// replay. It admits frame (origin, seq) exactly once, enforcing the
-// per-origin contiguity invariant (the next frame is high+1; anything at or
-// below high must be a byte-identical duplicate; anything beyond high+1 is a
-// gap). Applied frames extend the origin's chained digest hash and, when
-// persist is set, the WAL. Caller holds s.mu.
+// local Observe, federated Apply, offline Merge, and WAL replay. It admits
+// frame (origin, seq) exactly once, enforcing the per-origin contiguity
+// invariant (the next frame is high+1; anything at or below high must be a
+// byte-identical duplicate; anything beyond high+1 is a gap). Applied frames
+// extend the origin's chained digest hash and, when persist is set, the WAL.
+// Caller holds s.mu.
 func (s *Store) applyLocked(origin string, seq uint64, p space.Point, v float64, persist bool) (applied bool, err error) {
 	if origin == "" || len(origin) > maxOriginLen {
 		return false, fmt.Errorf("measuredb: invalid origin %q", origin)
@@ -575,12 +582,16 @@ func aggOf(p space.Point, obs []float64) Agg {
 	}
 }
 
-// gather snapshots every record as codec entries in canonical key order.
-// Points, observation slices, and meta are copies; meta origin indices are
-// the store's interned indices (snapshotLocked remaps them to the sorted
-// table). Shard locks are taken one at a time, so the result is a consistent
-// view only when the caller holds s.mu (as Compact does) or no writes are in
-// flight.
+// entry is one configuration's point and raw observations in canonical
+// (origin, seq) order.
+type entry struct {
+	point space.Point
+	obs   []float64
+}
+
+// gather copies every record as an entry in canonical key order. Shard
+// locks are taken one at a time, so the result is a consistent view only
+// when no writes are in flight.
 func (s *Store) gather() []entry {
 	var keys []string
 	var es []entry
@@ -592,7 +603,6 @@ func (s *Store) gather() []entry {
 			es = append(es, entry{
 				point: r.point.Clone(),
 				obs:   append([]float64(nil), r.obs...),
-				meta:  append([]obsMeta(nil), r.meta...),
 			})
 		}
 		sh.mu.Unlock()

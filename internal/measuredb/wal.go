@@ -1,6 +1,7 @@
 package measuredb
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -10,17 +11,20 @@ import (
 
 	"paratune/internal/event"
 	"paratune/internal/fault"
+	"paratune/internal/frame"
 )
 
-// Default file names inside a store directory.
-const (
-	walFileName  = "wal.db"
-	snapFileName = "snapshot.db"
-)
+// walFileName is the store's one file inside its directory.
+const walFileName = "wal.db"
+
+// retiredSnapName is the snapshot file older stores kept beside the WAL.
+// Their compaction truncated the WAL frames the snapshot held, so Open
+// refuses such a directory rather than silently lose those observations.
+const retiredSnapName = "snapshot.db"
 
 // Options configures a store at Open/NewMemory.
 type Options struct {
-	// Seed is stamped into file headers so same-seed runs produce
+	// Seed is stamped into the WAL header so same-seed runs produce
 	// byte-identical files. Ignored when the directory already holds a store
 	// (the persisted seed wins).
 	Seed int64
@@ -56,55 +60,32 @@ func NewMemory(opts Options) *Store {
 	return s
 }
 
-// Open opens (or creates) the store persisted in dir, replaying the snapshot
-// and then the WAL into memory. A WAL ending in a torn or corrupted record —
-// the expected artefact of a crash mid-append — is truncated at the last
-// good frame; the recovery is reported via Recovery and mirrored to
-// opts.Recorder as a wal_corrupt fault event. A corrupted *snapshot* is an
-// error instead: snapshots are written atomically, so damage there is not a
-// crash artefact and silently rebuilding would discard compacted history.
-//
-// Replay funnels through the same (origin, seq) set-union core as live
-// writes, so a WAL overlapping the snapshot — the artefact of a crash
-// between snapshot write and WAL truncation during Compact — deduplicates
-// cleanly instead of double-counting observations.
+// Open opens (or creates) the store persisted in dir, replaying its WAL
+// into memory. A WAL ending in a torn or corrupted record — the expected
+// artefact of a crash mid-append — is truncated at the first bad frame; the
+// recovery is reported via Recovery and mirrored to opts.Recorder as a
+// wal_corrupt fault event. A wal.db.tmp left by a Compact that crashed
+// before its rename is ignored; the next Compact replaces it.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("measuredb: create store dir: %w", err)
+	}
+	snapPath := filepath.Join(dir, retiredSnapName)
+	if _, err := os.Stat(snapPath); err == nil {
+		return nil, fmt.Errorf("measuredb: %s: an earlier release's snapshot holds observations the WAL lacks, and snapshots are no longer read", snapPath)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("measuredb: stat %s: %w", snapPath, err)
 	}
 	s := &Store{
 		seed:     opts.Seed,
 		dir:      dir,
 		origin:   opts.Origin,
 		walPath:  filepath.Join(dir, walFileName),
-		snapPath: filepath.Join(dir, snapFileName),
 		spaceSig: opts.Space,
 	}
-	seeded := false
 
-	// 1. Snapshot: compacted aggregate state, all-or-nothing. Decoded first
-	// (headers win over the WAL's and over opts), replayed after the store's
-	// identity is resolved.
-	var snapOrigins []string
-	var snapEntries []entry
-	if data, err := os.ReadFile(s.snapPath); err == nil {
-		seed, origin, sig, origins, entries, derr := decodeSnapshot(data)
-		if derr != nil {
-			return nil, fmt.Errorf("measuredb: snapshot %s: %w (snapshots are written atomically; refusing to guess)", s.snapPath, derr)
-		}
-		if err := adoptSig(&s.spaceSig, sig, s.snapPath); err != nil {
-			return nil, err
-		}
-		if err := adoptOrigin(&s.origin, origin, s.snapPath); err != nil {
-			return nil, err
-		}
-		s.seed, seeded = seed, true
-		snapOrigins, snapEntries = origins, entries
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("measuredb: read snapshot: %w", err)
-	}
-
-	// 2. WAL header: adopt persisted identity before any frame is replayed.
+	// Header: the persisted identity wins over opts, which may only agree
+	// with it or leave it empty.
 	data, err := os.ReadFile(s.walPath)
 	fresh := errors.Is(err, os.ErrNotExist) || (err == nil && len(data) == 0)
 	if err != nil && !fresh {
@@ -112,20 +93,24 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	frameStart := 0
 	if !fresh {
-		seed, origin, sig, n, herr := decodeHeader(data, walMagic)
+		seed, origin, sig, n, herr := decodeHeader(data)
 		if herr != nil {
 			return nil, fmt.Errorf("measuredb: WAL %s: %w", s.walPath, herr)
 		}
-		if err := adoptSig(&s.spaceSig, sig, s.walPath); err != nil {
-			return nil, err
+		if sig != "" {
+			if s.spaceSig != "" && s.spaceSig != sig {
+				return nil, fmt.Errorf("measuredb: %s is bound to space %q, not %q", s.walPath, sig, s.spaceSig)
+			}
+			s.spaceSig = sig
 		}
-		if err := adoptOrigin(&s.origin, origin, s.walPath); err != nil {
-			return nil, err
+		if origin != "" {
+			// Renaming a store would orphan its published history.
+			if s.origin != "" && s.origin != origin {
+				return nil, fmt.Errorf("measuredb: %s belongs to origin %q, not %q", s.walPath, origin, s.origin)
+			}
+			s.origin = origin
 		}
-		if !seeded {
-			s.seed = seed
-		}
-		s.headerLen = int64(n)
+		s.seed = seed
 		frameStart = n
 	}
 	if s.origin == "" {
@@ -133,28 +118,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.local, _ = s.internLocked(s.origin)
 
-	// 3. Snapshot replay, in (origin, seq) order — the order the contiguity
-	// invariant requires.
-	if len(snapEntries) > 0 {
-		frames := flattenEntries(snapOrigins, snapEntries)
-		for _, f := range frames {
-			if _, aerr := s.applyLocked(f.Origin, f.Seq, f.Point, f.Value, false); aerr != nil {
-				return nil, fmt.Errorf("measuredb: snapshot %s: %w", s.snapPath, aerr)
-			}
-		}
-	}
-
-	// 4. WAL frames: raw frames since the last compaction, replayed in file
-	// order with truncate-at-bad-record recovery. A frame the snapshot
-	// already covers is a verified duplicate; a frame the union core rejects
-	// (gap, conflict, invalid value) is treated exactly like a corrupt one.
+	// Frames, replayed in file order with truncate-at-bad-record recovery. A
+	// frame the union core rejects (gap, conflict, invalid value) is treated
+	// exactly like a corrupt one.
 	var recovered *RecoveryInfo
 	if fresh {
-		hdr := appendHeader(nil, walMagic, s.seed, s.origin, s.spaceSig)
+		hdr := appendHeader(nil, s.seed, s.origin, s.spaceSig)
 		if werr := os.WriteFile(s.walPath, hdr, 0o644); werr != nil {
 			return nil, fmt.Errorf("measuredb: init WAL: %w", werr)
 		}
-		s.headerLen = int64(len(hdr))
 	} else {
 		n := frameStart
 		frames := 0
@@ -200,65 +172,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// flattenEntries expands decoded snapshot entries into frames sorted by
-// (origin, seq) for contiguous replay.
-func flattenEntries(origins []string, entries []entry) []Frame {
-	total := 0
-	for _, e := range entries {
-		total += len(e.obs)
-	}
-	frames := make([]Frame, 0, total)
-	for _, e := range entries {
-		for i, v := range e.obs {
-			frames = append(frames, Frame{
-				Origin: origins[e.meta[i].origin],
-				Seq:    e.meta[i].seq,
-				Point:  e.point,
-				Value:  v,
-			})
-		}
-	}
-	sort.Slice(frames, func(i, j int) bool {
-		if frames[i].Origin != frames[j].Origin {
-			return frames[i].Origin < frames[j].Origin
-		}
-		return frames[i].Seq < frames[j].Seq
-	})
-	return frames
-}
-
-// adoptSig merges a persisted space signature into the store's, failing on a
-// genuine conflict.
-func adoptSig(dst *string, persisted, path string) error {
-	if persisted == "" {
-		return nil
-	}
-	if *dst == "" {
-		*dst = persisted
-		return nil
-	}
-	if *dst != persisted {
-		return fmt.Errorf("measuredb: %s is bound to space %q, not %q", path, persisted, *dst)
-	}
-	return nil
-}
-
-// adoptOrigin merges a persisted origin into the store's, failing on a
-// conflict — renaming a store would orphan its published history.
-func adoptOrigin(dst *string, persisted, path string) error {
-	if persisted == "" {
-		return nil
-	}
-	if *dst == "" {
-		*dst = persisted
-		return nil
-	}
-	if *dst != persisted {
-		return fmt.Errorf("measuredb: %s belongs to origin %q, not %q", path, persisted, *dst)
-	}
-	return nil
-}
-
 // BindSpace binds the store to a search-space signature, or verifies an
 // existing binding. The engine calls this before memoising so a store
 // populated under one space is never silently replayed under another.
@@ -275,31 +188,12 @@ func (s *Store) BindSpace(sig string) error {
 	return nil
 }
 
-// snapshotLocked serialises the full store state: gathered entries in
-// canonical key order with meta remapped onto the sorted origin table.
-// Caller holds s.mu.
-func (s *Store) snapshotLocked() (data []byte, es []entry) {
-	es = s.gather()
-	names := make([]string, len(s.origins))
-	for i, o := range s.origins {
-		names[i] = o.name
-	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	remap := make([]uint32, len(names))
-	for i, n := range names {
-		remap[i] = uint32(sort.SearchStrings(sorted, n))
-	}
-	for _, e := range es {
-		for j := range e.meta {
-			e.meta[j].origin = remap[e.meta[j].origin]
-		}
-	}
-	return encodeSnapshot(s.seed, s.origin, s.spaceSig, sorted, es), es
-}
-
-// Compact writes the full aggregate state to the snapshot file (atomically:
-// tmp + rename) and truncates the WAL back to its header. Observation order
+// Compact rewrites the WAL as the store's current state: the header with
+// the store's seed, origin and current space binding (so a BindSpace after
+// creation persists), then every origin's frames in (origin, seq) order. The new file
+// is written and synced as wal.db.tmp, renamed over wal.db, and the
+// directory is synced, so a crash at any point leaves one complete WAL, old
+// or new; the tmp file's handle becomes the append handle. Observation order
 // within each configuration is preserved, so estimates computed from the
 // first K observations are unchanged by compaction. Emits a db_snapshot
 // event when a recorder is attached.
@@ -314,49 +208,74 @@ func (s *Store) Compact() error {
 		s.mu.Unlock()
 		return err
 	}
-	data, es := s.snapshotLocked()
-	err := writeFileAtomic(s.snapPath, data)
-	if err == nil {
-		err = s.wal.Truncate(s.headerLen)
-	}
-	if err == nil {
-		err = s.wal.Sync()
-	}
-	if err != nil {
+	if err := s.rewriteLocked(); err != nil {
+		err = fmt.Errorf("measuredb: compact: %w", err)
 		s.err = err
 		s.mu.Unlock()
 		return err
 	}
+	configs, observations := s.Stats()
 	rec := s.rec
 	s.mu.Unlock()
 
 	if rec != nil {
-		configs, observations := 0, 0
-		for _, e := range es {
-			configs++
-			observations += len(e.obs)
-		}
 		rec.Record(event.DBSnapshot{Configs: configs, Observations: observations})
 	}
 	return nil
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file and
-// rename, so readers never see a half-written snapshot.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+// rewriteLocked writes the compacted WAL and swaps it in as the append
+// handle. Caller holds s.mu.
+func (s *Store) rewriteLocked() error {
+	tmp := s.walPath + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		// Renames within one directory shouldn't fail; don't leave the tmp
-		// file behind to be mistaken for state.
-		if rmErr := os.Remove(tmp); rmErr != nil {
-			return errors.Join(err, rmErr)
-		}
-		return err
+	if err := s.writeFramesLocked(f); err != nil {
+		return errors.Join(err, f.Close(), os.Remove(tmp))
 	}
+	if err := os.Rename(tmp, s.walPath); err != nil {
+		return errors.Join(err, f.Close(), os.Remove(tmp))
+	}
+	if err := syncDir(s.dir); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	// The old handle's file is unlinked and the synced rewrite holds all it
+	// wrote, so its close error changes nothing.
+	_ = s.wal.Close()
+	s.wal = f
 	return nil
+}
+
+// writeFramesLocked writes the header and every origin's frames, sorted by
+// origin name, to f and syncs it. Caller holds s.mu.
+func (s *Store) writeFramesLocked(f *os.File) error {
+	// The Writer keeps its first write error, and Flush returns it.
+	w := bufio.NewWriter(f)
+	w.Write(appendHeader(s.frameBuf[:0], s.seed, s.origin, s.spaceSig))
+	origins := append([]*originState(nil), s.origins...)
+	sort.Slice(origins, func(i, j int) bool { return origins[i].name < origins[j].name })
+	for _, o := range origins {
+		for i, ref := range o.log {
+			s.walBuf = appendMeasurementPayload(s.walBuf[:0], ref.rec.point, ref.value, o.name, uint64(i+1))
+			s.frameBuf = frame.Append(s.frameBuf[:0], s.walBuf)
+			w.Write(s.frameBuf)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // Close syncs and closes the WAL. The in-memory store stays readable; only

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"paratune/internal/event"
@@ -190,11 +192,6 @@ func TestCompactAndReopen(t *testing.T) {
 	if got := rec.Count(event.KindDBSnapshot); got != 1 {
 		t.Fatalf("db_snapshot events = %d, want 1", got)
 	}
-	// WAL is back to header-only; snapshot holds everything.
-	if sz := fileSize(t, filepath.Join(dir, walFileName)); sz != st.headerLen {
-		t.Fatalf("WAL size after compact = %d, want header %d", sz, st.headerLen)
-	}
-
 	// New observations after compaction land in the WAL again.
 	extra := space.Point{99, 99}
 	st.Observe(extra, 1)
@@ -245,33 +242,6 @@ func TestCompactPreservesObservationOrder(t *testing.T) {
 	}
 }
 
-func TestCorruptSnapshotIsAnError(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(st)
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snapPath := filepath.Join(dir, snapFileName)
-	data, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a corrupt snapshot")
-	}
-}
-
 func TestOpenRejectsMismatchedSpace(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Space: "sigA"})
@@ -287,10 +257,10 @@ func TestOpenRejectsMismatchedSpace(t *testing.T) {
 	}
 }
 
-// Same seed, same observation sequence → byte-identical WAL and snapshot
-// files, the determinism contract db-smoke relies on.
+// Same seed, same observation sequence → byte-identical WAL files, before
+// and after compaction, the determinism contract db-smoke relies on.
 func TestSameSeedFilesByteIdentical(t *testing.T) {
-	files := func() (wal, snap []byte) {
+	files := func() []byte {
 		dir := t.TempDir()
 		st, err := Open(dir, Options{Seed: 11, Space: "sig"})
 		if err != nil {
@@ -304,23 +274,221 @@ func TestSameSeedFilesByteIdentical(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		wal, err = os.ReadFile(filepath.Join(dir, walFileName))
+		wal, err := os.ReadFile(filepath.Join(dir, walFileName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err = os.ReadFile(filepath.Join(dir, snapFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wal, snap
+		return wal
 	}
-	w1, s1 := files()
-	w2, s2 := files()
-	if !bytes.Equal(w1, w2) {
+	if !bytes.Equal(files(), files()) {
 		t.Fatal("same-seed WALs differ")
 	}
-	if !bytes.Equal(s1, s2) {
-		t.Fatal("same-seed snapshots differ")
+}
+
+// A single-origin store whose header already carries its space holds its
+// frames in (origin, seq) order already, so Compact rewrites the same bytes.
+func TestCompactSingleOriginByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Seed: 5, Space: "sig"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	populate(st)
+	walPath := filepath.Join(dir, walFileName)
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("compact changed a single-origin WAL:\n got %x\nwant %x", after, before)
+	}
+}
+
+// fillTwoOrigins records three local and three peer observations over two
+// points, interleaved or origin-major. The local origin is interned first
+// but sorts last ("peer" < "self"), so interning order is not (origin, seq)
+// order.
+func fillTwoOrigins(t *testing.T, dir string, interleave bool) *Store {
+	t.Helper()
+	st, err := Open(dir, Options{Seed: 9, Origin: "self", Space: "sig"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []space.Point{{1, 2}, {3, 4}}
+	local := func(i int) { st.Observe(pts[i%2], float64(10+i)) }
+	peer := func(i int) {
+		if _, err := st.Apply(Frame{Origin: "peer", Seq: uint64(i + 1), Point: pts[(i+1)%2], Value: float64(20 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if interleave {
+		for i := 0; i < 3; i++ {
+			peer(i)
+			local(i)
+		}
+		return st
+	}
+	for i := 0; i < 3; i++ {
+		peer(i)
+	}
+	for i := 0; i < 3; i++ {
+		local(i)
+	}
+	return st
+}
+
+// Compacting a store whose origins' arrivals interleave writes exactly the
+// file an origin-major fill writes, and changes no answer the store gives.
+func TestCompactOrdersOriginMajor(t *testing.T) {
+	dir := t.TempDir()
+	st := fillTwoOrigins(t, dir, true)
+	defer st.Close()
+	wantDigest := st.Digest()
+	lookup := func(st *Store) [][]float64 {
+		var out [][]float64
+		for _, p := range []space.Point{{1, 2}, {3, 4}} {
+			obs, _, federated := st.AppendObsSource(nil, p, 0)
+			if !federated {
+				t.Errorf("%v: not reported federated", p)
+			}
+			out = append(out, obs)
+		}
+		return out
+	}
+	wantObs := lookup(st)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	refDir := t.TempDir()
+	ref := fillTwoOrigins(t, refDir, false)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(refDir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("compacted WAL differs from an origin-major fill:\n got %x\nwant %x", got, want)
+	}
+	if got := st.Digest(); !reflect.DeepEqual(got, wantDigest) {
+		t.Errorf("Digest after compact = %+v, want %+v", got, wantDigest)
+	}
+	if got := lookup(st); !reflect.DeepEqual(got, wantObs) {
+		t.Errorf("AppendObsSource after compact = %v, want %v", got, wantObs)
+	}
+}
+
+// A space bound after creation is not in the header Open wrote; Compact
+// writes the current header, so a reopen with no options finds the binding.
+func TestCompactPersistsLateBindSpace(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(st)
+	if err := st.BindSpace("late"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	populate(st)
+	want := aggState(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.SpaceSig(); got != "late" {
+		t.Errorf("SpaceSig after reopen = %q, want late", got)
+	}
+	if got := aggState(t, re); !sameState(want, got) {
+		t.Errorf("state after reopen:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// A wal.db.tmp left by a Compact that crashed before its rename holds no
+// state Open reads, and the next Compact replaces it.
+func TestStaleCompactTmpIgnored(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, walFileName+".tmp")
+	if err := os.WriteFile(tmp, []byte("PMDBWAL1 torn by a crash"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(st)
+	want := aggState(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if st.Recovery() != nil {
+		t.Errorf("stale tmp caused a recovery: %+v", st.Recovery())
+	}
+	if got := aggState(t, st); !sameState(want, got) {
+		t.Fatalf("state with a stale tmp:\n got %+v\nwant %+v", got, want)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stale tmp survived compact (stat: %v)", err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := aggState(t, re); !sameState(want, got) {
+		t.Fatalf("state after compact:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// A directory still holding the snapshot file older stores wrote beside the
+// WAL fails to open, and the error names the file.
+func TestOpenRefusesRetiredSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "snapshot.db")
+	if err := os.WriteFile(snap, []byte("old compacted state"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), snap) {
+		t.Fatalf("Open with a leftover snapshot: err = %v, want one naming %s", err, snap)
 	}
 }
 

@@ -32,6 +32,23 @@ type Adaptive interface {
 	MaxK() int
 }
 
+// New returns the fixed-K estimator name selects: "single", or "min",
+// "mean" or "median" of k observations.
+func New(name string, k int) (Estimator, error) {
+	switch name {
+	case "single":
+		return Single{}, nil
+	case "min":
+		return NewMinOfK(k)
+	case "mean":
+		return NewMeanOfK(k)
+	case "median":
+		return NewMedianOfK(k)
+	default:
+		return nil, fmt.Errorf("sample: unknown estimator %q", name)
+	}
+}
+
 // Single uses one observation per point: the unmodified PRO baseline.
 type Single struct{}
 

@@ -9,6 +9,23 @@ import (
 	"paratune/internal/stats"
 )
 
+func TestNewByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"single": "single", "min": "min-of-3", "mean": "mean-of-3", "median": "median-of-3",
+	} {
+		e, err := New(name, 3)
+		if err != nil || e.String() != want {
+			t.Errorf("New(%q, 3) = %v, %v; want %s", name, e, err, want)
+		}
+	}
+	if _, err := New("adaptive", 3); err == nil {
+		t.Error("New accepted a name outside the fixed-K set")
+	}
+	if _, err := New("min", 0); err == nil {
+		t.Error("New accepted k = 0")
+	}
+}
+
 func TestSingle(t *testing.T) {
 	var e Estimator = Single{}
 	if e.K() != 1 {

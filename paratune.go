@@ -171,14 +171,6 @@ func buildAlgorithm(name string, s *Space, o Options) (core.Algorithm, error) {
 // buildEstimator constructs the named estimator with K = samples.
 func buildEstimator(name string, samples int) (sample.Estimator, error) {
 	switch name {
-	case "single":
-		return sample.Single{}, nil
-	case "min":
-		return sample.NewMinOfK(samples)
-	case "mean":
-		return sample.NewMeanOfK(samples)
-	case "median":
-		return sample.NewMedianOfK(samples)
 	case "adaptive":
 		max := samples * 3
 		if max < samples+2 {
@@ -198,7 +190,7 @@ func buildEstimator(name string, samples int) (sample.Estimator, error) {
 		}
 		return sample.NewControlled(tuner)
 	default:
-		return nil, fmt.Errorf("paratune: unknown estimator %q", name)
+		return sample.New(name, samples)
 	}
 }
 
