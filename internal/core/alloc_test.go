@@ -52,10 +52,11 @@ func newAllocPRO(t *testing.T) (*PRO, *countEvaluator) {
 }
 
 // proStepAllocs is PRO.Step's measured per-step allocation count on that
-// space: per batch one point slice plus one allocation per projected trial
-// point, the expansion check's point and batch, and the caller-owned best
-// clone in StepInfo; the simplex sorts in place.
-const proStepAllocs = 13
+// space, averaged over the churning evaluator's mix of step kinds: per
+// batch one slab for its trial points, the expansion check's point, and the
+// caller-owned best clone in StepInfo. The batch slices are reused and the
+// simplex sorts in place.
+const proStepAllocs = 4
 
 // PRO.Step runs once per tuning iteration: it allocates its trial points and
 // the reported best clone, but nothing proportional to the step count.
@@ -78,4 +79,67 @@ func TestEngineStepAllocBudgetWithoutRecorder(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// scriptEvaluator answers the i-th Eval call since the last rewind with
+// script[i] for every point, from a buffer of its own per call, so a test
+// forces one step's branch without allocating while the values PRO holds
+// across the expansion check stay intact.
+type scriptEvaluator struct {
+	script []float64
+	bufs   [][]float64
+	call   int
+}
+
+func (e *scriptEvaluator) Eval(points []space.Point) ([]float64, error) {
+	i := e.call
+	e.call++
+	for len(e.bufs) <= i {
+		e.bufs = append(e.bufs, nil)
+	}
+	if cap(e.bufs[i]) < len(points) {
+		e.bufs[i] = make([]float64, len(points))
+	}
+	out := e.bufs[i][:len(points)]
+	for j := range out {
+		out[j] = e.script[i]
+	}
+	return out, nil
+}
+
+// Each step kind on the 6-vertex simplex, from the same starting simplex:
+// one slab per batch, one point for the expansion check, and the StepInfo
+// best clone.
+func TestPROStepKindAllocs(t *testing.T) {
+	for _, c := range []struct {
+		kind   StepKind
+		script []float64 // reflection, then check or shrink, then expansion
+		allocs float64
+	}{
+		{StepReflect, []float64{1, 5}, 3},   // refl slab, check point, clone
+		{StepExpand, []float64{1, 0, 0}, 4}, // refl slab, check point, exp slab, clone
+		{StepShrink, []float64{20, 30}, 3},  // refl slab, shrink slab, clone
+	} {
+		pro, _ := newAllocPRO(t)
+		sim := pro.Simplex()
+		verts := append([]space.Point(nil), sim.Vertices...)
+		vals := make([]float64, len(verts))
+		for i := range vals {
+			vals[i] = float64(10 * (i + 1))
+		}
+		ev := &scriptEvaluator{script: c.script}
+		var info StepInfo
+		alloccheck.Guard(t, "PRO.Step/"+c.kind.String(), c.allocs, func() {
+			copy(sim.Vertices, verts)
+			copy(sim.Values, vals)
+			ev.call = 0
+			var err error
+			if info, err = pro.Step(ev); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if info.Kind != c.kind || ev.call != len(c.script) {
+			t.Errorf("script %v: step %v after %d evals, want %v after %d", c.script, info.Kind, ev.call, c.kind, len(c.script))
+		}
+	}
 }

@@ -24,9 +24,12 @@ type Evaluator interface {
 	// returned slice belongs to the caller, which may hold it across later
 	// Eval calls (PRO reads its reflection values after the expansion
 	// check), so an implementation must not reuse it as an output buffer.
-	// The points are never written after the call, but the slice holding
-	// them may be reordered (PRO sorts the simplex it evaluated in place):
-	// an implementation that keeps the batch past returning copies it.
+	// The points are never written after the call: PRO builds every batch
+	// from fresh points. The slice holding them stays the caller's, which
+	// may reorder it (PRO sorts the simplex it evaluated in place) or refill
+	// it with the next batch (PRO reuses one batch slice across steps), so
+	// an implementation that keeps the batch past returning copies the
+	// slice; it may keep the points themselves.
 	Eval(points []space.Point) ([]float64, error)
 }
 

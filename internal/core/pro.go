@@ -11,6 +11,11 @@ import (
 // best reflected point improves on the best vertex, it checks one expansion
 // point (the most promising), and on success expands the whole simplex;
 // otherwise it shrinks the simplex toward the best vertex.
+//
+// Every batch PRO proposes is fresh points on one new slab, so no point
+// handed to the evaluator is ever written again. The slices holding the
+// reflect, expand or shrink batch and the one-point expansion check are
+// reused across steps, which the Evaluator contract allows.
 type PRO struct {
 	opts      Options
 	simplex   *space.Simplex
@@ -18,6 +23,8 @@ type PRO struct {
 	inited    bool
 	iters     int
 	evals     int
+	batch     []space.Point // reflect, expand or shrink batch; reused
+	check     []space.Point // the expansion check's one point; reused
 }
 
 // NewPRO validates the options and returns an uninitialised PRO.
@@ -91,9 +98,9 @@ func (p *PRO) Step(ev Evaluator) (StepInfo, error) {
 	// Reflection step (line 5): reflect every non-best vertex in parallel.
 	// With RemeasureBest, the incumbent rides along in the same batch and
 	// its stored value is refreshed.
-	refl := make([]space.Point, n, n+1)
+	refl := p.trials(n, len(best))
 	for j := 1; j <= n; j++ {
-		refl[j-1] = p.opts.project(space.Reflect(best, p.simplex.Vertices[j]), best)
+		p.opts.project(space.TransformTo(refl[j-1], best, p.simplex.Vertices[j], 1), best)
 	}
 	if p.opts.RemeasureBest {
 		refl = append(refl, best)
@@ -134,8 +141,11 @@ func (p *PRO) Step(ev Evaluator) (StepInfo, error) {
 			}
 			return info, err
 		}
-		eCheck := p.opts.project(space.Expand(best, p.simplex.Vertices[l+1]), best)
-		eVals, err := ev.Eval([]space.Point{eCheck})
+		if p.check == nil {
+			p.check = make([]space.Point, 1)
+		}
+		p.check[0] = p.opts.project(space.Expand(best, p.simplex.Vertices[l+1]), best)
+		eVals, err := ev.Eval(p.check)
 		if err != nil {
 			return StepInfo{}, err
 		}
@@ -158,9 +168,9 @@ func (p *PRO) Step(ev Evaluator) (StepInfo, error) {
 	}
 
 	// Reflection failed everywhere: shrink (line 16).
-	shr := make([]space.Point, n)
+	shr := p.trials(n, len(best))
 	for j := 1; j <= n; j++ {
-		shr[j-1] = p.opts.project(space.Shrink(best, p.simplex.Vertices[j]), best)
+		p.opts.project(space.ShrinkTo(shr[j-1], best, p.simplex.Vertices[j]), best)
 	}
 	shrVals, err := ev.Eval(shr)
 	if err != nil {
@@ -176,15 +186,32 @@ func (p *PRO) Step(ev Evaluator) (StepInfo, error) {
 	return StepInfo{Kind: StepShrink, Best: pt.Clone(), BestValue: v, Evals: p.evals - startEvals}, nil
 }
 
+// finish certifies convergence and drops the reused batch slices, which a
+// converged PRO never fills again, so a session that keeps the PRO holds
+// only its final simplex.
+func (p *PRO) finish() {
+	p.converged = true
+	p.batch, p.check = nil, nil
+}
+
+// trials returns the reused batch slice holding n fresh points of dimension
+// dim on one new slab, with room to append the incumbent (RemeasureBest).
+func (p *PRO) trials(n, dim int) []space.Point {
+	if cap(p.batch) < n+1 {
+		p.batch = make([]space.Point, n+1)
+	}
+	return space.OnSlab(p.batch[:n], dim)
+}
+
 // expand accepts the expansion: all n expansion points evaluated in parallel
 // and adopted unconditionally, exactly as Algorithm 2 lines 10–11 prescribe
 // (v_{k+1}^j = e_k^j). The caller overwrites StepInfo.Evals with the full
 // iteration's evaluation count.
 func (p *PRO) expand(ev Evaluator, best space.Point) (StepInfo, error) {
 	n := p.simplex.Len() - 1
-	exp := make([]space.Point, n)
+	exp := p.trials(n, len(best))
 	for j := 1; j <= n; j++ {
-		exp[j-1] = p.opts.project(space.Expand(best, p.simplex.Vertices[j]), best)
+		p.opts.project(space.TransformTo(exp[j-1], best, p.simplex.Vertices[j], 2), best)
 	}
 	expVals, err := ev.Eval(exp)
 	if err != nil {
@@ -208,7 +235,7 @@ func (p *PRO) convergenceCheck(ev Evaluator) (StepInfo, error) {
 	best, bestVal := p.simplex.Best()
 	probes := space.ConvergenceProbe(p.opts.Space, best)
 	if len(probes) == 0 {
-		p.converged = true
+		p.finish()
 		return StepInfo{Kind: StepConverged, Best: best.Clone(), BestValue: bestVal}, nil
 	}
 	vals, err := ev.Eval(probes)
@@ -224,7 +251,7 @@ func (p *PRO) convergenceCheck(ev Evaluator) (StepInfo, error) {
 		}
 	}
 	if !improved && !p.opts.Restless {
-		p.converged = true
+		p.finish()
 		return StepInfo{Kind: StepConverged, Best: best.Clone(), BestValue: bestVal, Evals: len(probes)}, nil
 	}
 	// Continue PRO with the generated simplex: best vertex + probes.

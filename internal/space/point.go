@@ -98,11 +98,17 @@ func (p Point) String() string {
 // transformations from §3.1. alpha = 1 reflects x through center, alpha = 2
 // expands, alpha = -0.5 shrinks toward center.
 func Transform(center, x Point, alpha float64) Point {
-	out := make(Point, len(center))
+	return TransformTo(make(Point, len(center)), center, x, alpha)
+}
+
+// TransformTo writes Transform(center, x, alpha) into dst and returns it.
+// Each coordinate is read before it is written, so dst may alias either
+// argument.
+func TransformTo(dst, center, x Point, alpha float64) Point {
 	for i := range center {
-		out[i] = center[i] + alpha*(center[i]-x[i])
+		dst[i] = center[i] + alpha*(center[i]-x[i])
 	}
-	return out
+	return dst
 }
 
 // Reflect returns 2*best - x (the PRO reflection of x around best, Alg. 2 l.5).
@@ -112,10 +118,13 @@ func Reflect(best, x Point) Point { return Transform(best, x, 1) }
 func Expand(best, x Point) Point { return Transform(best, x, 2) }
 
 // Shrink returns 0.5*(best + x) (the PRO shrink of x toward best, Alg. 2 l.16).
-func Shrink(best, x Point) Point {
-	out := make(Point, len(best))
+func Shrink(best, x Point) Point { return ShrinkTo(make(Point, len(best)), best, x) }
+
+// ShrinkTo writes Shrink(best, x) into dst and returns it; dst may alias
+// either argument.
+func ShrinkTo(dst, best, x Point) Point {
 	for i := range best {
-		out[i] = 0.5 * (best[i] + x[i])
+		dst[i] = 0.5 * (best[i] + x[i])
 	}
-	return out
+	return dst
 }

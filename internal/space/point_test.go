@@ -126,6 +126,29 @@ func TestTransformFamilies(t *testing.T) {
 	}
 }
 
+// The destination forms compute exactly what the allocating forms do, also
+// when the destination is one of the arguments.
+func TestTransformToMatchesTransform(t *testing.T) {
+	best, x := Point{2, 0.3}, Point{4.1, -7}
+	for _, alpha := range []float64{1, 2, -0.5} {
+		want := Transform(best, x, alpha)
+		if got := TransformTo(make(Point, 2), best, x, alpha); !got.Equal(want) {
+			t.Errorf("TransformTo(alpha %g) = %v, want %v", alpha, got, want)
+		}
+		if got := TransformTo(x.Clone(), best, x.Clone(), alpha); !got.Equal(want) {
+			t.Errorf("TransformTo(alpha %g) into x = %v, want %v", alpha, got, want)
+		}
+	}
+	want := Shrink(best, x)
+	if got := ShrinkTo(make(Point, 2), best, x); !got.Equal(want) {
+		t.Errorf("ShrinkTo = %v, want %v", got, want)
+	}
+	y := x.Clone()
+	if got := ShrinkTo(y, best, y); !got.Equal(want) {
+		t.Errorf("ShrinkTo into x = %v, want %v", got, want)
+	}
+}
+
 // Reflection is an involution: reflecting twice returns the original point.
 func TestReflectInvolution(t *testing.T) {
 	f := func(rb1, rb2, rx1, rx2 float64) bool {

@@ -158,61 +158,74 @@ func InitialScale(s *Space, r float64) []float64 {
 	return b
 }
 
-// offsetVertex returns Π(c + delta·e_i), and if the centre-directed rounding
-// collapsed the offset back onto c (coarse discrete parameters), snaps
-// coordinate i to the adjacent admissible value in delta's direction so the
-// initial simplex stays non-degenerate.
-func offsetVertex(s *Space, c Point, i int, delta float64) Point {
-	x := c.Clone()
+// OnSlab sets every entry of pts to a fresh zero point of dimension dim, all
+// carved from one new allocation, and returns pts. Each point's capacity is
+// its length, so an append to one never writes into the next. The points
+// alias nothing that existed before the call; only pts itself is reused.
+func OnSlab(pts []Point, dim int) []Point {
+	slab := make([]float64, len(pts)*dim)
+	for j := range pts {
+		pts[j] = slab[j*dim : (j+1)*dim : (j+1)*dim]
+	}
+	return pts
+}
+
+// offsetVertex writes Π(c + delta·e_i) into x, projecting in place, and if
+// the centre-directed rounding collapsed the offset back onto c (coarse
+// discrete parameters), snaps coordinate i to the adjacent admissible value
+// in delta's direction so the initial simplex stays non-degenerate. x must
+// not alias c.
+func offsetVertex(s *Space, x, c Point, i int, delta float64) {
+	copy(x, c)
 	x[i] += delta
-	v := s.Project(x, c)
-	if v[i] != c[i] { //paralint:allow floatcompare collapse probe: Project returns admissible values verbatim
-		return v
+	s.ProjectTo(x, x, c)
+	if x[i] != c[i] { //paralint:allow floatcompare collapse probe: Project returns admissible values verbatim
+		return
 	}
 	lo, hasLo, hi, hasHi := s.Param(i).Neighbors(c[i])
 	switch {
 	case delta > 0 && hasHi:
-		v[i] = hi
+		x[i] = hi
 	case delta < 0 && hasLo:
-		v[i] = lo
+		x[i] = lo
 	case hasHi:
-		v[i] = hi
+		x[i] = hi
 	case hasLo:
-		v[i] = lo
+		x[i] = lo
 	}
-	return v
 }
 
 // Initial2N constructs the 2N-vertex initial simplex of §3.2.3:
 // {Π(c ± b_i·e_i), i = 1..N}, centred on c (the region centre when c is nil).
 // Offsets that projection would collapse onto the centre are snapped to the
-// adjacent admissible value so the simplex spans the space.
+// adjacent admissible value so the simplex spans the space. The vertices
+// share one slab (OnSlab).
 func Initial2N(s *Space, c Point, r float64) *Simplex {
 	if c == nil {
 		c = s.Center()
 	}
 	b := InitialScale(s, r)
 	n := s.Dim()
-	vs := make([]Point, 0, 2*n)
+	vs := OnSlab(make([]Point, 2*n), n)
 	for i := 0; i < n; i++ {
-		vs = append(vs, offsetVertex(s, c, i, b[i]))
-		vs = append(vs, offsetVertex(s, c, i, -b[i]))
+		offsetVertex(s, vs[2*i], c, i, b[i])
+		offsetVertex(s, vs[2*i+1], c, i, -b[i])
 	}
 	return NewSimplex(vs)
 }
 
 // InitialMinimal constructs the minimal N+1-vertex simplex of §6.1: the
-// centre c plus {Π(c + b_i·e_i), i = 1..N}.
+// centre c plus {Π(c + b_i·e_i), i = 1..N}, on one slab.
 func InitialMinimal(s *Space, c Point, r float64) *Simplex {
 	if c == nil {
 		c = s.Center()
 	}
 	b := InitialScale(s, r)
 	n := s.Dim()
-	vs := make([]Point, 0, n+1)
-	vs = append(vs, s.Project(c.Clone(), c))
+	vs := OnSlab(make([]Point, n+1), n)
+	s.ProjectTo(vs[0], c, c)
 	for i := 0; i < n; i++ {
-		vs = append(vs, offsetVertex(s, c, i, b[i]))
+		offsetVertex(s, vs[i+1], c, i, b[i])
 	}
 	return NewSimplex(vs)
 }
@@ -221,23 +234,25 @@ func InitialMinimal(s *Space, c Point, r float64) *Simplex {
 // {best + u_i·e_i, best - l_i·e_i} where the offsets reach the adjacent
 // admissible value of each parameter (zero offsets at boundaries are
 // omitted). If none of these outperforms best, best is a local minimum.
+// The probes share one slab (OnSlab) sized for all 2N.
 func ConvergenceProbe(s *Space, best Point) []Point {
-	probes := make([]Point, 0, 2*s.Dim())
-	for i := 0; i < s.Dim(); i++ {
-		p := s.Param(i)
-		lo, hasLo, hi, hasHi := p.Neighbors(best[i])
+	n := s.Dim()
+	probes := OnSlab(make([]Point, 2*n), n)
+	m := 0
+	for i := 0; i < n; i++ {
+		lo, hasLo, hi, hasHi := s.Param(i).Neighbors(best[i])
 		if hasLo {
-			q := best.Clone()
-			q[i] = lo
-			probes = append(probes, q)
+			copy(probes[m], best)
+			probes[m][i] = lo
+			m++
 		}
 		if hasHi {
-			q := best.Clone()
-			q[i] = hi
-			probes = append(probes, q)
+			copy(probes[m], best)
+			probes[m][i] = hi
+			m++
 		}
 	}
-	return probes
+	return probes[:m]
 }
 
 // String summarises the simplex.

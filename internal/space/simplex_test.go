@@ -343,3 +343,42 @@ func TestSimplexSortAllocFree(t *testing.T) {
 		s.Sort()
 	})
 }
+
+// The initial simplex and the §3.2.2 probes are built once per session and
+// once per collapse: each puts its points on one slab. Initial2N allocates
+// the centre, the offsets, the vertex slice, the slab and the simplex's
+// values and struct; ConvergenceProbe the probe slice and its slab.
+func TestInitialSimplexAndProbeAllocs(t *testing.T) {
+	s := MustNew(
+		IntParam("ntheta", 8, 64),
+		IntParam("negrid", 4, 32),
+		DiscreteParam("nodes", 1, 2, 4, 8, 16, 32, 64),
+	)
+	var sim *Simplex
+	alloccheck.Guard(t, "space.Initial2N", 6, func() { sim = Initial2N(s, nil, 0.2) })
+	best := sim.Vertices[0]
+	var probes []Point
+	alloccheck.Guard(t, "space.ConvergenceProbe", 2, func() { probes = ConvergenceProbe(s, best) })
+	if len(probes) != 6 {
+		t.Fatalf("interior probes = %d, want 6", len(probes))
+	}
+}
+
+// Points on one slab are independent: writing or appending to one leaves
+// its neighbours as they were.
+func TestOnSlabPointsIndependent(t *testing.T) {
+	pts := OnSlab(make([]Point, 3), 2)
+	for i, p := range pts {
+		if len(p) != 2 || cap(p) != 2 {
+			t.Fatalf("point %d has len %d cap %d, want 2 and 2", i, len(p), cap(p))
+		}
+		p[0], p[1] = float64(i), float64(i)
+	}
+	grown := append(pts[0], 9)
+	grown[0] = -1
+	for i, p := range pts {
+		if !p.Equal(Point{float64(i), float64(i)}) {
+			t.Errorf("point %d = %v after writing its neighbours", i, p)
+		}
+	}
+}

@@ -5,6 +5,14 @@
 // implements the projection operator Π from §3.2.1 of the paper, which maps
 // arbitrary transformed points back into the admissible region by clamping to
 // bounds and rounding discrete parameters toward the transformation centre.
+//
+// Points are plain slices, and no method changes a Space once built, so one
+// Space may back many sessions (harmony interns one per parameter list). The
+// transforms come in two forms: Transform and Shrink return a fresh point,
+// and TransformTo and ShrinkTo write into a destination the caller owns.
+// PRO uses the second with OnSlab, which carves a batch of fresh points
+// from one allocation: a point handed to an evaluator is never written
+// again, while the slice holding a batch may be reused.
 package space
 
 import (
