@@ -471,7 +471,7 @@ func (s *Store) Merge(src *Store) (MergeStats, error) {
 		n := min(s.High(d.Origin), d.High)
 		if h, ok := src.hashAt(d.Origin, n); ok {
 			if err := s.CheckPrefix(OriginDigest{Origin: d.Origin, High: n, Hash: h}); err != nil {
-				return st, fmt.Errorf("measuredb: merge: %w", err)
+				return st, err
 			}
 		}
 	}
