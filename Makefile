@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDispatch -fuzztime 10s ./internal/harmony/
 	$(GO) test -fuzz FuzzTCPFrameDecode -fuzztime 10s ./internal/harmony/
 	$(GO) test -fuzz FuzzBinaryFrameDecode -fuzztime 10s ./internal/harmony/
+	$(GO) test -fuzz FuzzResponseDecode -fuzztime 10s ./internal/harmony/
 	$(GO) test -fuzz FuzzLoadDB -fuzztime 10s ./internal/objective/
 	$(GO) test -fuzz FuzzDBEval -fuzztime 10s ./internal/objective/
 	$(GO) test -fuzz FuzzWALDecode -fuzztime 10s ./internal/measuredb/

@@ -267,6 +267,23 @@ func TestServeRejectsSpaceMismatch(t *testing.T) {
 	}
 }
 
+// Peers bound to discrete spaces whose menus share their bounds are bound
+// to different spaces, and their sync is refused.
+func TestServeRejectsMenuMismatch(t *testing.T) {
+	server, client := newPeer(t, "srv"), newPeer(t, "cli")
+	if err := server.BindSpace(space.MustNew(space.DiscreteParam("n", 1, 2, 4)).String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.BindSpace(space.MustNew(space.DiscreteParam("n", 1, 3, 4)).String()); err != nil {
+		t.Fatal(err)
+	}
+	server.Observe(space.Point{2}, 1)
+	client.Observe(space.Point{3}, 2)
+	if _, err := syncOnce(t, client, server, Options{}); err == nil {
+		t.Fatal("sync across different discrete menus unexpectedly succeeded")
+	}
+}
+
 func TestSyncAdoptsPeerSpaceBinding(t *testing.T) {
 	// An unbound store syncing with a bound peer adopts the binding — the
 	// same rule Merge applies — so it refuses foreign-space writes later.

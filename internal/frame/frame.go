@@ -230,8 +230,18 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Uvarint reads a minimal uvarint.
+// Uvarint reads a minimal uvarint. A one-byte value, the common case of
+// counts, tags and flags, is read inline.
 func (r *Reader) Uvarint() uint64 {
+	if r.err == nil && r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		r.off++
+		return uint64(r.buf[r.off-1])
+	}
+	return r.uvarint()
+}
+
+// uvarint is Uvarint's general case.
+func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -279,6 +289,16 @@ func (r *Reader) Str() string { return string(r.View()) }
 // result aliases the payload and is valid only while the payload is.
 func (r *Reader) View() []byte {
 	n := r.Count(1)
+	b := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b
+}
+
+// ViewF64s reads a uvarint count of float64s and returns their encoded
+// bytes, 8 per float, without decoding or copying them: like View's, the
+// result aliases the payload.
+func (r *Reader) ViewF64s() []byte {
+	n := 8 * r.Count(8)
 	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b

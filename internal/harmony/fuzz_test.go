@@ -245,3 +245,28 @@ func FuzzDispatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzResponseDecode: an arbitrary response payload must never panic the
+// client's decoder, which must accept and reject what the per-grant
+// reference decoder does and agree with it field for field, and any payload
+// it accepts must re-encode to the exact same bytes.
+func FuzzResponseDecode(f *testing.F) {
+	for _, resp := range wireResponses() {
+		f.Add(appendResponse(nil, &resp))
+	}
+	shared := space.Point{8, 4, 2}
+	f.Add(appendResponse(nil, &response{OK: true, Seq: 8, Batch: []FetchResult{
+		{Point: shared, Tag: 1}, {Point: space.Point{1, 2, 3}, Tag: 4}, {Tag: 7},
+		{Point: shared, Tag: 2}, {Point: space.Point{1, 2, 3}, Tag: 5}, {Point: shared.Clone(), Tag: 3},
+	}}))
+	f.Add(appendResponse(nil, &response{OK: true, Seq: 9, Batch: []FetchResult{{Point: shared, Converged: true}}}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		resp, err := sameDecode(t, payload)
+		if err != nil {
+			return
+		}
+		if re := appendResponse(nil, &resp); !bytes.Equal(re, payload) {
+			t.Fatalf("decode∘encode not identity:\n in: %x\nout: %x", payload, re)
+		}
+	})
+}

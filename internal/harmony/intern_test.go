@@ -104,7 +104,8 @@ func TestRejectedSpaceNeverInterned(t *testing.T) {
 
 // Joining compares spaces by pointer first and by signature after: an equal
 // list joins, a list that builds the same space from a different spelling
-// joins, and a different list still errors.
+// joins, and a different list still errors, also when it differs only in
+// one value of a discrete menu.
 func TestJoinComparesSpaces(t *testing.T) {
 	srv := NewServer(ServerOptions{})
 	defer srv.Close()
@@ -119,9 +120,13 @@ func TestJoinComparesSpaces(t *testing.T) {
 	if err := srv.Register("a", respelt); err != nil {
 		t.Errorf("joining with the same space spelt differently: %v", err)
 	}
-	err := srv.Register("a", []space.Parameter{space.IntParam("x", 0, 9)})
-	if err == nil || !strings.Contains(err.Error(), `session "a" already registered with different parameters`) {
-		t.Errorf("joining with different parameters: err = %v", err)
+	menu := gs2Params()
+	menu[2] = space.DiscreteParam("nodes", 1, 2, 4, 8, 16, 48, 64)
+	for _, params := range [][]space.Parameter{{space.IntParam("x", 0, 9)}, menu} {
+		err := srv.Register("a", params)
+		if err == nil || !strings.Contains(err.Error(), `session "a" already registered with different parameters`) {
+			t.Errorf("joining with parameters %v: err = %v", params, err)
+		}
 	}
 }
 

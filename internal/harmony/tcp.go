@@ -811,6 +811,9 @@ func (c *Client) Report(session string, tag uint64, value float64) error {
 // best-known configuration with Tag 0, exactly like Fetch, and like Fetch
 // it is answered locally, once, when the last register, report or reportn
 // reply for the session found it converged.
+//
+// The grants for one candidate in one reply share a point, decoded once, so
+// treat the points as read-only.
 func (c *Client) FetchN(session string, n int) ([]FetchResult, error) {
 	if p, ok := c.takeAnswer(session); ok {
 		return []FetchResult{{Point: p, Converged: true}}, nil

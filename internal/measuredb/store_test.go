@@ -348,3 +348,23 @@ func TestMergeRefusesDivergedOrigin(t *testing.T) {
 		t.Fatalf("merging an extension: %+v, %v; want 1 applied, 2 duplicates", st, err)
 	}
 }
+
+// Two stores bound to discrete spaces whose menus share their bounds are
+// bound to different spaces, so neither merges into the other.
+func TestMergeRefusesOtherMenu(t *testing.T) {
+	bound := func(origin string, menu ...float64) *Store {
+		s := NewMemory(Options{Origin: origin})
+		if err := s.BindSpace(space.MustNew(space.DiscreteParam("n", menu...)).String()); err != nil {
+			t.Fatal(err)
+		}
+		s.Observe(space.Point{menu[1]}, 1)
+		return s
+	}
+	a, b := bound("a", 1, 2, 4), bound("b", 1, 3, 4)
+	if _, err := a.Merge(b); err == nil {
+		t.Error("a store over menu {1,3,4} merged into one over {1,2,4}")
+	}
+	if _, err := b.Merge(a); err == nil {
+		t.Error("a store over menu {1,2,4} merged into one over {1,3,4}")
+	}
+}

@@ -429,8 +429,10 @@ func (s *Space) Enumerate(fn func(Point)) error {
 	return nil
 }
 
-// String summarises the space. It is the space's signature in measuredb's
-// WAL and snapshots, so its bytes must not move: bounds print as fmt's %g
+// String summarises the space. It is the space's signature: harmony's join
+// check, measuredb's binding and WAL header, and PHSYNC1's hello compare
+// it, so it names everything that tells two spaces apart. Bounds and a
+// discrete parameter's menu, after its bounds in braces, print as fmt's %g
 // (strconv's shortest 'g' form).
 func (s *Space) String() string {
 	b := make([]byte, 0, 32*len(s.params)+8)
@@ -447,6 +449,16 @@ func (s *Space) String() string {
 		b = append(b, ',')
 		b = strconv.AppendFloat(b, p.Upper, 'g', -1, 64)
 		b = append(b, ']')
+		if p.Kind == Discrete {
+			b = append(b, '{')
+			for j, v := range p.Values {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			}
+			b = append(b, '}')
+		}
 	}
 	b = append(b, '}')
 	return string(b)

@@ -288,16 +288,27 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestSpaceString pins the signature's form and that it tells discrete
+// menus apart: two spaces whose menus share their bounds are different
+// spaces, and a menu listed in another order or with a repeat is the same.
 func TestSpaceString(t *testing.T) {
 	s := testSpace3(t)
-	if got := s.String(); got == "" {
-		t.Error("String empty")
+	if got, want := s.String(), "space{ntheta:integer[8,64], negrid:integer[4,32], nodes:discrete[1,64]{1,2,4,8,16,32,64}}"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	sig := func(values ...float64) string { return MustNew(DiscreteParam("n", values...)).String() }
+	if a, b := sig(1, 2, 4), sig(1, 3, 4); a == b {
+		t.Errorf("menus {1,2,4} and {1,3,4} share the signature %q", a)
+	}
+	if a, b := sig(1, 2, 4), sig(4, 1, 2, 2); a != b {
+		t.Errorf("one menu spelt two ways signs as %q and %q", a, b)
 	}
 }
 
 // fmtSpaceString is the fmt-based body Space.String had before it appended
-// with strconv, kept as the reference: the string is the space's signature
-// in measuredb's WAL and snapshots, so its bytes must not move.
+// with strconv, plus the discrete menu, kept as the reference: the string is
+// the space's signature in measuredb's WAL and PHSYNC1's hello, so its bytes
+// must not move by accident.
 func fmtSpaceString(s *Space) string {
 	var b strings.Builder
 	b.WriteString("space{")
@@ -306,6 +317,16 @@ func fmtSpaceString(s *Space) string {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "%s:%s[%g,%g]", p.Name, p.Kind, p.Lower, p.Upper)
+		if p.Kind == Discrete {
+			b.WriteString("{")
+			for j, v := range p.Values {
+				if j > 0 {
+					b.WriteString(",")
+				}
+				fmt.Fprintf(&b, "%g", v)
+			}
+			b.WriteString("}")
+		}
 	}
 	b.WriteString("}")
 	return b.String()
@@ -324,7 +345,11 @@ func TestSpaceStringMatchesFmt(t *testing.T) {
 	for i, lo := range bounds {
 		hi := bounds[(i*7+3)%len(bounds)]
 		kind := Kind(i % 4) // Kind(3) exercises the unknown-kind form
-		params = append(params, Parameter{Name: fmt.Sprintf("p%d", i), Kind: kind, Lower: lo, Upper: hi})
+		var menu []float64
+		if kind == Discrete {
+			menu = []float64{lo, hi}
+		}
+		params = append(params, Parameter{Name: fmt.Sprintf("p%d", i), Kind: kind, Lower: lo, Upper: hi, Values: menu})
 		single := &Space{params: params[i:]}
 		if got, want := single.String(), fmtSpaceString(single); got != want {
 			t.Errorf("String() = %q, fmt gives %q", got, want)
