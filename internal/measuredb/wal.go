@@ -67,6 +67,9 @@ func NewMemory(opts Options) *Store {
 // wal_corrupt fault event. A wal.db.tmp left by a Compact that crashed
 // before its rename is ignored; the next Compact replaces it.
 func Open(dir string, opts Options) (*Store, error) {
+	if err := checkSpaceSig(opts.Space); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("measuredb: create store dir: %w", err)
 	}
@@ -174,11 +177,17 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // BindSpace binds the store to a search-space signature, or verifies an
 // existing binding. The engine calls this before memoising so a store
-// populated under one space is never silently replayed under another.
+// populated under one space is never silently replayed under another. A
+// persistent store refuses a signature its WAL header cannot hold.
 func (s *Store) BindSpace(sig string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.spaceSig == "" {
+		if s.dir != "" {
+			if err := checkSpaceSig(sig); err != nil {
+				return err
+			}
+		}
 		s.spaceSig = sig
 		return nil
 	}

@@ -425,6 +425,72 @@ func TestCompactPersistsLateBindSpace(t *testing.T) {
 	}
 }
 
+// A space whose discrete menu makes its signature longer than a WAL header
+// holds never binds a persistent store: Open and BindSpace refuse it, so
+// Compact writes a header that reopens. A signature at the limit round-trips.
+func TestLongSpaceSignatureRefused(t *testing.T) {
+	menu := make([]float64, 12000)
+	for i := range menu {
+		menu[i] = float64(i) + 0.5
+	}
+	sp, err := space.New(space.DiscreteParam("n", menu...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := sp.String()
+	if len(long) <= maxSpaceSigLen {
+		t.Fatalf("the signature is %d bytes, not past the %d-byte limit", len(long), maxSpaceSigLen)
+	}
+	dir := t.TempDir()
+	if st, err := Open(dir, Options{Space: long}); err == nil {
+		st.Close()
+		t.Fatal("Open bound a signature past the WAL header's limit")
+	}
+	st, err := Open(dir, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populate(st)
+	if err := st.BindSpace(long); err == nil {
+		t.Error("BindSpace bound a signature past the WAL header's limit")
+	}
+	mem := NewMemory(Options{Seed: 4, Space: long})
+	if _, err := st.Merge(mem); err == nil {
+		t.Error("Merge adopted a source's signature past the WAL header's limit")
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopening after a refused bind: %v", err)
+	}
+	if got := re.SpaceSig(); got != "" {
+		t.Errorf("SpaceSig after reopen = %d bytes, want unbound", len(got))
+	}
+	atLimit := strings.Repeat("s", maxSpaceSigLen)
+	if err := re.BindSpace(atLimit); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopening a store bound at the limit: %v", err)
+	}
+	defer re.Close()
+	if got := re.SpaceSig(); got != atLimit {
+		t.Errorf("SpaceSig after reopen = %d bytes, want the %d bound", len(got), len(atLimit))
+	}
+}
+
 // A wal.db.tmp left by a Compact that crashed before its rename holds no
 // state Open reads, and the next Compact replaces it.
 func TestStaleCompactTmpIgnored(t *testing.T) {
