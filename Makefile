@@ -94,11 +94,13 @@ chaos-smoke:
 fed-smoke:
 	bash scripts/fed-smoke.sh
 
-# Brief fuzzing passes over the parsing/projection boundaries, 10 s per
-# fuzzer. CI's "Fuzz smoke" step runs this target, so the list lives here.
+# Brief fuzzing passes over the parsing, projection and space-signature
+# boundaries, 10 s per fuzzer. CI's "Fuzz smoke" step runs this target, so
+# the list lives here.
 fuzz:
 	$(GO) test -fuzz FuzzProject -fuzztime 10s ./internal/space/
 	$(GO) test -fuzz FuzzParameterNeighbors -fuzztime 10s ./internal/space/
+	$(GO) test -fuzz FuzzSpaceSignature -fuzztime 10s ./internal/space/
 	$(GO) test -fuzz FuzzDispatch -fuzztime 10s ./internal/harmony/
 	$(GO) test -fuzz FuzzTCPFrameDecode -fuzztime 10s ./internal/harmony/
 	$(GO) test -fuzz FuzzBinaryFrameDecode -fuzztime 10s ./internal/harmony/

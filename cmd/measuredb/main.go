@@ -241,30 +241,20 @@ func runMerge(args []string) error {
 			s.Close()
 		}
 	}()
-	var seed int64
-	var sig string
-	for i, dir := range fs.Args() {
+	for _, dir := range fs.Args() {
 		s, err := open(dir)
 		if err != nil {
 			return err
 		}
 		srcs = append(srcs, s)
-		if i == 0 {
-			seed = s.Seed()
-		}
-		switch ssig := s.SpaceSig(); {
-		case ssig == "":
-		case sig == "":
-			sig = ssig
-		case sig != ssig:
-			return fmt.Errorf("merge: %s is bound to space %q, but earlier sources use %q", dir, ssig, sig)
-		}
 	}
-	// Stage the whole union in memory first: every cross-source conflict
-	// (space mismatch above, diverged origin histories here) surfaces before
-	// the -out directory is created or touched, so a failed merge never
-	// leaves a partial destination behind.
-	staging := measuredb.NewMemory(measuredb.Options{Seed: seed, Space: sig})
+	// Stage the whole union in memory first: every cross-source conflict (a
+	// space mismatch, diverged origin histories) surfaces before the -out
+	// directory is created or touched, so a failed merge never leaves a
+	// partial destination behind. The staging store adopts the first bound
+	// source's space, and every other bound source must match it.
+	seed := srcs[0].Seed()
+	staging := measuredb.NewMemory(measuredb.Options{Seed: seed})
 	var stats measuredb.MergeStats
 	for i, s := range srcs {
 		st, err := staging.Merge(s)
@@ -274,7 +264,7 @@ func runMerge(args []string) error {
 		stats.Applied += st.Applied
 		stats.Duplicates += st.Duplicates
 	}
-	dst, err := measuredb.Open(*out, measuredb.Options{Seed: seed, Space: sig})
+	dst, err := measuredb.Open(*out, measuredb.Options{Seed: seed, Space: staging.SpaceSig()})
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@
 //
 //   - lockorder: the whole-program lock-acquisition graph is acyclic and
 //     respects ranks declared with //paralint:lockrank N on the mutex
-//   - ctxflow: blocking channel ops in harmony/chaos/cluster/feddb carry a
+//   - ctxflow: blocking channel ops in harmony/chaos/feddb carry a
 //     cancellation path (ctx.Done/done-channel/timer arm, buffered send),
 //     and a ranged channel is closed somewhere in its package
 //   - atomics: no legacy sync/atomic functions; typed atomics only

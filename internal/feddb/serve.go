@@ -30,9 +30,11 @@ type ServeOptions struct {
 // ServeConn runs the server side of one PHSYNC1 connection whose 8-byte
 // preamble has already been consumed by the caller's codec sniffer. br is
 // the connection's buffered reader (it may hold frames beyond the
-// preamble). The loop answers hello with the store's digest, pull with WAL
-// segments, and push with set-union application; it returns when the peer
-// disconnects or on the first protocol violation.
+// preamble). The loop answers hello with the store's digest once the
+// peer's space has bound the store by measuredb's rule (an unbound store
+// adopts it, a bound one must match), pull with WAL segments, and push with
+// set-union application; it returns when the peer disconnects or on the
+// first protocol violation.
 func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 	if opts.Store == nil {
 		return fmt.Errorf("feddb: serve: no store")
@@ -57,8 +59,8 @@ func ServeConn(conn net.Conn, br *bufio.Reader, opts ServeOptions) error {
 		switch msg.Op {
 		case opHello:
 			st := opts.Store
-			if msg.Space != "" && st.SpaceSig() != "" && msg.Space != st.SpaceSig() {
-				reply = syncMsg{Op: opError, Detail: fmt.Sprintf("space signature mismatch: store is bound to %q", st.SpaceSig())}
+			if err := st.BindSpace(msg.Space); err != nil {
+				reply = syncMsg{Op: opError, Detail: err.Error()}
 				fatal = true
 				break
 			}

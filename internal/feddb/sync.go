@@ -100,15 +100,11 @@ func Sync(conn net.Conn, store *measuredb.Store, peer string, opts Options) (Sta
 	if remote.Op != opDigest {
 		return stats, fmt.Errorf("feddb: sync: expected digest, got %q", remote.Op)
 	}
-	if remote.Space != "" && store.SpaceSig() != "" && remote.Space != store.SpaceSig() {
-		return stats, fmt.Errorf("feddb: sync: peer is bound to space %q, not %q", remote.Space, store.SpaceSig())
-	}
-	// An unbound store adopts the peer's binding — the same rule Merge
-	// applies — so a freshly-synced store refuses foreign-space writes.
-	if remote.Space != "" && store.SpaceSig() == "" {
-		if err := store.BindSpace(remote.Space); err != nil {
-			return stats, err
-		}
+	// The peer's binding binds this store by measuredb's one rule, as Merge
+	// and the serve side do: an unbound store adopts it, so a freshly
+	// synced store refuses foreign-space writes, and a bound one must match.
+	if err := store.BindSpace(remote.Space); err != nil {
+		return stats, err
 	}
 
 	// The index maps below are bounded by the two digests; the decoder

@@ -301,6 +301,31 @@ func TestSyncAdoptsPeerSpaceBinding(t *testing.T) {
 	}
 }
 
+// The serve side binds on hello as the client side does: an unbound server
+// adopts the peer's space before it applies the peer's frames, so those
+// observations are never replayed under another space.
+func TestServeAdoptsPeerSpaceBinding(t *testing.T) {
+	server, client := newPeer(t, "srv"), newPeer(t, "cli")
+	const sig = "space{a:integer[0,4]}"
+	if err := client.BindSpace(sig); err != nil {
+		t.Fatal(err)
+	}
+	client.Observe(space.Point{1}, 1)
+	stats, err := syncOnce(t, client, server, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pushed != 1 {
+		t.Fatalf("pushed %d frames, want 1", stats.Pushed)
+	}
+	if got := server.SpaceSig(); got != sig {
+		t.Fatalf("server space = %q after sync, want %q", got, sig)
+	}
+	if err := server.BindSpace("space{b:integer[0,9]}"); err == nil {
+		t.Fatal("a server holding the peer's observations bound another space")
+	}
+}
+
 func TestSyncDetectsDivergedOrigin(t *testing.T) {
 	// Two stores that both claim origin "x" with different histories must
 	// refuse to sync rather than silently interleave.

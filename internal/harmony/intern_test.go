@@ -130,6 +130,19 @@ func TestJoinComparesSpaces(t *testing.T) {
 	}
 }
 
+// A 1-D list whose name holds a comma does not join a session over the 2-D
+// list a, b, whose signature the 1-D list's would otherwise equal.
+func TestJoinRefusesCommaName(t *testing.T) {
+	srv := NewServer(ServerOptions{DB: measuredb.NewMemory(measuredb.Options{})})
+	defer srv.Close()
+	if err := srv.Register("s", []space.Parameter{space.ContinuousParam("a", 0, 1), space.ContinuousParam("b", 0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register("s", []space.Parameter{space.ContinuousParam("a:continuous[0,1], b", 0, 1)}); err == nil {
+		t.Fatal("a 1-D list joined a session over the 2-D list a, b")
+	}
+}
+
 // Concurrent registrations and joins over equal and different lists race
 // only through the interned pair (CI runs this under -race), every session
 // ends up over the space its list describes, and the kept key and space
@@ -173,7 +186,7 @@ func TestConcurrentRegisterInterning(t *testing.T) {
 	}
 	last := srv.lastSpace.Load()
 	for _, list := range lists {
-		if last.key == string(appendSpaceKey(nil, list)) {
+		if space.SameParams(last.params, list) {
 			if got, want := last.sp.String(), space.MustNew(list...).String(); got != want {
 				t.Errorf("the key of %s is kept with space %s", want, got)
 			}

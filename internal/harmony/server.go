@@ -300,10 +300,8 @@ func (srv *Server) register(name string, params []space.Parameter) (*session, er
 	if name == "" {
 		return nil, errors.New("harmony: session name required")
 	}
-	var kb [256]byte // room for a few parameters; longer lists grow onto the heap
-	key := appendSpaceKey(kb[:0], params)
 	var sp *space.Space
-	if last := srv.lastSpace.Load(); last != nil && last.key == string(key) {
+	if last := srv.lastSpace.Load(); last != nil && space.SameParams(last.params, params) {
 		sp = last.sp
 	}
 	interned := sp != nil
@@ -336,7 +334,12 @@ func (srv *Server) register(name string, params []space.Parameter) (*session, er
 	})
 	if fresh != nil {
 		if !interned {
-			srv.lastSpace.Store(&internedSpace{key: string(key), sp: sp})
+			// The caller may reuse its list, so the interned copy is deep.
+			own := slices.Clone(params)
+			for i := range own {
+				own[i].Values = slices.Clone(own[i].Values)
+			}
+			srv.lastSpace.Store(&internedSpace{params: own, sp: sp})
 		}
 		fresh.step(nil)
 		return fresh, err

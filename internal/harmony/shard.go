@@ -1,9 +1,7 @@
 package harmony
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -258,30 +256,12 @@ func (s *session) reportN(items []ReportItem) BatchReportResult {
 }
 
 // internedSpace is the space of the parameter list a session last
-// registered over, keyed by appendSpaceKey, so a repeat registration of that
-// list skips validating it, formatting its signature and binding the store.
-// A space is kept only after its first session bound it, so a space the
-// store rejects is rebuilt and rejected on every attempt.
+// registered over, with its own deep copy of that list as registered, so a
+// repeat registration of an equal list (space.SameParams) skips validating
+// it, formatting its signature and binding the store. A space is kept only
+// after its first session bound it, so a space the store rejects is rebuilt
+// and rejected on every attempt.
 type internedSpace struct {
-	key string
-	sp  *space.Space
-}
-
-// appendSpaceKey appends an exact encoding of the parameter list as given,
-// before validation: each name length-prefixed, the kind, the bounds' and
-// every listed value's bits. Equal keys mean equal lists, and space.New
-// builds equal spaces from equal lists.
-func appendSpaceKey(dst []byte, params []space.Parameter) []byte {
-	for _, p := range params {
-		dst = binary.AppendUvarint(dst, uint64(len(p.Name)))
-		dst = append(dst, p.Name...)
-		dst = binary.AppendVarint(dst, int64(p.Kind))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Lower))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Upper))
-		dst = binary.AppendUvarint(dst, uint64(len(p.Values)))
-		for _, v := range p.Values {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	}
-	return dst
+	params []space.Parameter
+	sp     *space.Space
 }

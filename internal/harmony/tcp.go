@@ -70,6 +70,8 @@ type request struct {
 	Tag     uint64
 	Value   float64
 	// Client is the sender's stable wire id, constant across reconnects.
+	// The server does not read its value: a frame without one, like a frame
+	// without a Seq, only bypasses duplicate suppression.
 	Client string
 	// Seq is the client's frame sequence number: every frame put on the wire
 	// (retries included — a resend is a new frame) carries the next value.
@@ -248,10 +250,6 @@ func ServeWith(l net.Listener, srv *Server, opts ConnOptions) error {
 	}
 }
 
-// maxTrackedClients bounds a connection's per-client sequence map; past it
-// the map restarts empty.
-const maxTrackedClients = 1024
-
 func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTracker) {
 	defer tracker.wg.Done()
 	defer tracker.remove(conn)
@@ -279,12 +277,14 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 		}
 		return
 	}
-	// lastSeq is this connection's per-client frame high-water mark: a frame
-	// whose sequence does not advance past it was duplicated in transit (the
-	// client never sends the same sequence twice on one connection), so it is
-	// discarded without a response — answering both copies would leave a
-	// stray response desynchronising every later round trip.
-	var lastSeq map[string]uint64
+	// lastSeq is this connection's frame high-water mark. A connection
+	// carries one client (a Client owns its connection, and the chaos proxy
+	// gives each client link its own backend connection), which never sends
+	// the same sequence twice on it, so a frame whose sequence does not
+	// advance past the mark was duplicated in transit. It is discarded
+	// without a response: answering both copies would leave a stray
+	// response desynchronising every later round trip.
+	var lastSeq uint64
 	// One request, one response and one fetchn grant serve every frame of
 	// the connection: each frame is decoded, dispatched and answered before
 	// the next is read.
@@ -310,18 +310,10 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 			return
 		}
 		if req.Client != "" && req.Seq != 0 {
-			if last, ok := lastSeq[req.Client]; ok && req.Seq <= last {
+			if req.Seq <= lastSeq {
 				continue
 			}
-			if lastSeq == nil {
-				lastSeq = make(map[string]uint64)
-			}
-			if len(lastSeq) >= maxTrackedClients {
-				// A client-id churn attack must not grow the dedup map without
-				// limit; resetting only forfeits duplicate suppression.
-				lastSeq = make(map[string]uint64)
-			}
-			lastSeq[req.Client] = req.Seq
+			lastSeq = req.Seq
 		}
 		resp = dispatch(srv, &req, &grant)
 		if !resp.OK && srv.closed.Load() {

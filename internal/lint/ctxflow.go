@@ -25,11 +25,10 @@ func (*CtxAware) AFact() {}
 // cancellable: every channel op reachable from a request path must carry a
 // way out — a ctx.Done()/done-channel arm in its select, a timer arm, or a
 // provably buffered (hence non-blocking) send. The harmony server, the chaos
-// layer, and the cluster simulator all host goroutines that outlive a single
+// layer and the federation syncer all host goroutines that outlive a single
 // call; one uncancellable park wedges shutdown or leaks the goroutine.
 var ctxflowPackages = []string{
 	"paratune/internal/chaos",
-	"paratune/internal/cluster",
 	"paratune/internal/feddb",
 	"paratune/internal/harmony",
 }
@@ -44,13 +43,13 @@ func isCtxflowPackage(path string) bool {
 	return false
 }
 
-// CtxFlow checks that blocking channel operations in the server/simulator
-// packages are cancellable, and propagates the property across calls via
+// CtxFlow checks that blocking channel operations in the service packages
+// are cancellable, and propagates the property across calls via
 // CtxAware facts so a scoped package cannot launder an uncancellable park
 // through a helper in another package.
 var CtxFlow = &Analyzer{
 	Name:      "ctxflow",
-	Doc:       "blocking channel ops in harmony/chaos/cluster must be cancellable (ctx.Done arm, done channel, timer, or provably buffered)",
+	Doc:       "blocking channel ops in harmony/chaos/feddb must be cancellable (ctx.Done arm, done channel, timer, or provably buffered)",
 	FactTypes: []Fact{(*CtxAware)(nil)},
 	Run:       runCtxFlow,
 }

@@ -26,7 +26,7 @@
 //   - lockorder: the whole-program lock-acquisition graph — including
 //     acquisitions reached through calls, via LockSet facts — must be
 //     acyclic, and must respect ranks declared with //paralint:lockrank.
-//   - ctxflow: blocking channel operations in harmony/chaos/cluster/feddb
+//   - ctxflow: blocking channel operations in harmony/chaos/feddb
 //     must be cancellable (ctx.Done()/done-channel/timer arm, or a provably
 //     buffered send), and a ranged channel must be closed in its package;
 //     CtxAware facts carry the property across calls.

@@ -410,7 +410,7 @@ func TestChanFlow(t *testing.T) {
 	runGolden(t, CtxFlow, "chanflow", "paratune/internal/harmony")
 }
 
-// TestCtxFlowScope checks the rule is silent outside harmony/chaos/cluster,
+// TestCtxFlowScope checks the rule is silent outside harmony/chaos/feddb,
 // no matter what the code does.
 func TestCtxFlowScope(t *testing.T) {
 	pkg := loadTestdata(t, "ctxflow", "paratune/internal/stats", nil)

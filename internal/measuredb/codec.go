@@ -48,9 +48,9 @@ const (
 	// maxOriginLen bounds an origin name.
 	maxOriginLen = 255
 
-	// maxSpaceSigLen bounds the space signature a WAL header holds; a store
-	// refuses to bind a longer one (checkSpaceSig), so it never writes a
-	// header it cannot read back.
+	// maxSpaceSigLen bounds the space signature a WAL header holds; a
+	// persistent store refuses to bind a longer one (adoptSpace), so it
+	// never writes a header it cannot read back.
 	maxSpaceSigLen = 1 << 16
 
 	// maxFrame bounds one WAL frame payload: uvarint dim + maxDim coords +
@@ -88,14 +88,6 @@ func decodeHeader(b []byte) (seed int64, origin, spaceSig string, n int, err err
 		return 0, "", "", 0, errCorrupt
 	}
 	return seed, origin, spaceSig, len(b) - r.Len(), nil
-}
-
-// checkSpaceSig refuses a space signature too long for a WAL header.
-func checkSpaceSig(sig string) error {
-	if len(sig) > maxSpaceSigLen {
-		return fmt.Errorf("measuredb: space signature of %d bytes exceeds the WAL header's %d-byte limit", len(sig), maxSpaceSigLen)
-	}
-	return nil
 }
 
 // boundedStr reads a uvarint-length-prefixed string of at most max bytes.

@@ -455,16 +455,17 @@ type MergeStats struct {
 // skipped duplicate once CheckPrefix has matched it. Every origin's overlap
 // is checked before any frame is applied, so a source whose history of an
 // origin diverges from s's leaves s unchanged. Merge is idempotent and never
-// holds both stores' locks at once. Space signatures must agree when both
-// stores are bound.
+// holds both stores' locks at once. src's space signature binds s by
+// adoptSpace's rule, checked before the prefix checks and bound after them,
+// so a refused merge also leaves s unchanged.
 func (s *Store) Merge(src *Store) (MergeStats, error) {
 	var st MergeStats
 	if s == nil || src == nil || s == src {
 		return st, nil
 	}
-	ssig, dsig := src.SpaceSig(), s.SpaceSig()
-	if ssig != "" && dsig != "" && ssig != dsig {
-		return st, fmt.Errorf("measuredb: merge: source is bound to space %q, not %q", ssig, dsig)
+	ssig := src.SpaceSig()
+	if _, err := adoptSpace(s.SpaceSig(), ssig, s.dir != ""); err != nil {
+		return st, err
 	}
 	digests := src.Digest()
 	for _, d := range digests {
@@ -475,10 +476,8 @@ func (s *Store) Merge(src *Store) (MergeStats, error) {
 			}
 		}
 	}
-	if ssig != "" && dsig == "" {
-		if err := s.BindSpace(ssig); err != nil {
-			return st, err
-		}
+	if err := s.BindSpace(ssig); err != nil {
+		return st, err
 	}
 	const chunk = 512
 	buf := make([]Frame, 0, chunk)

@@ -67,12 +67,6 @@ func NewMemory(opts Options) *Store {
 // wal_corrupt fault event. A wal.db.tmp left by a Compact that crashed
 // before its rename is ignored; the next Compact replaces it.
 func Open(dir string, opts Options) (*Store, error) {
-	if err := checkSpaceSig(opts.Space); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("measuredb: create store dir: %w", err)
-	}
 	snapPath := filepath.Join(dir, retiredSnapName)
 	if _, err := os.Stat(snapPath); err == nil {
 		return nil, fmt.Errorf("measuredb: %s: an earlier release's snapshot holds observations the WAL lacks, and snapshots are no longer read", snapPath)
@@ -80,11 +74,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("measuredb: stat %s: %w", snapPath, err)
 	}
 	s := &Store{
-		seed:     opts.Seed,
-		dir:      dir,
-		origin:   opts.Origin,
-		walPath:  filepath.Join(dir, walFileName),
-		spaceSig: opts.Space,
+		seed:    opts.Seed,
+		dir:     dir,
+		origin:  opts.Origin,
+		walPath: filepath.Join(dir, walFileName),
 	}
 
 	// Header: the persisted identity wins over opts, which may only agree
@@ -100,12 +93,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if herr != nil {
 			return nil, fmt.Errorf("measuredb: WAL %s: %w", s.walPath, herr)
 		}
-		if sig != "" {
-			if s.spaceSig != "" && s.spaceSig != sig {
-				return nil, fmt.Errorf("measuredb: %s is bound to space %q, not %q", s.walPath, sig, s.spaceSig)
-			}
-			s.spaceSig = sig
-		}
+		s.spaceSig = sig
 		if origin != "" {
 			// Renaming a store would orphan its published history.
 			if s.origin != "" && s.origin != origin {
@@ -115,6 +103,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.seed = seed
 		frameStart = n
+	}
+	if s.spaceSig, err = adoptSpace(s.spaceSig, opts.Space, true); err != nil {
+		return nil, err
 	}
 	if s.origin == "" {
 		s.origin = deriveOrigin(s.seed)
@@ -126,6 +117,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	// exactly like a corrupt one.
 	var recovered *RecoveryInfo
 	if fresh {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("measuredb: create store dir: %w", err)
+		}
 		hdr := appendHeader(nil, s.seed, s.origin, s.spaceSig)
 		if werr := os.WriteFile(s.walPath, hdr, 0o644); werr != nil {
 			return nil, fmt.Errorf("measuredb: init WAL: %w", werr)
@@ -175,26 +169,36 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// adoptSpace is the one rule deciding whether a store bound to the space
+// signature bound ("" when unbound) may take sig, and returns the binding
+// that results. An empty sig binds nothing; an unbound store adopts sig; a
+// bound store must match it; a persistent store refuses a sig its WAL
+// header cannot hold. Open, BindSpace and Merge apply it, and so do both
+// sides of a PHSYNC1 hello, through BindSpace.
+func adoptSpace(bound, sig string, persistent bool) (string, error) {
+	switch {
+	case sig == "" || sig == bound:
+		return bound, nil
+	case bound != "":
+		return "", fmt.Errorf("measuredb: store is bound to space %q, not %q", bound, sig)
+	case persistent && len(sig) > maxSpaceSigLen:
+		return "", fmt.Errorf("measuredb: space signature of %d bytes exceeds the WAL header's %d-byte limit", len(sig), maxSpaceSigLen)
+	}
+	return sig, nil
+}
+
 // BindSpace binds the store to a search-space signature, or verifies an
-// existing binding. The engine calls this before memoising so a store
-// populated under one space is never silently replayed under another. A
-// persistent store refuses a signature its WAL header cannot hold.
+// existing binding, by adoptSpace's rule. The engine calls this before
+// memoising so a store populated under one space is never silently
+// replayed under another.
 func (s *Store) BindSpace(sig string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.spaceSig == "" {
-		if s.dir != "" {
-			if err := checkSpaceSig(sig); err != nil {
-				return err
-			}
-		}
-		s.spaceSig = sig
-		return nil
+	bound, err := adoptSpace(s.spaceSig, sig, s.dir != "")
+	if err == nil {
+		s.spaceSig = bound
 	}
-	if s.spaceSig != sig {
-		return fmt.Errorf("measuredb: store is bound to space %q, not %q", s.spaceSig, sig)
-	}
-	return nil
+	return err
 }
 
 // Compact rewrites the WAL as the store's current state: the header with

@@ -20,8 +20,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Kind identifies how a parameter's admissible values are defined.
@@ -83,8 +85,14 @@ func (p *Parameter) validate() error {
 	if p.Name == "" {
 		return errors.New("space: parameter has empty name")
 	}
+	if strings.Contains(p.Name, ",") {
+		// The signature separates parameters with ", ": a comma in a name
+		// would let one list print as another (see String).
+		return fmt.Errorf("space: parameter name %q contains a comma", p.Name)
+	}
 	switch p.Kind {
 	case Continuous, Integer:
+		p.Values = nil // only a discrete parameter has a menu
 		if math.IsNaN(p.Lower) || math.IsNaN(p.Upper) {
 			return fmt.Errorf("space: parameter %q has NaN bound", p.Name)
 		}
@@ -429,11 +437,14 @@ func (s *Space) Enumerate(fn func(Point)) error {
 	return nil
 }
 
-// String summarises the space. It is the space's signature: harmony's join
-// check, measuredb's binding and WAL header, and PHSYNC1's hello compare
-// it, so it names everything that tells two spaces apart. Bounds and a
-// discrete parameter's menu, after its bounds in braces, print as fmt's %g
-// (strconv's shortest 'g' form).
+// String summarises the space. It is the space's signature and its only
+// encoding: harmony's join check, measuredb's binding and WAL header, and
+// PHSYNC1's hello compare it, so equal signatures must mean equal spaces.
+// Bounds and a discrete parameter's menu, after its bounds in braces, print
+// as fmt's %g (strconv's shortest 'g' form), which tells every non-NaN
+// float apart by its bits. No name holds a comma, so ", " appears only
+// between parameters, and each parameter parses back from its right end,
+// since no number or kind name holds a bracket, a brace or a colon.
 func (s *Space) String() string {
 	b := make([]byte, 0, 32*len(s.params)+8)
 	b = append(b, "space{"...)
@@ -463,3 +474,14 @@ func (s *Space) String() string {
 	b = append(b, '}')
 	return string(b)
 }
+
+// SameParams reports whether two parameter lists are equal field by field,
+// with floats compared by bits. Equal lists build equal spaces.
+func SameParams(a, b []Parameter) bool {
+	return slices.EqualFunc(a, b, func(p, q Parameter) bool {
+		return p.Name == q.Name && p.Kind == q.Kind && sameBits(p.Lower, q.Lower) &&
+			sameBits(p.Upper, q.Upper) && slices.EqualFunc(p.Values, q.Values, sameBits)
+	})
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }

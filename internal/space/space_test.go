@@ -303,6 +303,11 @@ func TestSpaceString(t *testing.T) {
 	if a, b := sig(1, 2, 4), sig(4, 1, 2, 2); a != b {
 		t.Errorf("one menu spelt two ways signs as %q and %q", a, b)
 	}
+	// A comma in a name would let this 1-D list sign as the 2-D list a, b.
+	twoD := MustNew(ContinuousParam("a", 0, 1), ContinuousParam("b", 0, 1)).String()
+	if s, err := New(ContinuousParam("a:continuous[0,1], b", 0, 1)); err == nil {
+		t.Errorf("a name holding a comma was accepted; its list signs as %q, the 2-D list as %q", s, twoD)
+	}
 }
 
 // fmtSpaceString is the fmt-based body Space.String had before it appended
