@@ -32,6 +32,7 @@ import (
 
 func benchFigure(b *testing.B, id string) *experiment.Figure {
 	b.Helper()
+	b.ReportAllocs()
 	cfg := experiment.Config{Seed: 42, Quick: true}
 	var fig *experiment.Figure
 	var err error

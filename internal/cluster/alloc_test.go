@@ -30,9 +30,9 @@ func TestRunStepAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := []space.Point{f.Space().Center(), f.Space().Center()}
-	// Budget: the observation slice handed to the caller. Amortised growth
-	// of the stepTimes record reads as 0; everything else runs on scratch.
-	alloccheck.Guard(t, "Sim.RunStep", 1, func() {
+	// Budget: none. The observations live in the simulator's scratch, and
+	// amortised growth of the stepTimes record reads as 0.
+	alloccheck.Guard(t, "Sim.RunStep", 0, func() {
 		if _, err := s.RunStep(f, assign, len(assign)); err != nil {
 			t.Fatal(err)
 		}
@@ -54,11 +54,10 @@ func TestRunStepBarrierOnlyAllocBudget(t *testing.T) {
 		assign[i] = f.Space().Center()
 	}
 	assign[1] = space.Point{3, 4}
-	// Budget: the observation slice of the 2 observed entries, then none
-	// for a production step. Deferred draws run on scratch, and the 202
-	// steps of both guards stay below draw 274, where a stream allocates
-	// its register.
-	alloccheck.Guard(t, "Sim.RunStep with barrier-only entries", 1, func() {
+	// Budget: none, with 2 observed entries or with none. Deferred draws
+	// run on scratch, and the 202 steps of both guards stay below draw 274,
+	// where a stream allocates its register.
+	alloccheck.Guard(t, "Sim.RunStep with barrier-only entries", 0, func() {
 		if _, err := s.RunStep(f, assign, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -77,10 +76,10 @@ func TestSubmitAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := f.Space().Center()
-	// Budget per Submit of 2 samples and its drain: one shared point clone,
-	// and per sample one Completion boxed by heap.Push and one by heap.Pop.
-	// Amortised queue growth reads as 0; draining keeps the queue short.
-	alloccheck.Guard(t, "AsyncSim.Submit", 5, func() {
+	// Budget per Submit of 2 samples and its drain: one shared point clone.
+	// The typed queue boxes no Completion, amortised queue growth reads as
+	// 0, and draining keeps the queue short.
+	alloccheck.Guard(t, "AsyncSim.Submit", 1, func() {
 		if _, err := s.Submit(f, x, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -106,9 +105,9 @@ func TestEvalAllocBudget(t *testing.T) {
 	ev.Fill = f.Space().Center()
 	pts := []space.Point{{1, 2}, {3, 4}}
 	// Budget per Eval of 2 points at K=3: the estimates handed to the
-	// caller and one RunStep observation slice per step. Observations,
-	// the step order and the processor assignment run on scratch.
-	alloccheck.Guard(t, "Evaluator.Eval", 4, func() {
+	// caller. Observations, the step order and the processor assignment
+	// run on scratch, and RunStep allocates nothing.
+	alloccheck.Guard(t, "Evaluator.Eval", 1, func() {
 		if _, err := ev.Eval(pts); err != nil {
 			t.Fatal(err)
 		}

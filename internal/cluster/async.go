@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -50,18 +49,50 @@ type Completion struct {
 	Finish float64
 }
 
+// completionHeap is a min-heap of completions on Finish. push and pop make
+// container/heap's exact sift moves without boxing each completion in an
+// interface, so completions that tie on Finish pop in container/heap's
+// order (TestCompletionHeapMatchesContainerHeap).
 type completionHeap []Completion
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].Finish < h[j].Finish }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(Completion)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push adds c and sifts it up, as heap.Push does.
+func (h *completionHeap) push(c Completion) {
+	q := append(*h, c)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].Finish < q[i].Finish) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+// pop removes and returns the earliest completion, as heap.Pop does: the
+// last element moves to the root and sifts down.
+func (h *completionHeap) pop() Completion {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].Finish < q[j].Finish {
+			j = j2
+		}
+		if !(q[j].Finish < q[i].Finish) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	c := q[n]
+	q[n] = Completion{} // drop the popped point from the backing array
+	*h = q[:n]
+	return c
 }
 
 // NewAsync creates an asynchronous simulator with p processors.
@@ -180,7 +211,7 @@ func (s *AsyncSim) Submit(f objective.Function, x space.Point, samples int) (uin
 			val = out.Value
 		}
 		if out.Kind != fault.Drop {
-			heap.Push(&s.queue, Completion{
+			s.queue.push(Completion{
 				ID: id, Proc: proc, Point: xc, Value: val, Finish: s.clocks[proc],
 			})
 		}
@@ -200,14 +231,14 @@ var errNilFunction = errors.New("cluster: nil function")
 // Next pops the earliest pending completion, in virtual-time order. The
 // boolean is false when nothing is pending.
 func (s *AsyncSim) Next() (Completion, bool) {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return Completion{}, false
 	}
-	return heap.Pop(&s.queue).(Completion), true
+	return s.queue.pop(), true
 }
 
 // Pending returns the number of undelivered completions.
-func (s *AsyncSim) Pending() int { return s.queue.Len() }
+func (s *AsyncSim) Pending() int { return len(s.queue) }
 
 // AsyncEvaluator adapts AsyncSim to the core.Evaluator contract: a batch of
 // points is submitted with K samples each, completions are drained, and the
@@ -222,6 +253,11 @@ type AsyncEvaluator struct {
 	Sink ObservationSink
 
 	lost lossRule
+
+	// Scratch reused across batches: the batch index of each request ID,
+	// and each point's observations.
+	ids map[uint64]int
+	obs obsSlab
 }
 
 // Eval implements core.Evaluator. Corrupt completions (non-finite or
@@ -233,7 +269,11 @@ func (e *AsyncEvaluator) Eval(points []space.Point) ([]float64, error) {
 		return nil, errEmptyBatch
 	}
 	k := e.Est.K()
-	ids := make(map[uint64]int, len(points))
+	if e.ids == nil {
+		e.ids = make(map[uint64]int, len(points))
+	}
+	clear(e.ids)
+	ids := e.ids
 	submit := func(i, n int) error {
 		id, err := e.Sim.Submit(e.F, points[i], n)
 		if err != nil {
@@ -247,7 +287,7 @@ func (e *AsyncEvaluator) Eval(points []space.Point) ([]float64, error) {
 			return nil, err
 		}
 	}
-	obs := make([][]float64, len(points))
+	obs := e.obs.carve(len(points), k) // a point keeps at most k
 	done := func() bool {
 		for i := range obs {
 			if len(obs[i]) < k {

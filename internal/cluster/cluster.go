@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"paratune/internal/dist"
 	"paratune/internal/event"
@@ -43,11 +44,13 @@ type Sim struct {
 	dead      []bool         // processors removed by injected crashes
 	rec       event.Recorder // nil records nothing
 
-	// Scratch buffers reused across RunStep calls so the per-step hot path
-	// allocates only the observation slice it hands to the caller.
+	// Scratch buffers sized from P at New and reused by every RunStep, so
+	// a step allocates nothing. obsScratch holds the observations RunStep
+	// returns, valid until the next step.
 	liveScratch  []int
 	procScratch  []float64
-	jobScratch   []stepJob
+	obsScratch   []float64
+	jobScratch   []stepJob // len(assign) jobs plus one re-run per crash
 	fxScratch    []float64 // f at each assigned candidate
 	firstScratch []int     // the first candidate of each distinct point
 	deferred     []draw    // barrier-only draws not yet transformed
@@ -78,7 +81,22 @@ func New(p int, model noise.Model, seed int64) (*Sim, error) {
 	if model == nil {
 		model = noise.None{}
 	}
-	s := &Sim{p: p, model: model, rngs: make([]*rand.Rand, p), dead: make([]bool, p)}
+	// A step holds at most P entries in each buffer and 2P jobs: at most P
+	// candidates start, each on its own processor, and a crash kills its
+	// processor, so at most P re-run. A draw is deferred only on a processor
+	// with no time yet, and each re-run applies the waiting draws first.
+	fs, is := make([]float64, 4*p), make([]int, 2*p)
+	s := &Sim{
+		p: p, model: model, rngs: make([]*rand.Rand, p), dead: make([]bool, p),
+		liveScratch:  is[:0:p],
+		firstScratch: is[p:p],
+		procScratch:  fs[:p:p],
+		obsScratch:   fs[p : 2*p : 2*p],
+		fxScratch:    fs[2*p : 2*p : 3*p],
+		rScratch:     fs[3*p : 3*p],
+		jobScratch:   make([]stepJob, 0, 2*p),
+		deferred:     make([]draw, 0, p),
+	}
 	root := dist.NewRNG(seed)
 	for i := range s.rngs {
 		s.rngs[i] = dist.NewRNG(root.Int63())
@@ -164,9 +182,19 @@ func (s *Sim) Steps() int { return len(s.stepTimes) }
 // TotalTime returns Total_Time(Steps()) per Eq. 2.
 func (s *Sim) TotalTime() float64 { return s.totalTime }
 
-// StepTimes returns the per-step worst-case times T_k (a copy).
+// StepTimes returns the per-step worst-case times T_k. The slice shares the
+// simulator's record and must not be written; it is capped at its length,
+// so later steps never show through it and an append to it copies.
 func (s *Sim) StepTimes() []float64 {
-	return append([]float64(nil), s.stepTimes...)
+	return s.stepTimes[:len(s.stepTimes):len(s.stepTimes)]
+}
+
+// ReserveSteps sizes the step record for n steps in all, so that the steps
+// up to the n-th append without growing it.
+func (s *Sim) ReserveSteps(n int) {
+	if n > len(s.stepTimes) {
+		s.stepTimes = slices.Grow(s.stepTimes, n-len(s.stepTimes))
+	}
 }
 
 // TotalTimeAt returns Total_Time(k) for k <= Steps(); it errors if fewer
@@ -194,7 +222,9 @@ func (s *Sim) NTT() float64 { return (1 - s.model.Rho()) * s.totalTime }
 // their observed times and records T_k = max accumulated time over live
 // processors. Assigned entries that share one slice are one point: f is
 // evaluated there once per step, and each processor perturbs that value with
-// its own noise draw.
+// its own noise draw. The returned observations live in the simulator's
+// scratch and are valid until the next RunStep; a caller that keeps them
+// copies them first.
 //
 // The entries from observed on are barrier-only: they gate the barrier but
 // nobody reads their values (Evaluator.Fill, the production phase of an
@@ -228,8 +258,8 @@ func (s *Sim) RunStep(f objective.Function, assign []space.Point, observed int) 
 		return nil, errCandidateOverflow(len(assign), len(live))
 	}
 	s.beginStep()
-	// obs is handed to the caller, so it cannot come from scratch.
-	obs := make([]float64, observed)
+	// Every observed candidate writes its entry before the step returns.
+	obs := s.obsScratch[:observed]
 	fx := s.evalAssigned(f, assign)
 	procTime := s.procTimeScratch()
 	queue := s.jobScratch[:0]
@@ -373,16 +403,10 @@ func (s *Sim) evalAssigned(f objective.Function, assign []space.Point) []float64
 }
 
 // procTimeScratch returns the per-processor accumulator zeroed for a new
-// step, growing the scratch buffer on first use.
+// step.
 func (s *Sim) procTimeScratch() []float64 {
-	if cap(s.procScratch) < s.p {
-		s.procScratch = make([]float64, s.p)
-	}
-	pt := s.procScratch[:s.p]
-	for i := range pt {
-		pt[i] = 0
-	}
-	return pt
+	clear(s.procScratch)
+	return s.procScratch
 }
 
 // recordStep commits one barrier-gated step time and mirrors it into the
@@ -453,11 +477,11 @@ type Evaluator struct {
 
 	lost lossRule
 
-	// Scratch reused across calls, so a step allocates only RunStep's
-	// observation slice: each candidate's observations, the candidates run
-	// this step, per assigned processor its configuration, and per observed
-	// processor its candidate index.
-	obs    [][]float64
+	// Scratch reused across calls, so a step allocates nothing: each
+	// candidate's observations, the candidates run this step, per assigned
+	// processor its configuration, and per observed processor its
+	// candidate index. The last three hold at most P entries.
+	obs    obsSlab
 	order  []int
 	assign []space.Point
 	idx    []int
@@ -468,7 +492,12 @@ func NewEvaluator(sim *Sim, f objective.Function, est sample.Estimator) *Evaluat
 	if est == nil {
 		est = sample.Single{}
 	}
-	return &Evaluator{Sim: sim, F: f, Est: est}
+	p := sim.P()
+	is := make([]int, 2*p)
+	return &Evaluator{
+		Sim: sim, F: f, Est: est,
+		order: is[:0:p], idx: is[p:p], assign: make([]space.Point, 0, p),
+	}
 }
 
 // Eval evaluates every point, taking the estimator's sample count per point
@@ -482,13 +511,7 @@ func (e *Evaluator) Eval(points []space.Point) ([]float64, error) {
 		return nil, errEmptyBatch
 	}
 	ests := make([]float64, len(points))
-	for len(e.obs) < len(points) {
-		e.obs = append(e.obs, nil)
-	}
-	obs := e.obs[:len(points)]
-	for i := range obs {
-		obs[i] = obs[i][:0]
-	}
+	obs := e.obs.carve(len(points), e.obsCap(len(points)))
 	for start := 0; start < len(points); start += e.Sim.P() {
 		end := min(start+e.Sim.P(), len(points))
 		if err := e.evalWave(points[start:end], obs[start:end]); err != nil {
@@ -497,6 +520,53 @@ func (e *Evaluator) Eval(points []space.Point) ([]float64, error) {
 		e.lost.estimate(e.Est, obs[start:end], ests[start:end])
 	}
 	return e.lost.settle(obs, ests, e.Sim.rec, e.Sim.TotalTime())
+}
+
+// obsCap is the room one candidate of an n-point batch needs when no
+// report is lost: the estimator's step budget, times the replicas per step
+// under ParallelSampling.
+func (e *Evaluator) obsCap(n int) int {
+	c := e.maxSteps()
+	if e.ParallelSampling {
+		// Per step a candidate of a w-wide wave runs on at least lo and at
+		// most hi processors.
+		p, w := e.Sim.P(), min(n, e.Sim.P())
+		lo, hi := p/w, (p+w-1)/w
+		c = hi * ((c + lo - 1) / lo)
+	}
+	return c
+}
+
+// obsSlab is both evaluators' per-candidate observation storage, kept
+// across batches.
+type obsSlab struct {
+	obs  [][]float64
+	slab []float64
+}
+
+// carve returns n empty observation slices, each with its own stretch of c
+// floats of the slab. A candidate that gathers more than c grows past its
+// stretch, since each is capped, without touching its neighbour's.
+func (o *obsSlab) carve(n, c int) [][]float64 {
+	if cap(o.obs) < n {
+		o.obs = make([][]float64, n)
+	}
+	if cap(o.slab) < n*c {
+		o.slab = make([]float64, n*c)
+	}
+	obs := o.obs[:n]
+	for i := range obs {
+		obs[i] = o.slab[i*c : i*c : (i+1)*c]
+	}
+	return obs
+}
+
+// maxSteps is the most samples the estimator takes of one candidate.
+func (e *Evaluator) maxSteps() int {
+	if a, ok := e.Est.(sample.Adaptive); ok {
+		return a.MaxK()
+	}
+	return e.Est.K()
 }
 
 // evalWave gathers observations into obs for a wave of at most P points, one
@@ -517,10 +587,7 @@ func (e *Evaluator) evalWave(wave []space.Point, obs [][]float64) error {
 		}
 		return len(obs[i]) < e.Est.K()
 	}
-	maxSteps := e.Est.K()
-	if isAdaptive {
-		maxSteps = adaptive.MaxK()
-	}
+	maxSteps := e.maxSteps()
 	// Lost reports cost extra steps: allow up to 3x the fault-free budget
 	// (plus slack for waves wider than the live processor count) before the
 	// remaining candidates degrade to worst-known substitution.

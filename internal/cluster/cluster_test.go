@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"paratune/internal/dist"
 	"paratune/internal/noise"
 	"paratune/internal/objective"
 	"paratune/internal/sample"
@@ -122,6 +124,35 @@ func TestTotalTimeAt(t *testing.T) {
 	}
 	if _, err := sim.TotalTimeAt(-1); err == nil {
 		t.Error("negative k should fail")
+	}
+}
+
+// TestStepTimesView checks that StepTimes shares the reserved record but is
+// capped: later steps do not show through it, and an append to it copies
+// instead of writing the simulator's next step. A reservation below the
+// steps already taken changes nothing.
+func TestStepTimesView(t *testing.T) {
+	sim, _ := New(1, noise.None{}, 1)
+	f := bowl()
+	sim.ReserveSteps(10)
+	step := func() {
+		t.Helper()
+		if _, err := sim.RunStep(f, []space.Point{{5, 5}}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	st := sim.StepTimes()
+	if len(st) != 3 || cap(st) != 3 {
+		t.Fatalf("StepTimes len %d cap %d, want 3 and 3", len(st), cap(st))
+	}
+	_ = append(st, -1)
+	step()
+	sim.ReserveSteps(2)
+	if got := sim.StepTimes(); len(got) != 4 || got[3] != 1 || len(st) != 3 {
+		t.Errorf("after a 4th step: record %v, earlier view %v", got, st)
 	}
 }
 
@@ -485,5 +516,47 @@ func TestEvaluatorControlledEstimator(t *testing.T) {
 	}
 	if lastCost != tn.K() {
 		t.Errorf("last wave cost %d steps, controller K=%d", lastCost, tn.K())
+	}
+}
+
+// refHeap is the container/heap implementation completionHeap replaced: the
+// reference for its pop order.
+type refHeap []Completion
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].Finish < h[j].Finish }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(Completion)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestCompletionHeapMatchesContainerHeap drives completionHeap and
+// container/heap through the same random pushes and pops, with Finish
+// drawn from a few values so that most completions tie: every pop must
+// return the same completion, so ties keep their order.
+func TestCompletionHeapMatchesContainerHeap(t *testing.T) {
+	rng := dist.NewRNG(3)
+	var got completionHeap
+	var want refHeap
+	for id := uint64(0); id < 5000; id++ {
+		if rng.Intn(3) > 0 || len(got) == 0 {
+			c := Completion{ID: id, Finish: float64(rng.Intn(6))}
+			got.push(c)
+			heap.Push(&want, c)
+			continue
+		}
+		g, w := got.pop(), heap.Pop(&want).(Completion)
+		if g.ID != w.ID {
+			t.Fatalf("pop after id %d: got completion %d, container/heap pops %d", id, g.ID, w.ID)
+		}
+	}
+	for len(got) > 0 {
+		if g, w := got.pop(), heap.Pop(&want).(Completion); g.ID != w.ID {
+			t.Fatalf("drain: got completion %d, container/heap pops %d", g.ID, w.ID)
+		}
 	}
 }

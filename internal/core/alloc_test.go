@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"paratune/internal/alloccheck"
+	"paratune/internal/cluster"
+	"paratune/internal/noise"
+	"paratune/internal/objective"
+	"paratune/internal/sample"
 	"paratune/internal/space"
 )
 
@@ -142,4 +146,37 @@ func TestPROStepKindAllocs(t *testing.T) {
 			t.Errorf("script %v: step %v after %d evals, want %v after %d", c.script, info.Kind, ev.call, c.kind, len(c.script))
 		}
 	}
+}
+
+// TestRunOnlineAllocBudget pins a whole short on-line run, from a fresh
+// simulator to its Result, on an 8-processor cluster under Pareto noise at
+// K=3. The per-step pins read growth that restarts with each run as 0;
+// this pin counts it. What is left is model state and set-up, none of it
+// per step: PRO's trial slabs, transformed points and best clones (about
+// 40), the estimates each Eval returns (18), the P+2 random streams (19),
+// and the simulator, evaluator, engine and result.
+func TestRunOnlineAllocBudget(t *testing.T) {
+	sp := bowlSpace()
+	f := objective.NewSphere(sp, space.Point{10, 10}, 1)
+	model, err := noise.NewIIDPareto(1.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := sample.NewMinOfK(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloccheck.Guard(t, "RunOnline", 108, func() {
+		sim, err := cluster.New(8, model, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pro, err := NewPRO(Options{Space: sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunOnline(pro, OnlineConfig{Sim: sim, F: f, Est: est, Budget: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

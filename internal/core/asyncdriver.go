@@ -70,7 +70,7 @@ func RunOnlineAsync(alg Algorithm, cfg AsyncConfig) (*AsyncResult, error) {
 	if est == nil {
 		est = sample.Single{}
 	}
-	rec := event.OrNop(cfg.Recorder)
+	recording := event.Active(cfg.Recorder)
 	if cfg.Recorder != nil {
 		cfg.Sim.SetRecorder(cfg.Recorder)
 		cfg.Sim.Faults().SetRecorder(cfg.Recorder)
@@ -81,10 +81,12 @@ func RunOnlineAsync(alg Algorithm, cfg AsyncConfig) (*AsyncResult, error) {
 		return nil, err
 	}
 
-	rec.Record(event.RunStart{
-		Mode: "async", Algorithm: alg.String(),
-		Processors: cfg.Sim.P(), TimeBudget: cfg.TimeBudget,
-	})
+	if recording {
+		cfg.Recorder.Record(event.RunStart{
+			Mode: "async", Algorithm: alg.String(),
+			Processors: cfg.Sim.P(), TimeBudget: cfg.TimeBudget,
+		})
+	}
 	eng := &Engine{
 		Alg:   alg,
 		Ev:    engineEv,
@@ -125,9 +127,11 @@ func RunOnlineAsync(alg Algorithm, cfg AsyncConfig) (*AsyncResult, error) {
 	if memo != nil {
 		res.DBHits, res.DBMisses = memo.Hits(), memo.Misses()
 	}
-	rec.Record(event.RunEnd{
-		Mode: "async", Best: best, BestValue: bestVal, TrueValue: trueVal,
-		Iterations: res.Iterations, VTime: tuning,
-	})
+	if recording {
+		cfg.Recorder.Record(event.RunEnd{
+			Mode: "async", Best: best, BestValue: bestVal, TrueValue: trueVal,
+			Iterations: res.Iterations, VTime: tuning,
+		})
+	}
 	return res, nil
 }

@@ -50,7 +50,8 @@ type Result struct {
 	TotalTime float64
 	// NTT is the Normalized Total Time (Eq. 23).
 	NTT float64
-	// StepTimes is T_k for k = 1..Budget.
+	// StepTimes is T_k for k = 1..Budget. It shares the simulator's step
+	// record, capped at Budget, and must not be written.
 	StepTimes []float64
 	// ConvergedAtStep is the time step at which the optimiser certified
 	// convergence, or -1 if it never did within the budget.
@@ -93,11 +94,14 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 	if est == nil {
 		est = sample.Single{}
 	}
-	rec := event.OrNop(cfg.Recorder)
+	recording := event.Active(cfg.Recorder)
 	if cfg.Recorder != nil {
 		cfg.Sim.SetRecorder(cfg.Recorder)
 		cfg.Sim.Faults().SetRecorder(cfg.Recorder)
 	}
+	// The run records Budget steps, and seldom more: a final iteration that
+	// overshoots grows the record once.
+	cfg.Sim.ReserveSteps(cfg.Budget)
 	ev := cluster.NewEvaluator(cfg.Sim, cfg.F, est)
 	ev.ParallelSampling = cfg.ParallelSampling
 	// All P processors run every step (footnote 1); before tuning discovers
@@ -113,10 +117,12 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 		return nil, err
 	}
 
-	rec.Record(event.RunStart{
-		Mode: "sync", Algorithm: alg.String(),
-		Processors: cfg.Sim.P(), Budget: cfg.Budget,
-	})
+	if recording {
+		cfg.Recorder.Record(event.RunStart{
+			Mode: "sync", Algorithm: alg.String(),
+			Processors: cfg.Sim.P(), Budget: cfg.Budget,
+		})
+	}
 	maxIter := 10 * cfg.Budget
 	eng := &Engine{
 		Alg:       alg,
@@ -163,7 +169,7 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 	}
 	stepTimes := cfg.Sim.StepTimes()
 	if len(stepTimes) > cfg.Budget {
-		stepTimes = stepTimes[:cfg.Budget]
+		stepTimes = stepTimes[:cfg.Budget:cfg.Budget]
 	}
 	res := &Result{
 		RunSummary: RunSummary{
@@ -181,10 +187,12 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 	if memo != nil {
 		res.DBHits, res.DBMisses = memo.Hits(), memo.Misses()
 	}
-	rec.Record(event.RunEnd{
-		Mode: "sync", Best: best, BestValue: bestVal, TrueValue: res.TrueValue,
-		Iterations: res.Iterations, TotalTime: res.TotalTime, NTT: res.NTT,
-		VTime: res.TotalTime,
-	})
+	if recording {
+		cfg.Recorder.Record(event.RunEnd{
+			Mode: "sync", Best: best, BestValue: bestVal, TrueValue: res.TrueValue,
+			Iterations: res.Iterations, TotalTime: res.TotalTime, NTT: res.NTT,
+			VTime: res.TotalTime,
+		})
+	}
 	return res, nil
 }
