@@ -82,9 +82,11 @@ db-smoke:
 # Chaos soak: tune through seeded network faults (delay/drop/dup/truncate/
 # reset) and scheduled mid-tuning server kills, race-enabled. Asserts
 # deadline-bounded termination, byte-identical same-seed fault plans, and
-# converged quality within a bound of the fault-free baseline.
+# converged quality within a bound of the fault-free baseline. SEEDS sets
+# how many seeded plans run (CI runs a shorter soak with SEEDS=5).
+SEEDS ?= 20
 chaos-smoke:
-	$(GO) run -race ./cmd/chaosharness -seeds 20 -kills 2
+	$(GO) run -race ./cmd/chaosharness -seeds $(SEEDS) -kills 2
 
 # Federation smoke: two harmonyd peers tune in partition, one anti-entropy
 # round unions their measurement databases (byte-identical exports, second

@@ -152,9 +152,11 @@ func TestPROStepKindAllocs(t *testing.T) {
 // simulator to its Result, on an 8-processor cluster under Pareto noise at
 // K=3. The per-step pins read growth that restarts with each run as 0;
 // this pin counts it. What is left is model state and set-up, none of it
-// per step: PRO's trial slabs, transformed points and best clones (about
-// 40), the estimates each Eval returns (18), the P+2 random streams (19),
-// and the simulator, evaluator, engine and result.
+// per step: PRO's trial slabs, transformed points and the best clone each
+// StepInfo carries (about 32; the engine hands that clone to the fill
+// instead of cloning the incumbent again), the estimates each Eval returns
+// (18), the P+2 random streams (19), and the simulator, evaluator, engine
+// and result.
 func TestRunOnlineAllocBudget(t *testing.T) {
 	sp := bowlSpace()
 	f := objective.NewSphere(sp, space.Point{10, 10}, 1)
@@ -166,7 +168,7 @@ func TestRunOnlineAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloccheck.Guard(t, "RunOnline", 108, func() {
+	alloccheck.Guard(t, "RunOnline", 100, func() {
 		sim, err := cluster.New(8, model, 1)
 		if err != nil {
 			t.Fatal(err)

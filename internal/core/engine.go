@@ -58,9 +58,11 @@ type Engine struct {
 	// Continue is the budget predicate, called with the iteration count
 	// before each Step; run-until-convergence when nil.
 	Continue func(iterations int) bool
-	// BeforeStep runs before each Step (e.g. to move the production fill
-	// configuration to the incumbent best).
-	BeforeStep func()
+	// BeforeStep runs before each Step with the incumbent best the engine
+	// already holds: Alg.Best() once, after Init (or at the start of a
+	// resumed run), then each Step's StepInfo.Best. It must not write best.
+	// RunOnline uses it to move the production fill configuration.
+	BeforeStep func(best space.Point)
 	// SkipInit resumes an already-initialised algorithm (a restored
 	// checkpoint) without re-evaluating the initial simplex.
 	SkipInit bool
@@ -92,27 +94,35 @@ func (e *Engine) Run() (EngineStats, error) {
 		cont = func(int) bool { return true }
 	}
 
+	// best is the incumbent BeforeStep sees: fetched from the algorithm
+	// once, then reported by every Step.
+	var best space.Point
 	if !e.SkipInit {
 		if err := e.Alg.Init(e.Ev); err != nil {
 			return stats, err
 		}
 		if recording {
-			b, bv := e.Alg.Best()
+			var bv float64
+			best, bv = e.Alg.Best()
 			e.Rec.Record(event.Iteration{
 				Session: e.Session, Iter: 0, Step: StepInit.String(),
-				Best: b, BestValue: bv, VTime: now(),
+				Best: best, BestValue: bv, VTime: now(),
 			})
 		}
+	}
+	if best == nil && e.BeforeStep != nil {
+		best, _ = e.Alg.Best()
 	}
 
 	for cont(stats.Iterations) && !e.Alg.Converged() {
 		if e.BeforeStep != nil {
-			e.BeforeStep()
+			e.BeforeStep(best)
 		}
 		info, err := e.Alg.Step(e.Ev)
 		if err != nil {
 			return stats, err
 		}
+		best = info.Best
 		stats.Iterations++
 		if recording {
 			e.Rec.Record(event.Iteration{

@@ -183,3 +183,70 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 		t.Errorf("recorder perturbed the run: %+v vs %+v", plain.RunSummary, traced.RunSummary)
 	}
 }
+
+// bestChecker wraps an Algorithm and fails t when a Step's StepInfo.Best or
+// BestValue differs from what Best reports right after that Step.
+type bestChecker struct {
+	Algorithm
+	t     *testing.T
+	steps int
+}
+
+func (c *bestChecker) Step(ev Evaluator) (StepInfo, error) {
+	info, err := c.Algorithm.Step(ev)
+	if err != nil {
+		return info, err
+	}
+	c.steps++
+	b, v := c.Algorithm.Best()
+	if !info.Best.Equal(b) || math.Float64bits(info.BestValue) != math.Float64bits(v) {
+		c.t.Errorf("%s step %d (%s): StepInfo.Best = %v (%g), Best() = %v (%g)",
+			c.Algorithm, c.steps, info.Kind, info.Best, info.BestValue, b, v)
+	}
+	return info, nil
+}
+
+// TestStepInfoBestIsIncumbent pins what lets the engine hand BeforeStep the
+// incumbent without asking the algorithm for it again: for every registered
+// algorithm, each Step's StepInfo.Best is what Best() reports after it, and
+// BeforeStep sees Best() as it stands before each Step.
+func TestStepInfoBestIsIncumbent(t *testing.T) {
+	sp := bowlSpace()
+	f := objective.NewSphere(sp, space.Point{70, 20}, 1)
+	model, err := noise.NewIIDPareto(1.7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range Algorithms() {
+		t.Run(info.Name, func(t *testing.T) {
+			alg, err := NewByName(info.Name, Options{Space: sp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := cluster.New(8, model, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked := &bestChecker{Algorithm: alg, t: t}
+			calls := 0
+			eng := &Engine{
+				Alg: checked, Ev: cluster.NewEvaluator(sim, f, sample.Single{}),
+				Continue: func(int) bool { return sim.Steps() < 600 },
+				BeforeStep: func(best space.Point) {
+					calls++
+					if b, _ := alg.Best(); !best.Equal(b) {
+						t.Errorf("BeforeStep %d got %v, Best() = %v", calls, best, b)
+					}
+				},
+			}
+			stats, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Iterations < 5 || calls != stats.Iterations || checked.steps != stats.Iterations {
+				t.Errorf("%d iterations, %d BeforeStep calls, %d checked steps; want at least 5, all equal",
+					stats.Iterations, calls, checked.steps)
+			}
+		})
+	}
+}

@@ -136,9 +136,9 @@ func RunOnline(alg Algorithm, cfg OnlineConfig) (*Result, error) {
 			}
 			return cfg.Sim.Steps() < cfg.Budget
 		},
-		BeforeStep: func() {
-			if b, _ := alg.Best(); b != nil {
-				ev.Fill = b
+		BeforeStep: func(best space.Point) {
+			if best != nil {
+				ev.Fill = best
 			}
 		},
 	}

@@ -242,7 +242,6 @@ func TestConvergedReplyMatchesFetch(t *testing.T) {
 			}
 			for _, req := range []request{
 				{Op: opRegister, Session: tc.name, Params: gs2Params()},
-				{Op: opReport, Session: tc.name, Value: 1},
 				{Op: opReportN, Session: tc.name, Reports: []ReportItem{{Value: 1}}},
 			} {
 				resp := dispatch(tc.srv, &req, nil)

@@ -27,7 +27,6 @@ func perGrantDecode(payload []byte, resp *response) error {
 	resp.Code = r.Str()
 	resp.Error = r.Str()
 	resp.Point = floats(&r)
-	resp.Tag = r.Uvarint()
 	resp.Value = r.F64()
 	if flags&respFlagStats != 0 {
 		st := &SessionStats{}
@@ -38,9 +37,6 @@ func perGrantDecode(payload []byte, resp *response) error {
 		st.Pending = intVal(&r)
 		st.NextTag = r.Uvarint()
 		resp.Stats = st
-	}
-	for i := 0; i < 4; i++ {
-		retired(&r)
 	}
 	if n := r.Count(2); n > 0 {
 		resp.Batch = make([]FetchResult, n)
@@ -61,7 +57,6 @@ func perGrantDecode(payload []byte, resp *response) error {
 	resp.Accepted = intVal(&r)
 	resp.Refused = intVal(&r)
 	resp.Rejected = intVal(&r)
-	retired(&r)
 	return r.Finish()
 }
 
@@ -209,8 +204,8 @@ func TestDecodeFetchNReplyAllocs(t *testing.T) {
 	}
 	payload := appendResponse(nil, &response{OK: true, Seq: 9, Batch: grants})
 	// The grant count follows the header of the same reply without grants,
-	// which ends in its zero grant count and four more zero bytes.
-	r := frame.NewReader(payload[len(appendResponse(nil, &response{OK: true, Seq: 9}))-5:])
+	// which ends in its zero grant count and three more zero counts.
+	r := frame.NewReader(payload[len(appendResponse(nil, &response{OK: true, Seq: 9}))-4:])
 	if n := r.Count(2); n != 16 {
 		t.Fatalf("the reply carries %d grants, want 16", n)
 	}

@@ -46,9 +46,12 @@ func TestWireRejectsInvalidValueWithCode(t *testing.T) {
 	if err := srv.Register("s", gs2Params()); err != nil {
 		t.Fatal(err)
 	}
-	resp := dispatch(srv, &request{Op: opReport, Session: "s", Tag: 1, Value: -3}, nil)
-	if resp.OK || resp.Code != "invalid_value" {
-		t.Errorf("resp = %+v, want structured invalid_value error", resp)
+	// A reportn reply stays OK and counts the rejection; it carries the
+	// rejection's error and code, which a one-item frame's Client.Report
+	// returns.
+	resp := dispatch(srv, &request{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 1, Value: -3}}}, nil)
+	if !resp.OK || resp.Rejected != 1 || resp.Code != "invalid_value" {
+		t.Errorf("resp = %+v, want one rejection with structured invalid_value error", resp)
 	}
 	// Over a real connection the client can classify it. PHWIRE1 carries
 	// NaN and ±Inf bit for bit, so they reach the server's validation too.
@@ -181,13 +184,13 @@ func TestClientReportFramesCarrySlotsOnly(t *testing.T) {
 		in = in[used:]
 	}
 	if len(reqs) != 4 {
-		t.Fatalf("client sent %d frames, want register, fetchn, reportn and report", len(reqs))
+		t.Fatalf("client sent %d frames, want register, fetchn and two reportn", len(reqs))
 	}
 	if got := reqs[2]; got.Op != opReportN || !reflect.DeepEqual(got.Reports, sent) {
 		t.Errorf("reportn frame carried %+v, want %+v", got.Reports, sent)
 	}
-	if got := reqs[3]; got.Op != opReport || got.Tag != frs[2].Tag || got.Value != 3.5 {
-		t.Errorf("report frame carried tag %d value %v, want %d and 3.5", got.Tag, got.Value, frs[2].Tag)
+	if got := reqs[3]; got.Op != opReportN || !reflect.DeepEqual(got.Reports, []ReportItem{{Tag: frs[2].Tag, Value: 3.5}}) {
+		t.Errorf("Report sent %s carrying %+v, want reportn of tag %d value 3.5", got.Op, got.Reports, frs[2].Tag)
 	}
 }
 

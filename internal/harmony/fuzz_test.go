@@ -23,7 +23,7 @@ func FuzzTCPFrameDecode(f *testing.F) {
 	preamble := func(frames ...[]byte) []byte {
 		return append([]byte(WireMagic), bytes.Join(frames, nil)...)
 	}
-	good := binSeed(&request{Op: opBest, Session: "s", Client: "c", Seq: 1})
+	good := binSeed(&request{Op: opBest, Session: "s", Seq: 1})
 	crc := append([]byte{}, good...)
 	crc[len(crc)-1] ^= 0xff
 	f.Add(preamble(good))
@@ -98,9 +98,9 @@ func binSeedOp(op byte, req *request) []byte {
 // goroutine, and any payload the canonical decoder accepts must re-encode to
 // the exact same bytes (decode∘encode identity).
 func FuzzBinaryFrameDecode(f *testing.F) {
-	f.Add(binSeed(&request{Op: opBest, Session: "s", Client: "c", Seq: 1}))
-	f.Add(binSeed(&request{Op: opFetch, Session: "s", Client: "c", Seq: 2}))
-	f.Add(binSeed(&request{Op: opReport, Session: "s", Tag: 1, Value: 2.5, Seq: 3}))
+	f.Add(binSeed(&request{Op: opBest, Session: "s", Seq: 1}))
+	f.Add(binSeed(&request{Op: opFetchN, Session: "s", N: 1, Seq: 2}))
+	f.Add(binSeed(&request{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 1, Value: 2.5}}, Seq: 3}))
 	f.Add(binSeed(&request{Op: opFetchN, Session: "s", N: 8, Seq: 4}))
 	f.Add(binSeed(&request{Op: opReportN, Session: "s", Seq: 5,
 		Reports: []ReportItem{{Tag: 1, Value: 3.5}, {Tag: 2, Value: 4.5}}}))
@@ -108,11 +108,14 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		{Name: "x", Kind: space.Integer, Lower: 0, Upper: 5},
 		{Name: "m", Kind: space.Discrete, Values: []float64{1, 2, 4}},
 	}}))
-	// The retired resume opcode 6 is malformed: a best frame relabelled.
-	f.Add(binSeedOp(6, &request{Op: opBest, Session: "s", Client: "c", Seq: ^uint64(0)}))
+	// The retired opcodes are malformed: frames relabelled as the
+	// single-sample fetch and report (2, 3) and the resume handshake (6).
+	f.Add(binSeedOp(2, &request{Op: opFetchN, Session: "s", N: 1, Seq: 7}))
+	f.Add(binSeedOp(3, &request{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 1, Value: 2.5}}, Seq: 8}))
+	f.Add(binSeedOp(6, &request{Op: opBest, Session: "s", Seq: ^uint64(0)}))
 	// Structural corruption: truncated frame, bad CRC, oversized length
 	// prefix, non-minimal length uvarint, bare garbage.
-	good := binSeed(&request{Op: opBest, Session: "s", Client: "c", Seq: 1})
+	good := binSeed(&request{Op: opBest, Session: "s", Seq: 1})
 	f.Add(good[:len(good)/2])
 	bad := append([]byte{}, good...)
 	bad[len(bad)-1] ^= 0xff
@@ -196,16 +199,16 @@ func FuzzDispatch(f *testing.F) {
 	}
 	seed(&request{Op: opRegister, Session: "s", Params: []space.Parameter{{Name: "x", Kind: space.Integer, Lower: 0, Upper: 5}}})
 	seed(&request{Op: opRegister, Session: "s", Params: []space.Parameter{{Name: "", Kind: space.Discrete}}})
-	seed(&request{Op: opFetch, Session: "s"})
+	seed(&request{Op: opFetchN, Session: "s", N: 1})
 	seed(&request{Op: opFetchN, Session: "s", N: 16})
-	seed(&request{Op: opReport, Session: "s", Tag: 1, Value: 2.5})
+	seed(&request{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 1, Value: 2.5}}})
 	seed(&request{Op: opBest, Session: "s"})
 	seed(&request{Op: opStats, Session: "s"})
 	seed(&request{Op: opStats, Session: ""})
 	// Corrupt measurement reports: negative, absurd and non-finite values
 	// must be rejected with a structured error, never accepted or panicking.
 	for _, v := range []float64{-1, -1e308, 1e308, -0.001, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		seed(&request{Op: opReport, Session: "s", Tag: 1, Value: v})
+		seed(&request{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}}})
 		seed(&request{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 1, Value: v}, {Tag: 0, Value: v}}})
 	}
 	// Replies that carry a converged session's answer: a register joining
@@ -232,8 +235,10 @@ func FuzzDispatch(f *testing.F) {
 		if !resp.OK && resp.Error == "" {
 			t.Fatalf("failed response without error message for %+v", req)
 		}
-		if resp.OK && resp.Code != "" {
-			t.Fatalf("successful response carrying error code %q for %+v", resp.Code, req)
+		// Only a reportn reply that rejected items is OK and still carries
+		// an error: the last rejection's.
+		if resp.OK && (resp.Error != "") != (req.Op == opReportN && resp.Rejected > 0) {
+			t.Fatalf("successful response carrying error %q (code %q) for %+v", resp.Error, resp.Code, req)
 		}
 		out := appendResponse(nil, &resp)
 		var back response

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"net"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"paratune/internal/space"
 )
@@ -29,17 +31,15 @@ type goldenResp struct {
 // goldenRequests is one request per op, batches included.
 func goldenRequests() []goldenReq {
 	return []goldenReq{
-		{"req/register", request{Op: opRegister, Seq: 1, Client: "c1", Session: "gs2", Params: []space.Parameter{
+		{"req/register", request{Op: opRegister, Seq: 1, Session: "gs2", Params: []space.Parameter{
 			{Name: "ntheta", Kind: space.Integer, Lower: 8, Upper: 64},
 			{Name: "negrid", Kind: space.Discrete, Values: []float64{4, 8, 16}},
 			{Name: "delt", Kind: space.Continuous, Lower: 0.005, Upper: 0.5},
 		}}},
-		{"req/fetch", request{Op: opFetch, Seq: 2, Client: "c1", Session: "gs2"}},
-		{"req/report", request{Op: opReport, Seq: 3, Client: "c1", Session: "gs2", Tag: 7, Value: 0.8125}},
-		{"req/best", request{Op: opBest, Seq: 4, Client: "c1", Session: "gs2"}},
-		{"req/stats", request{Op: opStats, Seq: 5, Client: "c1", Session: "gs2"}},
-		{"req/fetchn", request{Op: opFetchN, Seq: 7, Client: "c1", Session: "gs2", N: 16}},
-		{"req/reportn", request{Op: opReportN, Seq: 8, Client: "c1", Session: "gs2", Reports: []ReportItem{
+		{"req/best", request{Op: opBest, Seq: 4, Session: "gs2"}},
+		{"req/stats", request{Op: opStats, Seq: 5, Session: "gs2"}},
+		{"req/fetchn", request{Op: opFetchN, Seq: 7, Session: "gs2", N: 16}},
+		{"req/reportn", request{Op: opReportN, Seq: 8, Session: "gs2", Reports: []ReportItem{
 			{Tag: 8, Value: 1.5},
 			{Tag: 9, Value: 2.25e-3},
 			{Tag: 300, Value: 1e9},
@@ -47,14 +47,13 @@ func goldenRequests() []goldenReq {
 	}
 }
 
-// goldenResponses is one response per op, plus a structured error and two
-// replies carrying a converged session's answer.
+// goldenResponses is one response per op, plus a structured error, a reportn
+// reply carrying its rejection's error, and two replies carrying a converged
+// session's answer.
 func goldenResponses() []goldenResp {
 	return []goldenResp{
 		{"resp/register", response{OK: true, Seq: 1}},
-		{"resp/fetch", response{OK: true, Seq: 2, Point: []float64{24, 8, 0.125}, Tag: 7}},
-		{"resp/report", response{OK: true, Seq: 3}},
-		{"resp/report-invalid", response{Seq: 3, Code: "invalid_value", Error: "invalid value -1"}},
+		{"resp/best-unknown", response{Seq: 4, Code: "unknown_session", Error: "unknown session \"gs2\""}},
 		{"resp/best", response{OK: true, Seq: 4, Point: []float64{32, 16, 0.05}, Value: 0.75, Converged: true}},
 		{"resp/stats", response{OK: true, Seq: 5, Stats: &SessionStats{
 			Name: "gs2", Converged: false, Best: []float64{32, 16, 0.05}, BestValue: 0.75,
@@ -65,6 +64,7 @@ func goldenResponses() []goldenResp {
 			{Point: []float64{40, 4, 0.25}, Tag: 11, Converged: true},
 		}}},
 		{"resp/reportn", response{OK: true, Seq: 8, Accepted: 2, Refused: 1, Rejected: 0}},
+		{"resp/reportn-rejected", response{OK: true, Seq: 8, Code: "invalid_value", Error: "invalid value -1", Accepted: 2, Rejected: 1}},
 		// Replies that find their session converged carry its answer.
 		{"resp/register-converged", response{OK: true, Seq: 1, Point: []float64{32, 16, 0.05}, Converged: true}},
 		{"resp/reportn-converged", response{OK: true, Seq: 8, Point: []float64{32, 16, 0.05}, Converged: true, Accepted: 3}},
@@ -142,5 +142,52 @@ func TestWireGoldenBytes(t *testing.T) {
 	}
 	if used != len(golden) {
 		t.Errorf("%s holds %d vectors, the test checks %d", goldenPHWIRE1, len(golden), used)
+	}
+}
+
+// preRevisionRequests are the request frames of PHWIRE1's first payload
+// layout, envelope included, as its golden file held them: the layout that
+// also carried a client id, the single-sample fields and retired slots.
+var preRevisionRequests = []struct{ name, hex string }{
+	{"register", "771112540d010102633103677332000000000000000000000003066e7468657461014020000000000000405000000000000000066e65677269640200000000000000000000000000000000034010000000000000402000000000000040300000000000000464656c74003f747ae147ae147b3fe00000000000000000"},
+	{"best", "16b269003104040263310367733200000000000000000000000000"},
+	{"stats", "163a9be76f05050263310367733200000000000000000000000000"},
+	{"fetchn", "16ec298ce207070263310367733200000000000000000000100000"},
+	{"reportn", "359fd875da08080263310367733200000000000000000000000003083ff800000000000000093f626e978d4fdf3b00ac0241cdcd650000000000"},
+}
+
+// TestPreRevisionFramesRefused sends each request of the first PHWIRE1
+// payload layout to a live server: a peer built against that layout must
+// draw a "bad request" reply and a closed connection, never a misread.
+func TestPreRevisionFramesRefused(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	if err := srv.Register("gs2", gs2Params()); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	serveAsync(l, srv)
+	for _, v := range preRevisionRequests {
+		raw, err := hex.DecodeString(v.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := newRawWire(t, l.Addr().String())
+		if _, err := rw.conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, ok := rw.readResp()
+		if !ok || resp.OK || !strings.HasPrefix(resp.Error, "bad request: ") {
+			t.Errorf("%s: pre-revision frame answered %+v (ok %v), want a bad request", v.name, resp, ok)
+			continue
+		}
+		if _, ok := rw.readResp(); ok {
+			t.Errorf("%s: connection stayed open after a bad request", v.name)
+		}
 	}
 }

@@ -364,9 +364,9 @@ func TestDispatchBatchAllocs(t *testing.T) {
 	}
 	pendingBatch(t, srv, "s", 1)
 	var grant []FetchResult
-	fetch := request{Op: opFetchN, Session: "s", Client: "c", N: 16}
+	fetch := request{Op: opFetchN, Session: "s", N: 16}
 	items := make([]ReportItem, 16)
-	report := request{Op: opReportN, Session: "s", Client: "c", Reports: items}
+	report := request{Op: opReportN, Session: "s", Reports: items}
 	var resp response
 	dispatchOK := func(req *request) {
 		req.Seq++

@@ -238,13 +238,13 @@ func TestDuplicateFrameSuppressed(t *testing.T) {
 		serveAsync(l, srv)
 
 		rw := newRawWire(t, l.Addr().String())
-		dup := rw.frame(&request{Op: opReport, Session: "s", Client: "dup-test", Seq: 1, Tag: fr.Tag, Value: 2})
+		dup := rw.frame(&request{Op: opReportN, Session: "s", Seq: 1, Reports: []ReportItem{{Tag: fr.Tag, Value: 2}}})
 		// The duplicated frame, then a fresh one so the reader can prove
 		// exactly one response was sent for the pair of duplicates.
 		if _, err := rw.conn.Write(append(append([]byte{}, dup...), dup...)); err != nil {
 			t.Fatal(err)
 		}
-		next := rw.frame(&request{Op: opBest, Session: "s", Client: "dup-test", Seq: 2})
+		next := rw.frame(&request{Op: opBest, Session: "s", Seq: 2})
 		if _, err := rw.conn.Write(next); err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestDuplicateFrameSuppressed(t *testing.T) {
 			if !ok {
 				break
 			}
-			if resp.Seq == 1 && !resp.OK {
+			if resp.Seq == 1 && (!resp.OK || resp.Rejected != 0) {
 				t.Fatalf("report rejected: %s", resp.Error)
 			}
 			seqs = append(seqs, resp.Seq)
@@ -293,7 +293,7 @@ func TestRegisterAfterCloseDropsConnection(t *testing.T) {
 		serveAsync(l, srv)
 		rw := newRawWire(t, l.Addr().String())
 		srv.Close()
-		if _, err := rw.conn.Write(rw.frame(&request{Op: opRegister, Session: "s", Params: gs2Params(), Client: "c", Seq: 1})); err != nil {
+		if _, err := rw.conn.Write(rw.frame(&request{Op: opRegister, Session: "s", Params: gs2Params(), Seq: 1})); err != nil {
 			t.Fatal(err)
 		}
 		_ = rw.conn.SetReadDeadline(time.Now().Add(5 * time.Second))

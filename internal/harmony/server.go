@@ -17,7 +17,9 @@
 //
 // Two transports are provided: direct in-process calls on *Server, and
 // PHWIRE1 over TCP (Serve/Client), a length-prefixed binary framing
-// (wire.go).
+// (wire.go). PHWIRE1's ops are register, best, stats and the batched
+// fetchn and reportn; Client.Fetch and Client.Report are their one-item
+// cases, and answer as Server.Fetch and Server.Report do.
 package harmony
 
 import (
@@ -28,6 +30,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -653,13 +656,13 @@ func (s *session) slotLocked(tag uint64) (*candidate, int) {
 // list of them.
 type FetchResult struct {
 	// Point is the configuration to run next.
-	Point space.Point `json:"point,omitempty"`
+	Point space.Point
 	// Tag names the sample slot a Report fills: one (candidate, sample)
 	// of the outstanding batch. 0 means the point is the best-known
 	// configuration and needs no measurement report.
-	Tag uint64 `json:"tag,omitempty"`
+	Tag uint64
 	// Converged reports whether tuning has finished.
-	Converged bool `json:"converged,omitempty"`
+	Converged bool
 }
 
 // Fetch returns the next configuration for a client of the named session:
@@ -996,19 +999,34 @@ func (srv *Server) RestoreAll(data []byte) error {
 	return nil
 }
 
-// WriteCheckpointFile writes CheckpointAll to path atomically — to a
-// temporary sibling, then renamed over path — so a crash mid-write never
-// leaves a truncated checkpoint behind.
+// WriteCheckpointFile writes CheckpointAll to path atomically and durably:
+// to a temporary sibling, synced, then renamed over path, and the directory
+// synced after the rename. A crash or power loss mid-write leaves path
+// naming either the previous checkpoint or this one, never a truncated file.
 func (srv *Server) WriteCheckpointFile(path string) error {
 	data, err := srv.CheckpointAll()
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if _, err := f.Write(data); err != nil {
+		return errors.Join(err, f.Close(), os.Remove(tmp))
+	}
+	if err := errors.Join(f.Sync(), f.Close()); err != nil {
+		return errors.Join(err, os.Remove(tmp))
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return errors.Join(err, os.Remove(tmp))
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // RestoreFile restores every session in the checkpoint file at path, as
@@ -1036,12 +1054,12 @@ func spaceParams(sp *space.Space) []space.Parameter {
 
 // SessionStats summarises one session for monitoring.
 type SessionStats struct {
-	Name      string    `json:"name"`
-	Converged bool      `json:"converged"`
-	Best      []float64 `json:"best"`
-	BestValue float64   `json:"best_value"`
-	Pending   int       `json:"pending"` // candidates awaiting measurements
-	NextTag   uint64    `json:"next_tag"`
+	Name      string
+	Converged bool
+	Best      []float64
+	BestValue float64
+	Pending   int // candidates awaiting measurements
+	NextTag   uint64
 }
 
 // Stats returns a monitoring snapshot of the named session.

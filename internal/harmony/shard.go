@@ -118,9 +118,9 @@ type ReportItem struct {
 	// Tag names the sample slot the measurement fills, as its grant did; 0
 	// reports (production-configuration measurements) are accepted and
 	// ignored.
-	Tag uint64 `json:"tag"`
+	Tag uint64
 	// Value is the measured time.
-	Value float64 `json:"value"`
+	Value float64
 }
 
 // BatchReportResult summarises one ReportN frame. Every item lands in
@@ -239,20 +239,23 @@ func (srv *Server) ReportN(name string, items []ReportItem) (BatchReportResult, 
 	if err != nil {
 		return BatchReportResult{}, err
 	}
-	return s.reportN(items), nil
+	//paralint:allow errdiscipline the per-item outcomes are in the result; only the wire reply carries the last rejection
+	res, _ := s.reportN(items)
+	return res, nil
 }
 
-// reportN is ReportN on a resolved session.
-func (s *session) reportN(items []ReportItem) BatchReportResult {
+// reportN is ReportN on a resolved session. The error is the last rejected
+// item's, nil when none was rejected; a PHWIRE1 reportn reply carries it so
+// that a one-item frame answers as a single Report does.
+func (s *session) reportN(items []ReportItem) (BatchReportResult, error) {
 	over := 0
 	if len(items) > maxBatchOps {
 		over = len(items) - maxBatchOps
 		items = items[:maxBatchOps]
 	}
-	//paralint:allow errdiscipline the per-item outcomes are in the result; the error repeats the last failure
-	res, _ := s.report(items)
+	res, err := s.report(items)
 	res.Refused += over
-	return res
+	return res, err
 }
 
 // internedSpace is the space of the parameter list a session last

@@ -67,17 +67,12 @@ type request struct {
 	Op      wireOp
 	Session string
 	Params  []space.Parameter
-	Tag     uint64
-	Value   float64
-	// Client is the sender's stable wire id, constant across reconnects.
-	// The server does not read its value: a frame without one, like a frame
-	// without a Seq, only bypasses duplicate suppression.
-	Client string
 	// Seq is the client's frame sequence number: every frame put on the wire
 	// (retries included — a resend is a new frame) carries the next value.
 	// The server discards a frame whose sequence does not advance past the
 	// connection's high-water mark — that is a duplicate injected in transit,
-	// and answering it would desynchronise the response stream.
+	// and answering it would desynchronise the response stream. A frame with
+	// Seq 0 bypasses duplicate suppression.
 	Seq uint64
 	// N is the batch size for fetchn.
 	N int
@@ -87,16 +82,16 @@ type request struct {
 
 // response is one server reply, the payload of one PHWIRE1 frame.
 type response struct {
-	OK    bool
+	OK bool
+	// Error and Code describe a failure. A reportn reply that rejected items
+	// stays OK and carries the last rejection's Error and Code.
 	Error string
 	// Code classifies structured errors: a code string from wireErrors.
 	Code string
-	// Point and Converged answer fetch and best. A register, report or
-	// reportn reply sets them to the session's best and true exactly when
-	// the session's next fetch would answer {best, tag 0, converged}, and
-	// leaves them empty otherwise.
+	// Point and Converged answer best. A register or reportn reply sets them
+	// to the session's best and true exactly when the session's next fetch
+	// would answer {best, tag 0, converged}, and leaves them empty otherwise.
 	Point     []float64
-	Tag       uint64
 	Value     float64
 	Converged bool
 	Stats     *SessionStats
@@ -280,8 +275,8 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 	// lastSeq is this connection's frame high-water mark. A connection
 	// carries one client (a Client owns its connection, and the chaos proxy
 	// gives each client link its own backend connection), which never sends
-	// the same sequence twice on it, so a frame whose sequence does not
-	// advance past the mark was duplicated in transit. It is discarded
+	// the same sequence twice on it, so a frame whose non-zero sequence does
+	// not advance past the mark was duplicated in transit. It is discarded
 	// without a response: answering both copies would leave a stray
 	// response desynchronising every later round trip.
 	var lastSeq uint64
@@ -309,7 +304,7 @@ func handleConn(conn net.Conn, srv *Server, opts ConnOptions, tracker *connTrack
 			}
 			return
 		}
-		if req.Client != "" && req.Seq != 0 {
+		if req.Seq != 0 {
 			if req.Seq <= lastSeq {
 				continue
 			}
@@ -344,21 +339,6 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 			return errResponse(err)
 		}
 		return convergedReply(s)
-	case opFetch:
-		fr, err := srv.Fetch(req.Session)
-		if err != nil {
-			return errResponse(err)
-		}
-		return response{OK: true, Point: fr.Point, Tag: fr.Tag, Converged: fr.Converged}
-	case opReport:
-		s, err := srv.session(req.Session)
-		if err != nil {
-			return errResponse(err)
-		}
-		if _, err := s.report([]ReportItem{{Tag: req.Tag, Value: req.Value}}); err != nil {
-			return errResponse(err)
-		}
-		return convergedReply(s)
 	case opFetchN:
 		if grant == nil {
 			grant = new([]FetchResult)
@@ -383,7 +363,7 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 		if err != nil {
 			return errResponse(err)
 		}
-		res := s.reportN(req.Reports)
+		res, err := s.reportN(req.Reports)
 		if srv.opts.Recorder != nil {
 			srv.rec.Record(event.BatchReport{
 				Session: req.Session, Items: len(req.Reports),
@@ -392,6 +372,10 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 		}
 		resp := convergedReply(s)
 		resp.Accepted, resp.Refused, resp.Rejected = res.Accepted, res.Refused, res.Rejected
+		if err != nil {
+			rej := errResponse(err)
+			resp.Error, resp.Code = rej.Error, rej.Code
+		}
 		return resp
 	case opBest:
 		p, v, conv, err := srv.Best(req.Session)
@@ -410,7 +394,7 @@ func dispatch(srv *Server, req *request, grant *[]FetchResult) response {
 	}
 }
 
-// convergedReply is the success reply to a register, report or reportn that
+// convergedReply is the success reply to a register or reportn that
 // reached s. When s's own fetchN would answer {best, tag 0, converged}, the
 // reply carries that answer in Point and Converged, so the client serves its
 // next fetch of s without a round trip. The point is encoded straight from
@@ -441,10 +425,10 @@ type DialOptions struct {
 	// the server's, the deadline is re-armed only when the one in force is
 	// more than Timeout/64 short, so a round trip gets at least 63/64 of it.
 	Timeout time.Duration
-	// Seed seeds the client's backoff-jitter RNG and its wire id, making
-	// redial behaviour reproducible; 0 (the default) draws an unpredictable
-	// seed from crypto/rand so independently started clients de-correlate
-	// their jitter. Tests and experiments set it explicitly.
+	// Seed seeds the client's backoff-jitter RNG, making redial behaviour
+	// reproducible; 0 (the default) draws an unpredictable seed from
+	// crypto/rand so independently started clients de-correlate their
+	// jitter. Tests and experiments set it explicitly.
 	Seed int64
 	// Wire must be "" or WireBinary: PHWIRE1 is the only client protocol.
 	// The field stays only for perfbench/serve.go, which sets it.
@@ -481,17 +465,16 @@ func (o *DialOptions) normalise() {
 // fast — redialling cannot change the answer — while connection-level
 // failures (EOF, reset, expired deadline, garbage in the response stream)
 // are transient and retried on a fresh connection with capped, jittered
-// exponential backoff. Every frame carries the client id and a sequence
-// number, so the server can discard frames duplicated in transit. A report
-// names the sample slot its grant named, so a retry that reaches the server
-// twice finds its slot filled and is counted once; a reconnect just resends
-// the failed request on the fresh connection. A register, report or reportn
-// reply that finds its session converged carries the session's answer, and
-// the next Fetch or FetchN of that session returns it without a round trip.
+// exponential backoff. Every frame carries a sequence number, so the server
+// can discard frames duplicated in transit. A report names the sample slot
+// its grant named, so a retry that reaches the server twice finds its slot
+// filled and is counted once; a reconnect just resends the failed request
+// on the fresh connection. A register or report reply that finds its
+// session converged carries the session's answer, and the next Fetch or
+// FetchN of that session returns it without a round trip.
 type Client struct {
 	addr string      // immutable after DialWith
 	opts DialOptions // immutable after DialWith
-	id   string      // stable wire identity; immutable after DialWith
 
 	mu         sync.Mutex //paralint:lockrank 34
 	conn       net.Conn
@@ -500,8 +483,8 @@ type Client struct {
 	rng        *rand.Rand
 	seq        uint64 // frame sequence; one per frame put on the wire
 	reconnects int    // connections re-established after a loss
-	// answers holds, per session, the best point the last register, report
-	// or reportn reply carried as the session's converged answer, until a
+	// answers holds, per session, the best point the last register or
+	// reportn reply carried as the session's converged answer, until a
 	// Fetch or FetchN of the session takes it. Bounded by
 	// maxConvergedAnswers.
 	answers map[string]space.Point
@@ -537,7 +520,6 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		opts: opts,
 		rng:  dist.NewRNG(seed),
 	}
-	c.id = fmt.Sprintf("%x", uint64(c.rng.Int63()))
 	if err := c.reconnectLocked(); err != nil {
 		return nil, err
 	}
@@ -667,7 +649,6 @@ func (c *Client) roundTrip(req request) (response, error) {
 	// report items or to the response's slices.
 	defer func() { c.req, c.resp = request{}, response{} }()
 	c.req = req
-	c.req.Client = c.id
 	var lastErr error
 	backoff := c.opts.Backoff
 	attempts := c.opts.Retries
@@ -702,12 +683,11 @@ func (c *Client) roundTrip(req request) (response, error) {
 	return response{}, fmt.Errorf("harmony: %s failed after %d attempts: %w", req.Op, attempts, lastErr)
 }
 
-// keepAnswerLocked records what a successful register, report or reportn
-// reply says of its session: the converged answer it carries, or, when it
-// carries none, that an answer kept from an earlier reply is stale. Caller
-// holds c.mu.
+// keepAnswerLocked records what a successful register or reportn reply says
+// of its session: the converged answer it carries, or, when it carries none,
+// that an answer kept from an earlier reply is stale. Caller holds c.mu.
 func (c *Client) keepAnswerLocked(req *request) {
-	if req.Op != opRegister && req.Op != opReport && req.Op != opReportN {
+	if req.Op != opRegister && req.Op != opReportN {
 		return
 	}
 	if !c.resp.Converged {
@@ -772,28 +752,34 @@ func (c *Client) Register(session string, params []space.Parameter) error {
 	return err
 }
 
-// Fetch obtains the next configuration to run. When the last register,
-// report or reportn reply for the session found it converged, Fetch returns
-// that answer (the best point, Tag 0, Converged) once, without a round trip.
-// It is the answer the server would give, since a converged session's answer
-// never changes. The one difference: a session that expires, or is lost to a
-// server restart without a checkpoint, between that reply and this call is
-// still answered here, and the loss surfaces on the next call.
+// Fetch obtains the next configuration to run: the one result of
+// FetchN(session, 1). When the last register, report or reportn reply for
+// the session found it converged, Fetch returns that answer (the best point,
+// Tag 0, Converged) once, without a round trip. It is the answer the server
+// would give, since a converged session's answer never changes. The one
+// difference: a session that expires, or is lost to a server restart without
+// a checkpoint, between that reply and this call is still answered here, and
+// the loss surfaces on the next call.
 func (c *Client) Fetch(session string) (FetchResult, error) {
-	if p, ok := c.takeAnswer(session); ok {
-		return FetchResult{Point: p, Converged: true}, nil
-	}
-	resp, err := c.roundTrip(request{Op: opFetch, Session: session})
+	batch, err := c.FetchN(session, 1)
 	if err != nil {
 		return FetchResult{}, err
 	}
-	return FetchResult{Point: space.Point(resp.Point), Tag: resp.Tag, Converged: resp.Converged}, nil
+	if len(batch) == 0 {
+		return FetchResult{}, errors.New("harmony: server returned no work")
+	}
+	return batch[0], nil
 }
 
-// Report sends one measurement for the sample slot tag names. A reconnect
-// retry finds the slot filled with the same value and is not double-counted.
+// Report sends one measurement for the sample slot tag names, as a one-item
+// ReportN. A reconnect retry finds the slot filled with the same value and
+// is not double-counted. A rejected measurement (an invalid value, a tag
+// never issued) returns the server's error, permanent as IsPermanent says.
 func (c *Client) Report(session string, tag uint64, value float64) error {
-	_, err := c.roundTrip(request{Op: opReport, Session: session, Tag: tag, Value: value})
+	resp, err := c.roundTrip(request{Op: opReportN, Session: session, Reports: []ReportItem{{Tag: tag, Value: value}}})
+	if err == nil && resp.Rejected > 0 {
+		err = newAppError(&resp)
+	}
 	return err
 }
 

@@ -22,6 +22,8 @@ import (
 // PHSYNC1's. After the preamble both directions exchange internal/frame
 // envelopes whose payload is every request/response field in fixed order
 // (see appendRequest / appendResponse), in frame's canonical field encoding.
+// Every field is read by the peer, and a frame of PHWIRE1's first payload
+// layout fails to decode (TestPreRevisionFramesRefused).
 //
 // The codec is canonical: decoding a frame and re-encoding the result yields
 // the same bytes (FuzzBinaryFrameDecode pins this), so a frame duplicated in
@@ -56,12 +58,11 @@ var wireErrors = [...]struct {
 // it.
 type wireOp byte
 
-// Request opcodes. The values are frozen: they are the wire format. Opcode 6
-// (a retired resume handshake) is never reused.
+// Request opcodes. The values are frozen: they are the wire format. Opcodes
+// 2 and 3 (the single-sample fetch and report, now fetchn and reportn of one
+// item) and 6 (a resume handshake) are retired and never reused.
 const (
 	opRegister wireOp = 1
-	opFetch    wireOp = 2
-	opReport   wireOp = 3
 	opBest     wireOp = 4
 	opStats    wireOp = 5
 	opFetchN   wireOp = 7
@@ -71,8 +72,8 @@ const (
 // wireOps is the request op table: the name of each opcode, "" for a byte
 // no op uses.
 var wireOps = [...]string{
-	opRegister: "register", opFetch: "fetch", opReport: "report", opBest: "best",
-	opStats: "stats", opFetchN: "fetchn", opReportN: "reportn",
+	opRegister: "register", opBest: "best", opStats: "stats",
+	opFetchN: "fetchn", opReportN: "reportn",
 }
 
 // wireKinds is the parameter-kind table: a kind's index is its frozen wire
@@ -147,12 +148,7 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 	}
 	dst = append(dst, byte(req.Op))
 	dst = binary.AppendUvarint(dst, req.Seq)
-	dst = frame.AppendString(dst, req.Client)
 	dst = frame.AppendString(dst, req.Session)
-	dst = binary.AppendUvarint(dst, req.Tag)
-	dst = frame.AppendF64(dst, req.Value)
-	// The retired report-id slot, always the empty string.
-	dst = append(dst, 0)
 	dst = binary.AppendUvarint(dst, uint64(req.N))
 	dst = binary.AppendUvarint(dst, uint64(len(req.Params)))
 	for i := range req.Params {
@@ -172,7 +168,6 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 		it := &req.Reports[i]
 		dst = binary.AppendUvarint(dst, it.Tag)
 		dst = frame.AppendF64(dst, it.Value)
-		dst = append(dst, 0) // the retired report-id slot
 	}
 	return dst, nil
 }
@@ -202,7 +197,6 @@ func appendResponse(dst []byte, resp *response) []byte {
 	dst = frame.AppendString(dst, resp.Code)
 	dst = frame.AppendString(dst, resp.Error)
 	dst = appendFloats(dst, resp.Point)
-	dst = binary.AppendUvarint(dst, resp.Tag)
 	dst = frame.AppendF64(dst, resp.Value)
 	if resp.Stats != nil {
 		dst = frame.AppendString(dst, resp.Stats.Name)
@@ -212,8 +206,6 @@ func appendResponse(dst []byte, resp *response) []byte {
 		dst = binary.AppendUvarint(dst, uint64(resp.Stats.Pending))
 		dst = binary.AppendUvarint(dst, resp.Stats.NextTag)
 	}
-	// Four retired counter slots, always zero (one uvarint byte each).
-	dst = append(dst, 0, 0, 0, 0)
 	dst = binary.AppendUvarint(dst, uint64(len(resp.Batch)))
 	for i := range resp.Batch {
 		b := &resp.Batch[i]
@@ -223,9 +215,7 @@ func appendResponse(dst []byte, resp *response) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(resp.Accepted))
 	dst = binary.AppendUvarint(dst, uint64(resp.Refused))
-	dst = binary.AppendUvarint(dst, uint64(resp.Rejected))
-	// The retired queue slot, always zero.
-	return append(dst, 0)
+	return binary.AppendUvarint(dst, uint64(resp.Rejected))
 }
 
 // --- decoder ---
@@ -327,13 +317,12 @@ func sharedPoint(r *frame.Reader, seen *recentPoints, slab *[]float64) space.Poi
 // reqScratch holds the per-connection decode scratch the zero-copy path
 // reuses across frames: the variable-length reportn section lands in the
 // same backing array every time instead of a fresh allocation per batch, and
-// a client id or session name that repeats the previous frame's reuses its
-// string. Capacity is bounded by maxBatchOps — a frame claiming more items
-// than the server would apply falls back to a one-off allocation rather than
-// pinning an oversized array for the connection's lifetime.
+// a session name that repeats the previous frame's reuses its string.
+// Capacity is bounded by maxBatchOps — a frame claiming more items than the
+// server would apply falls back to a one-off allocation rather than pinning
+// an oversized array for the connection's lifetime.
 type reqScratch struct {
 	reports []ReportItem
-	client  string // the previous frame's client id
 	session string // the previous frame's session name
 }
 
@@ -359,14 +348,6 @@ func reuseStr(r *frame.Reader, last *string) string {
 	return *last
 }
 
-// retired reads a retired slot: an empty string or a zero count, one zero
-// byte either way. Anything else is malformed, keeping the codec canonical.
-func retired(r *frame.Reader) {
-	if r.Uvarint() != 0 {
-		r.Fail()
-	}
-}
-
 // decodeRequest parses a PHWIRE1 request payload into req. Every decoded
 // field is freshly allocated and owned by the caller.
 func decodeRequest(payload []byte, req *request) error {
@@ -386,11 +367,7 @@ func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 	}
 	req.Op = wireOp(op)
 	req.Seq = r.Uvarint()
-	req.Client = reuseStr(&r, &scr.client)
 	req.Session = reuseStr(&r, &scr.session)
-	req.Tag = r.Uvarint()
-	req.Value = r.F64()
-	retired(&r)
 	req.N = intVal(&r)
 	if n := r.Count(2); n > 0 {
 		req.Params = make([]space.Parameter, n)
@@ -413,7 +390,6 @@ func decodeRequestInto(payload []byte, req *request, scr *reqScratch) error {
 			it := &req.Reports[i]
 			it.Tag = r.Uvarint()
 			it.Value = r.F64()
-			retired(&r)
 		}
 	}
 	return r.Finish()
@@ -435,7 +411,6 @@ func decodeResponse(payload []byte, resp *response) error {
 	resp.Code = r.Str()
 	resp.Error = r.Str()
 	resp.Point = floats(&r)
-	resp.Tag = r.Uvarint()
 	resp.Value = r.F64()
 	if flags&respFlagStats != 0 {
 		st := &SessionStats{}
@@ -446,10 +421,6 @@ func decodeResponse(payload []byte, resp *response) error {
 		st.Pending = intVal(&r)
 		st.NextTag = r.Uvarint()
 		resp.Stats = st
-	}
-	// The four retired counter slots.
-	for i := 0; i < 4; i++ {
-		retired(&r)
 	}
 	if n := r.Count(2); n > 0 {
 		resp.Batch = make([]FetchResult, n)
@@ -467,7 +438,6 @@ func decodeResponse(payload []byte, resp *response) error {
 	resp.Accepted = intVal(&r)
 	resp.Refused = intVal(&r)
 	resp.Rejected = intVal(&r)
-	retired(&r) // the retired queue slot
 	return r.Finish()
 }
 

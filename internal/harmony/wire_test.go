@@ -6,10 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
-	"slices"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -23,11 +22,11 @@ import (
 // combination the codec distinguishes.
 func wireRequests() []request {
 	return []request{
-		{Op: opBest, Session: "s", Client: "c", Seq: 1},
-		{Op: opFetch, Session: "sess-два", Client: "client/1", Seq: 2},
-		{Op: opReport, Session: "s", Tag: 99, Value: 3.25, Seq: 300},
+		{Op: opBest, Session: "s", Seq: 1},
+		{Op: opFetchN, Session: "sess-два", N: 1, Seq: 2},
+		{Op: opReportN, Session: "s", Reports: []ReportItem{{Tag: 99, Value: 3.25}}, Seq: 300},
 		{Op: opStats, Session: "s", Seq: ^uint64(0)},
-		{Op: opBest, Session: "s", Client: "c", Seq: 1 << 40},
+		{Op: opBest, Session: "s", Seq: 1 << 40},
 		{Op: opFetchN, Session: "s", N: 64, Seq: 7},
 		{Op: opReportN, Session: "s", Seq: 8, Reports: []ReportItem{
 			{Tag: 1, Value: 0.5},
@@ -45,7 +44,7 @@ func wireResponses() []response {
 	return []response{
 		{OK: true, Seq: 1},
 		{OK: false, Seq: 2, Code: "unknown_session", Error: "unknown session \"s\""},
-		{OK: true, Seq: 3, Point: []float64{1, 2.5, -3}, Tag: 17, Converged: true},
+		{OK: true, Seq: 3, Point: []float64{1, 2.5, -3}, Converged: true},
 		{OK: true, Seq: 4, Value: 0.125},
 		{OK: true, Seq: 5, Stats: &SessionStats{
 			Name: "s", Converged: true, Best: []float64{9, 8}, BestValue: 0.25,
@@ -56,6 +55,7 @@ func wireResponses() []response {
 			{Point: []float64{3, 4}, Tag: 6, Converged: true},
 		}},
 		{OK: true, Seq: 7, Accepted: 10, Refused: 2, Rejected: 1},
+		{OK: true, Seq: 8, Code: "invalid_value", Error: "invalid value -1", Rejected: 1},
 	}
 }
 
@@ -102,41 +102,26 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 }
 
 // TestBinaryDecodeRejects pins the strictness that makes the codec canonical:
-// unknown opcodes, non-minimal uvarints, out-of-range bools, undeclared flag
-// bits, non-empty retired slots, truncation, and trailing garbage are all
-// malformed.
+// unknown and retired opcodes, non-minimal uvarints, out-of-range bools,
+// undeclared flag bits, truncation, and trailing garbage are all malformed.
 func TestBinaryDecodeRejects(t *testing.T) {
-	valid, err := appendRequest(nil, &request{Op: opBest, Session: "s", Client: "c", Seq: 1})
+	valid, err := appendRequest(nil, &request{Op: opBest, Session: "s", Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
 		"empty":              {},
 		"unknown op":         append([]byte{0xee}, valid[1:]...),
+		"retired fetch op":   append([]byte{2}, valid[1:]...),
+		"retired report op":  append([]byte{3}, valid[1:]...),
 		"retired resume op":  append([]byte{6}, valid[1:]...),
 		"truncated":          valid[:len(valid)-1],
 		"trailing byte":      append(append([]byte{}, valid...), 0),
 		"non-minimal seq":    append(append([]byte{valid[0]}, 0x81, 0x00), valid[2:]...),
 		"string overruns":    {valid[0], 1, 0xff, 0x7f},
 		"huge param count":   append(append([]byte{}, valid[:len(valid)-2]...), 0xff, 0x7f),
-		"count eats payload": {valid[0], 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x21},
+		"count eats payload": {valid[0], 1, 0, 0, 0xf0, 0x21},
 	}
-	// The retired report-id slots, the request's and each report item's,
-	// are always the empty string; a non-empty one is malformed.
-	report, err := appendRequest(nil, &request{Op: opReport, Session: "s", Client: "c", Seq: 1, Tag: 7, Value: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// op, seq, client "c", session "s", tag, 8-byte value: the slot follows.
-	ridAt := 1 + 1 + 2 + 2 + 1 + 8
-	cases["non-empty rid"] = slices.Concat(report[:ridAt], []byte{2, 'r', '1'}, report[ridAt+1:])
-	reportN, err := appendRequest(nil, &request{Op: opReportN, Session: "s", Client: "c", Seq: 1,
-		Reports: []ReportItem{{Tag: 7, Value: 0.5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The item's slot is the payload's last byte.
-	cases["non-empty item rid"] = slices.Concat(reportN[:len(reportN)-1], []byte{1, 'r'})
 	for name, payload := range cases {
 		var req request
 		if err := decodeRequest(payload, &req); err == nil {
@@ -151,18 +136,6 @@ func TestBinaryDecodeRejects(t *testing.T) {
 		"truncated":           respValid[:len(respValid)-1],
 		"trailing":            append(append([]byte{}, respValid...), 7),
 	}
-	// The four retired counter slots sit just before the five trailing
-	// one-byte fields (batch count, accepted, refused, rejected, and the
-	// retired queue slot); any non-zero retired slot is malformed.
-	slots := len(respValid) - 4 - 5
-	for i := 0; i < 4; i++ {
-		bad := append([]byte{}, respValid...)
-		bad[slots+i] = 1
-		respCases["non-zero retired slot "+strconv.Itoa(i)] = bad
-	}
-	queueSlot := append([]byte{}, respValid...)
-	queueSlot[len(queueSlot)-1] = 5
-	respCases["non-zero queue slot"] = queueSlot
 	for name, payload := range respCases {
 		var resp response
 		if err := decodeResponse(payload, &resp); err == nil {
@@ -248,9 +221,9 @@ func TestJSONLineClosedUnanswered(t *testing.T) {
 // TestBinaryEncodeAllocs pins the steady-state encode path at zero
 // allocations per frame once the scratch buffers have grown.
 func TestBinaryEncodeAllocs(t *testing.T) {
-	req := request{Op: opReport, Session: "tuning-session", Client: "client-1",
-		Tag: 42, Value: 1.25, Seq: 1000}
-	resp := response{OK: true, Seq: 1000, Point: []float64{1, 2, 3}, Tag: 42}
+	req := request{Op: opReportN, Session: "tuning-session",
+		Reports: []ReportItem{{Tag: 42, Value: 1.25}}, Seq: 1000}
+	resp := response{OK: true, Seq: 1000, Point: []float64{1, 2, 3}, Value: 1.25}
 	pbuf := make([]byte, 0, 1024)
 	fbuf := make([]byte, 0, 1024)
 	alloccheck.Guard(t, "harmony.appendRequest+frame.Append", 0, func() {
@@ -275,7 +248,7 @@ func TestClientReportNSendAllocs(t *testing.T) {
 	for i := range items {
 		items[i] = ReportItem{Tag: uint64(100 + i), Value: 0.5 + float64(i)}
 	}
-	req := request{Op: opReportN, Session: "tuning-session", Client: "5eed", Reports: items}
+	req := request{Op: opReportN, Session: "tuning-session", Reports: items}
 	c := &binClientCodec{w: io.Discard}
 	send := func() {
 		req.Seq++
@@ -324,24 +297,24 @@ func TestBinaryDecodeAllocs(t *testing.T) {
 }
 
 // TestClientRecvAllocs pins the client's steady-state read: the frame lands
-// in the codec's reused buffer, so a fetch response costs only its decoded
+// in the codec's reused buffer, so a best response costs only its decoded
 // point — the one allocation decodeResponse's copy-out makes.
 func TestClientRecvAllocs(t *testing.T) {
 	var pbuf []byte
-	pbuf = appendResponse(pbuf, &response{OK: true, Seq: 3, Point: []float64{24, 8, 0.125}, Tag: 7})
+	pbuf = appendResponse(pbuf, &response{OK: true, Seq: 3, Point: []float64{24, 8, 0.125}, Value: 0.75})
 	stream := bytes.Repeat(frame.Append(nil, pbuf), 128) // alloccheck runs the body 101 times
 	c := &binClientCodec{br: bufio.NewReader(bytes.NewReader(stream))}
 	var resp response
 	if err := c.recv(&resp); err != nil { // warm the read buffer
 		t.Fatal(err)
 	}
-	alloccheck.Guard(t, "harmony.binClientCodec.recv/fetch", 1, func() {
+	alloccheck.Guard(t, "harmony.binClientCodec.recv/best", 1, func() {
 		resp = response{}
 		if err := c.recv(&resp); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if resp.Tag != 7 || len(resp.Point) != 3 {
+	if resp.Value != 0.75 || len(resp.Point) != 3 {
 		t.Fatalf("decoded response corrupted: %+v", resp)
 	}
 }
@@ -458,11 +431,14 @@ func kindName(code byte) (string, bool) {
 // format), and every byte outside the tables must be rejected both ways.
 func TestWireCodecTablesFrozen(t *testing.T) {
 	frozenOps := map[string]byte{
-		"register": 1, "fetch": 2, "report": 3, "best": 4,
-		"stats": 5, "fetchn": 7, "reportn": 8,
+		"register": 1, "best": 4, "stats": 5, "fetchn": 7, "reportn": 8,
 	}
-	if _, ok := opName(6); ok {
-		t.Error("opName(6) accepted the retired resume opcode; it is never reused")
+	// Retired: 2 (fetch) and 3 (report), served by fetchn and reportn, and
+	// 6 (a resume handshake). Their values are never reused.
+	for _, code := range []byte{2, 3, 6} {
+		if name, ok := opName(code); ok {
+			t.Errorf("opName(%d) = %q; the retired opcode is never reused", code, name)
+		}
 	}
 	frozenKinds := map[string]byte{"continuous": 0, "integer": 1, "discrete": 2}
 
@@ -516,7 +492,7 @@ func TestWireCodecTablesFrozen(t *testing.T) {
 // and every kind of wireKinds through the PHWIRE1 codec and the checkpoint
 // form: an op or kind the table names but the server cannot handle fails
 // here, before any client sends it. Each op answers OK on a live session,
-// and an unknown session's fetch carries its wireErrors code.
+// and an unknown session's fetchn carries its wireErrors code.
 func TestDispatchCoversWireTables(t *testing.T) {
 	srv := NewServer(ServerOptions{})
 	defer srv.Close()
@@ -530,8 +506,7 @@ func TestDispatchCoversWireTables(t *testing.T) {
 		}
 		op := wireOp(code)
 		req := request{
-			Op: op, Session: "s", Params: gs2Params(),
-			Tag: fr.Tag, Value: 1, N: 1,
+			Op: op, Session: "s", Params: gs2Params(), N: 1,
 			Reports: []ReportItem{{Tag: fr.Tag, Value: 1}},
 		}
 		resp := dispatch(srv, &req, nil)
@@ -543,7 +518,7 @@ func TestDispatchCoversWireTables(t *testing.T) {
 			t.Errorf("op %s: resp = %+v, want OK", op, resp)
 		}
 	}
-	resp := dispatch(srv, &request{Op: opFetch, Session: "ghost"}, nil)
+	resp := dispatch(srv, &request{Op: opFetchN, Session: "ghost", N: 1}, nil)
 	if resp.OK || newAppError(&resp).err != ErrUnknownSession {
 		t.Errorf("fetch of an unknown session: resp = %+v, want code %q", resp, "unknown_session")
 	}
@@ -589,10 +564,10 @@ func TestErrorCodesClassifyBothWays(t *testing.T) {
 	}
 }
 
-// TestUnknownCodeIsPlainPermanentError answers a client's request with a
-// failure frame whose code is outside wireErrors, as a newer server might:
-// the client surfaces it as a permanent error that matches no sentinel.
-func TestUnknownCodeIsPlainPermanentError(t *testing.T) {
+// fetchFromFake runs one Client.Fetch against a fake server that answers
+// the fetchn frame with reply, its Seq set to the request's.
+func fetchFromFake(t *testing.T, reply response) (FetchResult, error) {
+	t.Helper()
 	cc, sc := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -614,8 +589,8 @@ func TestUnknownCodeIsPlainPermanentError(t *testing.T) {
 			t.Errorf("reading the request: %v", err)
 			return
 		}
-		resp := response{Seq: req.Seq, Code: "session_evicted", Error: "harmony: session evicted"}
-		if _, err := sc.Write(frame.Append(nil, appendResponse(nil, &resp))); err != nil {
+		reply.Seq = req.Seq
+		if _, err := sc.Write(frame.Append(nil, appendResponse(nil, &reply))); err != nil {
 			t.Errorf("writing the reply: %v", err)
 		}
 	}()
@@ -623,9 +598,26 @@ func TestUnknownCodeIsPlainPermanentError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Fetch("s")
+	fr, err := c.Fetch("s")
 	_ = c.Close()
 	<-done
+	return fr, err
+}
+
+// TestFetchOfEmptyBatchIsAnError answers a Client.Fetch with an OK fetchn
+// reply that grants nothing, which no server sends: the client returns an
+// error instead of indexing the empty batch.
+func TestFetchOfEmptyBatchIsAnError(t *testing.T) {
+	if fr, err := fetchFromFake(t, response{OK: true}); err == nil {
+		t.Errorf("Fetch of an empty batch = %+v, want an error", fr)
+	}
+}
+
+// TestUnknownCodeIsPlainPermanentError answers a client's request with a
+// failure frame whose code is outside wireErrors, as a newer server might:
+// the client surfaces it as a permanent error that matches no sentinel.
+func TestUnknownCodeIsPlainPermanentError(t *testing.T) {
+	_, err := fetchFromFake(t, response{Code: "session_evicted", Error: "harmony: session evicted"})
 	if err == nil || !IsPermanent(err) {
 		t.Fatalf("err = %v, want a permanent application error", err)
 	}
@@ -689,8 +681,7 @@ func sameLengthFrames(t *testing.T, a, b []byte) *bufio.Reader {
 func TestBinServerCodecRequestOutlivesNextFrame(t *testing.T) {
 	build := func(x string, v float64) request {
 		return request{
-			Op: opReportN, Seq: 7, Client: "client-" + x, Session: "session-" + x,
-			Tag: 3, Value: v, N: 2,
+			Op: opReportN, Seq: 7, Session: "session-" + x, N: 2,
 			Params: []space.Parameter{{Name: "param-" + x, Kind: space.Discrete, Values: []float64{v, 2 * v}}},
 			Reports: []ReportItem{
 				{Tag: 1, Value: v},
@@ -731,7 +722,7 @@ func TestBinClientCodecResponseOutlivesNextFrame(t *testing.T) {
 	build := func(x string, v float64) response {
 		return response{
 			OK: true, Seq: 9, Code: "code-" + x, Error: "error-" + x,
-			Point: []float64{v, 2 * v}, Tag: 4, Value: v,
+			Point: []float64{v, 2 * v}, Value: v,
 			Stats: &SessionStats{Name: "stats-" + x, Best: []float64{3 * v}, BestValue: v, Pending: 1, NextTag: 5},
 			Batch: []FetchResult{{Point: []float64{4 * v, 5 * v}, Tag: 6}},
 		}
@@ -750,5 +741,103 @@ func TestBinClientCodecResponseOutlivesNextFrame(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotA, a) {
 		t.Errorf("response A changed when frame B was read:\n got %+v\nwant %+v", gotA, a)
+	}
+}
+
+// TestSingleSampleCallsSameInProcessAndOverWire runs one script of Fetch
+// and Report calls on a Server directly and, on a twin server, through a
+// PHWIRE1 Client, whose single-sample calls ride fetchn and reportn: every
+// step must answer the same FetchResult and the same error, text and class
+// alike, and every wire error must be permanent.
+func TestSingleSampleCallsSameInProcessAndOverWire(t *testing.T) {
+	type caller struct {
+		fetch  func(session string) (FetchResult, error)
+		report func(session string, tag uint64, value float64) error
+	}
+	// Each step is one call; the fetched tag of the outstanding batch is
+	// threaded through as live.
+	steps := []struct {
+		name  string
+		fetch bool
+		sess  string
+		tag   func(live uint64) uint64
+		value float64
+	}{
+		{name: "fetch", fetch: true, sess: "s"},
+		{name: "tag 0", sess: "s", tag: func(uint64) uint64 { return 0 }, value: 1},
+		{name: "NaN", sess: "s", tag: func(live uint64) uint64 { return live }, value: math.NaN()},
+		{name: "negative", sess: "s", tag: func(live uint64) uint64 { return live }, value: -1},
+		{name: "never issued", sess: "s", tag: func(uint64) uint64 { return 1 << 40 }, value: 1},
+		{name: "live slot", sess: "s", tag: func(live uint64) uint64 { return live }, value: 2},
+		{name: "unknown session fetch", fetch: true, sess: "ghost"},
+		{name: "unknown session report", sess: "ghost", tag: func(uint64) uint64 { return 1 }, value: 1},
+		// Filling "one"'s only batch converges it; a report of a retired
+		// batch's tag is then accepted, and the session's fetch is answered
+		// with its best, locally on the wire path.
+		{name: "one fill 1", sess: "one", tag: func(uint64) uint64 { return 1 }, value: 1},
+		{name: "one fill 2", sess: "one", tag: func(uint64) uint64 { return 2 }, value: 1},
+		{name: "one fill 3", sess: "one", tag: func(uint64) uint64 { return 3 }, value: 1},
+		{name: "one fill 4", sess: "one", tag: func(uint64) uint64 { return 4 }, value: 1},
+		{name: "one fill 5", sess: "one", tag: func(uint64) uint64 { return 5 }, value: 1},
+		{name: "one fill 6", sess: "one", tag: func(uint64) uint64 { return 6 }, value: 1},
+		{name: "retired batch tag", sess: "one", tag: func(uint64) uint64 { return 2 }, value: 3},
+		{name: "converged fetch", fetch: true, sess: "one"},
+	}
+	type answer struct {
+		fr  FetchResult
+		err error
+	}
+	run := func(c caller) []answer {
+		var live uint64
+		out := make([]answer, len(steps))
+		for i, st := range steps {
+			if st.fetch {
+				fr, err := c.fetch(st.sess)
+				if st.sess == "s" {
+					live = fr.Tag
+				}
+				out[i] = answer{fr, err}
+				continue
+			}
+			out[i].err = c.report(st.sess, st.tag(live), st.value)
+		}
+		return out
+	}
+	newServer := func() *Server {
+		srv := NewServer(ServerOptions{})
+		t.Cleanup(srv.Close)
+		for name, params := range map[string][]space.Parameter{"s": gs2Params(), "one": onePoint} {
+			if err := srv.Register(name, params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return srv
+	}
+	local := newServer()
+	cl, _ := dialTest(t, newServer())
+	want := run(caller{local.Fetch, local.Report})
+	got := run(caller{cl.Fetch, cl.Report})
+	for i, st := range steps {
+		w, g := want[i], got[i]
+		if !reflect.DeepEqual(g.fr, w.fr) {
+			t.Errorf("%s: wire answered %+v, in-process %+v", st.name, g.fr, w.fr)
+		}
+		if (g.err == nil) != (w.err == nil) || (w.err != nil && g.err.Error() != w.err.Error()) {
+			t.Errorf("%s: wire err = %v, in-process err = %v", st.name, g.err, w.err)
+			continue
+		}
+		if errors.Is(g.err, ErrInvalidValue) != errors.Is(w.err, ErrInvalidValue) ||
+			errors.Is(g.err, ErrUnknownSession) != errors.Is(w.err, ErrUnknownSession) {
+			t.Errorf("%s: wire err %v and in-process err %v differ in class", st.name, g.err, w.err)
+		}
+		if IsPermanent(g.err) != (g.err != nil) {
+			t.Errorf("%s: wire err %v: IsPermanent = %v", st.name, g.err, IsPermanent(g.err))
+		}
+	}
+	// The script reaches every case it names.
+	if want[0].fr.Tag == 0 || want[2].err == nil || !errors.Is(want[3].err, ErrInvalidValue) ||
+		want[4].err == nil || errors.Is(want[4].err, ErrInvalidValue) || want[14].err != nil ||
+		!want[15].fr.Converged || want[15].fr.Tag != 0 || !errors.Is(want[6].err, ErrUnknownSession) {
+		t.Errorf("the in-process script did not reach its cases: %+v", want)
 	}
 }
